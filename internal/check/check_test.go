@@ -51,7 +51,7 @@ func TestCleanRunCDOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetChecker(check.New(failOn(t, check.Config{Region: region, Oracle: check.Oracle(alg), Interval: 1})))
+	net.SetProbe(check.New(failOn(t, check.Config{Region: region, Oracle: check.Oracle(alg), Interval: 1})))
 	res := runSynthetic(t, net, region.ActiveNodes(), 0.2)
 	if res.MeasuredPackets == 0 {
 		t.Fatal("no packets measured — the run exercised nothing")
@@ -71,7 +71,7 @@ func TestCleanRunDOR(t *testing.T) {
 	if err := net.EnableRuntimeGating(noc.DefaultGatingConfig()); err != nil {
 		t.Fatal(err)
 	}
-	net.SetChecker(check.New(failOn(t, check.Config{Oracle: check.Oracle(alg), Interval: 1})))
+	net.SetProbe(check.New(failOn(t, check.Config{Oracle: check.Oracle(alg), Interval: 1})))
 	nodes := make([]int, m.Nodes())
 	for i := range nodes {
 		nodes[i] = i
@@ -94,7 +94,7 @@ func TestCheckerZeroDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 		if attach {
-			net.SetChecker(check.New(failOn(t, check.Config{Region: region, Oracle: check.Oracle(alg), Interval: 1})))
+			net.SetProbe(check.New(failOn(t, check.Config{Region: region, Oracle: check.Oracle(alg), Interval: 1})))
 		}
 		return runSynthetic(t, net, region.ActiveNodes(), 0.25)
 	}
@@ -140,7 +140,7 @@ func TestDarkRouterViolationCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetChecker(check.New(check.Config{Region: region, Oracle: check.Oracle(inner), Interval: 1}))
+	net.SetProbe(check.New(check.Config{Region: region, Oracle: check.Oracle(inner), Interval: 1}))
 	net.Enqueue(0, 5)
 
 	var got *check.Violation
@@ -187,7 +187,7 @@ func TestRouteRuleViolationCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 	var kinds []check.Kind
-	net.SetChecker(check.New(check.Config{
+	net.SetProbe(check.New(check.Config{
 		Region:      region,
 		Oracle:      check.Oracle(inner),
 		Interval:    1,
@@ -217,7 +217,7 @@ func TestUnclassifiableHopRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []*check.Violation
-	net.SetChecker(check.New(check.Config{
+	net.SetProbe(check.New(check.Config{
 		Oracle: func(cur, dst int) (int, error) {
 			return 0, errors.New("hop outside the checked discipline")
 		},
@@ -273,7 +273,7 @@ func TestWatchdogCatchesDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got *check.Violation
-	net.SetChecker(check.New(check.Config{
+	net.SetProbe(check.New(check.Config{
 		Interval:       1,
 		WatchdogCycles: 100,
 		OnViolation: func(v *check.Violation) {
@@ -321,5 +321,85 @@ func TestFlitCensusBalances(t *testing.T) {
 	}
 	if net.InFlight() != 0 {
 		t.Fatal("packets did not drain in 40 cycles")
+	}
+}
+
+// TestReconfigureSourceDropsPass shrinks a loaded region while its NIs hold
+// queued packets toward retiring nodes: the source-queue drops reach the
+// checker at each packet's source, which the drop rule must accept.
+func TestReconfigureSourceDropsPass(t *testing.T) {
+	m := mesh.New(4, 4)
+	big := sprint.NewRegion(m, 0, 8, sprint.Euclidean)
+	small := sprint.NewRegion(m, 0, 4, sprint.Euclidean)
+	net, err := noc.New(noc.DefaultConfig(), routing.NewCDOR(big), big.ActiveNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chk := check.New(failOn(t, check.Config{Region: big, Oracle: check.Oracle(routing.NewCDOR(big)), Interval: 1}))
+	net.SetProbe(chk)
+	var retiring []int
+	for _, id := range big.ActiveNodes() {
+		if !small.Active(id) {
+			retiring = append(retiring, id)
+		}
+	}
+	for i := 0; i < 6; i++ { // more than one packet per source stays queued
+		for _, src := range small.ActiveNodes() {
+			net.Enqueue(src, retiring[(i+src)%len(retiring)])
+		}
+	}
+	net.Step()
+	rep, err := net.Reconfigure(small.ActiveNodes(), routing.NewCDOR(small), 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chk.SetRegion(small)
+	chk.SetOracle(check.Oracle(routing.NewCDOR(small)))
+	// Quiesce starts no new packet, so all but each source's first stay
+	// queued until the drop.
+	if want := int64(5 * len(small.ActiveNodes())); rep.PacketsDropped < want {
+		t.Fatalf("reconfiguration dropped %d packets, want at least %d from source queues", rep.PacketsDropped, want)
+	}
+	net.Enqueue(0, 5)
+	net.Run(200)
+	if chk.Violations() != 0 {
+		t.Fatalf("%d violations", chk.Violations())
+	}
+}
+
+// TestForgedEjectionRejected feeds the checker ejections directly: a flit may
+// leave only at its destination, or as a drop at its source while never
+// injected; every other exit is a RouteRule violation.
+func TestForgedEjectionRejected(t *testing.T) {
+	net, err := noc.New(noc.DefaultConfig(), routing.NewDOR(mesh.New(4, 4)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []check.Kind
+	chk := check.New(check.Config{OnViolation: func(v *check.Violation) { got = append(got, v.Kind) }})
+	for _, c := range []struct {
+		name       string
+		node       int
+		injectedAt int64
+		dropped    bool
+		ok         bool
+	}{
+		{"delivered at dst", 5, 3, false, true},
+		{"black-holed at dst", 5, 3, true, true},
+		{"queued drop at src", 0, -1, true, true},
+		{"delivered at src", 0, -1, false, false},
+		{"injected drop at src", 0, 3, true, false},
+		{"drop elsewhere", 7, -1, true, false},
+		{"delivered elsewhere", 7, 3, false, false},
+	} {
+		got = got[:0]
+		pkt := &noc.Packet{ID: 1, Src: 0, Dst: 5, Length: 1, InjectedAt: c.injectedAt}
+		chk.FlitEjected(net, c.node, pkt, true, c.dropped)
+		if c.ok && len(got) != 0 {
+			t.Errorf("%s: unexpected %v", c.name, got)
+		}
+		if !c.ok && (len(got) != 1 || got[0] != check.RouteRule) {
+			t.Errorf("%s: got %v, want one %s violation", c.name, got, check.RouteRule)
+		}
 	}
 }

@@ -87,7 +87,7 @@ func TestLLCStudySelfValidates(t *testing.T) {
 	s := newSprinter(t)
 	run := func(check bool) []LLCRow {
 		rows, err := LLCStudy(s, LLCParams{
-			WorkingSetLines: 200, SharedLines: 32, AccessesPerCore: 300, Check: check,
+			WorkingSetLines: 200, SharedLines: 32, AccessesPerCore: 300, Sim: NetSimParams{Check: check},
 		})
 		if err != nil {
 			t.Fatalf("LLCStudy(check=%v): %v", check, err)

@@ -358,12 +358,14 @@ func (p NetSimParams) sweepCtx() context.Context {
 // intended discipline (CDOR, DOR, torus DOR, ring-circulant). None of the
 // switches affects simulation results.
 func (p NetSimParams) instrument(net *noc.Network, region *sprint.Region, label string) {
+	var probes []noc.Probe
 	if p.Check {
-		net.SetChecker(check.New(check.Config{Region: region, Oracle: check.Oracle(net.Algorithm())}))
+		probes = append(probes, check.New(check.Config{Region: region, Oracle: check.Oracle(net.Algorithm())}))
 	}
 	if p.Obs != nil {
-		p.Obs.Attach(net, label)
+		probes = append(probes, p.Obs.NewCollector(net, label))
 	}
+	net.SetProbe(probes...)
 	net.UseReferenceStepper(p.Reference)
 }
 

@@ -10,7 +10,6 @@ import (
 	"nocsprint/internal/ckpt"
 	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
-	"nocsprint/internal/obs"
 	"nocsprint/internal/power"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
@@ -604,12 +603,11 @@ func GatingComparison(s *Sprinter, gcfg noc.GatingConfig, sp NetSimParams) (Gati
 			continue // no traffic to route
 		}
 		seed := int64(7000 + i)
+		evalSP := sp
+		evalSP.Seed = seed
 
 		// Scheme 1: full-sprinting, no network power management.
-		none, err := s.EvaluateNetwork(p, FullSprinting, NetSimParams{
-			Warmup: sp.Warmup, Measure: sp.Measure, Drain: sp.Drain, Seed: seed, Check: sp.Check,
-			Abort: sp.Abort, Reference: sp.Reference, Obs: sp.Obs,
-		})
+		none, err := s.EvaluateNetwork(p, FullSprinting, evalSP)
 		if err != nil {
 			return GatingResult{}, err
 		}
@@ -646,10 +644,7 @@ func GatingComparison(s *Sprinter, gcfg noc.GatingConfig, sp NetSimParams) (Gati
 		}
 
 		// Scheme 3: NoC-sprinting.
-		nocs, err := s.EvaluateNetwork(p, NoCSprinting, NetSimParams{
-			Warmup: sp.Warmup, Measure: sp.Measure, Drain: sp.Drain, Seed: seed, Check: sp.Check,
-			Abort: sp.Abort, Reference: sp.Reference, Obs: sp.Obs,
-		})
+		nocs, err := s.EvaluateNetwork(p, NoCSprinting, evalSP)
 		if err != nil {
 			return GatingResult{}, err
 		}
@@ -1157,22 +1152,14 @@ type LLCParams struct {
 	AccessesPerCore int64
 	MaxCycles       int64
 	Level           int
-	// Check attaches the runtime invariant checker to the study's networks
-	// (see NetSimParams.Check).
-	Check bool
-	// Reference runs the study's networks on the reference full-scan
-	// stepper (see NetSimParams.Reference). Observational.
-	Reference bool
-	// Ctx, when non-nil, cancels the study: the cache-system cycle loops
-	// poll it (256-cycle granularity, like every other long cycle loop),
-	// so an interrupted CLI run stops the LLC study promptly instead of
-	// riding out millions of cycles. Nil never cancels; results are
-	// identical with or without a context attached.
-	Ctx context.Context
-	// Obs attaches telemetry collectors to the study's networks (see
-	// NetSimParams.Obs) — the cache system steps the network every cycle, so
-	// the samples cover the protocol traffic. Observational.
-	Obs *obs.Recorder
+	// Sim carries the observational switches. Check, Reference and Obs
+	// instrument the study's networks as in every other driver (the cache
+	// system steps the network every cycle, so telemetry covers the
+	// protocol traffic). Abort, when non-nil, cancels the study at the
+	// cache-system cycle loops' 256-cycle polls, so an interrupted run stops
+	// promptly instead of riding out millions of cycles; results are
+	// identical with or without it. The study reads no other field.
+	Sim NetSimParams
 }
 
 func (p LLCParams) withDefaults() LLCParams {
@@ -1227,11 +1214,10 @@ func LLCStudy(s *Sprinter, p LLCParams) ([]LLCRow, error) {
 		if err != nil {
 			return LLCRow{}, err
 		}
-		sp := NetSimParams{Check: p.Check, Reference: p.Reference, Obs: p.Obs}
 		if gated {
-			sp.instrument(net, region, "llc/"+name)
+			p.Sim.instrument(net, region, "llc/"+name)
 		} else {
-			sp.instrument(net, nil, "llc/"+name)
+			p.Sim.instrument(net, nil, "llc/"+name)
 		}
 		var streamErr error
 		mk := func(node int) *cache.Stream {
@@ -1256,7 +1242,7 @@ func LLCStudy(s *Sprinter, p LLCParams) ([]LLCRow, error) {
 		if streamErr != nil {
 			return LLCRow{}, streamErr
 		}
-		if err := sys.RunCtx(p.Ctx, p.AccessesPerCore, p.MaxCycles); err != nil {
+		if err := sys.RunCtx(p.Sim.Abort, p.AccessesPerCore, p.MaxCycles); err != nil {
 			return LLCRow{}, fmt.Errorf("core: LLC study %s: %w", name, err)
 		}
 		st := sys.Stats()

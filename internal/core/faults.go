@@ -255,6 +255,7 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 	}
 
 	var pt FaultPoint
+	var probes []noc.Probe
 	var firstViolation *check.Violation
 	var chk *check.Checker
 	if p.Sim.Check {
@@ -267,9 +268,8 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 				}
 			},
 		})
-		net.SetChecker(chk)
+		probes = append(probes, chk)
 	}
-	net.UseReferenceStepper(p.Sim.Reference)
 	if p.Sim.Obs != nil {
 		// Derive a per-run thermal model on top of the recorder's defaults:
 		// the driver knows its own cycle-to-seconds mapping and the chip
@@ -287,8 +287,11 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 			TripK:           p.TripTempK,
 			ClearK:          p.TripTempK - 3.0,
 		}
-		col = p.Sim.Obs.AttachWith(net, fmt.Sprintf("faults/l%d/s%d", p.Level, seed), cfg)
+		col = p.Sim.Obs.NewCollectorWith(net, fmt.Sprintf("faults/l%d/s%d", p.Level, seed), cfg)
+		probes = append(probes, col)
 	}
+	net.SetProbe(probes...)
+	net.UseReferenceStepper(p.Sim.Reference)
 
 	var activeCycles int64 // Σ over cycles of the active-router count
 	prevLevel := region.Level()

@@ -115,7 +115,7 @@ var experiments = []Experiment{
 			// The point-level abort context (not the sweep context) reaches
 			// the cache-system cycle loop: the study is one point, so only an
 			// abort should stop it mid-run.
-			return LLCStudy(s, LLCParams{Check: sim.Check, Reference: sim.Reference, Ctx: sim.Abort, Obs: sim.Obs})
+			return LLCStudy(s, LLCParams{Sim: sim})
 		}, textLLC),
 	entry("faults", "extension: fault injection & online sprint-region repair",
 		func(s *Sprinter, sim NetSimParams, fast bool) ([]FaultPoint, error) {

@@ -91,15 +91,20 @@ func buildEquiv(t *testing.T, c equivCase, reference bool) (*noc.Network, []int,
 			t.Fatal(err)
 		}
 	}
-	// The oracle tracks the network's current algorithm through the mid-run
-	// Reconfigure (which swaps CDOR regions), so hops are always judged
-	// against the discipline in force when they were routed.
-	net.SetChecker(check.New(check.Config{
-		Region: region,
-		Oracle: func(cur, dst int) (int, error) { return net.Algorithm().NextPort(cur, dst) },
-	}))
+	net.SetProbe(equivChecker(net, region))
 	net.UseReferenceStepper(reference)
 	return net, nodes, region
+}
+
+// equivChecker builds the invariant checker every equivalence network
+// carries. The oracle tracks the network's current algorithm through the
+// mid-run Reconfigure (which swaps CDOR regions), so hops are always judged
+// against the discipline in force when they were routed.
+func equivChecker(net *noc.Network, region *sprint.Region) *check.Checker {
+	return check.New(check.Config{
+		Region: region,
+		Oracle: func(cur, dst int) (int, error) { return net.Algorithm().NextPort(cur, dst) },
+	})
 }
 
 // driveEquiv runs one network under c's deterministic traffic and returns
@@ -291,7 +296,7 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			net, nodes, _ := buildEquiv(t, c, false)
-			net.SetChecker(nil) // the checker's periodic sweeps allocate
+			net.SetProbe() // the checker's periodic sweeps allocate
 			rng := rand.New(rand.NewSource(3))
 			set := traffic.NewSet(nodes)
 			pattern := traffic.NewUniform(set.Size())

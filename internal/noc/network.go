@@ -179,12 +179,8 @@ type Network struct {
 	// (one int per output port), preallocated so the degree-parameterized
 	// stages stay allocation-free in steady state.
 	pendingBuf []int
-	// checker, when non-nil, observes simulator events for runtime
-	// invariant enforcement (see checker.go and internal/check).
-	checker Checker
-	// obs, when non-nil, receives telemetry callbacks (see observer.go and
-	// internal/obs); independent of checker so both can attach at once.
-	obs Observer
+	// probe, when non-nil, observes simulator events (see probe.go).
+	probe Probe
 	// classCreated/classEjected/classDropped count flits per message class
 	// for conservation checking (indexed by Packet.Class).
 	classCreated, classEjected, classDropped []int64
@@ -511,11 +507,8 @@ func (n *Network) Step() {
 	n.deliverFlits(now, ids)
 	n.inject(now, ids)
 	n.updateGating(now)
-	if n.checker != nil {
-		n.checker.CycleEnd(n, now)
-	}
-	if n.obs != nil {
-		n.obs.CycleEnd(n, now)
+	if n.probe != nil {
+		n.probe.CycleEnd(n, now)
 	}
 	n.prune()
 	n.cycle++
@@ -554,8 +547,8 @@ func (n *Network) deliverCredits(now int64, ids []int) {
 				continue
 			}
 			n.routers[id].out[ev.port][ev.vc].credits++
-			if n.checker != nil {
-				n.checker.CreditDelivered(n, id, ev.port, ev.vc, n.routers[id].out[ev.port][ev.vc].credits)
+			if n.probe != nil {
+				n.probe.CreditDelivered(n, id, ev.port, ev.vc, n.routers[id].out[ev.port][ev.vc].credits)
 			}
 			if n.routers[id].out[ev.port][ev.vc].credits > n.cfg.BufferDepth {
 				panic("noc: credit overflow")
@@ -572,8 +565,8 @@ func (n *Network) deliverCredits(now int64, ids []int) {
 				continue
 			}
 			n.nis[id].credits[ev.vc]++
-			if n.checker != nil {
-				n.checker.CreditDelivered(n, id, topo.Local, ev.vc, n.nis[id].credits[ev.vc])
+			if n.probe != nil {
+				n.probe.CreditDelivered(n, id, topo.Local, ev.vc, n.nis[id].credits[ev.vc])
 			}
 			if n.nis[id].credits[ev.vc] > n.cfg.BufferDepth {
 				panic("noc: NI credit overflow")
@@ -851,8 +844,8 @@ func (n *Network) deliverFlits(now int64, ids []int) {
 				// The checker sees the arrival before the simulator's own
 				// gating panic so a dark-router violation is reported with a
 				// full snapshot instead of a bare panic string.
-				if n.checker != nil {
-					n.checker.FlitArrived(n, id, p, ev.f.pkt, ev.f.typ, ev.f.vc)
+				if n.probe != nil {
+					n.probe.FlitArrived(n, id, p, ev.f.pkt, ev.f.typ, ev.f.vc)
 				}
 				r.checkGated()
 				v := &r.in[p][ev.f.vc]
@@ -885,11 +878,8 @@ func (n *Network) deliverFlits(now int64, ids []int) {
 			if n.dropDst != nil && n.dropDst[id] {
 				n.stats.FlitsDropped++
 				n.classDropped[ev.f.pkt.Class]++
-				if n.checker != nil {
-					n.checker.FlitEjected(n, id, ev.f.pkt, ev.f.typ.IsTail())
-				}
-				if n.obs != nil {
-					n.obs.FlitEjected(n, id, ev.f.pkt, ev.f.typ.IsTail(), true)
+				if n.probe != nil {
+					n.probe.FlitEjected(n, id, ev.f.pkt, ev.f.typ.IsTail(), true)
 				}
 				if ev.f.typ.IsTail() {
 					n.stats.PacketsDropped++
@@ -898,11 +888,8 @@ func (n *Network) deliverFlits(now int64, ids []int) {
 			}
 			n.stats.FlitsEjected++
 			n.classEjected[ev.f.pkt.Class]++
-			if n.checker != nil {
-				n.checker.FlitEjected(n, id, ev.f.pkt, ev.f.typ.IsTail())
-			}
-			if n.obs != nil {
-				n.obs.FlitEjected(n, id, ev.f.pkt, ev.f.typ.IsTail(), false)
+			if n.probe != nil {
+				n.probe.FlitEjected(n, id, ev.f.pkt, ev.f.typ.IsTail(), false)
 			}
 			if ev.f.typ.IsTail() {
 				pkt := ev.f.pkt
@@ -965,11 +952,8 @@ func (n *Network) inject(now int64, ids []int) {
 		n.inbox[id*n.P+topo.Local] = append(n.inbox[id*n.P+topo.Local], arrival{f: f, t: now + 1})
 		n.markBusy(id)
 		n.stats.FlitsInjected++
-		if n.checker != nil {
-			n.checker.FlitInjected(n, id, pkt, f.seq)
-		}
-		if n.obs != nil {
-			n.obs.FlitInjected(n, id, pkt, f.seq)
+		if n.probe != nil {
+			n.probe.FlitInjected(n, id, pkt, f.seq)
 		}
 		if typ.IsHead() {
 			pkt.InjectedAt = now

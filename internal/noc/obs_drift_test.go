@@ -3,7 +3,7 @@
 // same reflect.DeepEqual discipline the stepper-equivalence suite applies —
 // and a steady-state Step with a collector attached must still allocate
 // nothing. The suite lives in package noc_test so it exercises only the
-// public Observer API, exactly like the real drivers.
+// public Probe API, exactly like the real drivers.
 package noc_test
 
 import (
@@ -70,9 +70,10 @@ func TestObserverZeroDrift(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			plain, plainNodes, _ := buildEquiv(t, c, false)
-			observed, obsNodes, _ := buildEquiv(t, c, false)
+			observed, obsNodes, obsRegion := buildEquiv(t, c, false)
 			rec := newTestRecorder(t, observed.Config(), 250)
-			col := rec.Attach(observed, c.name)
+			col := rec.NewCollector(observed, c.name)
+			observed.SetProbe(equivChecker(observed, obsRegion), col)
 
 			plainPkts := driveEquiv(t, plain, c, plainNodes)
 			obsPkts := driveEquiv(t, observed, c, obsNodes)
@@ -114,7 +115,7 @@ func TestObserverZeroDrift(t *testing.T) {
 func TestObserverToggleMidRun(t *testing.T) {
 	c := equivCases[1] // region-4x4-level4
 	plain, plainNodes, _ := buildEquiv(t, c, false)
-	toggled, togNodes, _ := buildEquiv(t, c, false)
+	toggled, togNodes, togRegion := buildEquiv(t, c, false)
 	rec := newTestRecorder(t, toggled.Config(), 100)
 
 	set := traffic.NewSet(togNodes)
@@ -132,9 +133,10 @@ func TestObserverToggleMidRun(t *testing.T) {
 			if run.toggle {
 				switch i {
 				case c.cycles / 4:
-					col = rec.Attach(run.net, "mid-run")
+					col = rec.NewCollector(run.net, "mid-run")
+					run.net.SetProbe(equivChecker(run.net, togRegion), col)
 				case 3 * c.cycles / 4:
-					run.net.SetObserver(nil)
+					run.net.SetProbe(equivChecker(run.net, togRegion))
 				}
 			}
 			for _, src := range run.nodes {
@@ -161,11 +163,55 @@ func TestObserverToggleMidRun(t *testing.T) {
 	}
 }
 
+// digestProbe folds every event it observes into a running FNV-1a hash and
+// an event count, so two runs can be compared event for event without the
+// probe allocating.
+type digestProbe struct {
+	sum    uint64
+	events int64
+}
+
+func (d *digestProbe) event(kind, a, b, c, e int64) {
+	d.events++
+	for _, v := range [...]int64{kind, a, b, c, e} {
+		d.sum = (d.sum ^ uint64(v)) * 1099511628211
+	}
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func (d *digestProbe) FlitArrived(n *noc.Network, router, from int, pkt *noc.Packet, typ noc.FlitType, vc int) {
+	d.event(1, int64(router), int64(from), pkt.ID, int64(typ)<<8|int64(vc))
+}
+
+func (d *digestProbe) FlitInjected(n *noc.Network, node int, pkt *noc.Packet, seq int) {
+	d.event(2, int64(node), pkt.ID, int64(seq), 0)
+}
+
+func (d *digestProbe) FlitEjected(n *noc.Network, node int, pkt *noc.Packet, tail, dropped bool) {
+	d.event(3, int64(node), pkt.ID, b2i(tail), b2i(dropped))
+}
+
+func (d *digestProbe) CreditDelivered(n *noc.Network, router, port, vc, credits int) {
+	d.event(4, int64(router), int64(port), int64(vc), int64(credits))
+}
+
+func (d *digestProbe) CycleEnd(n *noc.Network, cycle int64) { d.event(5, cycle, 0, 0, 0) }
+
 // TestStepZeroAllocSteadyStateWithObs is the TestStepZeroAllocSteadyState
-// variant the telemetry layer must keep honest: with a collector (power model
-// included) attached and sampling every 100 cycles, steady-state Step still
-// allocates nothing — samples append into preallocated flat buffers and the
-// power total uses the alloc-free NetworkPowerTotal.
+// variant the probe layer must keep honest. Each case runs three times on
+// identical traffic: unprobed, with a digest probe alone, and with the digest
+// probe beside a collector (power model included, sampling every 100 cycles)
+// through the SetProbe fan-out. Steady-state Step must allocate nothing in
+// every run — samples append into preallocated flat buffers, the power total
+// uses the alloc-free NetworkPowerTotal, and the fan-out is a plain loop —
+// all three runs must end in identical Stats, and both digest probes must
+// see the identical event sequence.
 func TestStepZeroAllocSteadyStateWithObs(t *testing.T) {
 	for _, c := range []equivCase{
 		{name: "dark-8x8", width: 8, height: 8, level: 4, rate: 0.15},
@@ -173,28 +219,46 @@ func TestStepZeroAllocSteadyStateWithObs(t *testing.T) {
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			net, nodes, _ := buildEquiv(t, c, false)
-			net.SetChecker(nil) // the checker's periodic sweeps allocate
-			rec := newTestRecorder(t, net.Config(), 100)
-			rec.Attach(net, c.name)
-			rng := rand.New(rand.NewSource(3))
-			set := traffic.NewSet(nodes)
-			pattern := traffic.NewUniform(set.Size())
-			pktProb := c.rate / float64(net.Config().PacketLength)
-			tick := func() {
-				for _, src := range nodes {
-					if rng.Float64() < pktProb {
-						net.Enqueue(src, set.PickNode(pattern, src, rng))
-					}
+			modes := []string{"unprobed", "probe", "probe+collector"}
+			stats := make([]noc.Stats, len(modes))
+			digests := make([]digestProbe, len(modes))
+			for i, mode := range modes {
+				net, nodes, _ := buildEquiv(t, c, false)
+				d := &digests[i]
+				switch mode {
+				case "unprobed":
+					net.SetProbe() // the checker's periodic sweeps allocate
+				case "probe":
+					net.SetProbe(d)
+				case "probe+collector":
+					rec := newTestRecorder(t, net.Config(), 100)
+					net.SetProbe(d, rec.NewCollector(net, c.name))
 				}
-				net.Step()
+				rng := rand.New(rand.NewSource(3))
+				set := traffic.NewSet(nodes)
+				pattern := traffic.NewUniform(set.Size())
+				pktProb := c.rate / float64(net.Config().PacketLength)
+				for cyc := 0; cyc < 2000; cyc++ { // grow event buffers to steady state
+					for _, src := range nodes {
+						if rng.Float64() < pktProb {
+							net.Enqueue(src, set.PickNode(pattern, src, rng))
+						}
+					}
+					net.Step()
+				}
+				allocs := testing.AllocsPerRun(200, func() { net.Step() })
+				if allocs != 0 {
+					t.Errorf("%s: steady-state Step allocates %.1f objects/cycle, want 0", mode, allocs)
+				}
+				stats[i] = net.Stats()
 			}
-			for i := 0; i < 2000; i++ { // grow event buffers to steady state
-				tick()
+			for i := 1; i < len(modes); i++ {
+				if !reflect.DeepEqual(stats[0], stats[i]) {
+					t.Errorf("%s run drifted from the unprobed one:\nunprobed: %+v\n%s: %+v", modes[i], stats[0], modes[i], stats[i])
+				}
 			}
-			allocs := testing.AllocsPerRun(200, func() { net.Step() })
-			if allocs != 0 {
-				t.Errorf("steady-state Step with collector allocates %.1f objects/cycle, want 0", allocs)
+			if digests[1].events == 0 || digests[1] != digests[2] {
+				t.Errorf("probe saw %+v alone but %+v beside a collector", digests[1], digests[2])
 			}
 		})
 	}

@@ -185,11 +185,11 @@ func (n *Network) Reconfigure(activeNodes []int, alg routing.Algorithm, drainBud
 			n.stats.PacketsDropped++
 			n.stats.FlitsDropped += int64(pkt.Length)
 			n.classDropped[pkt.Class] += int64(pkt.Length)
-			if n.obs != nil {
-				// Telemetry counts drops per flit; a source-queued packet
+			if n.probe != nil {
+				// Probes count drops per flit; a source-queued packet
 				// discards all of its flits at once.
 				for s := 0; s < pkt.Length; s++ {
-					n.obs.FlitEjected(n, pkt.Src, pkt, s == pkt.Length-1, true)
+					n.probe.FlitEjected(n, pkt.Src, pkt, s == pkt.Length-1, true)
 				}
 			}
 		}

@@ -1,7 +1,7 @@
 // Package obs is the simulator's telemetry layer: cycle-sampled time series
-// and typed event timelines, collected through the nil-guarded noc.Observer
-// hooks the same way internal/check collects invariant evidence through
-// noc.Checker.
+// and typed event timelines. A Collector is a noc.Probe, attached through
+// Network.SetProbe like internal/check's invariant checker, and the two can
+// watch one network together.
 //
 // A Collector counts injections, ejections, and drops as they happen (a few
 // integer increments per event) and, every Interval cycles, snapshots a
@@ -148,8 +148,8 @@ type Sample struct {
 	TempK  float64 `json:"temp_k"`
 }
 
-// Collector implements noc.Observer. It belongs to exactly one network (the
-// one it was attached to) and is not safe for concurrent use — each sweep
+// Collector implements noc.Probe. It belongs to exactly one network (the
+// one it was built for) and is not safe for concurrent use — each sweep
 // point runs on one goroutine, matching the simulator's own model.
 type Collector struct {
 	label    string
@@ -222,7 +222,15 @@ func (c *Collector) Interval() int { return int(c.interval) }
 // Routers returns the observed mesh size.
 func (c *Collector) Routers() int { return c.routers }
 
-// FlitInjected implements noc.Observer.
+var _ noc.Probe = (*Collector)(nil)
+
+// FlitArrived implements noc.Probe; telemetry does not sample arrivals.
+func (c *Collector) FlitArrived(*noc.Network, int, int, *noc.Packet, noc.FlitType, int) {}
+
+// CreditDelivered implements noc.Probe; telemetry does not sample credits.
+func (c *Collector) CreditDelivered(*noc.Network, int, int, int, int) {}
+
+// FlitInjected implements noc.Probe.
 func (c *Collector) FlitInjected(n *noc.Network, node int, pkt *noc.Packet, seq int) {
 	c.injFlits++
 	if seq == 0 {
@@ -230,7 +238,7 @@ func (c *Collector) FlitInjected(n *noc.Network, node int, pkt *noc.Packet, seq 
 	}
 }
 
-// FlitEjected implements noc.Observer.
+// FlitEjected implements noc.Probe.
 func (c *Collector) FlitEjected(n *noc.Network, node int, pkt *noc.Packet, tail, dropped bool) {
 	if dropped {
 		c.dropFlits++
@@ -242,7 +250,7 @@ func (c *Collector) FlitEjected(n *noc.Network, node int, pkt *noc.Packet, tail,
 	}
 }
 
-// CycleEnd implements noc.Observer: it closes the window and takes a sample
+// CycleEnd implements noc.Probe: it closes the window and takes a sample
 // every Interval observed cycles.
 func (c *Collector) CycleEnd(n *noc.Network, cycle int64) {
 	c.net = n

@@ -55,7 +55,8 @@ func TestCollectorSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := rec.Attach(net, "unit")
+	col := rec.NewCollector(net, "unit")
+	net.SetProbe(col)
 	if col.Interval() != 100 || col.Routers() != 16 || col.Label() != "unit" {
 		t.Fatalf("collector metadata: interval %d routers %d label %q", col.Interval(), col.Routers(), col.Label())
 	}
@@ -110,7 +111,8 @@ func TestCollectorPowerSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := rec.Attach(net, "power")
+	col := rec.NewCollector(net, "power")
+	net.SetProbe(col)
 
 	prev := make([]noc.Events, 16)
 	for id := range prev {
@@ -160,7 +162,8 @@ func TestCollectorThermalTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := rec.Attach(net, "thermal")
+	col := rec.NewCollector(net, "thermal")
+	net.SetProbe(col)
 	for i := 0; i < 400; i++ { // heat: 4 s of thermal time
 		net.Step()
 	}
@@ -189,7 +192,8 @@ func TestEmitNowStampsObservedCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := rec.Attach(net, "emit")
+	col := rec.NewCollector(net, "emit")
+	net.SetProbe(col)
 	for i := 0; i < 42; i++ {
 		net.Step()
 	}
@@ -224,7 +228,8 @@ func TestAttachMidRunPrimesBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := rec.Attach(net, "late")
+	col := rec.NewCollector(net, "late")
+	net.SetProbe(col)
 	for i := 0; i < 100; i++ {
 		net.Step() // no new traffic: the window must be quiet
 	}
@@ -254,5 +259,5 @@ func TestAttachWithInvalidConfigPanics(t *testing.T) {
 			t.Error("invalid derived config did not panic")
 		}
 	}()
-	rec.AttachWith(net, "bad", Config{Interval: -1})
+	rec.NewCollectorWith(net, "bad", Config{Interval: -1})
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // Recorder owns the telemetry configuration for one sweep and the collectors
-// it spawned. Attach is safe to call from concurrent sweep workers; each
+// it spawned. NewCollector is safe to call from concurrent sweep workers; each
 // returned Collector still belongs to exactly one goroutine (the one running
 // its sweep point).
 type Recorder struct {
@@ -36,26 +36,27 @@ func NewRecorder(cfg Config) (*Recorder, error) {
 }
 
 // Config returns the recorder's (defaulted) base configuration, for callers
-// that derive per-point configurations (AttachWith).
+// that derive per-point configurations (NewCollectorWith).
 func (r *Recorder) Config() Config { return r.cfg }
 
-// Attach builds a collector with the recorder's base configuration, installs
-// it as net's observer, and registers it under label. Labels identify sweep
-// points in the serialized output and should be unique per recorder.
-func (r *Recorder) Attach(net *noc.Network, label string) *Collector {
-	return r.AttachWith(net, label, r.cfg)
+// NewCollector builds a collector for net with the recorder's base
+// configuration and registers it under label. It does not attach the
+// collector: the caller installs it with net.SetProbe, together with any
+// other probe the network carries. Labels identify sweep points in the
+// serialized output and should be unique per recorder.
+func (r *Recorder) NewCollector(net *noc.Network, label string) *Collector {
+	return r.NewCollectorWith(net, label, r.cfg)
 }
 
-// AttachWith is Attach with a per-point configuration override (the fault
-// driver, for example, attaches a thermal model scaled to its own cycle
-// time). cfg must be valid; an invalid derived configuration is a
+// NewCollectorWith is NewCollector with a per-point configuration override
+// (the fault driver, for example, uses a thermal model scaled to its own
+// cycle time). cfg must be valid; an invalid derived configuration is a
 // programming error and panics.
-func (r *Recorder) AttachWith(net *noc.Network, label string, cfg Config) *Collector {
+func (r *Recorder) NewCollectorWith(net *noc.Network, label string, cfg Config) *Collector {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
 	c := newCollector(cfg, label, net)
-	net.SetObserver(c)
 	r.mu.Lock()
 	r.cols = append(r.cols, c)
 	r.mu.Unlock()

@@ -58,7 +58,8 @@ func TestWriteJSONLMergesEventsInCycleOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := rec.Attach(net, "merge")
+	col := rec.NewCollector(net, "merge")
+	net.SetProbe(col)
 	col.Emit(5, EventFault, 3, "early")
 	for i := 0; i < 250; i++ {
 		net.Step()
@@ -106,7 +107,8 @@ func TestWriteJSONLFieldOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := rec.Attach(net, "order")
+	col := rec.NewCollector(net, "order")
+	net.SetProbe(col)
 	col.Emit(1, EventFault, 2, "d")
 	for i := 0; i < 50; i++ {
 		net.Step()
@@ -137,7 +139,8 @@ func TestWriteCSVHeaderMatchesSampleFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := rec.Attach(net, "csv")
+	col := rec.NewCollector(net, "csv")
+	net.SetProbe(col)
 	for i := 0; i < 120; i++ {
 		net.Step()
 	}
@@ -178,13 +181,13 @@ func TestRecorderWriteFiles(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ { // same label twice: must not overwrite
 		net := testNet(t)
-		rec.Attach(net, "dup/point")
+		net.SetProbe(rec.NewCollector(net, "dup/point"))
 		for j := 0; j < 60*(i+1); j++ {
 			net.Step()
 		}
 	}
 	net := testNet(t)
-	rec.Attach(net, "unique")
+	net.SetProbe(rec.NewCollector(net, "unique"))
 	for j := 0; j < 60; j++ {
 		net.Step()
 	}
@@ -242,7 +245,8 @@ func TestWriteFilesSurfacesDeviceErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := rec.Attach(net, "full")
+	c := rec.NewCollector(net, "full")
+	net.SetProbe(c)
 	for i := 0; i < 20; i++ {
 		net.Step()
 	}

@@ -182,16 +182,6 @@ func sum(m map[Component]float64) float64 {
 	return s
 }
 
-// add accumulates o into b component-wise.
-func (b Breakdown) add(o Breakdown) {
-	for c, v := range o.DynamicW {
-		b.DynamicW[c] += v
-	}
-	for c, v := range o.LeakageW {
-		b.LeakageW[c] += v
-	}
-}
-
 func newBreakdown() Breakdown {
 	return Breakdown{
 		DynamicW: make(map[Component]float64, int(numComponents)),
@@ -214,48 +204,21 @@ func (p RouterParams) leakScale(c Corner) float64 { return c.VDD / p.Nominal.VDD
 // interval (the router is powered on throughout); a power-gated router
 // contributes nothing and should simply not be passed in.
 func (p RouterParams) RouterPower(events noc.Events, cycles int64, corner Corner) (Breakdown, error) {
-	if err := corner.Validate(); err != nil {
-		return Breakdown{}, err
-	}
-	if cycles <= 0 {
-		return Breakdown{}, fmt.Errorf("power: non-positive cycle count %d", cycles)
-	}
-	ds, ls := p.dynScale(corner), p.leakScale(corner)
-	seconds := float64(cycles) / corner.FreqHz
-
-	b := newBreakdown()
-	b.DynamicW[Buffer] = ds * (float64(events.BufferWrites)*p.EBufferWrite + float64(events.BufferReads)*p.EBufferRead) / seconds
-	b.DynamicW[Crossbar] = ds * float64(events.XbarTraversals) * p.EXbar / seconds
-	b.DynamicW[Allocator] = ds * float64(events.SAGrants+events.VAGrants) * p.EArb / seconds
-	b.DynamicW[ClockTree] = ds * float64(cycles) * p.EClock / seconds
-	b.DynamicW[Link] = ds * float64(events.LinkFlits) * p.ELink / seconds
-
-	b.LeakageW[Buffer] = ls * p.LeakBuffer
-	b.LeakageW[Crossbar] = ls * p.LeakXbar
-	b.LeakageW[Allocator] = ls * p.LeakArb
-	b.LeakageW[ClockTree] = ls * p.LeakClock
-	b.LeakageW[Link] = ls * p.LeakLink
-	return b, nil
+	return p.NetworkPower(events, cycles, 1, corner)
 }
 
 // NetworkPower sums RouterPower over the powered routers of a finished
 // simulation: activeRouters counts powered routers (gated ones contribute
 // nothing), events holds network-wide event totals over the window.
 func (p RouterParams) NetworkPower(events noc.Events, cycles int64, activeRouters int, corner Corner) (Breakdown, error) {
-	if activeRouters < 0 {
-		return Breakdown{}, fmt.Errorf("power: negative router count %d", activeRouters)
-	}
-	dyn, err := p.RouterPower(events, cycles, corner)
+	dyn, leak, err := p.networkTerms(events, cycles, activeRouters, corner)
 	if err != nil {
 		return Breakdown{}, err
 	}
-	// Dynamic energy is already network-wide (event totals); the clock
-	// tree toggles in every active router, and leakage accrues per router.
+	// Gating stays absent from the maps: only runtime gating charges it.
 	b := newBreakdown()
-	b.add(dyn)
-	b.DynamicW[ClockTree] = dyn.DynamicW[ClockTree] * float64(activeRouters)
-	for c := range b.LeakageW {
-		b.LeakageW[c] = dyn.LeakageW[c] * float64(activeRouters)
+	for c := Component(0); c < Gating; c++ {
+		b.DynamicW[c], b.LeakageW[c] = dyn[c], leak[c]
 	}
 	return b, nil
 }
@@ -263,38 +226,52 @@ func (p RouterParams) NetworkPower(events noc.Events, cycles int64, activeRouter
 // NetworkPowerTotal returns NetworkPower(...).Total() without allocating:
 // the telemetry sampler calls it at interval boundaries inside the simulator
 // hot path, where building the map-based Breakdown would break the
-// zero-allocation steady-state guarantee. The arithmetic mirrors RouterPower
-// and NetworkPower term by term, in the same association order Breakdown's
-// fixed-enum-order sums use, so the result is bit-identical to
+// zero-allocation steady-state guarantee. It sums the same terms in
+// Breakdown's fixed enum order, so the result is bit-identical to
 // NetworkPower(...).Total() (a unit test pins this).
 func (p RouterParams) NetworkPowerTotal(events noc.Events, cycles int64, activeRouters int, corner Corner) (float64, error) {
-	if activeRouters < 0 {
-		return 0, fmt.Errorf("power: negative router count %d", activeRouters)
-	}
-	if err := corner.Validate(); err != nil {
+	dyn, leak, err := p.networkTerms(events, cycles, activeRouters, corner)
+	if err != nil {
 		return 0, err
 	}
+	var d, l float64
+	for c := range dyn {
+		d += dyn[c]
+		l += leak[c]
+	}
+	return d + l, nil
+}
+
+// networkTerms computes NetworkPower's per-component dynamic and leakage
+// watts into fixed arrays. Dynamic energy is already network-wide (event
+// totals); the clock tree toggles in every active router, and leakage
+// accrues per router.
+func (p RouterParams) networkTerms(events noc.Events, cycles int64, activeRouters int, corner Corner) (dyn, leak [numComponents]float64, err error) {
+	if activeRouters < 0 {
+		return dyn, leak, fmt.Errorf("power: negative router count %d", activeRouters)
+	}
+	if err := corner.Validate(); err != nil {
+		return dyn, leak, err
+	}
 	if cycles <= 0 {
-		return 0, fmt.Errorf("power: non-positive cycle count %d", cycles)
+		return dyn, leak, fmt.Errorf("power: non-positive cycle count %d", cycles)
 	}
 	ds, ls := p.dynScale(corner), p.leakScale(corner)
 	seconds := float64(cycles) / corner.FreqHz
 	ar := float64(activeRouters)
 
-	var dyn float64
-	dyn += ds * (float64(events.BufferWrites)*p.EBufferWrite + float64(events.BufferReads)*p.EBufferRead) / seconds
-	dyn += ds * float64(events.XbarTraversals) * p.EXbar / seconds
-	dyn += ds * float64(events.SAGrants+events.VAGrants) * p.EArb / seconds
-	dyn += ds * float64(cycles) * p.EClock / seconds * ar
-	dyn += ds * float64(events.LinkFlits) * p.ELink / seconds
+	dyn[Buffer] = ds * (float64(events.BufferWrites)*p.EBufferWrite + float64(events.BufferReads)*p.EBufferRead) / seconds
+	dyn[Crossbar] = ds * float64(events.XbarTraversals) * p.EXbar / seconds
+	dyn[Allocator] = ds * float64(events.SAGrants+events.VAGrants) * p.EArb / seconds
+	dyn[ClockTree] = ds * float64(cycles) * p.EClock / seconds * ar
+	dyn[Link] = ds * float64(events.LinkFlits) * p.ELink / seconds
 
-	var leak float64
-	leak += ls * p.LeakBuffer * ar
-	leak += ls * p.LeakXbar * ar
-	leak += ls * p.LeakArb * ar
-	leak += ls * p.LeakClock * ar
-	leak += ls * p.LeakLink * ar
-	return dyn + leak, nil
+	leak[Buffer] = ls * p.LeakBuffer * ar
+	leak[Crossbar] = ls * p.LeakXbar * ar
+	leak[Allocator] = ls * p.LeakArb * ar
+	leak[ClockTree] = ls * p.LeakClock * ar
+	leak[Link] = ls * p.LeakLink * ar
+	return dyn, leak, nil
 }
 
 // SyntheticRouterEvents returns the per-cycle event profile of one router
@@ -336,8 +313,7 @@ func (p RouterParams) NetworkPowerRuntimeGated(events noc.Events, cycles int64, 
 		onFrac = float64(onCycleSum) / total
 	}
 	effFrac := onFrac + (1-onFrac)*p.GatedRetention
-	b := newBreakdown()
-	b.add(full)
+	b := full
 	for c := range b.LeakageW {
 		b.LeakageW[c] *= effFrac
 	}

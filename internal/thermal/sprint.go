@@ -158,46 +158,31 @@ type TempSample struct {
 	MeltFraction float64
 }
 
-// Timeline integrates the lumped model at constant power with explicit
-// Euler steps of dt seconds, for at most maxTime seconds or until MaxK is
-// reached, sampling every sampleEvery steps. It reproduces the Figure 1
-// curve: rise, melt plateau, rise.
+// Timeline integrates the lumped model at constant power in LumpedState
+// steps of dt seconds, for at most maxTime seconds or until MaxK is reached,
+// sampling every sampleEvery steps. It reproduces the Figure 1 curve: rise,
+// melt plateau, rise. Like LumpedState.Step, it rejects a negative or NaN
+// power, and sub-steps a dt longer than a tenth of the RC time constant.
 func (l Lumped) Timeline(powerW, dt, maxTime float64, sampleEvery int) ([]TempSample, error) {
-	if err := l.Validate(); err != nil {
+	s, err := NewLumpedState(l)
+	if err != nil {
 		return nil, err
 	}
 	if dt <= 0 || maxTime <= 0 || sampleEvery < 1 {
 		return nil, fmt.Errorf("thermal: invalid timeline parameters")
 	}
-	temp := l.AmbientK
-	melted := 0.0
 	var out []TempSample
 	steps := int(maxTime / dt)
 	for i := 0; i <= steps; i++ {
-		t := float64(i) * dt
 		if i%sampleEvery == 0 {
-			frac := 0.0
-			if l.PCM.LatentJ > 0 {
-				frac = melted / l.PCM.LatentJ
-			}
-			out = append(out, TempSample{TimeS: t, TempK: temp, MeltFraction: frac})
+			out = append(out, TempSample{TimeS: float64(i) * dt, TempK: s.TempK(), MeltFraction: s.MeltFraction()})
 		}
-		if temp >= l.MaxK {
+		if s.TempK() >= l.MaxK {
 			break
 		}
-		q := powerW - (temp-l.AmbientK)/l.RthKperW // net heat into the die, W
-		if temp >= l.PCM.MeltK && melted < l.PCM.LatentJ && q > 0 {
-			// Melting absorbs the excess; temperature holds.
-			melted += q * dt
-			if melted > l.PCM.LatentJ {
-				// Overshoot melts; the remainder heats the die.
-				overshoot := melted - l.PCM.LatentJ
-				melted = l.PCM.LatentJ
-				temp += overshoot / l.CthJperK
-			}
-			continue
+		if err := s.Step(powerW, dt); err != nil {
+			return nil, err
 		}
-		temp += q * dt / l.CthJperK
 	}
 	return out, nil
 }

@@ -5,11 +5,10 @@ import (
 	"math"
 )
 
-// LumpedState integrates the lumped RC + PCM model incrementally: where
-// Timeline simulates a whole constant-power sprint in one call, LumpedState
-// is fed one (power, dt) step at a time, so callers whose power varies over
-// time — the telemetry sampler, level-change studies — can drive the same
-// physics. Steps longer than a tenth of the RC time constant are internally
+// LumpedState integrates the lumped RC + PCM model incrementally: it is fed
+// one (power, dt) step at a time, so callers whose power varies over time —
+// the telemetry sampler, level-change studies — drive the same physics that
+// Timeline loops over for a whole constant-power sprint. Steps longer than a tenth of the RC time constant are internally
 // sub-stepped to keep the explicit Euler integration stable, so a single
 // large dt and many small ones converge to the same trajectory.
 //
@@ -77,8 +76,8 @@ func (s *LumpedState) Step(powerW, dt float64) error {
 		dt -= h
 		q := powerW - (s.tempK-s.l.AmbientK)/s.l.RthKperW // net heat into the die, W
 		if s.tempK >= s.l.PCM.MeltK && s.meltedJ < s.l.PCM.LatentJ && q > 0 {
-			// Melting absorbs the excess; temperature holds (Timeline's
-			// plateau branch, including the overshoot hand-off).
+			// Melting absorbs the excess; temperature holds. Overshoot
+			// past full melt heats the die.
 			s.meltedJ += q * h
 			if s.meltedJ > s.l.PCM.LatentJ {
 				overshoot := s.meltedJ - s.l.PCM.LatentJ

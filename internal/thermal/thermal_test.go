@@ -368,4 +368,10 @@ func TestTimelineValidation(t *testing.T) {
 	if _, err := l.Timeline(50, 1e-3, 1, 0); err == nil {
 		t.Error("zero sample interval accepted")
 	}
+	if _, err := l.Timeline(-1, 1e-3, 1, 1); err == nil {
+		t.Error("negative power accepted")
+	}
+	if _, err := l.Timeline(math.NaN(), 1e-3, 1, 1); err == nil {
+		t.Error("NaN power accepted")
+	}
 }
