@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"nocsprint/internal/thermal"
 	"nocsprint/internal/workload"
 )
 
@@ -12,8 +13,8 @@ import (
 // paper assumes around its mechanisms (§3.1: "the system will quickly react
 // to such intense computation and determine the optimal number of cores"):
 // an online controller that receives bursts of computation, sprints at the
-// policy's level, tracks die temperature through the lumped RC + PCM model
-// (including re-solidification between bursts), and falls back to nominal
+// policy's level, tracks die temperature by stepping thermal.LumpedState
+// (whose PCM refreezes between bursts), and falls back to nominal
 // operation when the junction limit is reached — the t_one event of
 // Figure 1.
 
@@ -119,6 +120,10 @@ func (c *Controller) RunTrace(bursts []Burst, horizonS float64) (TraceResult, er
 	}
 
 	lump := c.s.cfg.Lumped
+	th, err := thermal.NewLumpedState(lump)
+	if err != nil {
+		return TraceResult{}, err
+	}
 	res := TraceResult{
 		Completions: make([]float64, len(bursts)),
 		PeakK:       lump.AmbientK,
@@ -152,8 +157,6 @@ func (c *Controller) RunTrace(bursts []Burst, horizonS float64) (TraceResult, er
 	}
 
 	var (
-		temp      = lump.AmbientK
-		melted    = 0.0
 		remaining = 0.0 // single-core seconds left in the current burst
 		current   = -1  // burst being served
 		next      = 0   // next burst to admit
@@ -173,6 +176,7 @@ func (c *Controller) RunTrace(bursts []Burst, horizonS float64) (TraceResult, er
 		}
 
 		// Thermal governor with hysteresis.
+		temp := th.TempK()
 		if temp >= lump.MaxK {
 			throttled = true
 		} else if temp <= lump.MaxK-c.cfg.ResumeMarginK {
@@ -191,13 +195,9 @@ func (c *Controller) RunTrace(bursts []Burst, horizonS float64) (TraceResult, er
 		}
 
 		if step%sampleEvery == 0 {
-			frac := 0.0
-			if lump.PCM.LatentJ > 0 {
-				frac = melted / lump.PCM.LatentJ
-			}
 			res.Samples = append(res.Samples, TraceSample{
 				TimeS: now, TempK: temp, Level: level,
-				MeltFraction: frac, Throttled: throttled && current >= 0,
+				MeltFraction: th.MeltFraction(), Throttled: throttled && current >= 0,
 			})
 		}
 
@@ -217,31 +217,11 @@ func (c *Controller) RunTrace(bursts []Burst, horizonS float64) (TraceResult, er
 			}
 		}
 		res.EnergyJ += powerW * dt
-
-		// Thermal integration with PCM melt and re-solidification: the
-		// material pins the die at the melt point in both directions until
-		// the latent reservoir empties or refills.
-		q := powerW - (temp-lump.AmbientK)/lump.RthKperW
-		switch {
-		case temp >= lump.PCM.MeltK && melted < lump.PCM.LatentJ && q > 0:
-			melted += q * dt
-			if melted > lump.PCM.LatentJ {
-				temp += (melted - lump.PCM.LatentJ) / lump.CthJperK
-				melted = lump.PCM.LatentJ
-			}
-		case temp <= lump.PCM.MeltK && melted > 0 && q < 0:
-			melted += q * dt // q < 0: refreezing releases latent heat
-			if melted < 0 {
-				temp += melted / lump.CthJperK
-				melted = 0
-			} else {
-				temp = lump.PCM.MeltK
-			}
-		default:
-			temp += q * dt / lump.CthJperK
+		if err := th.Step(powerW, dt); err != nil {
+			return TraceResult{}, err
 		}
-		if temp > res.PeakK {
-			res.PeakK = temp
+		if t := th.TempK(); t > res.PeakK {
+			res.PeakK = t
 		}
 	}
 	return res, nil

@@ -7,8 +7,12 @@ import (
 
 // LumpedState integrates the lumped RC + PCM model incrementally: it is fed
 // one (power, dt) step at a time, so callers whose power varies over time —
-// the telemetry sampler, level-change studies — drive the same physics that
-// Timeline loops over for a whole constant-power sprint. Steps longer than a tenth of the RC time constant are internally
+// the telemetry sampler, the burst controller, level-change studies — drive
+// the same physics that Timeline loops over for a whole constant-power
+// sprint. The PCM holds the die at its melt point in both directions: it
+// melts while heat flows in and refreezes while heat flows out, so a die
+// that cooled below the melt point gets a full plateau on its next heating.
+// Steps longer than a tenth of the RC time constant are internally
 // sub-stepped to keep the explicit Euler integration stable, so a single
 // large dt and many small ones converge to the same trajectory.
 //
@@ -75,7 +79,8 @@ func (s *LumpedState) Step(powerW, dt float64) error {
 		}
 		dt -= h
 		q := powerW - (s.tempK-s.l.AmbientK)/s.l.RthKperW // net heat into the die, W
-		if s.tempK >= s.l.PCM.MeltK && s.meltedJ < s.l.PCM.LatentJ && q > 0 {
+		switch {
+		case s.tempK >= s.l.PCM.MeltK && s.meltedJ < s.l.PCM.LatentJ && q > 0:
 			// Melting absorbs the excess; temperature holds. Overshoot
 			// past full melt heats the die.
 			s.meltedJ += q * h
@@ -84,9 +89,19 @@ func (s *LumpedState) Step(powerW, dt float64) error {
 				s.meltedJ = s.l.PCM.LatentJ
 				s.tempK += overshoot / s.l.CthJperK
 			}
-			continue
+		case s.tempK <= s.l.PCM.MeltK && s.meltedJ > 0 && q < 0:
+			// Refreezing releases the latent heat and pins the die at the
+			// melt point; a deficit past full solidification cools it.
+			s.meltedJ += q * h
+			if s.meltedJ < 0 {
+				s.tempK += s.meltedJ / s.l.CthJperK
+				s.meltedJ = 0
+			} else {
+				s.tempK = s.l.PCM.MeltK
+			}
+		default:
+			s.tempK += q * h / s.l.CthJperK
 		}
-		s.tempK += q * h / s.l.CthJperK
 	}
 	if s.tripK > 0 {
 		switch {

@@ -126,6 +126,75 @@ func TestLumpedStateMatchesTimeline(t *testing.T) {
 	}
 }
 
+// TestLumpedStateRefreezes melts the PCM, then cools at a power below the
+// melt-point balance: the die must hold at MeltK while the PCM refreezes,
+// cool below MeltK only once it is solid, and get a full-length melt plateau
+// again on the next heating.
+func TestLumpedStateRefreezes(t *testing.T) {
+	l := DefaultLumped()
+	s, err := NewLumpedState(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		dt    = 0.01
+		hotW  = 100.0
+		coolW = 20.0 // below the (MeltK-ambient)/Rth = 27 W balance at the melt point
+	)
+	step := func(powerW float64) {
+		t.Helper()
+		if err := s.Step(powerW, dt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// heat runs at hotW until the PCM is fully melted and returns how many
+	// steps the melt plateau lasted.
+	heat := func() int {
+		t.Helper()
+		plateau := 0
+		for i := 0; s.MeltFraction() < 1; i++ {
+			if i == 100000 {
+				t.Fatalf("PCM never fully melted (die at %g K, melt %g)", s.TempK(), s.MeltFraction())
+			}
+			step(hotW)
+			if f := s.MeltFraction(); f > 0 && f < 1 {
+				plateau++
+			}
+		}
+		return plateau
+	}
+
+	first := heat()
+	if first == 0 {
+		t.Fatal("first heating crossed no melt plateau")
+	}
+	refreezing := 0
+	for i := 0; s.MeltFraction() > 0; i++ {
+		if i == 100000 {
+			t.Fatalf("PCM never refroze: die at %g K, melt fraction %g", s.TempK(), s.MeltFraction())
+		}
+		step(coolW)
+		if f := s.MeltFraction(); f > 0 && f < 1 {
+			refreezing++
+			if s.TempK() != l.PCM.MeltK {
+				t.Fatalf("refreezing at melt fraction %g but die at %g K, want %g K", f, s.TempK(), l.PCM.MeltK)
+			}
+		}
+	}
+	if refreezing == 0 {
+		t.Fatal("the PCM refroze without holding the die at the melt point")
+	}
+	for i := 0; i < 1000; i++ {
+		step(coolW)
+	}
+	if s.TempK() >= l.PCM.MeltK {
+		t.Fatalf("solid PCM but the die stays at %g K, not below the %g K melt point", s.TempK(), l.PCM.MeltK)
+	}
+	if second := heat(); math.Abs(float64(second-first)) > 1 {
+		t.Errorf("re-heating plateau lasted %d steps, first heating %d", second, first)
+	}
+}
+
 // TestLumpedStateSubStepping feeds one large dt (many RC time constants) and
 // checks it converges to the same endpoint as many fine steps: the internal
 // sub-stepping must keep explicit Euler stable instead of diverging.
