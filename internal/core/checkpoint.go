@@ -54,3 +54,24 @@ func runPoints[R any](sim NetSimParams, keys []string, fn func(ctx context.Conte
 	}
 	return ckpt.Run(sim.sweepCtx(), sim.Journal, keys, sim.Workers, fn, sim.Progress)
 }
+
+// sweep runs fn over points through runPoints, keying each point with
+// pointKey(driver, cfg, point, sim). The point value is the key's
+// coordinates, so a point type's exported fields and their order are part
+// of the checkpoint format.
+func sweep[P, R any](driver string, cfg any, sim NetSimParams, points []P, fn func(P) (R, error)) ([]R, error) {
+	return sweepKeyed(sim, points, func(pt P) (string, error) { return pointKey(driver, cfg, pt, sim) }, fn)
+}
+
+// sweepKeyed is sweep with the key derivation left to the caller, for the
+// drivers whose keys deliberately omit the simulation windows.
+func sweepKeyed[P, R any](sim NetSimParams, points []P, key func(P) (string, error), fn func(P) (R, error)) ([]R, error) {
+	keys := make([]string, len(points))
+	for i, pt := range points {
+		var err error
+		if keys[i], err = key(pt); err != nil {
+			return nil, err
+		}
+	}
+	return runPoints(sim, keys, func(_ context.Context, i int) (R, error) { return fn(points[i]) })
+}

@@ -369,6 +369,83 @@ func (p NetSimParams) instrument(net *noc.Network, region *sprint.Region, label 
 	net.UseReferenceStepper(p.Reference)
 }
 
+// fabric is one simulated network: its routing discipline, an optional
+// non-mesh topology (nil builds the config's mesh), its powered routers (nil
+// powers all), the sprint region the checker enforces (nil for full-fabric
+// baselines), and how many routers the power model prices.
+type fabric struct {
+	alg     routing.Algorithm
+	topo    topo.Topology
+	active  []int
+	region  *sprint.Region
+	routers int
+}
+
+// sprintFabric is NoC-sprinting's network: CDOR over the sprint region with
+// every dark router gated.
+func sprintFabric(r *sprint.Region) fabric {
+	return fabric{alg: routing.NewCDOR(r), active: r.ActiveNodes(), region: r, routers: r.Level()}
+}
+
+// fineFabric is fine-grained sprinting's network: CDOR over the sprint region
+// with no gating, so every router stays powered.
+func fineFabric(r *sprint.Region) fabric {
+	return fabric{alg: routing.NewCDOR(r), region: r, routers: r.Mesh().Nodes()}
+}
+
+// meshFabric is the fully powered DOR mesh of full-sprinting.
+func meshFabric(m mesh.Mesh) fabric {
+	return fabric{alg: routing.NewDOR(m), routers: m.Nodes()}
+}
+
+// schemeFabric maps a sprinting scheme to its network at region's level: the
+// gated region for NoC-sprinting, the ungated region for fine-grained
+// sprinting, and the full mesh for full-sprinting.
+func (s *Sprinter) schemeFabric(scheme Scheme, region *sprint.Region) (fabric, error) {
+	switch scheme {
+	case FullSprinting:
+		return meshFabric(s.mesh), nil
+	case FineGrained:
+		return fineFabric(region), nil
+	case NoCSprinting:
+		return sprintFabric(region), nil
+	}
+	return fabric{}, fmt.Errorf("core: scheme %v has no network to simulate", scheme)
+}
+
+// build is how every driver but FaultRun (whose probes need per-run hooks)
+// constructs a network: f's network under cfg, instrumented per p and
+// labelled label.
+func (p NetSimParams) build(cfg noc.Config, f fabric, label string) (*noc.Network, error) {
+	var (
+		net *noc.Network
+		err error
+	)
+	if f.topo != nil {
+		net, err = noc.NewTopo(cfg, f.topo, f.alg, f.active)
+	} else {
+		net, err = noc.New(cfg, f.alg, f.active)
+	}
+	if err != nil {
+		return nil, err
+	}
+	p.instrument(net, f.region, label)
+	return net, nil
+}
+
+// run drives net with uniform traffic among set's endpoints at rate over p's
+// warmup, measure and drain windows, aborting with p.Abort.
+func (p NetSimParams) run(net *noc.Network, set *traffic.Set, rate float64, seed int64) (noc.Result, error) {
+	return noc.RunSynthetic(net, set, traffic.NewUniform(set.Size()), noc.SimParams{
+		InjectionRate: rate,
+		WarmupCycles:  p.Warmup,
+		MeasureCycles: p.Measure,
+		DrainCycles:   p.Drain,
+		Seed:          seed,
+		Ctx:           p.Abort,
+	})
+}
+
 func (p NetSimParams) withDefaults() NetSimParams {
 	if p.Warmup == 0 {
 		p.Warmup = 1500
@@ -408,54 +485,24 @@ func (s *Sprinter) EvaluateNetwork(p workload.Profile, scheme Scheme, sp NetSimP
 	}
 
 	region := s.Region(level)
-	var (
-		alg     routing.Algorithm
-		active  []int
-		set     *traffic.Set
-		routers int
-	)
-	switch scheme {
-	case FullSprinting:
-		alg = routing.NewDOR(s.mesh)
-		active = nil // all routers powered
-		set = traffic.NewSet(topo.AllNodes(s.mesh.Nodes()))
-		routers = s.mesh.Nodes()
-	case FineGrained:
-		alg = routing.NewCDOR(region)
-		active = nil // no gating: every router stays powered
-		set = traffic.NewSet(region.ActiveNodes())
-		routers = s.mesh.Nodes()
-	case NoCSprinting:
-		alg = routing.NewCDOR(region)
-		active = region.ActiveNodes()
-		set = traffic.NewSet(region.ActiveNodes())
-		routers = level
-	default:
-		return NetworkEval{}, fmt.Errorf("core: scheme %v has no network to evaluate", scheme)
-	}
-
-	net, err := noc.New(s.cfg.NoC, alg, active)
+	f, err := s.schemeFabric(scheme, region)
 	if err != nil {
 		return NetworkEval{}, err
 	}
+	// Full-sprinting spreads the traffic over every node of the mesh.
+	set := traffic.NewSet(region.ActiveNodes())
 	if scheme == FullSprinting {
-		sp.instrument(net, nil, fmt.Sprintf("eval/%s/%s", p.Name, scheme))
-	} else {
-		sp.instrument(net, region, fmt.Sprintf("eval/%s/%s", p.Name, scheme))
+		set = traffic.NewSet(topo.AllNodes(s.mesh.Nodes()))
 	}
-	pattern := traffic.NewUniform(set.Size())
-	res, err := noc.RunSynthetic(net, set, pattern, noc.SimParams{
-		InjectionRate: p.InjRate,
-		WarmupCycles:  sp.Warmup,
-		MeasureCycles: sp.Measure,
-		DrainCycles:   sp.Drain,
-		Seed:          sp.Seed,
-		Ctx:           sp.Abort,
-	})
+	net, err := sp.build(s.cfg.NoC, f, fmt.Sprintf("eval/%s/%s", p.Name, scheme))
 	if err != nil {
 		return NetworkEval{}, err
 	}
-	bd, err := s.cfg.Router.NetworkPower(res.Events, res.MeasureWindow, routers, s.cfg.Corner)
+	res, err := sp.run(net, set, p.InjRate, sp.Seed)
+	if err != nil {
+		return NetworkEval{}, err
+	}
+	bd, err := s.cfg.Router.NetworkPower(res.Events, res.MeasureWindow, f.routers, s.cfg.Corner)
 	if err != nil {
 		return NetworkEval{}, err
 	}
@@ -550,44 +597,21 @@ func (s *Sprinter) TrafficHeatMap(p workload.Profile, scheme Scheme, useFloorpla
 	sp = sp.withDefaults()
 	level := s.Level(p, scheme)
 	region := s.Region(level)
-
-	var (
-		alg    routing.Algorithm
-		active []int
-	)
-	switch scheme {
-	case FullSprinting:
-		alg = routing.NewDOR(s.mesh)
-	case FineGrained:
-		alg = routing.NewCDOR(region)
-	case NoCSprinting:
-		alg = routing.NewCDOR(region)
-		active = region.ActiveNodes()
-	default:
-		return nil, fmt.Errorf("core: scheme %v has no traffic to map", scheme)
+	f, err := s.schemeFabric(scheme, region)
+	if err != nil {
+		return nil, err
 	}
 
 	n := s.mesh.Nodes()
 	routerW := make([]float64, n)
 	if level >= 2 {
-		net, err := noc.New(s.cfg.NoC, alg, active)
+		// Every scheme, full-sprinting included, sends traffic only among
+		// the region's nodes.
+		net, err := sp.build(s.cfg.NoC, f, fmt.Sprintf("heatmap/%s/%s", p.Name, scheme))
 		if err != nil {
 			return nil, err
 		}
-		if scheme == FullSprinting {
-			sp.instrument(net, nil, fmt.Sprintf("heatmap/%s/%s", p.Name, scheme))
-		} else {
-			sp.instrument(net, region, fmt.Sprintf("heatmap/%s/%s", p.Name, scheme))
-		}
-		set := traffic.NewSet(region.ActiveNodes())
-		if _, err := noc.RunSynthetic(net, set, traffic.NewUniform(level), noc.SimParams{
-			InjectionRate: p.InjRate,
-			WarmupCycles:  sp.Warmup,
-			MeasureCycles: sp.Measure,
-			DrainCycles:   sp.Drain,
-			Seed:          sp.Seed,
-			Ctx:           sp.Abort,
-		}); err != nil {
+		if _, err := sp.run(net, traffic.NewSet(region.ActiveNodes()), p.InjRate, sp.Seed); err != nil {
 			return nil, err
 		}
 		cycles := net.Cycle()

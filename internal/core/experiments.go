@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,7 +10,6 @@ import (
 	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/power"
-	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/stats"
 	"nocsprint/internal/thermal"
@@ -224,39 +222,29 @@ type NetResult struct {
 // and sp.Journal checkpoints it, per NetSimParams.
 func Fig9Fig10Network(s *Sprinter, sp NetSimParams) (NetResult, error) {
 	sp = sp.withDefaults() // canonicalise before key derivation
-	type task struct {
-		idx     int
-		profile workload.Profile
+	// A point's fields, in order, are its checkpoint key.
+	type point struct {
+		Benchmark string
+		Index     int
 	}
-	var tasks []task
-	for i, p := range workload.Profiles() {
-		tasks = append(tasks, task{idx: i, profile: p})
+	profiles := workload.Profiles()
+	points := make([]point, len(profiles))
+	for i, p := range profiles {
+		points[i] = point{p.Name, i}
 	}
-	keys := make([]string, len(tasks))
-	for i, tk := range tasks {
-		var err error
-		keys[i], err = pointKey("fig9fig10", s.cfg, struct {
-			Benchmark string
-			Index     int
-		}{tk.profile.Name, tk.idx}, sp)
-		if err != nil {
-			return NetResult{}, err
-		}
-	}
-	rows, err := runPoints(sp, keys, func(_ context.Context, i int) (NetRow, error) {
-		tk := tasks[i]
+	rows, err := sweep("fig9fig10", s.cfg, sp, points, func(pt point) (NetRow, error) {
 		sim := sp
-		sim.Seed = int64(1000 + tk.idx)
-		full, err := s.EvaluateNetwork(tk.profile, FullSprinting, sim)
+		sim.Seed = int64(1000 + pt.Index)
+		full, err := s.EvaluateNetwork(profiles[pt.Index], FullSprinting, sim)
 		if err != nil {
 			return NetRow{}, err
 		}
-		nocs, err := s.EvaluateNetwork(tk.profile, NoCSprinting, sim)
+		nocs, err := s.EvaluateNetwork(profiles[pt.Index], NoCSprinting, sim)
 		if err != nil {
 			return NetRow{}, err
 		}
 		return NetRow{
-			Benchmark:   tk.profile.Name,
+			Benchmark:   pt.Benchmark,
 			Level:       nocs.Level,
 			LatencyFull: full.AvgLatency,
 			LatencyNoC:  nocs.AvgLatency,
@@ -334,39 +322,20 @@ func Fig11Sweep(s *Sprinter, levels []int, params Fig11Params) ([]Fig11Series, e
 	if len(levels) == 0 {
 		levels = []int{4, 8}
 	}
-	type task struct {
-		level, ri int
-		rate      float64
-	}
-	var tasks []task
+	var cells []fig11Cell
 	for _, level := range levels {
 		for ri, rate := range params.Rates {
-			tasks = append(tasks, task{level: level, ri: ri, rate: rate})
+			cells = append(cells, fig11Cell{level, ri, rate, params.Samples})
 		}
 	}
-	keys := make([]string, len(tasks))
-	for i, tk := range tasks {
-		var err error
-		keys[i], err = pointKey("fig11", s.cfg, struct {
-			Level   int
-			RateIdx int
-			Rate    float64
-			Samples int
-		}{tk.level, tk.ri, tk.rate, params.Samples}, params.Sim)
-		if err != nil {
-			return nil, err
-		}
-	}
-	points, err := runPoints(params.Sim, keys,
-		func(_ context.Context, i int) (Fig11Point, error) {
-			tk := tasks[i]
-			return fig11Point(s, tk.level, tk.ri, tk.rate, params)
-		})
+	points, err := sweep("fig11", s.cfg, params.Sim, cells, func(c fig11Cell) (Fig11Point, error) {
+		return fig11Point(s, c, params.Sim)
+	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Reassemble level-major (tasks were built level-major) and derive the
+	// Reassemble level-major (cells were built level-major) and derive the
 	// pre-saturation aggregates, which need each level's lowest-load point.
 	var series []Fig11Series
 	for li, level := range levels {
@@ -391,34 +360,36 @@ func Fig11Sweep(s *Sprinter, levels []int, params Fig11Params) ([]Fig11Series, e
 	return series, nil
 }
 
-// fig11Point evaluates one (level, rate) cell of Figure 11: a NoC-sprinting
-// run plus params.Samples randomly-mapped full-sprinting runs. All state —
-// region, network, traffic set, RNG — is constructed locally, so the
-// function is safe to run concurrently for different points; the seeds
-// depend only on (ri, sample), matching the original serial sweep.
-func fig11Point(s *Sprinter, level, ri int, rate float64, params Fig11Params) (Fig11Point, error) {
-	pt := Fig11Point{Rate: rate}
+// fig11Cell is one (level, rate) sweep point of Figure 11; its fields, in
+// order, are the point's checkpoint key.
+type fig11Cell struct {
+	Level   int
+	RateIdx int
+	Rate    float64
+	Samples int
+}
+
+// fig11Point evaluates one cell of Figure 11: a NoC-sprinting run plus
+// c.Samples randomly-mapped full-sprinting runs. All state — region,
+// network, traffic set, RNG — is constructed locally, so the function is
+// safe to run concurrently for different cells; the seeds depend only on
+// (c.RateIdx, sample), matching the original serial sweep.
+func fig11Point(s *Sprinter, c fig11Cell, sim NetSimParams) (Fig11Point, error) {
+	pt := Fig11Point{Rate: c.Rate}
+	label := fmt.Sprintf("fig11/l%d/r%02d", c.Level, c.RateIdx)
 
 	// NoC-sprinting: convex region, CDOR, gated dark routers.
-	region := s.Region(level)
-	net, err := noc.New(s.cfg.NoC, routing.NewCDOR(region), region.ActiveNodes())
+	region := s.Region(c.Level)
+	f := sprintFabric(region)
+	net, err := sim.build(s.cfg.NoC, f, label+"/noc")
 	if err != nil {
 		return Fig11Point{}, err
 	}
-	params.Sim.instrument(net, region, fmt.Sprintf("fig11/l%d/r%02d/noc", level, ri))
-	set := traffic.NewSet(region.ActiveNodes())
-	res, err := noc.RunSynthetic(net, set, traffic.NewUniform(level), noc.SimParams{
-		InjectionRate: rate,
-		WarmupCycles:  params.Sim.Warmup,
-		MeasureCycles: params.Sim.Measure,
-		DrainCycles:   params.Sim.Drain,
-		Seed:          params.Sim.Seed + int64(ri),
-		Ctx:           params.Sim.Abort,
-	})
+	res, err := sim.run(net, traffic.NewSet(region.ActiveNodes()), c.Rate, sim.Seed+int64(c.RateIdx))
 	if err != nil {
 		return Fig11Point{}, err
 	}
-	bd, err := s.cfg.Router.NetworkPower(res.Events, res.MeasureWindow, level, s.cfg.Corner)
+	bd, err := s.cfg.Router.NetworkPower(res.Events, res.MeasureWindow, f.routers, s.cfg.Corner)
 	if err != nil {
 		return Fig11Point{}, err
 	}
@@ -427,30 +398,21 @@ func fig11Point(s *Sprinter, level, ri int, rate float64, params Fig11Params) (F
 	// Full-sprinting: same traffic randomly mapped onto the fully-powered
 	// mesh, averaged over samples. A point counts as saturated when a
 	// majority of mappings saturate.
+	full := meshFabric(s.mesh)
 	var latSum, powSum float64
 	satCount := 0
-	valid := 0
-	for sample := 0; sample < params.Samples; sample++ {
-		seed := params.Sim.Seed + int64(1e6) + int64(sample)*997 + int64(ri)
-		rng := rand.New(rand.NewSource(seed))
-		fset := traffic.RandomSet(s.mesh.Nodes(), level, rng)
-		fnet, err := noc.New(s.cfg.NoC, routing.NewDOR(s.mesh), nil)
+	for sample := 0; sample < c.Samples; sample++ {
+		seed := sim.Seed + int64(1e6) + int64(sample)*997 + int64(c.RateIdx)
+		fset := traffic.RandomSet(s.mesh.Nodes(), c.Level, rand.New(rand.NewSource(seed)))
+		fnet, err := sim.build(s.cfg.NoC, full, fmt.Sprintf("%s/full%d", label, sample))
 		if err != nil {
 			return Fig11Point{}, err
 		}
-		params.Sim.instrument(fnet, nil, fmt.Sprintf("fig11/l%d/r%02d/full%d", level, ri, sample))
-		fres, err := noc.RunSynthetic(fnet, fset, traffic.NewUniform(level), noc.SimParams{
-			InjectionRate: rate,
-			WarmupCycles:  params.Sim.Warmup,
-			MeasureCycles: params.Sim.Measure,
-			DrainCycles:   params.Sim.Drain,
-			Seed:          seed,
-			Ctx:           params.Sim.Abort,
-		})
+		fres, err := sim.run(fnet, fset, c.Rate, seed)
 		if err != nil {
 			return Fig11Point{}, err
 		}
-		fbd, err := s.cfg.Router.NetworkPower(fres.Events, fres.MeasureWindow, s.mesh.Nodes(), s.cfg.Corner)
+		fbd, err := s.cfg.Router.NetworkPower(fres.Events, fres.MeasureWindow, full.routers, s.cfg.Corner)
 		if err != nil {
 			return Fig11Point{}, err
 		}
@@ -459,11 +421,10 @@ func fig11Point(s *Sprinter, level, ri int, rate float64, params Fig11Params) (F
 		if fres.Saturated {
 			satCount++
 		}
-		valid++
 	}
-	pt.LatencyFull = latSum / float64(valid)
-	pt.PowerFull = powSum / float64(valid)
-	pt.SaturatedFull = satCount*2 > valid
+	pt.LatencyFull = latSum / float64(c.Samples)
+	pt.PowerFull = powSum / float64(c.Samples)
+	pt.SaturatedFull = satCount*2 > c.Samples
 	return pt, nil
 }
 
@@ -613,23 +574,14 @@ func GatingComparison(s *Sprinter, gcfg noc.GatingConfig, sp NetSimParams) (Gati
 		}
 
 		// Scheme 2: full mesh with conventional runtime gating.
-		net, err := noc.New(s.cfg.NoC, routing.NewDOR(s.mesh), nil)
+		net, err := sp.build(s.cfg.NoC, meshFabric(s.mesh), fmt.Sprintf("gating/%s/runtime", p.Name))
 		if err != nil {
 			return GatingResult{}, err
 		}
 		if err := net.EnableRuntimeGating(gcfg); err != nil {
 			return GatingResult{}, err
 		}
-		sp.instrument(net, nil, fmt.Sprintf("gating/%s/runtime", p.Name))
-		set := traffic.NewSet(topo.AllNodes(s.mesh.Nodes()))
-		res, err := noc.RunSynthetic(net, set, traffic.NewUniform(set.Size()), noc.SimParams{
-			InjectionRate: p.InjRate,
-			WarmupCycles:  sp.Warmup,
-			MeasureCycles: sp.Measure,
-			DrainCycles:   sp.Drain,
-			Seed:          seed,
-			Ctx:           sp.Abort,
-		})
+		res, err := sp.run(net, traffic.NewSet(topo.AllNodes(s.mesh.Nodes())), p.InjRate, seed)
 		if err != nil {
 			return GatingResult{}, err
 		}
@@ -768,11 +720,10 @@ func FloorplanWireStudy(s *Sprinter, sp NetSimParams) ([]WireCase, error) {
 	plan := s.plan
 
 	run := func(planned, smart bool) (float64, int, error) {
-		net, err := noc.New(s.cfg.NoC, routing.NewCDOR(region), region.ActiveNodes())
+		net, err := sp.build(s.cfg.NoC, sprintFabric(region), fmt.Sprintf("wires/planned=%t/smart=%t", planned, smart))
 		if err != nil {
 			return 0, 0, err
 		}
-		sp.instrument(net, region, fmt.Sprintf("wires/planned=%t/smart=%t", planned, smart))
 		maxLink := s.cfg.NoC.LinkLatency
 		if planned && !smart {
 			// Plain wires: latency grows with the physical Euclidean
@@ -796,15 +747,7 @@ func FloorplanWireStudy(s *Sprinter, sp NetSimParams) ([]WireCase, error) {
 				}
 			}
 		}
-		set := traffic.NewSet(region.ActiveNodes())
-		res, err := noc.RunSynthetic(net, set, traffic.NewUniform(level), noc.SimParams{
-			InjectionRate: dedup.InjRate,
-			WarmupCycles:  sp.Warmup,
-			MeasureCycles: sp.Measure,
-			DrainCycles:   sp.Drain,
-			Seed:          sp.Seed + 31,
-			Ctx:           sp.Abort,
-		})
+		res, err := sp.run(net, traffic.NewSet(region.ActiveNodes()), dedup.InjRate, sp.Seed+31)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -865,24 +808,17 @@ func ScalingStudy(widths []int, sp NetSimParams) ([]ScaleRow, error) {
 	}
 	sp = sp.withDefaults()
 	chip := power.DefaultChipParams()
-	type task struct{ wi, w int }
-	var tasks []task
+	// A point's fields, in order, are its checkpoint key.
+	type point struct {
+		Width    int
+		WidthIdx int
+	}
+	points := make([]point, len(widths))
 	for wi, w := range widths {
-		tasks = append(tasks, task{wi: wi, w: w})
+		points[wi] = point{w, wi}
 	}
-	keys := make([]string, len(tasks))
-	for i, tk := range tasks {
-		var err error
-		keys[i], err = pointKey("scaling", nil, struct {
-			Width    int
-			WidthIdx int
-		}{tk.w, tk.wi}, sp)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return runPoints(sp, keys, func(_ context.Context, i int) (ScaleRow, error) {
-		wi, w := tasks[i].wi, tasks[i].w
+	return sweep("scaling", nil, sp, points, func(pt point) (ScaleRow, error) {
+		wi, w := pt.WidthIdx, pt.Width
 		cfg := noc.DefaultConfig()
 		cfg.Width, cfg.Height = w, w
 		n := cfg.Nodes()
@@ -899,41 +835,33 @@ func ScalingStudy(widths []int, sp NetSimParams) ([]ScaleRow, error) {
 		const rate = 0.15
 
 		// NoC-sprinting.
-		net, err := noc.New(cfg, routing.NewCDOR(region), region.ActiveNodes())
+		nf := sprintFabric(region)
+		net, err := sp.build(cfg, nf, fmt.Sprintf("scaling/%dx%d/noc", w, w))
 		if err != nil {
 			return ScaleRow{}, err
 		}
-		sp.instrument(net, region, fmt.Sprintf("scaling/%dx%d/noc", w, w))
-		res, err := noc.RunSynthetic(net, traffic.NewSet(region.ActiveNodes()),
-			traffic.NewUniform(level), noc.SimParams{
-				InjectionRate: rate, WarmupCycles: sp.Warmup, MeasureCycles: sp.Measure,
-				DrainCycles: sp.Drain, Seed: int64(81 + wi), Ctx: sp.Abort,
-			})
+		res, err := sp.run(net, traffic.NewSet(region.ActiveNodes()), rate, int64(81+wi))
 		if err != nil {
 			return ScaleRow{}, err
 		}
-		nb, err := params.NetworkPower(res.Events, res.MeasureWindow, level, power.Nominal)
+		nb, err := params.NetworkPower(res.Events, res.MeasureWindow, nf.routers, power.Nominal)
 		if err != nil {
 			return ScaleRow{}, err
 		}
 
 		// Full-sprinting: the same endpoints communicating over the whole
 		// powered mesh (threads spread by the OS).
-		rng := rand.New(rand.NewSource(int64(91 + wi)))
-		fset := traffic.RandomSet(n, level, rng)
-		fnet, err := noc.New(cfg, routing.NewDOR(m), nil)
+		ff := meshFabric(m)
+		fnet, err := sp.build(cfg, ff, fmt.Sprintf("scaling/%dx%d/full", w, w))
 		if err != nil {
 			return ScaleRow{}, err
 		}
-		sp.instrument(fnet, nil, fmt.Sprintf("scaling/%dx%d/full", w, w))
-		fres, err := noc.RunSynthetic(fnet, fset, traffic.NewUniform(level), noc.SimParams{
-			InjectionRate: rate, WarmupCycles: sp.Warmup, MeasureCycles: sp.Measure,
-			DrainCycles: sp.Drain, Seed: int64(101 + wi), Ctx: sp.Abort,
-		})
+		fset := traffic.RandomSet(n, level, rand.New(rand.NewSource(int64(91+wi))))
+		fres, err := sp.run(fnet, fset, rate, int64(101+wi))
 		if err != nil {
 			return ScaleRow{}, err
 		}
-		fb, err := params.NetworkPower(fres.Events, fres.MeasureWindow, n, power.Nominal)
+		fb, err := params.NetworkPower(fres.Events, fres.MeasureWindow, ff.routers, power.Nominal)
 		if err != nil {
 			return ScaleRow{}, err
 		}
@@ -968,28 +896,25 @@ type SensitivityRow struct {
 // sp.Ctx cancels the sweep and sp.Journal checkpoints it.
 func SensitivitySweep(sp NetSimParams) ([]SensitivityRow, error) {
 	sp = sp.withDefaults()
-	type task struct{ vcs, depth int }
-	var tasks []task
+	// A point's fields, in order, are its checkpoint key.
+	type point struct {
+		VCs   int
+		Depth int
+	}
+	var points []point
 	for _, vcs := range []int{2, 4, 8} {
 		for _, depth := range []int{2, 4, 8} {
-			tasks = append(tasks, task{vcs: vcs, depth: depth})
+			points = append(points, point{vcs, depth})
 		}
 	}
-	keys := make([]string, len(tasks))
-	for i, tk := range tasks {
-		var err error
-		keys[i], err = pointKey("sensitivity", noc.DefaultConfig(), struct {
-			VCs   int
-			Depth int
-		}{tk.vcs, tk.depth}, sp)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return runPoints(sp, keys, func(_ context.Context, i int) (SensitivityRow, error) {
-		return SensitivityPoint(tasks[i].vcs, tasks[i].depth, sp)
+	return sweep("sensitivity", noc.DefaultConfig(), sp, points, func(pt point) (SensitivityRow, error) {
+		return SensitivityPoint(pt.VCs, pt.Depth, sp)
 	})
 }
+
+// rateLadder is the offered-load ladder (flits/cycle/node) the sensitivity
+// sweep walks, and the topology study's default.
+var rateLadder = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 
 // SensitivityPoint evaluates one router configuration (VC count, buffer
 // depth) of the sensitivity sweep: it walks the rate ladder on the full
@@ -997,34 +922,42 @@ func SensitivitySweep(sp NetSimParams) ([]SensitivityRow, error) {
 // and the low-load latency.
 func SensitivityPoint(vcs, depth int, sp NetSimParams) (SensitivityRow, error) {
 	sp = sp.withDefaults()
-	rates := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 	cfg := noc.DefaultConfig()
 	cfg.VCs, cfg.BufferDepth = vcs, depth
-	m := mesh.New(cfg.Width, cfg.Height)
-	set := traffic.NewSet(topo.AllNodes(cfg.Nodes()))
-	row := SensitivityRow{VCs: vcs, BufferDepth: depth}
+	low, satRate, err := sp.walkLadder(cfg, meshFabric(mesh.New(cfg.Width, cfg.Height)), cfg.Nodes(),
+		rateLadder, fmt.Sprintf("sensitivity/v%d_d%d", vcs, depth))
+	if err != nil {
+		return SensitivityRow{}, err
+	}
+	return SensitivityRow{VCs: vcs, BufferDepth: depth, SaturationRate: satRate, ZeroLoadLatency: low.AvgLatency}, nil
+}
+
+// walkLadder builds and runs f's network under cfg once per rate, lowest
+// first, with uniform traffic among all nodes and seed 300+ri, stopping at
+// the first saturated rate. It returns the lowest rate's run and the highest
+// rate accepted without saturating (0 when even the lowest saturated).
+func (p NetSimParams) walkLadder(cfg noc.Config, f fabric, nodes int, rates []float64, label string) (noc.Result, float64, error) {
+	set := traffic.NewSet(topo.AllNodes(nodes))
+	var low noc.Result
+	satRate := 0.0
 	for ri, rate := range rates {
-		net, err := noc.New(cfg, routing.NewDOR(m), nil)
+		net, err := p.build(cfg, f, fmt.Sprintf("%s/r%02d", label, ri))
 		if err != nil {
-			return SensitivityRow{}, err
+			return noc.Result{}, 0, err
 		}
-		sp.instrument(net, nil, fmt.Sprintf("sensitivity/v%d_d%d/r%02d", vcs, depth, ri))
-		res, err := noc.RunSynthetic(net, set, traffic.NewUniform(set.Size()), noc.SimParams{
-			InjectionRate: rate, WarmupCycles: sp.Warmup, MeasureCycles: sp.Measure,
-			DrainCycles: sp.Drain, Seed: int64(300 + ri), Ctx: sp.Abort,
-		})
+		res, err := p.run(net, set, rate, int64(300+ri))
 		if err != nil {
-			return SensitivityRow{}, err
+			return noc.Result{}, 0, err
 		}
 		if ri == 0 {
-			row.ZeroLoadLatency = res.AvgLatency
+			low = res
 		}
 		if res.Saturated {
 			break
 		}
-		row.SaturationRate = rate
+		satRate = rate
 	}
-	return row, nil
+	return low, satRate, nil
 }
 
 // DimDarkPoint is one (budget, benchmark) cell of the dim-vs-dark study.
@@ -1078,21 +1011,15 @@ func DimVsDark(s *Sprinter, budgetsW []float64, benchmarks []string, sp NetSimPa
 			tasks = append(tasks, task{budget: budget, name: name})
 		}
 	}
-	keys := make([]string, len(tasks))
-	for i, tk := range tasks {
-		var err error
-		keys[i], err = ckpt.Key(struct {
+	key := func(tk task) (string, error) {
+		return ckpt.Key(struct {
 			Driver    string
 			Config    Config
 			BudgetW   float64
 			Benchmark string
 		}{"dimvsdark", s.cfg, tk.budget, tk.name})
-		if err != nil {
-			return nil, err
-		}
 	}
-	return runPoints(sp, keys, func(_ context.Context, i int) (DimDarkPoint, error) {
-		tk := tasks[i]
+	return sweepKeyed(sp, tasks, key, func(tk task) (DimDarkPoint, error) {
 		p, err := workload.ByName(tk.name)
 		if err != nil {
 			return DimDarkPoint{}, err
@@ -1200,24 +1127,13 @@ func LLCStudy(s *Sprinter, p LLCParams) ([]LLCRow, error) {
 	ncfg.Classes = 2
 
 	run := func(name string, policy cache.HomePolicy, gated bool) (LLCRow, error) {
-		var (
-			net *noc.Network
-			err error
-		)
-		routers := s.mesh.Nodes()
+		f := meshFabric(s.mesh)
 		if gated {
-			net, err = noc.New(ncfg, routing.NewCDOR(region), region.ActiveNodes())
-			routers = p.Level
-		} else {
-			net, err = noc.New(ncfg, routing.NewDOR(s.mesh), nil)
+			f = sprintFabric(region)
 		}
+		net, err := p.Sim.build(ncfg, f, "llc/"+name)
 		if err != nil {
 			return LLCRow{}, err
-		}
-		if gated {
-			p.Sim.instrument(net, region, "llc/"+name)
-		} else {
-			p.Sim.instrument(net, nil, "llc/"+name)
 		}
 		var streamErr error
 		mk := func(node int) *cache.Stream {
@@ -1251,7 +1167,7 @@ func LLCStudy(s *Sprinter, p LLCParams) ([]LLCRow, error) {
 		// router logic).
 		ev := ns.Events
 		ev.LinkFlits += st.BypassFlits
-		bd, err := s.cfg.Router.NetworkPower(ev, ns.Cycles, routers, s.cfg.Corner)
+		bd, err := s.cfg.Router.NetworkPower(ev, ns.Cycles, f.routers, s.cfg.Corner)
 		if err != nil {
 			return LLCRow{}, err
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -463,12 +462,10 @@ func FaultSweep(s *Sprinter, p FaultParams) ([]FaultPoint, error) {
 	for i, r := range p.Rates {
 		tasks[i] = task{idx: i, rate: r}
 	}
-	keys := make([]string, len(tasks))
-	for i, tk := range tasks {
-		var err error
-		// The fault driver manages its own horizon, so the key carries the
-		// FaultParams knobs rather than the unused NetSimParams windows.
-		keys[i], err = ckpt.Key(struct {
+	// The fault driver manages its own horizon, so the key carries the
+	// FaultParams knobs rather than the unused NetSimParams windows.
+	key := func(tk task) (string, error) {
+		return ckpt.Key(struct {
 			Driver            string
 			Config            Config
 			Level             int
@@ -483,12 +480,8 @@ func FaultSweep(s *Sprinter, p FaultParams) ([]FaultPoint, error) {
 			Seed              int64
 		}{"faults", s.cfg, p.Level, tk.idx, tk.rate, p.Cycles, p.DrainBudget,
 			p.TransientDuration, p.InjectionRate, p.TripTempK, p.ThermalSeconds, p.Sim.Seed})
-		if err != nil {
-			return nil, err
-		}
 	}
-	return runPoints(p.Sim, keys, func(_ context.Context, i int) (FaultPoint, error) {
-		tk := tasks[i]
+	return sweepKeyed(p.Sim, tasks, key, func(tk task) (FaultPoint, error) {
 		seed := p.Sim.Seed + int64(tk.idx)*1009 + 1
 		sched, err := s.buildFaultSchedule(tk.rate, p, seed)
 		if err != nil {

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
-	"nocsprint/internal/noc"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/topo"
-	"nocsprint/internal/traffic"
 )
 
 // The topology comparison experiment: the paper evaluates NoC-sprinting on
@@ -61,24 +58,28 @@ func (p TopologyParams) withDefaults() TopologyParams {
 		p.Specs = []topo.Spec{topo.MeshSpec(4, 4), topo.TorusSpec(4, 4), topo.CirculantSpec(16, 1, 4)}
 	}
 	if len(p.Rates) == 0 {
-		p.Rates = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
+		p.Rates = rateLadder
 	}
 	return p
 }
 
-// topoRouter picks the deadlock-free routing discipline matching a
-// topology: X-then-Y DOR on the mesh, dateline DOR on the torus, greedy
-// dateline routing on ring-circulants.
-func topoRouter(t topo.Topology) (routing.Algorithm, error) {
+// topoFabric is the topology study's fully powered network on t, routed by
+// the matching deadlock-free discipline: X-then-Y DOR on the mesh, dateline
+// DOR on the torus, greedy dateline routing on ring-circulants.
+func topoFabric(t topo.Topology) (fabric, error) {
+	f := fabric{topo: t, routers: t.Nodes()}
+	var err error
 	switch tt := t.(type) {
 	case *topo.Mesh:
-		return routing.NewDOR(tt.Mesh()), nil
+		f.alg = routing.NewDOR(tt.Mesh())
 	case *topo.Torus:
-		return routing.NewTorusDOR(tt), nil
+		f.alg = routing.NewTorusDOR(tt)
 	case *topo.Circulant:
-		return routing.NewRingCirculant(tt)
+		f.alg, err = routing.NewRingCirculant(tt)
+	default:
+		err = fmt.Errorf("core: no routing discipline for topology %s", t.Name())
 	}
-	return nil, fmt.Errorf("core: no routing discipline for topology %s", t.Name())
+	return f, err
 }
 
 // TopologyStudy runs the topology comparison: each candidate spec fans out
@@ -89,69 +90,50 @@ func topoRouter(t topo.Topology) (routing.Algorithm, error) {
 func (s *Sprinter) TopologyStudy(p TopologyParams) ([]TopoRow, error) {
 	p = p.withDefaults()
 	sp := p.Sim.withDefaults()
-	cfg := s.cfg.NoC
-	keys := make([]string, len(p.Specs))
+	// A point's fields, in order, are its checkpoint key.
+	type point struct {
+		Spec  topo.Spec
+		Rates []float64
+	}
+	points := make([]point, len(p.Specs))
 	for i, spec := range p.Specs {
 		if _, err := spec.Build(); err != nil {
 			return nil, err
 		}
-		var err error
-		keys[i], err = pointKey("topology", cfg, struct {
-			Spec  topo.Spec
-			Rates []float64
-		}{spec, p.Rates}, sp)
-		if err != nil {
-			return nil, err
-		}
+		points[i] = point{spec, p.Rates}
 	}
-	return runPoints(sp, keys, func(_ context.Context, i int) (TopoRow, error) {
-		return s.topologyPoint(p.Specs[i], p.Rates, sp)
+	return sweep("topology", s.cfg.NoC, sp, points, func(pt point) (TopoRow, error) {
+		return s.topologyPoint(pt.Spec, pt.Rates, sp)
 	})
 }
 
-// topologyPoint evaluates one topology over the rate ladder.
+// topologyPoint evaluates one topology over the rate ladder, pricing the
+// network at the ladder's lowest rate.
 func (s *Sprinter) topologyPoint(spec topo.Spec, rates []float64, sp NetSimParams) (TopoRow, error) {
 	tp, err := spec.Build()
 	if err != nil {
 		return TopoRow{}, err
 	}
-	alg, err := topoRouter(tp)
+	f, err := topoFabric(tp)
 	if err != nil {
 		return TopoRow{}, err
 	}
-	set := traffic.NewSet(topo.AllNodes(tp.Nodes()))
-	row := TopoRow{
-		Spec:           spec.String(),
-		Routing:        alg.Name(),
-		Nodes:          tp.Nodes(),
-		Ports:          tp.Ports(),
-		BisectionLinks: topo.CutLinks(tp),
+	low, satRate, err := sp.walkLadder(s.cfg.NoC, f, tp.Nodes(), rates, "topology/"+spec.Kind)
+	if err != nil {
+		return TopoRow{}, err
 	}
-	for ri, rate := range rates {
-		net, err := noc.NewTopo(s.cfg.NoC, tp, alg, nil)
-		if err != nil {
-			return TopoRow{}, err
-		}
-		sp.instrument(net, nil, fmt.Sprintf("topology/%s/r%02d", spec.Kind, ri))
-		res, err := noc.RunSynthetic(net, set, traffic.NewUniform(set.Size()), noc.SimParams{
-			InjectionRate: rate, WarmupCycles: sp.Warmup, MeasureCycles: sp.Measure,
-			DrainCycles: sp.Drain, Seed: int64(300 + ri), Ctx: sp.Abort,
-		})
-		if err != nil {
-			return TopoRow{}, err
-		}
-		if ri == 0 {
-			row.ZeroLoadLatency = res.AvgLatency
-			bd, err := s.cfg.Router.NetworkPower(res.Events, res.MeasureWindow, tp.Nodes(), s.cfg.Corner)
-			if err != nil {
-				return TopoRow{}, err
-			}
-			row.LowLoadPowerW = bd.Total()
-		}
-		if res.Saturated {
-			break
-		}
-		row.SaturationRate = rate
+	bd, err := s.cfg.Router.NetworkPower(low.Events, low.MeasureWindow, f.routers, s.cfg.Corner)
+	if err != nil {
+		return TopoRow{}, err
 	}
-	return row, nil
+	return TopoRow{
+		Spec:            spec.String(),
+		Routing:         f.alg.Name(),
+		Nodes:           tp.Nodes(),
+		Ports:           tp.Ports(),
+		BisectionLinks:  topo.CutLinks(tp),
+		ZeroLoadLatency: low.AvgLatency,
+		SaturationRate:  satRate,
+		LowLoadPowerW:   bd.Total(),
+	}, nil
 }
