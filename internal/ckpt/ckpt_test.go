@@ -55,7 +55,7 @@ func TestKeyRejectsUnexportedOnlyStructs(t *testing.T) {
 	// And Run refuses such colliding keys up front.
 	_, err = Run(context.Background(), nil, []string{k1, k2}, 1, func(context.Context, int) (int, error) {
 		return 0, nil
-	})
+	}, nil)
 	if err == nil || !strings.Contains(err.Error(), "share key") {
 		t.Errorf("Run accepted duplicate keys: %v", err)
 	}
@@ -325,7 +325,7 @@ func TestRunSkipsJournaledPoints(t *testing.T) {
 			cancel() // graceful: this point still completes and journals
 		}
 		return fn(c, i)
-	})
+	}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v", err)
 	}
@@ -345,14 +345,14 @@ func TestRunSkipsJournaledPoints(t *testing.T) {
 	got, err := Run(context.Background(), re, keys, 4, func(c context.Context, i int) (testResult, error) {
 		resumed.Add(1)
 		return fn(c, i)
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumed.Load() != 5 {
 		t.Errorf("resume recomputed %d points, want 5", resumed.Load())
 	}
-	clean, err := Run(context.Background(), nil, keys, 1, fn)
+	clean, err := Run(context.Background(), nil, keys, 1, fn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestRunErrorDoesNotJournalFailedPoint(t *testing.T) {
 			return 0, errors.New("boom")
 		}
 		return i, nil
-	})
+	}, nil)
 	if err == nil {
 		t.Fatal("no error")
 	}
@@ -390,7 +390,7 @@ func TestRunErrorDoesNotJournalFailedPoint(t *testing.T) {
 func TestRunNilJournal(t *testing.T) {
 	out, err := Run(context.Background(), nil, []string{"x", "y"}, 2, func(_ context.Context, i int) (int, error) {
 		return i * 7, nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestRunRejectsUndecodableJournaledResult(t *testing.T) {
 	defer re.Close()
 	_, err = Run(context.Background(), re, []string{"k"}, 1, func(context.Context, int) (int, error) {
 		return 0, nil
-	})
+	}, nil)
 	if err == nil || !strings.Contains(err.Error(), "does not decode") {
 		t.Errorf("err = %v, want decode rejection", err)
 	}

@@ -28,13 +28,13 @@ import (
 // result structs the experiment layer journals), so resumed sweeps are
 // indistinguishable from uninterrupted ones.
 //
-// An optional progress callback receives (done, total) as points resolve:
+// A non-nil progress callback receives (done, total) as points resolve:
 // once for the journal-decoded prefix (possibly done == 0, so monitors learn
 // the total immediately) and once per computed point. Calls come from worker
 // goroutines but are serialized; the callback observes each done value at
 // most once and never sees it decrease. Progress reporting is observational
 // — it cannot perturb results and does not enter journal keys.
-func Run[R any](ctx context.Context, j *Journal, keys []string, workers int, fn func(ctx context.Context, i int) (R, error), progress ...func(done, total int)) ([]R, error) {
+func Run[R any](ctx context.Context, j *Journal, keys []string, workers int, fn func(ctx context.Context, i int) (R, error), progress func(done, total int)) ([]R, error) {
 	out := make([]R, len(keys))
 	seen := make(map[string]int, len(keys))
 	todo := make([]int, 0, len(keys))
@@ -54,15 +54,14 @@ func Run[R any](ctx context.Context, j *Journal, keys []string, workers int, fn 
 		todo = append(todo, i)
 	}
 	var report func()
-	if len(progress) > 0 && progress[0] != nil {
-		cb := progress[0]
+	if progress != nil {
 		done := len(keys) - len(todo)
 		var mu sync.Mutex
-		cb(done, len(keys))
+		progress(done, len(keys))
 		report = func() {
 			mu.Lock()
 			done++
-			cb(done, len(keys))
+			progress(done, len(keys))
 			mu.Unlock()
 		}
 	}

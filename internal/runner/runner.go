@@ -170,19 +170,3 @@ func MapCtx[P, R any](ctx context.Context, points []P, workers int, fn func(cont
 	}
 	return out, done, nil
 }
-
-// Map applies fn to every point and returns the results in input order:
-// out[i] = fn(points[i]). It is MapCtx without cancellation; see MapCtx for
-// the concurrency contract. If any point fails, Map returns the joined
-// errors of every point that ran and failed (lowest-indexed first, each
-// wrapped with its index) and nil results; remaining unclaimed points are
-// skipped.
-func Map[P, R any](points []P, workers int, fn func(P) (R, error)) ([]R, error) {
-	out, _, err := MapCtx(context.Background(), points, workers, func(_ context.Context, p P) (R, error) {
-		return fn(p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

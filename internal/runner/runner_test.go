@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -26,9 +27,9 @@ func TestWorkersResolution(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(nil, 4, func(int) (int, error) { return 0, nil })
-	if err != nil || len(out) != 0 {
-		t.Fatalf("Map(nil) = %v, %v", out, err)
+	out, done, err := MapCtx(context.Background(), nil, 4, func(context.Context, int) (int, error) { return 0, nil })
+	if err != nil || len(out) != 0 || len(done) != 0 {
+		t.Fatalf("MapCtx(nil) = %v, %v, %v", out, done, err)
 	}
 }
 
@@ -38,7 +39,7 @@ func TestMapPreservesOrder(t *testing.T) {
 		points[i] = i
 	}
 	for _, workers := range []int{1, 2, 8, 200} {
-		out, err := Map(points, workers, func(p int) (int, error) { return p * p, nil })
+		out, _, err := MapCtx(context.Background(), points, workers, func(_ context.Context, p int) (int, error) { return p * p, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +58,7 @@ func TestMapDeterministic(t *testing.T) {
 	for i := range points {
 		points[i] = int64(i)
 	}
-	fn := func(seed int64) (float64, error) {
+	fn := func(_ context.Context, seed int64) (float64, error) {
 		rng := rand.New(rand.NewSource(seed))
 		var s float64
 		for i := 0; i < 1000; i++ {
@@ -65,12 +66,12 @@ func TestMapDeterministic(t *testing.T) {
 		}
 		return s, nil
 	}
-	serial, err := Map(points, 1, fn)
+	serial, _, err := MapCtx(context.Background(), points, 1, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 8} {
-		parallel, err := Map(points, workers, fn)
+		parallel, _, err := MapCtx(context.Background(), points, workers, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestMapReportsLowestIndexedError(t *testing.T) {
 	}
 	fail := map[int]bool{17: true, 31: true, 44: true}
 	for _, workers := range []int{1, 4} {
-		_, err := Map(points, workers, func(p int) (int, error) {
+		_, _, err := MapCtx(context.Background(), points, workers, func(_ context.Context, p int) (int, error) {
 			if fail[p] {
 				return 0, fmt.Errorf("boom at %d", p)
 			}
@@ -104,7 +105,7 @@ func TestMapReportsLowestIndexedError(t *testing.T) {
 
 func TestMapErrorWrapping(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	_, err := Map([]int{0}, 1, func(int) (int, error) { return 0, sentinel })
+	_, _, err := MapCtx(context.Background(), []int{0}, 1, func(context.Context, int) (int, error) { return 0, sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Errorf("error %v does not wrap sentinel", err)
 	}
@@ -116,7 +117,7 @@ func TestMapStopsClaimingAfterFailure(t *testing.T) {
 	const n = 10_000
 	points := make([]int, n)
 	var ran atomic.Int64
-	_, err := Map(points, 2, func(int) (int, error) {
+	_, _, err := MapCtx(context.Background(), points, 2, func(context.Context, int) (int, error) {
 		ran.Add(1)
 		return 0, errors.New("fail fast")
 	})
@@ -139,10 +140,10 @@ func TestMapSerialRunsOnCallingGoroutine(t *testing.T) {
 	}
 	caller := gid()
 	var inFn string
-	if _, err := Map([]int{1}, 1, func(int) (int, error) { inFn = gid(); return 0, nil }); err != nil {
+	if _, _, err := MapCtx(context.Background(), []int{1}, 1, func(context.Context, int) (int, error) { inFn = gid(); return 0, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if inFn != caller {
-		t.Errorf("serial Map ran fn on goroutine %s, caller is %s", inFn, caller)
+		t.Errorf("serial MapCtx ran fn on goroutine %s, caller is %s", inFn, caller)
 	}
 }

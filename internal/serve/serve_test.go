@@ -484,7 +484,7 @@ func (d *journalStub) run(spec JobSpec, sim core.NetSimParams) (any, error) {
 			}
 		}
 		return i*i + int(spec.Seed), nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
