@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -31,7 +32,7 @@ func main() {
 		vcs     = flag.Int("vcs", 4, "virtual channels per port")
 		depth   = flag.Int("bufdepth", 4, "flit buffer depth per VC")
 		pktLen  = flag.Int("pktlen", 5, "packet length in flits")
-		level   = flag.Int("level", 0, "sprint level (0 = full mesh with DOR)")
+		level   = flag.Int("level", 0, "sprint level in [2, width*height] (0 = full mesh with DOR)")
 		pattern = flag.String("pattern", "uniform", "traffic: uniform|transpose|bitcomp|hotspot|neighbor|permutation")
 		rate    = flag.Float64("rate", 0.1, "injection rate, flits/cycle/node")
 		warmup  = flag.Int("warmup", 2000, "warmup cycles")
@@ -42,20 +43,25 @@ func main() {
 		freq    = flag.Float64("freq", 2e9, "clock frequency (Hz)")
 	)
 	flag.Parse()
-	if err := run(*width, *height, *vcs, *depth, *pktLen, *level, *pattern,
+	if err := run(os.Stdout, *width, *height, *vcs, *depth, *pktLen, *level, *pattern,
 		*rate, *warmup, *measure, *drain, *seed, *vdd, *freq); err != nil {
 		fmt.Fprintf(os.Stderr, "nocsim: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(width, height, vcs, depth, pktLen, level int, patternName string,
+// run simulates one configuration and writes the report to w. level must be
+// 0 (the full mesh) or a sprint region of at least two nodes.
+func run(w io.Writer, width, height, vcs, depth, pktLen, level int, patternName string,
 	rate float64, warmup, measure, drain int, seed int64, vdd, freq float64) error {
 	cfg := noc.DefaultConfig()
 	cfg.Width, cfg.Height = width, height
 	cfg.VCs, cfg.BufferDepth, cfg.PacketLength = vcs, depth, pktLen
 	if err := cfg.Validate(); err != nil {
 		return err
+	}
+	if n := cfg.Nodes(); level != 0 && (level < 2 || level > n) {
+		return fmt.Errorf("-level %d: must be 0 (full mesh) or in [2,%d]", level, n)
 	}
 	m := mesh.New(width, height)
 
@@ -123,16 +129,16 @@ func run(width, height, vcs, depth, pktLen, level int, patternName string,
 		return err
 	}
 
-	fmt.Printf("mesh            %dx%d, %d VCs x %d flits, %d-flit packets\n",
+	fmt.Fprintf(w, "mesh            %dx%d, %d VCs x %d flits, %d-flit packets\n",
 		width, height, vcs, depth, pktLen)
-	fmt.Printf("routing         %s (%d routers powered)\n", alg.Name(), routers)
-	fmt.Printf("pattern         %s over %d endpoints\n", pat.Name(), set.Size())
-	fmt.Printf("offered load    %.3f flits/cycle/node\n", rate)
-	fmt.Printf("accepted load   %.3f flits/cycle/node\n", res.ThroughputFlits)
-	fmt.Printf("avg latency     %.2f cycles (network-only %.2f)\n", res.AvgLatency, res.AvgNetLatency)
-	fmt.Printf("packets         %d measured\n", res.MeasuredPackets)
-	fmt.Printf("saturated       %v\n", res.Saturated)
-	fmt.Printf("network power   %.3f mW (dynamic %.3f, leakage %.3f) at %.2fV/%.1fGHz\n",
+	fmt.Fprintf(w, "routing         %s (%d routers powered)\n", alg.Name(), routers)
+	fmt.Fprintf(w, "pattern         %s over %d endpoints\n", pat.Name(), set.Size())
+	fmt.Fprintf(w, "offered load    %.3f flits/cycle/node\n", rate)
+	fmt.Fprintf(w, "accepted load   %.3f flits/cycle/node\n", res.ThroughputFlits)
+	fmt.Fprintf(w, "avg latency     %.2f cycles (network-only %.2f)\n", res.AvgLatency, res.AvgNetLatency)
+	fmt.Fprintf(w, "packets         %d measured\n", res.MeasuredPackets)
+	fmt.Fprintf(w, "saturated       %v\n", res.Saturated)
+	fmt.Fprintf(w, "network power   %.3f mW (dynamic %.3f, leakage %.3f) at %.2fV/%.1fGHz\n",
 		bd.Total()*1e3, bd.TotalDynamic()*1e3, bd.TotalLeakage()*1e3, vdd, freq/1e9)
 	return nil
 }
