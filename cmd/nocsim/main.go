@@ -51,7 +51,7 @@ func main() {
 }
 
 // run simulates one configuration and writes the report to w. level must be
-// 0 (the full mesh) or a sprint region of at least two nodes.
+// 0 (the full mesh) or a sprint level in [2, width*height].
 func run(w io.Writer, width, height, vcs, depth, pktLen, level int, patternName string,
 	rate float64, warmup, measure, drain int, seed int64, vdd, freq float64) error {
 	cfg := noc.DefaultConfig()
