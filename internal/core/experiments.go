@@ -924,20 +924,21 @@ func SensitivityPoint(vcs, depth int, sp NetSimParams) (SensitivityRow, error) {
 	sp = sp.withDefaults()
 	cfg := noc.DefaultConfig()
 	cfg.VCs, cfg.BufferDepth = vcs, depth
-	low, satRate, err := sp.walkLadder(cfg, meshFabric(mesh.New(cfg.Width, cfg.Height)), cfg.Nodes(),
-		rateLadder, fmt.Sprintf("sensitivity/v%d_d%d", vcs, depth))
+	low, satRate, err := sp.walkLadder(cfg, meshFabric(mesh.New(cfg.Width, cfg.Height)), rateLadder,
+		fmt.Sprintf("sensitivity/v%d_d%d", vcs, depth))
 	if err != nil {
 		return SensitivityRow{}, err
 	}
 	return SensitivityRow{VCs: vcs, BufferDepth: depth, SaturationRate: satRate, ZeroLoadLatency: low.AvgLatency}, nil
 }
 
-// walkLadder builds and runs f's network under cfg once per rate, lowest
-// first, with uniform traffic among all nodes and seed 300+ri, stopping at
-// the first saturated rate. It returns the lowest rate's run and the highest
-// rate accepted without saturating (0 when even the lowest saturated).
-func (p NetSimParams) walkLadder(cfg noc.Config, f fabric, nodes int, rates []float64, label string) (noc.Result, float64, error) {
-	set := traffic.NewSet(topo.AllNodes(nodes))
+// walkLadder builds and runs f's fully powered network under cfg once per
+// rate, lowest first, with uniform traffic among all of its routers and seed
+// 300+ri, stopping at the first saturated rate. It returns the lowest rate's
+// run and the highest rate accepted without saturating (0 when even the
+// lowest saturated).
+func (p NetSimParams) walkLadder(cfg noc.Config, f fabric, rates []float64, label string) (noc.Result, float64, error) {
+	set := traffic.NewSet(topo.AllNodes(f.routers))
 	var low noc.Result
 	satRate := 0.0
 	for ri, rate := range rates {

@@ -118,7 +118,7 @@ func (s *Sprinter) topologyPoint(spec topo.Spec, rates []float64, sp NetSimParam
 	if err != nil {
 		return TopoRow{}, err
 	}
-	low, satRate, err := sp.walkLadder(s.cfg.NoC, f, tp.Nodes(), rates, "topology/"+spec.Kind)
+	low, satRate, err := sp.walkLadder(s.cfg.NoC, f, rates, "topology/"+spec.Kind)
 	if err != nil {
 		return TopoRow{}, err
 	}
