@@ -14,7 +14,14 @@ import (
 // that cooled below the melt point gets a full plateau on its next heating.
 // Steps longer than a tenth of the RC time constant are internally
 // sub-stepped to keep the explicit Euler integration stable, so a single
-// large dt and many small ones converge to the same trajectory.
+// large dt and many small ones converge to the same trajectory away from the
+// melt point. A (sub-)step that carries the die across the melt point is not
+// split there. Heating, the die then melts the PCM a little above the melt
+// point. Cooling with liquid PCM left, it lands below the melt point and the
+// next step pins it back there, which returns the crossing step's overshoot
+// (up to |q|·h joules) to the die and lengthens the refreeze. At millisecond
+// steps that is negligible; at RC/10 on DefaultLumped it can reach a quarter
+// of the latent reservoir.
 //
 // The state optionally tracks a thermal-trip comparator with hysteresis
 // (SetHysteresis): crossing TripK upward asserts the trip, and the trip

@@ -129,18 +129,30 @@ func TestLumpedStateMatchesTimeline(t *testing.T) {
 // TestLumpedStateRefreezes melts the PCM, then cools at a power below the
 // melt-point balance: the die must hold at MeltK while the PCM refreezes,
 // cool below MeltK only once it is solid, and get a full-length melt plateau
-// again on the next heating.
+// again on the next heating. It runs at a fine step and at RC/10, the
+// largest step Step takes unsplit, where the step that cools the die across
+// the melt point lands visibly below it.
 func TestLumpedStateRefreezes(t *testing.T) {
 	l := DefaultLumped()
+	for _, c := range []struct {
+		name      string
+		dt, coolW float64
+	}{
+		// 20 W is below the (MeltK-ambient)/Rth = 27 W balance at the melt point.
+		{"fine", 0.01, 20},
+		// Unpowered, one RC/10 step cools a die at the melt point by 2.7 K.
+		{"rc_tenth", l.RthKperW * l.CthJperK / 10, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) { testRefreeze(t, l, c.dt, c.coolW) })
+	}
+}
+
+func testRefreeze(t *testing.T, l Lumped, dt, coolW float64) {
+	const hotW = 100.0
 	s, err := NewLumpedState(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const (
-		dt    = 0.01
-		hotW  = 100.0
-		coolW = 20.0 // below the (MeltK-ambient)/Rth = 27 W balance at the melt point
-	)
 	step := func(powerW float64) {
 		t.Helper()
 		if err := s.Step(powerW, dt); err != nil {
@@ -168,16 +180,27 @@ func TestLumpedStateRefreezes(t *testing.T) {
 	if first == 0 {
 		t.Fatal("first heating crossed no melt plateau")
 	}
-	refreezing := 0
+	refreezing, crossings := 0, 0
 	for i := 0; s.MeltFraction() > 0; i++ {
 		if i == 100000 {
 			t.Fatalf("PCM never refroze: die at %g K, melt fraction %g", s.TempK(), s.MeltFraction())
 		}
+		before := s.TempK()
 		step(coolW)
-		if f := s.MeltFraction(); f > 0 && f < 1 {
+		f := s.MeltFraction()
+		switch {
+		case f > 0 && f < 1:
 			refreezing++
 			if s.TempK() != l.PCM.MeltK {
 				t.Fatalf("refreezing at melt fraction %g but die at %g K, want %g K", f, s.TempK(), l.PCM.MeltK)
+			}
+		case f == 1 && s.TempK() < l.PCM.MeltK:
+			// Only the step that crosses the melt point may leave liquid
+			// PCM under a die below it; the next step pins the die back.
+			crossings++
+			if crossings > 1 || before < l.PCM.MeltK {
+				t.Fatalf("liquid PCM under a die at %g K (was %g K) on step %d: not the melt-point crossing",
+					s.TempK(), before, i)
 			}
 		}
 	}
