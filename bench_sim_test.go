@@ -2,7 +2,8 @@
 // fig11-class configurations at several active-region levels, plus a
 // dark-heavy 8x8 point (one small sprint region, the rest of the mesh
 // power-gated) — the regime NoC-sprinting targets and the one the
-// active-work scheduler is built for.
+// active-work scheduler is built for — and a fully powered 4x4 torus and
+// C(16;1,4) circulant, whose routers allocate dateline VC classes.
 //
 // Each configuration has an optimized and a Ref variant; the Ref variant
 // pins the pre-optimization full-scan stepper (noc.UseReferenceStepper), so
@@ -28,25 +29,33 @@ import (
 	"nocsprint/internal/noc"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
+	"nocsprint/internal/topo"
 	"nocsprint/internal/traffic"
 )
 
 // stepBenchCase is one simulator throughput configuration.
 type stepBenchCase struct {
-	Name   string  `json:"name"`
-	Width  int     `json:"width"`
-	Height int     `json:"height"`
-	Level  int     `json:"level"` // active-region size; 0 = full mesh, DOR
-	Rate   float64 `json:"rate"`  // offered load, flits/cycle/active node
+	Name string `json:"name"`
+	// Topology is "" for a Width x Height mesh, "torus" for a Width x
+	// Height torus, or "circulant" for the ring circulant
+	// C(Width*Height; 1, Width); the torus and circulant are fully powered.
+	Topology string  `json:"topology,omitempty"`
+	Width    int     `json:"width"`
+	Height   int     `json:"height"`
+	Level    int     `json:"level"` // mesh active-region size; 0 = full mesh, DOR
+	Rate     float64 `json:"rate"`  // offered load, flits/cycle/active node
 }
 
 // stepBenchCases are the perf-trajectory points: the fig11-class 4x4 sweep
-// levels and the dark-dominated 8x8 point (64 routers, 4 powered).
+// levels, the dark-dominated 8x8 point (64 routers, 4 powered), and the
+// 16-node torus and circulant.
 var stepBenchCases = []stepBenchCase{
 	{Name: "fig11-4x4-level4", Width: 4, Height: 4, Level: 4, Rate: 0.15},
 	{Name: "fig11-4x4-level8", Width: 4, Height: 4, Level: 8, Rate: 0.15},
 	{Name: "fig11-4x4-full16", Width: 4, Height: 4, Level: 0, Rate: 0.15},
 	{Name: "dark-8x8-level4", Width: 8, Height: 8, Level: 4, Rate: 0.15},
+	{Name: "torus-4x4", Topology: "torus", Width: 4, Height: 4, Rate: 0.15},
+	{Name: "circulant-16", Topology: "circulant", Width: 4, Height: 4, Rate: 0.15},
 }
 
 // newStepBench builds the network and traffic generator for one case.
@@ -58,15 +67,31 @@ func newStepBench(tb testing.TB, c stepBenchCase, reference bool) (*noc.Network,
 	var (
 		net *noc.Network
 		err error
-		set *traffic.Set
+		set = traffic.NewSet(benchNodes(m.Nodes()))
 	)
-	if c.Level > 0 {
+	switch {
+	case c.Topology == "torus":
+		tp, terr := topo.NewTorus(c.Width, c.Height)
+		if terr != nil {
+			tb.Fatal(terr)
+		}
+		net, err = noc.NewTopo(cfg, tp, routing.NewTorusDOR(tp), nil)
+	case c.Topology == "circulant":
+		tp, terr := topo.NewCirculant(c.Width*c.Height, 1, c.Width)
+		if terr != nil {
+			tb.Fatal(terr)
+		}
+		alg, aerr := routing.NewRingCirculant(tp)
+		if aerr != nil {
+			tb.Fatal(aerr)
+		}
+		net, err = noc.NewTopo(cfg, tp, alg, nil)
+	case c.Level > 0:
 		region := sprint.NewRegion(m, 0, c.Level, sprint.Euclidean)
 		net, err = noc.New(cfg, routing.NewCDOR(region), region.ActiveNodes())
 		set = traffic.NewSet(region.ActiveNodes())
-	} else {
+	default:
 		net, err = noc.New(cfg, routing.NewDOR(m), nil)
-		set = traffic.NewSet(benchNodes(m.Nodes()))
 	}
 	if err != nil {
 		tb.Fatal(err)
@@ -118,6 +143,10 @@ func BenchmarkStepFig11Level8(b *testing.B)    { benchStep(b, stepBenchCases[1],
 func BenchmarkStepFig11Level8Ref(b *testing.B) { benchStep(b, stepBenchCases[1], true) }
 func BenchmarkStepFig11Full(b *testing.B)      { benchStep(b, stepBenchCases[2], false) }
 func BenchmarkStepFig11FullRef(b *testing.B)   { benchStep(b, stepBenchCases[2], true) }
+func BenchmarkStepTorus(b *testing.B)          { benchStep(b, stepBenchCases[4], false) }
+func BenchmarkStepTorusRef(b *testing.B)       { benchStep(b, stepBenchCases[4], true) }
+func BenchmarkStepCirculant(b *testing.B)      { benchStep(b, stepBenchCases[5], false) }
+func BenchmarkStepCirculantRef(b *testing.B)   { benchStep(b, stepBenchCases[5], true) }
 
 func benchNodes(n int) []int {
 	out := make([]int, n)

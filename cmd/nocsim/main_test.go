@@ -29,6 +29,19 @@ func TestRunRejectsBadLevels(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOversizeRouters: 13 VCs on 5 ports exceed the router's 64
+// input VCs, which is an error, not a panic.
+func TestRunRejectsOversizeRouters(t *testing.T) {
+	var out bytes.Buffer
+	err := run(&out, 4, 4, 13, 4, 5, 0, "uniform", 0.2, 200, 500, 5000, 1, 1.0, 2e9)
+	if err == nil {
+		t.Fatalf("-vcs 13 accepted:\n%s", out.String())
+	}
+	if !strings.Contains(err.Error(), "13 VCs") {
+		t.Errorf("-vcs 13: error %q does not name the VC count", err)
+	}
+}
+
 // TestRunSprintRegion drives a valid level-8 region end to end.
 func TestRunSprintRegion(t *testing.T) {
 	out, err := runLevel(8)

@@ -20,6 +20,8 @@ type Config struct {
 	// Width and Height are the mesh dimensions (Table 1: 4×4).
 	Width, Height int
 	// VCs is the number of virtual channels per input port (Table 1: 4).
+	// A router holds at most 64 input VCs, so at most 12 on a 5-port
+	// router; NewTopo rejects more.
 	VCs int
 	// BufferDepth is the flit capacity of each VC buffer (Table 1: 4).
 	BufferDepth int

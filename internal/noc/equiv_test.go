@@ -20,15 +20,18 @@ import (
 	"nocsprint/internal/noc"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
+	"nocsprint/internal/topo"
 	"nocsprint/internal/traffic"
 )
 
 // equivCase is one equivalence configuration.
 type equivCase struct {
 	name    string
+	fabric  string // "" = mesh, "torus" = width x height torus, "circulant" = C(16;1,4)
 	width   int
 	height  int
 	level   int  // sprint-region size; 0 = full mesh with DOR
+	vcs     int  // VCs per port; 0 = the default 4
 	classes int  // message classes (0/1 = single class)
 	gating  bool // enable runtime traffic-driven power gating
 	links   bool // override some link latencies (thermal floorplan wires)
@@ -45,6 +48,11 @@ var equivCases = []equivCase{
 	{name: "link-latency-overrides", width: 4, height: 4, links: true, cycles: 2500, rate: 0.2},
 	{name: "runtime-gating", width: 4, height: 4, level: 4, gating: true, cycles: 3000, rate: 0.1},
 	{name: "reconfigure-midrun", width: 6, height: 6, level: 9, reconf: true, cycles: 2500, rate: 0.1},
+	// Dateline VC classes, near saturation.
+	{name: "torus-4x4", fabric: "torus", width: 4, height: 4, cycles: 2500, rate: 0.5},
+	{name: "circulant-16", fabric: "circulant", cycles: 2500, rate: 0.45},
+	// 5 ports x 8 VCs: a 40-slot requester space.
+	{name: "vcs-8-classes-2", width: 4, height: 4, vcs: 8, classes: 2, cycles: 2500, rate: 0.5},
 }
 
 // buildEquiv constructs one network for c plus the traffic endpoints and the
@@ -53,29 +61,49 @@ func buildEquiv(t *testing.T, c equivCase, reference bool) (*noc.Network, []int,
 	t.Helper()
 	cfg := noc.DefaultConfig()
 	cfg.Width, cfg.Height = c.width, c.height
+	if c.vcs > 0 {
+		cfg.VCs = c.vcs
+	}
 	if c.classes > 1 {
 		cfg.Classes = c.classes
 	}
-	m := mesh.New(c.width, c.height)
 	var (
 		net    *noc.Network
 		err    error
 		region *sprint.Region
-		nodes  []int
 	)
-	if c.level > 0 {
-		region = sprint.NewRegion(m, 0, c.level, sprint.Euclidean)
-		net, err = noc.New(cfg, routing.NewCDOR(region), region.ActiveNodes())
-		nodes = region.ActiveNodes()
-	} else {
-		net, err = noc.New(cfg, routing.NewDOR(m), nil)
-		nodes = make([]int, m.Nodes())
-		for i := range nodes {
-			nodes[i] = i
+	switch {
+	case c.fabric == "torus":
+		tp, terr := topo.NewTorus(c.width, c.height)
+		if terr != nil {
+			t.Fatal(terr)
 		}
+		net, err = noc.NewTopo(cfg, tp, routing.NewTorusDOR(tp), nil)
+	case c.fabric == "circulant":
+		tp, terr := topo.NewCirculant(16, 1, 4)
+		if terr != nil {
+			t.Fatal(terr)
+		}
+		alg, aerr := routing.NewRingCirculant(tp)
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		net, err = noc.NewTopo(cfg, tp, alg, nil)
+	case c.level > 0:
+		region = sprint.NewRegion(mesh.New(c.width, c.height), 0, c.level, sprint.Euclidean)
+		net, err = noc.New(cfg, routing.NewCDOR(region), region.ActiveNodes())
+	default:
+		net, err = noc.New(cfg, routing.NewDOR(mesh.New(c.width, c.height)), nil)
 	}
 	if err != nil {
 		t.Fatal(err)
+	}
+	nodes := make([]int, net.Nodes())
+	for i := range nodes {
+		nodes[i] = i
+	}
+	if region != nil {
+		nodes = region.ActiveNodes()
 	}
 	if c.links {
 		// Slow down a few wires asymmetrically, as a thermal-aware
@@ -174,7 +202,7 @@ func TestStepperEquivalence(t *testing.T) {
 			if opt.Cycle() != ref.Cycle() {
 				t.Errorf("cycle drift: optimized %d, reference %d", opt.Cycle(), ref.Cycle())
 			}
-			for id := 0; id < opt.Mesh().Nodes(); id++ {
+			for id := 0; id < opt.Nodes(); id++ {
 				if oe, re := opt.RouterEvents(id), ref.RouterEvents(id); !reflect.DeepEqual(oe, re) {
 					t.Errorf("router %d event drift:\noptimized: %+v\nreference: %+v", id, oe, re)
 				}
@@ -292,6 +320,9 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	for _, c := range []equivCase{
 		{name: "dark-8x8", width: 8, height: 8, level: 4, rate: 0.15},
 		{name: "full-4x4", width: 4, height: 4, rate: 0.2},
+		{name: "torus-4x4", fabric: "torus", width: 4, height: 4, rate: 0.5},
+		{name: "circulant-16", fabric: "circulant", rate: 0.45},
+		{name: "vcs-8-4x4", width: 4, height: 4, vcs: 8, rate: 0.5},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {

@@ -166,7 +166,7 @@ func (n *Network) updateGating(now int64) {
 		switch g.state {
 		case powerOn:
 			g.onCycles++
-			if r.occupancy() == 0 && r.allVCsIdle() && !n.pendingTraffic(id) {
+			if r.occupancy() == 0 && r.busyVCs == 0 && !n.pendingTraffic(id) {
 				g.idle++
 				if g.idle >= n.gatingCfg.IdleThreshold {
 					g.state = powerOff
@@ -198,17 +198,4 @@ func (n *Network) pendingTraffic(id int) bool {
 	}
 	nic := n.nis[id]
 	return nic.active && (nic.cur != nil || len(nic.queue) > 0)
-}
-
-// allVCsIdle reports whether every input VC has fully released its state
-// (no packet mid-flight through this router).
-func (r *router) allVCsIdle() bool {
-	for p := range r.in {
-		for v := range r.in[p] {
-			if r.in[p][v].state != vcIdle {
-				return false
-			}
-		}
-	}
-	return true
 }

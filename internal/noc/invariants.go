@@ -18,21 +18,28 @@ import (
 func (n *Network) CheckInvariants() error {
 	depth := n.cfg.BufferDepth
 	for id, r := range n.routers {
-		// Buffer bounds and VC state consistency.
-		for p := range r.in {
-			for v := range r.in[p] {
-				ivc := &r.in[p][v]
-				if len(ivc.buf) > depth {
-					return fmt.Errorf("noc: router %d port %d vc %d holds %d flits (depth %d)",
-						id, p, v, len(ivc.buf), depth)
-				}
-				if ivc.state == vcIdle && len(ivc.buf) > 0 {
-					return fmt.Errorf("noc: router %d port %d vc %d idle with %d buffered flits",
-						id, p, v, len(ivc.buf))
-				}
-				if !r.active && len(ivc.buf) > 0 {
-					return fmt.Errorf("noc: gated router %d holds flits", id)
-				}
+		// Buffer bounds, VC state consistency, and request sets in step
+		// with the VC states.
+		for b := range r.in {
+			ivc := &r.in[b]
+			p, v := b/n.cfg.VCs, b%n.cfg.VCs
+			if len(ivc.buf) > depth {
+				return fmt.Errorf("noc: router %d port %d vc %d holds %d flits (depth %d)",
+					id, p, v, len(ivc.buf), depth)
+			}
+			if ivc.state == vcIdle && len(ivc.buf) > 0 {
+				return fmt.Errorf("noc: router %d port %d vc %d idle with %d buffered flits",
+					id, p, v, len(ivc.buf))
+			}
+			if !r.active && len(ivc.buf) > 0 {
+				return fmt.Errorf("noc: gated router %d holds flits", id)
+			}
+			bit := uint64(1) << uint(b)
+			got := [3]bool{r.rcSet&bit != 0, r.vaSet&bit != 0, r.saSet&bit != 0}
+			want := [3]bool{ivc.state == vcRoute, ivc.state == vcVA, ivc.state == vcActive && len(ivc.buf) > 0}
+			if got != want {
+				return fmt.Errorf("noc: router %d port %d vc %d in state %d with %d flits has request bits rc/va/sa %v, want %v",
+					id, p, v, ivc.state, len(ivc.buf), got, want)
 			}
 		}
 		if !r.active {
@@ -47,7 +54,7 @@ func (n *Network) CheckInvariants() error {
 			inDir := n.opp[p]
 			for vc := 0; vc < n.cfg.VCs; vc++ {
 				sum := r.out[p][vc].credits
-				sum += len(n.routers[dst].in[inDir][vc].buf)
+				sum += len(n.routers[dst].in[inDir*n.cfg.VCs+vc].buf)
 				for _, ev := range n.inbox[dst*n.P+inDir] {
 					if ev.f.vc == vc {
 						sum++
@@ -69,7 +76,7 @@ func (n *Network) CheckInvariants() error {
 		if nic.active {
 			for vc := 0; vc < n.cfg.VCs; vc++ {
 				sum := nic.credits[vc]
-				sum += len(r.in[topo.Local][vc].buf)
+				sum += len(r.in[topo.Local*n.cfg.VCs+vc].buf)
 				for _, ev := range n.inbox[id*n.P+topo.Local] {
 					if ev.f.vc == vc {
 						sum++

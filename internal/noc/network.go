@@ -3,6 +3,7 @@ package noc
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"nocsprint/internal/mesh"
@@ -172,13 +173,10 @@ type Network struct {
 	// and Reconfigure instead of rescanning all routers on every
 	// ActiveRouters call (the fault driver polls it every cycle).
 	activeCount int
-	// usedInput is per-cycle scratch for the one-flit-per-input-port
-	// crossbar constraint, indexed id*P+port like inbox.
-	usedInput []bool
-	// pendingBuf is shared per-router scratch for the allocator prescans
-	// (one int per output port), preallocated so the degree-parameterized
-	// stages stay allocation-free in steady state.
-	pendingBuf []int
+	// portReq is shared per-router scratch for the allocators: the
+	// requester set of each output port, preallocated so the
+	// degree-parameterized stages stay allocation-free in steady state.
+	portReq []uint64
 	// probe, when non-nil, observes simulator events (see probe.go).
 	probe Probe
 	// classCreated/classEjected/classDropped count flits per message class
@@ -205,12 +203,17 @@ func New(cfg Config, alg routing.Algorithm, activeNodes []int) (*Network, error)
 	return NewTopo(cfg, topo.NewMesh(cfg.Width, cfg.Height), alg, activeNodes)
 }
 
+// maxSlots bounds a router's input VCs (ports x VCs): the allocators keep
+// one bit per input VC in a uint64 request set.
+const maxSlots = 64
+
 // NewTopo builds a network over an arbitrary topology. cfg's Width/Height
 // are ignored (the topology defines the node set); the fabric parameters
 // (VCs, buffers, packet length, link latency, classes) are validated as in
-// New. When alg implements routing.VCPolicy, each message class's VC
-// partition is further subdivided among the policy's route classes (dateline
-// escape VCs), so VCs must be divisible by Classes x VCClasses.
+// New, and ports x VCs may not exceed 64. When alg implements
+// routing.VCPolicy, each message class's VC partition is further subdivided
+// among the policy's route classes (dateline escape VCs), so VCs must be
+// divisible by Classes x VCClasses.
 func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []int) (*Network, error) {
 	if tp == nil {
 		return nil, fmt.Errorf("noc: nil topology")
@@ -219,6 +222,10 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 		return nil, err
 	}
 	nodes, P := tp.Nodes(), tp.Ports()
+	if P*cfg.VCs > maxSlots {
+		return nil, fmt.Errorf("noc: %d ports x %d VCs = %d input VCs per router, more than the allocators' %d",
+			P, cfg.VCs, P*cfg.VCs, maxSlots)
+	}
 	activeSet := make([]bool, nodes)
 	if activeNodes == nil {
 		for i := range activeSet {
@@ -245,14 +252,13 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 		nicredbox: make([][]creditEvt, nodes),
 		eject:     make([][]arrival, nodes),
 		nis:       make([]*ni, nodes),
-		usedInput: make([]bool, nodes*P),
 
-		linkLat:    make([]int, nodes*P),
-		inWork:     make([]bool, nodes),
-		work:       make([]int, 0, nodes),
-		sweepBuf:   make([]int, 0, nodes),
-		allIDs:     make([]int, nodes),
-		pendingBuf: make([]int, P),
+		linkLat:  make([]int, nodes*P),
+		inWork:   make([]bool, nodes),
+		work:     make([]int, 0, nodes),
+		sweepBuf: make([]int, 0, nodes),
+		allIDs:   make([]int, nodes),
+		portReq:  make([]uint64, P),
 
 		classCreated: make([]int64, cfg.classes()),
 		classEjected: make([]int64, cfg.classes()),
@@ -577,126 +583,119 @@ func (n *Network) deliverCredits(now int64, ids []int) {
 }
 
 // switchAllocation arbitrates the crossbar per output port and performs
-// switch+link traversal for the winners.
+// switch+link traversal for the winners. Output ports arbitrate in index
+// order; each grants the first requester with a credit at or after its
+// round-robin pointer, skipping input ports that already sent a flit this
+// cycle, and a grant moves the pointer one past the winner.
 func (n *Network) switchAllocation(now int64, ids []int) {
 	nVC := n.cfg.VCs
-	P := n.P
-	reqSpace := P * nVC
+	portSlots := uint64(1)<<uint(nVC) - 1 // the slots of input port 0
 	for _, id := range ids {
 		r := n.routers[id]
 		if !r.active || !n.powered(id) {
 			continue
 		}
-		// With every input VC idle there is nothing to arbitrate: no grant
-		// is possible and no round-robin pointer can move, so skipping the
-		// O(ports x requesters) sweep is exact. The reference stepper pays
-		// the sweep anyway — its job is to reproduce the pre-optimization
-		// per-cycle work profile, and the busyVCs shortcut did not exist
-		// then.
-		if !n.scanAll && r.busyVCs == 0 {
+		if n.scanAll {
+			n.switchAllocationScan(now, id, r)
 			continue
 		}
-		// usedInput is only read and written while arbitrating this router,
-		// so clearing it here (instead of a whole-network memset at the top
-		// of Step) keeps the per-cycle cost proportional to active work.
-		used := n.usedInput[id*P : (id+1)*P]
-		for p := range used {
-			used[p] = false
+		if r.saSet == 0 {
+			continue // no requester: no grant, and no pointer can move
 		}
-		// Prescan: count grantable requesters per output port so the
-		// round-robin sweeps below can skip unrequested ports and stop once
-		// every counted requester has been visited. A VC's state and outPort
-		// cannot change before its own port is arbitrated (grants touch only
-		// the granting port's requesters, and VA/RC run after SA), so counts
-		// taken here stay valid for the whole router. The reference stepper
-		// keeps the pre-optimization full sweep via a sentinel count.
-		pending := n.pendingBuf
-		if n.scanAll {
-			for p := range pending {
-				pending[p] = reqSpace
-			}
-		} else {
-			for p := range pending {
-				pending[p] = 0
-			}
-			for p := range r.in {
-				for v := range r.in[p] {
-					ivc := &r.in[p][v]
-					if ivc.state == vcActive && !ivc.empty() {
-						pending[ivc.outPort]++
-					}
+		// A grant pops only its own slot, so the requester sets taken here
+		// stay valid for every port; used masks the input ports that have
+		// already sent.
+		var used uint64
+		for outPort, cand := range n.requesters(r, r.saSet) {
+			for cand &^= used; cand != 0; {
+				b := nextSlot(cand, r.saPtr[outPort])
+				cand &^= 1 << uint(b)
+				if r.hasCredit(outPort, r.in[b].outVC) {
+					n.traverse(now, id, r, b, outPort)
+					used |= portSlots << uint(b-b%nVC)
+					break
 				}
 			}
 		}
-		for outPort := 0; outPort < P; outPort++ {
-			// Round-robin over the flattened (inPort, inVC) requester space.
-			granted := false
-			for k := 0; k < reqSpace && !granted && pending[outPort] > 0; k++ {
-				idx := (r.saPtr[outPort] + k) % reqSpace
-				inPort := idx / nVC
-				inVC := idx % nVC
-				if used[inPort] {
-					continue
-				}
-				v := &r.in[inPort][inVC]
-				if v.state != vcActive || v.empty() || v.outPort != outPort {
-					continue
-				}
-				pending[outPort]--
-				if !r.hasCredit(outPort, v.outVC) {
-					continue
-				}
-				// Grant: traverse switch and link.
-				f := v.pop()
-				f.vc = v.outVC
-				r.events.BufferReads++
-				r.events.XbarTraversals++
-				r.events.SAGrants++
-				used[inPort] = true
-				r.saPtr[outPort] = (idx + 1) % reqSpace
-				granted = true
+	}
+}
 
-				if outPort == topo.Local {
-					n.eject[id] = append(n.eject[id], arrival{f: f, t: now + 1})
-					n.markBusy(id)
-				} else {
-					r.out[outPort][v.outVC].credits--
-					r.events.LinkFlits++
-					dst := r.downstream[outPort]
-					if dst < 0 {
-						panic("noc: flit routed off topology edge")
-					}
-					inDir := n.opp[outPort]
-					// Switch traversal takes this cycle; link traversal
-					// adds the link's latency (the ST then LT stages).
-					n.inbox[dst*P+inDir] = append(n.inbox[dst*P+inDir],
-						arrival{f: f, t: now + 1 + int64(n.linkLatencyOf(id, outPort))})
-					n.markBusy(dst)
-				}
-
-				// Return the freed buffer slot upstream as a credit.
-				if inPort == topo.Local {
-					n.nicredbox[id] = append(n.nicredbox[id],
-						creditEvt{port: topo.Local, vc: inVC, t: now + 1})
-					n.markBusy(id)
-				} else {
-					up := r.downstream[inPort] // neighbour feeding this input
-					upPort := n.opp[inPort]
-					n.credbox[up] = append(n.credbox[up],
-						creditEvt{port: upPort, vc: inVC, t: now + 1})
-					n.markBusy(up)
-				}
-
-				if f.typ.IsTail() {
-					if !v.empty() {
-						panic("noc: flits behind tail in VC — wormhole invariant broken")
-					}
-					r.out[v.outPort][v.outVC].occupied = false
-					v.state = vcIdle
-					r.busyVCs--
-				}
+// switchAllocationScan is switchAllocation on the reference stepper: each
+// output port sweeps every slot from its pointer.
+func (n *Network) switchAllocationScan(now int64, id int, r *router) {
+	nVC := n.cfg.VCs
+	slots := len(r.in)
+	var used uint64 // input ports that already sent
+	for outPort := 0; outPort < n.P; outPort++ {
+		for k := 0; k < slots; k++ {
+			b := (r.saPtr[outPort] + k) % slots
+			v := &r.in[b]
+			if used&(1<<uint(b/nVC)) != 0 || v.state != vcActive || v.empty() ||
+				v.outPort != outPort || !r.hasCredit(outPort, v.outVC) {
+				continue
 			}
+			n.traverse(now, id, r, b, outPort)
+			used |= 1 << uint(b/nVC)
+			break
 		}
+	}
+}
+
+// traverse grants slot b the crossbar toward outPort: one flit crosses the
+// switch and the link (or goes to the NI), its buffer slot returns upstream
+// as a credit, and a tail releases the VC.
+func (n *Network) traverse(now int64, id int, r *router, b, outPort int) {
+	P, nVC := n.P, n.cfg.VCs
+	inPort, inVC := b/nVC, b%nVC
+	v := &r.in[b]
+	f := v.pop()
+	f.vc = v.outVC
+	r.events.BufferReads++
+	r.events.XbarTraversals++
+	r.events.SAGrants++
+	r.saPtr[outPort] = (b + 1) % len(r.in)
+	if v.empty() {
+		r.saSet &^= 1 << uint(b)
+	}
+
+	if outPort == topo.Local {
+		n.eject[id] = append(n.eject[id], arrival{f: f, t: now + 1})
+		n.markBusy(id)
+	} else {
+		r.out[outPort][v.outVC].credits--
+		r.events.LinkFlits++
+		dst := r.downstream[outPort]
+		if dst < 0 {
+			panic("noc: flit routed off topology edge")
+		}
+		inDir := n.opp[outPort]
+		// Switch traversal takes this cycle; link traversal adds the link's
+		// latency (the ST then LT stages).
+		n.inbox[dst*P+inDir] = append(n.inbox[dst*P+inDir],
+			arrival{f: f, t: now + 1 + int64(n.linkLatencyOf(id, outPort))})
+		n.markBusy(dst)
+	}
+
+	// Return the freed buffer slot upstream as a credit.
+	if inPort == topo.Local {
+		n.nicredbox[id] = append(n.nicredbox[id],
+			creditEvt{port: topo.Local, vc: inVC, t: now + 1})
+		n.markBusy(id)
+	} else {
+		up := r.downstream[inPort] // neighbour feeding this input
+		upPort := n.opp[inPort]
+		n.credbox[up] = append(n.credbox[up],
+			creditEvt{port: upPort, vc: inVC, t: now + 1})
+		n.markBusy(up)
+	}
+
+	if f.typ.IsTail() {
+		if !v.empty() {
+			panic("noc: flits behind tail in VC — wormhole invariant broken")
+		}
+		r.out[outPort][v.outVC].occupied = false
+		v.state = vcIdle
+		r.busyVCs--
 	}
 }
 
@@ -706,70 +705,95 @@ func (n *Network) switchAllocation(now int64, ids []int) {
 // routing algorithm carries a VC policy, the packet's message-class
 // partition is further restricted to the route class's sub-partition
 // (dateline escape VCs on torus/circulant rings).
+//
+// Output ports allocate in index order, each in ports x VCs steps over the
+// slots: step k visits slot (vaPtr + k) mod (ports x VCs), reading the
+// port's vaPtr afresh, and a grant at slot w sets vaPtr to w+1. After a
+// grant at step k the next slot visited is therefore w+k+2, not w+1, and a
+// requester can be visited twice. The optimized stepper follows the same
+// steps but jumps from requester to requester.
 func (n *Network) vcAllocation(ids []int) {
-	nVC := n.cfg.VCs
-	P := n.P
-	reqSpace := P * nVC
 	for _, id := range ids {
 		r := n.routers[id]
 		if !r.active || !n.powered(id) {
 			continue
 		}
-		if !n.scanAll && r.busyVCs == 0 {
-			continue // no VC awaiting allocation (see switchAllocation)
-		}
-		// Same prescan-and-early-exit shape as switchAllocation: count the
-		// vcVA requesters per output port up front (new vcVA states only
-		// appear later, in routeCompute) and stop each port sweep once all
-		// of them have been visited.
-		pending := n.pendingBuf
 		if n.scanAll {
-			for p := range pending {
-				pending[p] = reqSpace
-			}
-		} else {
-			for p := range pending {
-				pending[p] = 0
-			}
-			for p := range r.in {
-				for v := range r.in[p] {
-					ivc := &r.in[p][v]
-					if ivc.state == vcVA {
-						pending[ivc.outPort]++
-					}
-				}
-			}
+			n.vcAllocationScan(id, r)
+			continue
 		}
-		for outPort := 0; outPort < P; outPort++ {
-			for k := 0; k < reqSpace && pending[outPort] > 0; k++ {
-				idx := (r.vaPtr[outPort] + k) % reqSpace
-				inPort := idx / nVC
-				inVC := idx % nVC
-				v := &r.in[inPort][inVC]
-				if v.state != vcVA || v.outPort != outPort {
-					continue
+		if r.vaSet == 0 {
+			continue
+		}
+		// A grant changes only its own slot, and new vcVA slots appear later,
+		// in routeCompute, so the requester sets taken here stay valid.
+		slots := len(r.in)
+		for outPort, cand := range n.requesters(r, r.vaSet) {
+			ptr := r.vaPtr[outPort]
+			for k := 0; k < slots && cand != 0; k++ {
+				s := ptr + k
+				if s >= slots {
+					s -= slots
 				}
-				pending[outPort]--
-				head := v.buf[0]
-				lo := head.pkt.Class * n.cfg.vcsPerClass()
-				span := n.cfg.vcsPerClass()
-				if n.vcClassFn != nil {
-					sub := span / n.vcClasses
-					lo += n.vcClassFn(id, head.pkt.Dst) * sub
-					span = sub
+				b := nextSlot(cand, s)
+				if b >= s {
+					k += b - s
+				} else {
+					k += b + slots - s
 				}
-				outVC := r.freeOutputVC(outPort, lo, span)
-				if outVC < 0 {
-					continue // this class's VCs are exhausted this cycle
+				if k >= slots {
+					break
 				}
-				r.out[outPort][outVC].occupied = true
-				v.outVC = outVC
-				v.state = vcActive
-				r.events.VAGrants++
-				r.vaPtr[outPort] = (idx + 1) % reqSpace
+				// Each requester is tried once: a grant leaves vcVA, and one
+				// that found no free VC finds none on a revisit, since VCs
+				// are only taken while a port allocates.
+				cand &^= 1 << uint(b)
+				if n.grantVC(id, r, b, outPort) {
+					ptr = r.vaPtr[outPort]
+				}
 			}
 		}
 	}
+}
+
+// vcAllocationScan is vcAllocation on the reference stepper: each output
+// port takes every step.
+func (n *Network) vcAllocationScan(id int, r *router) {
+	slots := len(r.in)
+	for outPort := 0; outPort < n.P; outPort++ {
+		for k := 0; k < slots; k++ {
+			b := (r.vaPtr[outPort] + k) % slots
+			if v := &r.in[b]; v.state == vcVA && v.outPort == outPort {
+				n.grantVC(id, r, b, outPort)
+			}
+		}
+	}
+}
+
+// grantVC tries to give slot b, routed to outPort, a free output VC in its
+// packet's partition. On success the slot moves from VA to SA and the
+// port's VA pointer to the slot after b.
+func (n *Network) grantVC(id int, r *router, b, outPort int) bool {
+	v := &r.in[b]
+	head := v.buf[0]
+	span := n.cfg.vcsPerClass()
+	lo := head.pkt.Class * span
+	if n.vcClassFn != nil {
+		span /= n.vcClasses
+		lo += n.vcClassFn(id, head.pkt.Dst) * span
+	}
+	outVC := r.freeOutputVC(outPort, lo, span)
+	if outVC < 0 {
+		return false // this class's VCs are exhausted this cycle
+	}
+	r.out[outPort][outVC].occupied = true
+	v.outVC = outVC
+	v.state = vcActive
+	r.events.VAGrants++
+	r.vaPtr[outPort] = (b + 1) % len(r.in)
+	r.vaSet &^= 1 << uint(b)
+	r.saSet |= 1 << uint(b) // the head flit is still buffered
+	return true
 }
 
 // freeOutputVC returns a grantable VC index within the class partition
@@ -778,13 +802,37 @@ func (r *router) freeOutputVC(outPort, lo, span int) int {
 	for k := 0; k < span; k++ {
 		vc := lo + (r.vaVCPtr[outPort]+k)%span
 		o := &r.out[outPort][vc]
-		full := outPort == topo.Local || o.credits == cap(r.in[0][0].buf)
+		full := outPort == topo.Local || o.credits == cap(r.in[0].buf)
 		if !o.occupied && full {
 			r.vaVCPtr[outPort] = (vc - lo + 1) % span
 			return vc
 		}
 	}
 	return -1
+}
+
+// requesters splits a request set by the output port each slot is routed
+// to, into the network's per-port scratch.
+func (n *Network) requesters(r *router, set uint64) []uint64 {
+	req := n.portReq
+	for p := range req {
+		req[p] = 0
+	}
+	for ; set != 0; set &= set - 1 {
+		b := bits.TrailingZeros64(set)
+		req[r.in[b].outPort] |= 1 << uint(b)
+	}
+	return req
+}
+
+// nextSlot returns the first slot of the non-empty set at or after slot
+// from, wrapping to slot 0: the next requester a round-robin sweep starting
+// at from reaches.
+func nextSlot(set uint64, from int) int {
+	if hi := set >> uint(from); hi != 0 {
+		return from + bits.TrailingZeros64(hi)
+	}
+	return bits.TrailingZeros64(set)
 }
 
 // routeCompute computes output ports for head flits newly buffered.
@@ -794,29 +842,37 @@ func (n *Network) routeCompute(ids []int) {
 		if !r.active || !n.powered(id) {
 			continue
 		}
-		if !n.scanAll && r.busyVCs == 0 {
-			continue // no VC awaiting route compute (see switchAllocation)
-		}
-		for p := range r.in {
-			for v := range r.in[p] {
-				ivc := &r.in[p][v]
-				if ivc.state != vcRoute || ivc.empty() {
-					continue
+		if n.scanAll {
+			for b := range r.in {
+				if v := &r.in[b]; v.state == vcRoute && !v.empty() {
+					n.computeRoute(id, r, b)
 				}
-				head := ivc.buf[0]
-				if !head.typ.IsHead() {
-					panic("noc: non-head flit at route compute")
-				}
-				port, err := n.alg.NextPort(id, head.pkt.Dst)
-				if err != nil {
-					panic(fmt.Sprintf("noc: routing failure at router %d for packet %d->%d: %v",
-						id, head.pkt.Src, head.pkt.Dst, err))
-				}
-				ivc.outPort = port
-				ivc.state = vcVA
 			}
+			continue
+		}
+		for set := r.rcSet; set != 0; set &= set - 1 {
+			n.computeRoute(id, r, bits.TrailingZeros64(set))
 		}
 	}
+}
+
+// computeRoute routes the head flit buffered in slot b and moves the slot
+// from RC to VA.
+func (n *Network) computeRoute(id int, r *router, b int) {
+	v := &r.in[b]
+	head := v.buf[0]
+	if !head.typ.IsHead() {
+		panic("noc: non-head flit at route compute")
+	}
+	port, err := n.alg.NextPort(id, head.pkt.Dst)
+	if err != nil {
+		panic(fmt.Sprintf("noc: routing failure at router %d for packet %d->%d: %v",
+			id, head.pkt.Src, head.pkt.Dst, err))
+	}
+	v.outPort = port
+	v.state = vcVA
+	r.rcSet &^= 1 << uint(b)
+	r.vaSet |= 1 << uint(b)
 }
 
 // deliverFlits performs buffer writes for flits whose link traversal
@@ -848,7 +904,8 @@ func (n *Network) deliverFlits(now int64, ids []int) {
 					n.probe.FlitArrived(n, id, p, ev.f.pkt, ev.f.typ, ev.f.vc)
 				}
 				r.checkGated()
-				v := &r.in[p][ev.f.vc]
+				b := p*n.cfg.VCs + ev.f.vc
+				v := &r.in[b]
 				v.push(ev.f, n.cfg.BufferDepth)
 				r.events.BufferWrites++
 				if ev.f.typ.IsHead() {
@@ -857,6 +914,9 @@ func (n *Network) deliverFlits(now int64, ids []int) {
 					}
 					v.state = vcRoute
 					r.busyVCs++
+					r.rcSet |= 1 << uint(b)
+				} else if v.state == vcActive {
+					r.saSet |= 1 << uint(b)
 				}
 			}
 			n.inbox[id*P+p] = box[:k]
@@ -975,7 +1035,7 @@ func (n *Network) freeInjectionVC(id, class int) int {
 	lo := class * n.cfg.vcsPerClass()
 	for k := 0; k < n.cfg.vcsPerClass(); k++ {
 		vc := lo + k
-		if nic.credits[vc] == n.cfg.BufferDepth && r.in[topo.Local][vc].state == vcIdle {
+		if nic.credits[vc] == n.cfg.BufferDepth && r.in[topo.Local*n.cfg.VCs+vc].state == vcIdle {
 			return vc
 		}
 	}

@@ -40,7 +40,7 @@ func compareNets(t *testing.T, a, b *noc.Network, aPkts, bPkts []*noc.Packet) {
 	if a.Cycle() != b.Cycle() {
 		t.Errorf("cycle drift: plain %d, observed %d", a.Cycle(), b.Cycle())
 	}
-	for id := 0; id < a.Mesh().Nodes(); id++ {
+	for id := 0; id < a.Nodes(); id++ {
 		if ae, be := a.RouterEvents(id), b.RouterEvents(id); !reflect.DeepEqual(ae, be) {
 			t.Errorf("router %d event drift:\nplain:    %+v\nobserved: %+v", id, ae, be)
 		}

@@ -147,11 +147,9 @@ func (n *Network) FlitCensus() []ClassCensus {
 			out[ev.f.pkt.Class].InNetwork++
 		}
 		r := n.routers[id]
-		for p := range r.in {
-			for v := range r.in[p] {
-				for _, f := range r.in[p][v].buf {
-					out[f.pkt.Class].InNetwork++
-				}
+		for b := range r.in {
+			for _, f := range r.in[b].buf {
+				out[f.pkt.Class].InNetwork++
 			}
 		}
 	}
@@ -190,8 +188,8 @@ func (n *Network) Snapshot() string {
 		}
 		b.WriteByte('\n')
 		for p := 0; p < n.P; p++ {
-			for v := range r.in[p] {
-				ivc := &r.in[p][v]
+			for v := 0; v < n.cfg.VCs; v++ {
+				ivc := &r.in[p*n.cfg.VCs+v]
 				if ivc.state == vcIdle && len(ivc.buf) == 0 {
 					continue
 				}

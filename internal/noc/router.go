@@ -89,8 +89,10 @@ func (e Events) Sub(o Events) Events {
 type router struct {
 	id     int
 	active bool
-	in     [][]inputVC
-	out    [][]outputVC
+	// in holds the input VCs flattened by slot port*VCs+vc, the bit index of
+	// the request sets below.
+	in  []inputVC
+	out [][]outputVC
 	// downstream[p] is the router id reached through output port p, or -1
 	// for Local and absent links (mesh edges).
 	downstream []int
@@ -104,6 +106,11 @@ type router struct {
 	// claims a VC, decremented when its tail departs): the O(1) "any packet
 	// mid-flight through this router?" test active-work pruning needs.
 	busyVCs int
+	// Request sets, one bit per input slot (NewTopo caps the slot count at
+	// maxSlots): rcSet holds the slots in vcRoute, vaSet those in vcVA, and
+	// saSet those in vcActive with a flit buffered. RC, VA and SA walk them
+	// instead of every slot.
+	rcSet, vaSet, saSet uint64
 }
 
 func newRouter(id int, cfg Config, tp topo.Topology, active bool) *router {
@@ -111,18 +118,19 @@ func newRouter(id int, cfg Config, tp topo.Topology, active bool) *router {
 	r := &router{
 		id:         id,
 		active:     active,
-		in:         make([][]inputVC, P),
+		in:         make([]inputVC, P*cfg.VCs),
 		out:        make([][]outputVC, P),
 		downstream: make([]int, P),
 		saPtr:      make([]int, P),
 		vaPtr:      make([]int, P),
 		vaVCPtr:    make([]int, P),
 	}
+	for b := range r.in {
+		r.in[b].buf = make([]flit, 0, cfg.BufferDepth)
+	}
 	for p := 0; p < P; p++ {
-		r.in[p] = make([]inputVC, cfg.VCs)
 		r.out[p] = make([]outputVC, cfg.VCs)
-		for v := range r.in[p] {
-			r.in[p][v].buf = make([]flit, 0, cfg.BufferDepth)
+		for v := range r.out[p] {
 			r.out[p][v].credits = cfg.BufferDepth
 		}
 		r.downstream[p] = tp.Neighbor(id, p)
@@ -144,10 +152,8 @@ func (r *router) hasCredit(p, vc int) bool {
 // used by drain detection and conservation checks.
 func (r *router) occupancy() int {
 	n := 0
-	for p := range r.in {
-		for v := range r.in[p] {
-			n += len(r.in[p][v].buf)
-		}
+	for b := range r.in {
+		n += len(r.in[b].buf)
 	}
 	return n
 }

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nocsprint/internal/routing"
@@ -126,6 +127,17 @@ func TestNewTopoValidation(t *testing.T) {
 	odd.VCs = 3
 	if _, err := NewTopo(odd, tp, alg, nil); err == nil {
 		t.Error("indivisible VC/class split accepted")
+	}
+	// The allocators keep one bit per input VC: 5 ports x 13 VCs = 65 is
+	// one too many, 5 x 12 = 60 fits.
+	wide := DefaultConfig()
+	wide.VCs = 13
+	if _, err := NewTopo(wide, tp, alg, nil); err == nil || !strings.Contains(err.Error(), "65 input VCs") {
+		t.Errorf("5 ports x 13 VCs: error %v, want the input-VC limit", err)
+	}
+	wide.VCs = 12
+	if _, err := NewTopo(wide, tp, alg, nil); err != nil {
+		t.Errorf("5 ports x 12 VCs rejected: %v", err)
 	}
 	// Mesh() is a mesh-only accessor and must refuse politely elsewhere.
 	net, err := NewTopo(DefaultConfig(), tp, alg, nil)
