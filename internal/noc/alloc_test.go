@@ -99,11 +99,11 @@ func fillVA(net *Network, r *router, rng *rand.Rand) {
 			v.outPort = rng.Intn(net.P)
 		}
 		dst := rng.Intn(net.nodes)
-		v.buf = append(v.buf, headFlit(int64(b), b%nVC/per, dst, net.cfg.PacketLength))
+		v.push(headFlit(int64(b), b%nVC/per, dst, net.cfg.PacketLength), net.cfg.BufferDepth)
 	}
-	for p := range r.out {
-		for vc := range r.out[p] {
-			o := &r.out[p][vc]
+	for p := 0; p < net.P; p++ {
+		for vc := 0; vc < nVC; vc++ {
+			o := &r.out[p*nVC+vc]
 			o.occupied = rng.Intn(5) < 2
 			if rng.Intn(3) == 0 {
 				o.credits = rng.Intn(net.cfg.BufferDepth)
@@ -115,10 +115,10 @@ func fillVA(net *Network, r *router, rng *rand.Rand) {
 	syncSets(r)
 }
 
-// fillSA builds a random SA pass: slots hold output VCs with 0..depth
-// consecutive flits of their packet (possibly its head or tail), on random
-// ports, with random credits and pointers. Each held output VC has one
-// holder.
+// fillSA builds a random SA pass: slots hold output VCs with windows of
+// 0..depth consecutive flits of their packet (possibly its head or tail), on
+// random ports, with random credits and pointers. Each held output VC has
+// one holder.
 func fillSA(net *Network, r *router, rng *rand.Rand) {
 	nVC, depth, length := net.cfg.VCs, net.cfg.BufferDepth, net.cfg.PacketLength
 	for b := range r.in {
@@ -127,30 +127,18 @@ func fillSA(net *Network, r *router, rng *rand.Rand) {
 			continue
 		}
 		outPort, outVC := rng.Intn(net.P), rng.Intn(nVC)
-		if r.out[outPort][outVC].occupied {
+		if r.out[outPort*nVC+outVC].occupied {
 			continue
 		}
-		r.out[outPort][outVC].occupied = true
+		r.out[outPort*nVC+outVC].occupied = true
 		v.state, v.outPort, v.outVC = vcActive, outPort, outVC
-		pkt := &Packet{ID: int64(b), Dst: rng.Intn(net.nodes), Length: length, Class: b % nVC / net.cfg.vcsPerClass()}
-		seq := rng.Intn(length)
-		for c := rng.Intn(depth + 1); c > 0 && seq < length; c-- {
-			typ := Body
-			switch {
-			case length == 1:
-				typ = HeadTail
-			case seq == 0:
-				typ = Head
-			case seq == length-1:
-				typ = Tail
-			}
-			v.buf = append(v.buf, flit{pkt: pkt, typ: typ, seq: seq, vc: b % nVC})
-			seq++
-		}
+		v.pkt = &Packet{ID: int64(b), Dst: rng.Intn(net.nodes), Length: length, Class: b % nVC / net.cfg.vcsPerClass()}
+		v.seq = rng.Intn(length)
+		v.n = min(rng.Intn(depth+1), length-v.seq)
 	}
-	for p := range r.out {
-		for vc := range r.out[p] {
-			r.out[p][vc].credits = rng.Intn(depth + 1)
+	for p := 0; p < net.P; p++ {
+		for vc := 0; vc < nVC; vc++ {
+			r.out[p*nVC+vc].credits = rng.Intn(depth + 1)
 		}
 		r.saPtr[p] = rng.Intn(len(r.in))
 	}
@@ -160,27 +148,26 @@ func fillSA(net *Network, r *router, rng *rand.Rand) {
 // allocState is what one allocator pass may change.
 type allocState struct {
 	Router             router
-	Inbox              [][]arrival
+	Inbox, Eject       []fifo
 	Credbox, Nicredbox [][]creditEvt
-	Eject              [][]arrival
-	Work               []int
+	Work               []uint64
 }
 
 func stateOf(net *Network, r *router) allocState {
-	return allocState{*r, net.inbox, net.credbox, net.nicredbox, net.eject, net.work}
+	return allocState{*r, net.inbox, net.eject, net.credbox, net.nicredbox, net.work}
 }
 
 // diffPass builds the same router twice with fill, runs pass on the
 // optimized and the reference stepper, reports any difference, and returns
 // the optimized router.
-func diffPass(t *testing.T, cfg Config, torus bool, fill func(*Network, *router), pass func(*Network, []int)) *router {
+func diffPass(t *testing.T, cfg Config, torus bool, fill func(*Network, *router), pass func(*Network, *router)) *router {
 	t.Helper()
 	nets := [2]*Network{}
 	routers := [2]*router{}
 	for i, reference := range []bool{false, true} {
 		net, r := allocNet(t, cfg, torus, reference)
 		fill(net, r)
-		pass(net, []int{r.id})
+		pass(net, r)
 		synced := *r
 		syncSets(&synced)
 		if synced.rcSet != r.rcSet || synced.vaSet != r.vaSet || synced.saSet != r.saSet || synced.busyVCs != r.busyVCs {
@@ -226,7 +213,7 @@ func TestSwitchAllocationDifferential(t *testing.T) {
 		for seed := int64(0); seed < 200; seed++ {
 			t.Run(fmt.Sprintf("vcs%d-classes%d-torus%t-seed%d", c.cfg.VCs, c.cfg.Classes, c.torus, seed), func(t *testing.T) {
 				fill := func(net *Network, r *router) { fillSA(net, r, rand.New(rand.NewSource(seed))) }
-				diffPass(t, c.cfg, c.torus, fill, func(net *Network, ids []int) { net.switchAllocation(7, ids) })
+				diffPass(t, c.cfg, c.torus, fill, func(net *Network, r *router) { net.switchAllocation(7, r) })
 			})
 		}
 	}
@@ -246,10 +233,10 @@ func TestVCAllocationRevisit(t *testing.T) {
 		for _, b := range requesters {
 			v := &r.in[b]
 			v.state, v.outPort = vcVA, east
-			v.buf = append(v.buf, headFlit(int64(b), b%8/4, 0, 5))
+			v.push(headFlit(int64(b), b%8/4, 0, 5), 4)
 		}
 		for vc := 4; vc < 8; vc++ {
-			r.out[east][vc].occupied = true
+			r.out[east*8+vc].occupied = true
 		}
 		r.vaPtr[east] = 23
 		syncSets(r)

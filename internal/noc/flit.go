@@ -61,12 +61,25 @@ type Packet struct {
 	Tag int64
 }
 
-// flit is one flow-control unit of a packet. vc is the virtual channel the
-// flit occupies on the link it last traversed (and thus the input VC it is
-// buffered in downstream).
+// flitType returns the role of flit seq in a packet of length flits.
+func flitType(seq, length int) FlitType {
+	switch {
+	case length == 1:
+		return HeadTail
+	case seq == 0:
+		return Head
+	case seq == length-1:
+		return Tail
+	}
+	return Body
+}
+
+// flit is one flow-control unit of a packet, 16 bytes. vc is the virtual
+// channel the flit occupies on the link it last traversed (and thus the
+// input VC it is buffered in downstream).
 type flit struct {
 	pkt *Packet
+	seq int32
+	vc  int16
 	typ FlitType
-	seq int
-	vc  int
 }

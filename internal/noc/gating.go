@@ -191,11 +191,6 @@ func (n *Network) updateGating(now int64) {
 // pendingTraffic reports whether router id has flits in flight toward it or
 // a local source mid-packet — gating then would be immediately undone.
 func (n *Network) pendingTraffic(id int) bool {
-	for p := 0; p < n.P; p++ {
-		if len(n.inbox[id*n.P+p]) > 0 {
-			return true
-		}
-	}
 	nic := n.nis[id]
-	return nic.active && (nic.cur != nil || len(nic.queue) > 0)
+	return n.routers[id].inMask != 0 || nic.active && (nic.cur != nil || len(nic.queue) > 0)
 }

@@ -18,28 +18,46 @@ import (
 func (n *Network) CheckInvariants() error {
 	depth := n.cfg.BufferDepth
 	for id, r := range n.routers {
-		// Buffer bounds, VC state consistency, and request sets in step
-		// with the VC states.
+		// Buffer bounds, VC windows, VC state consistency, and request sets
+		// in step with the VC states.
 		for b := range r.in {
 			ivc := &r.in[b]
 			p, v := b/n.cfg.VCs, b%n.cfg.VCs
-			if len(ivc.buf) > depth {
+			if ivc.n > depth {
 				return fmt.Errorf("noc: router %d port %d vc %d holds %d flits (depth %d)",
-					id, p, v, len(ivc.buf), depth)
+					id, p, v, ivc.n, depth)
 			}
-			if ivc.state == vcIdle && len(ivc.buf) > 0 {
-				return fmt.Errorf("noc: router %d port %d vc %d idle with %d buffered flits",
-					id, p, v, len(ivc.buf))
+			if ivc.n > 0 && (ivc.state == vcIdle || ivc.pkt == nil || ivc.seq+ivc.n > ivc.pkt.Length) {
+				return fmt.Errorf("noc: router %d port %d vc %d in state %d holds flits %d..%d outside its packet",
+					id, p, v, ivc.state, ivc.seq, ivc.seq+ivc.n-1)
 			}
-			if !r.active && len(ivc.buf) > 0 {
+			if !r.active && ivc.n > 0 {
 				return fmt.Errorf("noc: gated router %d holds flits", id)
 			}
 			bit := uint64(1) << uint(b)
 			got := [3]bool{r.rcSet&bit != 0, r.vaSet&bit != 0, r.saSet&bit != 0}
-			want := [3]bool{ivc.state == vcRoute, ivc.state == vcVA, ivc.state == vcActive && len(ivc.buf) > 0}
+			want := [3]bool{ivc.state == vcRoute, ivc.state == vcVA, ivc.state == vcActive && ivc.n > 0}
 			if got != want {
 				return fmt.Errorf("noc: router %d port %d vc %d in state %d with %d flits has request bits rc/va/sa %v, want %v",
-					id, p, v, ivc.state, len(ivc.buf), got, want)
+					id, p, v, ivc.state, ivc.n, got, want)
+			}
+		}
+		// In-flight queues: due-cycle order (deliverFlits pops a due
+		// prefix) and inMask marking exactly the non-empty input queues.
+		for p := 0; p <= n.P; p++ {
+			q := &n.eject[id]
+			if p < n.P {
+				q = &n.inbox[id*n.P+p]
+				if (r.inMask&(1<<uint(p)) != 0) != (q.n > 0) {
+					return fmt.Errorf("noc: router %d inMask %b disagrees with %d flits in flight to port %d",
+						id, r.inMask, q.n, p)
+				}
+			}
+			for i := 1; i < q.n; i++ {
+				if q.at(i).t < q.at(i-1).t {
+					return fmt.Errorf("noc: router %d queue %d out of due-cycle order: flit %d due %d after %d",
+						id, p, i, q.at(i).t, q.at(i-1).t)
+				}
 			}
 		}
 		if !r.active {
@@ -53,13 +71,8 @@ func (n *Network) CheckInvariants() error {
 			}
 			inDir := n.opp[p]
 			for vc := 0; vc < n.cfg.VCs; vc++ {
-				sum := r.out[p][vc].credits
-				sum += len(n.routers[dst].in[inDir*n.cfg.VCs+vc].buf)
-				for _, ev := range n.inbox[dst*n.P+inDir] {
-					if ev.f.vc == vc {
-						sum++
-					}
-				}
+				sum := r.out[p*n.cfg.VCs+vc].credits + n.routers[dst].in[inDir*n.cfg.VCs+vc].n +
+					n.inFlight(dst, inDir, vc)
 				for _, ev := range n.credbox[id] {
 					if ev.port == p && ev.vc == vc {
 						sum++
@@ -75,13 +88,7 @@ func (n *Network) CheckInvariants() error {
 		nic := n.nis[id]
 		if nic.active {
 			for vc := 0; vc < n.cfg.VCs; vc++ {
-				sum := nic.credits[vc]
-				sum += len(r.in[topo.Local*n.cfg.VCs+vc].buf)
-				for _, ev := range n.inbox[id*n.P+topo.Local] {
-					if ev.f.vc == vc {
-						sum++
-					}
-				}
+				sum := nic.credits[vc] + r.in[topo.Local*n.cfg.VCs+vc].n + n.inFlight(id, topo.Local, vc)
 				for _, ev := range n.nicredbox[id] {
 					if ev.vc == vc {
 						sum++
@@ -102,4 +109,15 @@ func (n *Network) CheckInvariants() error {
 		return fmt.Errorf("noc: injected %d > created %d", n.stats.PacketsInjected, n.stats.PacketsCreated)
 	}
 	return nil
+}
+
+// inFlight counts the flits in flight toward router id's input (p, vc).
+func (n *Network) inFlight(id, p, vc int) int {
+	c := 0
+	for q, i := &n.inbox[id*n.P+p], 0; i < q.n; i++ {
+		if int(q.at(i).f.vc) == vc {
+			c++
+		}
+	}
+	return c
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"nocsprint/internal/mesh"
 	"nocsprint/internal/routing"
@@ -17,12 +16,39 @@ type arrival struct {
 	t int64
 }
 
-// creditEvt is a credit in flight back to an upstream output (port,vc).
-type creditEvt struct {
-	port int
-	vc   int
-	t    int64
+// fifo is a FIFO ring of flits in flight toward one input port or one NI.
+// Each has a single feeder with a fixed delay (one link, the NI, or the
+// Local output), so flits arrive in due-cycle order and those due by any
+// cycle are a prefix. buf is allocated on the first push and doubled when
+// full; credits bound the occupancy, so steady state allocates nothing.
+type fifo struct {
+	buf     []arrival // empty or a power-of-two length
+	head, n int
 }
+
+// at returns the i-th oldest flit of the queue.
+func (q *fifo) at(i int) *arrival { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+func (q *fifo) push(a arrival) {
+	if q.n == len(q.buf) {
+		grown := make([]arrival, max(4, 2*len(q.buf)))
+		for i := range q.n {
+			grown[i] = *q.at(i)
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.n++
+	*q.at(q.n - 1) = a
+}
+
+func (q *fifo) pop() {
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+}
+
+// creditEvt is a credit in flight back to an upstream output (port,vc). It
+// is sent by switch allocation and lands in the next cycle's first stage.
+type creditEvt struct{ port, vc int }
 
 // Stats summarises network activity. Counter fields are monotonic; take a
 // snapshot before and after a measurement window and subtract.
@@ -124,15 +150,15 @@ type Network struct {
 	vcClasses int
 	routers   []*router
 	// inbox[id*P+p] holds flits in flight toward router id's input port p
-	// (flattened per-port boxes, degree-parameterized).
-	inbox [][]arrival
+	// (flattened per-port rings, degree-parameterized).
+	inbox []fifo
 	// credbox[r] holds credits in flight back to router r's outputs.
 	credbox [][]creditEvt
 	// nicredbox[r] holds credits (freed Local-input slots) flowing back to
-	// NI r, as (vc, cycle) pairs encoded in creditEvt with port Local.
+	// NI r, encoded in creditEvt with port Local.
 	nicredbox [][]creditEvt
 	// eject[r] holds flits in flight from router r's Local output to NI r.
-	eject [][]arrival
+	eject []fifo
 	nis   []*ni
 
 	cycle        int64
@@ -154,15 +180,14 @@ type Network struct {
 	linkLat []int
 	// Active-work scheduling: Step visits only routers that can have work
 	// this cycle, so a dark-dominated mesh costs O(active region), not
-	// O(mesh). work lists those router ids in ascending order (matching the
-	// full scan's iteration order, which keeps results and checker event
-	// streams bit-identical); inWork mirrors membership for O(1) tests.
-	// Every event append (flit, credit, ejection, source enqueue) marks its
-	// destination busy; routers whose state has fully drained are pruned at
-	// the end of each Step. sweepBuf is the per-cycle snapshot the stages
-	// iterate, so markBusy during a cycle never mutates a live range.
-	inWork   []bool
-	work     []int
+	// O(mesh). work is a bitset of those router ids; visiting its bits in
+	// ascending order matches the full scan's iteration order, which keeps
+	// results and checker event streams bit-identical. Every event append
+	// (flit, credit, ejection, source enqueue) marks its destination busy;
+	// routers whose state has fully drained are pruned at the end of each
+	// Step. sweepBuf is the per-cycle snapshot the stages iterate, so
+	// markBusy during a cycle never changes the routers a Step visits.
+	work     []uint64
 	sweepBuf []int
 	// allIDs enumerates every router; scanAll (the reference stepper, see
 	// UseReferenceStepper) makes the stages visit them all, reproducing the
@@ -247,15 +272,14 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 		opp:       make([]int, P),
 		alg:       alg,
 		routers:   make([]*router, nodes),
-		inbox:     make([][]arrival, nodes*P),
+		inbox:     make([]fifo, nodes*P),
 		credbox:   make([][]creditEvt, nodes),
 		nicredbox: make([][]creditEvt, nodes),
-		eject:     make([][]arrival, nodes),
+		eject:     make([]fifo, nodes),
 		nis:       make([]*ni, nodes),
 
 		linkLat:  make([]int, nodes*P),
-		inWork:   make([]bool, nodes),
-		work:     make([]int, 0, nodes),
+		work:     make([]uint64, (nodes+63)/64),
 		sweepBuf: make([]int, 0, nodes),
 		allIDs:   make([]int, nodes),
 		portReq:  make([]uint64, P),
@@ -301,31 +325,26 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 // the baseline the perf harness and drift tests compare against.
 func (n *Network) UseReferenceStepper(on bool) { n.scanAll = on }
 
-// markBusy adds router id to the active-work set, keeping the set sorted by
-// id so the optimized stepper visits routers in exactly the order the full
-// scan would. Idempotent and allocation-free in steady state (the list is
-// pre-sized to the node count).
-func (n *Network) markBusy(id int) {
-	if n.inWork[id] {
-		return
-	}
-	n.inWork[id] = true
-	i := sort.SearchInts(n.work, id)
-	n.work = append(n.work, 0)
-	copy(n.work[i+1:], n.work[i:])
-	n.work[i] = id
-}
+// markBusy adds router id to the active-work set. Idempotent and
+// allocation-free.
+func (n *Network) markBusy(id int) { n.work[id>>6] |= 1 << uint(id&63) }
 
 // sweepIDs returns the router ids the pipeline stages visit this cycle: a
-// stable snapshot of the active-work set (markBusy during the cycle must
-// never mutate a slice the stages are ranging over), or every router under
-// the reference stepper.
+// snapshot of the active-work set in ascending order (markBusy during the
+// cycle must never change the routers this Step visits), or every router
+// under the reference stepper.
 func (n *Network) sweepIDs() []int {
 	if n.scanAll {
 		return n.allIDs
 	}
-	n.sweepBuf = append(n.sweepBuf[:0], n.work...)
-	return n.sweepBuf
+	ids := n.sweepBuf[:0]
+	for w, word := range n.work {
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, w<<6|bits.TrailingZeros64(word))
+		}
+	}
+	n.sweepBuf = ids
+	return ids
 }
 
 // routerIdle reports whether router id holds no work at all: no credits,
@@ -333,34 +352,23 @@ func (n *Network) sweepIDs() []int {
 // fully idle NI. Such a router cannot act until some event append marks it
 // busy again, so it is safe to drop from the work set.
 func (n *Network) routerIdle(id int) bool {
-	if len(n.credbox[id]) != 0 || len(n.nicredbox[id]) != 0 || len(n.eject[id]) != 0 {
-		return false
-	}
-	for p := 0; p < n.P; p++ {
-		if len(n.inbox[id*n.P+p]) != 0 {
-			return false
-		}
-	}
-	nic := n.nis[id]
-	if nic.cur != nil || len(nic.queue) != 0 {
-		return false
-	}
-	return n.routers[id].busyVCs == 0
+	r, nic := n.routers[id], n.nis[id]
+	return r.inMask == 0 && r.busyVCs == 0 && n.eject[id].n == 0 &&
+		len(n.credbox[id]) == 0 && len(n.nicredbox[id]) == 0 &&
+		nic.cur == nil && len(nic.queue) == 0
 }
 
 // prune drops fully drained routers from the active-work set at the end of
-// a Step. O(busy routers), in place, allocation-free.
+// a Step. O(busy routers + routers/64), allocation-free.
 func (n *Network) prune() {
-	k := 0
-	for _, id := range n.work {
-		if n.routerIdle(id) {
-			n.inWork[id] = false
-			continue
+	for w, word := range n.work {
+		for m := word; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			if n.routerIdle(w<<6 | b) {
+				n.work[w] &^= 1 << uint(b)
+			}
 		}
-		n.work[k] = id
-		k++
 	}
-	n.work = n.work[:k]
 }
 
 // Config returns the network configuration.
@@ -498,18 +506,26 @@ func (n *Network) Drained() bool { return n.InFlight() == 0 }
 
 // Step advances the network by one cycle. Stages run in reverse pipeline
 // order (credits, SA+ST, VA, RC, buffer write, injection) so each flit
-// advances at most one stage per cycle. Each stage visits only the routers
-// in the active-work set (every router under the reference stepper); since
-// the reverse ordering guarantees no flit needs two stages in one cycle,
-// a router marked busy mid-cycle never needs processing before the next
-// cycle, and the set snapshot taken here stays valid for the whole Step.
+// advances at most one stage per cycle. SA, VA and RC run as one pass per
+// router: they read only their own router's state, everything they send to
+// other routers is dated to a later cycle, and none of them calls the probe,
+// so the pass is exact and the probe stream keeps its order. Each stage
+// visits only the routers in the active-work set (every router under the
+// reference stepper); since the reverse ordering guarantees no flit needs
+// two stages in one cycle, a router marked busy mid-cycle never needs
+// processing before the next cycle, and the set snapshot taken here stays
+// valid for the whole Step.
 func (n *Network) Step() {
 	now := n.cycle
 	ids := n.sweepIDs()
-	n.deliverCredits(now, ids)
-	n.switchAllocation(now, ids)
-	n.vcAllocation(ids)
-	n.routeCompute(ids)
+	n.deliverCredits(ids)
+	for _, id := range ids {
+		if r := n.routers[id]; r.active && n.powered(id) {
+			n.switchAllocation(now, r)
+			n.vcAllocation(r)
+			n.routeCompute(r)
+		}
+	}
 	n.deliverFlits(now, ids)
 	n.inject(now, ids)
 	n.updateGating(now)
@@ -542,79 +558,63 @@ func (n *Network) RunCtx(ctx context.Context, cycles int) error {
 	return nil
 }
 
-func (n *Network) deliverCredits(now int64, ids []int) {
+// deliverCredits lands every credit in flight: switch allocation sent each
+// of them last cycle, so each box empties whole.
+func (n *Network) deliverCredits(ids []int) {
+	nVC, depth := n.cfg.VCs, n.cfg.BufferDepth
 	for _, id := range ids {
-		box := n.credbox[id]
-		k := 0
-		for _, ev := range box {
-			if ev.t > now {
-				box[k] = ev
-				k++
-				continue
-			}
-			n.routers[id].out[ev.port][ev.vc].credits++
+		r, nic := n.routers[id], n.nis[id]
+		for _, ev := range n.credbox[id] {
+			o := &r.out[ev.port*nVC+ev.vc]
+			o.credits++
 			if n.probe != nil {
-				n.probe.CreditDelivered(n, id, ev.port, ev.vc, n.routers[id].out[ev.port][ev.vc].credits)
+				n.probe.CreditDelivered(n, id, ev.port, ev.vc, o.credits)
 			}
-			if n.routers[id].out[ev.port][ev.vc].credits > n.cfg.BufferDepth {
+			if o.credits > depth {
 				panic("noc: credit overflow")
 			}
 		}
-		n.credbox[id] = box[:k]
-
-		nbox := n.nicredbox[id]
-		k = 0
-		for _, ev := range nbox {
-			if ev.t > now {
-				nbox[k] = ev
-				k++
-				continue
-			}
-			n.nis[id].credits[ev.vc]++
+		n.credbox[id] = n.credbox[id][:0]
+		for _, ev := range n.nicredbox[id] {
+			nic.credits[ev.vc]++
 			if n.probe != nil {
-				n.probe.CreditDelivered(n, id, topo.Local, ev.vc, n.nis[id].credits[ev.vc])
+				n.probe.CreditDelivered(n, id, topo.Local, ev.vc, nic.credits[ev.vc])
 			}
-			if n.nis[id].credits[ev.vc] > n.cfg.BufferDepth {
+			if nic.credits[ev.vc] > depth {
 				panic("noc: NI credit overflow")
 			}
 		}
-		n.nicredbox[id] = nbox[:k]
+		n.nicredbox[id] = n.nicredbox[id][:0]
 	}
 }
 
-// switchAllocation arbitrates the crossbar per output port and performs
+// switchAllocation arbitrates r's crossbar per output port and performs
 // switch+link traversal for the winners. Output ports arbitrate in index
 // order; each grants the first requester with a credit at or after its
 // round-robin pointer, skipping input ports that already sent a flit this
 // cycle, and a grant moves the pointer one past the winner.
-func (n *Network) switchAllocation(now int64, ids []int) {
+func (n *Network) switchAllocation(now int64, r *router) {
+	if n.scanAll {
+		n.switchAllocationScan(now, r)
+		return
+	}
+	if r.saSet == 0 {
+		return // no requester: no grant, and no pointer can move
+	}
 	nVC := n.cfg.VCs
 	portSlots := uint64(1)<<uint(nVC) - 1 // the slots of input port 0
-	for _, id := range ids {
-		r := n.routers[id]
-		if !r.active || !n.powered(id) {
-			continue
-		}
-		if n.scanAll {
-			n.switchAllocationScan(now, id, r)
-			continue
-		}
-		if r.saSet == 0 {
-			continue // no requester: no grant, and no pointer can move
-		}
-		// A grant pops only its own slot, so the requester sets taken here
-		// stay valid for every port; used masks the input ports that have
-		// already sent.
-		var used uint64
-		for outPort, cand := range n.requesters(r, r.saSet) {
-			for cand &^= used; cand != 0; {
-				b := nextSlot(cand, r.saPtr[outPort])
-				cand &^= 1 << uint(b)
-				if r.hasCredit(outPort, r.in[b].outVC) {
-					n.traverse(now, id, r, b, outPort)
-					used |= portSlots << uint(b-b%nVC)
-					break
-				}
+	// A grant pops only its own slot, so the requester sets taken here stay
+	// valid for every port; used masks the input ports that have already
+	// sent.
+	var used uint64
+	for outPort, cand := range n.requesters(r, r.saSet) {
+		for cand &^= used; cand != 0; {
+			b := nextSlot(cand, r.saPtr[outPort])
+			cand &^= 1 << uint(b)
+			if r.hasCredit(outPort, r.in[b].outVC, nVC) {
+				n.traverse(now, r, b, outPort)
+				used |= portSlots << uint(b-b%nVC)
+				break
 			}
 		}
 	}
@@ -622,7 +622,7 @@ func (n *Network) switchAllocation(now int64, ids []int) {
 
 // switchAllocationScan is switchAllocation on the reference stepper: each
 // output port sweeps every slot from its pointer.
-func (n *Network) switchAllocationScan(now int64, id int, r *router) {
+func (n *Network) switchAllocationScan(now int64, r *router) {
 	nVC := n.cfg.VCs
 	slots := len(r.in)
 	var used uint64 // input ports that already sent
@@ -631,10 +631,10 @@ func (n *Network) switchAllocationScan(now int64, id int, r *router) {
 			b := (r.saPtr[outPort] + k) % slots
 			v := &r.in[b]
 			if used&(1<<uint(b/nVC)) != 0 || v.state != vcActive || v.empty() ||
-				v.outPort != outPort || !r.hasCredit(outPort, v.outVC) {
+				v.outPort != outPort || !r.hasCredit(outPort, v.outVC, nVC) {
 				continue
 			}
-			n.traverse(now, id, r, b, outPort)
+			n.traverse(now, r, b, outPort)
 			used |= 1 << uint(b/nVC)
 			break
 		}
@@ -644,12 +644,13 @@ func (n *Network) switchAllocationScan(now int64, id int, r *router) {
 // traverse grants slot b the crossbar toward outPort: one flit crosses the
 // switch and the link (or goes to the NI), its buffer slot returns upstream
 // as a credit, and a tail releases the VC.
-func (n *Network) traverse(now int64, id int, r *router, b, outPort int) {
-	P, nVC := n.P, n.cfg.VCs
+func (n *Network) traverse(now int64, r *router, b, outPort int) {
+	id, nVC := r.id, n.cfg.VCs
 	inPort, inVC := b/nVC, b%nVC
 	v := &r.in[b]
+	o := &r.out[outPort*nVC+v.outVC]
 	f := v.pop()
-	f.vc = v.outVC
+	f.vc = int16(v.outVC)
 	r.events.BufferReads++
 	r.events.XbarTraversals++
 	r.events.SAGrants++
@@ -659,52 +660,50 @@ func (n *Network) traverse(now int64, id int, r *router, b, outPort int) {
 	}
 
 	if outPort == topo.Local {
-		n.eject[id] = append(n.eject[id], arrival{f: f, t: now + 1})
+		n.eject[id].push(arrival{f: f, t: now + 1})
 		n.markBusy(id)
 	} else {
-		r.out[outPort][v.outVC].credits--
+		o.credits--
 		r.events.LinkFlits++
 		dst := r.downstream[outPort]
 		if dst < 0 {
 			panic("noc: flit routed off topology edge")
 		}
-		inDir := n.opp[outPort]
 		// Switch traversal takes this cycle; link traversal adds the link's
 		// latency (the ST then LT stages).
-		n.inbox[dst*P+inDir] = append(n.inbox[dst*P+inDir],
-			arrival{f: f, t: now + 1 + int64(n.linkLatencyOf(id, outPort))})
-		n.markBusy(dst)
+		n.send(dst, n.opp[outPort], arrival{f: f, t: now + 1 + int64(n.linkLatencyOf(id, outPort))})
 	}
 
 	// Return the freed buffer slot upstream as a credit.
 	if inPort == topo.Local {
-		n.nicredbox[id] = append(n.nicredbox[id],
-			creditEvt{port: topo.Local, vc: inVC, t: now + 1})
+		n.nicredbox[id] = append(n.nicredbox[id], creditEvt{port: topo.Local, vc: inVC})
 		n.markBusy(id)
 	} else {
 		up := r.downstream[inPort] // neighbour feeding this input
-		upPort := n.opp[inPort]
-		n.credbox[up] = append(n.credbox[up],
-			creditEvt{port: upPort, vc: inVC, t: now + 1})
+		n.credbox[up] = append(n.credbox[up], creditEvt{port: n.opp[inPort], vc: inVC})
 		n.markBusy(up)
 	}
 
 	if f.typ.IsTail() {
-		if !v.empty() {
-			panic("noc: flits behind tail in VC — wormhole invariant broken")
-		}
-		r.out[outPort][v.outVC].occupied = false
-		v.state = vcIdle
+		o.occupied = false
+		v.state, v.pkt = vcIdle, nil
 		r.busyVCs--
 	}
 }
 
-// vcAllocation grants free output VCs to input VCs whose route is computed.
-// An output VC is reallocated only when unoccupied with full credits, which
-// keeps each VC buffer single-packet (atomic VC allocation). When the
-// routing algorithm carries a VC policy, the packet's message-class
-// partition is further restricted to the route class's sub-partition
-// (dateline escape VCs on torus/circulant rings).
+// send puts a flit in flight toward router id's input port p.
+func (n *Network) send(id, p int, a arrival) {
+	n.inbox[id*n.P+p].push(a)
+	n.routers[id].inMask |= 1 << uint(p)
+	n.markBusy(id)
+}
+
+// vcAllocation grants free output VCs to r's input VCs whose route is
+// computed. An output VC is reallocated only when unoccupied with full
+// credits, which keeps each VC buffer single-packet (atomic VC allocation).
+// When the routing algorithm carries a VC policy, the packet's
+// message-class partition is further restricted to the route class's
+// sub-partition (dateline escape VCs on torus/circulant rings).
 //
 // Output ports allocate in index order, each in ports x VCs steps over the
 // slots: step k visits slot (vaPtr + k) mod (ports x VCs), reading the
@@ -712,45 +711,39 @@ func (n *Network) traverse(now int64, id int, r *router, b, outPort int) {
 // grant at step k the next slot visited is therefore w+k+2, not w+1, and a
 // requester can be visited twice. The optimized stepper follows the same
 // steps but jumps from requester to requester.
-func (n *Network) vcAllocation(ids []int) {
-	for _, id := range ids {
-		r := n.routers[id]
-		if !r.active || !n.powered(id) {
-			continue
-		}
-		if n.scanAll {
-			n.vcAllocationScan(id, r)
-			continue
-		}
-		if r.vaSet == 0 {
-			continue
-		}
-		// A grant changes only its own slot, and new vcVA slots appear later,
-		// in routeCompute, so the requester sets taken here stay valid.
-		slots := len(r.in)
-		for outPort, cand := range n.requesters(r, r.vaSet) {
-			ptr := r.vaPtr[outPort]
-			for k := 0; k < slots && cand != 0; k++ {
-				s := ptr + k
-				if s >= slots {
-					s -= slots
-				}
-				b := nextSlot(cand, s)
-				if b >= s {
-					k += b - s
-				} else {
-					k += b + slots - s
-				}
-				if k >= slots {
-					break
-				}
-				// Each requester is tried once: a grant leaves vcVA, and one
-				// that found no free VC finds none on a revisit, since VCs
-				// are only taken while a port allocates.
-				cand &^= 1 << uint(b)
-				if n.grantVC(id, r, b, outPort) {
-					ptr = r.vaPtr[outPort]
-				}
+func (n *Network) vcAllocation(r *router) {
+	if n.scanAll {
+		n.vcAllocationScan(r)
+		return
+	}
+	if r.vaSet == 0 {
+		return
+	}
+	// A grant changes only its own slot, and new vcVA slots appear later, in
+	// routeCompute, so the requester sets taken here stay valid.
+	slots := len(r.in)
+	for outPort, cand := range n.requesters(r, r.vaSet) {
+		ptr := r.vaPtr[outPort]
+		for k := 0; k < slots && cand != 0; k++ {
+			s := ptr + k
+			if s >= slots {
+				s -= slots
+			}
+			b := nextSlot(cand, s)
+			if b >= s {
+				k += b - s
+			} else {
+				k += b + slots - s
+			}
+			if k >= slots {
+				break
+			}
+			// Each requester is tried once: a grant leaves vcVA, and one that
+			// found no free VC finds none on a revisit, since VCs are only
+			// taken while a port allocates.
+			cand &^= 1 << uint(b)
+			if n.grantVC(r, b, outPort) {
+				ptr = r.vaPtr[outPort]
 			}
 		}
 	}
@@ -758,13 +751,13 @@ func (n *Network) vcAllocation(ids []int) {
 
 // vcAllocationScan is vcAllocation on the reference stepper: each output
 // port takes every step.
-func (n *Network) vcAllocationScan(id int, r *router) {
+func (n *Network) vcAllocationScan(r *router) {
 	slots := len(r.in)
 	for outPort := 0; outPort < n.P; outPort++ {
 		for k := 0; k < slots; k++ {
 			b := (r.vaPtr[outPort] + k) % slots
 			if v := &r.in[b]; v.state == vcVA && v.outPort == outPort {
-				n.grantVC(id, r, b, outPort)
+				n.grantVC(r, b, outPort)
 			}
 		}
 	}
@@ -773,20 +766,19 @@ func (n *Network) vcAllocationScan(id int, r *router) {
 // grantVC tries to give slot b, routed to outPort, a free output VC in its
 // packet's partition. On success the slot moves from VA to SA and the
 // port's VA pointer to the slot after b.
-func (n *Network) grantVC(id int, r *router, b, outPort int) bool {
+func (n *Network) grantVC(r *router, b, outPort int) bool {
 	v := &r.in[b]
-	head := v.buf[0]
 	span := n.cfg.vcsPerClass()
-	lo := head.pkt.Class * span
+	lo := v.pkt.Class * span
 	if n.vcClassFn != nil {
 		span /= n.vcClasses
-		lo += n.vcClassFn(id, head.pkt.Dst) * span
+		lo += n.vcClassFn(r.id, v.pkt.Dst) * span
 	}
-	outVC := r.freeOutputVC(outPort, lo, span)
+	outVC := n.freeOutputVC(r, outPort, lo, span)
 	if outVC < 0 {
 		return false // this class's VCs are exhausted this cycle
 	}
-	r.out[outPort][outVC].occupied = true
+	r.out[outPort*n.cfg.VCs+outVC].occupied = true
 	v.outVC = outVC
 	v.state = vcActive
 	r.events.VAGrants++
@@ -796,14 +788,13 @@ func (n *Network) grantVC(id int, r *router, b, outPort int) bool {
 	return true
 }
 
-// freeOutputVC returns a grantable VC index within the class partition
+// freeOutputVC returns a grantable VC index of r within the class partition
 // [lo, lo+span) on outPort (round-robin), or -1.
-func (r *router) freeOutputVC(outPort, lo, span int) int {
+func (n *Network) freeOutputVC(r *router, outPort, lo, span int) int {
 	for k := 0; k < span; k++ {
 		vc := lo + (r.vaVCPtr[outPort]+k)%span
-		o := &r.out[outPort][vc]
-		full := outPort == topo.Local || o.credits == cap(r.in[0].buf)
-		if !o.occupied && full {
+		o := &r.out[outPort*n.cfg.VCs+vc]
+		if !o.occupied && (outPort == topo.Local || o.credits == n.cfg.BufferDepth) {
 			r.vaVCPtr[outPort] = (vc - lo + 1) % span
 			return vc
 		}
@@ -835,39 +826,29 @@ func nextSlot(set uint64, from int) int {
 	return bits.TrailingZeros64(set)
 }
 
-// routeCompute computes output ports for head flits newly buffered.
-func (n *Network) routeCompute(ids []int) {
-	for _, id := range ids {
-		r := n.routers[id]
-		if !r.active || !n.powered(id) {
-			continue
-		}
-		if n.scanAll {
-			for b := range r.in {
-				if v := &r.in[b]; v.state == vcRoute && !v.empty() {
-					n.computeRoute(id, r, b)
-				}
+// routeCompute computes output ports for r's head flits newly buffered.
+func (n *Network) routeCompute(r *router) {
+	if n.scanAll {
+		for b := range r.in {
+			if v := &r.in[b]; v.state == vcRoute && !v.empty() {
+				n.computeRoute(r, b)
 			}
-			continue
 		}
-		for set := r.rcSet; set != 0; set &= set - 1 {
-			n.computeRoute(id, r, bits.TrailingZeros64(set))
-		}
+		return
+	}
+	for set := r.rcSet; set != 0; set &= set - 1 {
+		n.computeRoute(r, bits.TrailingZeros64(set))
 	}
 }
 
 // computeRoute routes the head flit buffered in slot b and moves the slot
 // from RC to VA.
-func (n *Network) computeRoute(id int, r *router, b int) {
+func (n *Network) computeRoute(r *router, b int) {
 	v := &r.in[b]
-	head := v.buf[0]
-	if !head.typ.IsHead() {
-		panic("noc: non-head flit at route compute")
-	}
-	port, err := n.alg.NextPort(id, head.pkt.Dst)
+	port, err := n.alg.NextPort(r.id, v.pkt.Dst)
 	if err != nil {
 		panic(fmt.Sprintf("noc: routing failure at router %d for packet %d->%d: %v",
-			id, head.pkt.Src, head.pkt.Dst, err))
+			r.id, v.pkt.Src, v.pkt.Dst, err))
 	}
 	v.outPort = port
 	v.state = vcVA
@@ -876,42 +857,34 @@ func (n *Network) computeRoute(id int, r *router, b int) {
 }
 
 // deliverFlits performs buffer writes for flits whose link traversal
-// completes this cycle, and ejections into NIs.
+// completes this cycle, and ejections into NIs. The flits due by now are a
+// prefix of each queue.
 func (n *Network) deliverFlits(now int64, ids []int) {
-	P := n.P
+	P, nVC := n.P, n.cfg.VCs
 	for _, id := range ids {
 		r := n.routers[id]
-		for p := 0; p < P; p++ {
-			box := n.inbox[id*P+p]
-			k := 0
-			for _, ev := range box {
-				if ev.t > now {
-					box[k] = ev
-					k++
-					continue
-				}
-				// Runtime gating: an arrival at a gated router triggers
-				// wake-up and waits out the power-on latency.
-				if !n.wakeArrival(id, now) {
-					box[k] = ev
-					k++
-					continue
-				}
+		for m := r.inMask; m != 0; m &= m - 1 {
+			p := bits.TrailingZeros64(m)
+			q := &n.inbox[id*P+p]
+			// Runtime gating: an arrival at a gated router triggers wake-up
+			// and waits out the power-on latency. A router that refuses one
+			// arrival is waking past now, so it refuses the rest of this
+			// cycle's too, with no side effect.
+			for q.n > 0 && q.at(0).t <= now && n.wakeArrival(id, now) {
+				f := q.at(0).f
+				q.pop()
 				// The checker sees the arrival before the simulator's own
 				// gating panic so a dark-router violation is reported with a
 				// full snapshot instead of a bare panic string.
 				if n.probe != nil {
-					n.probe.FlitArrived(n, id, p, ev.f.pkt, ev.f.typ, ev.f.vc)
+					n.probe.FlitArrived(n, id, p, f.pkt, f.typ, int(f.vc))
 				}
 				r.checkGated()
-				b := p*n.cfg.VCs + ev.f.vc
+				b := p*nVC + int(f.vc)
 				v := &r.in[b]
-				v.push(ev.f, n.cfg.BufferDepth)
+				v.push(f, n.cfg.BufferDepth)
 				r.events.BufferWrites++
-				if ev.f.typ.IsHead() {
-					if v.state != vcIdle {
-						panic("noc: head flit into busy VC")
-					}
+				if f.typ.IsHead() {
 					v.state = vcRoute
 					r.busyVCs++
 					r.rcSet |= 1 << uint(b)
@@ -919,40 +892,37 @@ func (n *Network) deliverFlits(now int64, ids []int) {
 					r.saSet |= 1 << uint(b)
 				}
 			}
-			n.inbox[id*P+p] = box[:k]
+			if q.n == 0 {
+				r.inMask &^= 1 << uint(p)
+			}
 		}
 
 		// Ejections: the NI consumes arrivals immediately.
-		ebox := n.eject[id]
-		k := 0
-		for _, ev := range ebox {
-			if ev.t > now {
-				ebox[k] = ev
-				k++
-				continue
-			}
+		for q := &n.eject[id]; q.n > 0 && q.at(0).t <= now; {
+			f := q.at(0).f
+			q.pop()
 			// During a reconfiguration drain, a node being retired can no
 			// longer consume traffic: flits reaching its NI traversed the
 			// fabric normally (credits and buffers all accounted) but are
 			// discarded here as dropped rather than delivered.
 			if n.dropDst != nil && n.dropDst[id] {
 				n.stats.FlitsDropped++
-				n.classDropped[ev.f.pkt.Class]++
+				n.classDropped[f.pkt.Class]++
 				if n.probe != nil {
-					n.probe.FlitEjected(n, id, ev.f.pkt, ev.f.typ.IsTail(), true)
+					n.probe.FlitEjected(n, id, f.pkt, f.typ.IsTail(), true)
 				}
-				if ev.f.typ.IsTail() {
+				if f.typ.IsTail() {
 					n.stats.PacketsDropped++
 				}
 				continue
 			}
 			n.stats.FlitsEjected++
-			n.classEjected[ev.f.pkt.Class]++
+			n.classEjected[f.pkt.Class]++
 			if n.probe != nil {
-				n.probe.FlitEjected(n, id, ev.f.pkt, ev.f.typ.IsTail(), false)
+				n.probe.FlitEjected(n, id, f.pkt, f.typ.IsTail(), false)
 			}
-			if ev.f.typ.IsTail() {
-				pkt := ev.f.pkt
+			if f.typ.IsTail() {
+				pkt := f.pkt
 				pkt.EjectedAt = now
 				n.stats.PacketsEjected++
 				if pkt.Measured {
@@ -965,7 +935,6 @@ func (n *Network) deliverFlits(now int64, ids []int) {
 				}
 			}
 		}
-		n.eject[id] = ebox[:k]
 	}
 }
 
@@ -998,22 +967,12 @@ func (n *Network) inject(now int64, ids []int) {
 			continue
 		}
 		pkt := nic.cur
-		typ := Body
-		switch {
-		case pkt.Length == 1:
-			typ = HeadTail
-		case nic.curSeq == 0:
-			typ = Head
-		case nic.curSeq == pkt.Length-1:
-			typ = Tail
-		}
-		f := flit{pkt: pkt, typ: typ, seq: nic.curSeq, vc: nic.curVC}
+		typ := flitType(nic.curSeq, pkt.Length)
 		nic.credits[nic.curVC]--
-		n.inbox[id*n.P+topo.Local] = append(n.inbox[id*n.P+topo.Local], arrival{f: f, t: now + 1})
-		n.markBusy(id)
+		n.send(id, topo.Local, arrival{f: flit{pkt: pkt, seq: int32(nic.curSeq), vc: int16(nic.curVC), typ: typ}, t: now + 1})
 		n.stats.FlitsInjected++
 		if n.probe != nil {
-			n.probe.FlitInjected(n, id, pkt, f.seq)
+			n.probe.FlitInjected(n, id, pkt, nic.curSeq)
 		}
 		if typ.IsHead() {
 			pkt.InjectedAt = now

@@ -131,6 +131,11 @@ func (n *Network) FlitCensus() []ClassCensus {
 		out[c].Ejected = n.classEjected[c]
 		out[c].Dropped = n.classDropped[c]
 	}
+	count := func(q *fifo) {
+		for i := 0; i < q.n; i++ {
+			out[q.at(i).f.pkt.Class].InNetwork++
+		}
+	}
 	for id, nic := range n.nis {
 		for _, pkt := range nic.queue {
 			out[pkt.Class].AtSource += int64(pkt.Length)
@@ -139,17 +144,12 @@ func (n *Network) FlitCensus() []ClassCensus {
 			out[nic.cur.Class].AtSource += int64(nic.cur.Length - nic.curSeq)
 		}
 		for p := 0; p < n.P; p++ {
-			for _, ev := range n.inbox[id*n.P+p] {
-				out[ev.f.pkt.Class].InNetwork++
-			}
+			count(&n.inbox[id*n.P+p])
 		}
-		for _, ev := range n.eject[id] {
-			out[ev.f.pkt.Class].InNetwork++
-		}
-		r := n.routers[id]
-		for b := range r.in {
-			for _, f := range r.in[b].buf {
-				out[f.pkt.Class].InNetwork++
+		count(&n.eject[id])
+		for _, v := range n.routers[id].in {
+			if v.n > 0 {
+				out[v.pkt.Class].InNetwork += int64(v.n)
 			}
 		}
 	}
@@ -172,7 +172,7 @@ func (n *Network) Snapshot() string {
 		nic := n.nis[id]
 		inflight := 0
 		for p := 0; p < n.P; p++ {
-			inflight += len(n.inbox[id*n.P+p])
+			inflight += n.inbox[id*n.P+p].n
 		}
 		if !r.active {
 			if inflight > 0 {
@@ -182,7 +182,7 @@ func (n *Network) Snapshot() string {
 			continue
 		}
 		fmt.Fprintf(&b, "router %2d %v: buffered %d, inbound %d, eject-queue %d, NI queue %d",
-			id, n.tp.Label(id), r.occupancy(), inflight, len(n.eject[id]), len(nic.queue))
+			id, n.tp.Label(id), r.occupancy(), inflight, n.eject[id].n, len(nic.queue))
 		if nic.cur != nil {
 			fmt.Fprintf(&b, ", injecting pkt %d flit %d/%d", nic.cur.ID, nic.curSeq, nic.cur.Length)
 		}
@@ -190,20 +190,19 @@ func (n *Network) Snapshot() string {
 		for p := 0; p < n.P; p++ {
 			for v := 0; v < n.cfg.VCs; v++ {
 				ivc := &r.in[p*n.cfg.VCs+v]
-				if ivc.state == vcIdle && len(ivc.buf) == 0 {
+				if ivc.state == vcIdle && ivc.n == 0 {
 					continue
 				}
 				desc := ""
-				if len(ivc.buf) > 0 {
-					head := ivc.buf[0]
+				if ivc.n > 0 {
 					desc = fmt.Sprintf(" head=pkt %d (%d->%d, %v)",
-						head.pkt.ID, head.pkt.Src, head.pkt.Dst, head.typ)
+						ivc.pkt.ID, ivc.pkt.Src, ivc.pkt.Dst, flitType(ivc.seq, ivc.pkt.Length))
 				}
 				fmt.Fprintf(&b, "  in[%v][vc%d]: %d flits, state %d -> out %v vc %d%s\n",
-					n.tp.PortName(p), v, len(ivc.buf), ivc.state, n.tp.PortName(ivc.outPort), ivc.outVC, desc)
+					n.tp.PortName(p), v, ivc.n, ivc.state, n.tp.PortName(ivc.outPort), ivc.outVC, desc)
 			}
-			for v := range r.out[p] {
-				o := &r.out[p][v]
+			for v := 0; v < n.cfg.VCs; v++ {
+				o := &r.out[p*n.cfg.VCs+v]
 				if !o.occupied && o.credits == n.cfg.BufferDepth {
 					continue
 				}

@@ -76,18 +76,9 @@ func (n *Network) DrainWithBudgetCtx(ctx context.Context, maxCycles int) error {
 // ignored: under quiesce they legitimately hold packets.
 func (n *Network) fabricEmpty() bool {
 	for id, nic := range n.nis {
-		if nic.cur != nil {
-			return false
-		}
-		if n.routers[id].occupancy() != 0 {
-			return false
-		}
-		for p := 0; p < n.P; p++ {
-			if len(n.inbox[id*n.P+p]) != 0 {
-				return false
-			}
-		}
-		if len(n.eject[id]) != 0 || len(n.credbox[id]) != 0 || len(n.nicredbox[id]) != 0 {
+		r := n.routers[id]
+		if nic.cur != nil || r.occupancy() != 0 || r.inMask != 0 || n.eject[id].n != 0 ||
+			len(n.credbox[id]) != 0 || len(n.nicredbox[id]) != 0 {
 			return false
 		}
 	}

@@ -16,28 +16,41 @@ const (
 	vcActive                // output VC held, flits competing for the switch
 )
 
-// inputVC is one virtual channel on one input port: a flit FIFO plus
-// pipeline state. outPort is a topology port index (topo.Local for eject).
+// inputVC is one virtual channel on one input port: a window onto the one
+// packet that holds it, plus pipeline state. VC allocation is atomic, so the
+// buffered flits are always flits seq .. seq+n-1 of pkt; pkt is nil while
+// the VC is idle. outPort is a topology port index (topo.Local for eject).
 type inputVC struct {
-	buf     []flit
+	pkt     *Packet
+	seq, n  int
 	state   vcState
 	outPort int
 	outVC   int
 }
 
-func (v *inputVC) empty() bool { return len(v.buf) == 0 }
+func (v *inputVC) empty() bool { return v.n == 0 }
 
+// push buffers f, which must open a packet in an idle VC or continue the
+// VC's packet with its next flit.
 func (v *inputVC) push(f flit, depth int) {
-	if len(v.buf) >= depth {
+	switch {
+	case v.n >= depth:
 		panic("noc: VC buffer overflow — credit accounting broken")
+	case v.pkt == nil && !f.typ.IsHead():
+		panic("noc: body flit into idle VC — wormhole invariant broken")
+	case v.pkt == nil:
+		v.pkt, v.seq = f.pkt, int(f.seq)
+	case f.pkt != v.pkt || int(f.seq) != v.seq+v.n:
+		panic("noc: flit out of its VC's packet sequence — wormhole invariant broken")
 	}
-	v.buf = append(v.buf, f)
+	v.n++
 }
 
+// pop removes and returns the oldest buffered flit.
 func (v *inputVC) pop() flit {
-	f := v.buf[0]
-	copy(v.buf, v.buf[1:])
-	v.buf = v.buf[:len(v.buf)-1]
+	f := flit{pkt: v.pkt, seq: int32(v.seq), typ: flitType(v.seq, v.pkt.Length)}
+	v.seq++
+	v.n--
 	return f
 }
 
@@ -89,10 +102,10 @@ func (e Events) Sub(o Events) Events {
 type router struct {
 	id     int
 	active bool
-	// in holds the input VCs flattened by slot port*VCs+vc, the bit index of
-	// the request sets below.
+	// in holds the input VCs and out the output VCs, both flattened by slot
+	// port*VCs+vc, the bit index of the request sets below.
 	in  []inputVC
-	out [][]outputVC
+	out []outputVC
 	// downstream[p] is the router id reached through output port p, or -1
 	// for Local and absent links (mesh edges).
 	downstream []int
@@ -111,6 +124,8 @@ type router struct {
 	// saSet those in vcActive with a flit buffered. RC, VA and SA walk them
 	// instead of every slot.
 	rcSet, vaSet, saSet uint64
+	// inMask has bit p set while flits are in flight toward input port p.
+	inMask uint64
 }
 
 func newRouter(id int, cfg Config, tp topo.Topology, active bool) *router {
@@ -119,33 +134,26 @@ func newRouter(id int, cfg Config, tp topo.Topology, active bool) *router {
 		id:         id,
 		active:     active,
 		in:         make([]inputVC, P*cfg.VCs),
-		out:        make([][]outputVC, P),
+		out:        make([]outputVC, P*cfg.VCs),
 		downstream: make([]int, P),
 		saPtr:      make([]int, P),
 		vaPtr:      make([]int, P),
 		vaVCPtr:    make([]int, P),
 	}
-	for b := range r.in {
-		r.in[b].buf = make([]flit, 0, cfg.BufferDepth)
+	for o := range r.out {
+		r.out[o].credits = cfg.BufferDepth
 	}
 	for p := 0; p < P; p++ {
-		r.out[p] = make([]outputVC, cfg.VCs)
-		for v := range r.out[p] {
-			r.out[p][v].credits = cfg.BufferDepth
-		}
 		r.downstream[p] = tp.Neighbor(id, p)
 	}
 	return r
 }
 
-// hasCredit reports whether output (port,vc) can accept a flit. Ejection
+// hasCredit reports whether output (p,vc) can accept a flit. Ejection
 // (Local) is never back-pressured: the network interface consumes flits as
 // they arrive.
-func (r *router) hasCredit(p, vc int) bool {
-	if p == topo.Local {
-		return true
-	}
-	return r.out[p][vc].credits > 0
+func (r *router) hasCredit(p, vc, nVC int) bool {
+	return p == topo.Local || r.out[p*nVC+vc].credits > 0
 }
 
 // occupancy returns the number of buffered flits across all input VCs,
@@ -153,7 +161,7 @@ func (r *router) hasCredit(p, vc int) bool {
 func (r *router) occupancy() int {
 	n := 0
 	for b := range r.in {
-		n += len(r.in[b].buf)
+		n += r.in[b].n
 	}
 	return n
 }
