@@ -50,8 +50,9 @@ func main() {
 	}
 }
 
-// run simulates one configuration and writes the report to w. level must be
-// 0 (the full mesh) or a sprint level in [2, width*height].
+// run simulates one configuration and writes the report to w. The mesh
+// needs at least 2 nodes, since traffic needs a source and a destination;
+// level must be 0 (the full mesh) or a sprint level in [2, width*height].
 func run(w io.Writer, width, height, vcs, depth, pktLen, level int, patternName string,
 	rate float64, warmup, measure, drain int, seed int64, vdd, freq float64) error {
 	cfg := noc.DefaultConfig()
@@ -60,7 +61,11 @@ func run(w io.Writer, width, height, vcs, depth, pktLen, level int, patternName 
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if n := cfg.Nodes(); level != 0 && (level < 2 || level > n) {
+	n := cfg.Nodes()
+	if n < 2 {
+		return fmt.Errorf("-width %d -height %d: the mesh needs at least 2 nodes", width, height)
+	}
+	if level != 0 && (level < 2 || level > n) {
 		return fmt.Errorf("-level %d: must be 0 (full mesh) or in [2,%d]", level, n)
 	}
 	m := mesh.New(width, height)

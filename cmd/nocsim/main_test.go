@@ -42,6 +42,23 @@ func TestRunRejectsOversizeRouters(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOneNodeMesh: a 1x1 mesh has no destination for any
+// pattern, which is an error naming the mesh, not a panic in the traffic
+// generator.
+func TestRunRejectsOneNodeMesh(t *testing.T) {
+	for _, pattern := range []string{"uniform", "transpose"} {
+		var out bytes.Buffer
+		err := run(&out, 1, 1, 4, 4, 5, 0, pattern, 0.2, 200, 500, 5000, 1, 1.0, 2e9)
+		if err == nil {
+			t.Errorf("1x1 mesh with %s traffic accepted:\n%s", pattern, out.String())
+			continue
+		}
+		if !strings.Contains(err.Error(), "at least 2 nodes") {
+			t.Errorf("1x1 mesh with %s traffic: error %q does not name the mesh size", pattern, err)
+		}
+	}
+}
+
 // TestRunSprintRegion drives a valid level-8 region end to end.
 func TestRunSprintRegion(t *testing.T) {
 	out, err := runLevel(8)

@@ -22,8 +22,8 @@ func TestLBDRMatchesCDOR(t *testing.T) {
 			cdor := NewCDOR(r)
 			for _, src := range r.ActiveNodes() {
 				for _, dst := range r.ActiveNodes() {
-					pl, errL := Path(topo.FromMesh(m),lbdr, src, dst)
-					pc, errC := Path(topo.FromMesh(m),cdor, src, dst)
+					pl, errL := Path(topo.FromMesh(m), lbdr, src, dst)
+					pc, errC := Path(topo.FromMesh(m), cdor, src, dst)
 					if errL != nil || errC != nil {
 						t.Fatalf("master %d level %d %d->%d: lbdr=%v cdor=%v",
 							master, level, src, dst, errL, errC)
@@ -42,7 +42,7 @@ func TestLBDRDeadlockFree(t *testing.T) {
 	m := mesh.New(4, 4)
 	for level := 1; level <= 16; level++ {
 		r := sprint.NewRegion(m, 0, level, sprint.Euclidean)
-		g, err := BuildDependencyGraph(topo.FromMesh(m),NewLBDR(r), r.ActiveNodes())
+		g, err := BuildDependencyGraph(topo.FromMesh(m), NewLBDR(r), r.ActiveNodes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestLBDRBitBudget(t *testing.T) {
 func TestLBDRPaperExample(t *testing.T) {
 	m := mesh.New(4, 4)
 	r := sprint.NewRegion(m, 0, 8, sprint.Euclidean)
-	path, err := Path(topo.FromMesh(m),NewLBDR(r), 9, 2)
+	path, err := Path(topo.FromMesh(m), NewLBDR(r), 9, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

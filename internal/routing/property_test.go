@@ -38,14 +38,14 @@ func TestCDORPropertyExhaustive(t *testing.T) {
 					alg := NewCDOR(region)
 					active := region.ActiveNodes()
 
-					table, err := BuildTable(topo.FromMesh(m),alg, active)
+					table, err := BuildTable(topo.FromMesh(m), alg, active)
 					if err != nil {
 						t.Fatalf("level %d: BuildTable: %v", level, err)
 					}
 
 					for _, src := range active {
 						for _, dst := range active {
-							path, err := Path(topo.FromMesh(m),alg, src, dst)
+							path, err := Path(topo.FromMesh(m), alg, src, dst)
 							if err != nil {
 								t.Fatalf("level %d: Path(%d,%d): %v", level, src, dst, err)
 							}
@@ -102,7 +102,7 @@ func TestCDORPropertyOffsetMasters(t *testing.T) {
 				alg := NewCDOR(region)
 				for _, src := range region.ActiveNodes() {
 					for _, dst := range region.ActiveNodes() {
-						path, err := Path(topo.FromMesh(m),alg, src, dst)
+						path, err := Path(topo.FromMesh(m), alg, src, dst)
 						if err != nil {
 							t.Fatalf("master %d level %d %v: Path(%d,%d): %v", master, level, metric, src, dst, err)
 						}

@@ -14,7 +14,7 @@ import (
 func TestDORPaths(t *testing.T) {
 	m := mesh.New(4, 4)
 	alg := NewDOR(m)
-	path, err := Path(topo.FromMesh(m),alg, 0, 15)
+	path, err := Path(topo.FromMesh(m), alg, 0, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestDORMinimal(t *testing.T) {
 	alg := NewDOR(m)
 	for src := 0; src < m.Nodes(); src++ {
 		for dst := 0; dst < m.Nodes(); dst++ {
-			path, err := Path(topo.FromMesh(m),alg, src, dst)
+			path, err := Path(topo.FromMesh(m), alg, src, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +49,7 @@ func TestCDORPaperNETurn(t *testing.T) {
 	m := mesh.New(4, 4)
 	r := sprint.NewRegion(m, 0, 8, sprint.Euclidean)
 	alg := NewCDOR(r)
-	path, err := Path(topo.FromMesh(m),alg, 9, 2)
+	path, err := Path(topo.FromMesh(m), alg, 9, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCDORStaysInRegionAllLevels(t *testing.T) {
 			alg := NewCDOR(r)
 			for _, src := range r.ActiveNodes() {
 				for _, dst := range r.ActiveNodes() {
-					path, err := Path(topo.FromMesh(m),alg, src, dst)
+					path, err := Path(topo.FromMesh(m), alg, src, dst)
 					if err != nil {
 						t.Fatalf("%dx%d level %d %d->%d: %v", dims[0], dims[1], level, src, dst, err)
 					}
@@ -102,7 +102,7 @@ func TestCDORDeadlockFreeAllLevels(t *testing.T) {
 		m := mesh.New(dims[0], dims[1])
 		for level := 1; level <= m.Nodes(); level++ {
 			r := sprint.NewRegion(m, 0, level, sprint.Euclidean)
-			g, err := BuildDependencyGraph(topo.FromMesh(m),NewCDOR(r), r.ActiveNodes())
+			g, err := BuildDependencyGraph(topo.FromMesh(m), NewCDOR(r), r.ActiveNodes())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestCDORDeadlockFreeAllLevels(t *testing.T) {
 
 func TestDORDeadlockFree(t *testing.T) {
 	m := mesh.New(6, 6)
-	g, err := BuildDependencyGraph(topo.FromMesh(m),NewDOR(m), nil)
+	g, err := BuildDependencyGraph(topo.FromMesh(m), NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestCDORQuickRandomRegions(t *testing.T) {
 		alg := NewCDOR(r)
 		for _, src := range r.ActiveNodes() {
 			for _, dst := range r.ActiveNodes() {
-				path, err := Path(topo.FromMesh(m),alg, src, dst)
+				path, err := Path(topo.FromMesh(m), alg, src, dst)
 				if err != nil {
 					return false
 				}
@@ -174,7 +174,7 @@ func TestCDORQuickRandomRegions(t *testing.T) {
 				}
 			}
 		}
-		g, err := BuildDependencyGraph(topo.FromMesh(m),alg, r.ActiveNodes())
+		g, err := BuildDependencyGraph(topo.FromMesh(m), alg, r.ActiveNodes())
 		return err == nil && !g.HasCycle()
 	}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -200,8 +200,8 @@ func TestCDORFullLevelMatchesDOR(t *testing.T) {
 	cd, dor := NewCDOR(r), NewDOR(m)
 	for src := 0; src < 16; src++ {
 		for dst := 0; dst < 16; dst++ {
-			p1, err1 := Path(topo.FromMesh(m),cd, src, dst)
-			p2, err2 := Path(topo.FromMesh(m),dor, src, dst)
+			p1, err1 := Path(topo.FromMesh(m), cd, src, dst)
+			p2, err2 := Path(topo.FromMesh(m), dor, src, dst)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -215,7 +215,7 @@ func TestCDORFullLevelMatchesDOR(t *testing.T) {
 func TestBuildTable(t *testing.T) {
 	m := mesh.New(4, 4)
 	r := sprint.NewRegion(m, 0, 8, sprint.Euclidean)
-	table, err := BuildTable(topo.FromMesh(m),NewCDOR(r), r.ActiveNodes())
+	table, err := BuildTable(topo.FromMesh(m), NewCDOR(r), r.ActiveNodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestBuildTable(t *testing.T) {
 
 func TestBuildTableFullMesh(t *testing.T) {
 	m := mesh.New(4, 4)
-	table, err := BuildTable(topo.FromMesh(m),NewDOR(m), nil)
+	table, err := BuildTable(topo.FromMesh(m), NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestCDORLowerCornerMaster(t *testing.T) {
 		alg := NewCDOR(r)
 		for _, src := range r.ActiveNodes() {
 			for _, dst := range r.ActiveNodes() {
-				path, err := Path(topo.FromMesh(m),alg, src, dst)
+				path, err := Path(topo.FromMesh(m), alg, src, dst)
 				if err != nil {
 					t.Fatalf("level %d %d->%d: %v", level, src, dst, err)
 				}
@@ -280,7 +280,7 @@ func TestCDORLowerCornerMaster(t *testing.T) {
 				}
 			}
 		}
-		g, err := BuildDependencyGraph(topo.FromMesh(m),alg, r.ActiveNodes())
+		g, err := BuildDependencyGraph(topo.FromMesh(m), alg, r.ActiveNodes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +304,7 @@ func TestCDORArbitraryMasters(t *testing.T) {
 				alg := NewCDOR(r)
 				for _, src := range r.ActiveNodes() {
 					for _, dst := range r.ActiveNodes() {
-						path, err := Path(topo.FromMesh(m),alg, src, dst)
+						path, err := Path(topo.FromMesh(m), alg, src, dst)
 						if err != nil {
 							t.Fatalf("%dx%d master %d level %d %d->%d: %v",
 								dims[0], dims[1], master, level, src, dst, err)
@@ -316,7 +316,7 @@ func TestCDORArbitraryMasters(t *testing.T) {
 						}
 					}
 				}
-				g, err := BuildDependencyGraph(topo.FromMesh(m),alg, r.ActiveNodes())
+				g, err := BuildDependencyGraph(topo.FromMesh(m), alg, r.ActiveNodes())
 				if err != nil {
 					t.Fatal(err)
 				}
