@@ -1,6 +1,6 @@
 // Zero-drift equivalence suite for the active-work stepper: every
 // configuration class the simulator supports is run twice — once on the
-// optimized (work-list) pipeline and once on the reference full-scan
+// optimized (active-work) pipeline and once on the reference full-scan
 // pipeline (UseReferenceStepper) — under identical traffic, and the results
 // are required to be bit-identical: reflect.DeepEqual on Stats, per-router
 // Events, packet timestamps, and the full human-readable state snapshot.

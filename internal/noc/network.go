@@ -17,9 +17,9 @@ type arrival struct {
 }
 
 // fifo is a FIFO ring of flits in flight toward one input port or one NI.
-// Each has a single feeder with a fixed delay (one link, the NI, or the
-// Local output), so flits arrive in due-cycle order and those due by any
-// cycle are a prefix. buf is allocated on the first push and doubled when
+// Each ring has a single feeder with a fixed delay (one link, the NI, or the
+// Local output) that sends at most one flit per cycle, so flits arrive in
+// due-cycle order and those due by any cycle are a prefix. buf is allocated on the first push and doubled when
 // full; credits bound the occupancy, so steady state allocates nothing.
 type fifo struct {
 	buf     []arrival // empty or a power-of-two length
