@@ -75,7 +75,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := sys.Run(2000, 5_000_000); err != nil {
+		if err := sys.RunCtx(nil, 2000, 5_000_000); err != nil {
 			log.Fatal(err)
 		}
 		st := sys.Stats()

@@ -343,23 +343,20 @@ func boolBit(b bool) int64 {
 	return 0
 }
 
-// Run drives the system: each active core issues accessesPerCore memory
-// operations (blocking on misses), for at most maxCycles. It returns an
-// error if work remains unfinished at the horizon.
-func (s *System) Run(accessesPerCore int64, maxCycles int64) error {
-	return s.RunCtx(nil, accessesPerCore, maxCycles)
-}
-
-// RunCtx is Run under a context, polled every 256 cycles like the other
-// long cycle loops (noc.RunCtx, DrainWithBudgetCtx), so a cancelled LLC
-// study stops at cycle granularity with the network left consistent. A nil
-// ctx never cancels, and the poll never perturbs simulation state. The
+// RunCtx drives the system: each active core issues accessesPerCore memory
+// operations (blocking on misses), for at most maxCycles steps. Each cycle
+// fires the due events, issues accesses and checks for completion before it
+// steps, and that phase runs once more at cycle maxCycles, so work finishing
+// on the last permitted step succeeds. It returns an error if work remains
+// unfinished at the horizon. ctx is polled every 256 cycles, so a cancelled
+// LLC study stops at cycle granularity with the network left consistent. A
+// nil ctx never cancels, and the poll never perturbs simulation state. The
 // returned error satisfies errors.Is(err, ctx.Err()) on cancellation.
 func (s *System) RunCtx(ctx context.Context, accessesPerCore int64, maxCycles int64) error {
 	for _, node := range s.coreOrder {
 		s.cores[node].remaining = accessesPerCore
 	}
-	for cycle := int64(0); cycle < maxCycles; cycle++ {
+	for cycle := int64(0); ; cycle++ {
 		if ctx != nil && cycle%256 == 0 {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("cache: run cancelled at cycle %d: %w", s.net.Cycle(), err)
@@ -400,9 +397,11 @@ func (s *System) RunCtx(ctx context.Context, accessesPerCore int64, maxCycles in
 		if done && len(s.events) == 0 && s.net.Drained() {
 			return nil
 		}
+		if cycle >= maxCycles {
+			return fmt.Errorf("cache: %d-cycle horizon reached with work outstanding", maxCycles)
+		}
 		s.net.Step()
 	}
-	return fmt.Errorf("cache: %d-cycle horizon reached with work outstanding", maxCycles)
 }
 
 // Cycles returns the simulated cycle count.

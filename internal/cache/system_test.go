@@ -109,7 +109,7 @@ func TestClosedLoopCompletes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := buildSystem(t, tc.level, tc.policy, tc.full)
 			const perCore = 1000
-			if err := sys.Run(perCore, 2_000_000); err != nil {
+			if err := sys.RunCtx(nil, perCore, 2_000_000); err != nil {
 				t.Fatal(err)
 			}
 			st := sys.Stats()
@@ -136,11 +136,11 @@ func TestClosedLoopCompletes(t *testing.T) {
 // the AMAT — rises versus the bypass policy that keeps all 16 banks.
 func TestRemapLosesCapacity(t *testing.T) {
 	bypass := buildSystem(t, 4, HomeAllTiles, false)
-	if err := bypass.Run(1800, 3_000_000); err != nil {
+	if err := bypass.RunCtx(nil, 1800, 3_000_000); err != nil {
 		t.Fatal(err)
 	}
 	remap := buildSystem(t, 4, HomeActiveOnly, false)
-	if err := remap.Run(1800, 3_000_000); err != nil {
+	if err := remap.RunCtx(nil, 1800, 3_000_000); err != nil {
 		t.Fatal(err)
 	}
 	b, r := bypass.Stats(), remap.Stats()
@@ -164,7 +164,7 @@ func TestRemapLosesCapacity(t *testing.T) {
 // without waking them (the §3.4 requirement).
 func TestBypassKeepsRoutersDark(t *testing.T) {
 	sys := buildSystem(t, 4, HomeAllTiles, false)
-	if err := sys.Run(1500, 2_000_000); err != nil {
+	if err := sys.RunCtx(nil, 1500, 2_000_000); err != nil {
 		t.Fatal(err)
 	}
 	m := mesh.New(4, 4)
@@ -205,8 +205,32 @@ func TestHomeDistribution(t *testing.T) {
 
 func TestHorizonError(t *testing.T) {
 	sys := buildSystem(t, 4, HomeAllTiles, false)
-	if err := sys.Run(100000, 100); err == nil {
+	if err := sys.RunCtx(nil, 100000, 100); err == nil {
 		t.Error("impossible horizon accepted")
+	}
+}
+
+// TestExactHorizon: a run whose work completes on its last permitted step
+// succeeds with the unbounded run's Stats and Cycles, and one cycle less
+// still fails.
+func TestExactHorizon(t *testing.T) {
+	const perCore = 200
+	free := buildSystem(t, 4, HomeAllTiles, false)
+	if err := free.RunCtx(nil, perCore, 2_000_000); err != nil {
+		t.Fatal(err)
+	}
+	need := free.Cycles()
+	exact := buildSystem(t, 4, HomeAllTiles, false)
+	if err := exact.RunCtx(nil, perCore, need); err != nil {
+		t.Fatalf("horizon %d, the unbounded run's length: %v", need, err)
+	}
+	if exact.Stats() != free.Stats() || exact.Cycles() != need {
+		t.Errorf("exact-horizon run differs:\nunbounded: %+v (%d cycles)\nexact:     %+v (%d cycles)",
+			free.Stats(), need, exact.Stats(), exact.Cycles())
+	}
+	short := buildSystem(t, 4, HomeAllTiles, false)
+	if err := short.RunCtx(nil, perCore, need-1); err == nil {
+		t.Errorf("horizon %d, one cycle short, accepted", need-1)
 	}
 }
 
@@ -222,7 +246,7 @@ func TestPolicyString(t *testing.T) {
 // TestRunCtxCancellation pins the cancellation contract of the closed-loop
 // driver: a pre-cancelled context stops RunCtx at its first 256-cycle poll
 // with a wrapped ctx error, a nil context never cancels, and an uncancelled
-// context leaves results identical to Run.
+// context leaves results identical to a nil one.
 func TestRunCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -236,7 +260,7 @@ func TestRunCtxCancellation(t *testing.T) {
 	}
 
 	plain := buildSystem(t, 4, HomeAllTiles, false)
-	if err := plain.Run(500, 2_000_000); err != nil {
+	if err := plain.RunCtx(nil, 500, 2_000_000); err != nil {
 		t.Fatal(err)
 	}
 	under := buildSystem(t, 4, HomeAllTiles, false)
@@ -244,7 +268,7 @@ func TestRunCtxCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if plain.Stats() != under.Stats() || plain.Cycles() != under.Cycles() {
-		t.Errorf("context poll perturbed the run:\nRun:    %+v (%d cycles)\nRunCtx: %+v (%d cycles)",
+		t.Errorf("context poll perturbed the run:\nnil ctx:  %+v (%d cycles)\nlive ctx: %+v (%d cycles)",
 			plain.Stats(), plain.Cycles(), under.Stats(), under.Cycles())
 	}
 }

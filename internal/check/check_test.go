@@ -156,7 +156,7 @@ func TestDarkRouterViolationCaught(t *testing.T) {
 			}
 			got = v
 		}()
-		net.Run(100)
+		net.RunUntil(nil, 100, nil, nil)
 	}()
 	if got.Kind != check.DarkRouter {
 		t.Fatalf("violation kind = %s, want %s", got.Kind, check.DarkRouter)
@@ -194,7 +194,7 @@ func TestRouteRuleViolationCaught(t *testing.T) {
 		OnViolation: func(v *check.Violation) { kinds = append(kinds, v.Kind) },
 	}))
 	pkt := net.Enqueue(0, 5)
-	net.Run(200)
+	net.RunUntil(nil, 200, nil, nil)
 	if pkt.EjectedAt < 0 {
 		t.Fatal("packet never delivered; the misroute should only add a detour")
 	}
@@ -225,7 +225,7 @@ func TestUnclassifiableHopRejected(t *testing.T) {
 		OnViolation: func(v *check.Violation) { got = append(got, v) },
 	}))
 	net.Enqueue(0, 5)
-	net.Run(200)
+	net.RunUntil(nil, 200, nil, nil)
 	if len(got) == 0 {
 		t.Fatal("oracle errors went unreported; unclassifiable hops must be rejected")
 	}
@@ -361,7 +361,7 @@ func TestReconfigureSourceDropsPass(t *testing.T) {
 		t.Fatalf("reconfiguration dropped %d packets, want at least %d from source queues", rep.PacketsDropped, want)
 	}
 	net.Enqueue(0, 5)
-	net.Run(200)
+	net.RunUntil(nil, 200, nil, nil)
 	if chk.Violations() != 0 {
 		t.Fatalf("%d violations", chk.Violations())
 	}

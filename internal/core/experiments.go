@@ -1071,15 +1071,29 @@ type LLCRow struct {
 	Cycles int64
 }
 
+// Fixed settings of the §3.4 study.
+const (
+	// llcLevel is the sprint level whose region the gated runs power.
+	llcLevel = 4
+	// llcMaxCycles bounds each cache-system run.
+	llcMaxCycles = 5_000_000
+)
+
+// llcCache is the study's cache hierarchy: Table 1 scaled down so the study
+// runs in seconds while keeping its shape (capacity ratios preserved).
+func llcCache() cache.Config {
+	c := cache.DefaultConfig()
+	c.L1Sets, c.L1Ways = 16, 2
+	c.L2Sets, c.L2Ways = 64, 4
+	return c
+}
+
 // LLCParams sizes the §3.4 study; zero values select defaults matched to
 // the scaled-down test hierarchy.
 type LLCParams struct {
-	Cache           cache.Config
 	WorkingSetLines uint64
 	SharedLines     uint64
 	AccessesPerCore int64
-	MaxCycles       int64
-	Level           int
 	// Sim carries the observational switches. Check, Reference and Obs
 	// instrument the study's networks as in every other driver (the cache
 	// system steps the network every cycle, so telemetry covers the
@@ -1091,13 +1105,6 @@ type LLCParams struct {
 }
 
 func (p LLCParams) withDefaults() LLCParams {
-	if p.Cache == (cache.Config{}) {
-		p.Cache = cache.DefaultConfig()
-		// Scale the hierarchy down so the study runs in seconds while
-		// keeping the Table 1 shape (capacity ratios preserved).
-		p.Cache.L1Sets, p.Cache.L1Ways = 16, 2
-		p.Cache.L2Sets, p.Cache.L2Ways = 64, 4
-	}
 	if p.WorkingSetLines == 0 {
 		p.WorkingSetLines = 800
 	}
@@ -1106,12 +1113,6 @@ func (p LLCParams) withDefaults() LLCParams {
 	}
 	if p.AccessesPerCore == 0 {
 		p.AccessesPerCore = 1500
-	}
-	if p.MaxCycles == 0 {
-		p.MaxCycles = 5_000_000
-	}
-	if p.Level == 0 {
-		p.Level = 4
 	}
 	return p
 }
@@ -1123,7 +1124,7 @@ func (p LLCParams) withDefaults() LLCParams {
 // paths without waking routers (the paper's adopted technique).
 func LLCStudy(s *Sprinter, p LLCParams) ([]LLCRow, error) {
 	p = p.withDefaults()
-	region := s.Region(p.Level)
+	region := s.Region(llcLevel)
 	ncfg := s.cfg.NoC
 	ncfg.Classes = 2
 
@@ -1152,14 +1153,14 @@ func LLCStudy(s *Sprinter, p LLCParams) ([]LLCRow, error) {
 			}
 			return st
 		}
-		sys, err := cache.NewSystem(p.Cache, net, region, policy, gated, mk)
+		sys, err := cache.NewSystem(llcCache(), net, region, policy, gated, mk)
 		if err != nil {
 			return LLCRow{}, err
 		}
 		if streamErr != nil {
 			return LLCRow{}, streamErr
 		}
-		if err := sys.RunCtx(p.Sim.Abort, p.AccessesPerCore, p.MaxCycles); err != nil {
+		if err := sys.RunCtx(p.Sim.Abort, p.AccessesPerCore, llcMaxCycles); err != nil {
 			return LLCRow{}, fmt.Errorf("core: LLC study %s: %w", name, err)
 		}
 		st := sys.Stats()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -13,6 +15,7 @@ import (
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/topo"
+	"nocsprint/internal/traffic"
 )
 
 // The fault-injection experiment: how much of the sprint's capacity
@@ -23,6 +26,25 @@ import (
 // master election, backoff retries, graceful degradation) applied to the
 // live network through the quiesce/drain/reconfigure lifecycle, with the
 // runtime invariant checker optionally attached through every repair.
+
+// Fixed settings of the fault-injection experiment.
+const (
+	// faultDrainBudget bounds each reconfiguration drain, in cycles.
+	faultDrainBudget = 4000
+	// faultTransientDuration is the outage length of transient faults, in
+	// cycles.
+	faultTransientDuration = 400
+	// faultInjectionRate is the offered load in flits/node/cycle.
+	faultInjectionRate = 0.2
+	// faultTripTempK is the thermal-emergency trip temperature: between the
+	// PCM melt point and the junction limit. The trip cycle is derived from
+	// the lumped RC model at the initial level's chip power.
+	faultTripTempK = 351.15
+	// faultThermalSeconds is how much thermal time the horizon spans, i.e.
+	// secondsPerCycle = faultThermalSeconds / Cycles. It places the trip at
+	// the same relative position regardless of Cycles.
+	faultThermalSeconds = 2.0
+)
 
 // FaultParams configures the fault-injection sweep; zero values select
 // defaults suitable for the 4×4 mesh.
@@ -36,21 +58,6 @@ type FaultParams struct {
 	// Cycles is the injection horizon per point (default 20000); repairs
 	// and the final drain run past it.
 	Cycles int64
-	// DrainBudget bounds each reconfiguration drain (default 4000 cycles).
-	DrainBudget int
-	// TransientDuration is the outage length of transient faults
-	// (default 400 cycles).
-	TransientDuration int64
-	// InjectionRate is the offered load in flits/node/cycle (default 0.2).
-	InjectionRate float64
-	// TripTempK is the thermal-emergency trip temperature (default 351.15 K
-	// — between the PCM melt point and the junction limit). The trip cycle
-	// is derived from the lumped RC model at the initial level's chip power.
-	TripTempK float64
-	// ThermalSeconds is how much thermal time the horizon spans (default
-	// 2.0 s), i.e. secondsPerCycle = ThermalSeconds / Cycles. It places the
-	// trip at the same relative position regardless of Cycles.
-	ThermalSeconds float64
 	// Sim supplies Seed, Workers, and Check; the window fields are unused
 	// (this driver manages its own horizon).
 	Sim NetSimParams
@@ -65,21 +72,6 @@ func (p FaultParams) withDefaults() FaultParams {
 	}
 	if p.Cycles == 0 {
 		p.Cycles = 20000
-	}
-	if p.DrainBudget == 0 {
-		p.DrainBudget = 4000
-	}
-	if p.TransientDuration == 0 {
-		p.TransientDuration = 400
-	}
-	if p.InjectionRate == 0 {
-		p.InjectionRate = 0.2
-	}
-	if p.TripTempK == 0 {
-		p.TripTempK = 351.15
-	}
-	if p.ThermalSeconds == 0 {
-		p.ThermalSeconds = 2.0
 	}
 	return p
 }
@@ -181,7 +173,7 @@ func (s *Sprinter) buildFaultSchedule(rate float64, p FaultParams, seed int64) (
 		Permanent:         perm,
 		Transient:         trans,
 		Links:             links,
-		TransientDuration: p.TransientDuration,
+		TransientDuration: faultTransientDuration,
 		Seed:              seed,
 	})
 	if err != nil {
@@ -191,8 +183,8 @@ func (s *Sprinter) buildFaultSchedule(rate float64, p FaultParams, seed int64) (
 	if err != nil {
 		return nil, err
 	}
-	trip, ok, err := fault.TripFromLumped(s.cfg.Lumped, powerW, p.TripTempK,
-		p.ThermalSeconds/float64(p.Cycles), p.Cycles)
+	trip, ok, err := fault.TripFromLumped(s.cfg.Lumped, powerW, faultTripTempK,
+		faultThermalSeconds/float64(p.Cycles), p.Cycles)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +221,7 @@ func obsGovKind(k sprint.GovernorEventKind) obs.EventKind {
 // When p.Sim.Obs is set, the run's collector also carries the full event
 // timeline: fault arrivals, every governor decision, sprint-level changes,
 // the quiesce/drain phases of each reconfiguration, and — through a thermal
-// model scaled to p.ThermalSeconds — the temperature series.
+// model scaled to faultThermalSeconds — the temperature series.
 func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (FaultPoint, error) {
 	p = p.withDefaults()
 	if p.Level < 2 || p.Level > s.mesh.Nodes() {
@@ -281,10 +273,10 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 		cfg := p.Sim.Obs.Config()
 		cfg.Thermal = &obs.ThermalModel{
 			Model:           s.cfg.Lumped,
-			SecondsPerCycle: p.ThermalSeconds / float64(p.Cycles),
+			SecondsPerCycle: faultThermalSeconds / float64(p.Cycles),
 			BasePowerW:      chipW,
-			TripK:           p.TripTempK,
-			ClearK:          p.TripTempK - 3.0,
+			TripK:           faultTripTempK,
+			ClearK:          faultTripTempK - 3.0,
 		}
 		col = p.Sim.Obs.NewCollectorWith(net, fmt.Sprintf("faults/l%d/s%d", p.Level, seed), cfg)
 		probes = append(probes, col)
@@ -294,13 +286,31 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 
 	var activeCycles int64 // Σ over cycles of the active-router count
 	prevLevel := region.Level()
+	// arrivals offers uniform traffic over the current region, rebuilt on
+	// every repair; a one-node region has no one to talk to and offers none.
+	rng := rand.New(rand.NewSource(seed))
+	var arrivals *traffic.Bernoulli
+	offer := func(r *sprint.Region) error {
+		active := r.ActiveNodes()
+		if len(active) < 2 {
+			arrivals = nil
+			return nil
+		}
+		b, err := traffic.NewBernoulli(traffic.NewSet(active), traffic.NewUniform(len(active)),
+			faultInjectionRate, s.cfg.NoC.PacketLength, rng)
+		arrivals = b
+		return err
+	}
+	if err := offer(region); err != nil {
+		return FaultPoint{}, err
+	}
 	reconfigure := func(r *sprint.Region) error {
 		oldActive := int64(net.ActiveRouters())
 		if col != nil {
 			col.Emit(net.Cycle(), obs.EventQuiesce, r.Master(),
 				fmt.Sprintf("reconfiguring toward level %d (%d nodes)", r.Level(), len(r.ActiveNodes())))
 		}
-		rep, err := net.Reconfigure(r.ActiveNodes(), routing.NewCDOR(r), p.DrainBudget)
+		rep, err := net.Reconfigure(r.ActiveNodes(), routing.NewCDOR(r), faultDrainBudget)
 		if err != nil {
 			return err
 		}
@@ -319,6 +329,9 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 			}
 		}
 		prevLevel = r.Level()
+		if err := offer(r); err != nil {
+			return err
+		}
 		if chk != nil {
 			// The fabric is drained at this boundary, so no in-flight hop is
 			// ever judged against the wrong region or routing discipline.
@@ -328,20 +341,13 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 		return nil
 	}
 
-	rng := rand.New(rand.NewSource(seed))
-	cur := sched.Cursor()
-	net.SetMeasuring(true)
-	pktProb := p.InjectionRate / float64(s.cfg.NoC.PacketLength)
-
-	for net.Cycle() < p.Cycles {
-		// Point-level abort: polled every 256 cycles (cheap relative to a
-		// Step) and only between whole cycles, so an aborted run never
-		// leaves the network half-stepped.
-		if p.Sim.Abort != nil && net.Cycle()%256 == 0 {
-			if err := p.Sim.Abort.Err(); err != nil {
-				return pt, fmt.Errorf("core: fault run aborted at cycle %d: %w", net.Cycle(), err)
-			}
+	emit := func(src, dst int) {
+		if _, err := net.TryEnqueuePacket(src, dst, 0, s.cfg.NoC.PacketLength); err != nil {
+			pt.OfferedDropped++
 		}
+	}
+	cur := sched.Cursor()
+	cycle := func() error {
 		now := net.Cycle()
 		for _, ev := range cur.Due(now) {
 			if col != nil {
@@ -363,42 +369,40 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 				r, changed, err = gov.ThermalTrip(now)
 			}
 			if err != nil {
-				return pt, err
+				return err
 			}
 			if changed {
 				if err := reconfigure(r); err != nil {
-					return pt, err
+					return err
 				}
 			}
 		}
 		for node := gov.PendingResume(net.Cycle()); node >= 0; node = gov.PendingResume(net.Cycle()) {
 			r, changed, err := gov.TryResume(node, net.Cycle(), sched.HealthyAt(node, net.Cycle()))
 			if err != nil {
-				return pt, err
+				return err
 			}
 			if changed {
 				if err := reconfigure(r); err != nil {
-					return pt, err
+					return err
 				}
 			}
 		}
-		active := gov.Region().ActiveNodes()
-		if len(active) > 1 {
-			for i, src := range active {
-				if rng.Float64() >= pktProb {
-					continue
-				}
-				j := rng.Intn(len(active) - 1)
-				if j >= i {
-					j++
-				}
-				if _, err := net.TryEnqueuePacket(src, active[j], 0, s.cfg.NoC.PacketLength); err != nil {
-					pt.OfferedDropped++
-				}
-			}
+		if arrivals != nil {
+			arrivals.Cycle(emit)
 		}
 		activeCycles += int64(net.ActiveRouters())
-		net.Step()
+		return nil
+	}
+	net.SetMeasuring(true)
+	// Repairs step the network inside cycle, so the horizon, not the step
+	// count, ends the run; p.Cycles steps always reach it.
+	_, err = net.RunUntil(p.Sim.Abort, int(p.Cycles), cycle, func() bool { return net.Cycle() >= p.Cycles })
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return pt, fmt.Errorf("core: fault run aborted: %w", err)
+	}
+	if err != nil {
+		return pt, err
 	}
 	// Final drain: every remaining endpoint is alive, so everything still
 	// in flight or queued must deliver. The generous budget scales with the
@@ -463,7 +467,9 @@ func FaultSweep(s *Sprinter, p FaultParams) ([]FaultPoint, error) {
 		tasks[i] = task{idx: i, rate: r}
 	}
 	// The fault driver manages its own horizon, so the key carries the
-	// FaultParams knobs rather than the unused NetSimParams windows.
+	// FaultParams knobs and the fixed settings rather than the unused
+	// NetSimParams windows; the settings stay in it, under their old field
+	// names, so existing journals keep matching.
 	key := func(tk task) (string, error) {
 		return ckpt.Key(struct {
 			Driver            string
@@ -478,8 +484,8 @@ func FaultSweep(s *Sprinter, p FaultParams) ([]FaultPoint, error) {
 			TripTempK         float64
 			ThermalSeconds    float64
 			Seed              int64
-		}{"faults", s.cfg, p.Level, tk.idx, tk.rate, p.Cycles, p.DrainBudget,
-			p.TransientDuration, p.InjectionRate, p.TripTempK, p.ThermalSeconds, p.Sim.Seed})
+		}{"faults", s.cfg, p.Level, tk.idx, tk.rate, p.Cycles, faultDrainBudget,
+			faultTransientDuration, faultInjectionRate, faultTripTempK, faultThermalSeconds, p.Sim.Seed})
 	}
 	return sweepKeyed(p.Sim, tasks, key, func(tk task) (FaultPoint, error) {
 		seed := p.Sim.Seed + int64(tk.idx)*1009 + 1

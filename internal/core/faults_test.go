@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nocsprint/internal/fault"
@@ -157,6 +160,43 @@ func TestFaultRunNoFaultsFullAvailability(t *testing.T) {
 	}
 	if pt.FinalLevel != 8 || pt.FinalMaster != 0 {
 		t.Errorf("final level %d master %d, want 8/0", pt.FinalLevel, pt.FinalMaster)
+	}
+}
+
+// TestFaultRunOneNodeRegion: a thermal trip at level 2 leaves a one-node
+// region, which has no one to talk to; the run offers it no traffic and
+// drains what was already in flight.
+func TestFaultRunOneNodeRegion(t *testing.T) {
+	s := newSprinter(t)
+	sched, err := fault.Parse("trip@500", s.mesh.Nodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := s.FaultRun(sched, FaultParams{Level: 2, Cycles: 2000, Sim: NetSimParams{Check: true}}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt.FinalLevel != 1 || pt.Degrades != 1 {
+		t.Errorf("final level %d after %d degrades, want level 1 after 1", pt.FinalLevel, pt.Degrades)
+	}
+	if pt.Delivered == 0 || pt.OfferedDropped != 0 {
+		t.Errorf("delivered %d, refused %d offers; want traffic before the trip and no refused offers", pt.Delivered, pt.OfferedDropped)
+	}
+}
+
+// TestFaultRunAbort: a cancelled abort context stops the run before its
+// first step with an error naming the abort and wrapping the context's.
+func TestFaultRunAbort(t *testing.T) {
+	s := newSprinter(t)
+	sched, err := fault.New(s.mesh.Nodes(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = s.FaultRun(sched, FaultParams{Cycles: 2000, Sim: NetSimParams{Abort: ctx}}, 5)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "aborted") {
+		t.Fatalf("err = %v, want an abort wrapping context.Canceled", err)
 	}
 }
 

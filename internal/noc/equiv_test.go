@@ -178,7 +178,7 @@ func driveEquiv(t *testing.T, net *noc.Network, c equivCase, nodes []int) []*noc
 		net.Step()
 	}
 	net.SetMeasuring(false)
-	if err := net.DrainWithBudget(50000); err != nil {
+	if err := net.DrainWithBudgetCtx(nil, 50000); err != nil {
 		t.Fatal(err)
 	}
 	return pkts
@@ -264,10 +264,10 @@ func TestStepperEquivalenceToggleMidRun(t *testing.T) {
 			run.net.Step()
 		}
 	}
-	if err := toggled.DrainWithBudget(50000); err != nil {
+	if err := toggled.DrainWithBudgetCtx(nil, 50000); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.DrainWithBudget(50000); err != nil {
+	if err := ref.DrainWithBudgetCtx(nil, 50000); err != nil {
 		t.Fatal(err)
 	}
 	if ts, rs := toggled.Stats(), ref.Stats(); !reflect.DeepEqual(ts, rs) {
@@ -353,9 +353,9 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestRunCtxCancellation checks RunCtx's 256-cycle poll: a context cancelled
-// before the run stops it at a poll boundary with a wrapped ctx error, and a
-// cancellation mid-run stops within one poll window.
+// TestRunCtxCancellation checks RunUntil's per-step context poll: a context
+// cancelled before the run stops it before the first step with a wrapped ctx
+// error, and a run resumed on a cancelled context steps nothing.
 func TestRunCtxCancellation(t *testing.T) {
 	m := mesh.New(4, 4)
 	build := func() *noc.Network {
@@ -365,10 +365,14 @@ func TestRunCtxCancellation(t *testing.T) {
 		}
 		return net
 	}
+	run := func(net *noc.Network, ctx context.Context, cycles int) error {
+		_, err := net.RunUntil(ctx, cycles, nil, nil)
+		return err
+	}
 
-	// Nil context: identical to Run.
+	// Nil context: never cancels.
 	net := build()
-	if err := net.RunCtx(nil, 1000); err != nil {
+	if err := run(net, nil, 1000); err != nil {
 		t.Fatalf("nil ctx: %v", err)
 	}
 	if net.Cycle() != 1000 {
@@ -379,7 +383,7 @@ func TestRunCtxCancellation(t *testing.T) {
 	net = build()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := net.RunCtx(ctx, 1000)
+	err := run(net, ctx, 1000)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled ctx: err=%v, want context.Canceled", err)
 	}
@@ -387,15 +391,15 @@ func TestRunCtxCancellation(t *testing.T) {
 		t.Fatalf("pre-cancelled ctx stepped %d cycles, want 0", net.Cycle())
 	}
 
-	// Cancelled between runs: a second RunCtx on an already-cancelled
-	// context stops at its first poll without stepping.
+	// Cancelled between runs: a second run on an already-cancelled context
+	// stops at its first poll without stepping.
 	net = build()
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	if err := net.RunCtx(ctx2, 300); err != nil {
+	if err := run(net, ctx2, 300); err != nil {
 		t.Fatal(err)
 	}
 	cancel2()
-	err = net.RunCtx(ctx2, 10000)
+	err = run(net, ctx2, 10000)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel: err=%v, want context.Canceled", err)
 	}
@@ -403,9 +407,9 @@ func TestRunCtxCancellation(t *testing.T) {
 		t.Fatalf("cancelled resume stepped to cycle %d, want 300 (stop at first poll)", net.Cycle())
 	}
 
-	// Cancellation with a budget under one poll window still completes.
+	// A live context runs the whole budget.
 	net = build()
-	if err := net.RunCtx(context.Background(), 100); err != nil {
+	if err := run(net, context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
 	if net.Cycle() != 100 {

@@ -64,7 +64,7 @@ func TestRuntimeGatingDelaysColdPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Let every router go idle long enough to gate off.
-	gated.Run(gcfg.IdleThreshold * 4)
+	gated.RunUntil(nil, gcfg.IdleThreshold*4, nil, nil)
 	pg := gated.Enqueue(0, 3)
 	runUntilDrained(t, gated, 2000)
 

@@ -536,26 +536,36 @@ func (n *Network) Step() {
 	n.cycle++
 }
 
-// Run advances the network by cycles steps.
-func (n *Network) Run(cycles int) { _ = n.RunCtx(nil, cycles) }
-
-// RunCtx advances the network by cycles steps under a context, polled every
-// 256 cycles like the other long cycle loops (DrainWithBudgetCtx, the fault
-// driver), so cancellation is observed at cycle granularity and never
-// splits a Step. A nil ctx never cancels; the poll itself never perturbs
-// simulation state, so an uncancelled RunCtx is bit-identical to Run. The
-// returned error satisfies errors.Is(err, ctx.Err()) on cancellation.
-func (n *Network) RunCtx(ctx context.Context, cycles int) error {
-	for i := 0; i < cycles; i++ {
-		if ctx != nil && i%256 == 0 {
+// RunUntil is the cycle loop every open-loop driver shares. It steps the
+// network at most maxCycles times and reports whether done held when it
+// stopped. done is checked on entry and after every step, so work that
+// completes on the last permitted cycle reports true; a nil done never
+// holds. Before every step, and nowhere else, ctx is polled once and then
+// each, when non-nil, runs. Cancellation therefore lands between whole
+// steps, and the poll never perturbs simulation state. A cancelled run
+// returns an error satisfying errors.Is(err, ctx.Err()) that callers wrap
+// with their phase; an error from each ends the run and is returned as is.
+// A nil ctx never cancels.
+func (n *Network) RunUntil(ctx context.Context, maxCycles int, each func() error, done func() bool) (bool, error) {
+	for i := 0; ; i++ {
+		if done != nil && done() {
+			return true, nil
+		}
+		if i >= maxCycles {
+			return false, nil
+		}
+		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("noc: run cancelled at cycle %d (%d of %d steps done): %w",
-					n.cycle, i, cycles, err)
+				return false, fmt.Errorf("cancelled at cycle %d: %w", n.cycle, err)
+			}
+		}
+		if each != nil {
+			if err := each(); err != nil {
+				return false, err
 			}
 		}
 		n.Step()
 	}
-	return nil
 }
 
 // deliverCredits lands every credit in flight: switch allocation sent each

@@ -26,7 +26,7 @@ func fullNet(t *testing.T, cfg Config) *Network {
 // reconfiguration path uses.
 func runUntilDrained(t *testing.T, net *Network, limit int) {
 	t.Helper()
-	if err := net.DrainWithBudget(limit); err != nil {
+	if err := net.DrainWithBudgetCtx(nil, limit); err != nil {
 		t.Fatal(err)
 	}
 }

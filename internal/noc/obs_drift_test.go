@@ -146,7 +146,7 @@ func TestObserverToggleMidRun(t *testing.T) {
 			}
 			run.net.Step()
 		}
-		if err := run.net.DrainWithBudget(50000); err != nil {
+		if err := run.net.DrainWithBudgetCtx(nil, 50000); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -30,45 +30,31 @@ type ReconfigReport struct {
 	PacketsDropped, FlitsDropped int64
 }
 
-// DrainWithBudget steps the network until it is drained — no packets alive
-// anywhere — or the cycle budget is exhausted, in which case it stops and
-// reports the stuck population instead of hanging. During a reconfiguration
-// quiesce the target is weaker: the fabric (buffers, links, ejection and
-// credit queues, mid-injection NIs) must empty, while source queues may
-// keep packets held back by the quiesce. The drained condition is checked
-// after each step, so a drain taking exactly maxCycles passes.
-func (n *Network) DrainWithBudget(maxCycles int) error {
-	return n.DrainWithBudgetCtx(nil, maxCycles)
-}
-
-// DrainWithBudgetCtx is DrainWithBudget under a context: ctx is polled
-// between whole steps, so a cancelled drain stops at cycle granularity
-// without half-stepping the network, returning an error that satisfies
-// errors.Is(err, ctx.Err()). A nil ctx never cancels.
+// DrainWithBudgetCtx steps the network until it is drained — no packets
+// alive anywhere — or the cycle budget is exhausted, in which case it stops
+// and reports the stuck population instead of hanging. During a
+// reconfiguration quiesce the target is weaker: the fabric (buffers, links,
+// ejection and credit queues, mid-injection NIs) must empty, while source
+// queues may keep packets held back by the quiesce. It is one RunUntil call:
+// the drained condition is checked after each step, so a drain taking
+// exactly maxCycles passes, and ctx is polled before each step, so a
+// cancelled drain returns an error satisfying errors.Is(err, ctx.Err()). A
+// nil ctx never cancels.
 func (n *Network) DrainWithBudgetCtx(ctx context.Context, maxCycles int) error {
-	drained := func() bool {
+	drained, err := n.RunUntil(ctx, maxCycles, nil, func() bool {
 		if n.quiesced {
 			return n.fabricEmpty()
 		}
 		return n.Drained()
+	})
+	switch {
+	case err != nil:
+		return fmt.Errorf("noc: drain %w (%d packets in flight)", err, n.InFlight())
+	case !drained:
+		return fmt.Errorf("noc: network did not drain within %d cycles (%d packets in flight)",
+			maxCycles, n.InFlight())
 	}
-	if drained() {
-		return nil
-	}
-	for i := 0; i < maxCycles; i++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("noc: drain cancelled at cycle %d (%d packets in flight): %w",
-					n.Cycle(), n.InFlight(), err)
-			}
-		}
-		n.Step()
-		if drained() {
-			return nil
-		}
-	}
-	return fmt.Errorf("noc: network did not drain within %d cycles (%d packets in flight)",
-		maxCycles, n.InFlight())
+	return nil
 }
 
 // fabricEmpty reports whether no flit or credit is buffered or in flight
@@ -151,7 +137,7 @@ func (n *Network) Reconfigure(activeNodes []int, alg routing.Algorithm, drainBud
 	before := n.stats
 	n.quiesced = true
 	start := n.cycle
-	if err := n.DrainWithBudget(drainBudget); err != nil {
+	if err := n.DrainWithBudgetCtx(nil, drainBudget); err != nil {
 		// Leave the network consistent (still quiescable, every flit
 		// accounted) but do not apply the new set: the caller decides
 		// whether to retry with a larger budget or declare the repair

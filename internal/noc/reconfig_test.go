@@ -110,7 +110,7 @@ func TestReconfigureShrinkDropsAndAccounts(t *testing.T) {
 	// Survivors still deliver; dark routers stay silent.
 	surv := shrunk.ActiveNodes()
 	p := net.Enqueue(surv[len(surv)-1], surv[0])
-	if err := net.DrainWithBudget(50000); err != nil {
+	if err := net.DrainWithBudgetCtx(nil, 50000); err != nil {
 		t.Fatal(err)
 	}
 	if p.EjectedAt < 0 {
@@ -139,7 +139,7 @@ func TestReconfigureGrowReactivates(t *testing.T) {
 	nodes := grown.ActiveNodes()
 	newest := nodes[len(nodes)-1]
 	p := net.Enqueue(0, newest)
-	if err := net.DrainWithBudget(1000); err != nil {
+	if err := net.DrainWithBudgetCtx(nil, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if p.EjectedAt < 0 {
@@ -174,7 +174,7 @@ func TestReconfigureDrainTimeout(t *testing.T) {
 		t.Fatalf("failed reconfiguration changed active routers to %d", got)
 	}
 	// The network is un-quiesced and consistent: it can still drain fully.
-	if err := net.DrainWithBudget(100000); err != nil {
+	if err := net.DrainWithBudgetCtx(nil, 100000); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.CheckInvariants(); err != nil {
@@ -258,12 +258,12 @@ func TestDrainWithBudgetExactBoundary(t *testing.T) {
 		probe.Step()
 		need++
 	}
-	if err := net.DrainWithBudget(need); err != nil {
+	if err := net.DrainWithBudgetCtx(nil, need); err != nil {
 		t.Fatalf("drain taking exactly %d cycles rejected: %v", need, err)
 	}
 	under := fullNet(t, cfg)
 	under.Enqueue(0, 1)
-	if err := under.DrainWithBudget(need - 1); err == nil {
+	if err := under.DrainWithBudgetCtx(nil, need-1); err == nil {
 		t.Fatalf("drain budget %d sufficed for a %d-cycle drain", need-1, need)
 	}
 }

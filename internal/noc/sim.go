@@ -23,22 +23,14 @@ type SimParams struct {
 	// Seed drives packet generation (and nothing else), making runs
 	// reproducible.
 	Seed int64
-	// Ctx, when non-nil, cancels the run: the cycle loops poll it between
-	// whole steps, so cancellation is observed at cycle granularity and
+	// Ctx, when non-nil, cancels the run: RunUntil polls it once before
+	// every step, so cancellation is observed at cycle granularity and
 	// never splits a Step — the network is left consistent (if
 	// unfinished). A cancelled run returns an error satisfying
 	// errors.Is(err, Ctx.Err()) and a zero Result. The poll never perturbs
 	// simulation state, so results are bit-identical with or without a
 	// context attached.
 	Ctx context.Context
-}
-
-// cancelled reports the context's error, tolerating a nil context.
-func cancelled(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
 }
 
 // DefaultSimParams returns a configuration suitable for latency-throughput
@@ -82,69 +74,43 @@ type Result struct {
 	ActiveRouters int
 }
 
-// RunSynthetic drives net with Bernoulli packet arrivals: each endpoint in
-// set independently generates a packet with probability rate/packetLength
-// per cycle, destinations drawn from pattern over set. The function runs
-// warmup, measurement, and drain phases and returns measurement-window
-// statistics.
+// RunSynthetic drives net with Bernoulli packet arrivals (traffic.Bernoulli):
+// each endpoint in set independently generates a packet with probability
+// rate/packetLength per cycle, destinations drawn from pattern over set. The
+// function runs warmup, measurement, and drain phases, each one RunUntil
+// call, and returns measurement-window statistics.
 func RunSynthetic(net *Network, set *traffic.Set, pattern traffic.Pattern, p SimParams) (Result, error) {
-	if p.InjectionRate < 0 {
-		return Result{}, fmt.Errorf("noc: negative injection rate %g", p.InjectionRate)
+	arrivals, err := traffic.NewBernoulli(set, pattern, p.InjectionRate, net.Config().PacketLength,
+		rand.New(rand.NewSource(p.Seed)))
+	if err != nil {
+		return Result{}, err
 	}
-	if pattern.N() != set.Size() {
-		return Result{}, fmt.Errorf("noc: pattern endpoints %d != set size %d", pattern.N(), set.Size())
-	}
-	pktProb := p.InjectionRate / float64(net.Config().PacketLength)
-	if pktProb > 1 {
-		return Result{}, fmt.Errorf("noc: injection rate %g exceeds 1 packet/cycle/node", p.InjectionRate)
-	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	endpoints := set.Nodes()
-
-	tick := func() {
-		for _, src := range endpoints {
-			if rng.Float64() < pktProb {
-				dst := set.PickNode(pattern, src, rng)
-				net.Enqueue(src, dst)
-			}
-		}
-		net.Step()
+	enqueue := func(src, dst int) { net.Enqueue(src, dst) }
+	inject := func() error {
+		arrivals.Cycle(enqueue)
+		return nil
 	}
 
-	for i := 0; i < p.WarmupCycles; i++ {
-		if err := cancelled(p.Ctx); err != nil {
-			return Result{}, fmt.Errorf("noc: run cancelled during warmup at cycle %d: %w", net.Cycle(), err)
-		}
-		tick()
+	if _, err := net.RunUntil(p.Ctx, p.WarmupCycles, inject, nil); err != nil {
+		return Result{}, fmt.Errorf("noc: warmup %w", err)
 	}
 	pre := net.Stats()
 	net.SetMeasuring(true)
-	for i := 0; i < p.MeasureCycles; i++ {
-		if err := cancelled(p.Ctx); err != nil {
-			net.SetMeasuring(false)
-			return Result{}, fmt.Errorf("noc: run cancelled during measurement at cycle %d: %w", net.Cycle(), err)
-		}
-		tick()
-	}
+	_, err = net.RunUntil(p.Ctx, p.MeasureCycles, inject, nil)
 	net.SetMeasuring(false)
+	if err != nil {
+		return Result{}, fmt.Errorf("noc: measurement %w", err)
+	}
 	mid := net.Stats()
 	// Drain: keep background (unmeasured) traffic flowing so measured
-	// packets complete under load, per standard methodology. The check runs
-	// once on entry and then after every tick, so a network that finishes
-	// draining on the final permitted cycle is not misreported saturated
-	// (a check placed only before each tick needs DrainCycles+1 iterations
-	// to observe a drain that takes exactly DrainCycles ticks).
-	allEjected := func() bool {
+	// packets complete under load, per standard methodology, until every
+	// measured packet is ejected or the budget runs out.
+	drained, err := net.RunUntil(p.Ctx, p.DrainCycles, inject, func() bool {
 		created, ejected := net.MeasuredCounts()
 		return ejected == created
-	}
-	drained := allEjected()
-	for i := 0; !drained && i < p.DrainCycles; i++ {
-		if err := cancelled(p.Ctx); err != nil {
-			return Result{}, fmt.Errorf("noc: run cancelled during drain at cycle %d: %w", net.Cycle(), err)
-		}
-		tick()
-		drained = allEjected()
+	})
+	if err != nil {
+		return Result{}, fmt.Errorf("noc: drain %w", err)
 	}
 	post := net.Stats()
 	d := post.Sub(pre)

@@ -128,3 +128,41 @@ func TestDrainWithBudgetCtxCancelled(t *testing.T) {
 		t.Fatalf("nil-ctx drain failed: %v", err)
 	}
 }
+
+// TestRunUntilContract pins the loop's order: done on entry and after every
+// step, each before every step, and an error from each ends the run
+// unstepped and unwrapped.
+func TestRunUntilContract(t *testing.T) {
+	net, _ := newCtxTestNet(t)
+	if ok, err := net.RunUntil(nil, 10, nil, func() bool { return true }); !ok || err != nil || net.Cycle() != 0 {
+		t.Fatalf("done on entry: ok=%v err=%v cycle=%d, want true at cycle 0", ok, err, net.Cycle())
+	}
+
+	var seen []int64
+	each := func() error {
+		seen = append(seen, net.Cycle())
+		return nil
+	}
+	ok, err := net.RunUntil(nil, 5, each, func() bool { return net.Cycle() == 5 })
+	if !ok || err != nil || net.Cycle() != 5 {
+		t.Fatalf("done on the last step: ok=%v err=%v cycle=%d, want true at cycle 5", ok, err, net.Cycle())
+	}
+	if !reflect.DeepEqual(seen, []int64{0, 1, 2, 3, 4}) {
+		t.Errorf("each saw cycles %v, want 0..4 (once before every step)", seen)
+	}
+
+	if ok, err := net.RunUntil(nil, 3, nil, nil); ok || err != nil || net.Cycle() != 8 {
+		t.Fatalf("nil done: ok=%v err=%v cycle=%d, want false at cycle 8", ok, err, net.Cycle())
+	}
+
+	stop := errors.New("stop")
+	ok, err = net.RunUntil(nil, 10, func() error {
+		if net.Cycle() == 10 {
+			return stop
+		}
+		return nil
+	}, nil)
+	if ok || err != stop || net.Cycle() != 10 {
+		t.Fatalf("each error: ok=%v err=%v cycle=%d, want the error itself at cycle 10", ok, err, net.Cycle())
+	}
+}

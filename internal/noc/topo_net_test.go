@@ -67,7 +67,7 @@ func TestTopoNetworksDeliverAndHoldInvariants(t *testing.T) {
 					t.Fatalf("cycle %d: %v", cyc, err)
 				}
 			}
-			if err := net.DrainWithBudget(20000); err != nil {
+			if err := net.DrainWithBudgetCtx(nil, 20000); err != nil {
 				t.Fatal(err)
 			}
 			s := net.Stats()
@@ -93,7 +93,7 @@ func TestTopoNetworkLatencyMatchesHops(t *testing.T) {
 		net := topoNet(t, tp)
 		net.SetMeasuring(true)
 		p := net.Enqueue(tc.src, tc.dst)
-		if err := net.DrainWithBudget(500); err != nil {
+		if err := net.DrainWithBudgetCtx(nil, 500); err != nil {
 			t.Fatal(err)
 		}
 		want := ZeroLoadLatency(cfg, tc.hops)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 
@@ -83,29 +84,15 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 // of cycles — offline generation of exactly the traffic RunSynthetic would
 // inject with the same seed and packet length.
 func GenerateTrace(set *traffic.Set, pattern traffic.Pattern, rate float64, packetLength int, cycles int, seed int64) ([]TraceEvent, error) {
-	if pattern.N() != set.Size() {
-		return nil, fmt.Errorf("noc: pattern endpoints %d != set size %d", pattern.N(), set.Size())
+	arrivals, err := traffic.NewBernoulli(set, pattern, rate, packetLength, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return nil, err
 	}
-	if packetLength < 1 {
-		return nil, fmt.Errorf("noc: packet length %d < 1", packetLength)
-	}
-	pktProb := rate / float64(packetLength)
-	if pktProb < 0 || pktProb > 1 {
-		return nil, fmt.Errorf("noc: rate %g outside [0, packetLength]", rate)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	endpoints := set.Nodes()
 	var events []TraceEvent
 	for c := 0; c < cycles; c++ {
-		for _, src := range endpoints {
-			if rng.Float64() < pktProb {
-				events = append(events, TraceEvent{
-					Cycle: int64(c),
-					Src:   src,
-					Dst:   set.PickNode(pattern, src, rng),
-				})
-			}
-		}
+		arrivals.Cycle(func(src, dst int) {
+			events = append(events, TraceEvent{Cycle: int64(c), Src: src, Dst: dst})
+		})
 	}
 	return events, nil
 }
@@ -127,36 +114,34 @@ type TraceResult struct {
 
 // ReplayTrace injects the trace into net at the recorded cycles (relative
 // to the network's current cycle), then drains for at most drainCycles.
-// All trace packets are measured.
+// All trace packets are measured. Drained reports whether every packet was
+// ejected, checked after every drain step, so a drain finishing on its last
+// permitted cycle counts.
 func ReplayTrace(net *Network, events []TraceEvent, drainCycles int) (TraceResult, error) {
+	for i, ev := range events {
+		if ev.Cycle < 0 || i > 0 && ev.Cycle < events[i-1].Cycle {
+			return TraceResult{}, fmt.Errorf("noc: trace event %d at cycle %d: cycles must be non-negative and non-decreasing",
+				i, ev.Cycle)
+		}
+	}
 	start := net.Cycle()
-	net.SetMeasuring(true)
 	idx := 0
-	for idx < len(events) {
-		rel := net.Cycle() - start
-		for idx < len(events) && events[idx].Cycle == rel {
-			ev := events[idx]
-			if ev.Cycle < 0 {
-				return TraceResult{}, fmt.Errorf("noc: negative trace cycle")
-			}
-			net.EnqueueClass(ev.Src, ev.Dst, ev.Class)
-			idx++
+	enqueue := func() error {
+		for rel := net.Cycle() - start; idx < len(events) && events[idx].Cycle == rel; idx++ {
+			net.EnqueueClass(events[idx].Src, events[idx].Dst, events[idx].Class)
 		}
-		if idx < len(events) && events[idx].Cycle < rel {
-			return TraceResult{}, fmt.Errorf("noc: trace cycles not monotonic at event %d", idx)
-		}
-		net.Step()
+		return nil
 	}
+	// Neither phase can fail: no context, and enqueue never errs. The cycles
+	// were checked above, so every event is enqueued by the step at its
+	// cycle and the injection phase needs no budget of its own.
+	net.SetMeasuring(true)
+	_, _ = net.RunUntil(nil, math.MaxInt, enqueue, func() bool { return idx == len(events) })
 	net.SetMeasuring(false)
-	drained := false
-	for i := 0; i < drainCycles; i++ {
+	drained, _ := net.RunUntil(nil, drainCycles, nil, func() bool {
 		created, ejected := net.MeasuredCounts()
-		if ejected == created {
-			drained = true
-			break
-		}
-		net.Step()
-	}
+		return ejected == created
+	})
 	s := net.Stats()
 	res := TraceResult{
 		Packets: s.MeasuredEjected,

@@ -210,3 +210,65 @@ func TestReplayOnSprintRegion(t *testing.T) {
 		t.Fatalf("replay incomplete: %+v (want %d packets)", res, len(events))
 	}
 }
+
+// TestReplayExactDrainBudget: the drain check runs after every step, so a
+// replay whose last packet ejects on the final permitted drain cycle is
+// drained, and one cycle less is not. One packet 0→15 on a 4×4 DOR mesh
+// needs 39 drain cycles after its injection step.
+func TestReplayExactDrainBudget(t *testing.T) {
+	cfg := DefaultConfig()
+	m := mesh.New(4, 4)
+	events := []TraceEvent{{Cycle: 0, Src: 0, Dst: 15}}
+	for _, c := range []struct {
+		budget  int
+		drained bool
+	}{{39, true}, {38, false}} {
+		net, err := New(cfg, routing.NewDOR(m), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ReplayTrace(net, events, c.budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Drained != c.drained {
+			t.Errorf("drain budget %d: Drained = %v, want %v (%+v)", c.budget, res.Drained, c.drained, res)
+		}
+	}
+}
+
+// TestReplayEmptyTrace: an empty trace has nothing to drain, so even a zero
+// budget reports drained without stepping.
+func TestReplayEmptyTrace(t *testing.T) {
+	net, err := New(DefaultConfig(), routing.NewDOR(mesh.New(4, 4)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ReplayTrace(net, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Drained || res.Cycles != 0 {
+		t.Errorf("empty trace: %+v, want drained at cycle 0", res)
+	}
+}
+
+// TestReplayTraceRejectsBadCycles: a negative or decreasing cycle is refused
+// before the network steps.
+func TestReplayTraceRejectsBadCycles(t *testing.T) {
+	for name, events := range map[string][]TraceEvent{
+		"negative":   {{Cycle: -1, Src: 0, Dst: 1}},
+		"decreasing": {{Cycle: 5, Src: 0, Dst: 1}, {Cycle: 2, Src: 1, Dst: 0}},
+	} {
+		net, err := New(DefaultConfig(), routing.NewDOR(mesh.New(4, 4)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReplayTrace(net, events, 100); err == nil {
+			t.Errorf("%s trace accepted", name)
+		}
+		if net.Cycle() != 0 {
+			t.Errorf("%s trace stepped the network to cycle %d", name, net.Cycle())
+		}
+	}
+}

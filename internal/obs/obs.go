@@ -52,15 +52,18 @@ type ThermalModel struct {
 	TripK, ClearK float64
 }
 
-// Config sizes and parameterizes a Collector.
+// A Collector preallocates room for sampleCap samples and eventCap
+// timeline events; runs beyond either still record, at the cost of a buffer
+// growth.
+const (
+	sampleCap = 1024
+	eventCap  = 64
+)
+
+// Config parameterizes a Collector.
 type Config struct {
 	// Interval is the sampling period in cycles (default 1000).
 	Interval int
-	// SampleCap preallocates sample storage (default 1024 samples); windows
-	// beyond the capacity still record, at the cost of a buffer growth.
-	SampleCap int
-	// EventCap preallocates event-timeline storage (default 64).
-	EventCap int
 	// Power, when non-nil, fills Sample.PowerW.
 	Power *PowerModel
 	// Thermal, when non-nil, fills Sample.TempK and emits trip events.
@@ -71,12 +74,6 @@ func (c Config) withDefaults() Config {
 	if c.Interval == 0 {
 		c.Interval = 1000
 	}
-	if c.SampleCap == 0 {
-		c.SampleCap = 1024
-	}
-	if c.EventCap == 0 {
-		c.EventCap = 64
-	}
 	return c
 }
 
@@ -85,9 +82,6 @@ func (c Config) Validate() error {
 	c = c.withDefaults()
 	if c.Interval < 1 {
 		return fmt.Errorf("obs: sampling interval %d < 1", c.Interval)
-	}
-	if c.SampleCap < 1 || c.EventCap < 1 {
-		return fmt.Errorf("obs: non-positive buffer capacity")
 	}
 	if c.Power != nil {
 		if err := c.Power.Corner.Validate(); err != nil {
@@ -192,9 +186,9 @@ func newCollector(cfg Config, label string, net *noc.Network) *Collector {
 		lastCycle: 0,
 		net:       net,
 		prev:      make([]noc.Events, routers),
-		samples:   make([]Sample, 0, cfg.SampleCap),
-		perRouter: make([]float64, 0, cfg.SampleCap*routers),
-		events:    make([]Event, 0, cfg.EventCap),
+		samples:   make([]Sample, 0, sampleCap),
+		perRouter: make([]float64, 0, sampleCap*routers),
+		events:    make([]Event, 0, eventCap),
 		pw:        cfg.Power,
 		th:        cfg.Thermal,
 	}

@@ -30,8 +30,6 @@ func TestConfigValidate(t *testing.T) {
 		cfg  Config
 	}{
 		{"negative interval", Config{Interval: -5}},
-		{"negative sample cap", Config{SampleCap: -1}},
-		{"negative event cap", Config{EventCap: -1}},
 		{"bad corner", Config{Power: &PowerModel{Corner: power.Corner{VDD: -1, FreqHz: 1e9}}}},
 		{"bad thermal model", Config{Thermal: &ThermalModel{Model: thermal.Lumped{}, SecondsPerCycle: 1e-9}}},
 		{"zero seconds per cycle", Config{Thermal: &ThermalModel{Model: thermal.DefaultLumped()}}},
@@ -217,7 +215,7 @@ func TestAttachMidRunPrimesBaselines(t *testing.T) {
 		net.Step()
 	}
 	// Drain so no source-queued backlog injects during the observed window.
-	if err := net.DrainWithBudget(50000); err != nil {
+	if err := net.DrainWithBudgetCtx(nil, 50000); err != nil {
 		t.Fatal(err)
 	}
 	pre := net.Stats().FlitsInjected

@@ -6,7 +6,6 @@ package sprint
 
 import (
 	"fmt"
-	"sort"
 
 	"nocsprint/internal/mesh"
 )
@@ -43,27 +42,11 @@ func (m Metric) String() string {
 // index. The first element is always the master itself. The returned slice
 // has length m.Nodes().
 func ActivationOrder(m mesh.Mesh, master int, metric Metric) []int {
-	mc := m.Coord(master)
-	order := make([]int, m.Nodes())
-	for i := range order {
-		order[i] = i
-	}
-	dist := func(id int) int {
-		c := m.Coord(id)
-		if metric == Hamming {
-			return c.Hamming(mc)
-		}
-		return c.EuclideanSq(mc)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		da, db := dist(order[a]), dist(order[b])
-		if da != db {
-			return da < db
-		}
-		return order[a] < order[b]
-	})
-	return order
+	return ActivationOrderOver(m, master, metric, allAlive)
 }
+
+// allAlive is the survivor predicate of a fault-free mesh.
+func allAlive(int) bool { return true }
 
 // Region is the set of active nodes during a sprint: the first Level nodes
 // of the activation order. A Region also knows, for every node, whether its
@@ -82,18 +65,11 @@ type Region struct {
 // cores, 1..m.Nodes()) grown from master with the given metric. It panics on
 // an out-of-range level or master; both are configuration-time values.
 func NewRegion(m mesh.Mesh, master, level int, metric Metric) *Region {
-	if master < 0 || master >= m.Nodes() {
-		panic(fmt.Sprintf("sprint: master node %d outside mesh", master))
+	r, err := NewRegionOver(m, master, level, metric, allAlive)
+	if err != nil {
+		panic(err.Error())
 	}
-	if level < 1 || level > m.Nodes() {
-		panic(fmt.Sprintf("sprint: level %d outside [1,%d]", level, m.Nodes()))
-	}
-	order := ActivationOrder(m, master, metric)
-	active := make([]bool, m.Nodes())
-	for _, id := range order[:level] {
-		active[id] = true
-	}
-	return &Region{mesh: m, master: master, metric: metric, level: level, order: order, active: active}
+	return r
 }
 
 // Mesh returns the underlying mesh.

@@ -1,13 +1,6 @@
-// Package stats provides the small set of summary statistics the
-// NoC-sprinting experiments report: means, percentiles, histograms, and
-// geometric means for speedup aggregation.
+// Package stats provides the summary statistic the NoC-sprinting
+// experiments report: the arithmetic mean.
 package stats
-
-import (
-	"fmt"
-	"math"
-	"sort"
-)
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -19,203 +12,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs, or 0 for an empty slice.
-// It panics if any value is non-positive; geometric means of speedups are
-// only meaningful over positive ratios.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("stats: GeoMean of non-positive value %g", x))
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// Variance returns the population variance of xs, or 0 for fewer than two
-// samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the minimum of xs and whether xs was non-empty. The explicit
-// ok result replaces the former ±Inf sentinel for empty input, which is not
-// representable in JSON and leaked encoding errors into report pipelines
-// (encoding/json rejects non-finite floats).
-func Min(xs []float64) (float64, bool) {
-	if len(xs) == 0 {
-		return 0, false
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, true
-}
-
-// Max returns the maximum of xs and whether xs was non-empty; see Min for
-// why empty input reports ok=false instead of a -Inf sentinel.
-func Max(xs []float64) (float64, bool) {
-	if len(xs) == 0 {
-		return 0, false
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, true
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Running accumulates a stream of samples with O(1) memory, tracking count,
-// mean, min, max, and variance (Welford's algorithm). The zero value is
-// ready to use.
-type Running struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Add incorporates one sample.
-func (r *Running) Add(x float64) {
-	if r.n == 0 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	r.n++
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// Count returns the number of samples added.
-func (r *Running) Count() int { return r.n }
-
-// Mean returns the mean of the samples added, or 0 if none.
-func (r *Running) Mean() float64 { return r.mean }
-
-// Min returns the smallest sample added, or 0 if none.
-func (r *Running) Min() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.min
-}
-
-// Max returns the largest sample added, or 0 if none.
-func (r *Running) Max() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.max
-}
-
-// Variance returns the population variance of the samples added.
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// StdDev returns the population standard deviation of the samples added.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Histogram counts integer-valued samples in fixed-width bins starting at 0.
-type Histogram struct {
-	binWidth int
-	bins     []int
-	total    int
-}
-
-// NewHistogram returns a histogram with the given bin width (>= 1).
-func NewHistogram(binWidth int) *Histogram {
-	if binWidth < 1 {
-		panic("stats: histogram bin width must be >= 1")
-	}
-	return &Histogram{binWidth: binWidth}
-}
-
-// Add counts one sample. Negative samples are clamped into the first bin.
-func (h *Histogram) Add(v int) {
-	if v < 0 {
-		v = 0
-	}
-	bin := v / h.binWidth
-	for len(h.bins) <= bin {
-		h.bins = append(h.bins, 0)
-	}
-	h.bins[bin]++
-	h.total++
-}
-
-// Total returns the number of samples added.
-func (h *Histogram) Total() int { return h.total }
-
-// Bins returns a copy of the bin counts.
-func (h *Histogram) Bins() []int { return append([]int(nil), h.bins...) }
-
-// CDF returns the cumulative fraction of samples at or below the upper edge
-// of each bin.
-func (h *Histogram) CDF() []float64 {
-	out := make([]float64, len(h.bins))
-	cum := 0
-	for i, c := range h.bins {
-		cum += c
-		if h.total > 0 {
-			out[i] = float64(cum) / float64(h.total)
-		}
-	}
-	return out
 }

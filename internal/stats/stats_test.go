@@ -1,12 +1,8 @@
 package stats
 
 import (
-	"encoding/json"
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -17,160 +13,5 @@ func TestMean(t *testing.T) {
 	}
 	if !almost(Mean([]float64{1, 2, 3, 4}), 2.5) {
 		t.Error("mean wrong")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if GeoMean(nil) != 0 {
-		t.Error("empty geomean")
-	}
-	if !almost(GeoMean([]float64{1, 4}), 2) {
-		t.Error("geomean wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("non-positive geomean did not panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}
-
-func TestVarianceStdDev(t *testing.T) {
-	if Variance([]float64{5}) != 0 {
-		t.Error("single-sample variance")
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if !almost(Variance(xs), 4) || !almost(StdDev(xs), 2) {
-		t.Errorf("variance %v stddev %v", Variance(xs), StdDev(xs))
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	if v, ok := Min(nil); ok || v != 0 {
-		t.Errorf("empty Min = %v, %v; want 0, false", v, ok)
-	}
-	if v, ok := Max(nil); ok || v != 0 {
-		t.Errorf("empty Max = %v, %v; want 0, false", v, ok)
-	}
-	xs := []float64{3, -1, 7}
-	if v, ok := Min(xs); !ok || v != -1 {
-		t.Errorf("Min = %v, %v", v, ok)
-	}
-	if v, ok := Max(xs); !ok || v != 7 {
-		t.Errorf("Max = %v, %v", v, ok)
-	}
-	// JSON safety: the empty-slice result must encode cleanly, unlike the
-	// former ±Inf sentinels that encoding/json rejects.
-	v, _ := Min(nil)
-	if _, err := json.Marshal(v); err != nil {
-		t.Errorf("empty Min result not JSON-encodable: %v", err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile")
-	}
-	if !almost(Percentile(xs, 0), 1) || !almost(Percentile(xs, 100), 5) {
-		t.Error("extreme percentiles wrong")
-	}
-	if !almost(Percentile(xs, 50), 3) {
-		t.Error("median wrong")
-	}
-	if !almost(Percentile(xs, 25), 2) {
-		t.Error("q1 wrong")
-	}
-	// Does not mutate input.
-	ys := []float64{5, 1, 3}
-	Percentile(ys, 50)
-	if !reflect.DeepEqual(ys, []float64{5, 1, 3}) {
-		t.Error("percentile mutated input")
-	}
-}
-
-func TestRunningMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var r Running
-	var xs []float64
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*3 + 7
-		r.Add(x)
-		xs = append(xs, x)
-	}
-	if r.Count() != 1000 {
-		t.Error("count wrong")
-	}
-	if math.Abs(r.Mean()-Mean(xs)) > 1e-9 {
-		t.Error("running mean differs")
-	}
-	if math.Abs(r.Variance()-Variance(xs)) > 1e-6 {
-		t.Error("running variance differs")
-	}
-	min, _ := Min(xs)
-	max, _ := Max(xs)
-	if r.Min() != min || r.Max() != max {
-		t.Error("running min/max differ")
-	}
-	if math.Abs(r.StdDev()-StdDev(xs)) > 1e-6 {
-		t.Error("running stddev differs")
-	}
-}
-
-func TestRunningEmpty(t *testing.T) {
-	var r Running
-	if r.Mean() != 0 || r.Min() != 0 || r.Max() != 0 || r.Variance() != 0 {
-		t.Error("zero-value Running should report zeros")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10)
-	for _, v := range []int{0, 5, 9, 10, 25, -3} {
-		h.Add(v)
-	}
-	if h.Total() != 6 {
-		t.Error("total wrong")
-	}
-	bins := h.Bins()
-	if bins[0] != 4 || bins[1] != 1 || bins[2] != 1 {
-		t.Errorf("bins wrong: %v", bins)
-	}
-	cdf := h.CDF()
-	if !almost(cdf[len(cdf)-1], 1) {
-		t.Error("CDF does not end at 1")
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i] < cdf[i-1] {
-			t.Error("CDF not monotone")
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("zero bin width accepted")
-		}
-	}()
-	NewHistogram(0)
-}
-
-func TestPercentileQuickWithinRange(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(2))}
-	prop := func(raw []float64, pRaw float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		for i, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				raw[i] = 0
-			}
-		}
-		p := math.Mod(math.Abs(pRaw), 100)
-		v := Percentile(raw, p)
-		min, _ := Min(raw)
-		max, _ := Max(raw)
-		return v >= min-1e-9 && v <= max+1e-9
-	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Error(err)
 	}
 }

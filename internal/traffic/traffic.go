@@ -1,8 +1,9 @@
 // Package traffic provides the synthetic traffic patterns used to exercise
 // the NoC simulator (uniform random, transpose, bit-complement, hotspot,
-// nearest-neighbour, fixed permutation) plus helpers to map a pattern onto
-// an arbitrary subset of mesh nodes — which is how sprint regions and the
-// paper's "randomly mapped" full-sprinting baseline are driven.
+// nearest-neighbour, fixed permutation), helpers to map a pattern onto an
+// arbitrary subset of mesh nodes — which is how sprint regions and the
+// paper's "randomly mapped" full-sprinting baseline are driven — and the
+// Bernoulli arrival process that offers the load.
 package traffic
 
 import (
@@ -252,6 +253,47 @@ func (s *Set) Index(id int) int {
 		return i
 	}
 	return -1
+}
+
+// Bernoulli is the open-loop arrival process of every synthetic driver:
+// each cycle, every endpoint of a set independently generates a packet with
+// probability rate/packetLength, its destination drawn from a pattern over
+// the set.
+type Bernoulli struct {
+	set     *Set
+	pattern Pattern
+	prob    float64
+	rng     *rand.Rand
+}
+
+// NewBernoulli returns the process offering rate flits/cycle per endpoint of
+// set in packets of packetLength flits, drawing from rng. The pattern must
+// span the set, packetLength must be positive, and rate must lie in
+// [0, packetLength] (at most one packet per endpoint per cycle).
+func NewBernoulli(set *Set, pattern Pattern, rate float64, packetLength int, rng *rand.Rand) (*Bernoulli, error) {
+	if pattern.N() != set.Size() {
+		return nil, fmt.Errorf("traffic: pattern endpoints %d != set size %d", pattern.N(), set.Size())
+	}
+	if packetLength < 1 {
+		return nil, fmt.Errorf("traffic: packet length %d < 1", packetLength)
+	}
+	prob := rate / float64(packetLength)
+	if prob < 0 || prob > 1 {
+		return nil, fmt.Errorf("traffic: injection rate %g outside [0, %d] flits/cycle/node", rate, packetLength)
+	}
+	return &Bernoulli{set: set, pattern: pattern, prob: prob, rng: rng}, nil
+}
+
+// Cycle draws one cycle of arrivals: for each endpoint in set order one
+// rng.Float64 decides whether it generates a packet, and a generating
+// endpoint then draws its destination, so a seed fixes the packet sequence.
+// emit receives each packet's source and destination node ids.
+func (b *Bernoulli) Cycle(emit func(src, dst int)) {
+	for i, src := range b.set.nodes {
+		if b.rng.Float64() < b.prob {
+			emit(src, b.set.nodes[b.pattern.Pick(i, b.rng)])
+		}
+	}
 }
 
 // PickNode draws a destination node id for a packet injected at node src

@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -217,5 +218,35 @@ func TestPatternMetadataAndPanics(t *testing.T) {
 			}()
 			bad()
 		}()
+	}
+}
+
+// TestBernoulliDrawOrder pins the arrival law: per cycle, endpoints in set
+// order each draw one Float64 against rate/packetLength and a generating
+// endpoint then draws its destination, so the packets equal a hand-written
+// loop over the same seed.
+func TestBernoulliDrawOrder(t *testing.T) {
+	s := NewSet([]int{3, 9, 12, 0, 7})
+	h := NewHotspot(5, 2, 0.3)
+	b, err := NewBernoulli(s, h, 0.8, 4, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pkt struct{ src, dst int }
+	var got []pkt
+	for c := 0; c < 500; c++ {
+		b.Cycle(func(src, dst int) { got = append(got, pkt{src, dst}) })
+	}
+	rng := rand.New(rand.NewSource(11))
+	var want []pkt
+	for c := 0; c < 500; c++ {
+		for _, src := range s.Nodes() {
+			if rng.Float64() < 0.8/4 {
+				want = append(want, pkt{src, s.PickNode(h, src, rng)})
+			}
+		}
+	}
+	if len(got) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Bernoulli drew %d packets, hand-written loop %d, or they differ", len(got), len(want))
 	}
 }
