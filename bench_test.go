@@ -222,8 +222,8 @@ func benchFig11Workers(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkFig11SweepSerial pins the sweep to one worker (the legacy
-// serial path).
+// BenchmarkFig11SweepSerial pins the sweep to one worker, so points run
+// one at a time.
 func BenchmarkFig11SweepSerial(b *testing.B) { benchFig11Workers(b, 1) }
 
 // BenchmarkFig11SweepParallel fans the sweep across all cores

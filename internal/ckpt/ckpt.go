@@ -6,7 +6,7 @@
 // journal records round-trip exactly through JSON — produces output
 // bit-identical to an uninterrupted run.
 //
-// The package offers three building blocks:
+// The package offers two building blocks:
 //
 //   - Journal: the append-only record of completed points, one checksummed
 //     line per record, keyed by a canonical hash of the point's
@@ -16,9 +16,9 @@
 //     panics — naming the first bad record's byte offset.
 //   - Snapshots: whole-file atomic JSON writes (temp file → fsync → rename)
 //     with a checksum envelope, for small metadata like a sweep's identity.
-//   - Run: a journal-aware wrapper over runner.MapCtx that skips journaled
-//     points, records fresh ones as they complete, and stops claiming new
-//     points promptly when its context is cancelled.
+//
+// The sweep executor, runner.Run, consults the journal to skip completed
+// points and appends each fresh one as it completes.
 package ckpt
 
 import (

@@ -1,14 +1,11 @@
 package ckpt
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -34,30 +31,6 @@ func TestKeyDeterministicAndDiscriminating(t *testing.T) {
 		if b == a1 {
 			t.Errorf("Key(%+v) collides with Key(%+v)", other, pt{4, 0.15, 7})
 		}
-	}
-}
-
-// TestKeyRejectsUnexportedOnlyStructs guards the classic Go mistake this
-// package's callers must avoid: a point struct with only unexported fields
-// marshals as {}, so every point would share one key. Key can't see the
-// struct definition, but the duplicate-key checks in Run and Journal.Append
-// catch it; this test documents the failure shape.
-func TestKeyRejectsUnexportedOnlyStructs(t *testing.T) {
-	type bad struct{ level, ri int }
-	k1, err := Key(bad{4, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, _ := Key(bad{8, 3})
-	if k1 != k2 {
-		t.Fatal("expected unexported-field structs to collide (this test documents the hazard)")
-	}
-	// And Run refuses such colliding keys up front.
-	_, err = Run(context.Background(), nil, []string{k1, k2}, 1, func(context.Context, int) (int, error) {
-		return 0, nil
-	}, nil)
-	if err == nil || !strings.Contains(err.Error(), "share key") {
-		t.Errorf("Run accepted duplicate keys: %v", err)
 	}
 }
 
@@ -300,124 +273,5 @@ func TestSnapshotRoundTripAndCorruption(t *testing.T) {
 	}
 	if err := ReadSnapshot(path, &got); err == nil {
 		t.Error("non-JSON snapshot accepted")
-	}
-}
-
-func TestRunSkipsJournaledPoints(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j")
-	keys := make([]string, 10)
-	for i := range keys {
-		keys[i], _ = Key(i)
-	}
-	fn := func(_ context.Context, i int) (testResult, error) {
-		return testResult{N: i * i, F: float64(i) / 3, S: fmt.Sprintf("p%d", i)}, nil
-	}
-
-	// First run: journal half the points, then stop via cancellation.
-	j, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	_, err = Run(ctx, j, keys, 1, func(c context.Context, i int) (testResult, error) {
-		if ran.Add(1) == 5 {
-			cancel() // graceful: this point still completes and journals
-		}
-		return fn(c, i)
-	}, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run: err = %v", err)
-	}
-	if j.Len() != 5 {
-		t.Fatalf("journal holds %d points, want 5", j.Len())
-	}
-	j.Close()
-
-	// Resume: only the remaining points run, and the merged output matches a
-	// clean run exactly.
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	var resumed atomic.Int64
-	got, err := Run(context.Background(), re, keys, 4, func(c context.Context, i int) (testResult, error) {
-		resumed.Add(1)
-		return fn(c, i)
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Load() != 5 {
-		t.Errorf("resume recomputed %d points, want 5", resumed.Load())
-	}
-	clean, err := Run(context.Background(), nil, keys, 1, fn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range clean {
-		if got[i] != clean[i] {
-			t.Errorf("point %d: resumed %+v != clean %+v", i, got[i], clean[i])
-		}
-	}
-}
-
-func TestRunErrorDoesNotJournalFailedPoint(t *testing.T) {
-	j, err := Create(filepath.Join(t.TempDir(), "j"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	keys := []string{"a", "b", "c"}
-	_, err = Run(context.Background(), j, keys, 1, func(_ context.Context, i int) (int, error) {
-		if i == 1 {
-			return 0, errors.New("boom")
-		}
-		return i, nil
-	}, nil)
-	if err == nil {
-		t.Fatal("no error")
-	}
-	if _, ok := j.Lookup("b"); ok {
-		t.Error("failed point was journaled")
-	}
-	if _, ok := j.Lookup("a"); !ok {
-		t.Error("completed point before the failure was not journaled")
-	}
-}
-
-func TestRunNilJournal(t *testing.T) {
-	out, err := Run(context.Background(), nil, []string{"x", "y"}, 2, func(_ context.Context, i int) (int, error) {
-		return i * 7, nil
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 0 || out[1] != 7 {
-		t.Errorf("out = %v", out)
-	}
-}
-
-func TestRunRejectsUndecodableJournaledResult(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j")
-	j, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append("k", "a string, not an int"); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	_, err = Run(context.Background(), re, []string{"k"}, 1, func(context.Context, int) (int, error) {
-		return 0, nil
-	}, nil)
-	if err == nil || !strings.Contains(err.Error(), "does not decode") {
-		t.Errorf("err = %v, want decode rejection", err)
 	}
 }

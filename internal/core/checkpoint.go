@@ -8,7 +8,7 @@ import (
 )
 
 // Sweep checkpointing: every parallel sweep driver funnels its points
-// through ckpt.Run with a canonical per-point key, so a sweep handed a
+// through runner.Run with a canonical per-point key, so a sweep handed a
 // NetSimParams.Journal survives interrupts — completed points are fsynced
 // as they finish and skipped on resume — and a resumed sweep's output is
 // bit-identical to an uninterrupted run.
@@ -35,27 +35,7 @@ func pointKey(driver string, cfg, point any, sim NetSimParams) (string, error) {
 	}{driver, cfg, sim.Warmup, sim.Measure, sim.Drain, sim.Seed, point})
 }
 
-// runPoints is the single funnel every sweep driver pushes its points
-// through: journal-aware execution (skip journaled points, fsync fresh
-// ones) over the cancellable worker pool, with the point-level retry
-// policy applied when one is configured. Retry wraps the point function
-// inside the pool worker, so the pool's panic recovery stays outermost — a
-// recovered panic reaches the retry classifier as a runner.PointError (and
-// sane classifiers reject it as permanent), while transient errors are
-// re-attempted without the journal or the pool ever seeing them.
-func runPoints[R any](sim NetSimParams, keys []string, fn func(ctx context.Context, i int) (R, error)) ([]R, error) {
-	if p := sim.Retry; p != nil {
-		inner := fn
-		fn = func(ctx context.Context, i int) (R, error) {
-			return runner.Retry(ctx, *p, func(ctx context.Context) (R, error) {
-				return inner(ctx, i)
-			})
-		}
-	}
-	return ckpt.Run(sim.sweepCtx(), sim.Journal, keys, sim.Workers, fn, sim.Progress)
-}
-
-// sweep runs fn over points through runPoints, keying each point with
+// sweep runs fn over points through sweepKeyed, keying each point with
 // pointKey(driver, cfg, point, sim). The point value is the key's
 // coordinates, so a point type's exported fields and their order are part
 // of the checkpoint format.
@@ -73,5 +53,6 @@ func sweepKeyed[P, R any](sim NetSimParams, points []P, key func(P) (string, err
 			return nil, err
 		}
 	}
-	return runPoints(sim, keys, func(_ context.Context, i int) (R, error) { return fn(points[i]) })
+	return runner.Run(sim.Ctx, sim.Journal, keys, sim.Workers, sim.Retry, sim.Progress,
+		func(_ context.Context, i int) (R, error) { return fn(points[i]) })
 }

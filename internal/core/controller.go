@@ -36,7 +36,7 @@ type ControllerConfig struct {
 	// DtS is the integration step in seconds.
 	DtS float64
 	// ResumeMarginK is the hysteresis below the junction limit required
-	// before sprinting again after a thermal fallback.
+	// before sprinting again after a thermal fallback; it must be positive.
 	ResumeMarginK float64
 }
 
@@ -51,8 +51,8 @@ func (c ControllerConfig) Validate() error {
 	if c.DtS <= 0 {
 		return fmt.Errorf("core: controller step %g not positive", c.DtS)
 	}
-	if c.ResumeMarginK < 0 {
-		return fmt.Errorf("core: negative resume margin")
+	if c.ResumeMarginK <= 0 {
+		return fmt.Errorf("core: resume margin %g K not positive", c.ResumeMarginK)
 	}
 	return nil
 }
@@ -124,6 +124,11 @@ func (c *Controller) RunTrace(bursts []Burst, horizonS float64) (TraceResult, er
 	if err != nil {
 		return TraceResult{}, err
 	}
+	// The thermal governor: the trip forces nominal operation from the
+	// junction limit until the die cools by the resume margin.
+	if err := th.SetHysteresis(lump.MaxK, lump.MaxK-c.cfg.ResumeMarginK); err != nil {
+		return TraceResult{}, err
+	}
 	res := TraceResult{
 		Completions: make([]float64, len(bursts)),
 		PeakK:       lump.AmbientK,
@@ -160,7 +165,6 @@ func (c *Controller) RunTrace(bursts []Burst, horizonS float64) (TraceResult, er
 		remaining = 0.0 // single-core seconds left in the current burst
 		current   = -1  // burst being served
 		next      = 0   // next burst to admit
-		throttled = false
 		dt        = c.cfg.DtS
 	)
 	steps := int(horizonS / dt)
@@ -175,13 +179,7 @@ func (c *Controller) RunTrace(bursts []Burst, horizonS float64) (TraceResult, er
 			next++
 		}
 
-		// Thermal governor with hysteresis.
-		temp := th.TempK()
-		if temp >= lump.MaxK {
-			throttled = true
-		} else if temp <= lump.MaxK-c.cfg.ResumeMarginK {
-			throttled = false
-		}
+		temp, throttled := th.TempK(), th.Tripped()
 
 		// Pick the operating point.
 		level, speedup, powerW := 1, 1.0, nominalPowerW

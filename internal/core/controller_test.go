@@ -46,10 +46,12 @@ func TestControllerConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero step accepted")
 	}
-	bad = DefaultControllerConfig()
-	bad.ResumeMarginK = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative margin accepted")
+	for _, margin := range []float64{-1, 0} {
+		bad = DefaultControllerConfig()
+		bad.ResumeMarginK = margin
+		if err := bad.Validate(); err == nil {
+			t.Errorf("resume margin %g accepted", margin)
+		}
 	}
 	s := newSprinter(t)
 	if _, err := NewController(s, bad); err == nil {

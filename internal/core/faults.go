@@ -132,11 +132,7 @@ func faultMix(total, nodes int) (perm, trans, links int) {
 // fault-free regions carry.
 func (s *Sprinter) cdorValidator() func(*sprint.Region) error {
 	return func(r *sprint.Region) error {
-		alg := routing.NewCDOR(r)
-		if _, err := routing.BuildTable(topo.FromMesh(s.mesh), alg, r.ActiveNodes()); err != nil {
-			return err
-		}
-		g, err := routing.BuildDependencyGraph(topo.FromMesh(s.mesh), alg, r.ActiveNodes())
+		g, err := routing.BuildDependencyGraph(topo.FromMesh(s.mesh), routing.NewCDOR(r), r.ActiveNodes())
 		if err != nil {
 			return err
 		}

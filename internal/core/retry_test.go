@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -37,6 +36,9 @@ func retrySim(attempts int, record *[]string, mu *sync.Mutex) NetSimParams {
 	}
 }
 
+// pointIndexKey keys sweep point i as "k<i>".
+func pointIndexKey(i int) (string, error) { return fmt.Sprintf("k%d", i), nil }
+
 // TestRunPointsRetriesTransientFailures drives the sweep funnel directly: a
 // point that fails transiently twice must still land its (deterministic)
 // result, the retries must be visible through OnRetry, and the journal must
@@ -52,10 +54,9 @@ func TestRunPointsRetriesTransientFailures(t *testing.T) {
 	defer j.Close()
 	sim.Journal = j
 
-	keys := []string{"k0", "k1", "k2", "k3"}
 	var failures atomic.Int32
 	failures.Store(2) // point 2 fails its first two attempts
-	out, err := runPoints(sim, keys, func(_ context.Context, i int) (int, error) {
+	out, err := sweepKeyed(sim, []int{0, 1, 2, 3}, pointIndexKey, func(i int) (int, error) {
 		if i == 2 && failures.Add(-1) >= 0 {
 			return 0, fmt.Errorf("point %d not ready: %w", i, errFlaky)
 		}
@@ -83,7 +84,7 @@ func TestRunPointsPermanentFailureNotRetried(t *testing.T) {
 	var mu sync.Mutex
 	sim := retrySim(5, &events, &mu)
 	var calls atomic.Int32
-	_, err := runPoints(sim, []string{"a", "b"}, func(_ context.Context, i int) (int, error) {
+	_, err := sweepKeyed(sim, []int{0, 1}, pointIndexKey, func(i int) (int, error) {
 		if i == 1 {
 			calls.Add(1)
 			panic("driver bug")
@@ -102,11 +103,11 @@ func TestRunPointsPermanentFailureNotRetried(t *testing.T) {
 	}
 }
 
-// TestRunPointsNoRetryPolicyUnchanged: without a policy the funnel is plain
-// ckpt.Run — a failure surfaces immediately.
+// TestRunPointsNoRetryPolicyUnchanged: without a policy the funnel makes
+// one attempt per point — a failure surfaces immediately.
 func TestRunPointsNoRetryPolicyUnchanged(t *testing.T) {
 	var calls atomic.Int32
-	_, err := runPoints(NetSimParams{Workers: 1}, []string{"a"}, func(context.Context, int) (int, error) {
+	_, err := sweepKeyed(NetSimParams{Workers: 1}, []int{0}, pointIndexKey, func(int) (int, error) {
 		calls.Add(1)
 		return 0, errFlaky
 	})

@@ -16,8 +16,7 @@ import (
 //  1. CDOR produces a path that reaches dst,
 //  2. the path never leaves the active region,
 //  3. the path is loop-free (no node revisited), and
-//  4. the precomputed Table from BuildTable agrees with the hop-by-hop
-//     NextPort decision at every node for every destination.
+//  4. NextPort answers every active (current, destination) pair.
 //
 // This is the exhaustive ground truth the fuzz targets lean on: within these
 // mesh sizes, any CDOR misbehaviour is caught here deterministically.
@@ -37,11 +36,6 @@ func TestCDORPropertyExhaustive(t *testing.T) {
 					region := sprint.NewRegion(m, 0, level, metric)
 					alg := NewCDOR(region)
 					active := region.ActiveNodes()
-
-					table, err := BuildTable(topo.FromMesh(m), alg, active)
-					if err != nil {
-						t.Fatalf("level %d: BuildTable: %v", level, err)
-					}
 
 					for _, src := range active {
 						for _, dst := range active {
@@ -65,21 +59,10 @@ func TestCDORPropertyExhaustive(t *testing.T) {
 						}
 					}
 
-					// The table must reproduce the hop-by-hop decision exactly:
-					// routers using precomputed tables behave identically to
-					// routers computing CDOR on the fly.
 					for _, cur := range active {
 						for _, dst := range active {
-							want, err := alg.NextPort(cur, dst)
-							if err != nil {
+							if _, err := alg.NextPort(cur, dst); err != nil {
 								t.Fatalf("level %d: NextPort(%d,%d): %v", level, cur, dst, err)
-							}
-							got, err := table.NextPort(cur, dst)
-							if err != nil {
-								t.Fatalf("level %d: Table.NextPort(%d,%d): %v", level, cur, dst, err)
-							}
-							if got != want {
-								t.Fatalf("level %d: Table.NextPort(%d,%d) = %v, CDOR says %v", level, cur, dst, got, want)
 							}
 						}
 					}

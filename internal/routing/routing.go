@@ -182,69 +182,5 @@ func Path(t topo.Topology, alg Algorithm, src, dst int) ([]int, error) {
 	return path, nil
 }
 
-// Table is a precomputed routing table: output port per (current, dest)
-// pair. The NoC simulator uses it on the hot path instead of recomputing
-// routes per flit; building it also validates every pair terminates.
-type Table struct {
-	t     topo.Topology
-	name  string
-	nodes []int // routable node ids
-	port  []int
-	ok    []bool
-}
-
-// BuildTable precomputes alg over all pairs of nodes in routable (or all
-// nodes of t if routable is nil). Pairs that alg cannot route are marked
-// unreachable rather than failing the build, but every routable pair is
-// verified to terminate.
-func BuildTable(tp topo.Topology, alg Algorithm, routable []int) (*Table, error) {
-	if routable == nil {
-		routable = topo.AllNodes(tp.Nodes())
-	}
-	n := tp.Nodes()
-	t := &Table{
-		t:     tp,
-		name:  alg.Name(),
-		nodes: append([]int(nil), routable...),
-		port:  make([]int, n*n),
-		ok:    make([]bool, n*n),
-	}
-	for _, src := range routable {
-		for _, dst := range routable {
-			if _, err := Path(tp, alg, src, dst); err != nil {
-				return nil, fmt.Errorf("routing: table build %s pair %d->%d: %w", alg.Name(), src, dst, err)
-			}
-		}
-	}
-	// Paths verified; record the per-hop decision for every (cur,dst).
-	for _, cur := range routable {
-		for _, dst := range routable {
-			d, err := alg.NextPort(cur, dst)
-			if err != nil {
-				continue
-			}
-			t.port[cur*n+dst] = d
-			t.ok[cur*n+dst] = true
-		}
-	}
-	return t, nil
-}
-
-// Name returns the name of the algorithm the table was built from.
-func (t *Table) Name() string { return t.name }
-
-// Nodes returns the routable node ids the table covers.
-func (t *Table) Nodes() []int { return append([]int(nil), t.nodes...) }
-
-// NextPort implements Algorithm using the precomputed table.
-func (t *Table) NextPort(cur, dst int) (int, error) {
-	idx := cur*t.t.Nodes() + dst
-	if !t.ok[idx] {
-		return topo.Local, fmt.Errorf("routing: table %s has no route %d->%d", t.name, cur, dst)
-	}
-	return t.port[idx], nil
-}
-
-var _ Algorithm = (*Table)(nil)
 var _ Algorithm = (*DOR)(nil)
 var _ Algorithm = (*CDOR)(nil)

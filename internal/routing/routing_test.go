@@ -212,44 +212,6 @@ func TestCDORFullLevelMatchesDOR(t *testing.T) {
 	}
 }
 
-func TestBuildTable(t *testing.T) {
-	m := mesh.New(4, 4)
-	r := sprint.NewRegion(m, 0, 8, sprint.Euclidean)
-	table, err := BuildTable(topo.FromMesh(m), NewCDOR(r), r.ActiveNodes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Table decisions must match the live algorithm.
-	alg := NewCDOR(r)
-	for _, src := range r.ActiveNodes() {
-		for _, dst := range r.ActiveNodes() {
-			want, _ := alg.NextPort(src, dst)
-			got, err := table.NextPort(src, dst)
-			if err != nil || got != want {
-				t.Fatalf("table %d->%d = %v,%v want %v", src, dst, got, err, want)
-			}
-		}
-	}
-	// Dark pairs are unreachable.
-	if _, err := table.NextPort(15, 0); err == nil {
-		t.Error("table should not route from dark node")
-	}
-	if len(table.Nodes()) != 8 || table.Name() == "" {
-		t.Error("table metadata wrong")
-	}
-}
-
-func TestBuildTableFullMesh(t *testing.T) {
-	m := mesh.New(4, 4)
-	table, err := BuildTable(topo.FromMesh(m), NewDOR(m), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Nodes()) != 16 {
-		t.Error("full-mesh table should cover 16 nodes")
-	}
-}
-
 func TestTurnString(t *testing.T) {
 	if (Turn{mesh.North, mesh.East}).String() != "NE" {
 		t.Error("turn string wrong")

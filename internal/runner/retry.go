@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -104,7 +105,9 @@ func Retry[R any](ctx context.Context, p RetryPolicy, fn func(context.Context) (
 		}
 		delay := p.Backoff(attempt)
 		if delay > 0 {
-			delay = time.Duration(rng.Int63n(int64(delay) + 1)) // full jitter: uniform in [0, delay]
+			// Full jitter: uniform in [0, delay]. A saturated backoff of
+			// MaxInt64 would overflow the +1, so it draws from [0, MaxInt64-1].
+			delay = time.Duration(rng.Int63n(min(int64(delay), math.MaxInt64-1) + 1))
 		}
 		if p.OnRetry != nil {
 			p.OnRetry(attempt, delay, err)

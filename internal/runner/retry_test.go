@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -176,6 +177,24 @@ func TestRetryCancellationInterruptsBackoffImmediately(t *testing.T) {
 	}
 	if !errors.Is(err, boom) {
 		t.Errorf("error %v lost the attempt's failure", err)
+	}
+}
+
+// TestRetrySaturatedBackoff: a backoff saturated at MaxInt64 (no MaxDelay
+// cap) still draws its jitter instead of panicking, and the retry then
+// sleeps until the context is cancelled.
+func TestRetrySaturatedBackoff(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := RetryPolicy{
+		MaxAttempts: 2,
+		BaseDelay:   math.MaxInt64,
+		Transient:   func(error) bool { return true },
+		OnRetry:     func(int, time.Duration, error) { cancel() },
+	}
+	_, err := Retry(ctx, p, func(context.Context) (int, error) { return 0, errors.New("flaky") })
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("error %v does not match context.Canceled", err)
 	}
 }
 

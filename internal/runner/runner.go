@@ -1,31 +1,36 @@
-// Package runner provides the parallel experiment runner: a generic,
-// order-preserving worker pool that fans independent simulation points
-// across goroutines. Every sweep-shaped driver in internal/core is a pure
-// function of (configuration, seed) per point, so the pool guarantees
-// results identical to a serial run at any worker count — parallelism
-// changes wall-clock time, never output.
+// Package runner is the sweep executor: it runs a sweep's independent
+// points across a worker pool, decodes the points a checkpoint journal
+// already holds instead of recomputing them, journals each fresh result as
+// it completes, and isolates every point behind retry and panic recovery.
+// Every sweep-shaped driver in internal/core is a pure function of
+// (configuration, seed) per point, so results are identical to a serial
+// run at any worker count — parallelism changes wall-clock time, never
+// output.
 package runner
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+
+	"nocsprint/internal/ckpt"
 )
 
-// PointError reports a sweep point whose function panicked. The worker pool
-// converts the panic into this error instead of letting it unwind the
-// worker goroutine (which would kill the whole process and discard every
-// sibling worker's completed results). Value is the recovered panic value
-// and Stack the panicking goroutine's stack at recovery time.
+// PointError reports a sweep point whose function panicked. Run converts
+// the panic into this error instead of letting it unwind the worker
+// goroutine (which would kill the whole process and discard every sibling
+// worker's completed results). Value is the recovered panic value and
+// Stack the panicking goroutine's stack at recovery time.
 //
 // A panic is a programming error in the point function, not a transient
 // condition, so retry classifiers should treat a PointError as permanent.
 type PointError struct {
-	Index int    // index of the point whose fn panicked
+	Index int    // sweep index of the point whose fn panicked
 	Value any    // value recovered from the panic
 	Stack []byte // stack trace captured at recovery
 }
@@ -34,20 +39,8 @@ func (e *PointError) Error() string {
 	return fmt.Sprintf("point %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
 }
 
-// safeCall runs fn for point i, converting a panic into a *PointError so a
-// single bad point cannot unwind a pool worker.
-func safeCall[P, R any](ctx context.Context, fn func(context.Context, P) (R, error), i int, p P) (r R, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PointError{Index: i, Value: v, Stack: debug.Stack()}
-		}
-	}()
-	return fn(ctx, p)
-}
-
 // Workers resolves a worker-count knob: n <= 0 selects GOMAXPROCS (use all
-// cores), any positive n is taken literally. 1 means legacy serial
-// execution on the calling goroutine.
+// cores), any positive n is taken literally.
 func Workers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -55,95 +48,100 @@ func Workers(n int) int {
 	return n
 }
 
-// MapCtx applies fn to every point and returns the results in input order
-// (out[i] = fn(ctx, points[i])) together with a per-index completion mask.
-// Work is fanned across Workers(workers) goroutines; workers == 1 runs
-// serially on the calling goroutine with no goroutine or channel overhead.
+// Run executes one sweep and returns its results in point order. keys[i]
+// is the canonical journal key of point i (see ckpt.Key) and fn(ctx, i)
+// computes point i; fn must be safe to call from several goroutines at
+// once. Duplicate keys are rejected up front: they mean a key misses a
+// result-determining parameter.
 //
-// fn must be safe to call concurrently from multiple goroutines when
-// workers != 1; in the experiment layer that means each point constructs
-// its own network, traffic set, and RNG, and only reads shared
-// configuration.
+// Points whose key j already holds are decoded instead of recomputed (a
+// record that does not decode is an error); the rest are claimed in index
+// order by Workers(workers) goroutines, and each result is appended (and
+// fsynced) to j the moment its point completes, so an interrupt or crash
+// loses only in-flight work. A nil j journals nothing. Decoded results
+// equal fresh ones as long as R's JSON encoding round-trips, so a resumed
+// sweep is indistinguishable from an uninterrupted one.
 //
-// Cancellation: workers check ctx after claiming an index and before
-// running it, so cancelling ctx stops new points from starting promptly
-// while points already in flight run to completion (an interrupted sweep
-// keeps every finished result — see internal/ckpt). The returned error then
-// satisfies errors.Is(err, ctx.Err()).
+// Each point runs fn under retry (nil retries nothing) inside panic
+// recovery, and its journal append runs inside the recovery but outside
+// the retry: a panic becomes a *PointError and is never retried, and a
+// failed append, which may leave a torn record, fails the sweep.
 //
-// Failure: the first error stops further points from being claimed, but —
-// as with cancellation — points already running finish, and every error
-// observed is reported, joined in index order (lowest-indexed first, so the
-// combined error is deterministic for a deterministic fn), each wrapped
-// with its point index. out and done still describe the points that did
-// complete: partial progress is returned, never discarded.
+// The first failure stops new claims, and so does cancelling ctx (nil
+// never cancels); points already running finish and are journaled. Every
+// error observed is returned, joined in point order, each naming its
+// point's sweep index, and a cancel that leaves points unrun adds one
+// satisfying errors.Is(err, ctx.Err()). Results are returned only on
+// success.
 //
-// Panics: a panicking fn does not crash the pool. The panic is recovered
-// inside the worker and reported as a *PointError (point index, recovered
-// value, stack) with the same partial-progress semantics as any other point
-// failure — sibling points already in flight finish and keep their results.
-func MapCtx[P, R any](ctx context.Context, points []P, workers int, fn func(context.Context, P) (R, error)) ([]R, []bool, error) {
+// progress, when non-nil, is called once with the journaled count and then
+// once per computed point; calls never overlap, done strictly increases
+// and total is len(keys).
+func Run[R any](ctx context.Context, j *ckpt.Journal, keys []string, workers int, retry *RetryPolicy,
+	progress func(done, total int), fn func(ctx context.Context, i int) (R, error)) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make([]R, len(points))
-	done := make([]bool, len(points))
-	if len(points) == 0 {
-		return out, done, nil
-	}
-	w := Workers(workers)
-	if w > len(points) {
-		w = len(points)
-	}
-	errs := make([]error, len(points))
-	if w == 1 {
-		for i, p := range points {
-			if ctx.Err() != nil {
-				break
-			}
-			r, err := safeCall(ctx, fn, i, p)
-			if err != nil {
-				errs[i] = err
-				break
-			}
-			out[i] = r
-			done[i] = true
+	out := make([]R, len(keys))
+	seen := make(map[string]int, len(keys))
+	todo := make([]int, 0, len(keys))
+	for i, key := range keys {
+		if prev, dup := seen[key]; dup {
+			return nil, fmt.Errorf("runner: points %d and %d share key %s (point key must include every result-determining parameter)", prev, i, key)
 		}
-	} else {
-		var (
-			next   atomic.Int64 // next unclaimed point index
-			failed atomic.Bool  // stops claiming new points after an error
-			wg     sync.WaitGroup
-		)
-		for g := 0; g < w; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(points) {
-						return
-					}
-					// A claim is only a counter bump: re-check failure and
-					// cancellation before committing any work to the claimed
-					// point, so at most the points already in flight run on
-					// after a failure or cancel.
-					if failed.Load() || ctx.Err() != nil {
-						return
-					}
-					r, err := safeCall(ctx, fn, i, points[i])
-					if err != nil {
-						errs[i] = err
-						failed.Store(true)
-						continue
-					}
-					out[i] = r
-					done[i] = true
+		seen[key] = i
+		if j != nil {
+			if raw, ok := j.Lookup(key); ok {
+				if err := json.Unmarshal(raw, &out[i]); err != nil {
+					return nil, fmt.Errorf("runner: journaled result for point %d (key %s) does not decode: %w", i, key, err)
 				}
-			}()
+				continue
+			}
 		}
-		wg.Wait()
+		todo = append(todo, i)
 	}
+	done := len(keys) - len(todo)
+	if progress != nil {
+		progress(done, len(keys))
+	}
+
+	var (
+		errs   = make([]error, len(keys))
+		next   atomic.Int64 // next unclaimed position in todo
+		failed atomic.Bool  // stops claims after an error
+		mu     sync.Mutex   // guards done; held across progress so calls never overlap
+		wg     sync.WaitGroup
+	)
+	for w := min(Workers(workers), len(todo)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				// A claim is only a counter bump: re-check failure and
+				// cancellation before committing any work to it, so only
+				// the points already in flight run on after either.
+				if k >= len(todo) || failed.Load() || ctx.Err() != nil {
+					return
+				}
+				i := todo[k]
+				r, err := runPoint(ctx, j, keys[i], retry, i, fn)
+				if err != nil {
+					errs[i] = err
+					failed.Store(true)
+					continue
+				}
+				out[i] = r
+				mu.Lock()
+				done++
+				if progress != nil {
+					progress(done, len(keys))
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
 
 	var joined []error
 	for i, err := range errs {
@@ -151,22 +149,33 @@ func MapCtx[P, R any](ctx context.Context, points []P, workers int, fn func(cont
 			joined = append(joined, fmt.Errorf("runner: point %d: %w", i, err))
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		complete := true
-		for _, d := range done {
-			if !d {
-				complete = false
-				break
-			}
-		}
-		// A cancel that landed after the last point completed changes
-		// nothing and is not an error.
-		if !complete {
-			joined = append(joined, fmt.Errorf("runner: sweep cancelled: %w", err))
-		}
+	// A cancel that landed after the last point completed changes nothing
+	// and is not an error.
+	if err := ctx.Err(); err != nil && done < len(keys) {
+		joined = append(joined, fmt.Errorf("runner: sweep cancelled: %w", err))
 	}
 	if len(joined) > 0 {
-		return out, done, errors.Join(joined...)
+		return nil, errors.Join(joined...)
 	}
-	return out, done, nil
+	return out, nil
+}
+
+// runPoint computes point i under retry inside panic recovery, then
+// journals the result under key, still inside the recovery.
+func runPoint[R any](ctx context.Context, j *ckpt.Journal, key string, retry *RetryPolicy, i int,
+	fn func(context.Context, int) (R, error)) (r R, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PointError{Index: i, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	if retry != nil {
+		r, err = Retry(ctx, *retry, func(ctx context.Context) (R, error) { return fn(ctx, i) })
+	} else {
+		r, err = fn(ctx, i)
+	}
+	if err == nil && j != nil {
+		err = j.Append(key, r)
+	}
+	return r, err
 }

@@ -33,8 +33,11 @@ func MarkTransient(err error) error {
 //   - errors marked with ErrTransient are retried (fault-injection tests
 //     and callers with domain knowledge use this);
 //   - resource-exhaustion syscall errors (EAGAIN, EINTR, ENOMEM, EMFILE,
-//     ENFILE, ENOSPC on a journal fsync) are retried — they are the one
-//     class a busy host genuinely clears on its own;
+//     ENFILE, ENOSPC) from a point's own work are retried — they are the
+//     one class a busy host genuinely clears on its own. A failed journal
+//     append never reaches this classifier: runner.Run appends outside the
+//     retry and fails the sweep, since the write may have left a torn
+//     record;
 //   - errors implementing Temporary() bool (net.Error and friends) are
 //     classified by their own answer.
 //

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"nocsprint/internal/ckpt"
 	"nocsprint/internal/core"
 	"nocsprint/internal/runner"
 )
@@ -328,8 +327,8 @@ func TestDeadlineFailsJob(t *testing.T) {
 }
 
 // TestPanicIsolation: an injected panicking point becomes a PointError in
-// the job record; sibling points keep their results and the daemon serves
-// the next job untouched.
+// the job record; sibling points are journaled and the daemon serves the
+// next job untouched.
 func TestPanicIsolation(t *testing.T) {
 	var siblingDone atomic.Int32
 	srv, err := New(Config{
@@ -340,18 +339,20 @@ func TestPanicIsolation(t *testing.T) {
 				// claimed, so the panic cannot race the pool's claim-then-check
 				// cancellation out of running them.
 				claimed := make(chan struct{}, 3)
-				out, done, err := runner.MapCtx(sim.Ctx, []int{0, 1, 2, 3}, 4, func(_ context.Context, p int) (int, error) {
-					if p == 2 {
-						for i := 0; i < 3; i++ {
+				keys := []string{"p0", "p1", "p2", "p3"}
+				out, err := runner.Run(sim.Ctx, sim.Journal, keys, 4, sim.Retry, nil, func(_ context.Context, i int) (int, error) {
+					if i == 2 {
+						for k := 0; k < 3; k++ {
 							<-claimed
 						}
 						panic("injected point panic")
 					}
 					claimed <- struct{}{}
-					return p, nil
+					return i, nil
 				})
-				for i, ok := range done {
-					if ok && out[i] == i {
+				for i, key := range keys {
+					var r int
+					if raw, ok := sim.Journal.Lookup(key); ok && json.Unmarshal(raw, &r) == nil && r == i {
 						siblingDone.Add(1)
 					}
 				}
@@ -406,7 +407,7 @@ func TestRetryVisibleInJobRecord(t *testing.T) {
 			}
 			c := counters[key]
 			mu.Unlock()
-			// Apply the threaded policy the way core.runPoints does for real
+			// Apply the threaded policy the way runner.Run does for real
 			// sweep points.
 			return runner.Retry(sim.Ctx, *sim.Retry, func(context.Context) (any, error) {
 				if c.Add(1) <= 2 {
@@ -449,8 +450,8 @@ func TestRetryVisibleInJobRecord(t *testing.T) {
 	}
 }
 
-// journalStub mimics a sweep driver: it funnels points through ckpt.Run so
-// completed points are journaled and a restarted job resumes.
+// journalStub mimics a sweep driver: it funnels points through runner.Run
+// so completed points are journaled and a restarted job resumes.
 type journalStub struct {
 	mu      sync.Mutex
 	execs   map[int]int
@@ -468,7 +469,7 @@ func (d *journalStub) run(spec JobSpec, sim core.NetSimParams) (any, error) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("pt-%02d", i)
 	}
-	out, err := ckpt.Run(sim.Ctx, sim.Journal, keys, 2, func(ctx context.Context, i int) (int, error) {
+	out, err := runner.Run(sim.Ctx, sim.Journal, keys, 2, nil, nil, func(ctx context.Context, i int) (int, error) {
 		d.mu.Lock()
 		d.execs[i]++
 		d.mu.Unlock()
@@ -484,7 +485,7 @@ func (d *journalStub) run(spec JobSpec, sim core.NetSimParams) (any, error) {
 			}
 		}
 		return i*i + int(spec.Seed), nil
-	}, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
