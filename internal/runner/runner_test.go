@@ -92,9 +92,10 @@ func TestRunPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestRunDeterministic asserts the core guarantee: a seeded pseudo-random
-// computation per point yields identical results at any worker count.
-func TestRunDeterministic(t *testing.T) {
+// TestMapDeterministic asserts the core guarantee: a seeded pseudo-random
+// computation per point yields identical results from Run at any worker
+// count.
+func TestMapDeterministic(t *testing.T) {
 	keys := keysN(64)
 	fn := func(_ context.Context, i int) (float64, error) {
 		rng := rand.New(rand.NewSource(int64(i)))
@@ -116,6 +117,29 @@ func TestRunDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("workers=%d: results differ from serial", workers)
 		}
+	}
+}
+
+// TestMapCtxDeterministicAcrossWorkers mirrors the sweep-level determinism
+// tests at the pool level: Run returns identical results, and leaves
+// identical journals, at workers=1 and workers=8.
+func TestMapCtxDeterministicAcrossWorkers(t *testing.T) {
+	keys := keysN(64)
+	run := func(workers int) ([]int, []int, []bool) {
+		j := newJournal(t)
+		out, err := Run(context.Background(), j, keys, workers, nil, nil, func(_ context.Context, i int) (int, error) {
+			return i*i + 7, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, done := journaled(t, j, keys)
+		return out, rec, done
+	}
+	o1, r1, d1 := run(1)
+	o8, r8, d8 := run(8)
+	if !reflect.DeepEqual(o1, o8) || !reflect.DeepEqual(r1, r8) || !reflect.DeepEqual(d1, d8) {
+		t.Errorf("Run differs between workers=1 and workers=8:\nout %v vs %v\njournal %v vs %v\ndone %v vs %v", o1, o8, r1, r8, d1, d8)
 	}
 }
 
@@ -347,10 +371,10 @@ func TestRunReportsAllConcurrentErrors(t *testing.T) {
 	}
 }
 
-// TestRunPanicIsolated is the regression test for panic recovery: one
-// panicking point must surface as a *PointError instead of crashing the
+// TestMapCtxPanicIsolated is the regression test for panic recovery in Run:
+// one panicking point must surface as a *PointError instead of crashing the
 // process, and sibling points already in flight must still be journaled.
-func TestRunPanicIsolated(t *testing.T) {
+func TestMapCtxPanicIsolated(t *testing.T) {
 	const n = 4
 	keys := keysN(n)
 	j := newJournal(t)
@@ -396,22 +420,26 @@ func TestRunPanicIsolated(t *testing.T) {
 			t.Errorf("journaled point %d = %d, want %d", i, out[i], i*10)
 		}
 	}
+}
 
-	// One worker: the panic still becomes an error, the earlier point is
-	// kept, and no point at or after the panic completes.
-	keys = keysN(3)
-	j = newJournal(t)
-	_, err = Run(context.Background(), j, keys, 1, nil, nil, func(_ context.Context, i int) (int, error) {
+// TestMapSerialPanicRecovered covers Run with one worker: the panic must
+// still become an error, the earlier point must be kept, and no point at or
+// after the panic may complete.
+func TestMapSerialPanicRecovered(t *testing.T) {
+	keys := keysN(3)
+	j := newJournal(t)
+	_, err := Run(context.Background(), j, keys, 1, nil, nil, func(_ context.Context, i int) (int, error) {
 		if i == 1 {
 			panic(errors.New("typed panic"))
 		}
 		return i + 100, nil
 	})
+	var pe *PointError
 	if !errors.As(err, &pe) || pe.Index != 1 {
 		t.Fatalf("want *PointError for point 1, got %v", err)
 	}
-	out, done = journaled(t, j, keys)
+	out, done := journaled(t, j, keys)
 	if !reflect.DeepEqual(done, []bool{true, false, false}) || out[0] != 100 {
-		t.Errorf("one worker: journaled %v, point 0 = %d; want only point 0 = 100", done, out[0])
+		t.Errorf("journaled %v, point 0 = %d; want only point 0 = 100", done, out[0])
 	}
 }
