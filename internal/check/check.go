@@ -268,8 +268,7 @@ func (c *Checker) CreditDelivered(n *noc.Network, router, port, vc, credits int)
 // CycleEnd drives the watchdog every cycle and the O(network-size) sweeps
 // every Interval cycles.
 func (c *Checker) CycleEnd(n *noc.Network, cycle int64) {
-	s := n.Stats()
-	progress := s.FlitsInjected + s.FlitsEjected + s.Events.BufferReads + s.Events.BufferWrites
+	progress := n.Progress()
 	if n.InFlight() > 0 && progress == c.lastProgress {
 		c.stalled++
 		if c.stalled >= c.cfg.WatchdogCycles {

@@ -257,7 +257,7 @@ func (a ringAlg) Name() string { return "ring" }
 
 // TestWatchdogCatchesDeadlock builds a guaranteed routing deadlock and
 // expects the watchdog to flag it with a snapshot, instead of the simulator
-// spinning forever.
+// spinning forever, on the cycle its 100-cycle stall count first runs out.
 func TestWatchdogCatchesDeadlock(t *testing.T) {
 	m := mesh.New(2, 2)
 	cfg := noc.Config{
@@ -293,6 +293,9 @@ func TestWatchdogCatchesDeadlock(t *testing.T) {
 	}
 	if got.Kind != check.Watchdog {
 		t.Fatalf("violation kind = %s, want %s", got.Kind, check.Watchdog)
+	}
+	if got.Cycle != 106 {
+		t.Fatalf("watchdog fired at cycle %d, want 106", got.Cycle)
 	}
 	if !strings.Contains(got.Snapshot, "router") {
 		t.Fatalf("snapshot missing per-router state:\n%s", got.Snapshot)

@@ -7,6 +7,8 @@ package floorplan
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"nocsprint/internal/mesh"
 )
@@ -68,17 +70,14 @@ func Thermal(m mesh.Mesh, order []int) (*Plan, error) {
 		p.pos[i] = -1
 		p.inv[i] = -1
 	}
+	k := newKernel(m)
 	placed := make([]int, 0, n) // logical nodes already placed (set S)
-	freeSlot := make([]bool, n) // physical slots still free (set S')
 	enqueued := make([]bool, n) // logical nodes already queued or placed
-	for i := range freeSlot {
-		freeSlot[i] = true
-	}
 
 	place := func(logical, slot int) {
 		p.pos[logical] = slot
 		p.inv[slot] = logical
-		freeSlot[slot] = false
+		k.take(slot)
 		placed = append(placed, logical)
 	}
 
@@ -108,8 +107,7 @@ func Thermal(m mesh.Mesh, order []int) (*Plan, error) {
 	for len(queue) > 0 {
 		rk := queue[0]
 		queue = queue[1:]
-		slot := maxWeightedDistance(m, placed, p.pos, freeSlot, rk)
-		place(rk, slot)
+		place(rk, k.maxWeightedDistance(placed, p.pos, rk))
 		pushNeighbors(rk)
 	}
 	if len(placed) != n {
@@ -119,29 +117,74 @@ func Thermal(m mesh.Mesh, order []int) (*Plan, error) {
 	return p, nil
 }
 
+// kernel holds Algorithm 4's tables for one Thermal call. Logical nodes and
+// physical slots share the mesh's row-major ids, so one coordinate table
+// serves both.
+type kernel struct {
+	coord []mesh.Coord // coord[id]: the coordinate of node or slot id
+	root  []float64    // root[d2] = math.Sqrt(float64(d2)), up to the squared diagonal
+	free  []int        // free physical slots (set S'), ascending
+	freeC []mesh.Coord // freeC[i] = coord[free[i]]
+	sums  []float64    // sums[i]: the objective of slot free[i], rebuilt each step
+}
+
+// newKernel builds m's tables with every slot free.
+func newKernel(m mesh.Mesh) *kernel {
+	n, w, h := m.Nodes(), m.Width(), m.Height()
+	k := &kernel{
+		coord: make([]mesh.Coord, n),
+		root:  make([]float64, (w-1)*(w-1)+(h-1)*(h-1)+1),
+		free:  make([]int, n),
+		sums:  make([]float64, n),
+	}
+	for id := range n {
+		k.coord[id], k.free[id] = m.Coord(id), id
+	}
+	k.freeC = slices.Clone(k.coord)
+	for d2 := range k.root {
+		k.root[d2] = math.Sqrt(float64(d2))
+	}
+	return k
+}
+
+// take removes slot from the free list, keeping it ascending.
+func (k *kernel) take(slot int) {
+	i, _ := slices.BinarySearch(k.free, slot)
+	k.free = slices.Delete(k.free, i, i+1)
+	k.freeC = slices.Delete(k.freeC, i, i+1)
+}
+
 // maxWeightedDistance is Algorithm 4: among free physical slots, return the
 // one maximising Σ_j w_kj · d(slot, Pos(Rj)) over placed logical nodes Rj,
 // with w_kj = 1 / HammingLogical(Rk, Rj) and d the physical Euclidean
 // distance. Ties break toward the lowest slot index for determinism.
-func maxWeightedDistance(m mesh.Mesh, placed []int, pos []int, freeSlot []bool, rk int) int {
-	best, bestSum := -1, -1.0
-	ck := m.Coord(rk)
-	for slot := 0; slot < m.Nodes(); slot++ {
-		if !freeSlot[slot] {
-			continue
-		}
-		cs := m.Coord(slot)
-		sum := 0.0
-		for _, rj := range placed {
-			w := 1.0 / float64(ck.Hamming(m.Coord(rj)))
-			d := cs.Euclidean(m.Coord(pos[rj]))
-			sum += w * d
-		}
-		if sum > bestSum {
-			bestSum, best = sum, slot
+//
+// A step costs |placed|·|free| multiply-adds, so a whole plan costs about
+// n³/6. Each slot's sum adds the same w·d products to 0.0 in the same order,
+// the order of placed, as a loop over slots with a loop over placed inside
+// it would, so the result is that loop's bit for bit. The loops are swapped
+// so that each placed node's weight and position are computed once per
+// step and the free slots' independent sums accumulate side by side.
+func (k *kernel) maxWeightedDistance(placed []int, pos []int, rk int) int {
+	freeC, root := k.freeC, k.root
+	sums := k.sums[:len(freeC)]
+	clear(sums)
+	ck := k.coord[rk]
+	for _, rj := range placed {
+		w := 1.0 / float64(ck.Hamming(k.coord[rj]))
+		pc := k.coord[pos[rj]]
+		for i, c := range freeC {
+			d := root[c.EuclideanSq(pc)]
+			sums[i] += w * d
 		}
 	}
-	return best
+	best, bestSum := -1, -1.0
+	for i, sum := range sums {
+		if sum > bestSum {
+			bestSum, best = sum, i
+		}
+	}
+	return k.free[best]
 }
 
 // Mesh returns the mesh the plan covers.

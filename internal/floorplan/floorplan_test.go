@@ -1,8 +1,10 @@
 package floorplan
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -163,5 +165,152 @@ func TestThermalQuickRandomMeshes(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceThermal is Thermal with Algorithm 4 written as the literal loop
+// over free slots, recomputing every weight and distance from mesh
+// coordinates. It is the oracle the kernel must match bit for bit and the
+// baseline BenchmarkThermal times it against. order must be a valid
+// activation list.
+func referenceThermal(m mesh.Mesh, order []int) *Plan {
+	n := m.Nodes()
+	master := order[0]
+	rank := make([]int, n)
+	for i, id := range order {
+		rank[id] = i
+	}
+
+	p := &Plan{m: m, pos: make([]int, n), inv: make([]int, n)}
+	for i := range p.pos {
+		p.pos[i] = -1
+		p.inv[i] = -1
+	}
+	placed := make([]int, 0, n) // logical nodes already placed (set S)
+	freeSlot := make([]bool, n) // physical slots still free (set S')
+	enqueued := make([]bool, n) // logical nodes already queued or placed
+	for i := range freeSlot {
+		freeSlot[i] = true
+	}
+
+	place := func(logical, slot int) {
+		p.pos[logical] = slot
+		p.inv[slot] = logical
+		freeSlot[slot] = false
+		placed = append(placed, logical)
+	}
+
+	place(master, master)
+	enqueued[master] = true
+
+	queue := make([]int, 0, n)
+	pushNeighbors := func(id int) {
+		neigh := make([]int, 0, 4)
+		for _, nb := range m.Neighbors(id) {
+			if !enqueued[nb] {
+				neigh = append(neigh, nb)
+				enqueued[nb] = true
+			}
+		}
+		for i := 1; i < len(neigh); i++ {
+			for j := i; j > 0 && rank[neigh[j]] < rank[neigh[j-1]]; j-- {
+				neigh[j], neigh[j-1] = neigh[j-1], neigh[j]
+			}
+		}
+		queue = append(queue, neigh...)
+	}
+	pushNeighbors(master)
+
+	for len(queue) > 0 {
+		rk := queue[0]
+		queue = queue[1:]
+		slot := referenceMaxWeightedDistance(m, placed, p.pos, freeSlot, rk)
+		place(rk, slot)
+		pushNeighbors(rk)
+	}
+	return p
+}
+
+// referenceMaxWeightedDistance is Algorithm 4 term by term: among free
+// physical slots, the one maximising Σ_j w_kj · d(slot, Pos(Rj)) over placed
+// logical nodes Rj, with w_kj = 1 / HammingLogical(Rk, Rj) and d the
+// physical Euclidean distance; ties break toward the lowest slot index.
+func referenceMaxWeightedDistance(m mesh.Mesh, placed []int, pos []int, freeSlot []bool, rk int) int {
+	best, bestSum := -1, -1.0
+	ck := m.Coord(rk)
+	for slot := 0; slot < m.Nodes(); slot++ {
+		if !freeSlot[slot] {
+			continue
+		}
+		cs := m.Coord(slot)
+		sum := 0.0
+		for _, rj := range placed {
+			w := 1.0 / float64(ck.Hamming(m.Coord(rj)))
+			d := cs.Euclidean(m.Coord(pos[rj]))
+			sum += w * d
+		}
+		if sum > bestSum {
+			bestSum, best = sum, slot
+		}
+	}
+	return best
+}
+
+// matchReference fails t unless Thermal places every node of the w×h mesh
+// exactly where referenceThermal does, for the activation order from master
+// under metric.
+func matchReference(t *testing.T, w, h, master int, metric sprint.Metric) {
+	t.Helper()
+	m := mesh.New(w, h)
+	order := sprint.ActivationOrder(m, master, metric)
+	p, err := Thermal(m, order)
+	if err != nil {
+		t.Fatalf("%dx%d master %d %v: Thermal: %v", w, h, master, metric, err)
+	}
+	if got, want := p.Positions(), referenceThermal(m, order).Positions(); !slices.Equal(got, want) {
+		t.Fatalf("%dx%d master %d %v: Thermal placed %v, reference %v", w, h, master, metric, got, want)
+	}
+}
+
+// TestThermalMatchesReference requires the kernel's plan to equal the
+// reference's bit for bit: on every mesh up to 12×12 with the master in the
+// first, middle and last slot under both activation metrics, and on the
+// 16×16 chip, a wide 32×8 and a lopsided 13×29 mesh with off-corner masters.
+// One reordered addition or a flipped tie-break moves some of these plans.
+func TestThermalMatchesReference(t *testing.T) {
+	type mc struct{ w, h, master int }
+	var cases []mc
+	for w := 1; w <= 12; w++ {
+		for h := 1; h <= 12; h++ {
+			n := w * h
+			cases = append(cases, mc{w, h, 0}, mc{w, h, n / 2}, mc{w, h, n - 1})
+		}
+	}
+	cases = append(cases, mc{16, 16, 0}, mc{16, 16, 119}, mc{32, 8, 77}, mc{13, 29, 200})
+	for _, c := range cases {
+		for _, metric := range []sprint.Metric{sprint.Euclidean, sprint.Hamming} {
+			matchReference(t, c.w, c.h, c.master, metric)
+		}
+	}
+}
+
+// BenchmarkThermal times the kernel and the reference on the 16×16 chip of
+// the dark-silicon workload and on a 32×32 chip.
+func BenchmarkThermal(b *testing.B) {
+	for _, size := range []int{16, 32} {
+		m := mesh.New(size, size)
+		order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
+		b.Run(fmt.Sprintf("kernel/%dx%d", size, size), func(b *testing.B) {
+			for range b.N {
+				if _, err := Thermal(m, order); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("reference/%dx%d", size, size), func(b *testing.B) {
+			for range b.N {
+				referenceThermal(m, order)
+			}
+		})
 	}
 }

@@ -18,9 +18,9 @@ func fuzzMod(v, n int) int {
 
 // FuzzFloorplanRemap exercises the Algorithm 3/4 thermal placement with
 // arbitrary mesh shapes, master nodes, and metrics: the remap must always
-// succeed on a valid activation order, produce a logical↔physical bijection,
-// keep the master pinned to its own slot, and never spread nodes wider than
-// the mesh diagonal allows.
+// succeed on a valid activation order, equal the reference placement slot
+// for slot, produce a logical↔physical bijection, keep the master pinned to
+// its own slot, and never spread nodes wider than the mesh diagonal allows.
 func FuzzFloorplanRemap(f *testing.F) {
 	f.Add(4, 4, 0, 0)
 	f.Add(6, 6, 21, 1)
@@ -38,6 +38,7 @@ func FuzzFloorplanRemap(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%dx%d master %d %v: Thermal: %v", w, h, master, metric, err)
 		}
+		matchReference(t, w, h, master, metric)
 		if !p.IsBijection() {
 			t.Fatalf("%dx%d master %d %v: remap is not a bijection: %v", w, h, master, metric, p.Positions())
 		}

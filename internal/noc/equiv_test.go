@@ -416,3 +416,35 @@ func TestRunCtxCancellation(t *testing.T) {
 		t.Fatalf("ran %d cycles, want 100", net.Cycle())
 	}
 }
+
+// progressProbe fails its test at the end of any cycle where
+// Network.Progress differs from the Stats sum it stands for.
+type progressProbe struct{ t *testing.T }
+
+func (progressProbe) FlitArrived(*noc.Network, int, int, *noc.Packet, noc.FlitType, int) {}
+func (progressProbe) FlitInjected(*noc.Network, int, *noc.Packet, int)                   {}
+func (progressProbe) FlitEjected(*noc.Network, int, *noc.Packet, bool, bool)             {}
+func (progressProbe) CreditDelivered(*noc.Network, int, int, int, int)                   {}
+
+func (p progressProbe) CycleEnd(n *noc.Network, cycle int64) {
+	s := n.Stats()
+	if want := s.FlitsInjected + s.FlitsEjected + s.Events.BufferReads + s.Events.BufferWrites; n.Progress() != want {
+		p.t.Fatalf("cycle %d: Progress %d, Stats sum %d", cycle, n.Progress(), want)
+	}
+}
+
+// TestProgressMatchesStats checks the watchdog's O(1) progress count against
+// the per-router Stats sum on every cycle of every equivalence case, on both
+// steppers.
+func TestProgressMatchesStats(t *testing.T) {
+	for _, c := range equivCases {
+		for _, reference := range []bool{false, true} {
+			net, nodes, region := buildEquiv(t, c, reference)
+			net.SetProbe(equivChecker(net, region), progressProbe{t})
+			driveEquiv(t, net, c, nodes)
+			if net.Progress() == 0 {
+				t.Fatalf("%s: no flit moved", c.name)
+			}
+		}
+	}
+}

@@ -16,7 +16,9 @@ import (
 // flight on the link, and the credits in flight back upstream always sum to
 // the buffer depth.
 func (n *Network) CheckInvariants() error {
-	depth := n.cfg.BufferDepth
+	depth, nVC := n.cfg.BufferDepth, n.cfg.VCs
+	var buf [maxSlots]int // NewTopo caps ports x VCs at maxSlots
+	held := buf[:n.P*nVC]
 	for id, r := range n.routers {
 		// Buffer bounds, VC windows, VC state consistency, and request sets
 		// in step with the VC states.
@@ -63,37 +65,55 @@ func (n *Network) CheckInvariants() error {
 		if !r.active {
 			continue
 		}
-		// Credit conservation per output (port, vc).
+		// Credit conservation per output (port, vc), then at the NI. One
+		// pass over each credit source fills held[p*VCs+vc]; the
+		// comparisons then run in (port, vc) order. A credit or flit naming
+		// a (port, vc) outside the table counts toward no link, so a corrupt
+		// one is reported as a leak rather than a panic.
+		clear(held)
 		for p := 1; p < n.P; p++ { // skip Local: uncredited
 			dst := r.downstream[p]
 			if dst < 0 {
 				continue
 			}
 			inDir := n.opp[p]
-			for vc := 0; vc < n.cfg.VCs; vc++ {
-				sum := r.out[p*n.cfg.VCs+vc].credits + n.routers[dst].in[inDir*n.cfg.VCs+vc].n +
-					n.inFlight(dst, inDir, vc)
-				for _, ev := range n.credbox[id] {
-					if ev.port == p && ev.vc == vc {
-						sum++
-					}
-				}
-				if sum != depth {
+			for vc := 0; vc < nVC; vc++ {
+				held[p*nVC+vc] = r.out[p*nVC+vc].credits + n.routers[dst].in[inDir*nVC+vc].n
+			}
+			n.countInFlight(held[p*nVC:(p+1)*nVC], dst, inDir)
+		}
+		for _, ev := range n.credbox[id] {
+			if ev.port > 0 && ev.port < n.P && ev.vc >= 0 && ev.vc < nVC {
+				held[ev.port*nVC+ev.vc]++
+			}
+		}
+		for p := 1; p < n.P; p++ {
+			dst := r.downstream[p]
+			if dst < 0 {
+				continue
+			}
+			for vc := 0; vc < nVC; vc++ {
+				if sum := held[p*nVC+vc]; sum != depth {
 					return fmt.Errorf("noc: credit leak on link %d->%d vc %d: sum %d != depth %d",
 						id, dst, vc, sum, depth)
 				}
 			}
 		}
-		// NI-side credits toward the Local input port.
+		// NI-side credits toward the Local input port, in Local's row of
+		// held, which the link check leaves unread.
 		nic := n.nis[id]
 		if nic.active {
-			for vc := 0; vc < n.cfg.VCs; vc++ {
-				sum := nic.credits[vc] + r.in[topo.Local*n.cfg.VCs+vc].n + n.inFlight(id, topo.Local, vc)
-				for _, ev := range n.nicredbox[id] {
-					if ev.vc == vc {
-						sum++
-					}
+			local := held[topo.Local*nVC : (topo.Local+1)*nVC]
+			for vc := range local {
+				local[vc] = nic.credits[vc] + r.in[topo.Local*nVC+vc].n
+			}
+			n.countInFlight(local, id, topo.Local)
+			for _, ev := range n.nicredbox[id] {
+				if ev.vc >= 0 && ev.vc < nVC {
+					local[ev.vc]++
 				}
+			}
+			for vc, sum := range local {
 				if sum != depth {
 					return fmt.Errorf("noc: NI credit leak at node %d vc %d: sum %d != depth %d",
 						id, vc, sum, depth)
@@ -111,13 +131,12 @@ func (n *Network) CheckInvariants() error {
 	return nil
 }
 
-// inFlight counts the flits in flight toward router id's input (p, vc).
-func (n *Network) inFlight(id, p, vc int) int {
-	c := 0
+// countInFlight adds the flits in flight toward router id's input port p to
+// held, indexed by VC.
+func (n *Network) countInFlight(held []int, id, p int) {
 	for q, i := &n.inbox[id*n.P+p], 0; i < q.n; i++ {
-		if int(q.at(i).f.vc) == vc {
-			c++
+		if vc := int(q.at(i).f.vc); vc >= 0 && vc < len(held) {
+			held[vc]++
 		}
 	}
-	return c
 }

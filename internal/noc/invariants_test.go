@@ -2,6 +2,7 @@ package noc
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,9 +13,10 @@ import (
 // TestCheckInvariantsCatchesCorruption corrupts, on a running network, each
 // piece of state the copy-free flit path relies on: the due-cycle order of
 // an in-flight queue (deliverFlits pops a due prefix), the inMask bit of a
-// non-empty input queue, and a VC window's place in its packet.
-// CheckInvariants must name each fault, and restoring the state must clear
-// it.
+// non-empty input queue, and a VC window's place in its packet; and the two
+// credit counters the audit balances: a router's credits toward a link and
+// an NI's credits toward its router. CheckInvariants must name each fault,
+// and restoring the state must clear it.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LinkLatency = 3 // several flits in flight per link
@@ -59,6 +61,11 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		}
 	}
 
+	// Router 0's first output with a link behind it, and NI 0.
+	r0 := net.routers[0]
+	linkOut := &r0.out[slices.IndexFunc(r0.downstream, func(d int) bool { return d >= 0 })*cfg.VCs]
+	niCredits := net.nis[0].credits
+
 	for _, c := range []struct {
 		name, want string
 		corrupt    func()
@@ -71,17 +78,21 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		{"push the window past its packet", "outside its packet", func() {
 			window.seq = window.pkt.Length - window.n + 1
 		}},
+		{"lose a link credit", "credit leak on link 0->", func() { linkOut.credits-- }},
+		{"mint an NI credit", "NI credit leak at node 0 vc 0", func() { niCredits[0]++ }},
 	} {
 		saved := struct {
-			a, b   arrival
-			mask   uint64
-			window inputVC
-		}{*queue.at(0), *queue.at(1), masked.inMask, *window}
+			a, b           arrival
+			mask           uint64
+			window         inputVC
+			link, niCredit int
+		}{*queue.at(0), *queue.at(1), masked.inMask, *window, linkOut.credits, niCredits[0]}
 		c.corrupt()
 		if err := net.CheckInvariants(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: CheckInvariants returned %v, want an error naming %q", c.name, err, c.want)
 		}
 		*queue.at(0), *queue.at(1), masked.inMask, *window = saved.a, saved.b, saved.mask, saved.window
+		linkOut.credits, niCredits[0] = saved.link, saved.niCredit
 		if err := net.CheckInvariants(); err != nil {
 			t.Fatalf("%s: restored network still fails: %v", c.name, err)
 		}

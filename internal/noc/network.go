@@ -165,6 +165,10 @@ type Network struct {
 	measuring    bool
 	nextPacketID int64
 	stats        Stats
+	// bufferMoves counts buffer writes and reads network-wide: the sum of
+	// every router's Events.BufferWrites and BufferReads, kept here so
+	// Progress needs no sum over the routers.
+	bufferMoves int64
 	// Runtime power gating (nil when disabled; see gating.go).
 	gatingCfg GatingConfig
 	gating    []gatingState
@@ -428,6 +432,14 @@ func (n *Network) MeasuredCounts() (created, ejected int64) {
 	return n.stats.MeasuredCreated, n.stats.MeasuredEjected
 }
 
+// Progress returns a count that grows whenever a flit moves: flits injected
+// and ejected plus buffer writes and reads, network-wide. It equals Stats'
+// FlitsInjected + FlitsEjected + Events.BufferReads + Events.BufferWrites,
+// but costs O(1), so a watchdog can poll it every cycle.
+func (n *Network) Progress() int64 {
+	return n.stats.FlitsInjected + n.stats.FlitsEjected + n.bufferMoves
+}
+
 // Enqueue creates a packet from src to dst in message class 0 and places
 // it in src's source queue. Both nodes must be active. The packet is
 // returned so callers can inspect its completion times.
@@ -662,6 +674,7 @@ func (n *Network) traverse(now int64, r *router, b, outPort int) {
 	f := v.pop()
 	f.vc = int16(v.outVC)
 	r.events.BufferReads++
+	n.bufferMoves++
 	r.events.XbarTraversals++
 	r.events.SAGrants++
 	r.saPtr[outPort] = (b + 1) % len(r.in)
@@ -894,6 +907,7 @@ func (n *Network) deliverFlits(now int64, ids []int) {
 				v := &r.in[b]
 				v.push(f, n.cfg.BufferDepth)
 				r.events.BufferWrites++
+				n.bufferMoves++
 				if f.typ.IsHead() {
 					v.state = vcRoute
 					r.busyVCs++
