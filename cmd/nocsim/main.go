@@ -52,7 +52,9 @@ func main() {
 
 // run simulates one configuration and writes the report to w. The mesh
 // needs at least 2 nodes, since traffic needs a source and a destination;
-// level must be 0 (the full mesh) or a sprint level in [2, width*height].
+// level must be 0 (the full mesh) or a sprint level in [2, width*height];
+// the warmup and drain windows must be non-negative and the measurement
+// window at least one cycle.
 func run(w io.Writer, width, height, vcs, depth, pktLen, level int, patternName string,
 	rate float64, warmup, measure, drain int, seed int64, vdd, freq float64) error {
 	cfg := noc.DefaultConfig()
@@ -67,6 +69,15 @@ func run(w io.Writer, width, height, vcs, depth, pktLen, level int, patternName 
 	}
 	if level != 0 && (level < 2 || level > n) {
 		return fmt.Errorf("-level %d: must be 0 (full mesh) or in [2,%d]", level, n)
+	}
+	if warmup < 0 {
+		return fmt.Errorf("-warmup %d: must be >= 0", warmup)
+	}
+	if measure < 1 {
+		return fmt.Errorf("-measure %d: must be >= 1", measure)
+	}
+	if drain < 0 {
+		return fmt.Errorf("-drain %d: must be >= 0", drain)
 	}
 	m := mesh.New(width, height)
 

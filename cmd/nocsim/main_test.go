@@ -29,6 +29,31 @@ func TestRunRejectsBadLevels(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadWindows: a negative warmup or drain, or a measurement
+// window under one cycle, is an error naming its flag, not a silent run
+// without warmup or a saturated report.
+func TestRunRejectsBadWindows(t *testing.T) {
+	for _, c := range []struct {
+		flag                   string
+		warmup, measure, drain int
+	}{
+		{"-warmup", -5, 500, 5000},
+		{"-measure", 200, 0, 5000},
+		{"-measure", 200, -3, 5000},
+		{"-drain", 200, 500, -5},
+	} {
+		var out bytes.Buffer
+		err := run(&out, 4, 4, 4, 4, 5, 0, "uniform", 0.1, c.warmup, c.measure, c.drain, 1, 1.0, 2e9)
+		if err == nil {
+			t.Errorf("%s (warmup %d, measure %d, drain %d) accepted:\n%s", c.flag, c.warmup, c.measure, c.drain, out.String())
+			continue
+		}
+		if !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%s: error %q does not name the flag", c.flag, err)
+		}
+	}
+}
+
 // TestRunRejectsOversizeRouters: 13 VCs on 5 ports exceed the router's 64
 // input VCs, which is an error, not a panic.
 func TestRunRejectsOversizeRouters(t *testing.T) {

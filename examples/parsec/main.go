@@ -49,9 +49,10 @@ func main() {
 		spNoC/n, spFull/n)
 
 	// Network behaviour for two contrasting benchmarks: dedup (level 4)
-	// and streamcluster (heaviest traffic in the suite).
+	// and streamcluster (heaviest traffic in the suite), at the default
+	// simulation windows `nocsprint fig9` runs.
 	fmt.Println("\nnetwork evaluation (cycle-accurate simulator):")
-	sim := core.NetSimParams{Warmup: 1000, Measure: 3000, Drain: 30000}
+	var sim core.NetSimParams
 	for _, name := range []string{"dedup", "streamcluster"} {
 		p, err := workload.ByName(name)
 		if err != nil {

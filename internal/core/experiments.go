@@ -10,6 +10,7 @@ import (
 	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/power"
+	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/stats"
 	"nocsprint/internal/thermal"
@@ -20,8 +21,7 @@ import (
 
 // This file contains one driver per table/figure of the paper's evaluation.
 // Each returns a typed result; the experiment registry (registry.go) runs
-// them for every front end and renders them as text, and bench_test.go
-// regenerates them under `go test -bench`.
+// them for every front end and renders them as text.
 
 // Fig2Row is one (voltage, frequency) corner of Figure 2.
 type Fig2Row struct {
@@ -1201,4 +1201,78 @@ func LLCStudy(s *Sprinter, p LLCParams) ([]LLCRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// AblationResult compares the design choices the paper argues for in
+// Sections 3.1-3.2 with their alternatives.
+type AblationResult struct {
+	// EuclideanHops and HammingHops are the mean pairwise hop counts of the
+	// activation prefix from the master under each metric (Algorithm 1),
+	// averaged over sprint levels 2 to the mesh size.
+	EuclideanHops, HammingHops float64
+	// UngatedPowerW and GatedPowerW are dedup's network power in watts at
+	// its NoC-sprinting level with the dark routers left on (fine-grained)
+	// and gated (NoC-sprinting).
+	UngatedPowerW, GatedPowerW float64
+	// DarkTraversalsDOR and DarkTraversalsCDOR count the dark routers that
+	// DOR on the full mesh and CDOR cross, summed over every ordered pair
+	// of a half-chip sprint region's nodes.
+	DarkTraversalsDOR, DarkTraversalsCDOR int
+}
+
+// Ablations measures the activation metric, power gating and region
+// routing ablations. The gating runs use sp's simulation windows.
+func Ablations(s *Sprinter, sp NetSimParams) (AblationResult, error) {
+	var out AblationResult
+	n := s.mesh.Nodes()
+	for lvl := 2; lvl <= n; lvl++ {
+		out.EuclideanHops += workload.AvgHops(s.mesh, s.cfg.Master, lvl, sprint.Euclidean)
+		out.HammingHops += workload.AvgHops(s.mesh, s.cfg.Master, lvl, sprint.Hamming)
+	}
+	out.EuclideanHops /= float64(n - 1)
+	out.HammingHops /= float64(n - 1)
+
+	dedup, err := workload.ByName("dedup")
+	if err != nil {
+		return AblationResult{}, err
+	}
+	ungated, err := s.EvaluateNetwork(dedup, FineGrained, sp)
+	if err != nil {
+		return AblationResult{}, err
+	}
+	gated, err := s.EvaluateNetwork(dedup, NoCSprinting, sp)
+	if err != nil {
+		return AblationResult{}, err
+	}
+	out.UngatedPowerW, out.GatedPowerW = ungated.NetPower.Total(), gated.NetPower.Total()
+
+	region := s.Region(n / 2)
+	t := topo.FromMesh(s.mesh)
+	if out.DarkTraversalsDOR, err = darkTraversals(t, routing.NewDOR(s.mesh), region); err != nil {
+		return AblationResult{}, err
+	}
+	if out.DarkTraversalsCDOR, err = darkTraversals(t, routing.NewCDOR(region), region); err != nil {
+		return AblationResult{}, err
+	}
+	return out, nil
+}
+
+// darkTraversals counts the routers outside region that alg's paths over t
+// visit, summed over every ordered pair of the region's nodes.
+func darkTraversals(t topo.Topology, alg routing.Algorithm, region *sprint.Region) (int, error) {
+	dark := 0
+	for _, src := range region.ActiveNodes() {
+		for _, dst := range region.ActiveNodes() {
+			path, err := routing.Path(t, alg, src, dst)
+			if err != nil {
+				return 0, err
+			}
+			for _, node := range path {
+				if !region.Active(node) {
+					dark++
+				}
+			}
+		}
+	}
+	return dark, nil
 }

@@ -80,6 +80,8 @@ var experiments = []Experiment{
 		func(s *Sprinter, _ NetSimParams, _ bool) ([]Fig12Case, error) { return Fig12HeatMaps(s) }, textFig12),
 	entry("duration", "sprint duration analysis (Section 4.4)",
 		func(s *Sprinter, _ NetSimParams, _ bool) (DurationResult, error) { return SprintDurations(s) }, textDuration),
+	entry("ablations", "design ablations: activation metric, power gating, CDOR vs DOR",
+		func(s *Sprinter, sim NetSimParams, _ bool) (AblationResult, error) { return Ablations(s, sim) }, textAblations),
 	entry("gating", "extension: runtime power-gating baseline vs NoC-sprinting",
 		func(s *Sprinter, sim NetSimParams, _ bool) (GatingResult, error) {
 			return GatingComparison(s, noc.DefaultGatingConfig(), sim)

@@ -349,6 +349,17 @@ func textLLC(out io.Writer, _ *Sprinter, rows []LLCRow) error {
 	return nil
 }
 
+func textAblations(out io.Writer, s *Sprinter, r AblationResult) error {
+	header(out, "Ablations: the design choices of Sections 3.1-3.2")
+	n := s.Mesh().Nodes()
+	w := table(out)
+	fmt.Fprintln(w, "measure\tpaper's choice\talternative")
+	fmt.Fprintf(w, "mean pairwise hops, levels 2-%d\tEuclidean %.3f\tHamming %.3f\n", n, r.EuclideanHops, r.HammingHops)
+	fmt.Fprintf(w, "dedup network power (mW)\tgated %.1f\tun-gated %.1f\n", r.GatedPowerW*1e3, r.UngatedPowerW*1e3)
+	fmt.Fprintf(w, "dark routers crossed, %d-core region\tCDOR %d\tmesh DOR %d\n", n/2, r.DarkTraversalsCDOR, r.DarkTraversalsDOR)
+	return w.Flush()
+}
+
 func textFaults(out io.Writer, _ *Sprinter, points []FaultPoint) error {
 	header(out, "Extension: fault injection & online sprint-region repair")
 	w := table(out)

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -309,6 +310,9 @@ func TestRunSyntheticParamValidation(t *testing.T) {
 	}
 	if _, err := RunSynthetic(net, set, traffic.NewUniform(16), SimParams{InjectionRate: 99}); err == nil {
 		t.Error("over-unity packet rate accepted")
+	}
+	if _, err := RunSynthetic(net, set, traffic.NewUniform(16), SimParams{InjectionRate: math.NaN()}); err == nil {
+		t.Error("NaN rate accepted")
 	}
 	if _, err := RunSynthetic(net, set, traffic.NewUniform(4), SimParams{InjectionRate: 0.1}); err == nil {
 		t.Error("pattern/set size mismatch accepted")

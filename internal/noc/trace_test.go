@@ -3,6 +3,7 @@ package noc
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -133,6 +134,9 @@ func TestGenerateTraceValidation(t *testing.T) {
 	}
 	if _, err := GenerateTrace(set, traffic.NewUniform(16), 99, 5, 100, 1); err == nil {
 		t.Error("over-unity rate accepted")
+	}
+	if _, err := GenerateTrace(set, traffic.NewUniform(16), math.NaN(), 5, 100, 1); err == nil {
+		t.Error("NaN rate accepted")
 	}
 }
 

@@ -162,14 +162,19 @@ type TempSample struct {
 // steps of dt seconds, for at most maxTime seconds or until MaxK is reached,
 // sampling every sampleEvery steps. It reproduces the Figure 1 curve: rise,
 // melt plateau, rise. Like LumpedState.Step, it rejects a negative or NaN
-// power, and sub-steps a dt longer than a tenth of the RC time constant.
+// power, and sub-steps a dt longer than a tenth of the RC time constant. It
+// rejects a non-finite or non-positive dt or maxTime, and a horizon whose
+// step count does not fit in an int.
 func (l Lumped) Timeline(powerW, dt, maxTime float64, sampleEvery int) ([]TempSample, error) {
 	s, err := NewLumpedState(l)
 	if err != nil {
 		return nil, err
 	}
-	if dt <= 0 || maxTime <= 0 || sampleEvery < 1 {
+	if !(dt > 0 && maxTime > 0) || math.IsInf(dt, 1) || sampleEvery < 1 {
 		return nil, fmt.Errorf("thermal: invalid timeline parameters")
+	}
+	if maxTime/dt >= math.MaxInt { // an infinite horizon lands here too
+		return nil, fmt.Errorf("thermal: timeline of %g s in %g s steps overflows the step count", maxTime, dt)
 	}
 	var out []TempSample
 	steps := int(maxTime / dt)

@@ -374,4 +374,18 @@ func TestTimelineValidation(t *testing.T) {
 	if _, err := l.Timeline(math.NaN(), 1e-3, 1, 1); err == nil {
 		t.Error("NaN power accepted")
 	}
+	for _, c := range []struct {
+		name        string
+		dt, horizon float64
+	}{
+		{"NaN dt", math.NaN(), 1},
+		{"+Inf dt", math.Inf(1), 1},
+		{"NaN horizon", 1e-3, math.NaN()},
+		{"+Inf horizon", 1e-3, math.Inf(1)},
+		{"overflowing step count", 1e-3, 1e300},
+	} {
+		if _, err := l.Timeline(50, c.dt, c.horizon, 1); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
 }

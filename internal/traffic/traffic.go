@@ -278,7 +278,7 @@ func NewBernoulli(set *Set, pattern Pattern, rate float64, packetLength int, rng
 		return nil, fmt.Errorf("traffic: packet length %d < 1", packetLength)
 	}
 	prob := rate / float64(packetLength)
-	if prob < 0 || prob > 1 {
+	if !(prob >= 0 && prob <= 1) { // a NaN rate fails both comparisons
 		return nil, fmt.Errorf("traffic: injection rate %g outside [0, %d] flits/cycle/node", rate, packetLength)
 	}
 	return &Bernoulli{set: set, pattern: pattern, prob: prob, rng: rng}, nil
