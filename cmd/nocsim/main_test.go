@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -50,6 +51,31 @@ func TestRunRejectsBadWindows(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.flag) {
 			t.Errorf("%s: error %q does not name the flag", c.flag, err)
+		}
+	}
+}
+
+// TestRunRejectsBadCorners: a NaN or infinite supply voltage or clock is
+// an error naming the corner, not a report of NaN or infinite power.
+func TestRunRejectsBadCorners(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		vdd, freq float64
+		want      string
+	}{
+		{"NaN VDD", math.NaN(), 2e9, "VDD NaN"},
+		{"infinite VDD", math.Inf(1), 2e9, "VDD +Inf"},
+		{"NaN frequency", 1.0, math.NaN(), "frequency NaN"},
+		{"infinite frequency", 1.0, math.Inf(1), "frequency +Inf"},
+	} {
+		var out bytes.Buffer
+		err := run(&out, 4, 4, 4, 4, 5, 0, "uniform", 0.1, 200, 500, 5000, 1, c.vdd, c.freq)
+		if err == nil {
+			t.Errorf("%s accepted:\n%s", c.name, out.String())
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name the corner (%s)", c.name, err, c.want)
 		}
 	}
 }

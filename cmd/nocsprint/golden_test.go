@@ -6,14 +6,17 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"nocsprint/internal/core"
 )
 
-// update regenerates the golden files instead of comparing against them:
+// update regenerates the golden files instead of comparing against them.
+// Only two tests write: TestRegistryFrontEndsAgree owns registry/*.json and
+// TestGoldenFig11FastWithObs the telemetry stream.
 //
-//	go test ./cmd/nocsprint -run TestGolden -update
+//	go test ./cmd/nocsprint -run 'TestRegistryFrontEndsAgree|TestGoldenFig11FastWithObs' -update
 var update = flag.Bool("update", false, "rewrite golden files under testdata/golden")
 
 // goldenSim returns the exact simulation windows the registry runs under
@@ -54,6 +57,43 @@ func compareGolden(t *testing.T, name string, got any) {
 	}
 }
 
+// compareRegistryGolden fails unless got marshals to the result that
+// testdata/golden/registry/<name>.json pins. Under -update it compares
+// nothing: TestRegistryFrontEndsAgree rewrites that file.
+func compareRegistryGolden(t *testing.T, name string, got any) {
+	t.Helper()
+	if *update {
+		return
+	}
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := registryResult(t, name); !bytes.Equal(data, want) {
+		t.Fatalf("results drifted from registry/%s.json — if the change is intentional, regenerate with -update.\n%s",
+			name, firstDiff(data, want))
+	}
+}
+
+// registryResult returns, indented, the result that
+// testdata/golden/registry/<name>.json pins.
+func registryResult(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "golden", "registry", name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g registryGolden
+	if err := json.Unmarshal(data, &g); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := json.Indent(&out, g.Result, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
 // firstDiff locates the first differing line to keep failures readable.
 func firstDiff(got, want []byte) string {
 	g := bytes.Split(got, []byte("\n"))
@@ -92,7 +132,7 @@ func TestGoldenFig11Fast(t *testing.T) {
 		return series
 	}
 	plain := run(false)
-	compareGolden(t, "fig11_fast.json", plain)
+	compareRegistryGolden(t, "fig11", plain)
 
 	checked, err := json.Marshal(run(true))
 	if err != nil {
@@ -108,7 +148,8 @@ func TestGoldenFig11Fast(t *testing.T) {
 }
 
 // TestGoldenSensitivityPoint pins one sensitivity-sweep configuration (the
-// Table 1 router: 4 VCs, 4-flit buffers), checked and unchecked.
+// Table 1 router: 4 VCs, 4-flit buffers), checked and unchecked, to its row
+// of the sensitivity sweep's registry golden.
 func TestGoldenSensitivityPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweep is too slow for -short")
@@ -117,7 +158,17 @@ func TestGoldenSensitivityPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareGolden(t, "sensitivity_point.json", plain)
+	var rows []core.SensitivityRow
+	if err := json.Unmarshal(registryResult(t, "sensitivity"), &rows); err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(rows, func(r core.SensitivityRow) bool { return r.VCs == 4 && r.BufferDepth == 4 })
+	if i < 0 {
+		t.Fatal("registry/sensitivity.json has no 4-VC, depth-4 row")
+	}
+	if !*update && plain != rows[i] {
+		t.Fatalf("sensitivity point drifted from registry/sensitivity.json:\ngot:  %+v\nwant: %+v", plain, rows[i])
+	}
 
 	checked, err := core.SensitivityPoint(4, 4, goldenSim(true))
 	if err != nil {
@@ -137,9 +188,6 @@ func TestGoldenFig11ReferenceStepper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweep is too slow for -short")
 	}
-	if *update {
-		t.Skip("goldens are written by the optimized sweep; nothing to update here")
-	}
 	s, err := core.New(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +198,7 @@ func TestGoldenFig11ReferenceStepper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareGolden(t, "fig11_fast.json", series)
+	compareRegistryGolden(t, "fig11", series)
 }
 
 // TestGoldenTopology pins the `topology -fast` comparison: zero-load
@@ -175,7 +223,7 @@ func TestGoldenTopology(t *testing.T) {
 		return rows
 	}
 	plain := run(false)
-	compareGolden(t, "topology_fast.json", plain)
+	compareRegistryGolden(t, "topology", plain)
 
 	checked, err := json.Marshal(run(true))
 	if err != nil {

@@ -30,7 +30,7 @@ func obsGoldenRecorder(t *testing.T) *obs.Recorder {
 
 // TestGoldenFig11FastWithObs is the golden-layer leg of the telemetry
 // zero-drift guarantee plus the pinned JSONL stream: the instrumented
-// `fig11 -fast` sweep must reproduce the same fig11_fast.json golden the
+// `fig11 -fast` sweep must reproduce the registry's fig11 golden the
 // uninstrumented sweep is pinned to, and one representative collector's
 // JSONL output is itself a golden file — its byte layout (field order
 // included) is the format external consumers parse.
@@ -55,7 +55,7 @@ func TestGoldenFig11FastWithObs(t *testing.T) {
 	}
 	// Zero drift at the golden layer: telemetry must not move a single byte
 	// of the pinned sweep results.
-	compareGolden(t, "fig11_fast.json", series)
+	compareRegistryGolden(t, "fig11", series)
 
 	const label = "fig11/l4/r00/noc"
 	var col *obs.Collector

@@ -67,7 +67,7 @@ func TestGoldenFig11FastResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareGolden(t, "fig11_fast.json", series)
+	compareRegistryGolden(t, "fig11", series)
 	if resumedJournal.Len() != totalPoints {
 		t.Errorf("resumed journal holds %d points, want %d", resumedJournal.Len(), totalPoints)
 	}

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -33,7 +34,7 @@ func main() {
 		horizon   = flag.Float64("horizon", 20, "timeline horizon (s)")
 	)
 	flag.Parse()
-	if err := run(*mode, *powerW, *benchmark, *scheme, *level, *floorplan, *dt, *horizon); err != nil {
+	if err := run(os.Stdout, *mode, *powerW, *benchmark, *scheme, *level, *floorplan, *dt, *horizon); err != nil {
 		fmt.Fprintf(os.Stderr, "thermsim: %v\n", err)
 		os.Exit(1)
 	}
@@ -52,7 +53,9 @@ func parseScheme(s string) (core.Scheme, error) {
 	}
 }
 
-func run(mode string, powerW float64, benchmark, schemeName string, level int, useFloorplan bool, dt, horizon float64) error {
+// run computes one mode's report on the default chip and writes it to w.
+// A powerW of 0 derives the sprint power from the benchmark.
+func run(w io.Writer, mode string, powerW float64, benchmark, schemeName string, level int, useFloorplan bool, dt, horizon float64) error {
 	s, err := core.New(core.DefaultConfig())
 	if err != nil {
 		return err
@@ -73,10 +76,10 @@ func run(mode string, powerW float64, benchmark, schemeName string, level int, u
 			return err
 		}
 		powerW = dec.Chip.Total() + s.Config().SprintUncoreW
-		fmt.Printf("benchmark %s under %v: level %d, chip power %.1f W (incl. sprint uncore)\n",
+		fmt.Fprintf(w, "benchmark %s under %v: level %d, chip power %.1f W (incl. sprint uncore)\n",
 			benchmark, scheme, dec.Level, powerW)
 		if mode == "phases" {
-			printPhases(ph, s.Config().Lumped)
+			printPhases(w, ph, s.Config().Lumped)
 			return nil
 		}
 	}
@@ -88,8 +91,8 @@ func run(mode string, powerW float64, benchmark, schemeName string, level int, u
 		if err != nil {
 			return err
 		}
-		fmt.Printf("constant power %.1f W (sustainable TDP %.1f W)\n", powerW, lumped.SustainablePower())
-		printPhases(ph, lumped)
+		fmt.Fprintf(w, "constant power %.1f W (sustainable TDP %.1f W)\n", powerW, lumped.SustainablePower())
+		printPhases(w, ph, lumped)
 		return nil
 
 	case "timeline":
@@ -97,9 +100,9 @@ func run(mode string, powerW float64, benchmark, schemeName string, level int, u
 		if err != nil {
 			return err
 		}
-		fmt.Println("time(s)  temp(K)  melted")
+		fmt.Fprintln(w, "time(s)  temp(K)  melted")
 		for _, smp := range samples {
-			fmt.Printf("%7.3f  %7.2f  %5.1f%%\n", smp.TimeS, smp.TempK, smp.MeltFraction*100)
+			fmt.Fprintf(w, "%7.3f  %7.2f  %5.1f%%\n", smp.TimeS, smp.TempK, smp.MeltFraction*100)
 		}
 		return nil
 
@@ -109,14 +112,14 @@ func run(mode string, powerW float64, benchmark, schemeName string, level int, u
 			return err
 		}
 		peak, px, py := hm.Peak()
-		fmt.Printf("scheme %v, level %d, floorplan %v\n", scheme, level, useFloorplan)
-		fmt.Printf("peak %.2f K at cell (%d,%d); mean %.2f K\n", peak, px, py, hm.Mean())
+		fmt.Fprintf(w, "scheme %v, level %d, floorplan %v\n", scheme, level, useFloorplan)
+		fmt.Fprintf(w, "peak %.2f K at cell (%d,%d); mean %.2f K\n", peak, px, py, hm.Mean())
 		grid := s.Config().Grid
 		for ty := 0; ty < grid.H; ty++ {
 			for tx := 0; tx < grid.W; tx++ {
-				fmt.Printf(" %6.1f", hm.TileMean(tx, ty, grid.Sub))
+				fmt.Fprintf(w, " %6.1f", hm.TileMean(tx, ty, grid.Sub))
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		return nil
 
@@ -125,13 +128,13 @@ func run(mode string, powerW float64, benchmark, schemeName string, level int, u
 	}
 }
 
-func printPhases(ph thermal.Phases, lumped thermal.Lumped) {
+func printPhases(w io.Writer, ph thermal.Phases, lumped thermal.Lumped) {
 	if ph.Sustainable {
-		fmt.Println("sprint is SUSTAINABLE: the chip never reaches the thermal limit")
+		fmt.Fprintln(w, "sprint is SUSTAINABLE: the chip never reaches the thermal limit")
 		return
 	}
-	fmt.Printf("phase 1 (ambient %.1fK -> melt %.1fK): %.3f s\n", lumped.AmbientK, lumped.PCM.MeltK, ph.Phase1)
-	fmt.Printf("phase 2 (PCM melting at %.1fK):        %.3f s\n", lumped.PCM.MeltK, ph.Phase2)
-	fmt.Printf("phase 3 (melt -> limit %.1fK):          %.3f s\n", lumped.MaxK, ph.Phase3)
-	fmt.Printf("total sprint duration:                  %.3f s\n", ph.Total())
+	fmt.Fprintf(w, "phase 1 (ambient %.1fK -> melt %.1fK): %.3f s\n", lumped.AmbientK, lumped.PCM.MeltK, ph.Phase1)
+	fmt.Fprintf(w, "phase 2 (PCM melting at %.1fK):        %.3f s\n", lumped.PCM.MeltK, ph.Phase2)
+	fmt.Fprintf(w, "phase 3 (melt -> limit %.1fK):          %.3f s\n", lumped.MaxK, ph.Phase3)
+	fmt.Fprintf(w, "total sprint duration:                  %.3f s\n", ph.Total())
 }

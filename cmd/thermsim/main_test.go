@@ -1,0 +1,105 @@
+package main
+
+import (
+	"bytes"
+	"math"
+	"strings"
+	"testing"
+)
+
+// options are run's inputs, one per flag.
+type options struct {
+	mode, benchmark, scheme string
+	power, dt, horizon      float64
+	level                   int
+	floorplan               bool
+}
+
+// defaults returns the flags' default values.
+func defaults() options {
+	return options{mode: "phases", benchmark: "dedup", scheme: "noc", level: 4, dt: 1e-4, horizon: 20}
+}
+
+func (o options) run() (string, error) {
+	var out bytes.Buffer
+	err := run(&out, o.mode, o.power, o.benchmark, o.scheme, o.level, o.floorplan, o.dt, o.horizon)
+	return out.String(), err
+}
+
+// TestRunModes drives each mode on the default chip and checks the report
+// it writes.
+func TestRunModes(t *testing.T) {
+	byPower := defaults()
+	byPower.power = 106
+	timeline := defaults()
+	timeline.mode, timeline.dt, timeline.horizon = "timeline", 1e-3, 5
+	heatmap := defaults()
+	heatmap.mode, heatmap.floorplan = "heatmap", true
+	for _, c := range []struct {
+		name string
+		o    options
+		want []string
+	}{
+		{"phases by power", byPower, []string{
+			"constant power 106.0 W (sustainable TDP 40.0 W)\n",
+			"phase 2 (PCM melting at 345.1K)",
+			"total sprint duration:",
+		}},
+		{"phases by benchmark", defaults(), []string{
+			"benchmark dedup under NoC-sprinting: level 4,",
+			"total sprint duration:",
+		}},
+		{"timeline", timeline, []string{
+			"benchmark dedup under NoC-sprinting: level 4,",
+			"time(s)  temp(K)  melted\n  0.000   318.15    0.0%\n",
+		}},
+		{"heatmap", heatmap, []string{
+			"scheme NoC-sprinting, level 4, floorplan true\n",
+			"peak ",
+		}},
+	} {
+		out, err := c.o.run()
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		for _, want := range c.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: output lacks %q:\n%s", c.name, want, out)
+			}
+		}
+	}
+}
+
+// TestRunRejectsBadInputs: every bad flag value is an error naming the
+// input, never a panic, a hang or a report of NaN or infinite durations.
+func TestRunRejectsBadInputs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*options)
+		want string
+	}{
+		{"unknown mode", func(o *options) { o.mode = "bogus" }, `"bogus"`},
+		{"unknown scheme", func(o *options) { o.scheme = "bogus" }, `"bogus"`},
+		{"unknown benchmark", func(o *options) { o.benchmark = "bogus" }, `"bogus"`},
+		{"level 0", func(o *options) { o.mode, o.level = "heatmap", 0 }, "level 0"},
+		{"level 17", func(o *options) { o.mode, o.level = "heatmap", 17 }, "level 17"},
+		{"NaN power", func(o *options) { o.power = math.NaN() }, "power NaN"},
+		{"infinite power", func(o *options) { o.power = math.Inf(1) }, "power +Inf"},
+		{"infinite timeline power", func(o *options) { o.mode, o.power = "timeline", math.Inf(1) }, "power +Inf"},
+		{"negative power", func(o *options) { o.power = -5 }, "power -5"},
+		{"NaN horizon", func(o *options) { o.mode, o.horizon = "timeline", math.NaN() }, "horizon NaN"},
+		{"zero dt", func(o *options) { o.mode, o.dt = "timeline", 0 }, "dt 0"},
+	} {
+		o := defaults()
+		c.set(&o)
+		out, err := o.run()
+		if err == nil {
+			t.Errorf("%s: accepted:\n%s", c.name, out)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name the input (%s)", c.name, err, c.want)
+		}
+	}
+}

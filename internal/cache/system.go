@@ -344,64 +344,66 @@ func boolBit(b bool) int64 {
 }
 
 // RunCtx drives the system: each active core issues accessesPerCore memory
-// operations (blocking on misses), for at most maxCycles steps. Each cycle
-// fires the due events, issues accesses and checks for completion before it
-// steps, and that phase runs once more at cycle maxCycles, so work finishing
-// on the last permitted step succeeds. It returns an error if work remains
-// unfinished at the horizon. ctx is polled every 256 cycles, so a cancelled
-// LLC study stops at cycle granularity with the network left consistent. A
-// nil ctx never cancels, and the poll never perturbs simulation state. The
-// returned error satisfies errors.Is(err, ctx.Err()) on cancellation.
+// operations (blocking on misses), for at most maxCycles steps. The
+// network's RunUntil runs the loop with phase as its done check, so the
+// phase runs before every step and once more at cycle maxCycles: work
+// finishing on the last permitted step succeeds. It returns an error if work
+// remains unfinished at the horizon. ctx is polled before every step, so a
+// cancelled LLC study stops at cycle granularity with the network left
+// consistent. A nil ctx never cancels, and the poll never perturbs
+// simulation state. The returned error satisfies errors.Is(err, ctx.Err())
+// on cancellation.
 func (s *System) RunCtx(ctx context.Context, accessesPerCore int64, maxCycles int64) error {
 	for _, node := range s.coreOrder {
 		s.cores[node].remaining = accessesPerCore
 	}
-	for cycle := int64(0); ; cycle++ {
-		if ctx != nil && cycle%256 == 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("cache: run cancelled at cycle %d: %w", s.net.Cycle(), err)
-			}
-		}
-		now := s.net.Cycle()
-		if evs, ok := s.events[now]; ok {
-			delete(s.events, now)
-			for _, fn := range evs {
-				fn()
-			}
-		}
-		done := true
-		for _, node := range s.coreOrder {
-			core := s.cores[node]
-			if core.remaining <= 0 && !core.blocked {
-				continue
-			}
-			done = false
-			if core.blocked || core.remaining <= 0 {
-				continue
-			}
-			lineAddr, write := core.stream.Next()
-			core.remaining--
-			s.stats.Accesses++
-			if core.l1.Access(lineAddr, write) {
-				s.stats.L1Hits++
-				continue
-			}
-			// Blocking miss: request to the home bank.
-			core.blocked = true
-			core.pendingLine = lineAddr
-			core.pendingWrite = write
-			core.stallStart = now
-			tag := int64(lineAddr<<1) | boolBit(write)
-			s.send(core.node, s.Home(lineAddr), classReq, s.cfg.ReqFlits, tag)
-		}
-		if done && len(s.events) == 0 && s.net.Drained() {
-			return nil
-		}
-		if cycle >= maxCycles {
-			return fmt.Errorf("cache: %d-cycle horizon reached with work outstanding", maxCycles)
-		}
-		s.net.Step()
+	done, err := s.net.RunUntil(ctx, int(maxCycles), nil, s.phase)
+	switch {
+	case err != nil:
+		return fmt.Errorf("cache: run %w", err)
+	case !done:
+		return fmt.Errorf("cache: %d-cycle horizon reached with work outstanding", maxCycles)
 	}
+	return nil
+}
+
+// phase is one cycle of the memory system before the network steps: it
+// fires the events due now, lets every unblocked core issue its next
+// access, and reports whether all work is done and the network drained.
+func (s *System) phase() bool {
+	now := s.net.Cycle()
+	if evs, ok := s.events[now]; ok {
+		delete(s.events, now)
+		for _, fn := range evs {
+			fn()
+		}
+	}
+	done := true
+	for _, node := range s.coreOrder {
+		core := s.cores[node]
+		if core.remaining <= 0 && !core.blocked {
+			continue
+		}
+		done = false
+		if core.blocked || core.remaining <= 0 {
+			continue
+		}
+		lineAddr, write := core.stream.Next()
+		core.remaining--
+		s.stats.Accesses++
+		if core.l1.Access(lineAddr, write) {
+			s.stats.L1Hits++
+			continue
+		}
+		// Blocking miss: request to the home bank.
+		core.blocked = true
+		core.pendingLine = lineAddr
+		core.pendingWrite = write
+		core.stallStart = now
+		tag := int64(lineAddr<<1) | boolBit(write)
+		s.send(core.node, s.Home(lineAddr), classReq, s.cfg.ReqFlits, tag)
+	}
+	return done && len(s.events) == 0 && s.net.Drained()
 }
 
 // Cycles returns the simulated cycle count.

@@ -244,8 +244,8 @@ func TestPolicyString(t *testing.T) {
 }
 
 // TestRunCtxCancellation pins the cancellation contract of the closed-loop
-// driver: a pre-cancelled context stops RunCtx at its first 256-cycle poll
-// with a wrapped ctx error, a nil context never cancels, and an uncancelled
+// driver: a pre-cancelled context stops RunCtx before its first step with a
+// wrapped ctx error, a nil context never cancels, and an uncancelled
 // context leaves results identical to a nil one.
 func TestRunCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

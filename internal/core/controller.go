@@ -48,8 +48,8 @@ func DefaultControllerConfig() ControllerConfig {
 
 // Validate reports the first invalid field, or nil.
 func (c ControllerConfig) Validate() error {
-	if c.DtS <= 0 {
-		return fmt.Errorf("core: controller step %g not positive", c.DtS)
+	if !(c.DtS > 0) || math.IsInf(c.DtS, 1) {
+		return fmt.Errorf("core: controller step %g not finite and positive", c.DtS)
 	}
 	if c.ResumeMarginK <= 0 {
 		return fmt.Errorf("core: resume margin %g K not positive", c.ResumeMarginK)

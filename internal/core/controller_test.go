@@ -42,9 +42,11 @@ func TestControllerConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := DefaultControllerConfig()
-	bad.DtS = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero step accepted")
+	for _, dt := range []float64{0, math.NaN(), math.Inf(1)} {
+		bad.DtS = dt
+		if err := bad.Validate(); err == nil {
+			t.Errorf("step %g accepted", dt)
+		}
 	}
 	for _, margin := range []float64{-1, 0} {
 		bad = DefaultControllerConfig()

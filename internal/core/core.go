@@ -191,7 +191,7 @@ func (s *Sprinter) Level(p workload.Profile, scheme Scheme) int {
 	case FullSprinting:
 		return s.mesh.Nodes()
 	default:
-		lvl, _ := p.OptimalLevel(s.mesh, s.cfg.Master, s.mesh.Nodes())
+		lvl, _ := p.OptimalLevel(s.mesh, s.order)
 		return lvl
 	}
 }
@@ -222,7 +222,7 @@ func (s *Sprinter) Decide(p workload.Profile, scheme Scheme) (Decision, error) {
 	}
 	n := s.mesh.Nodes()
 	level := s.Level(p, scheme)
-	hops := workload.AvgHops(s.mesh, s.cfg.Master, level, s.cfg.Metric)
+	hops := workload.AvgHops(s.mesh, s.order[:level])
 	execT := p.Time(level, hops)
 
 	var states []power.CoreState

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nocsprint/internal/power"
+	"nocsprint/internal/sprint"
 	"nocsprint/internal/workload"
 )
 
@@ -32,6 +33,7 @@ func TestConfigValidateCatchesErrors(t *testing.T) {
 		func(c *Config) { c.Master = -1 },
 		func(c *Config) { c.Master = 99 },
 		func(c *Config) { c.Corner.VDD = 0 },
+		func(c *Config) { c.Corner.FreqHz = math.NaN() },
 		func(c *Config) { c.Lumped.RthKperW = 0 },
 		func(c *Config) { c.Grid.Sub = 0 },
 		func(c *Config) { c.Grid.W = 7 },
@@ -77,6 +79,31 @@ func TestLevelPerScheme(t *testing.T) {
 	}
 	if got := s.Level(dedup, FineGrained); got != 4 {
 		t.Errorf("fine-grained level for dedup = %d, want 4", got)
+	}
+}
+
+// TestLevelFollowsMetric: the profiled level is optimal over the Sprinter's
+// own activation order, the one whose hops Decide prices, whatever the
+// metric. On a 5x5 mesh grown by Hamming distance, an order fixed to
+// Euclidean picks level 15 for bodytrack where 16 is faster.
+func TestLevelFollowsMetric(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NoC.Width, cfg.NoC.Height = 5, 5
+	cfg.Grid.W, cfg.Grid.H = 5, 5
+	cfg.Metric = sprint.Hamming
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, order := s.Mesh(), s.ActivationOrder()
+	for _, p := range workload.Profiles() {
+		level := s.Level(p, NoCSprinting)
+		at := p.NormTime(level, workload.AvgHops(m, order[:level]))
+		for n := 1; n <= len(order); n++ {
+			if tn := p.NormTime(n, workload.AvgHops(m, order[:n])); tn < at {
+				t.Errorf("%s: level %d (T=%.6f), but level %d is faster (T=%.6f)", p.Name, level, at, n, tn)
+			}
+		}
 	}
 }
 

@@ -87,8 +87,7 @@ func Fig4Scaling(s *Sprinter) []Fig4Row {
 	for _, p := range workload.Profiles() {
 		row := Fig4Row{Benchmark: p.Name, Cores: cores}
 		for _, n := range cores {
-			hops := workload.AvgHops(s.mesh, s.cfg.Master, n, s.cfg.Metric)
-			row.NormTime = append(row.NormTime, p.NormTime(n, hops))
+			row.NormTime = append(row.NormTime, p.NormTime(n, workload.AvgHops(s.mesh, s.order[:n])))
 		}
 		rows = append(rows, row)
 	}
@@ -1038,8 +1037,7 @@ func DimVsDark(s *Sprinter, budgetsW []float64, benchmarks []string, sp NetSimPa
 				if total > tk.budget {
 					break // higher levels only cost more
 				}
-				hops := workload.AvgHops(s.mesh, s.cfg.Master, level, s.cfg.Metric)
-				perf := fr / p.NormTime(level, hops)
+				perf := fr / p.NormTime(level, workload.AvgHops(s.mesh, s.order[:level]))
 				if corner == power.Nominal {
 					if perf > pt.DarkPerf {
 						pt.DarkPerf, pt.DarkLevel = perf, level
@@ -1097,10 +1095,10 @@ type LLCParams struct {
 	// Sim carries the observational switches. Check, Reference and Obs
 	// instrument the study's networks as in every other driver (the cache
 	// system steps the network every cycle, so telemetry covers the
-	// protocol traffic). Abort, when non-nil, cancels the study at the
-	// cache-system cycle loops' 256-cycle polls, so an interrupted run stops
-	// promptly instead of riding out millions of cycles; results are
-	// identical with or without it. The study reads no other field.
+	// protocol traffic). Abort, when non-nil, cancels the study between
+	// two cycles of the cache system, so an interrupted run stops promptly
+	// instead of riding out millions of cycles; results are identical with
+	// or without it. The study reads no other field.
 	Sim NetSimParams
 }
 
@@ -1225,9 +1223,11 @@ type AblationResult struct {
 func Ablations(s *Sprinter, sp NetSimParams) (AblationResult, error) {
 	var out AblationResult
 	n := s.mesh.Nodes()
+	euclidean := sprint.ActivationOrder(s.mesh, s.cfg.Master, sprint.Euclidean)
+	hamming := sprint.ActivationOrder(s.mesh, s.cfg.Master, sprint.Hamming)
 	for lvl := 2; lvl <= n; lvl++ {
-		out.EuclideanHops += workload.AvgHops(s.mesh, s.cfg.Master, lvl, sprint.Euclidean)
-		out.HammingHops += workload.AvgHops(s.mesh, s.cfg.Master, lvl, sprint.Hamming)
+		out.EuclideanHops += workload.AvgHops(s.mesh, euclidean[:lvl])
+		out.HammingHops += workload.AvgHops(s.mesh, hamming[:lvl])
 	}
 	out.EuclideanHops /= float64(n - 1)
 	out.HammingHops /= float64(n - 1)

@@ -190,26 +190,6 @@ func (s *Sprinter) buildFaultSchedule(rate float64, p FaultParams, seed int64) (
 	return fault.New(s.mesh.Nodes(), append(sched.Events(), trip))
 }
 
-// obsGovKind maps a governor decision onto its telemetry event kind.
-func obsGovKind(k sprint.GovernorEventKind) obs.EventKind {
-	switch k {
-	case sprint.GovMasterElection:
-		return obs.EventMasterElection
-	case sprint.GovDegrade:
-		return obs.EventDegrade
-	case sprint.GovResumeScheduled:
-		return obs.EventResumeScheduled
-	case sprint.GovResumeFailed:
-		return obs.EventResumeFailed
-	case sprint.GovResumed:
-		return obs.EventResumed
-	case sprint.GovDeclaredDead:
-		return obs.EventDeclaredDead
-	default:
-		return obs.EventRepair
-	}
-}
-
 // FaultRun executes one fault-injection run: traffic under the schedule,
 // governor-driven repair applied through Network.Reconfigure, bounded
 // drains, and (when p.Sim.Check is set) the invariant checker attached
@@ -228,7 +208,7 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 	govCfg.Validate = s.cdorValidator()
 	govCfg.OnEvent = func(ev sprint.GovernorEvent) {
 		if col != nil {
-			col.Emit(ev.Cycle, obsGovKind(ev.Kind), ev.Node, ev.Detail)
+			col.Emit(ev.Cycle, obs.EventRepair+obs.EventKind(ev.Kind), ev.Node, ev.Detail)
 		}
 	}
 	gov, err := sprint.NewGovernor(s.mesh, s.cfg.Master, p.Level, s.cfg.Metric, govCfg)

@@ -2,9 +2,11 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"nocsprint/internal/obs"
+	"nocsprint/internal/sprint"
 	"nocsprint/internal/workload"
 )
 
@@ -110,5 +112,16 @@ func TestFaultSweepEmitsEventTimeline(t *testing.T) {
 	}
 	if kinds[obs.EventSprintLevel] == 0 {
 		t.Error("no sprint-level changes on the timeline despite repairs")
+	}
+}
+
+// TestGovernorKindsReachTimeline: FaultRun files governor event kind k on
+// the timeline as obs.EventRepair + k, so every named governor kind must
+// land on the telemetry kind of its own name.
+func TestGovernorKindsReachTimeline(t *testing.T) {
+	for k := sprint.GovRepair; !strings.HasPrefix(k.String(), "GovernorEventKind("); k++ {
+		if got := obs.EventRepair + obs.EventKind(k); got.String() != k.String() {
+			t.Errorf("governor kind %q reaches the timeline as %q", k, got)
+		}
 	}
 }

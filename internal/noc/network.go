@@ -548,12 +548,13 @@ func (n *Network) Step() {
 	n.cycle++
 }
 
-// RunUntil is the cycle loop every open-loop driver shares. It steps the
-// network at most maxCycles times and reports whether done held when it
-// stopped. done is checked on entry and after every step, so work that
-// completes on the last permitted cycle reports true; a nil done never
-// holds. Before every step, and nowhere else, ctx is polled once and then
-// each, when non-nil, runs. Cancellation therefore lands between whole
+// RunUntil is the cycle loop every driver shares. It steps the network at
+// most maxCycles times and reports whether done held when it stopped. done
+// is called exactly once per cycle boundary — on entry and after every
+// step, the last at cycle maxCycles — so work that completes on the last
+// permitted cycle reports true, and a closed-loop driver can run its
+// per-cycle phase inside done; a nil done never holds. Before every step,
+// and nowhere else, ctx is polled once and then each, when non-nil, runs. Cancellation therefore lands between whole
 // steps, and the poll never perturbs simulation state. A cancelled run
 // returns an error satisfying errors.Is(err, ctx.Err()) that callers wrap
 // with their phase; an error from each ends the run and is returned as is.

@@ -1,12 +1,6 @@
 package obs
 
-import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // EventKind classifies timeline events. Kinds serialize as their stable text
 // names (MarshalText/UnmarshalText), so JSONL timelines survive reordering
@@ -19,7 +13,8 @@ const (
 	// old and new level).
 	EventSprintLevel EventKind = iota
 	// EventRepair through EventDeclaredDead mirror the governor's event log
-	// (sprint.GovernorEventKind) one to one.
+	// (sprint.GovernorEventKind) one to one and in order: governor kind k
+	// is EventRepair + k.
 	EventRepair
 	EventMasterElection
 	EventDegrade
@@ -96,49 +91,4 @@ type Event struct {
 	Node int `json:"node"`
 	// Detail is free-form context (fault text form, repair summary, ...).
 	Detail string `json:"detail,omitempty"`
-}
-
-// EncodeEvents writes events as JSONL, one event object per line, buffering
-// and flushing like noc.WriteTrace.
-func EncodeEvents(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i, ev := range events {
-		if err := enc.Encode(ev); err != nil {
-			return fmt.Errorf("obs: writing event %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// DecodeEvents parses a JSONL event timeline, strictly: every non-empty line
-// must be exactly one event object with no unknown fields, no trailing
-// garbage, and a known kind name. It never panics on arbitrary input (a fuzz
-// target pins this) and names the offending line in errors.
-func DecodeEvents(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var out []Event
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		var ev Event
-		if err := dec.Decode(&ev); err != nil {
-			return nil, fmt.Errorf("obs: event line %d: %w", lineNo, err)
-		}
-		if dec.More() {
-			return nil, fmt.Errorf("obs: event line %d: trailing data after event", lineNo)
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: reading events: %w", err)
-	}
-	return out, nil
 }

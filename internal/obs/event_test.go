@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,93 +38,4 @@ func TestEventKindRejectsUnknown(t *testing.T) {
 	if !strings.Contains(EventKind(200).String(), "200") {
 		t.Errorf("unknown kind String() = %q", EventKind(200).String())
 	}
-}
-
-func TestEncodeDecodeEventsRoundTrip(t *testing.T) {
-	events := []Event{
-		{Cycle: 0, Kind: EventFault, Node: 3, Detail: "permanent router fault at node 3"},
-		{Cycle: 120, Kind: EventQuiesce, Node: 0, Detail: "reconfiguring toward level 4 (4 nodes)"},
-		{Cycle: 155, Kind: EventDrained, Node: 0},
-		{Cycle: 155, Kind: EventSprintLevel, Node: 0, Detail: "sprint level 8 -> 4"},
-		{Cycle: 9000, Kind: EventThermalTrip, Node: -1},
-	}
-	var buf bytes.Buffer
-	if err := EncodeEvents(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, events) {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", got, events)
-	}
-}
-
-func TestDecodeEventsStrict(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-	}{
-		{"garbage", "not json\n"},
-		{"unknown field", `{"cycle":1,"kind":"fault","node":0,"severity":9}` + "\n"},
-		{"unknown kind", `{"cycle":1,"kind":"meltdown","node":0}` + "\n"},
-		{"trailing data", `{"cycle":1,"kind":"fault","node":0} {"cycle":2,"kind":"fault","node":0}` + "\n"},
-		{"wrong type", `{"cycle":"one","kind":"fault","node":0}` + "\n"},
-	}
-	for _, c := range cases {
-		if _, err := DecodeEvents(strings.NewReader(c.in)); err == nil {
-			t.Errorf("%s: accepted", c.name)
-		}
-	}
-	// Blank lines are tolerated between events.
-	got, err := DecodeEvents(strings.NewReader("\n" + `{"cycle":1,"kind":"repair","node":2}` + "\n\n"))
-	if err != nil || len(got) != 1 {
-		t.Fatalf("blank-line tolerant decode: %v, %d events", err, len(got))
-	}
-}
-
-func TestDecodeEventsEmpty(t *testing.T) {
-	got, err := DecodeEvents(strings.NewReader(""))
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty input: %v, %d events", err, len(got))
-	}
-}
-
-// FuzzObsEventDecode fuzzes the strict JSONL event parser: it must never
-// panic, and any input it accepts must re-encode and re-decode to the same
-// events (full round-trip stability).
-func FuzzObsEventDecode(f *testing.F) {
-	f.Add(`{"cycle":1,"kind":"fault","node":3,"detail":"x"}` + "\n")
-	f.Add(`{"cycle":0,"kind":"sprint-level","node":-1}` + "\n" + `{"cycle":5,"kind":"thermal-trip","node":-1}` + "\n")
-	f.Add("\n\n")
-	f.Add(`{"cycle":9,"kind":"drained","node":0,"detail":"drained in 35 cycles"}` + "\n")
-	f.Add(`{"cycle":1e3,"kind":"repair","node":0}` + "\n")
-	f.Add("not json at all")
-	f.Fuzz(func(t *testing.T, in string) {
-		events, err := DecodeEvents(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := EncodeEvents(&buf, events); err != nil {
-			t.Fatalf("accepted events failed to encode: %v", err)
-		}
-		again, err := DecodeEvents(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("re-encoded events failed to decode: %v", err)
-		}
-		if len(again) != len(events) {
-			t.Fatalf("round trip changed count: %d -> %d", len(events), len(again))
-		}
-		for i := range events {
-			if again[i] != events[i] {
-				// JSON numbers round-trip through float64; integral cycles
-				// survive exactly, so any mismatch is a real bug.
-				a, _ := json.Marshal(events[i])
-				b, _ := json.Marshal(again[i])
-				t.Fatalf("event %d changed: %s -> %s", i, a, b)
-			}
-		}
-	})
 }

@@ -21,6 +21,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 
 	"nocsprint/internal/noc"
 	"nocsprint/internal/power"
@@ -41,7 +42,7 @@ type ThermalModel struct {
 	// Model is the chip-level RC model.
 	Model thermal.Lumped
 	// SecondsPerCycle converts the sample window's cycle count into the RC
-	// step duration. Must be positive.
+	// step duration. Must be finite and positive.
 	SecondsPerCycle float64
 	// BasePowerW is constant power added to the sampled network power each
 	// step (cores, uncore) so the die temperature reflects chip activity,
@@ -92,11 +93,11 @@ func (c Config) Validate() error {
 		if err := t.Model.Validate(); err != nil {
 			return fmt.Errorf("obs: thermal model: %w", err)
 		}
-		if t.SecondsPerCycle <= 0 {
-			return fmt.Errorf("obs: non-positive seconds per cycle %g", t.SecondsPerCycle)
+		if !(t.SecondsPerCycle > 0) || math.IsInf(t.SecondsPerCycle, 1) {
+			return fmt.Errorf("obs: seconds per cycle %g not finite and positive", t.SecondsPerCycle)
 		}
-		if t.BasePowerW < 0 {
-			return fmt.Errorf("obs: negative base power %g", t.BasePowerW)
+		if !(t.BasePowerW >= 0) || math.IsInf(t.BasePowerW, 1) {
+			return fmt.Errorf("obs: base power %g not finite and non-negative", t.BasePowerW)
 		}
 		if t.TripK != 0 {
 			s, err := thermal.NewLumpedState(t.Model)
@@ -260,12 +261,6 @@ func (c *Collector) CycleEnd(n *noc.Network, cycle int64) {
 // the event is chip-wide.
 func (c *Collector) Emit(cycle int64, kind EventKind, node int, detail string) {
 	c.events = append(c.events, Event{Cycle: cycle, Kind: kind, Node: node, Detail: detail})
-}
-
-// EmitNow is Emit stamped with the collector's own observed-cycle clock, for
-// callers that do not track the network cycle themselves.
-func (c *Collector) EmitNow(kind EventKind, node int, detail string) {
-	c.Emit(c.lastCycle, kind, node, detail)
 }
 
 // Finish flushes a partial final window, if any. It is idempotent and called

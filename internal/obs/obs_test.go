@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"strings"
+	"math"
 	"testing"
 
 	"nocsprint/internal/mesh"
@@ -33,7 +33,13 @@ func TestConfigValidate(t *testing.T) {
 		{"bad corner", Config{Power: &PowerModel{Corner: power.Corner{VDD: -1, FreqHz: 1e9}}}},
 		{"bad thermal model", Config{Thermal: &ThermalModel{Model: thermal.Lumped{}, SecondsPerCycle: 1e-9}}},
 		{"zero seconds per cycle", Config{Thermal: &ThermalModel{Model: thermal.DefaultLumped()}}},
+		{"NaN seconds per cycle", Config{Thermal: &ThermalModel{Model: thermal.DefaultLumped(), SecondsPerCycle: math.NaN()}}},
+		{"infinite seconds per cycle", Config{Thermal: &ThermalModel{Model: thermal.DefaultLumped(), SecondsPerCycle: math.Inf(1)}}},
 		{"negative base power", Config{Thermal: &ThermalModel{Model: thermal.DefaultLumped(), SecondsPerCycle: 1e-9, BasePowerW: -1}}},
+		{"NaN base power", Config{Thermal: &ThermalModel{Model: thermal.DefaultLumped(), SecondsPerCycle: 1e-9, BasePowerW: math.NaN()}}},
+		{"infinite base power", Config{Thermal: &ThermalModel{Model: thermal.DefaultLumped(), SecondsPerCycle: 1e-9, BasePowerW: math.Inf(1)}}},
+		{"NaN VDD", Config{Power: &PowerModel{Corner: power.Corner{VDD: math.NaN(), FreqHz: 1e9}}}},
+		{"infinite frequency", Config{Power: &PowerModel{Corner: power.Corner{VDD: 1, FreqHz: math.Inf(1)}}}},
 		{"trip below clear", Config{Thermal: &ThermalModel{Model: thermal.DefaultLumped(), SecondsPerCycle: 1e-9, TripK: 350, ClearK: 360}}},
 	}
 	for _, c := range cases {
@@ -181,27 +187,6 @@ func TestCollectorThermalTrip(t *testing.T) {
 	// observing that trip stays latched (hysteresis) while above ClearK.
 	if col.Events()[0].Node != -1 {
 		t.Errorf("thermal trip node = %d, want -1 (chip-wide)", col.Events()[0].Node)
-	}
-}
-
-func TestEmitNowStampsObservedCycle(t *testing.T) {
-	net := testNet(t)
-	rec, err := NewRecorder(Config{Interval: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := rec.NewCollector(net, "emit")
-	net.SetProbe(col)
-	for i := 0; i < 42; i++ {
-		net.Step()
-	}
-	col.EmitNow(EventRepair, 3, "re-formed")
-	evs := col.Events()
-	if len(evs) != 1 || evs[0].Cycle != 42 || evs[0].Kind != EventRepair || evs[0].Node != 3 {
-		t.Fatalf("EmitNow recorded %+v", evs)
-	}
-	if !strings.Contains(evs[0].Detail, "re-formed") {
-		t.Errorf("detail lost: %+v", evs[0])
 	}
 }
 

@@ -200,23 +200,6 @@ func SprintStates(n, level int, gateRest bool) []CoreState {
 	return states
 }
 
-// CorePowerOnly returns just the core component of a sprint configuration,
-// matching Figure 8's y-axis (core power dissipation).
-func (p ChipParams) CorePowerOnly(n, level int, gateRest bool) float64 {
-	var total float64
-	for _, s := range SprintStates(n, level, gateRest) {
-		switch s {
-		case CoreActive:
-			total += p.CoreActiveW
-		case CoreIdle:
-			total += p.CoreIdleW
-		case CoreGated:
-			total += p.CoreGatedW
-		}
-	}
-	return total
-}
-
 // CoreActiveAt scales one active core's power to an arbitrary operating
 // corner relative to Nominal (1.0 V, 2 GHz): the dynamic share scales with
 // V²·f, the leakage share with V. This is how "dim silicon" — many cores at

@@ -95,6 +95,14 @@ func TestRouterPowerValidation(t *testing.T) {
 	if _, err := params.RouterPower(noc.Events{}, 100, Corner{VDD: 1, FreqHz: 0}); err == nil {
 		t.Error("zero frequency accepted")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := params.RouterPower(noc.Events{}, 100, Corner{VDD: bad, FreqHz: 1e9}); err == nil {
+			t.Errorf("VDD %g accepted", bad)
+		}
+		if _, err := params.RouterPower(noc.Events{}, 100, Corner{VDD: 1, FreqHz: bad}); err == nil {
+			t.Errorf("frequency %g accepted", bad)
+		}
+	}
 }
 
 func TestIdleRouterIsLeakageAndClockOnly(t *testing.T) {
@@ -190,9 +198,16 @@ func TestChipPowerValidation(t *testing.T) {
 
 func TestSprintStatesAndCorePower(t *testing.T) {
 	p := DefaultChipParams()
-	full := p.CorePowerOnly(16, 16, true)
-	fineIdle := p.CorePowerOnly(16, 4, false)
-	gated := p.CorePowerOnly(16, 4, true)
+	core := func(level int, gateRest bool) float64 {
+		b, err := p.ChipPower(SprintStates(16, level, gateRest), 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b[CompCore]
+	}
+	full := core(16, true)
+	fineIdle := core(4, false)
+	gated := core(4, true)
 	if !(gated < fineIdle && fineIdle < full) {
 		t.Errorf("core power ordering wrong: gated %.1f, idle %.1f, full %.1f", gated, fineIdle, full)
 	}

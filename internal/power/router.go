@@ -12,6 +12,7 @@ package power
 
 import (
 	"fmt"
+	"math"
 
 	"nocsprint/internal/noc"
 )
@@ -34,13 +35,14 @@ var (
 	Low = Corner{VDD: 0.75, FreqHz: 1e9}
 )
 
-// Validate reports the first invalid corner field, or nil.
+// Validate reports the first invalid corner field, or nil: VDD and the
+// frequency must be finite and positive.
 func (c Corner) Validate() error {
-	if c.VDD <= 0 {
-		return fmt.Errorf("power: non-positive VDD %g", c.VDD)
+	if !(c.VDD > 0) || math.IsInf(c.VDD, 1) {
+		return fmt.Errorf("power: VDD %g not finite and positive", c.VDD)
 	}
-	if c.FreqHz <= 0 {
-		return fmt.Errorf("power: non-positive frequency %g", c.FreqHz)
+	if !(c.FreqHz > 0) || math.IsInf(c.FreqHz, 1) {
+		return fmt.Errorf("power: frequency %g not finite and positive", c.FreqHz)
 	}
 	return nil
 }

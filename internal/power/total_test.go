@@ -119,10 +119,6 @@ func TestChipBreakdownAcrossAllLevels(t *testing.T) {
 			if shares < 0.999999 || shares > 1.000001 {
 				t.Errorf("level %d gated=%v: shares sum to %g", level, gateRest, shares)
 			}
-			if b[CompCore] != p.CorePowerOnly(n, level, gateRest) {
-				t.Errorf("level %d gated=%v: core component %g != CorePowerOnly %g",
-					level, gateRest, b[CompCore], p.CorePowerOnly(n, level, gateRest))
-			}
 			// Gating the idle cores must never cost power.
 			if gateRest {
 				idle, err := p.ChipPower(SprintStates(n, level, false), level)

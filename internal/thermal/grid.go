@@ -135,7 +135,7 @@ func SteadyState(cfg GridConfig, tilePower []float64) (*HeatMap, error) {
 		return nil, fmt.Errorf("thermal: power map has %d tiles, grid has %d", len(tilePower), cfg.W*cfg.H)
 	}
 	for i, p := range tilePower {
-		if p < 0 || math.IsNaN(p) {
+		if !finiteNonNeg(p) {
 			return nil, fmt.Errorf("thermal: invalid power %g at tile %d", p, i)
 		}
 	}

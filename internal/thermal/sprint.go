@@ -108,7 +108,7 @@ func (l Lumped) SprintPhases(powerW float64) (Phases, error) {
 	if err := l.Validate(); err != nil {
 		return Phases{}, err
 	}
-	if powerW < 0 || math.IsNaN(powerW) {
+	if !finiteNonNeg(powerW) {
 		return Phases{}, fmt.Errorf("thermal: invalid power %g", powerW)
 	}
 	var ph Phases
@@ -138,16 +138,6 @@ func (l Lumped) SprintPhases(powerW float64) (Phases, error) {
 	return ph, nil
 }
 
-// SprintDuration returns the total sprint time at constant power, and
-// whether the configuration is sustainable (duration +Inf).
-func (l Lumped) SprintDuration(powerW float64) (float64, bool, error) {
-	ph, err := l.SprintPhases(powerW)
-	if err != nil {
-		return 0, false, err
-	}
-	return ph.Total(), ph.Sustainable, nil
-}
-
 // TempSample is one point of a simulated sprint timeline.
 type TempSample struct {
 	// TimeS is seconds since sprint start.
@@ -161,17 +151,23 @@ type TempSample struct {
 // Timeline integrates the lumped model at constant power in LumpedState
 // steps of dt seconds, for at most maxTime seconds or until MaxK is reached,
 // sampling every sampleEvery steps. It reproduces the Figure 1 curve: rise,
-// melt plateau, rise. Like LumpedState.Step, it rejects a negative or NaN
-// power, and sub-steps a dt longer than a tenth of the RC time constant. It
-// rejects a non-finite or non-positive dt or maxTime, and a horizon whose
-// step count does not fit in an int.
+// melt plateau, rise. Like LumpedState.Step, it rejects a negative or
+// non-finite power, and sub-steps a dt longer than a tenth of the RC time
+// constant. It rejects a non-finite or non-positive dt or maxTime, a
+// sampling period under one step, and a horizon whose step count does not
+// fit in an int.
 func (l Lumped) Timeline(powerW, dt, maxTime float64, sampleEvery int) ([]TempSample, error) {
 	s, err := NewLumpedState(l)
 	if err != nil {
 		return nil, err
 	}
-	if !(dt > 0 && maxTime > 0) || math.IsInf(dt, 1) || sampleEvery < 1 {
-		return nil, fmt.Errorf("thermal: invalid timeline parameters")
+	switch {
+	case !(dt > 0) || math.IsInf(dt, 1):
+		return nil, fmt.Errorf("thermal: invalid timeline step dt %g", dt)
+	case !(maxTime > 0):
+		return nil, fmt.Errorf("thermal: invalid timeline horizon %g", maxTime)
+	case sampleEvery < 1:
+		return nil, fmt.Errorf("thermal: invalid timeline sampling period %d", sampleEvery)
 	}
 	if maxTime/dt >= math.MaxInt { // an infinite horizon lands here too
 		return nil, fmt.Errorf("thermal: timeline of %g s in %g s steps overflows the step count", maxTime, dt)

@@ -63,13 +63,13 @@ func (s *LumpedState) SetHysteresis(tripK, clearK float64) error {
 
 // Step advances the model by dt seconds at constant power powerW. A zero dt
 // is an explicit no-op (the state, including the trip comparator, is
-// untouched); a negative or NaN dt, or a negative or NaN power, is an error
-// and leaves the state unchanged.
+// untouched); a negative or non-finite dt or power is an error and leaves
+// the state unchanged.
 func (s *LumpedState) Step(powerW, dt float64) error {
-	if math.IsNaN(dt) || dt < 0 {
+	if !finiteNonNeg(dt) {
 		return fmt.Errorf("thermal: invalid step dt %g", dt)
 	}
-	if math.IsNaN(powerW) || powerW < 0 {
+	if !finiteNonNeg(powerW) {
 		return fmt.Errorf("thermal: invalid power %g", powerW)
 	}
 	if dt == 0 {
@@ -139,3 +139,7 @@ func (s *LumpedState) Tripped() bool { return s.tripped }
 
 // Trips returns the number of distinct trip assertions so far.
 func (s *LumpedState) Trips() int { return s.trips }
+
+// finiteNonNeg reports whether v is a usable power or duration: neither
+// negative, NaN nor +Inf.
+func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }

@@ -3,6 +3,7 @@ package thermal
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 func TestNewLumpedStateValidation(t *testing.T) {
@@ -37,12 +38,23 @@ func TestLumpedStateStepRejectsBadInputs(t *testing.T) {
 	}{
 		{"negative dt", 10, -1},
 		{"NaN dt", 10, math.NaN()},
+		{"infinite dt", 10, math.Inf(1)},
 		{"negative power", -1, 0.1},
 		{"NaN power", math.NaN(), 0.1},
+		{"infinite power", math.Inf(1), 0.1},
 	}
 	for _, c := range cases {
-		if err := s.Step(c.powerW, c.d); err == nil {
-			t.Errorf("%s: accepted", c.name)
+		// Step runs under a deadline, so a sub-step loop that never ends
+		// fails the test instead of stalling the package.
+		errc := make(chan error, 1)
+		go func() { errc <- s.Step(c.powerW, c.d) }()
+		select {
+		case err := <-errc:
+			if err == nil {
+				t.Errorf("%s: accepted", c.name)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s: Step did not return within 1 s", c.name)
 		}
 		if s.TempK() != before {
 			t.Errorf("%s: state mutated on error (%g -> %g)", c.name, before, s.TempK())

@@ -142,6 +142,10 @@ func TestSteadyStateValidation(t *testing.T) {
 	if _, err := SteadyState(cfg, bad); err == nil {
 		t.Error("NaN power accepted")
 	}
+	bad[2] = math.Inf(1)
+	if _, err := SteadyState(cfg, bad); err == nil {
+		t.Error("infinite power accepted")
+	}
 	cfg.RvCell = -1
 	if _, err := SteadyState(cfg, make([]float64, 16)); err == nil {
 		t.Error("invalid config accepted")
@@ -242,11 +246,11 @@ func TestLumpedSustainablePower(t *testing.T) {
 	if sus > 106 {
 		t.Errorf("sustainable power %.1f W would make full sprinting sustainable", sus)
 	}
-	d, sustainable, err := l.SprintDuration(sus * 0.9)
+	ph, err := l.SprintPhases(sus * 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sustainable || !math.IsInf(d, 1) {
+	if !ph.Sustainable || !math.IsInf(ph.Total(), 1) {
 		t.Error("sub-TDP power should sprint forever")
 	}
 }
@@ -276,11 +280,12 @@ func TestSprintDurationMonotoneInPower(t *testing.T) {
 	l := DefaultLumped()
 	prev := math.Inf(1)
 	for _, p := range []float64{45, 60, 80, 106} {
-		d, sustainable, err := l.SprintDuration(p)
+		ph, err := l.SprintPhases(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sustainable {
+		d := ph.Total()
+		if ph.Sustainable {
 			t.Fatalf("%g W should not be sustainable", p)
 		}
 		if d >= prev {
@@ -297,6 +302,9 @@ func TestSprintPhasesValidation(t *testing.T) {
 	}
 	if _, err := l.SprintPhases(math.NaN()); err == nil {
 		t.Error("NaN power accepted")
+	}
+	if _, err := l.SprintPhases(math.Inf(1)); err == nil {
+		t.Error("infinite power accepted")
 	}
 	bad := l
 	bad.PCM.MeltK = bad.MaxK + 10

@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"nocsprint/internal/mesh"
-	"nocsprint/internal/sprint"
 )
 
 // Profile is one benchmark's scalability model.
@@ -93,14 +92,13 @@ func (p Profile) Time(n int, avgHops float64) float64 {
 }
 
 // AvgHops returns the mean pairwise hop (Hamming) distance between distinct
-// nodes of the level-sized sprint region grown from master — the
-// interconnect distance uniform traffic experiences. Level 1 returns 0.
-func AvgHops(m mesh.Mesh, master, level int, metric sprint.Metric) float64 {
-	if level < 2 {
+// nodes — the interconnect distance uniform traffic experiences over a
+// sprint region, given its nodes in activation order. Fewer than two nodes
+// return 0.
+func AvgHops(m mesh.Mesh, nodes []int) float64 {
+	if len(nodes) < 2 {
 		return 0
 	}
-	r := sprint.NewRegion(m, master, level, metric)
-	nodes := r.ActiveNodes()
 	var sum, pairs float64
 	for i, a := range nodes {
 		for _, b := range nodes[i+1:] {
@@ -111,13 +109,13 @@ func AvgHops(m mesh.Mesh, master, level int, metric sprint.Metric) float64 {
 	return sum / pairs
 }
 
-// OptimalLevel returns the sprint level in [1, maxLevel] minimising
-// NormTime over regions grown from master, and the minimised value. This is
-// the paper's off-line profiling step (§4.1).
-func (p Profile) OptimalLevel(m mesh.Mesh, master, maxLevel int) (int, float64) {
+// OptimalLevel returns the sprint level in [1, len(order)] minimising
+// NormTime over the prefixes of the activation order, and the minimised
+// value. This is the paper's off-line profiling step (§4.1).
+func (p Profile) OptimalLevel(m mesh.Mesh, order []int) (int, float64) {
 	best, bestT := 1, p.NormTime(1, 0)
-	for n := 2; n <= maxLevel; n++ {
-		t := p.NormTime(n, AvgHops(m, master, n, sprint.Euclidean))
+	for n := 2; n <= len(order); n++ {
+		t := p.NormTime(n, AvgHops(m, order[:n]))
 		if t < bestT {
 			best, bestT = n, t
 		}

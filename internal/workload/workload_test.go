@@ -72,12 +72,13 @@ func TestNormTimePanicsBelowOneCore(t *testing.T) {
 // TestPaperShapeCategories pins the three workload shapes of Figure 4.
 func TestPaperShapeCategories(t *testing.T) {
 	m := mesh.New(4, 4)
+	order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 	opt := func(name string) int {
 		p, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lvl, _ := p.OptimalLevel(m, 0, 16)
+		lvl, _ := p.OptimalLevel(m, order)
 		return lvl
 	}
 	// Scalable: blackscholes and bodytrack peak at full sprint (§4.2 says
@@ -109,13 +110,14 @@ func TestPaperShapeCategories(t *testing.T) {
 // execution time is almost identical across core counts.
 func TestFreqmineNearlyFlat(t *testing.T) {
 	m := mesh.New(4, 4)
+	order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 	p, err := ByName("freqmine")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var lo, hi float64 = math.Inf(1), math.Inf(-1)
 	for n := 1; n <= 16; n++ {
-		v := p.NormTime(n, AvgHops(m, 0, n, sprint.Euclidean))
+		v := p.NormTime(n, AvgHops(m, order[:n]))
 		lo = math.Min(lo, v)
 		hi = math.Max(hi, v)
 	}
@@ -129,13 +131,14 @@ func TestFreqmineNearlyFlat(t *testing.T) {
 // number".
 func TestPeakThenDegrade(t *testing.T) {
 	m := mesh.New(4, 4)
+	order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 	for _, name := range []string{"vips", "swaptions", "dedup", "canneal"} {
 		p, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lvl, tOpt := p.OptimalLevel(m, 0, 16)
-		t16 := p.NormTime(16, AvgHops(m, 0, 16, sprint.Euclidean))
+		lvl, tOpt := p.OptimalLevel(m, order)
+		t16 := p.NormTime(16, AvgHops(m, order))
 		if t16 <= tOpt {
 			t.Errorf("%s: no degradation past optimum (T(%d)=%.3f, T(16)=%.3f)", name, lvl, tOpt, t16)
 		}
@@ -148,10 +151,11 @@ func TestPeakThenDegrade(t *testing.T) {
 // factor. Bands are deliberately loose — we reproduce shape, not digits.
 func TestFig7AggregateSpeedups(t *testing.T) {
 	m := mesh.New(4, 4)
+	order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 	var spOpt, spFull []float64
 	for _, p := range Profiles() {
-		_, tOpt := p.OptimalLevel(m, 0, 16)
-		tFull := p.NormTime(16, AvgHops(m, 0, 16, sprint.Euclidean))
+		_, tOpt := p.OptimalLevel(m, order)
+		tFull := p.NormTime(16, AvgHops(m, order))
 		spOpt = append(spOpt, 1/tOpt)
 		spFull = append(spFull, 1/tFull)
 	}
@@ -175,22 +179,23 @@ func TestFig7AggregateSpeedups(t *testing.T) {
 
 func TestAvgHops(t *testing.T) {
 	m := mesh.New(4, 4)
-	if h := AvgHops(m, 0, 1, sprint.Euclidean); h != 0 {
+	order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
+	if h := AvgHops(m, order[:1]); h != 0 {
 		t.Errorf("AvgHops(level 1) = %v", h)
 	}
 	// Level 2 = {0,1}: one pair, distance 1.
-	if h := AvgHops(m, 0, 2, sprint.Euclidean); h != 1 {
+	if h := AvgHops(m, order[:2]); h != 1 {
 		t.Errorf("AvgHops(level 2) = %v, want 1", h)
 	}
 	// Level 4 = {0,1,4,5}: pairs (0,1)=1 (0,4)=1 (0,5)=2 (1,4)=2 (1,5)=1
 	// (4,5)=1 → mean 8/6.
-	if h := AvgHops(m, 0, 4, sprint.Euclidean); math.Abs(h-8.0/6.0) > 1e-12 {
+	if h := AvgHops(m, order[:4]); math.Abs(h-8.0/6.0) > 1e-12 {
 		t.Errorf("AvgHops(level 4) = %v, want %v", h, 8.0/6.0)
 	}
 	// Hops grow with level.
 	prev := 0.0
 	for lvl := 2; lvl <= 16; lvl++ {
-		h := AvgHops(m, 0, lvl, sprint.Euclidean)
+		h := AvgHops(m, order[:lvl])
 		if h < prev-0.2 {
 			t.Errorf("AvgHops dropped sharply at level %d: %v -> %v", lvl, prev, h)
 		}
@@ -203,10 +208,12 @@ func TestAvgHops(t *testing.T) {
 // region has no worse mean inter-node distance than the Hamming-grown one.
 func TestEuclideanRegionsBeatHammingOnHops(t *testing.T) {
 	m := mesh.New(4, 4)
+	euOrder := sprint.ActivationOrder(m, 0, sprint.Euclidean)
+	haOrder := sprint.ActivationOrder(m, 0, sprint.Hamming)
 	var eu, ha float64
 	for lvl := 2; lvl <= 16; lvl++ {
-		eu += AvgHops(m, 0, lvl, sprint.Euclidean)
-		ha += AvgHops(m, 0, lvl, sprint.Hamming)
+		eu += AvgHops(m, euOrder[:lvl])
+		ha += AvgHops(m, haOrder[:lvl])
 	}
 	if eu > ha+1e-9 {
 		t.Errorf("Euclidean regions have worse average hops (%.3f) than Hamming (%.3f)", eu, ha)
