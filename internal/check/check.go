@@ -48,7 +48,7 @@ const (
 	// while packets were in flight (deadlock or livelock).
 	Watchdog
 	// Structural: the network's internal consistency sweep
-	// (noc.CheckInvariants) failed — buffer bounds, VC states, or
+	// (noc.Network.Audit) failed — buffer bounds, VC states, or
 	// link-level credit conservation — or a flit arrived through a port
 	// with no neighbour behind it.
 	Structural
@@ -129,6 +129,9 @@ type Config struct {
 // Checker enforces the invariants; it implements noc.Probe.
 type Checker struct {
 	cfg Config
+	// census is the buffer every periodic audit refills, so the sweeps
+	// allocate nothing.
+	census []noc.ClassCensus
 
 	violations   int64
 	lastProgress int64
@@ -284,10 +287,12 @@ func (c *Checker) CycleEnd(n *noc.Network, cycle int64) {
 	if cycle%int64(c.cfg.Interval) != 0 {
 		return
 	}
-	if err := n.CheckInvariants(); err != nil {
+	census, err := n.Audit(c.census)
+	c.census = census
+	if err != nil {
 		c.fail(n, Structural, "%v", err)
 	}
-	for class, cen := range n.FlitCensus() {
+	for class, cen := range census {
 		if cen.Created != cen.Ejected+cen.Dropped+cen.AtSource+cen.InNetwork {
 			c.fail(n, Conservation,
 				"class %d: %d flits created but %d ejected + %d dropped + %d at source + %d in network",

@@ -314,9 +314,13 @@ func TestFlitCensusBalances(t *testing.T) {
 	}
 	net.Enqueue(0, 15)
 	net.Enqueue(5, 10)
+	var census []noc.ClassCensus
 	for i := 0; i < 40; i++ {
 		net.Step()
-		for class, cen := range net.FlitCensus() {
+		if census, err = net.Audit(census); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		for class, cen := range census {
 			if cen.Created != cen.Ejected+cen.AtSource+cen.InNetwork {
 				t.Fatalf("cycle %d class %d: census unbalanced: %+v", i, class, cen)
 			}

@@ -155,11 +155,26 @@ func (s *Sprinter) sprintChipPower(level int) (float64, error) {
 	return chip.Total() + s.cfg.SprintUncoreW, nil
 }
 
+// faultTrips derives the sweep's thermal-emergency trip from the lumped
+// model at the level's chip power: one event, or none when that power never
+// reaches the trip temperature within the horizon. It depends on neither a
+// point's rate nor its seed, so FaultSweep derives it once for every point.
+func (s *Sprinter) faultTrips(p FaultParams) ([]fault.Event, error) {
+	powerW, err := s.sprintChipPower(p.Level)
+	if err != nil {
+		return nil, err
+	}
+	trip, ok, err := fault.TripFromLumped(s.cfg.Lumped, powerW, faultTripTempK,
+		faultThermalSeconds/float64(p.Cycles), p.Cycles)
+	if err != nil || !ok {
+		return nil, err
+	}
+	return []fault.Event{trip}, nil
+}
+
 // buildFaultSchedule assembles the seeded schedule for one sweep point:
-// router/link faults from the rate, plus the thermal trip derived from the
-// lumped model (omitted when the level's power never reaches the trip
-// temperature within the horizon).
-func (s *Sprinter) buildFaultSchedule(rate float64, p FaultParams, seed int64) (*fault.Schedule, error) {
+// router/link faults from the rate, plus the sweep's trips.
+func (s *Sprinter) buildFaultSchedule(rate float64, p FaultParams, seed int64, trips []fault.Event) (*fault.Schedule, error) {
 	total := int(rate*float64(p.Cycles)/10000 + 0.5)
 	perm, trans, links := faultMix(total, s.mesh.Nodes())
 	sched, err := fault.Generate(fault.GenConfig{
@@ -172,22 +187,10 @@ func (s *Sprinter) buildFaultSchedule(rate float64, p FaultParams, seed int64) (
 		TransientDuration: faultTransientDuration,
 		Seed:              seed,
 	})
-	if err != nil {
-		return nil, err
+	if err != nil || len(trips) == 0 {
+		return sched, err
 	}
-	powerW, err := s.sprintChipPower(p.Level)
-	if err != nil {
-		return nil, err
-	}
-	trip, ok, err := fault.TripFromLumped(s.cfg.Lumped, powerW, faultTripTempK,
-		faultThermalSeconds/float64(p.Cycles), p.Cycles)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return sched, nil
-	}
-	return fault.New(s.mesh.Nodes(), append(sched.Events(), trip))
+	return fault.New(s.mesh.Nodes(), append(sched.Events(), trips...))
 }
 
 // FaultRun executes one fault-injection run: traffic under the schedule,
@@ -463,9 +466,13 @@ func FaultSweep(s *Sprinter, p FaultParams) ([]FaultPoint, error) {
 		}{"faults", s.cfg, p.Level, tk.idx, tk.rate, p.Cycles, faultDrainBudget,
 			faultTransientDuration, faultInjectionRate, faultTripTempK, faultThermalSeconds, p.Sim.Seed})
 	}
+	trips, err := s.faultTrips(p)
+	if err != nil {
+		return nil, err
+	}
 	return sweepKeyed(p.Sim, tasks, key, func(tk task) (FaultPoint, error) {
 		seed := p.Sim.Seed + int64(tk.idx)*1009 + 1
-		sched, err := s.buildFaultSchedule(tk.rate, p, seed)
+		sched, err := s.buildFaultSchedule(tk.rate, p, seed, trips)
 		if err != nil {
 			return FaultPoint{}, err
 		}

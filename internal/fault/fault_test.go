@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -292,17 +294,116 @@ func TestTripFromLumped(t *testing.T) {
 		t.Fatalf("sustainable power tripped (ok=%v err=%v)", ok, err)
 	}
 
-	// Invalid trip temperatures and scaling are rejected.
-	if _, _, err := TripFromLumped(l, hot, l.AmbientK, spc, 10000); err == nil {
-		t.Fatal("trip at ambient accepted")
+	// Invalid trip temperatures, scaling and powers are rejected by the
+	// fault package itself.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name                  string
+		powerW, tripK, perCyc float64
+		horizon               int64
+	}{
+		{"trip at ambient", hot, l.AmbientK, spc, 10000},
+		{"trip above junction limit", hot, l.MaxK + 1, spc, 10000},
+		{"NaN trip", hot, nan, spc, 10000},
+		{"zero seconds-per-cycle", hot, l.PCM.MeltK, 0, 10000},
+		{"NaN seconds-per-cycle", hot, l.PCM.MeltK, nan, 10000},
+		{"+Inf seconds-per-cycle", hot, l.PCM.MeltK, inf, 10000},
+		{"-Inf seconds-per-cycle", hot, l.PCM.MeltK, -inf, 10000},
+		{"zero horizon", hot, l.PCM.MeltK, spc, 0},
+		{"NaN power", nan, l.PCM.MeltK, spc, 10000},
+		{"+Inf power", inf, l.PCM.MeltK, spc, 10000},
+		{"negative power", -1, l.PCM.MeltK, spc, 10000},
+	} {
+		_, ok, err := TripFromLumped(l, c.powerW, c.tripK, c.perCyc, c.horizon)
+		if err == nil || ok || !strings.HasPrefix(err.Error(), "fault: ") {
+			t.Errorf("%s: got ok=%v err=%v, want a fault: error", c.name, ok, err)
+		}
 	}
-	if _, _, err := TripFromLumped(l, hot, l.MaxK+1, spc, 10000); err == nil {
-		t.Fatal("trip above junction limit accepted")
+}
+
+// timelineTrip is the trip search as a scan of a Lumped.Timeline sampled
+// every step, cycle for cycle: the oracle TripFromLumped must match.
+func timelineTrip(l thermal.Lumped, powerW, tripK, secondsPerCycle float64, horizon int64) (Event, bool, error) {
+	samples, err := l.Timeline(powerW, secondsPerCycle, float64(horizon)*secondsPerCycle, 1)
+	if err != nil {
+		return Event{}, false, err
 	}
-	if _, _, err := TripFromLumped(l, hot, l.PCM.MeltK, 0, 10000); err == nil {
-		t.Fatal("zero seconds-per-cycle accepted")
+	for _, s := range samples {
+		if s.TempK >= tripK {
+			c := int64(s.TimeS/secondsPerCycle + 0.5)
+			if c < 1 {
+				c = 1
+			}
+			if c >= horizon {
+				return Event{}, false, nil
+			}
+			return Event{Cycle: c, Kind: ThermalTrip, Node: -1, A: -1, B: -1}, true, nil
+		}
 	}
-	if _, _, err := TripFromLumped(l, hot, l.PCM.MeltK, spc, 0); err == nil {
-		t.Fatal("zero horizon accepted")
+	return Event{}, false, nil
+}
+
+// TestTripFromLumpedMatchesTimeline is the differential test of the
+// streamed search against a scan of the full timeline, over powers below
+// the melt point, on the melt plateau and far above the sustainable power;
+// trip temperatures just above ambient, at the melt point, between melt and
+// junction limit (the faults driver's 351.15 K), at the limit, and exactly
+// at the temperature the die reaches on cycle 37, where only a >= test
+// trips on time; horizons of 1, 2, 10 000 and 50 000 cycles; and per-cycle
+// scalings that include the faults driver's 2 s over 3 000, 6 000, 20 000
+// and 50 000 cycles and a step coarse enough to sub-step.
+func TestTripFromLumpedMatchesTimeline(t *testing.T) {
+	l := thermal.DefaultLumped()
+	melt := (l.PCM.MeltK - l.AmbientK) / l.RthKperW // power that just reaches the melt point
+	powers := []float64{0, 0.5 * melt, (melt + l.SustainablePower()) / 2, 4 * l.SustainablePower(), 25 * l.SustainablePower()}
+	trips := []float64{math.Nextafter(l.AmbientK, math.Inf(1)), l.PCM.MeltK, 351.15, l.MaxK}
+	horizons := []int64{1, 2, 10000, 50000}
+	scalings := []float64{1e-4, 2.0 / 3000, 2.0 / 6000, 2.0 / 20000, 2.0 / 50000, 1e-3, 0.5}
+	tripped := 0
+	for _, p := range powers {
+		for _, spc := range scalings {
+			first, err := l.Timeline(p, spc, 37*spc, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tripKs := trips
+			if at37 := first[len(first)-1].TempK; at37 > l.AmbientK && at37 <= l.MaxK {
+				tripKs = append(slices.Clip(trips), at37)
+			}
+			for _, tripK := range tripKs {
+				for _, h := range horizons {
+					got, gotOK, err := TripFromLumped(l, p, tripK, spc, h)
+					want, wantOK, wantErr := timelineTrip(l, p, tripK, spc, h)
+					if err != nil || wantErr != nil {
+						t.Fatalf("P=%g trip=%g spc=%g horizon=%d: errors %v / %v", p, tripK, spc, h, err, wantErr)
+					}
+					if got != want || gotOK != wantOK {
+						t.Errorf("P=%g trip=%g spc=%g horizon=%d: streamed (%v, %v), timeline (%v, %v)",
+							p, tripK, spc, h, got, gotOK, want, wantOK)
+					}
+					if gotOK {
+						tripped++
+					}
+				}
+			}
+		}
+	}
+	if tripped == 0 {
+		t.Fatal("no case tripped")
+	}
+	t.Logf("%d cases tripped", tripped)
+}
+
+// TestTripFromLumpedAllocatesNothing pins the streamed search at zero
+// allocations: it keeps one thermal state, not a timeline.
+func TestTripFromLumpedAllocatesNothing(t *testing.T) {
+	l := thermal.DefaultLumped()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, ok, err := TripFromLumped(l, 4*l.SustainablePower(), 351.15, 2.0/50000, 50000); err != nil || !ok {
+			t.Fatalf("no trip (err %v)", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("TripFromLumped allocates %.1f objects per call, want 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"nocsprint/internal/mesh"
@@ -127,36 +128,37 @@ func Generate(cfg GenConfig) (*Schedule, error) {
 }
 
 // TripFromLumped derives a thermal-emergency trip event from the lumped RC
-// model: it integrates l at constant powerW from ambient and returns the
-// first cycle the die crosses tripK, with secondsPerCycle scaling simulation
-// cycles to thermal time. The second result is false when the power never
-// reaches tripK within horizon cycles — the sprint is thermally sustainable
-// at that level and no trip fires.
+// model: it steps a thermal.LumpedState at constant powerW from ambient, one
+// step of secondsPerCycle per simulation cycle, and returns the first cycle
+// at which the die has reached tripK. The second result is false when the
+// die stays below tripK for all horizon cycles — the sprint is thermally
+// sustainable at that level and no trip fires. These are the states
+// Lumped.Timeline samples at one sample per step, tested in the same order,
+// so the trip cycle is the one a scan of that timeline finds; the search
+// keeps one state instead of the timeline and allocates nothing.
 func TripFromLumped(l thermal.Lumped, powerW, tripK, secondsPerCycle float64, horizon int64) (Event, bool, error) {
-	if err := l.Validate(); err != nil {
-		return Event{}, false, err
-	}
-	if secondsPerCycle <= 0 || horizon < 1 {
-		return Event{}, false, fmt.Errorf("fault: invalid trip scaling (%g s/cycle over %d cycles)",
-			secondsPerCycle, horizon)
-	}
-	if tripK <= l.AmbientK || tripK > l.MaxK {
-		return Event{}, false, fmt.Errorf("fault: trip temperature %g K outside (ambient %g, max %g]",
-			tripK, l.AmbientK, l.MaxK)
-	}
-	samples, err := l.Timeline(powerW, secondsPerCycle, float64(horizon)*secondsPerCycle, 1)
+	s, err := thermal.NewLumpedState(l)
 	if err != nil {
 		return Event{}, false, err
 	}
-	for _, s := range samples {
-		if s.TempK >= tripK {
-			c := int64(s.TimeS/secondsPerCycle + 0.5)
-			if c < 1 {
-				c = 1
-			}
-			if c >= horizon {
-				return Event{}, false, nil
-			}
+	if !(secondsPerCycle > 0) || math.IsInf(secondsPerCycle, 1) || horizon < 1 {
+		return Event{}, false, fmt.Errorf("fault: invalid trip scaling (%g s/cycle over %d cycles)",
+			secondsPerCycle, horizon)
+	}
+	if !(tripK > l.AmbientK && tripK <= l.MaxK) {
+		return Event{}, false, fmt.Errorf("fault: trip temperature %g K outside (ambient %g, max %g]",
+			tripK, l.AmbientK, l.MaxK)
+	}
+	if !(powerW >= 0) || math.IsInf(powerW, 1) {
+		return Event{}, false, fmt.Errorf("fault: trip power %g W not finite and non-negative", powerW)
+	}
+	// The die starts at ambient, below tripK, so cycle 1 is the first that
+	// can trip.
+	for c := int64(1); c < horizon; c++ {
+		if err := s.Step(powerW, secondsPerCycle); err != nil {
+			return Event{}, false, err
+		}
+		if s.TempK() >= tripK {
 			return Event{Cycle: c, Kind: ThermalTrip, Node: -1, A: -1, B: -1}, true, nil
 		}
 	}

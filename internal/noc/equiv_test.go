@@ -207,7 +207,12 @@ func TestStepperEquivalence(t *testing.T) {
 					t.Errorf("router %d event drift:\noptimized: %+v\nreference: %+v", id, oe, re)
 				}
 			}
-			if oc, rc := opt.FlitCensus(), ref.FlitCensus(); !reflect.DeepEqual(oc, rc) {
+			oc, oerr := opt.Audit(nil)
+			rc, rerr := ref.Audit(nil)
+			if oerr != nil || rerr != nil {
+				t.Errorf("audit failed: optimized %v, reference %v", oerr, rerr)
+			}
+			if !reflect.DeepEqual(oc, rc) {
 				t.Errorf("flit census drift:\noptimized: %+v\nreference: %+v", oc, rc)
 			}
 			if len(optPkts) != len(refPkts) {
@@ -313,9 +318,22 @@ func TestActiveRoutersIncremental(t *testing.T) {
 	}
 }
 
+// stepAllocs returns the objects allocated by window consecutive Steps,
+// counted together. AllocsPerRun divides its malloc count by the run count
+// in integers, so counting one Step per run would read anything that
+// allocates less than once per cycle, such as a sweep every 16 cycles, as 0.
+func stepAllocs(net *noc.Network, window int) float64 {
+	return testing.AllocsPerRun(1, func() {
+		for k := 0; k < window; k++ {
+			net.Step()
+		}
+	})
+}
+
 // TestStepZeroAllocSteadyState pins the allocation count of a steady-state
-// Step to zero: once buffers have grown to their high-water marks, cycling
-// the network allocates nothing, for both dark-dominated and loaded meshes.
+// Step to zero: once buffers have grown to their high-water marks, 200
+// cycles of the network allocate nothing, for both dark-dominated and
+// loaded meshes.
 func TestStepZeroAllocSteadyState(t *testing.T) {
 	for _, c := range []equivCase{
 		{name: "dark-8x8", width: 8, height: 8, level: 4, rate: 0.15},
@@ -327,7 +345,7 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			net, nodes, _ := buildEquiv(t, c, false)
-			net.SetProbe() // the checker's periodic sweeps allocate
+			net.SetProbe() // the bare stepper; TestStepZeroAllocSteadyStateWithObs attaches probes
 			rng := rand.New(rand.NewSource(3))
 			set := traffic.NewSet(nodes)
 			pattern := traffic.NewUniform(set.Size())
@@ -345,9 +363,8 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 			}
 			// Measure Step alone: packet creation (caller-side) allocates by
 			// design, so keep traffic flowing but measure only the stepper.
-			allocs := testing.AllocsPerRun(200, func() { net.Step() })
-			if allocs != 0 {
-				t.Errorf("steady-state Step allocates %.1f objects/cycle, want 0", allocs)
+			if allocs := stepAllocs(net, 200); allocs != 0 {
+				t.Errorf("200 steady-state Steps allocate %.0f objects, want 0", allocs)
 			}
 		})
 	}

@@ -6,127 +6,209 @@ import (
 	"nocsprint/internal/topo"
 )
 
-// CheckInvariants verifies the simulator's structural invariants and
-// returns the first violation found. It is O(network size) and intended for
-// tests and debugging (property tests call it every cycle under random
-// traffic), not for the hot path.
+// ClassCensus is the flit population of one message class, for conservation
+// checks: Created == Ejected + Dropped + AtSource + InNetwork must hold at
+// every cycle boundary.
+type ClassCensus struct {
+	// Created counts all flits of packets ever created in this class.
+	Created int64
+	// Ejected counts flits delivered to destination NIs.
+	Ejected int64
+	// Dropped counts flits discarded by reconfiguration: queued packets
+	// whose endpoint went dark, and in-flight flits sunk at a retiring node.
+	Dropped int64
+	// AtSource counts flits still owed by source NIs: whole queued packets
+	// plus the un-issued remainder of partially injected ones.
+	AtSource int64
+	// InNetwork counts flits in router buffers, in flight on links, or in
+	// ejection queues.
+	InNetwork int64
+}
+
+// Audit checks the simulator's structural invariants and takes the
+// per-class flit census in one walk over the routers. It costs
+// O(ports·VCs + flits and credits in flight) per router and allocates
+// nothing once buf is large enough, because the invariant checker runs it
+// every check.Config.Interval cycles and property tests every cycle.
 //
-// The key invariant is credit conservation on every directed link: the
-// upstream credit counter, the flits buffered downstream, the flits in
-// flight on the link, and the credits in flight back upstream always sum to
-// the buffer depth.
-func (n *Network) CheckInvariants() error {
-	depth, nVC := n.cfg.BufferDepth, n.cfg.VCs
-	var buf [maxSlots]int // NewTopo caps ports x VCs at maxSlots
-	held := buf[:n.P*nVC]
+// The census goes into buf, resized to one entry per message class, and is
+// returned; pass the previous result back in to reuse it. The error is the
+// first violation in walk order, or nil. The census is complete either way,
+// so one audit can show both a structural fault and a census imbalance.
+//
+// Per router, the invariants are: every input VC holds at most the buffer
+// depth, only flits of its own packet, none while the router is gated, and
+// request bits in step with its state; every in-flight queue is in
+// due-cycle order, and inMask marks exactly the non-empty input queues. The
+// key invariant is credit conservation on every directed link and at every
+// NI: the upstream credit counter, the flits buffered downstream, the flits
+// in flight on the link, and the credits in flight back upstream always sum
+// to the buffer depth. Network-wide, no more packets are ejected than
+// injected, nor injected than created.
+func (n *Network) Audit(buf []ClassCensus) ([]ClassCensus, error) {
+	classes := n.cfg.classes()
+	if cap(buf) < classes {
+		buf = make([]ClassCensus, classes)
+	}
+	buf = buf[:classes]
+	for c := range buf {
+		buf[c] = ClassCensus{Created: n.classCreated[c], Ejected: n.classEjected[c], Dropped: n.classDropped[c]}
+	}
+	var err error
+	var held [maxSlots]int // NewTopo caps ports x VCs at maxSlots
 	for id, r := range n.routers {
-		// Buffer bounds, VC windows, VC state consistency, and request sets
-		// in step with the VC states.
-		for b := range r.in {
-			ivc := &r.in[b]
-			p, v := b/n.cfg.VCs, b%n.cfg.VCs
-			if ivc.n > depth {
-				return fmt.Errorf("noc: router %d port %d vc %d holds %d flits (depth %d)",
-					id, p, v, ivc.n, depth)
-			}
-			if ivc.n > 0 && (ivc.state == vcIdle || ivc.pkt == nil || ivc.seq+ivc.n > ivc.pkt.Length) {
-				return fmt.Errorf("noc: router %d port %d vc %d in state %d holds flits %d..%d outside its packet",
-					id, p, v, ivc.state, ivc.seq, ivc.seq+ivc.n-1)
-			}
-			if !r.active && ivc.n > 0 {
-				return fmt.Errorf("noc: gated router %d holds flits", id)
-			}
-			bit := uint64(1) << uint(b)
-			got := [3]bool{r.rcSet&bit != 0, r.vaSet&bit != 0, r.saSet&bit != 0}
-			want := [3]bool{ivc.state == vcRoute, ivc.state == vcVA, ivc.state == vcActive && ivc.n > 0}
-			if got != want {
-				return fmt.Errorf("noc: router %d port %d vc %d in state %d with %d flits has request bits rc/va/sa %v, want %v",
-					id, p, v, ivc.state, ivc.n, got, want)
-			}
+		err = n.auditRouter(id, buf, err)
+		if err == nil && r.active {
+			err = n.auditCredits(id, held[:n.P*n.cfg.VCs])
 		}
-		// In-flight queues: due-cycle order (deliverFlits pops a due
-		// prefix) and inMask marking exactly the non-empty input queues.
-		for p := 0; p <= n.P; p++ {
-			q := &n.eject[id]
-			if p < n.P {
-				q = &n.inbox[id*n.P+p]
-				if (r.inMask&(1<<uint(p)) != 0) != (q.n > 0) {
-					return fmt.Errorf("noc: router %d inMask %b disagrees with %d flits in flight to port %d",
-						id, r.inMask, q.n, p)
-				}
-			}
-			for i := 1; i < q.n; i++ {
-				if q.at(i).t < q.at(i-1).t {
-					return fmt.Errorf("noc: router %d queue %d out of due-cycle order: flit %d due %d after %d",
-						id, p, i, q.at(i).t, q.at(i-1).t)
-				}
-			}
+	}
+	if err == nil && n.stats.PacketsEjected > n.stats.PacketsInjected {
+		err = fmt.Errorf("noc: ejected %d > injected %d", n.stats.PacketsEjected, n.stats.PacketsInjected)
+	}
+	if err == nil && n.stats.PacketsInjected > n.stats.PacketsCreated {
+		err = fmt.Errorf("noc: injected %d > created %d", n.stats.PacketsInjected, n.stats.PacketsCreated)
+	}
+	return buf, err
+}
+
+// auditRouter adds the flits router id holds or has in flight toward it or
+// its NI, and those its NI still owes, to cen. While err is nil it also
+// checks the router's buffers, VC states, request sets and in-flight queues,
+// and returns the first violation; once err is set it only counts, and
+// returns err.
+func (n *Network) auditRouter(id int, cen []ClassCensus, err error) error {
+	r, nic := n.routers[id], n.nis[id]
+	for _, pkt := range nic.queue {
+		cen[pkt.Class].AtSource += int64(pkt.Length)
+	}
+	if nic.cur != nil {
+		cen[nic.cur.Class].AtSource += int64(nic.cur.Length - nic.curSeq)
+	}
+	// Buffer bounds, VC windows, VC state consistency, and request sets in
+	// step with the VC states. A slot's (port, vc) is worked out only for
+	// an error message.
+	depth, nVC := n.cfg.BufferDepth, n.cfg.VCs
+	for b := range r.in {
+		ivc := &r.in[b]
+		if ivc.n > 0 && ivc.pkt != nil {
+			cen[ivc.pkt.Class].InNetwork += int64(ivc.n)
 		}
-		if !r.active {
+		if err != nil {
 			continue
 		}
-		// Credit conservation per output (port, vc), then at the NI. One
-		// pass over each credit source fills held[p*VCs+vc]; the
-		// comparisons then run in (port, vc) order. A credit or flit naming
-		// a (port, vc) outside the table counts toward no link, so a corrupt
-		// one is reported as a leak rather than a panic.
-		clear(held)
-		for p := 1; p < n.P; p++ { // skip Local: uncredited
-			dst := r.downstream[p]
-			if dst < 0 {
-				continue
+		switch {
+		case ivc.n > depth:
+			err = fmt.Errorf("noc: router %d port %d vc %d holds %d flits (depth %d)",
+				id, b/nVC, b%nVC, ivc.n, depth)
+		case ivc.n > 0 && (ivc.state == vcIdle || ivc.pkt == nil || ivc.seq+ivc.n > ivc.pkt.Length):
+			err = fmt.Errorf("noc: router %d port %d vc %d in state %d holds flits %d..%d outside its packet",
+				id, b/nVC, b%nVC, ivc.state, ivc.seq, ivc.seq+ivc.n-1)
+		case !r.active && ivc.n > 0:
+			err = fmt.Errorf("noc: gated router %d holds flits", id)
+		default:
+			// Bits 0, 1 and 2 stand for rcSet, vaSet and saSet.
+			var want uint64
+			switch {
+			case ivc.state == vcRoute:
+				want = 1
+			case ivc.state == vcVA:
+				want = 2
+			case ivc.state == vcActive && ivc.n > 0:
+				want = 4
 			}
-			inDir := n.opp[p]
-			for vc := 0; vc < nVC; vc++ {
-				held[p*nVC+vc] = r.out[p*nVC+vc].credits + n.routers[dst].in[inDir*nVC+vc].n
-			}
-			n.countInFlight(held[p*nVC:(p+1)*nVC], dst, inDir)
-		}
-		for _, ev := range n.credbox[id] {
-			if ev.port > 0 && ev.port < n.P && ev.vc >= 0 && ev.vc < nVC {
-				held[ev.port*nVC+ev.vc]++
-			}
-		}
-		for p := 1; p < n.P; p++ {
-			dst := r.downstream[p]
-			if dst < 0 {
-				continue
-			}
-			for vc := 0; vc < nVC; vc++ {
-				if sum := held[p*nVC+vc]; sum != depth {
-					return fmt.Errorf("noc: credit leak on link %d->%d vc %d: sum %d != depth %d",
-						id, dst, vc, sum, depth)
-				}
-			}
-		}
-		// NI-side credits toward the Local input port, in Local's row of
-		// held, which the link check leaves unread.
-		nic := n.nis[id]
-		if nic.active {
-			local := held[topo.Local*nVC : (topo.Local+1)*nVC]
-			for vc := range local {
-				local[vc] = nic.credits[vc] + r.in[topo.Local*nVC+vc].n
-			}
-			n.countInFlight(local, id, topo.Local)
-			for _, ev := range n.nicredbox[id] {
-				if ev.vc >= 0 && ev.vc < nVC {
-					local[ev.vc]++
-				}
-			}
-			for vc, sum := range local {
-				if sum != depth {
-					return fmt.Errorf("noc: NI credit leak at node %d vc %d: sum %d != depth %d",
-						id, vc, sum, depth)
-				}
+			if got := r.rcSet>>b&1 | r.vaSet>>b&1<<1 | r.saSet>>b&1<<2; got != want {
+				err = fmt.Errorf("noc: router %d port %d vc %d in state %d with %d flits has request bits rc/va/sa %v, want %v",
+					id, b/nVC, b%nVC, ivc.state, ivc.n, requestBits(got), requestBits(want))
 			}
 		}
 	}
-	// Packet accounting.
-	if n.stats.PacketsEjected > n.stats.PacketsInjected {
-		return fmt.Errorf("noc: ejected %d > injected %d", n.stats.PacketsEjected, n.stats.PacketsInjected)
+	// In-flight queues: due-cycle order (deliverFlits pops a due prefix)
+	// and inMask marking exactly the non-empty input queues. Queue P is the
+	// ejection queue toward the NI.
+	for p := 0; p <= n.P; p++ {
+		q := &n.eject[id]
+		if p < n.P {
+			q = &n.inbox[id*n.P+p]
+			if err == nil && (r.inMask&(1<<uint(p)) != 0) != (q.n > 0) {
+				err = fmt.Errorf("noc: router %d inMask %b disagrees with %d flits in flight to port %d",
+					id, r.inMask, q.n, p)
+			}
+		}
+		for i := 0; i < q.n; i++ {
+			a := q.at(i)
+			cen[a.f.pkt.Class].InNetwork++
+			if err == nil && i > 0 && a.t < q.at(i-1).t {
+				err = fmt.Errorf("noc: router %d queue %d out of due-cycle order: flit %d due %d after %d",
+					id, p, i, a.t, q.at(i-1).t)
+			}
+		}
 	}
-	if n.stats.PacketsInjected > n.stats.PacketsCreated {
-		return fmt.Errorf("noc: injected %d > created %d", n.stats.PacketsInjected, n.stats.PacketsCreated)
+	return err
+}
+
+// requestBits spells out a slot's membership of rcSet, vaSet and saSet
+// (bits 0, 1 and 2 of set) for an error message.
+func requestBits(set uint64) [3]bool { return [3]bool{set&1 != 0, set&2 != 0, set&4 != 0} }
+
+// auditCredits checks credit conservation on powered router id's outgoing
+// links, then at its NI, using held as the (port, vc) table. One pass over
+// each credit source fills held[p*VCs+vc]; the comparisons then run in
+// (port, vc) order. A credit or flit naming a (port, vc) outside the table
+// counts toward no link, so a corrupt one is reported as a leak rather than
+// a panic.
+func (n *Network) auditCredits(id int, held []int) error {
+	depth, nVC := n.cfg.BufferDepth, n.cfg.VCs
+	r := n.routers[id]
+	clear(held)
+	for p := 1; p < n.P; p++ { // skip Local: uncredited
+		dst := r.downstream[p]
+		if dst < 0 {
+			continue
+		}
+		inDir := n.opp[p]
+		for vc := 0; vc < nVC; vc++ {
+			held[p*nVC+vc] = r.out[p*nVC+vc].credits + n.routers[dst].in[inDir*nVC+vc].n
+		}
+		n.countInFlight(held[p*nVC:(p+1)*nVC], dst, inDir)
+	}
+	for _, ev := range n.credbox[id] {
+		if ev.port > 0 && ev.port < n.P && ev.vc >= 0 && ev.vc < nVC {
+			held[ev.port*nVC+ev.vc]++
+		}
+	}
+	for p := 1; p < n.P; p++ {
+		dst := r.downstream[p]
+		if dst < 0 {
+			continue
+		}
+		for vc := 0; vc < nVC; vc++ {
+			if sum := held[p*nVC+vc]; sum != depth {
+				return fmt.Errorf("noc: credit leak on link %d->%d vc %d: sum %d != depth %d",
+					id, dst, vc, sum, depth)
+			}
+		}
+	}
+	// NI-side credits toward the Local input port, in Local's row of held,
+	// which the link check leaves unread.
+	nic := n.nis[id]
+	if !nic.active {
+		return nil
+	}
+	local := held[topo.Local*nVC : (topo.Local+1)*nVC]
+	for vc := range local {
+		local[vc] = nic.credits[vc] + r.in[topo.Local*nVC+vc].n
+	}
+	n.countInFlight(local, id, topo.Local)
+	for _, ev := range n.nicredbox[id] {
+		if ev.vc >= 0 && ev.vc < nVC {
+			local[ev.vc]++
+		}
+	}
+	for vc, sum := range local {
+		if sum != depth {
+			return fmt.Errorf("noc: NI credit leak at node %d vc %d: sum %d != depth %d",
+				id, vc, sum, depth)
+		}
 	}
 	return nil
 }

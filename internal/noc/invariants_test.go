@@ -15,8 +15,10 @@ import (
 // an in-flight queue (deliverFlits pops a due prefix), the inMask bit of a
 // non-empty input queue, and a VC window's place in its packet; and the two
 // credit counters the audit balances: a router's credits toward a link and
-// an NI's credits toward its router. CheckInvariants must name each fault,
-// and restoring the state must clear it.
+// an NI's credits toward its router. Audit must name each fault, and
+// restoring the state must clear it. None of the faults moves a flit, so
+// the census Audit returns beside each error must equal the clean one:
+// counting goes on past the first violation.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LinkLatency = 3 // several flits in flight per link
@@ -40,7 +42,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			}
 		}
 		net.Step()
-		if err := net.CheckInvariants(); err != nil {
+		if _, err := net.Audit(nil); err != nil {
 			t.Fatalf("cycle %d: %v", cyc, err)
 		}
 		queue, masked, window = nil, nil, nil
@@ -65,6 +67,10 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	r0 := net.routers[0]
 	linkOut := &r0.out[slices.IndexFunc(r0.downstream, func(d int) bool { return d >= 0 })*cfg.VCs]
 	niCredits := net.nis[0].credits
+	clean, err := net.Audit(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, c := range []struct {
 		name, want string
@@ -88,12 +94,16 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			link, niCredit int
 		}{*queue.at(0), *queue.at(1), masked.inMask, *window, linkOut.credits, niCredits[0]}
 		c.corrupt()
-		if err := net.CheckInvariants(); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: CheckInvariants returned %v, want an error naming %q", c.name, err, c.want)
+		census, err := net.Audit(nil)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Audit returned %v, want an error naming %q", c.name, err, c.want)
+		}
+		if !slices.Equal(census, clean) {
+			t.Errorf("%s: census %+v beside the error, want the clean %+v", c.name, census, clean)
 		}
 		*queue.at(0), *queue.at(1), masked.inMask, *window = saved.a, saved.b, saved.mask, saved.window
 		linkOut.credits, niCredits[0] = saved.link, saved.niCredit
-		if err := net.CheckInvariants(); err != nil {
+		if _, err := net.Audit(nil); err != nil {
 			t.Fatalf("%s: restored network still fails: %v", c.name, err)
 		}
 	}

@@ -204,14 +204,16 @@ func (d *digestProbe) CreditDelivered(n *noc.Network, router, port, vc, credits 
 func (d *digestProbe) CycleEnd(n *noc.Network, cycle int64) { d.event(5, cycle, 0, 0, 0) }
 
 // TestStepZeroAllocSteadyStateWithObs is the TestStepZeroAllocSteadyState
-// variant the probe layer must keep honest. Each case runs three times on
-// identical traffic: unprobed, with a digest probe alone, and with the digest
-// probe beside a collector (power model included, sampling every 100 cycles)
-// through the SetProbe fan-out. Steady-state Step must allocate nothing in
-// every run — samples append into preallocated flat buffers, the power total
-// uses the alloc-free NetworkPowerTotal, and the fan-out is a plain loop —
-// all three runs must end in identical Stats, and both digest probes must
-// see the identical event sequence.
+// variant the probe layer must keep honest. Each case runs four times on
+// identical traffic: unprobed, with a digest probe alone, with the digest
+// probe beside a collector (power model included, sampling every 100
+// cycles), and with the digest probe beside the invariant checker (an audit
+// and census every 16 cycles), through the SetProbe fan-out. A 200-step
+// steady-state window must allocate nothing in every run — the samples fit
+// in the collector's starting buffers, the power total uses the alloc-free
+// NetworkPowerTotal, the checker's audit refills one census buffer, and the
+// fan-out is a plain loop — all four runs must end in identical Stats, and
+// every digest probe must see the identical event sequence.
 func TestStepZeroAllocSteadyStateWithObs(t *testing.T) {
 	for _, c := range []equivCase{
 		{name: "dark-8x8", width: 8, height: 8, level: 4, rate: 0.15},
@@ -219,20 +221,22 @@ func TestStepZeroAllocSteadyStateWithObs(t *testing.T) {
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			modes := []string{"unprobed", "probe", "probe+collector"}
+			modes := []string{"unprobed", "probe", "probe+collector", "probe+checker"}
 			stats := make([]noc.Stats, len(modes))
 			digests := make([]digestProbe, len(modes))
 			for i, mode := range modes {
-				net, nodes, _ := buildEquiv(t, c, false)
+				net, nodes, region := buildEquiv(t, c, false)
 				d := &digests[i]
 				switch mode {
 				case "unprobed":
-					net.SetProbe() // the checker's periodic sweeps allocate
+					net.SetProbe()
 				case "probe":
 					net.SetProbe(d)
 				case "probe+collector":
 					rec := newTestRecorder(t, net.Config(), 100)
 					net.SetProbe(d, rec.NewCollector(net, c.name))
+				case "probe+checker":
+					net.SetProbe(d, equivChecker(net, region))
 				}
 				rng := rand.New(rand.NewSource(3))
 				set := traffic.NewSet(nodes)
@@ -246,9 +250,8 @@ func TestStepZeroAllocSteadyStateWithObs(t *testing.T) {
 					}
 					net.Step()
 				}
-				allocs := testing.AllocsPerRun(200, func() { net.Step() })
-				if allocs != 0 {
-					t.Errorf("%s: steady-state Step allocates %.1f objects/cycle, want 0", mode, allocs)
+				if allocs := stepAllocs(net, 200); allocs != 0 {
+					t.Errorf("%s: 200 steady-state Steps allocate %.0f objects, want 0", mode, allocs)
 				}
 				stats[i] = net.Stats()
 			}
@@ -257,8 +260,13 @@ func TestStepZeroAllocSteadyStateWithObs(t *testing.T) {
 					t.Errorf("%s run drifted from the unprobed one:\nunprobed: %+v\n%s: %+v", modes[i], stats[0], modes[i], stats[i])
 				}
 			}
-			if digests[1].events == 0 || digests[1] != digests[2] {
-				t.Errorf("probe saw %+v alone but %+v beside a collector", digests[1], digests[2])
+			if digests[1].events == 0 {
+				t.Error("probe saw no events")
+			}
+			for i := 2; i < len(modes); i++ {
+				if digests[i] != digests[1] {
+					t.Errorf("probe saw %+v alone but %+v in %s", digests[1], digests[i], modes[i])
+				}
 			}
 		})
 	}

@@ -102,60 +102,6 @@ func (n *Network) BufferedFlits() int64 {
 // separate, dynamic notion.
 func (n *Network) RouterActive(id int) bool { return n.routers[id].active }
 
-// ClassCensus is the flit population of one message class, for conservation
-// checks: Created == Ejected + Dropped + AtSource + InNetwork must hold at
-// every cycle boundary.
-type ClassCensus struct {
-	// Created counts all flits of packets ever created in this class.
-	Created int64
-	// Ejected counts flits delivered to destination NIs.
-	Ejected int64
-	// Dropped counts flits discarded by reconfiguration: queued packets
-	// whose endpoint went dark, and in-flight flits sunk at a retiring node.
-	Dropped int64
-	// AtSource counts flits still owed by source NIs: whole queued packets
-	// plus the un-issued remainder of partially injected ones.
-	AtSource int64
-	// InNetwork counts flits in router buffers, in flight on links, or in
-	// ejection queues.
-	InNetwork int64
-}
-
-// FlitCensus walks the whole network and returns the per-class flit
-// population. It is O(network size) and intended for invariant checks, not
-// the hot path.
-func (n *Network) FlitCensus() []ClassCensus {
-	out := make([]ClassCensus, n.cfg.classes())
-	for c := range out {
-		out[c].Created = n.classCreated[c]
-		out[c].Ejected = n.classEjected[c]
-		out[c].Dropped = n.classDropped[c]
-	}
-	count := func(q *fifo) {
-		for i := 0; i < q.n; i++ {
-			out[q.at(i).f.pkt.Class].InNetwork++
-		}
-	}
-	for id, nic := range n.nis {
-		for _, pkt := range nic.queue {
-			out[pkt.Class].AtSource += int64(pkt.Length)
-		}
-		if nic.cur != nil {
-			out[nic.cur.Class].AtSource += int64(nic.cur.Length - nic.curSeq)
-		}
-		for p := 0; p < n.P; p++ {
-			count(&n.inbox[id*n.P+p])
-		}
-		count(&n.eject[id])
-		for _, v := range n.routers[id].in {
-			if v.n > 0 {
-				out[v.pkt.Class].InNetwork += int64(v.n)
-			}
-		}
-	}
-	return out
-}
-
 // Snapshot renders a human-readable dump of the network state: per-router
 // buffer occupancy, VC pipeline states, output credits, in-flight link and
 // credit traffic, and NI queues. Invariant violations attach it to their

@@ -98,7 +98,11 @@ func TestReconfigureShrinkDropsAndAccounts(t *testing.T) {
 	if st.PacketsDropped != rep.PacketsDropped {
 		t.Fatalf("stats dropped %d != report %d", st.PacketsDropped, rep.PacketsDropped)
 	}
-	for class, cen := range net.FlitCensus() {
+	census, err := net.Audit(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for class, cen := range census {
 		if cen.Created != cen.Ejected+cen.Dropped+cen.AtSource+cen.InNetwork {
 			t.Fatalf("class %d census unbalanced after shrink: %+v", class, cen)
 		}
@@ -177,7 +181,7 @@ func TestReconfigureDrainTimeout(t *testing.T) {
 	if err := net.DrainWithBudgetCtx(nil, 100000); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.CheckInvariants(); err != nil {
+	if _, err := net.Audit(nil); err != nil {
 		t.Fatal(err)
 	}
 }

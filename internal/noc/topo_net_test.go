@@ -63,7 +63,7 @@ func TestTopoNetworksDeliverAndHoldInvariants(t *testing.T) {
 					net.Enqueue(rng.Intn(n), rng.Intn(n))
 				}
 				net.Step()
-				if err := net.CheckInvariants(); err != nil {
+				if _, err := net.Audit(nil); err != nil {
 					t.Fatalf("cycle %d: %v", cyc, err)
 				}
 			}

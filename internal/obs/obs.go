@@ -7,9 +7,10 @@
 // integer increments per event) and, every Interval cycles, snapshots a
 // Sample: window flit counts, per-router and region utilization, mean queue
 // depth, active-router count, and — when models are configured — network
-// power and die temperature from an incremental lumped RC step. All sample
-// storage is preallocated flat buffers, so steady-state Step stays at zero
-// allocations per operation with a collector attached; and because the
+// power and die temperature from an incremental lumped RC step. Samples
+// append to flat buffers that start small and double when full, so a
+// collector costs memory in proportion to what it records, and Step
+// allocates only at those doublings — none between them; and because the
 // hooks never mutate the network, instrumented runs are bit-identical to
 // uninstrumented ones (the zero-drift suites at the noc, core, and golden
 // layers pin both properties).
@@ -53,11 +54,12 @@ type ThermalModel struct {
 	TripK, ClearK float64
 }
 
-// A Collector preallocates room for sampleCap samples and eventCap
-// timeline events; runs beyond either still record, at the cost of a buffer
-// growth.
+// A Collector starts with room for sampleCap samples (and their per-router
+// rows) and eventCap timeline events, and grows each buffer by append when
+// it fills. The start is small because a sweep keeps every collector until
+// it is written out, and a fault-sweep point records about 50 samples.
 const (
-	sampleCap = 1024
+	sampleCap = 64
 	eventCap  = 64
 )
 
@@ -273,9 +275,9 @@ func (c *Collector) Finish() {
 }
 
 // sample closes the current window: per-router event deltas, utilization,
-// queue depth, and the optional power/thermal step. It must not allocate in
-// steady state — everything appends into preallocated buffers and the power
-// total comes from the alloc-free power.NetworkPowerTotal.
+// queue depth, and the optional power/thermal step. It allocates only when
+// a buffer fills and append grows it; the power total comes from the
+// alloc-free power.NetworkPowerTotal.
 func (c *Collector) sample(n *noc.Network) {
 	window := c.winCycles
 	var delta noc.Events
