@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"nocsprint/internal/check"
 	"nocsprint/internal/ckpt"
@@ -84,8 +85,8 @@ type Config struct {
 	Lumped thermal.Lumped
 	// Grid is the heat-map solver configuration.
 	Grid thermal.GridConfig
-	// UseFloorplan applies the thermal-aware floorplan (Algorithm 3) when
-	// building heat maps.
+	// UseFloorplan makes the Sprinter's plan the thermal-aware floorplan
+	// (Algorithms 3–4) instead of the identity placement.
 	UseFloorplan bool
 	// SprintUncoreW is the extra dynamic power of the shared uncore (L2
 	// banks, memory controller, I/O) under full sprint activity, on top of
@@ -138,31 +139,27 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Sprinter is a configured NoC-sprinting system.
+// Sprinter is a configured NoC-sprinting system. Sweep workers share one
+// Sprinter, so it must not be copied after New.
 type Sprinter struct {
 	cfg   Config
 	mesh  mesh.Mesh
 	order []int
-	plan  *floorplan.Plan
+	// planOnce builds plan, or planErr, on the first read of the floorplan:
+	// only heat maps and wire lengths read it.
+	planOnce sync.Once
+	plan     *floorplan.Plan
+	planErr  error
 }
 
-// New builds a Sprinter: it computes the activation order and, if enabled,
-// the thermal-aware floorplan.
+// New builds a Sprinter: it computes the activation order. The floorplan is
+// built on first use.
 func New(cfg Config) (*Sprinter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	m := mesh.New(cfg.NoC.Width, cfg.NoC.Height)
-	order := sprint.ActivationOrder(m, cfg.Master, cfg.Metric)
-	plan := floorplan.Identity(m)
-	if cfg.UseFloorplan {
-		p, err := floorplan.Thermal(m, order)
-		if err != nil {
-			return nil, err
-		}
-		plan = p
-	}
-	return &Sprinter{cfg: cfg, mesh: m, order: order, plan: plan}, nil
+	return &Sprinter{cfg: cfg, mesh: m, order: sprint.ActivationOrder(m, cfg.Master, cfg.Metric)}, nil
 }
 
 // Config returns the system configuration.
@@ -171,8 +168,29 @@ func (s *Sprinter) Config() Config { return s.cfg }
 // Mesh returns the logical mesh.
 func (s *Sprinter) Mesh() mesh.Mesh { return s.mesh }
 
-// Plan returns the active floorplan (identity when disabled).
-func (s *Sprinter) Plan() *floorplan.Plan { return s.plan }
+// Plan returns the active floorplan (identity when disabled), building it
+// on the first call. It panics if Algorithm 4 rejects the activation order,
+// which New always computes as a permutation, so only a bug can.
+func (s *Sprinter) Plan() *floorplan.Plan {
+	plan, err := s.activePlan()
+	if err != nil {
+		panic(err)
+	}
+	return plan
+}
+
+// activePlan builds the active floorplan once, on the first call from any
+// goroutine, and returns it with its construction error.
+func (s *Sprinter) activePlan() (*floorplan.Plan, error) {
+	s.planOnce.Do(func() {
+		if !s.cfg.UseFloorplan {
+			s.plan = floorplan.Identity(s.mesh)
+			return
+		}
+		s.plan, s.planErr = floorplan.Thermal(s.mesh, s.order)
+	})
+	return s.plan, s.planErr
+}
 
 // ActivationOrder returns Algorithm 1's node order (a copy).
 func (s *Sprinter) ActivationOrder() []int { return append([]int(nil), s.order...) }
@@ -436,14 +454,20 @@ func (p NetSimParams) build(cfg noc.Config, f fabric, label string) (*noc.Networ
 // run drives net with uniform traffic among set's endpoints at rate over p's
 // warmup, measure and drain windows, aborting with p.Abort.
 func (p NetSimParams) run(net *noc.Network, set *traffic.Set, rate float64, seed int64) (noc.Result, error) {
-	return noc.RunSynthetic(net, set, traffic.NewUniform(set.Size()), noc.SimParams{
+	return noc.RunSynthetic(net, set, traffic.NewUniform(set.Size()), p.sim(rate, seed))
+}
+
+// sim is the noc.SimParams of a run at rate with seed over p's windows,
+// aborted by p.Abort.
+func (p NetSimParams) sim(rate float64, seed int64) noc.SimParams {
+	return noc.SimParams{
 		InjectionRate: rate,
 		WarmupCycles:  p.Warmup,
 		MeasureCycles: p.Measure,
 		DrainCycles:   p.Drain,
 		Seed:          seed,
 		Ctx:           p.Abort,
-	})
+	}
 }
 
 func (p NetSimParams) withDefaults() NetSimParams {
@@ -541,14 +565,21 @@ func (s *Sprinter) TilePowerMap(level int, scheme Scheme, useFloorplan bool) ([]
 		return nil, fmt.Errorf("core: unknown scheme %v", scheme)
 	}
 
+	var plan *floorplan.Plan
+	if useFloorplan {
+		var err error
+		if plan, err = s.activePlan(); err != nil {
+			return nil, err
+		}
+	}
 	tiles := make([]float64, n)
 	for i := range tiles {
 		tiles[i] = darkTile
 	}
 	for _, logical := range s.order[:level] {
 		slot := logical
-		if useFloorplan {
-			slot = s.plan.Pos(logical)
+		if plan != nil {
+			slot = plan.Pos(logical)
 		}
 		tiles[slot] = activeTile
 	}
@@ -649,9 +680,13 @@ func (s *Sprinter) TrafficHeatMap(p workload.Profile, scheme Scheme, useFloorpla
 		tiles[id] = coreW + cp.L2BankW + nocW
 	}
 	if useFloorplan {
+		plan, err := s.activePlan()
+		if err != nil {
+			return nil, err
+		}
 		remapped := make([]float64, n)
 		for logical := 0; logical < n; logical++ {
-			remapped[s.plan.Pos(logical)] = tiles[logical]
+			remapped[plan.Pos(logical)] = tiles[logical]
 		}
 		tiles = remapped
 	}

@@ -2,8 +2,11 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
+	"nocsprint/internal/floorplan"
 	"nocsprint/internal/power"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/workload"
@@ -357,6 +360,55 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	cfg.NoC.Width = 0
 	if _, err := New(cfg); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+// TestFloorplanOnFirstUse: New leaves the floorplan unbuilt, concurrent
+// first readers share the one plan Algorithm 4 gives for the activation
+// order, and a Sprinter without floorplanning reads the identity plan.
+func TestFloorplanOnFirstUse(t *testing.T) {
+	s := newSprinter(t)
+	if s.plan != nil || s.planErr != nil {
+		t.Fatal("New built the floorplan")
+	}
+	want, err := floorplan.Thermal(s.Mesh(), s.ActivationOrder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 16
+	plans := make([]*floorplan.Plan, readers)
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			// Half the readers reach the plan through HeatMap first.
+			if i%2 == 0 {
+				if _, err := s.HeatMap(4, NoCSprinting, true); err != nil {
+					t.Error(err)
+				}
+			}
+			plans[i] = s.Plan()
+		}(i)
+	}
+	wg.Wait()
+	for i, p := range plans {
+		if p != plans[0] {
+			t.Fatalf("reader %d got plan %p, reader 0 got %p", i, p, plans[0])
+		}
+	}
+	if !reflect.DeepEqual(plans[0], want) {
+		t.Errorf("shared plan %v, Algorithm 4 gives %v", plans[0].Positions(), want.Positions())
+	}
+
+	cfg := DefaultConfig()
+	cfg.UseFloorplan = false
+	off, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := off.Plan(); !reflect.DeepEqual(got, floorplan.Identity(off.Mesh())) {
+		t.Errorf("plan without floorplanning is %v, want the identity", got.Positions())
 	}
 }
 

@@ -716,7 +716,10 @@ func FloorplanWireStudy(s *Sprinter, sp NetSimParams) ([]WireCase, error) {
 	}
 	level := s.Level(dedup, NoCSprinting)
 	region := s.Region(level)
-	plan := s.plan
+	plan, err := s.activePlan()
+	if err != nil {
+		return nil, err
+	}
 
 	run := func(planned, smart bool) (float64, int, error) {
 		net, err := sp.build(s.cfg.NoC, sprintFabric(region), fmt.Sprintf("wires/planned=%t/smart=%t", planned, smart))
@@ -935,7 +938,9 @@ func SensitivityPoint(vcs, depth int, sp NetSimParams) (SensitivityRow, error) {
 // rate, lowest first, with uniform traffic among all of its routers and seed
 // 300+ri, stopping at the first saturated rate. It returns the lowest rate's
 // run and the highest rate accepted without saturating (0 when even the
-// lowest saturated).
+// lowest saturated). Only the verdict of a rung after the first is read, so
+// those rungs stop at the end of their measurement window once backlog
+// growth marks them saturated (noc.SimParams.StopWhenSaturated).
 func (p NetSimParams) walkLadder(cfg noc.Config, f fabric, rates []float64, label string) (noc.Result, float64, error) {
 	set := traffic.NewSet(topo.AllNodes(f.routers))
 	var low noc.Result
@@ -945,7 +950,9 @@ func (p NetSimParams) walkLadder(cfg noc.Config, f fabric, rates []float64, labe
 		if err != nil {
 			return noc.Result{}, 0, err
 		}
-		res, err := p.run(net, set, rate, int64(300+ri))
+		sim := p.sim(rate, int64(300+ri))
+		sim.StopWhenSaturated = ri > 0
+		res, err := noc.RunSynthetic(net, set, traffic.NewUniform(set.Size()), sim)
 		if err != nil {
 			return noc.Result{}, 0, err
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"nocsprint/internal/routing"
 	"nocsprint/internal/topo"
@@ -45,8 +46,9 @@ type TopologyParams struct {
 	// the 4x4 torus, and the ring-circulant C(16;1,4) — three 16-node
 	// 5-port fabrics whose wiring differs but whose router cost matches.
 	Specs []topo.Spec
-	// Rates is the offered-load ladder walked per topology, lowest first.
-	// Default: 0.1 through 0.9 in steps of 0.1.
+	// Rates is the offered-load ladder walked per topology: finite,
+	// positive and strictly rising. Default: 0.1 through 0.9 in steps of
+	// 0.1.
 	Rates []float64
 	// Sim carries the simulation windows and sweep plumbing (workers,
 	// checkpoint journal, cancellation, checker, telemetry).
@@ -89,6 +91,13 @@ func topoFabric(t topo.Topology) (fabric, error) {
 // fixed, so results are identical at any worker count and across resumes.
 func (s *Sprinter) TopologyStudy(p TopologyParams) ([]TopoRow, error) {
 	p = p.withDefaults()
+	for i, rate := range p.Rates {
+		// The ladder's first rung is the zero-load row and the walk stops at
+		// its first saturated rung, so the rates must rise.
+		if math.IsInf(rate, 0) || !(rate > 0) || i > 0 && !(rate > p.Rates[i-1]) {
+			return nil, fmt.Errorf("core: topology rate %d (%g) must be finite, positive and above the rate before it", i, rate)
+		}
+	}
 	sp := p.Sim.withDefaults()
 	// A point's fields, in order, are its checkpoint key.
 	type point struct {

@@ -317,6 +317,85 @@ func TestRunSyntheticParamValidation(t *testing.T) {
 	if _, err := RunSynthetic(net, set, traffic.NewUniform(4), SimParams{InjectionRate: 0.1}); err == nil {
 		t.Error("pattern/set size mismatch accepted")
 	}
+	for _, p := range []SimParams{
+		{InjectionRate: 0.1, WarmupCycles: -5},
+		{InjectionRate: 0.1, MeasureCycles: -10},
+		{InjectionRate: 0.1, DrainCycles: -1},
+	} {
+		if _, err := RunSynthetic(net, set, traffic.NewUniform(16), p); err == nil {
+			t.Errorf("negative window accepted: %+v", p)
+		}
+	}
+	if net.Cycle() != 0 {
+		t.Errorf("rejected runs stepped the network to cycle %d", net.Cycle())
+	}
+}
+
+// TestBacklogGrewBoundary pins the growth test's threshold: a backlog that
+// rises by exactly 0.02·MeasuredCreated + 12 packets over the window is not
+// saturation, one packet more is.
+func TestBacklogGrewBoundary(t *testing.T) {
+	pre := Stats{PacketsCreated: 40, PacketsInjected: 30, MeasuredCreated: 7}
+	for _, c := range []struct {
+		growth int64
+		want   bool
+	}{{12, false}, {13, false}, {14, true}} {
+		// 50 measured packets put the threshold at 13 packets.
+		mid := Stats{
+			PacketsCreated:  pre.PacketsCreated + 50,
+			PacketsInjected: pre.PacketsInjected + 50 - c.growth,
+			MeasuredCreated: pre.MeasuredCreated + 50,
+		}
+		if got := backlogGrew(pre, mid); got != c.want {
+			t.Errorf("growth %d over 50 measured packets: backlogGrew = %t, want %t", c.growth, got, c.want)
+		}
+	}
+}
+
+// TestStopWhenSaturated checks the early return: a run whose backlog growth
+// marks it saturated ends with the measurement window, and every other run
+// is the run without the field.
+func TestStopWhenSaturated(t *testing.T) {
+	cfg := DefaultConfig()
+	set := traffic.NewSet(topo.AllNodes(16))
+	run := func(rate float64, drain int, stop bool) Result {
+		t.Helper()
+		res, err := RunSynthetic(fullNet(t, cfg), set, traffic.NewUniform(16), SimParams{
+			InjectionRate: rate, WarmupCycles: 200, MeasureCycles: 600, DrainCycles: drain,
+			Seed: 7, StopWhenSaturated: stop,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	// Far past saturation, the backlog grows over the window.
+	full, stopped := run(0.8, 5000, false), run(0.8, 5000, true)
+	if !full.Saturated {
+		t.Fatalf("rate 0.8 run not saturated: %+v", full)
+	}
+	want := Result{OfferedFlits: 0.8, Saturated: true, Cycles: 800, ActiveRouters: 16}
+	if stopped != want {
+		t.Errorf("stopped run = %+v, want %+v", stopped, want)
+	}
+
+	// Under saturation the field changes nothing, also when a short drain
+	// budget alone makes the verdict.
+	for _, c := range []struct {
+		name      string
+		drain     int
+		saturated bool
+	}{{"drained", 5000, false}, {"drain budget short", 5, true}} {
+		full, stopped := run(0.3, c.drain, false), run(0.3, c.drain, true)
+		if full.Saturated != c.saturated || full.MeasuredPackets == 0 {
+			t.Fatalf("%s: rate 0.3 run has Saturated %t and %d packets, want %t and some",
+				c.name, full.Saturated, full.MeasuredPackets, c.saturated)
+		}
+		if stopped != full {
+			t.Errorf("%s: run with StopWhenSaturated\n%+v\ndiffers from the run without\n%+v", c.name, stopped, full)
+		}
+	}
 }
 
 func TestDeterministicRuns(t *testing.T) {

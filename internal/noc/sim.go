@@ -31,6 +31,14 @@ type SimParams struct {
 	// simulation state, so results are bit-identical with or without a
 	// context attached.
 	Ctx context.Context
+	// StopWhenSaturated ends a run as its measurement window closes when
+	// the source backlog's growth over the window already marks it
+	// Saturated, so no drain can change the verdict. Such a run returns
+	// Saturated, OfferedFlits, Cycles (warmup + measure) and ActiveRouters
+	// only: its latency, throughput, packet count, events and window are
+	// zero. Every other run, and every run with the field unset, is
+	// unchanged. Set it when only the verdict of a loaded run is read.
+	StopWhenSaturated bool
 }
 
 // DefaultSimParams returns a configuration suitable for latency-throughput
@@ -58,8 +66,9 @@ type Result struct {
 	ThroughputFlits float64
 	// OfferedFlits is the configured offered load in flits/cycle/endpoint.
 	OfferedFlits float64
-	// Saturated reports that the network failed to drain measured packets
-	// within the drain budget (offered load beyond saturation).
+	// Saturated reports offered load beyond saturation: the source backlog
+	// grew across the measurement window, or the network failed to drain
+	// measured packets within the drain budget.
 	Saturated bool
 	// MeasuredPackets is the number of packets whose latency was recorded.
 	MeasuredPackets int64
@@ -78,8 +87,14 @@ type Result struct {
 // each endpoint in set independently generates a packet with probability
 // rate/packetLength per cycle, destinations drawn from pattern over set. The
 // function runs warmup, measurement, and drain phases, each one RunUntil
-// call, and returns measurement-window statistics.
+// call, and returns measurement-window statistics. A window may be zero
+// cycles long but not negative. With p.StopWhenSaturated a run whose
+// backlog growth is already a saturation verdict skips the drain.
 func RunSynthetic(net *Network, set *traffic.Set, pattern traffic.Pattern, p SimParams) (Result, error) {
+	if p.WarmupCycles < 0 || p.MeasureCycles < 0 || p.DrainCycles < 0 {
+		return Result{}, fmt.Errorf("noc: negative window (warmup %d, measure %d, drain %d cycles)",
+			p.WarmupCycles, p.MeasureCycles, p.DrainCycles)
+	}
 	arrivals, err := traffic.NewBernoulli(set, pattern, p.InjectionRate, net.Config().PacketLength,
 		rand.New(rand.NewSource(p.Seed)))
 	if err != nil {
@@ -102,6 +117,15 @@ func RunSynthetic(net *Network, set *traffic.Set, pattern traffic.Pattern, p Sim
 		return Result{}, fmt.Errorf("noc: measurement %w", err)
 	}
 	mid := net.Stats()
+	grew := backlogGrew(pre, mid)
+	if grew && p.StopWhenSaturated {
+		return Result{
+			OfferedFlits:  p.InjectionRate,
+			Saturated:     true,
+			Cycles:        mid.Cycles,
+			ActiveRouters: net.ActiveRouters(),
+		}, nil
+	}
 	// Drain: keep background (unmeasured) traffic flowing so measured
 	// packets complete under load, per standard methodology, until every
 	// measured packet is ejected or the budget runs out.
@@ -134,14 +158,19 @@ func RunSynthetic(net *Network, set *traffic.Set, pattern traffic.Pattern, p Sim
 			float64(p.MeasureCycles) / float64(set.Size())
 	}
 	// Saturated when measured packets could not drain, or when source-queue
-	// backlog grew across the measurement window (open-loop sources
-	// generating faster than the network accepts). The small absolute and
-	// relative slack keeps low-load runs from tripping on noise.
-	backlogPre := pre.PacketsCreated - pre.PacketsInjected
-	backlogMid := mid.PacketsCreated - mid.PacketsInjected
-	growth := float64(backlogMid - backlogPre)
-	res.Saturated = !drained || growth > 0.02*float64(d.MeasuredCreated)+12
+	// backlog grew across the measurement window.
+	res.Saturated = !drained || grew
 	return res, nil
+}
+
+// backlogGrew reports whether the source-queue backlog grew across the
+// measurement window from pre to mid: open-loop sources generating faster
+// than the network accepts. The small absolute and relative slack keeps
+// low-load runs from tripping on noise. Measured packets are created only
+// inside the window, so both operands are final when it closes.
+func backlogGrew(pre, mid Stats) bool {
+	growth := float64((mid.PacketsCreated - mid.PacketsInjected) - (pre.PacketsCreated - pre.PacketsInjected))
+	return growth > 0.02*float64(mid.MeasuredCreated-pre.MeasuredCreated)+12
 }
 
 // ZeroLoadLatency returns the analytic zero-load packet latency in cycles
