@@ -94,6 +94,11 @@ func (v *Violation) Error() string {
 // *intended* algorithm for the run; building it from a wrapped or
 // instrumented algorithm would make the checker agree with the very
 // misroutes it exists to catch.
+//
+// The checker asks once per (cur, dst) pair and reuses the answer until
+// Checker.SetOracle or the network's next Reconfigure, so between those
+// the oracle must answer as a fixed function. One that follows the
+// network's current algorithm qualifies.
 type RouteOracle func(cur, dst int) (int, error)
 
 // Oracle adapts a routing algorithm into a RouteOracle.
@@ -107,9 +112,9 @@ type Config struct {
 	// Oracle, when set, enforces hop discipline: every hop a flit takes
 	// must be exactly the port the oracle picks at the upstream router.
 	// A hop the oracle errors on is a violation, not a pass — unknown
-	// traffic is rejected, never silently skipped. Nil disables hop
-	// checking (containment, conservation, credits, and the watchdog still
-	// run).
+	// traffic is rejected, never silently skipped. Answers are cached as
+	// RouteOracle describes. Nil disables hop checking (containment,
+	// conservation, credits, and the watchdog still run).
 	Oracle RouteOracle
 	// Interval is the period, in cycles, of the O(network-size) sweeps
 	// (structural consistency and flit conservation). Per-event checks
@@ -132,6 +137,13 @@ type Checker struct {
 	// census is the buffer every periodic audit refills, so the sweeps
 	// allocate nothing.
 	census []noc.ClassCensus
+	// hops caches the oracle's answers, so each hop is judged in O(1):
+	// hops[cur*nodes+dst] is the port the oracle picks at cur toward dst,
+	// plus one, or zero until the oracle has been asked. SetOracle clears
+	// it, so does a move of the network's Reconfigurations count from
+	// hopsAt, and a network of another size reallocates it.
+	hops   []uint8
+	hopsAt int64
 
 	violations   int64
 	lastProgress int64
@@ -164,9 +176,35 @@ func (c *Checker) Violations() int64 { return c.violations }
 func (c *Checker) SetRegion(r *sprint.Region) { c.cfg.Region = r }
 
 // SetOracle swaps the route oracle hops are judged against, for the same
-// reconfiguration boundaries SetRegion serves. Passing nil disables hop
-// checking.
-func (c *Checker) SetOracle(o RouteOracle) { c.cfg.Oracle = o }
+// reconfiguration boundaries SetRegion serves, and forgets every answer the
+// old one gave. Passing nil disables hop checking.
+func (c *Checker) SetOracle(o RouteOracle) {
+	c.cfg.Oracle = o
+	clear(c.hops)
+}
+
+// route returns the oracle's port at cur toward dst on network n, asking
+// the oracle once per pair between SetOracle calls and reconfigurations of
+// n. Errors are not cached: each one is reported as it recurs.
+func (c *Checker) route(n *noc.Network, cur, dst int) (int, error) {
+	nodes, at := n.Nodes(), n.Reconfigurations()
+	switch {
+	case len(c.hops) != nodes*nodes:
+		c.hops, c.hopsAt = make([]uint8, nodes*nodes), at
+	case at != c.hopsAt:
+		clear(c.hops)
+		c.hopsAt = at
+	}
+	i := cur*nodes + dst
+	if h := c.hops[i]; h != 0 {
+		return int(h) - 1, nil
+	}
+	want, err := c.cfg.Oracle(cur, dst)
+	if err == nil && want >= 0 && want < 255 {
+		c.hops[i] = uint8(want + 1)
+	}
+	return want, err
+}
 
 func (c *Checker) fail(n *noc.Network, kind Kind, format string, args ...any) {
 	c.violations++
@@ -203,29 +241,28 @@ func (c *Checker) FlitArrived(n *noc.Network, router, from int, pkt *noc.Packet,
 		}
 		return
 	}
-	tp := n.Topo()
-	prev := tp.Neighbor(router, from)
+	// The flit sat at prev and left it through port to get here.
+	prev, port := n.Upstream(router, from)
 	if prev < 0 {
 		c.fail(n, Structural, "flit of packet %d arrived at router %d through port %s with no neighbour behind it",
-			pkt.ID, router, tp.PortName(from))
+			pkt.ID, router, n.Topo().PortName(from))
 		return
 	}
 	if c.cfg.Oracle == nil {
 		return
 	}
-	// The flit sat at prev and left it through the opposite port to get
-	// here; judge that hop against the oracle's decision at prev. A hop the
-	// oracle cannot classify (it errors, e.g. a dark or out-of-region node)
-	// is rejected outright rather than skipped: traffic the discipline
-	// cannot explain is exactly what the checker exists to catch.
-	port := tp.Opposite(from)
-	want, err := c.cfg.Oracle(prev, pkt.Dst)
+	// Judge the hop against the oracle's decision at prev. A hop the oracle
+	// cannot classify (it errors, e.g. a dark or out-of-region node) is
+	// rejected outright rather than skipped: traffic the discipline cannot
+	// explain is exactly what the checker exists to catch.
+	want, err := c.route(n, prev, pkt.Dst)
 	if err != nil {
 		c.fail(n, RouteRule, "hop %s at router %d for packet %d (%d->%d) is unclassifiable: %v",
-			tp.PortName(port), prev, pkt.ID, pkt.Src, pkt.Dst, err)
+			n.Topo().PortName(port), prev, pkt.ID, pkt.Src, pkt.Dst, err)
 		return
 	}
 	if want != port {
+		tp := n.Topo()
 		c.fail(n, RouteRule, "hop %s at router %d violates the routing discipline for packet %d (%d->%d): oracle says %s",
 			tp.PortName(port), prev, pkt.ID, pkt.Src, pkt.Dst, tp.PortName(want))
 	}
@@ -262,7 +299,7 @@ func (c *Checker) FlitEjected(n *noc.Network, node int, pkt *noc.Packet, tail, d
 // each credit lands (the periodic structural sweep additionally proves
 // link-level credit conservation).
 func (c *Checker) CreditDelivered(n *noc.Network, router, port, vc, credits int) {
-	if depth := n.Config().BufferDepth; credits < 0 || credits > depth {
+	if depth := n.BufferDepth(); credits < 0 || credits > depth {
 		c.fail(n, Credit, "credits for router %d port %s vc %d reached %d (buffer depth %d)",
 			router, n.Topo().PortName(port), vc, credits, depth)
 	}

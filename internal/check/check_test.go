@@ -239,6 +239,130 @@ func TestUnclassifiableHopRejected(t *testing.T) {
 	}
 }
 
+// yxAlg is dimension-order routing Y before X on a mesh: deadlock-free, and
+// inside any rectangle of the mesh it never leaves it.
+type yxAlg struct{ m mesh.Mesh }
+
+func (a yxAlg) NextPort(cur, dst int) (int, error) {
+	c, t := a.m.Coord(cur), a.m.Coord(dst)
+	switch {
+	case t.Y > c.Y:
+		return int(mesh.South), nil
+	case t.Y < c.Y:
+		return int(mesh.North), nil
+	case t.X > c.X:
+		return int(mesh.East), nil
+	case t.X < c.X:
+		return int(mesh.West), nil
+	}
+	return int(mesh.Local), nil
+}
+
+func (a yxAlg) Name() string { return "YX" }
+
+// TestRepairedRoutingNotJudgedByStaleHops runs a repair that changes the
+// routing: the 4x4 mesh under X-Y routing retires its east column and
+// resumes under Y-X routing. The checker learns the new discipline either
+// through SetOracle, as core.FaultRun does, or from an oracle that
+// follows the network's current algorithm and is never swapped, as the
+// stepper equivalence tests' is. The checker caches its oracle's answer
+// per (router, destination), and every pair of the surviving columns that
+// differs in both coordinates turns the other way after the repair, so an
+// answer cached before the repair would report those hops.
+func TestRepairedRoutingNotJudgedByStaleHops(t *testing.T) {
+	m := mesh.New(4, 4)
+	yx := yxAlg{m: m}
+	all := make([]int, m.Nodes())
+	for i := range all {
+		all[i] = i
+	}
+	var west []int // columns 0-2
+	for _, id := range all {
+		if m.Coord(id).X < 3 {
+			west = append(west, id)
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		setOracle bool
+	}{{"SetOracle after the repair", true}, {"oracle follows the network", false}} {
+		t.Run(c.name, func(t *testing.T) {
+			net, err := noc.New(noc.DefaultConfig(), routing.NewDOR(m), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := check.Oracle(routing.NewDOR(m))
+			if !c.setOracle {
+				oracle = func(cur, dst int) (int, error) { return net.Algorithm().NextPort(cur, dst) }
+			}
+			chk := check.New(failOn(t, check.Config{Oracle: oracle, Interval: 1}))
+			net.SetProbe(chk)
+			if res := runSynthetic(t, net, all, 0.2); res.MeasuredPackets == 0 {
+				t.Fatal("no packets measured before the repair")
+			}
+			rep, err := net.Reconfigure(west, yx, 10000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Changed {
+				t.Fatal("the repair changed nothing")
+			}
+			if c.setOracle {
+				chk.SetOracle(check.Oracle(yx))
+			}
+			if res := runSynthetic(t, net, west, 0.2); res.MeasuredPackets == 0 {
+				t.Fatal("no packets measured after the repair")
+			}
+			if chk.Violations() != 0 {
+				t.Fatalf("%d violations", chk.Violations())
+			}
+		})
+	}
+}
+
+// sendOne delivers one packet from src to dst through net and fails unless
+// it arrives.
+func sendOne(t *testing.T, net *noc.Network, src, dst int) {
+	t.Helper()
+	before := net.Stats().PacketsEjected
+	net.Enqueue(src, dst)
+	net.RunUntil(nil, 200, nil, func() bool { return net.Stats().PacketsEjected > before })
+	if net.Stats().PacketsEjected == before {
+		t.Fatalf("packet %d->%d not delivered", src, dst)
+	}
+}
+
+// TestSetOracleTakesEffectAtOnce swaps the oracle without touching the
+// network: the 4x4 mesh keeps routing X-Y, and the checker, which has
+// judged a packet from node 0 to node 5 under an X-Y oracle, is switched
+// to a Y-X one. The next such packet leaves node 0 eastward where the new
+// oracle says south, and must be reported; an answer cached from the old
+// oracle would pass it.
+func TestSetOracleTakesEffectAtOnce(t *testing.T) {
+	m := mesh.New(4, 4)
+	net, err := noc.New(noc.DefaultConfig(), routing.NewDOR(m), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []*check.Violation
+	chk := check.New(check.Config{
+		Oracle:      check.Oracle(routing.NewDOR(m)),
+		Interval:    1,
+		OnViolation: func(v *check.Violation) { got = append(got, v) },
+	})
+	net.SetProbe(chk)
+	sendOne(t, net, 0, 5)
+	if len(got) != 0 {
+		t.Fatalf("%s violation under the X-Y oracle: %s", got[0].Kind, got[0].Detail)
+	}
+	chk.SetOracle(check.Oracle(yxAlg{m: m}))
+	sendOne(t, net, 0, 5)
+	want := "hop East at router 0 violates the routing discipline for packet"
+	if len(got) == 0 || got[0].Kind != check.RouteRule || !strings.Contains(got[0].Detail, want) {
+		t.Fatalf("violations %v, want a %s violation naming %q first", got, check.RouteRule, want)
+	}
+}
+
 // ringAlg routes every packet clockwise around a 2x2 mesh — a textbook
 // cyclic channel dependency that wormhole flow control turns into deadlock.
 type ringAlg struct {

@@ -98,3 +98,36 @@ func TestLLCStudySelfValidates(t *testing.T) {
 		t.Fatalf("invariant checker changed LLC study results:\nwithout: %+v\nwith:    %+v", plain, checked)
 	}
 }
+
+// BenchmarkCheckedSweep times the invariant checker on a dark chip: a
+// serial Fig. 11 slice on a 16x16 mesh (levels 4 and 16, rates 0.05, 0.15
+// and 0.30, one full-sprinting sample, default windows), unchecked and
+// checked. At level 16, 240 of the 256 routers are dark, so the checked
+// run's extra time shows whether the audit and the hop judging scale with
+// the work or with the chip.
+func BenchmarkCheckedSweep(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.NoC.Width, cfg.NoC.Height = 16, 16
+	cfg.Grid.W, cfg.Grid.H = 16, 16
+	s, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		check bool
+	}{{"unchecked", false}, {"checked", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, err := Fig11Sweep(s, []int{4, 16}, Fig11Params{
+					Rates:   []float64{0.05, 0.15, 0.30},
+					Samples: 1,
+					Sim:     NetSimParams{Workers: 1, Check: c.check},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -367,24 +367,47 @@ func (p NetSimParams) sweepCtx() context.Context {
 	return context.Background()
 }
 
+// probeHooks are a caller's settings for the probes instrument builds. The
+// zero value keeps the defaults: a checker that panics on a violation, and a
+// collector with the recorder's configuration.
+type probeHooks struct {
+	// onViolation, when set, receives the checker's violations.
+	onViolation func(*check.Violation)
+	// thermal, when set, replaces the collector's thermal model.
+	thermal *obs.ThermalModel
+}
+
 // instrument applies the observational switches to a freshly built network:
 // the invariant checker when p.Check is set, a telemetry collector labeled
 // label when p.Obs is set, and the reference full-scan stepper when
-// p.Reference is set. region carries the sprint region whose containment the
-// checker enforces (nil for full-fabric baselines); the hop oracle is built
-// from the network's own routing algorithm, which on every core sweep is the
-// intended discipline (CDOR, DOR, torus DOR, ring-circulant). None of the
-// switches affects simulation results.
-func (p NetSimParams) instrument(net *noc.Network, region *sprint.Region, label string) {
-	var probes []noc.Probe
+// p.Reference is set. It is the one place sweeps build checkers and
+// collectors, and it returns the ones it attached (nil when off). region
+// carries the sprint region whose containment the checker enforces (nil for
+// full-fabric baselines); the hop oracle is built from the network's own
+// routing algorithm, which on every core sweep is the intended discipline
+// (CDOR, DOR, torus DOR, ring-circulant). None of the switches affects
+// simulation results.
+func (p NetSimParams) instrument(net *noc.Network, region *sprint.Region, label string, h probeHooks) (*check.Checker, *obs.Collector) {
+	var (
+		probes []noc.Probe
+		chk    *check.Checker
+		col    *obs.Collector
+	)
 	if p.Check {
-		probes = append(probes, check.New(check.Config{Region: region, Oracle: check.Oracle(net.Algorithm())}))
+		chk = check.New(check.Config{Region: region, Oracle: check.Oracle(net.Algorithm()), OnViolation: h.onViolation})
+		probes = append(probes, chk)
 	}
 	if p.Obs != nil {
-		probes = append(probes, p.Obs.NewCollector(net, label))
+		cfg := p.Obs.Config()
+		if h.thermal != nil {
+			cfg.Thermal = h.thermal
+		}
+		col = p.Obs.NewCollectorWith(net, label, cfg)
+		probes = append(probes, col)
 	}
 	net.SetProbe(probes...)
 	net.UseReferenceStepper(p.Reference)
+	return chk, col
 }
 
 // fabric is one simulated network: its routing discipline, an optional
@@ -431,9 +454,9 @@ func (s *Sprinter) schemeFabric(scheme Scheme, region *sprint.Region) (fabric, e
 	return fabric{}, fmt.Errorf("core: scheme %v has no network to simulate", scheme)
 }
 
-// build is how every driver but FaultRun (whose probes need per-run hooks)
-// constructs a network: f's network under cfg, instrumented per p and
-// labelled label.
+// build is how every sweep but FaultRun (whose network outlives repairs
+// that swap its region and routing) constructs a network: f's network under
+// cfg, instrumented per p and labelled label.
 func (p NetSimParams) build(cfg noc.Config, f fabric, label string) (*noc.Network, error) {
 	var (
 		net *noc.Network
@@ -447,7 +470,7 @@ func (p NetSimParams) build(cfg noc.Config, f fabric, label string) (*noc.Networ
 	if err != nil {
 		return nil, err
 	}
-	p.instrument(net, f.region, label)
+	p.instrument(net, f.region, label, probeHooks{})
 	return net, nil
 }
 

@@ -225,43 +225,30 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 	}
 
 	var pt FaultPoint
-	var probes []noc.Probe
 	var firstViolation *check.Violation
-	var chk *check.Checker
-	if p.Sim.Check {
-		chk = check.New(check.Config{
-			Region: region,
-			Oracle: check.Oracle(routing.NewCDOR(region)),
-			OnViolation: func(v *check.Violation) {
-				if firstViolation == nil {
-					firstViolation = v
-				}
-			},
-		})
-		probes = append(probes, chk)
-	}
+	hooks := probeHooks{onViolation: func(v *check.Violation) {
+		if firstViolation == nil {
+			firstViolation = v
+		}
+	}}
 	if p.Sim.Obs != nil {
-		// Derive a per-run thermal model on top of the recorder's defaults:
-		// the driver knows its own cycle-to-seconds mapping and the chip
-		// power baseline, so the temperature series lines up with the
-		// schedule's derived trip cycle.
+		// Derive a per-run thermal model: FaultRun knows its own
+		// cycle-to-seconds mapping and the chip power baseline, so the
+		// temperature series lines up with the schedule's derived trip cycle.
 		chipW, err := s.sprintChipPower(p.Level)
 		if err != nil {
 			return FaultPoint{}, err
 		}
-		cfg := p.Sim.Obs.Config()
-		cfg.Thermal = &obs.ThermalModel{
+		hooks.thermal = &obs.ThermalModel{
 			Model:           s.cfg.Lumped,
 			SecondsPerCycle: faultThermalSeconds / float64(p.Cycles),
 			BasePowerW:      chipW,
 			TripK:           faultTripTempK,
 			ClearK:          faultTripTempK - 3.0,
 		}
-		col = p.Sim.Obs.NewCollectorWith(net, fmt.Sprintf("faults/l%d/s%d", p.Level, seed), cfg)
-		probes = append(probes, col)
 	}
-	net.SetProbe(probes...)
-	net.UseReferenceStepper(p.Sim.Reference)
+	var chk *check.Checker
+	chk, col = p.Sim.instrument(net, region, fmt.Sprintf("faults/l%d/s%d", p.Level, seed), hooks)
 
 	var activeCycles int64 // Σ over cycles of the active-router count
 	prevLevel := region.Level()

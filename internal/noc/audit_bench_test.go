@@ -15,8 +15,10 @@ import (
 // structural audit and flit census, on CDOR networks loaded to steady state
 // by uniform traffic at 0.2 flits/node/cycle: a 4x4 chip sprinting at level
 // 8, a 16x16 chip at level 16, and a fully powered 16x16 chip. The network
-// does not step inside the timed loop, so every iteration audits the same
-// state, and the census buffer is reused as the checker reuses it.
+// does not step inside the timed loop, so after the first audit empties the
+// dirty set every iteration audits the same state: the busy routers in
+// full, every other router by word-compare. The census buffer is reused as
+// the checker reuses it.
 func BenchmarkAudit(b *testing.B) {
 	for _, c := range []struct {
 		name                 string

@@ -26,26 +26,52 @@ type ClassCensus struct {
 }
 
 // Audit checks the simulator's structural invariants and takes the
-// per-class flit census in one walk over the routers. It costs
-// O(ports·VCs + flits and credits in flight) per router and allocates
-// nothing once buf is large enough, because the invariant checker runs it
-// every check.Config.Interval cycles and property tests every cycle.
+// per-class flit census, at a cost that follows the work. It walks only
+// the routers in the audit dirty set (state that may have changed since
+// the last Audit) and the busy ones (the active-work set), and balances
+// credits only on links with such a router at one end. Every other router
+// gets a word-compare: its inMask, request sets, busy-VC count, ejection
+// queue, credit boxes and NI show it holds nothing, so its census share is
+// zero. A router that fails the word-compare is walked too, which reports
+// it for holding work outside the active-work set. Audit allocates nothing
+// once buf is large enough, because the invariant checker runs it every
+// check.Config.Interval cycles and property tests every cycle.
 //
 // The census goes into buf, resized to one entry per message class, and is
 // returned; pass the previous result back in to reuse it. The error is the
-// first violation in walk order, or nil. The census is complete either way,
-// so one audit can show both a structural fault and a census imbalance.
+// first violation in walk order, or nil: the same one a walk over every
+// router finds, because a skipped router, and each link out of it, has
+// not changed since an audit that found nothing wrong. An audit that finds
+// a violation leaves every router dirty, so the next one walks them all.
+// The census is complete either way, so one audit can show both a
+// structural fault and a census imbalance.
 //
 // Per router, the invariants are: every input VC holds at most the buffer
 // depth, only flits of its own packet, none while the router is gated, and
-// request bits in step with its state; every in-flight queue is in
-// due-cycle order, and inMask marks exactly the non-empty input queues. The
-// key invariant is credit conservation on every directed link and at every
-// NI: the upstream credit counter, the flits buffered downstream, the flits
-// in flight on the link, and the credits in flight back upstream always sum
-// to the buffer depth. Network-wide, no more packets are ejected than
-// injected, nor injected than created.
+// request bits in step with its state; busyVCs counts the VCs that are not
+// idle; every in-flight queue is in due-cycle order, inMask marks exactly
+// the non-empty input queues, and a router holding work is in the
+// active-work set. The key invariant is credit conservation on every
+// directed link and at every NI: the upstream credit counter, the flits
+// buffered downstream, the flits in flight on the link, and the credits in
+// flight back upstream always sum to the buffer depth. Network-wide, no
+// more packets are ejected than injected, nor injected than created.
+//
+// One fault stays out of reach: a change to a router that marks it neither
+// dirty nor busy and leaves only state the word-compare cannot see, such as
+// flits in a VC of a router that counts no busy VC.
 func (n *Network) Audit(buf []ClassCensus) ([]ClassCensus, error) {
+	// The dirty set grows to the busy routers and every router failing the
+	// word-compare. It must be complete before the walk, which reads it to
+	// find the links to balance.
+	for w, word := range n.work {
+		n.dirty[w] |= word
+	}
+	for id, r := range n.routers {
+		if !inSet(n.dirty, id) && (r.rcSet|r.vaSet|r.saSet != 0 || !n.routerIdle(id)) {
+			n.markDirty(id)
+		}
+	}
 	classes := n.cfg.classes()
 	if cap(buf) < classes {
 		buf = make([]ClassCensus, classes)
@@ -57,9 +83,20 @@ func (n *Network) Audit(buf []ClassCensus) ([]ClassCensus, error) {
 	var err error
 	var held [maxSlots]int // NewTopo caps ports x VCs at maxSlots
 	for id, r := range n.routers {
+		if !inSet(n.dirty, id) {
+			// Unchanged since an audit that passed it, but its links into
+			// dirty routers may no longer balance.
+			if err == nil && r.active && n.feedsDirty(r) {
+				err = n.auditCredits(id, held[:n.P*n.cfg.VCs])
+			}
+			continue
+		}
 		err = n.auditRouter(id, buf, err)
 		if err == nil && r.active {
 			err = n.auditCredits(id, held[:n.P*n.cfg.VCs])
+		}
+		if err == nil && !inSet(n.work, id) && !n.routerIdle(id) {
+			err = fmt.Errorf("noc: router %d holds work outside the active-work set", id)
 		}
 	}
 	if err == nil && n.stats.PacketsEjected > n.stats.PacketsInjected {
@@ -68,14 +105,30 @@ func (n *Network) Audit(buf []ClassCensus) ([]ClassCensus, error) {
 	if err == nil && n.stats.PacketsInjected > n.stats.PacketsCreated {
 		err = fmt.Errorf("noc: injected %d > created %d", n.stats.PacketsInjected, n.stats.PacketsCreated)
 	}
+	if err != nil {
+		n.markAllDirty()
+	} else {
+		clear(n.dirty)
+	}
 	return buf, err
+}
+
+// feedsDirty reports whether router r has a link to a router in the audit
+// dirty set.
+func (n *Network) feedsDirty(r *router) bool {
+	for _, dst := range r.downstream[1:] { // skip Local
+		if dst >= 0 && inSet(n.dirty, dst) {
+			return true
+		}
+	}
+	return false
 }
 
 // auditRouter adds the flits router id holds or has in flight toward it or
 // its NI, and those its NI still owes, to cen. While err is nil it also
-// checks the router's buffers, VC states, request sets and in-flight queues,
-// and returns the first violation; once err is set it only counts, and
-// returns err.
+// checks the router's buffers, VC states, request sets, busy-VC count and
+// in-flight queues, and returns the first violation; once err is set it
+// only counts, and returns err.
 func (n *Network) auditRouter(id int, cen []ClassCensus, err error) error {
 	r, nic := n.routers[id], n.nis[id]
 	for _, pkt := range nic.queue {
@@ -88,8 +141,12 @@ func (n *Network) auditRouter(id int, cen []ClassCensus, err error) error {
 	// step with the VC states. A slot's (port, vc) is worked out only for
 	// an error message.
 	depth, nVC := n.cfg.BufferDepth, n.cfg.VCs
+	busy := 0
 	for b := range r.in {
 		ivc := &r.in[b]
+		if ivc.state != vcIdle {
+			busy++
+		}
 		if ivc.n > 0 && ivc.pkt != nil {
 			cen[ivc.pkt.Class].InNetwork += int64(ivc.n)
 		}
@@ -143,6 +200,10 @@ func (n *Network) auditRouter(id int, cen []ClassCensus, err error) error {
 			}
 		}
 	}
+	// The word-compare trusts busyVCs to show that no VC holds a packet.
+	if err == nil && busy != r.busyVCs {
+		err = fmt.Errorf("noc: router %d counts %d busy VCs, but %d are not idle", id, r.busyVCs, busy)
+	}
 	return err
 }
 
@@ -151,18 +212,19 @@ func (n *Network) auditRouter(id int, cen []ClassCensus, err error) error {
 func requestBits(set uint64) [3]bool { return [3]bool{set&1 != 0, set&2 != 0, set&4 != 0} }
 
 // auditCredits checks credit conservation on powered router id's outgoing
-// links, then at its NI, using held as the (port, vc) table. One pass over
-// each credit source fills held[p*VCs+vc]; the comparisons then run in
-// (port, vc) order. A credit or flit naming a (port, vc) outside the table
-// counts toward no link, so a corrupt one is reported as a leak rather than
-// a panic.
+// links with an end in the audit dirty set, then at its NI if id is dirty,
+// using held as the (port, vc) table; a link or NI with no dirty end is
+// unchanged since an audit that passed it. One pass over each credit source
+// fills held[p*VCs+vc]; the comparisons then run in (port, vc) order. A
+// credit or flit naming a (port, vc) outside the table counts toward no
+// link, so a corrupt one is reported as a leak rather than a panic.
 func (n *Network) auditCredits(id int, held []int) error {
 	depth, nVC := n.cfg.BufferDepth, n.cfg.VCs
-	r := n.routers[id]
+	r, self := n.routers[id], inSet(n.dirty, id)
 	clear(held)
 	for p := 1; p < n.P; p++ { // skip Local: uncredited
 		dst := r.downstream[p]
-		if dst < 0 {
+		if dst < 0 || !(self || inSet(n.dirty, dst)) {
 			continue
 		}
 		inDir := n.opp[p]
@@ -178,7 +240,7 @@ func (n *Network) auditCredits(id int, held []int) error {
 	}
 	for p := 1; p < n.P; p++ {
 		dst := r.downstream[p]
-		if dst < 0 {
+		if dst < 0 || !(self || inSet(n.dirty, dst)) {
 			continue
 		}
 		for vc := 0; vc < nVC; vc++ {
@@ -191,7 +253,7 @@ func (n *Network) auditCredits(id int, held []int) error {
 	// NI-side credits toward the Local input port, in Local's row of held,
 	// which the link check leaves unread.
 	nic := n.nis[id]
-	if !nic.active {
+	if !self || !nic.active {
 		return nil
 	}
 	local := held[topo.Local*nVC : (topo.Local+1)*nVC]

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -13,12 +14,16 @@ import (
 // TestCheckInvariantsCatchesCorruption corrupts, on a running network, each
 // piece of state the copy-free flit path relies on: the due-cycle order of
 // an in-flight queue (deliverFlits pops a due prefix), the inMask bit of a
-// non-empty input queue, and a VC window's place in its packet; and the two
+// non-empty input queue, and a VC window's place in its packet; the two
 // credit counters the audit balances: a router's credits toward a link and
-// an NI's credits toward its router. Audit must name each fault, and
-// restoring the state must clear it. None of the faults moves a flit, so
-// the census Audit returns beside each error must equal the clean one:
-// counting goes on past the first violation.
+// an NI's credits toward its router; an idle VC made to hold a flit with
+// no packet; and the busy-VC count the word-compare trusts. Audit must
+// name each fault, and restoring the state must
+// clear it. Each corruption and each restore marks the router it touches
+// dirty, as the exported corruption helpers do. None of the faults moves a
+// flit of a packet, so the census Audit returns beside each error must
+// equal the clean one: counting goes on past the first violation. The
+// snapshot a violation carries must render the packetless flit.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LinkLatency = 3 // several flits in flight per link
@@ -31,6 +36,8 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		queue  *fifo    // an input queue holding flits due on different cycles
 		masked *router  // a router with flits in flight toward it
 		window *inputVC // a VC buffering flits
+		// The routers the queue and the window belong to.
+		queueID, windowID int
 	)
 	for cyc := 0; queue == nil || masked == nil || window == nil; cyc++ {
 		if cyc == 2000 {
@@ -49,7 +56,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		for id, r := range net.routers {
 			for p := 0; p < net.P; p++ {
 				if q := &net.inbox[id*net.P+p]; q.n >= 2 && q.at(0).t < q.at(1).t {
-					queue = q
+					queue, queueID = q, id
 				}
 			}
 			if r.inMask != 0 {
@@ -57,7 +64,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			}
 			for b := range r.in {
 				if r.in[b].n > 0 {
-					window = &r.in[b]
+					window, windowID = &r.in[b], id
 				}
 			}
 		}
@@ -67,6 +74,22 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	r0 := net.routers[0]
 	linkOut := &r0.out[slices.IndexFunc(r0.downstream, func(d int) bool { return d >= 0 })*cfg.VCs]
 	niCredits := net.nis[0].credits
+	// An idle VC, to strand a flit in.
+	strandID, strandSlot := -1, -1
+	for id, r := range net.routers {
+		if b := slices.IndexFunc(r.in, func(v inputVC) bool { return v.state == vcIdle && v.n == 0 }); b >= 0 {
+			strandID, strandSlot = id, b
+			break
+		}
+	}
+	if strandID < 0 {
+		t.Fatal("no idle VC")
+	}
+	stranded := &net.routers[strandID].in[strandSlot]
+	strandPort, strandVC := strandSlot/cfg.VCs, strandSlot%cfg.VCs
+	// The window's VC is not idle, so its router counts a busy VC.
+	windowRouter := net.routers[windowID]
+	busy := windowRouter.busyVCs
 	clean, err := net.Audit(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -74,26 +97,34 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 
 	for _, c := range []struct {
 		name, want string
+		router     int // the router the corruption touches
 		corrupt    func()
 	}{
-		{"swap two due cycles", "due-cycle order", func() {
+		{"swap two due cycles", "due-cycle order", queueID, func() {
 			a, b := queue.at(0), queue.at(1)
 			a.t, b.t = b.t, a.t
 		}},
-		{"clear an inMask bit", "inMask", func() { masked.inMask &= masked.inMask - 1 }},
-		{"push the window past its packet", "outside its packet", func() {
+		{"clear an inMask bit", "inMask", masked.id, func() { masked.inMask &= masked.inMask - 1 }},
+		{"push the window past its packet", "outside its packet", windowID, func() {
 			window.seq = window.pkt.Length - window.n + 1
 		}},
-		{"lose a link credit", "credit leak on link 0->", func() { linkOut.credits-- }},
-		{"mint an NI credit", "NI credit leak at node 0 vc 0", func() { niCredits[0]++ }},
+		{"lose a link credit", "credit leak on link 0->", 0, func() { linkOut.credits-- }},
+		{"mint an NI credit", "NI credit leak at node 0 vc 0", 0, func() { niCredits[0]++ }},
+		{"strand a flit with no packet", fmt.Sprintf("router %d port %d vc %d in state %d holds flits",
+			strandID, strandPort, strandVC, vcActive), strandID, func() {
+			stranded.n, stranded.state = 1, vcActive
+		}},
+		{"undercount busy VCs", fmt.Sprintf("router %d counts %d busy VCs, but %d are not idle",
+			windowID, busy-1, busy), windowID, func() { windowRouter.busyVCs-- }},
 	} {
 		saved := struct {
-			a, b           arrival
-			mask           uint64
-			window         inputVC
-			link, niCredit int
-		}{*queue.at(0), *queue.at(1), masked.inMask, *window, linkOut.credits, niCredits[0]}
+			a, b                 arrival
+			mask                 uint64
+			window, stranded     inputVC
+			link, niCredit, busy int
+		}{*queue.at(0), *queue.at(1), masked.inMask, *window, *stranded, linkOut.credits, niCredits[0], windowRouter.busyVCs}
 		c.corrupt()
+		net.markDirty(c.router)
 		census, err := net.Audit(nil)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Audit returned %v, want an error naming %q", c.name, err, c.want)
@@ -101,8 +132,15 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		if !slices.Equal(census, clean) {
 			t.Errorf("%s: census %+v beside the error, want the clean %+v", c.name, census, clean)
 		}
-		*queue.at(0), *queue.at(1), masked.inMask, *window = saved.a, saved.b, saved.mask, saved.window
-		linkOut.credits, niCredits[0] = saved.link, saved.niCredit
+		if stranded.n == 1 {
+			slot := fmt.Sprintf("in[%s][vc%d]: 1 flits, state %d", net.tp.PortName(strandPort), strandVC, vcActive)
+			if snap := net.Snapshot(); !strings.Contains(snap, slot) || !strings.Contains(snap, "no packet") {
+				t.Errorf("%s: snapshot does not show %q holding no packet:\n%s", c.name, slot, snap)
+			}
+		}
+		*queue.at(0), *queue.at(1), masked.inMask, *window, *stranded = saved.a, saved.b, saved.mask, saved.window, saved.stranded
+		linkOut.credits, niCredits[0], windowRouter.busyVCs = saved.link, saved.niCredit, saved.busy
+		net.markDirty(c.router)
 		if _, err := net.Audit(nil); err != nil {
 			t.Fatalf("%s: restored network still fails: %v", c.name, err)
 		}

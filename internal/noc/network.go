@@ -193,6 +193,14 @@ type Network struct {
 	// markBusy during a cycle never changes the routers a Step visits.
 	work     []uint64
 	sweepBuf []int
+	// dirty is the audit dirty set: a bitset of the routers whose state may
+	// have changed since the last Audit. Each Step ORs in its work set
+	// before pruning it, which holds every router the Step visited and every
+	// router something was sent to; Enqueue, Reconfigure and the test-only
+	// corruption helpers mark the routers they touch. Audit re-walks these
+	// and the busy routers, then clears the set (see invariants.go). It
+	// starts full, so the first Audit walks every router.
+	dirty []uint64
 	// allIDs enumerates every router; scanAll (the reference stepper, see
 	// UseReferenceStepper) makes the stages visit them all, reproducing the
 	// pre-optimization full-scan pipeline.
@@ -219,6 +227,9 @@ type Network struct {
 	// flits ejecting there are counted dropped (the dead node cannot
 	// consume them) instead of delivered. Nil outside reconfiguration.
 	dropDst []bool
+	// reconfigs counts the Reconfigure calls that changed the active set
+	// or installed a routing algorithm.
+	reconfigs int64
 }
 
 // New builds a network over cfg's 2D mesh using routing algorithm alg.
@@ -284,6 +295,7 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 
 		linkLat:  make([]int, nodes*P),
 		work:     make([]uint64, (nodes+63)/64),
+		dirty:    make([]uint64, (nodes+63)/64),
 		sweepBuf: make([]int, 0, nodes),
 		allIDs:   make([]int, nodes),
 		portReq:  make([]uint64, P),
@@ -318,6 +330,7 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 			n.activeCount++
 		}
 	}
+	n.markAllDirty()
 	return n, nil
 }
 
@@ -330,8 +343,27 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 func (n *Network) UseReferenceStepper(on bool) { n.scanAll = on }
 
 // markBusy adds router id to the active-work set. Idempotent and
-// allocation-free.
+// allocation-free. Step copies the work set into the audit dirty set once
+// per cycle, so markBusy itself leaves that set alone.
 func (n *Network) markBusy(id int) { n.work[id>>6] |= 1 << uint(id&63) }
+
+// markDirty adds router id to the audit dirty set: its state changed
+// outside a Step.
+func (n *Network) markDirty(id int) { n.dirty[id>>6] |= 1 << uint(id&63) }
+
+// markAllDirty puts every router in the audit dirty set, so the next Audit
+// walks them all.
+func (n *Network) markAllDirty() {
+	for w := range n.dirty {
+		n.dirty[w] = ^uint64(0)
+	}
+	if tail := n.nodes & 63; tail != 0 {
+		n.dirty[len(n.dirty)-1] = 1<<uint(tail) - 1
+	}
+}
+
+// inSet reports whether router id's bit is set in bitset set.
+func inSet(set []uint64, id int) bool { return set[id>>6]>>uint(id&63)&1 != 0 }
 
 // sweepIDs returns the router ids the pipeline stages visit this cycle: a
 // snapshot of the active-work set in ascending order (markBusy during the
@@ -378,8 +410,25 @@ func (n *Network) prune() {
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
 
+// BufferDepth returns the flit depth of every input VC buffer, without
+// copying the Config.
+func (n *Network) BufferDepth() int { return n.cfg.BufferDepth }
+
+// Upstream returns the router behind router id's input port p and the
+// output port of that router whose link ends there, read from the port
+// table the stepper routes by; up is -1 when no link is behind p.
+func (n *Network) Upstream(id, p int) (up, port int) {
+	return n.routers[id].downstream[p], n.opp[p]
+}
+
 // Topo returns the topology the network was built over.
 func (n *Network) Topo() topo.Topology { return n.tp }
+
+// Reconfigurations returns how many Reconfigure calls have changed the
+// active set or installed a routing algorithm. Anything derived from the
+// routing, such as a cache of a route oracle's answers, is stale once it
+// moves.
+func (n *Network) Reconfigurations() int64 { return n.reconfigs }
 
 // Algorithm returns the routing algorithm currently in use.
 func (n *Network) Algorithm() routing.Algorithm { return n.alg }
@@ -504,6 +553,7 @@ func (n *Network) TryEnqueuePacket(src, dst, class, length int) (*Packet, error)
 	}
 	n.nis[src].queue = append(n.nis[src].queue, p)
 	n.markBusy(src)
+	n.markDirty(src)
 	return p, nil
 }
 
@@ -541,6 +591,16 @@ func (n *Network) Step() {
 	n.deliverFlits(now, ids)
 	n.inject(now, ids)
 	n.updateGating(now)
+	// Every router this Step may have changed is in the work set until
+	// prune: the ones it visited and the ones something was sent to. The
+	// reference stepper visits them all.
+	if n.scanAll {
+		n.markAllDirty()
+	} else {
+		for w, word := range n.work {
+			n.dirty[w] |= word
+		}
+	}
 	if n.probe != nil {
 		n.probe.CycleEnd(n, now)
 	}

@@ -8,7 +8,8 @@ import (
 // Probe observes simulator events: the runtime invariant checker
 // (internal/check) and the telemetry collector (internal/obs) both attach
 // through it. All hooks run synchronously inside Step and must not mutate
-// the network; with no probe attached each event costs one pointer
+// the network (Audit, which updates only its own dirty set, may run from
+// CycleEnd); with no probe attached each event costs one pointer
 // comparison, so the hot path is unaffected when probing is off. Ports are
 // topology port indices (topo.Local = 0 for the NI side).
 type Probe interface {
@@ -140,7 +141,10 @@ func (n *Network) Snapshot() string {
 					continue
 				}
 				desc := ""
-				if ivc.n > 0 {
+				switch {
+				case ivc.n > 0 && ivc.pkt == nil: // a fault Audit reports
+					desc = " head=no packet"
+				case ivc.n > 0:
 					desc = fmt.Sprintf(" head=pkt %d (%d->%d, %v)",
 						ivc.pkt.ID, ivc.pkt.Src, ivc.pkt.Dst, flitType(ivc.seq, ivc.pkt.Length))
 				}

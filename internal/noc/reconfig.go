@@ -121,6 +121,7 @@ func (n *Network) Reconfigure(activeNodes []int, alg routing.Algorithm, drainBud
 		// stays bit-identical to one that never reconfigured.
 		if alg != nil {
 			n.alg = alg
+			n.reconfigs++
 		}
 		return ReconfigReport{}, nil
 	}
@@ -179,7 +180,8 @@ func (n *Network) Reconfigure(activeNodes []int, alg routing.Algorithm, drainBud
 	// Apply the new active set. The fabric is empty, so flipping a router
 	// dark cannot strand state, and a reactivated router resumes from the
 	// reset-equivalent state the drain left behind (all credits home, all
-	// VCs idle).
+	// VCs idle). Every router's power state is rewritten, so the next Audit
+	// walks them all.
 	n.activeCount = 0
 	for id, r := range n.routers {
 		r.active = newSet[id]
@@ -188,9 +190,11 @@ func (n *Network) Reconfigure(activeNodes []int, alg routing.Algorithm, drainBud
 			n.activeCount++
 		}
 	}
+	n.markAllDirty()
 	if alg != nil {
 		n.alg = alg
 	}
+	n.reconfigs++
 	n.quiesced = false
 
 	rep.PacketsDropped = n.stats.PacketsDropped - before.PacketsDropped
