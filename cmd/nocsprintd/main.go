@@ -19,6 +19,7 @@ package main
 import (
 	"context"
 	"errors"
+	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -104,6 +105,14 @@ func main() {
 	}
 }
 
+// publishMetrics publishes srv's counters and gauges as the expvar
+// "nocsprintd", served at GET /debug/vars. expvar names are process-global
+// and cannot be published twice, so only this process, which runs exactly
+// one server, publishes them.
+func publishMetrics(srv *serve.Server) {
+	expvar.Publish("nocsprintd", expvar.Func(func() any { return srv.MetricsSnapshot() }))
+}
+
 func run(o options, logger *log.Logger) error {
 	srv, err := serve.New(serve.Config{
 		StateDir:       o.state,
@@ -123,6 +132,7 @@ func run(o options, logger *log.Logger) error {
 	if err != nil {
 		return err
 	}
+	publishMetrics(srv)
 
 	// A hardened http.Server on a dedicated mux: explicit timeouts, bounded
 	// headers, no default-mux handlers. The write timeout must comfortably

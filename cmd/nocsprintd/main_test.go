@@ -1,10 +1,15 @@
 package main
 
 import (
+	"encoding/json"
+	"expvar"
 	"io"
 	"strings"
 	"testing"
 	"time"
+
+	"nocsprint/internal/core"
+	"nocsprint/internal/serve"
 )
 
 func TestParseArgsDefaults(t *testing.T) {
@@ -61,5 +66,53 @@ func TestParseArgsRejectsBadValues(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestPublishedMetricsRenderServer: the "nocsprintd" expvar renders the
+// daemon's server's MetricsSnapshot, before and after that server runs a
+// job.
+func TestPublishedMetricsRenderServer(t *testing.T) {
+	if expvar.Get("nocsprintd") != nil {
+		t.Skip("the nocsprintd expvar is already published in this process (go test -count > 1)")
+	}
+	srv, err := serve.New(serve.Config{
+		StateDir: t.TempDir(),
+		Run:      func(serve.JobSpec, core.NetSimParams) (any, error) { return "ok", nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	publishMetrics(srv)
+	check := func() serve.MetricsSnapshot {
+		t.Helper()
+		want := srv.MetricsSnapshot()
+		var got serve.MetricsSnapshot
+		if err := json.Unmarshal([]byte(expvar.Get("nocsprintd").String()), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("published metrics %+v, want %+v", got, want)
+		}
+		return got
+	}
+	check()
+	job, err := srv.Submit(serve.JobSpec{Experiment: "fig11"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		if v, ok := srv.Job(job.ID); ok && v.State == serve.StateDone {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the job to finish")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if m := check(); m.Admitted != 1 || m.Done != 1 {
+		t.Errorf("published metrics %+v, want admitted=1 done=1", m)
 	}
 }

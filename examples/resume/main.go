@@ -12,7 +12,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"time"
 
 	"nocsprint/internal/ckpt"
 	"nocsprint/internal/core"
@@ -42,22 +41,23 @@ func main() {
 	}
 
 	// Run the same sweep with a journal, and cancel the sweep context once
-	// half the points have landed — the moral equivalent of Ctrl-C.
+	// half the points have landed — the moral equivalent of Ctrl-C. The
+	// point in flight on the other worker still lands, so 4 or 5 survive.
 	j, err := ckpt.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		for j.Len() < totalPoints/2 {
-			time.Sleep(time.Millisecond)
-		}
-		cancel()
-	}()
+	defer cancel()
 	interrupted := params
 	interrupted.Sim.Ctx = ctx
 	interrupted.Sim.Journal = j
 	interrupted.Sim.Workers = 2
+	interrupted.Sim.Progress = func(done, total int) {
+		if done >= total/2 {
+			cancel()
+		}
+	}
 	_, err = core.Fig11Sweep(s, levels, interrupted)
 	if !errors.Is(err, context.Canceled) {
 		log.Fatalf("expected the sweep to be cancelled, got %v", err)

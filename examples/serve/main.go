@@ -49,13 +49,13 @@ func main() {
 		if !ok {
 			log.Fatalf("job %s vanished", job.ID)
 		}
-		if v.Job.State != last {
-			fmt.Printf("  %-9s retries=%d\n", v.Job.State, len(v.Job.Retries))
-			last = v.Job.State
+		if v.State != last {
+			fmt.Printf("  %-9s retries=%d\n", v.State, len(v.Retries))
+			last = v.State
 		}
-		if v.Job.State.Terminal() {
-			if v.Job.State != serve.StateDone {
-				log.Fatalf("job ended %s: %s", v.Job.State, v.Job.Error)
+		if v.State.Terminal() {
+			if v.State != serve.StateDone {
+				log.Fatalf("job ended %s: %s", v.State, v.Error)
 			}
 			fmt.Printf("result: %d bytes of fig11 JSON\n", len(v.Result))
 			break
@@ -76,7 +76,7 @@ func main() {
 	}
 	for {
 		v, ok := srv.Job(job2.ID)
-		if ok && v.Job.State != serve.StateQueued {
+		if ok && v.State != serve.StateQueued {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -97,8 +97,8 @@ func main() {
 		if !ok {
 			log.Fatalf("job %s not recovered", job2.ID)
 		}
-		if v.Job.State.Terminal() {
-			fmt.Printf("recovered job finished %s with %d result bytes\n", v.Job.State, len(v.Result))
+		if v.State.Terminal() {
+			fmt.Printf("recovered job finished %s with %d result bytes\n", v.State, len(v.Result))
 			break
 		}
 		time.Sleep(200 * time.Millisecond)

@@ -141,14 +141,10 @@ type Network struct {
 	P     int
 	nodes int
 	opp   []int
-	alg   routing.Algorithm
-	// vcClassFn, when the routing algorithm carries a VC policy
-	// (routing.VCPolicy: dateline classes on torus/circulant rings),
-	// restricts VC allocation to the class's sub-partition; vcClasses is the
-	// class count. nil/1 for mesh DOR/CDOR, leaving that path untouched.
-	vcClassFn func(cur, dst int) int
-	vcClasses int
-	routers   []*router
+	// route is the routing algorithm and its VC policy, installed only
+	// through newRoute.
+	route
+	routers []*router
 	// inbox[id*P+p] holds flits in flight toward router id's input port p
 	// (flattened per-port rings, degree-parameterized).
 	inbox []fifo
@@ -279,13 +275,17 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 			activeSet[id] = true
 		}
 	}
+	rt, err := newRoute(cfg, alg)
+	if err != nil {
+		return nil, err
+	}
 	n := &Network{
 		cfg:       cfg,
 		tp:        tp,
 		P:         P,
 		nodes:     nodes,
 		opp:       make([]int, P),
-		alg:       alg,
+		route:     rt,
 		routers:   make([]*router, nodes),
 		inbox:     make([]fifo, nodes*P),
 		credbox:   make([][]creditEvt, nodes),
@@ -307,14 +307,6 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 	for p := 0; p < P; p++ {
 		n.opp[p] = tp.Opposite(p)
 	}
-	if vcp, ok := alg.(routing.VCPolicy); ok && vcp.VCClasses() > 1 {
-		n.vcClasses = vcp.VCClasses()
-		n.vcClassFn = vcp.VCClass
-		if cfg.vcsPerClass()%n.vcClasses != 0 {
-			return nil, fmt.Errorf("noc: %d VCs per message class not divisible by %d route VC classes of %s",
-				cfg.vcsPerClass(), n.vcClasses, alg.Name())
-		}
-	}
 	for i := range n.linkLat {
 		n.linkLat[i] = cfg.LinkLatency
 	}
@@ -332,6 +324,33 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 	}
 	n.markAllDirty()
 	return n, nil
+}
+
+// route is a network's routing algorithm with the VC policy it carries.
+// When the algorithm implements routing.VCPolicy with more than one class
+// (dateline classes on torus and circulant rings), vcClassFn restricts VC
+// allocation to the class's sub-partition and vcClasses is the class
+// count; they are nil and 0 for mesh DOR and CDOR, leaving that path
+// untouched.
+type route struct {
+	alg       routing.Algorithm
+	vcClassFn func(cur, dst int) int
+	vcClasses int
+}
+
+// newRoute pairs alg with its VC policy, rejecting a policy whose classes
+// do not divide each message class's VCs. NewTopo and Reconfigure install
+// an algorithm only through it.
+func newRoute(cfg Config, alg routing.Algorithm) (route, error) {
+	vcp, ok := alg.(routing.VCPolicy)
+	if !ok || vcp.VCClasses() <= 1 {
+		return route{alg: alg}, nil
+	}
+	if cfg.vcsPerClass()%vcp.VCClasses() != 0 {
+		return route{}, fmt.Errorf("noc: %d VCs per message class not divisible by %d route VC classes of %s",
+			cfg.vcsPerClass(), vcp.VCClasses(), alg.Name())
+	}
+	return route{alg: alg, vcClassFn: vcp.VCClass, vcClasses: vcp.VCClasses()}, nil
 }
 
 // UseReferenceStepper(true) switches Step to the pre-optimization reference

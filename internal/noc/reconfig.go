@@ -73,10 +73,12 @@ func (n *Network) fabricEmpty() bool {
 
 // Reconfigure changes the set of powered routers mid-run: quiesce → drain →
 // drop undeliverable traffic → apply the new active set (and, when alg is
-// non-nil, the routing algorithm matching it) → resume. drainBudget bounds
-// the drain; on timeout the network is un-quiesced and an error returned —
-// the simulation is left consistent (every flit still accounted) but the
-// requested active set is not applied.
+// non-nil, the routing algorithm matching it, with the dateline VC classes
+// of its routing.VCPolicy) → resume. An algorithm whose VC classes do not
+// divide the VCs is rejected before anything drains, as NewTopo rejects
+// it. drainBudget bounds the drain; on timeout the network is un-quiesced
+// and an error returned — the simulation is left consistent (every flit
+// still accounted) but the requested active set is not applied.
 //
 // Semantics of the fault model: traffic destined to a retiring node is
 // dropped — in-flight flits traverse the fabric normally and are sunk at
@@ -101,6 +103,13 @@ func (n *Network) Reconfigure(activeNodes []int, alg routing.Algorithm, drainBud
 	if drainBudget < 1 {
 		return ReconfigReport{}, fmt.Errorf("noc: drain budget %d < 1", drainBudget)
 	}
+	rt := n.route
+	if alg != nil {
+		var err error
+		if rt, err = newRoute(n.cfg, alg); err != nil {
+			return ReconfigReport{}, err
+		}
+	}
 	newSet := make([]bool, n.nodes)
 	for _, id := range activeNodes {
 		if id < 0 || id >= n.nodes {
@@ -120,7 +129,7 @@ func (n *Network) Reconfigure(activeNodes []int, alg routing.Algorithm, drainBud
 		// No-op fast path: nothing to quiesce, drain, or rebuild. The run
 		// stays bit-identical to one that never reconfigured.
 		if alg != nil {
-			n.alg = alg
+			n.route = rt
 			n.reconfigs++
 		}
 		return ReconfigReport{}, nil
@@ -191,9 +200,7 @@ func (n *Network) Reconfigure(activeNodes []int, alg routing.Algorithm, drainBud
 		}
 	}
 	n.markAllDirty()
-	if alg != nil {
-		n.alg = alg
-	}
+	n.route = rt
 	n.reconfigs++
 	n.quiesced = false
 

@@ -9,6 +9,7 @@ import (
 	"nocsprint/internal/mesh"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
+	"nocsprint/internal/topo"
 )
 
 // regionNet builds a network gated to a level-8 sprint region with CDOR
@@ -203,6 +204,67 @@ func TestReconfigureRejectsBadInput(t *testing.T) {
 	}
 	if _, err := gated.Reconfigure([]int{0, 1}, nil, 100); err == nil {
 		t.Error("reconfiguration under runtime gating accepted")
+	}
+}
+
+// TestReconfigureInstallsVCPolicy: Reconfigure installs the new
+// algorithm's dateline VC classes, on the no-op path and after a drain,
+// and rejects before draining anything a policy NewTopo would reject.
+func TestReconfigureInstallsVCPolicy(t *testing.T) {
+	tp, err := topo.NewTorus(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dor := routing.NewTorusDOR(tp)
+	// The same routes without the VCPolicy methods.
+	plain := struct{ routing.Algorithm }{dor}
+	all := make([]int, tp.Nodes())
+	for i := range all {
+		all[i] = i
+	}
+
+	cfg := DefaultConfig()
+	cfg.VCs = 3
+	if _, err := NewTopo(cfg, tp, dor, nil); err == nil || !strings.Contains(err.Error(), "not divisible") {
+		t.Fatalf("NewTopo with 3 VCs and 2 route classes: err = %v", err)
+	}
+	net, err := NewTopo(cfg, tp, plain, all[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Enqueue(1, 2)
+	net.Step()
+	for _, active := range [][]int{all[1:], all} { // the no-op path, then the drain path
+		cycle := net.Cycle()
+		_, err := net.Reconfigure(active, dor, 100)
+		if err == nil || !strings.Contains(err.Error(), "not divisible") {
+			t.Errorf("Reconfigure to %s with 3 VCs: err = %v", dor.Name(), err)
+		}
+		if net.Cycle() != cycle || net.ActiveRouters() != 15 || net.vcClasses != 0 || net.Algorithm() != routing.Algorithm(plain) {
+			t.Errorf("rejected reconfiguration changed the network: cycle %d→%d, %d active, %d VC classes, routing %s",
+				cycle, net.Cycle(), net.ActiveRouters(), net.vcClasses, net.Algorithm().Name())
+		}
+	}
+
+	cfg.VCs = 4
+	for _, tc := range []struct {
+		name  string
+		start []int
+	}{{"no-op", all}, {"drain", all[1:]}} {
+		net, err := NewTopo(cfg, tp, plain, tc.start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := net.Reconfigure(all, dor, 100)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rep.Changed != (tc.name == "drain") {
+			t.Errorf("%s: report %+v", tc.name, rep)
+		}
+		if net.vcClasses != 2 || net.vcClassFn == nil || net.Algorithm() != routing.Algorithm(dor) {
+			t.Errorf("%s: after reconfiguring to %s the network has %d VC classes", tc.name, dor.Name(), net.vcClasses)
+		}
 	}
 }
 

@@ -84,6 +84,6 @@ func TestAbortCancelsInFlightPoints(t *testing.T) {
 	defer srv.Close()
 	waitFor(t, func() bool {
 		v, ok := srv.Job(job.ID)
-		return ok && v.Job.State != StateRunning
+		return ok && v.State != StateRunning
 	}, "the wedged job to stop after Abort")
 }

@@ -17,11 +17,13 @@ import (
 //	                      429 + Retry-After when shed, 503 when draining
 //	GET    /v1/jobs       list all jobs, newest first
 //	GET    /v1/jobs/{id}  one job's state, retries, and result when done
+//	GET    /v1/jobs/{id}/result  a done job's result bytes, verbatim
 //	DELETE /v1/jobs/{id}  cancel: queued jobs immediately, running jobs
 //	                      gracefully (in-flight points finish + journal)
 //	GET    /healthz       process liveness (always 200)
 //	GET    /readyz        admission readiness (503 while draining)
-//	GET    /debug/vars    expvar, including the "nocsprintd" metrics
+//	GET    /debug/vars    the process's expvars; cmd/nocsprintd publishes
+//	                      its server's metrics there as "nocsprintd"
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -81,7 +83,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 	default:
 		s.mu.Lock()
-		v := job.view()
+		v := job.clone()
 		s.mu.Unlock()
 		writeJSON(w, http.StatusAccepted, v)
 	}
@@ -127,8 +129,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %s", ErrNoSuchJob, id))
 		return
 	}
-	if v.Job.State != StateDone {
-		writeError(w, http.StatusConflict, fmt.Errorf("job %s is %s, result available once done", id, v.Job.State))
+	if v.State != StateDone {
+		writeError(w, http.StatusConflict, fmt.Errorf("job %s is %s, result available once done", id, v.State))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -15,9 +15,11 @@ const (
 	// from their checkpoint journal.
 	StateQueued JobState = "queued"
 	// StateRunning: an executor is computing sweep points (journaling each
-	// as it completes).
+	// as it completes). Held in memory only: the record on disk still says
+	// queued, which is what a restart would make of it anyway.
 	StateRunning JobState = "running"
-	// StateDone: finished; the result is persisted and served.
+	// StateDone: finished; the result is persisted in the job record and
+	// served.
 	StateDone JobState = "done"
 	// StateFailed: finished with a permanent error (or an exhausted retry
 	// budget, or an expired deadline).
@@ -40,9 +42,11 @@ type RetryEvent struct {
 	Error   string `json:"error"`
 }
 
-// Job is one submitted sweep. The exported fields are persisted to the
-// job's state directory on every transition (atomic snapshot), so a
-// restarted server reconstructs the full job table.
+// Job is one submitted sweep, and the JSON shape GET /v1/jobs/{id} serves.
+// The exported fields are its durable record: one atomic snapshot in the
+// job's state directory, rewritten when the job is admitted, checkpointed
+// by a drain, or reaches a terminal state, so a restarted server
+// reconstructs the full job table.
 type Job struct {
 	ID      string       `json:"id"`
 	Spec    JobSpec      `json:"spec"`
@@ -52,27 +56,20 @@ type Job struct {
 	Created time.Time    `json:"created"`
 	Started *time.Time   `json:"started,omitempty"`
 	Ended   *time.Time   `json:"ended,omitempty"`
+	// Result is the raw result bytes, set with the done state and written
+	// in the same snapshot, so a done record always carries its result.
+	// Declared last: field order fixes the bytes GET /v1/jobs/{id} serves.
+	Result json.RawMessage `json:"result,omitempty"`
 
 	// Runtime-only fields, not persisted.
-	result          json.RawMessage    // raw result bytes once done
 	cancelRun       context.CancelFunc // cancels the running sweep context
 	cancelRequested bool               // DELETE arrived while running
 }
 
-// view is the JSON shape served by GET /v1/jobs/{id}: the persisted record
-// plus the raw result when the job is done.
-type view struct {
-	Job
-	Result json.RawMessage `json:"result,omitempty"`
-}
-
-func (j *Job) view() view {
-	v := view{Job: *j}
-	v.Job.cancelRun = nil
-	if j.State == StateDone {
-		v.Result = j.result
-	}
-	// Copy the retries slice so a served view cannot race later appends.
-	v.Job.Retries = append([]RetryEvent(nil), j.Retries...)
-	return v
+// clone returns a point-in-time copy of the job. Its retries are copied
+// too, so a served copy cannot race later appends.
+func (j *Job) clone() Job {
+	c := *j
+	c.Retries = append([]RetryEvent(nil), j.Retries...)
+	return c
 }

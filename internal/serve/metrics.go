@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"expvar"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Metrics are the server's operational counters. Counters are cumulative
 // over the process lifetime; the queue/running gauges come from the live
@@ -19,8 +15,8 @@ type Metrics struct {
 	Recovered atomic.Int64 // jobs re-queued during restart recovery
 }
 
-// MetricsSnapshot is the JSON shape of the server's counters and gauges,
-// served under the expvar key "nocsprintd".
+// MetricsSnapshot is the JSON shape of the server's counters and gauges;
+// cmd/nocsprintd publishes it as the expvar "nocsprintd".
 type MetricsSnapshot struct {
 	QueueDepth int   `json:"queue_depth"`
 	Running    int   `json:"running"`
@@ -49,25 +45,4 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		Cancelled:  s.metrics.Cancelled.Load(),
 		Recovered:  s.metrics.Recovered.Load(),
 	}
-}
-
-// expvar names are process-global, so the "nocsprintd" var is published
-// once and reads through an atomic pointer to the most recently created
-// server — the daemon has exactly one, and tests (which create many) read
-// MetricsSnapshot directly.
-var (
-	expvarOnce sync.Once
-	expvarSrv  atomic.Pointer[Server]
-)
-
-func publishMetrics(s *Server) {
-	expvarSrv.Store(s)
-	expvarOnce.Do(func() {
-		expvar.Publish("nocsprintd", expvar.Func(func() any {
-			if srv := expvarSrv.Load(); srv != nil {
-				return srv.MetricsSnapshot()
-			}
-			return MetricsSnapshot{}
-		}))
-	})
 }

@@ -9,12 +9,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"nocsprint/internal/ckpt"
 	"nocsprint/internal/core"
 	"nocsprint/internal/runner"
 )
@@ -33,14 +36,14 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 }
 
 // waitState polls until the job reaches the wanted state.
-func waitState(t *testing.T, s *Server, id string, want JobState) view {
+func waitState(t *testing.T, s *Server, id string, want JobState) Job {
 	t.Helper()
-	var v view
+	var v Job
 	waitFor(t, func() bool {
 		var ok bool
 		v, ok = s.Job(id)
-		return ok && v.Job.State == want
-	}, fmt.Sprintf("job %s to reach %s (last: %+v)", id, want, v.Job.State))
+		return ok && v.State == want
+	}, fmt.Sprintf("job %s to reach %s (last: %+v)", id, want, v.State))
 	return v
 }
 
@@ -106,7 +109,7 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got view
+	var got Job
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +120,8 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 	if err := json.Unmarshal(got.Result, &payload); err != nil {
 		t.Fatalf("result %s: %v", got.Result, err)
 	}
-	if got.Job.State != StateDone || payload.Answer != 42 {
-		t.Errorf("GET job = %+v result %s", got.Job, got.Result)
+	if got.State != StateDone || payload.Answer != 42 {
+		t.Errorf("GET job = %+v result %s", got, got.Result)
 	}
 
 	resp, err = http.Get(ts.URL + "/v1/jobs/" + id + "/result")
@@ -280,7 +283,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("DELETE queued = %d %s", resp.StatusCode, b)
 	}
-	if v := waitState(t, srv, queued, StateCancelled); v.Job.Error == "" {
+	if v := waitState(t, srv, queued, StateCancelled); v.Error == "" {
 		t.Error("cancelled queued job carries no reason")
 	}
 
@@ -321,8 +324,8 @@ func TestDeadlineFailsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := waitState(t, srv, job.ID, StateFailed)
-	if !strings.Contains(v.Job.Error, "deadline") {
-		t.Errorf("error %q does not mention the deadline", v.Job.Error)
+	if !strings.Contains(v.Error, "deadline") {
+		t.Errorf("error %q does not mention the deadline", v.Error)
 	}
 }
 
@@ -372,8 +375,8 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	v := waitState(t, srv, poisoned.ID, StateFailed)
 	for _, want := range []string{"point 2 panicked", "injected point panic"} {
-		if !strings.Contains(v.Job.Error, want) {
-			t.Errorf("job error does not mention %q:\n%s", want, v.Job.Error)
+		if !strings.Contains(v.Error, want) {
+			t.Errorf("job error does not mention %q:\n%s", want, v.Error)
 		}
 	}
 	if got := siblingDone.Load(); got != 3 {
@@ -427,10 +430,10 @@ func TestRetryVisibleInJobRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := waitState(t, srv, job.ID, StateDone)
-	if len(v.Job.Retries) != 2 {
-		t.Fatalf("job record shows %d retries, want 2: %+v", len(v.Job.Retries), v.Job.Retries)
+	if len(v.Retries) != 2 {
+		t.Fatalf("job record shows %d retries, want 2: %+v", len(v.Retries), v.Retries)
 	}
-	for i, ev := range v.Job.Retries {
+	for i, ev := range v.Retries {
 		if ev.Attempt != i+1 || !strings.Contains(ev.Error, "resource pressure") || ev.Delay == "" {
 			t.Errorf("retry event %d incomplete: %+v", i, ev)
 		}
@@ -445,8 +448,8 @@ func TestRetryVisibleInJobRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	v = waitState(t, srv, one.ID, StateFailed)
-	if len(v.Job.Retries) != 0 || !strings.Contains(v.Job.Error, "resource pressure") {
-		t.Errorf("budget-1 job: retries=%v error=%q", v.Job.Retries, v.Job.Error)
+	if len(v.Retries) != 0 || !strings.Contains(v.Error, "resource pressure") {
+		t.Errorf("budget-1 job: retries=%v error=%q", v.Retries, v.Error)
 	}
 }
 
@@ -516,8 +519,8 @@ func TestDrainCheckpointsRunningJob(t *testing.T) {
 	waitFor(t, func() bool { return stub1.execCount(2) >= 1 }, "the sweep to reach the blocked point")
 
 	srv1.Drain()
-	if v, ok := srv1.Job(job.ID); !ok || v.Job.State != StateQueued {
-		t.Fatalf("after drain job is %+v, want queued (checkpointed)", v.Job.State)
+	if v, ok := srv1.Job(job.ID); !ok || v.State != StateQueued {
+		t.Fatalf("after drain job is %+v, want queued (checkpointed)", v.State)
 	}
 	if !srv1.Draining() {
 		t.Error("Draining() = false after Drain")
@@ -568,7 +571,7 @@ func TestCrashRestartByteIdentical(t *testing.T) {
 	waitFor(t, func() bool { return stub1.execCount(2) >= 1 }, "the sweep to wedge at point 2")
 	// Deliberately no Drain/Close: srv1's executor goroutine stays wedged
 	// for the remainder of the test process, like a process that was
-	// SIGKILLed — its job.json still says "running".
+	// SIGKILLed — its job.json still says "queued".
 
 	stub2 := newJournalStub(-1)
 	srv2, err := New(Config{StateDir: state, Run: stub2.run})
@@ -613,6 +616,259 @@ func TestCrashRestartByteIdentical(t *testing.T) {
 	if a, b := fetch(ts2, job.ID), fetch(ts3, golden.ID); !bytes.Equal(a, b) {
 		t.Errorf("served result bytes differ:\n%s\n%s", a, b)
 	}
+}
+
+// getResult fetches a done job's raw result bytes over HTTP.
+func getResult(t *testing.T, ts *httptest.Server, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET result of %s = %d %s (%v)", id, resp.StatusCode, b, err)
+	}
+	return b
+}
+
+// TestDoneRecordCarriesResult: a done job's directory holds its record,
+// result included, and its journal, nothing else; a restarted server
+// serves the same bytes from that record without running anything.
+func TestDoneRecordCarriesResult(t *testing.T) {
+	state := t.TempDir()
+	srv1, err := New(Config{StateDir: state, Run: newJournalStub(-1).run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := srv1.Submit(JobSpec{Experiment: "fig11", Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, srv1, job.ID, StateDone)
+	ts1 := httptest.NewServer(srv1.Handler())
+	served := getResult(t, ts1, job.ID)
+	ts1.Close()
+	srv1.Close()
+
+	dir := filepath.Join(state, "jobs", job.ID)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "job.json sweep.journal" {
+		t.Errorf("done job's directory holds %q, want job.json and sweep.journal only", got)
+	}
+	var rec Job
+	if err := ckpt.ReadSnapshot(filepath.Join(dir, "job.json"), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.State != StateDone || !bytes.Equal(rec.Result, served) {
+		t.Errorf("done record: state %s, result %s; served result %s", rec.State, rec.Result, served)
+	}
+
+	srv2, err := New(Config{StateDir: state, Run: func(JobSpec, core.NetSimParams) (any, error) {
+		t.Error("the restarted server ran a done job again")
+		return nil, errors.New("done jobs do not run")
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	if again := getResult(t, ts2, job.ID); !bytes.Equal(again, served) {
+		t.Errorf("restarted server serves %s, want %s", again, served)
+	}
+	if m := srv2.MetricsSnapshot(); m.Recovered != 0 {
+		t.Errorf("restart re-queued %d job(s), want 0", m.Recovered)
+	}
+}
+
+// TestRecoveryWritesNothing: the record on disk still says queued while
+// the job runs, and a restart's recovery leaves it byte for byte as it was.
+func TestRecoveryWritesNothing(t *testing.T) {
+	state := t.TempDir()
+	started := make(chan struct{}, 1)
+	srv1, err := New(Config{StateDir: state, Run: func(JobSpec, core.NetSimParams) (any, error) {
+		started <- struct{}{}
+		select {} // wedged for good, like a process that was SIGKILLed
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := srv1.Submit(JobSpec{Experiment: "fig11"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	waitState(t, srv1, job.ID, StateRunning)
+	path := filepath.Join(state, "jobs", job.ID, "job.json")
+	var rec Job
+	if err := ckpt.ReadSnapshot(path, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.State != StateQueued {
+		t.Errorf("record on disk says %s while the job runs, want %s", rec.State, StateQueued)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release := make(chan struct{})
+	srv2, err := New(Config{StateDir: state, Run: func(JobSpec, core.NetSimParams) (any, error) {
+		<-release
+		return "resumed", nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("recovery rewrote job.json:\nbefore %s\nafter  %s", before, after)
+	}
+	if m := srv2.MetricsSnapshot(); m.Recovered != 1 {
+		t.Errorf("metrics recovered = %d, want 1", m.Recovered)
+	}
+	close(release)
+	waitState(t, srv2, job.ID, StateDone)
+}
+
+// TestDoneRecordWithoutResultReruns: a done record with no result field,
+// the layout that kept the result in result.json beside it, is re-queued
+// and recomputed from its journal to the same bytes.
+func TestDoneRecordWithoutResultReruns(t *testing.T) {
+	state := t.TempDir()
+	srv1, err := New(Config{StateDir: state, Run: newJournalStub(-1).run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := srv1.Submit(JobSpec{Experiment: "fig11", Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitState(t, srv1, job.ID, StateDone).Result
+	srv1.Close()
+
+	dir := filepath.Join(state, "jobs", job.ID)
+	var rec Job
+	if err := ckpt.ReadSnapshot(filepath.Join(dir, "job.json"), &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.Result = nil
+	if err := ckpt.WriteSnapshot(filepath.Join(dir, "job.json"), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := ckpt.WriteSnapshot(filepath.Join(dir, "result.json"), want); err != nil {
+		t.Fatal(err)
+	}
+
+	var runs atomic.Int32
+	stub := newJournalStub(-1)
+	srv2, err := New(Config{StateDir: state, Run: func(spec JobSpec, sim core.NetSimParams) (any, error) {
+		runs.Add(1)
+		return stub.run(spec, sim)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if m := srv2.MetricsSnapshot(); m.Recovered != 1 {
+		t.Errorf("metrics recovered = %d, want 1", m.Recovered)
+	}
+	got := waitState(t, srv2, job.ID, StateDone)
+	if n := runs.Load(); n != 1 {
+		t.Errorf("job ran %d time(s) after the restart, want 1", n)
+	}
+	if !bytes.Equal(got.Result, want) {
+		t.Errorf("recomputed result %s, want %s", got.Result, want)
+	}
+	ts := httptest.NewServer(srv2.Handler())
+	defer ts.Close()
+	if raw := getResult(t, ts, job.ID); !bytes.Equal(raw, want) {
+		t.Errorf("served result %s, want %s", raw, want)
+	}
+}
+
+// TestCancelFailedWriteLeavesJobQueued: when a queued job's cancelled
+// record cannot be written, DELETE answers 500 and the job stays queued,
+// uncounted as cancelled, and runs once the executor frees up.
+func TestCancelFailedWriteLeavesJobQueued(t *testing.T) {
+	state := t.TempDir()
+	release := make(chan struct{})
+	srv, err := New(Config{
+		StateDir:    state,
+		Concurrency: 1,
+		Run: func(_ JobSpec, sim core.NetSimParams) (any, error) {
+			select {
+			case <-release:
+				return "ok", nil
+			case <-sim.Ctx.Done():
+				return nil, sim.Ctx.Err()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	first, err := srv.Submit(JobSpec{Experiment: "fig11"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, srv, first.ID, StateRunning)
+	queued, err := srv.Submit(JobSpec{Experiment: "fig11"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A file where the job's directory was makes every record write fail.
+	dir := filepath.Join(state, "jobs", queued.ID)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+queued.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("DELETE with an unwritable record = %d, want 500", resp.StatusCode)
+	}
+	if v, _ := srv.Job(queued.ID); v.State != StateQueued {
+		t.Fatalf("after a failed cancel the job is %s, want %s", v.State, StateQueued)
+	}
+	if m := srv.MetricsSnapshot(); m.Cancelled != 0 || m.QueueDepth != 1 {
+		t.Errorf("metrics = %+v, want cancelled=0 queue_depth=1", m)
+	}
+
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	waitState(t, srv, queued.ID, StateDone)
 }
 
 // TestDrainClosesAdmission: readyz flips to 503 and POST is refused while

@@ -139,13 +139,13 @@ func New(cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go s.executor()
 	}
-	publishMetrics(s)
 	return s, nil
 }
 
-// recover rebuilds the job table from StateDir/jobs. Jobs persisted as
-// queued or running when the previous process died are re-queued (oldest
-// first); their journals make the rerun resume rather than recompute.
+// recover rebuilds the job table from StateDir/jobs and writes nothing.
+// Every job that had not finished when the previous process died is
+// re-queued (oldest first); its journal makes the rerun resume rather than
+// recompute.
 func (s *Server) recover() error {
 	root := filepath.Join(s.cfg.StateDir, "jobs")
 	entries, err := os.ReadDir(root)
@@ -171,20 +171,10 @@ func (s *Server) recover() error {
 			s.cfg.Logf("serve: skipping job dir %s: record claims ID %s", e.Name(), job.ID)
 			continue
 		}
-		switch {
-		case job.State == StateDone:
-			var res json.RawMessage
-			if err := ckpt.ReadSnapshot(filepath.Join(dir, "result.json"), &res); err != nil {
-				// Done without a readable result is inconsistent; recompute —
-				// the journal makes it cheap and byte-identical.
-				s.cfg.Logf("serve: job %s done but result unreadable (%v); re-queuing", job.ID, err)
-				job.State = StateQueued
-				job.Error = ""
-				requeue = append(requeue, &job)
-			} else {
-				job.result = res
-			}
-		case !job.State.Terminal():
+		// A non-terminal record says queued; older daemons also wrote
+		// running, and wrote done records without their result (it lived
+		// in a separate file). All of them rerun.
+		if !job.State.Terminal() || job.State == StateDone && job.Result == nil {
 			job.State = StateQueued
 			requeue = append(requeue, &job)
 		}
@@ -197,9 +187,6 @@ func (s *Server) recover() error {
 		return requeue[i].ID < requeue[k].ID
 	})
 	for _, job := range requeue {
-		if err := s.persist(job); err != nil {
-			return err
-		}
 		s.queue = append(s.queue, job.ID)
 		s.metrics.Recovered.Add(1)
 		s.cfg.Logf("serve: recovered job %s (%s), re-queued for resume", job.ID, job.Spec.Experiment)
@@ -221,14 +208,10 @@ func (s *Server) jobDir(id string) string {
 	return filepath.Join(s.cfg.StateDir, "jobs", id)
 }
 
-// persist writes the job's record atomically into its state directory.
-// Callers hold s.mu or own the job exclusively.
+// persist writes the job's record atomically into the directory Submit
+// created for it. Callers hold s.mu or own the job exclusively.
 func (s *Server) persist(job *Job) error {
-	dir := s.jobDir(job.ID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("serve: job dir: %w", err)
-	}
-	return ckpt.WriteSnapshot(filepath.Join(dir, "job.json"), job)
+	return ckpt.WriteSnapshot(filepath.Join(s.jobDir(job.ID), "job.json"), job)
 }
 
 // Submit admits one job: validate happened at parse time, so this is the
@@ -255,7 +238,11 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	// Persist before exposing: a job the client has seen accepted must
 	// survive a crash. The write happens under the lock so the admission
 	// decision and the durable record cannot disagree.
-	if err := s.persist(job); err != nil {
+	err = os.Mkdir(s.jobDir(id), 0o755)
+	if err == nil {
+		err = s.persist(job)
+	}
+	if err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}
@@ -273,24 +260,24 @@ var (
 	ErrQueueFull = errors.New("serve: job queue is full")
 )
 
-// Job returns a point-in-time view of one job.
-func (s *Server) Job(id string) (view, bool) {
+// Job returns a point-in-time copy of one job.
+func (s *Server) Job(id string) (Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	job, ok := s.jobs[id]
 	if !ok {
-		return view{}, false
+		return Job{}, false
 	}
-	return job.view(), true
+	return job.clone(), true
 }
 
-// Jobs returns views of every job, newest first.
-func (s *Server) Jobs() []view {
+// Jobs returns copies of every job, newest first.
+func (s *Server) Jobs() []Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]view, 0, len(s.jobs))
+	out := make([]Job, 0, len(s.jobs))
 	for _, job := range s.jobs {
-		out = append(out, job.view())
+		out = append(out, job.clone())
 	}
 	sort.Slice(out, func(i, k int) bool {
 		if !out[i].Created.Equal(out[k].Created) {
@@ -303,38 +290,41 @@ func (s *Server) Jobs() []view {
 
 // Cancel removes a queued job or asks a running one to stop gracefully
 // (its in-flight points finish and are journaled, then the job is marked
-// cancelled). Cancelling a terminal job is an error.
-func (s *Server) Cancel(id string) (view, error) {
+// cancelled). Cancelling a terminal job is an error. A queued job's
+// cancelled record is persisted before the job leaves the queue, so a
+// failed write leaves it queued.
+func (s *Server) Cancel(id string) (Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	job, ok := s.jobs[id]
 	if !ok {
-		return view{}, ErrNoSuchJob
+		return Job{}, ErrNoSuchJob
 	}
 	switch job.State {
 	case StateQueued:
+		now := time.Now().UTC()
+		rec := *job
+		rec.State, rec.Ended, rec.Error = StateCancelled, &now, "cancelled while queued"
+		if err := s.persist(&rec); err != nil {
+			return Job{}, err
+		}
+		*job = rec
 		for i, qid := range s.queue {
 			if qid == id {
 				s.queue = append(s.queue[:i], s.queue[i+1:]...)
 				break
 			}
 		}
-		now := time.Now().UTC()
-		job.State, job.Ended = StateCancelled, &now
-		job.Error = "cancelled while queued"
 		s.metrics.Cancelled.Add(1)
-		if err := s.persist(job); err != nil {
-			return view{}, err
-		}
 	case StateRunning:
 		job.cancelRequested = true
 		if job.cancelRun != nil {
 			job.cancelRun()
 		}
 	default:
-		return job.view(), fmt.Errorf("%w: job %s is already %s", ErrJobTerminal, id, job.State)
+		return job.clone(), fmt.Errorf("%w: job %s is already %s", ErrJobTerminal, id, job.State)
 	}
-	return job.view(), nil
+	return job.clone(), nil
 }
 
 // Sentinel lookup/cancel errors; the HTTP layer maps them to 404 and 409.
@@ -358,12 +348,11 @@ func (s *Server) executor() {
 		id := s.queue[0]
 		s.queue = s.queue[1:]
 		job := s.jobs[id]
+		// Not persisted: a restart re-queues a running job exactly as it
+		// does the queued record on disk.
 		now := time.Now().UTC()
 		job.State, job.Started = StateRunning, &now
 		s.running++
-		if err := s.persist(job); err != nil {
-			s.cfg.Logf("serve: persisting job %s: %v", id, err)
-		}
 		s.mu.Unlock()
 
 		s.runJob(job)
@@ -486,17 +475,11 @@ func (s *Server) runJob(job *Job) {
 		s.finish(job, nil, fmt.Errorf("encoding result: %w", merr))
 		return
 	}
-	// Result first, then the done record: StateDone on disk implies a
-	// readable result (recovery re-queues the job otherwise).
-	if err := ckpt.WriteSnapshot(filepath.Join(dir, "result.json"), json.RawMessage(raw)); err != nil {
-		s.finish(job, nil, fmt.Errorf("persisting result: %w", err))
-		return
-	}
 	s.finish(job, raw, nil)
 }
 
 // finish applies a job's terminal transition (or re-queues it when a drain
-// interrupted it) and persists the record.
+// interrupted it) and persists the record, a done job's result with it.
 func (s *Server) finish(job *Job, result json.RawMessage, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -504,7 +487,7 @@ func (s *Server) finish(job *Job, result json.RawMessage, err error) {
 	job.cancelRun = nil
 	switch {
 	case err == nil:
-		job.State, job.Ended, job.result = StateDone, &now, result
+		job.State, job.Ended, job.Result = StateDone, &now, result
 		job.Error = ""
 		s.metrics.Done.Add(1)
 	case job.cancelRequested:
