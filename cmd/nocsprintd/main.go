@@ -31,24 +31,20 @@ import (
 	"syscall"
 	"time"
 
-	"nocsprint/internal/runner"
 	"nocsprint/internal/serve"
 )
 
 // options are the daemon's command-line knobs.
 type options struct {
-	addr          string
-	state         string
-	queueCap      int
-	concurrency   int
-	jobTimeout    time.Duration
-	abortGrace    time.Duration
-	retryAttempts int
-	retryBase     time.Duration
-	retryMax      time.Duration
-	retryAfter    time.Duration
-	maxBody       int64
-	drainTimeout  time.Duration
+	addr         string
+	state        string
+	queueCap     int
+	concurrency  int
+	jobTimeout   time.Duration
+	abortGrace   time.Duration
+	retryAfter   time.Duration
+	maxBody      int64
+	drainTimeout time.Duration
 }
 
 func parseArgs(args []string, output io.Writer) (options, error) {
@@ -61,9 +57,6 @@ func parseArgs(args []string, output io.Writer) (options, error) {
 	fs.IntVar(&o.concurrency, "concurrency", 1, "jobs executed simultaneously (each fans its own sweep workers)")
 	fs.DurationVar(&o.jobTimeout, "job-timeout", 0, "default per-job deadline (0 = none; specs may set their own)")
 	fs.DurationVar(&o.abortGrace, "abort-grace", 30*time.Second, "grace between a job's graceful deadline stop and the point-level abort")
-	fs.IntVar(&o.retryAttempts, "retry-attempts", 3, "default point-level retry budget (total attempts; 1 disables)")
-	fs.DurationVar(&o.retryBase, "retry-base", 100*time.Millisecond, "base backoff before the second attempt")
-	fs.DurationVar(&o.retryMax, "retry-max", 5*time.Second, "backoff cap")
 	fs.DurationVar(&o.retryAfter, "retry-after", 5*time.Second, "Retry-After hint sent with shed submissions")
 	fs.Int64Var(&o.maxBody, "max-body", 1<<20, "submission body size limit in bytes")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 2*time.Minute, "bound on the graceful drain before in-flight points are aborted")
@@ -79,10 +72,7 @@ func parseArgs(args []string, output io.Writer) (options, error) {
 	if o.concurrency < 1 {
 		return options{}, fmt.Errorf("-concurrency %d: must be >= 1", o.concurrency)
 	}
-	if o.retryAttempts < 1 {
-		return options{}, fmt.Errorf("-retry-attempts %d: must be >= 1", o.retryAttempts)
-	}
-	if o.jobTimeout < 0 || o.abortGrace < 0 || o.retryBase < 0 || o.retryMax < 0 || o.drainTimeout < 0 {
+	if o.jobTimeout < 0 || o.abortGrace < 0 || o.drainTimeout < 0 {
 		return options{}, errors.New("durations must be >= 0")
 	}
 	if o.maxBody < 1 {
@@ -122,12 +112,7 @@ func run(o options, logger *log.Logger) error {
 		AbortGrace:     o.abortGrace,
 		RetryAfter:     o.retryAfter,
 		MaxBodyBytes:   o.maxBody,
-		Retry: runner.RetryPolicy{
-			MaxAttempts: o.retryAttempts,
-			BaseDelay:   o.retryBase,
-			MaxDelay:    o.retryMax,
-		},
-		Logf: logger.Printf,
+		Logf:           logger.Printf,
 	})
 	if err != nil {
 		return err

@@ -18,10 +18,10 @@ func TestParseArgsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if o.addr != ":8089" || o.state != "nocsprintd-state" || o.queueCap != 16 ||
-		o.concurrency != 1 || o.retryAttempts != 3 {
+		o.concurrency != 1 {
 		t.Errorf("defaults = %+v", o)
 	}
-	if o.retryBase != 100*time.Millisecond || o.retryMax != 5*time.Second ||
+	if o.retryAfter != 5*time.Second ||
 		o.abortGrace != 30*time.Second || o.drainTimeout != 2*time.Minute {
 		t.Errorf("duration defaults = %+v", o)
 	}
@@ -30,14 +30,14 @@ func TestParseArgsDefaults(t *testing.T) {
 func TestParseArgsOverrides(t *testing.T) {
 	o, err := parseArgs([]string{
 		"-addr", "127.0.0.1:0", "-state", "/tmp/s", "-queue", "4",
-		"-concurrency", "2", "-job-timeout", "10m", "-retry-attempts", "1",
+		"-concurrency", "2", "-job-timeout", "10m",
 		"-max-body", "4096",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.addr != "127.0.0.1:0" || o.queueCap != 4 || o.concurrency != 2 ||
-		o.jobTimeout != 10*time.Minute || o.retryAttempts != 1 || o.maxBody != 4096 {
+		o.jobTimeout != 10*time.Minute || o.maxBody != 4096 {
 		t.Errorf("overrides lost: %+v", o)
 	}
 }
@@ -50,11 +50,11 @@ func TestParseArgsRejectsBadValues(t *testing.T) {
 	}{
 		{"zero queue", []string{"-queue", "0"}, "-queue"},
 		{"zero concurrency", []string{"-concurrency", "0"}, "-concurrency"},
-		{"zero retry budget", []string{"-retry-attempts", "0"}, "-retry-attempts"},
 		{"negative timeout", []string{"-job-timeout", "-1s"}, "durations"},
 		{"zero body limit", []string{"-max-body", "0"}, "-max-body"},
 		{"positional argument", []string{"stray"}, "unexpected argument"},
 		{"unknown flag", []string{"-bogus"}, "bogus"},
+		{"removed retry flag", []string{"-retry-attempts", "3"}, "retry-attempts"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,9 +1,8 @@
 // Serve: drive the sweep-as-a-service layer in process — the same engine
 // cmd/nocsprintd wraps in HTTP. Starts a server on a temporary state
-// directory, submits a fast fig11 sweep with a point-level retry budget,
-// streams its state transitions, then kills the server mid-flight on a
-// second job and restarts it to show crash recovery resuming from the
-// checkpoint journal.
+// directory, submits a fast fig11 sweep with a deadline, streams its state
+// transitions, then kills the server mid-flight on a second job and
+// restarts it to show crash recovery resuming from the checkpoint journal.
 //
 // Run with: go run ./examples/serve
 package main
@@ -29,14 +28,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One fast fig11 sweep with an explicit per-job retry budget and a
-	// deadline. Submit is what POST /v1/jobs calls after spec validation.
+	// One fast fig11 sweep with a deadline. Submit is what POST /v1/jobs
+	// calls after spec validation.
 	job, err := srv.Submit(serve.JobSpec{
 		Experiment: "fig11",
 		Fast:       true,
 		Workers:    0, // all cores
 		Timeout:    serve.Duration(5 * time.Minute),
-		Retry:      &serve.RetrySpec{MaxAttempts: 3, BaseDelay: serve.Duration(100 * time.Millisecond)},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -50,7 +48,7 @@ func main() {
 			log.Fatalf("job %s vanished", job.ID)
 		}
 		if v.State != last {
-			fmt.Printf("  %-9s retries=%d\n", v.State, len(v.Retries))
+			fmt.Printf("  %s\n", v.State)
 			last = v.State
 		}
 		if v.State.Terminal() {

@@ -40,7 +40,7 @@ func TestKeyRejectsUnexportedOnlyStructs(t *testing.T) {
 		t.Fatal("expected unexported-field structs to collide (this test documents the hazard)")
 	}
 	// And the executor refuses such colliding keys up front.
-	_, err = runner.Run(context.Background(), nil, []string{k1, k2}, 1, nil, nil, func(context.Context, int) (int, error) {
+	_, err = runner.Run(context.Background(), nil, []string{k1, k2}, 1, nil, func(context.Context, int) (int, error) {
 		return 0, nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "share key") {
@@ -65,7 +65,7 @@ func TestRunSkipsJournaledPoints(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	_, err = runner.Run(ctx, j, keys, 1, nil, nil, func(c context.Context, i int) (testResult, error) {
+	_, err = runner.Run(ctx, j, keys, 1, nil, func(c context.Context, i int) (testResult, error) {
 		if ran.Add(1) == 5 {
 			cancel() // graceful: this point still completes and journals
 		}
@@ -87,7 +87,7 @@ func TestRunSkipsJournaledPoints(t *testing.T) {
 	}
 	defer re.Close()
 	var resumed atomic.Int64
-	got, err := runner.Run(context.Background(), re, keys, 4, nil, nil, func(c context.Context, i int) (testResult, error) {
+	got, err := runner.Run(context.Background(), re, keys, 4, nil, func(c context.Context, i int) (testResult, error) {
 		resumed.Add(1)
 		return fn(c, i)
 	})
@@ -97,7 +97,7 @@ func TestRunSkipsJournaledPoints(t *testing.T) {
 	if resumed.Load() != 5 {
 		t.Errorf("resume recomputed %d points, want 5", resumed.Load())
 	}
-	clean, err := runner.Run(context.Background(), nil, keys, 1, nil, nil, fn)
+	clean, err := runner.Run(context.Background(), nil, keys, 1, nil, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRunErrorDoesNotJournalFailedPoint(t *testing.T) {
 	}
 	defer j.Close()
 	keys := []string{"a", "b", "c"}
-	_, err = runner.Run(context.Background(), j, keys, 1, nil, nil, func(_ context.Context, i int) (int, error) {
+	_, err = runner.Run(context.Background(), j, keys, 1, nil, func(_ context.Context, i int) (int, error) {
 		if i == 1 {
 			return 0, errors.New("boom")
 		}
@@ -133,7 +133,7 @@ func TestRunErrorDoesNotJournalFailedPoint(t *testing.T) {
 }
 
 func TestRunNilJournal(t *testing.T) {
-	out, err := runner.Run(context.Background(), nil, []string{"x", "y"}, 2, nil, nil, func(_ context.Context, i int) (int, error) {
+	out, err := runner.Run(context.Background(), nil, []string{"x", "y"}, 2, nil, func(_ context.Context, i int) (int, error) {
 		return i * 7, nil
 	})
 	if err != nil {
@@ -159,7 +159,7 @@ func TestRunRejectsUndecodableJournaledResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	_, err = runner.Run(context.Background(), re, []string{"k"}, 1, nil, nil, func(context.Context, int) (int, error) {
+	_, err = runner.Run(context.Background(), re, []string{"k"}, 1, nil, func(context.Context, int) (int, error) {
 		return 0, nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "does not decode") {
@@ -197,7 +197,7 @@ func TestRunProgressCallback(t *testing.T) {
 		calls = append(calls, call{done, total})
 		mu.Unlock()
 	}
-	out, err := runner.Run(context.Background(), j, keys, 4, nil, progress, func(_ context.Context, i int) (int, error) {
+	out, err := runner.Run(context.Background(), j, keys, 4, progress, func(_ context.Context, i int) (int, error) {
 		return i * 10, nil
 	})
 	if err != nil {
@@ -235,7 +235,7 @@ func TestRunProgressNilSafe(t *testing.T) {
 		keys[i], _ = ckpt.Key(fmt.Sprintf("p%d", i))
 	}
 	fn := func(_ context.Context, i int) (int, error) { return i, nil }
-	if _, err := runner.Run(context.Background(), nil, keys, 2, nil, nil, fn); err != nil {
+	if _, err := runner.Run(context.Background(), nil, keys, 2, nil, fn); err != nil {
 		t.Fatalf("nil callback: %v", err)
 	}
 	var first *[2]int
@@ -244,7 +244,7 @@ func TestRunProgressNilSafe(t *testing.T) {
 			first = &[2]int{done, total}
 		}
 	}
-	if _, err := runner.Run(context.Background(), nil, keys, 2, nil, cb, fn); err != nil {
+	if _, err := runner.Run(context.Background(), nil, keys, 2, cb, fn); err != nil {
 		t.Fatal(err)
 	}
 	if first == nil || *first != [2]int{0, 4} {

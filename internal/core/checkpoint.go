@@ -53,6 +53,6 @@ func sweepKeyed[P, R any](sim NetSimParams, points []P, key func(P) (string, err
 			return nil, err
 		}
 	}
-	return runner.Run(sim.Ctx, sim.Journal, keys, sim.Workers, sim.Retry, sim.Progress,
+	return runner.Run(sim.Ctx, sim.Journal, keys, sim.Workers, sim.Progress,
 		func(_ context.Context, i int) (R, error) { return fn(points[i]) })
 }

@@ -19,7 +19,6 @@ import (
 	"nocsprint/internal/obs"
 	"nocsprint/internal/power"
 	"nocsprint/internal/routing"
-	"nocsprint/internal/runner"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/thermal"
 	"nocsprint/internal/topo"
@@ -346,17 +345,6 @@ type NetSimParams struct {
 	// total. Calls may come from concurrent workers; keep the callback cheap
 	// and thread-safe (the CLI publishes the counts through expvar).
 	Progress func(done, total int)
-	// Retry, when non-nil, wraps every sweep point in point-level retry:
-	// failures the policy classifies as transient are re-attempted with
-	// capped exponential backoff and full jitter, up to the policy's
-	// attempt budget; permanent failures (including panics recovered as
-	// runner.PointError) surface immediately. A successful retry yields
-	// the same result a first-attempt success would — every point is a
-	// pure function of its parameters — so Retry is observational like
-	// Check and excluded from checkpoint keys. Set the policy's OnRetry
-	// callback to make retries visible (the serve layer records them in
-	// job results and metrics).
-	Retry *runner.RetryPolicy
 }
 
 // sweepCtx returns the sweep-level context, defaulting to Background.

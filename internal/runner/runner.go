@@ -1,7 +1,7 @@
 // Package runner is the sweep executor: it runs a sweep's independent
 // points across a worker pool, decodes the points a checkpoint journal
 // already holds instead of recomputing them, journals each fresh result as
-// it completes, and isolates every point behind retry and panic recovery.
+// it completes, and isolates every point behind panic recovery.
 // Every sweep-shaped driver in internal/core is a pure function of
 // (configuration, seed) per point, so results are identical to a serial
 // run at any worker count — parallelism changes wall-clock time, never
@@ -26,9 +26,6 @@ import (
 // goroutine (which would kill the whole process and discard every sibling
 // worker's completed results). Value is the recovered panic value and
 // Stack the panicking goroutine's stack at recovery time.
-//
-// A panic is a programming error in the point function, not a transient
-// condition, so retry classifiers should treat a PointError as permanent.
 type PointError struct {
 	Index int    // sweep index of the point whose fn panicked
 	Value any    // value recovered from the panic
@@ -62,10 +59,9 @@ func Workers(n int) int {
 // equal fresh ones as long as R's JSON encoding round-trips, so a resumed
 // sweep is indistinguishable from an uninterrupted one.
 //
-// Each point runs fn under retry (nil retries nothing) inside panic
-// recovery, and its journal append runs inside the recovery but outside
-// the retry: a panic becomes a *PointError and is never retried, and a
-// failed append, which may leave a torn record, fails the sweep.
+// Each point runs fn once inside panic recovery, and a panic becomes a
+// *PointError. Its journal append runs inside the recovery but outside fn,
+// and a failed append, which may leave a torn record, fails the sweep.
 //
 // The first failure stops new claims, and so does cancelling ctx (nil
 // never cancels); points already running finish and are journaled. Every
@@ -77,7 +73,7 @@ func Workers(n int) int {
 // progress, when non-nil, is called once with the journaled count and then
 // once per computed point; calls never overlap, done strictly increases
 // and total is len(keys).
-func Run[R any](ctx context.Context, j *ckpt.Journal, keys []string, workers int, retry *RetryPolicy,
+func Run[R any](ctx context.Context, j *ckpt.Journal, keys []string, workers int,
 	progress func(done, total int), fn func(ctx context.Context, i int) (R, error)) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -125,7 +121,7 @@ func Run[R any](ctx context.Context, j *ckpt.Journal, keys []string, workers int
 					return
 				}
 				i := todo[k]
-				r, err := runPoint(ctx, j, keys[i], retry, i, fn)
+				r, err := runPoint(ctx, j, keys[i], i, fn)
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)
@@ -160,20 +156,16 @@ func Run[R any](ctx context.Context, j *ckpt.Journal, keys []string, workers int
 	return out, nil
 }
 
-// runPoint computes point i under retry inside panic recovery, then
-// journals the result under key, still inside the recovery.
-func runPoint[R any](ctx context.Context, j *ckpt.Journal, key string, retry *RetryPolicy, i int,
+// runPoint computes point i inside panic recovery, then journals the
+// result under key, still inside the recovery.
+func runPoint[R any](ctx context.Context, j *ckpt.Journal, key string, i int,
 	fn func(context.Context, int) (R, error)) (r R, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PointError{Index: i, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	if retry != nil {
-		r, err = Retry(ctx, *retry, func(ctx context.Context) (R, error) { return fn(ctx, i) })
-	} else {
-		r, err = fn(ctx, i)
-	}
+	r, err = fn(ctx, i)
 	if err == nil && j != nil {
 		err = j.Append(key, r)
 	}

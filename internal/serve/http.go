@@ -16,7 +16,7 @@ import (
 //	POST   /v1/jobs       submit a JobSpec; 202 + job, 400 on a bad spec,
 //	                      429 + Retry-After when shed, 503 when draining
 //	GET    /v1/jobs       list all jobs, newest first
-//	GET    /v1/jobs/{id}  one job's state, retries, and result when done
+//	GET    /v1/jobs/{id}  one job's state, and its result when done
 //	GET    /v1/jobs/{id}/result  a done job's result bytes, verbatim
 //	DELETE /v1/jobs/{id}  cancel: queued jobs immediately, running jobs
 //	                      gracefully (in-flight points finish + journal)
@@ -83,7 +83,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 	default:
 		s.mu.Lock()
-		v := job.clone()
+		v := *job
 		s.mu.Unlock()
 		writeJSON(w, http.StatusAccepted, v)
 	}

@@ -21,8 +21,8 @@ const (
 	// StateDone: finished; the result is persisted in the job record and
 	// served.
 	StateDone JobState = "done"
-	// StateFailed: finished with a permanent error (or an exhausted retry
-	// budget, or an expired deadline).
+	// StateFailed: finished with an error, a recovered point panic
+	// included, or an expired deadline.
 	StateFailed JobState = "failed"
 	// StateCancelled: removed by DELETE before completing.
 	StateCancelled JobState = "cancelled"
@@ -33,29 +33,19 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// RetryEvent is one visible point-level retry: which attempt failed, the
-// jittered backoff slept before the next one, and the failure that
-// triggered it. Retries are recorded in the job, never silent.
-type RetryEvent struct {
-	Attempt int    `json:"attempt"`
-	Delay   string `json:"delay"`
-	Error   string `json:"error"`
-}
-
 // Job is one submitted sweep, and the JSON shape GET /v1/jobs/{id} serves.
 // The exported fields are its durable record: one atomic snapshot in the
 // job's state directory, rewritten when the job is admitted, checkpointed
 // by a drain, or reaches a terminal state, so a restarted server
 // reconstructs the full job table.
 type Job struct {
-	ID      string       `json:"id"`
-	Spec    JobSpec      `json:"spec"`
-	State   JobState     `json:"state"`
-	Error   string       `json:"error,omitempty"`
-	Retries []RetryEvent `json:"retries,omitempty"`
-	Created time.Time    `json:"created"`
-	Started *time.Time   `json:"started,omitempty"`
-	Ended   *time.Time   `json:"ended,omitempty"`
+	ID      string     `json:"id"`
+	Spec    JobSpec    `json:"spec"`
+	State   JobState   `json:"state"`
+	Error   string     `json:"error,omitempty"`
+	Created time.Time  `json:"created"`
+	Started *time.Time `json:"started,omitempty"`
+	Ended   *time.Time `json:"ended,omitempty"`
 	// Result is the raw result bytes, set with the done state and written
 	// in the same snapshot, so a done record always carries its result.
 	// Declared last: field order fixes the bytes GET /v1/jobs/{id} serves.
@@ -64,12 +54,4 @@ type Job struct {
 	// Runtime-only fields, not persisted.
 	cancelRun       context.CancelFunc // cancels the running sweep context
 	cancelRequested bool               // DELETE arrived while running
-}
-
-// clone returns a point-in-time copy of the job. Its retries are copied
-// too, so a served copy cannot race later appends.
-func (j *Job) clone() Job {
-	c := *j
-	c.Retries = append([]RetryEvent(nil), j.Retries...)
-	return c
 }

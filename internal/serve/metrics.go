@@ -8,7 +8,6 @@ import "sync/atomic"
 type Metrics struct {
 	Admitted  atomic.Int64 // submissions accepted into the queue
 	Shed      atomic.Int64 // submissions rejected 429 by admission control
-	Retried   atomic.Int64 // point-level retries across all jobs
 	Done      atomic.Int64 // jobs finished successfully
 	Failed    atomic.Int64 // jobs finished with a permanent error
 	Cancelled atomic.Int64 // jobs removed by DELETE
@@ -22,7 +21,6 @@ type MetricsSnapshot struct {
 	Running    int   `json:"running"`
 	Admitted   int64 `json:"admitted"`
 	Shed       int64 `json:"shed"`
-	Retried    int64 `json:"retried"`
 	Done       int64 `json:"done"`
 	Failed     int64 `json:"failed"`
 	Cancelled  int64 `json:"cancelled"`
@@ -39,7 +37,6 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 		Running:    running,
 		Admitted:   s.metrics.Admitted.Load(),
 		Shed:       s.metrics.Shed.Load(),
-		Retried:    s.metrics.Retried.Load(),
 		Done:       s.metrics.Done.Load(),
 		Failed:     s.metrics.Failed.Load(),
 		Cancelled:  s.metrics.Cancelled.Load(),

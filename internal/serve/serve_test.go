@@ -179,6 +179,10 @@ func TestSubmitRejectsBadSpecAndOversizedBody(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("workres")) {
 		t.Errorf("typo spec = %d %s, want 400 naming the field", resp.StatusCode, body)
 	}
+	resp, body = postJob(t, ts, `{"experiment":"fig11","retry":{"max_attempts":3}}`)
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte(`unknown field \"retry\"`)) {
+		t.Errorf("spec with retry = %d %s, want 400 naming the field", resp.StatusCode, body)
+	}
 	big := `{"experiment":"fig11","timeout":"` + strings.Repeat("9", 300) + `s"}`
 	resp, body = postJob(t, ts, big)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -329,6 +333,35 @@ func TestDeadlineFailsJob(t *testing.T) {
 	}
 }
 
+// TestAbortCancelsInFlightPoints: Abort (second signal / drain timeout)
+// cancels the point-level context so even a sweep ignoring the graceful
+// context stops.
+func TestAbortCancelsInFlightPoints(t *testing.T) {
+	started := make(chan struct{})
+	srv, err := New(Config{
+		StateDir: t.TempDir(),
+		Run: func(_ JobSpec, sim core.NetSimParams) (any, error) {
+			close(started)
+			<-sim.Abort.Done() // ignores the graceful sim.Ctx on purpose
+			return nil, fmt.Errorf("aborted mid-point: %w", sim.Abort.Err())
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := srv.Submit(JobSpec{Experiment: "fig11"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	srv.Abort()
+	defer srv.Close()
+	waitFor(t, func() bool {
+		v, ok := srv.Job(job.ID)
+		return ok && v.State != StateRunning
+	}, "the wedged job to stop after Abort")
+}
+
 // TestPanicIsolation: an injected panicking point becomes a PointError in
 // the job record; sibling points are journaled and the daemon serves the
 // next job untouched.
@@ -343,7 +376,7 @@ func TestPanicIsolation(t *testing.T) {
 				// cancellation out of running them.
 				claimed := make(chan struct{}, 3)
 				keys := []string{"p0", "p1", "p2", "p3"}
-				out, err := runner.Run(sim.Ctx, sim.Journal, keys, 4, sim.Retry, nil, func(_ context.Context, i int) (int, error) {
+				out, err := runner.Run(sim.Ctx, sim.Journal, keys, 4, nil, func(_ context.Context, i int) (int, error) {
 					if i == 2 {
 						for k := 0; k < 3; k++ {
 							<-claimed
@@ -393,66 +426,6 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestRetryVisibleInJobRecord: transient failures are retried under the
-// job's policy and every retry lands in the job record and the metrics;
-// a budget of 1 disables retry and surfaces the transient error.
-func TestRetryVisibleInJobRecord(t *testing.T) {
-	counters := make(map[string]*atomic.Int32)
-	var mu sync.Mutex
-	srv, err := New(Config{
-		StateDir: t.TempDir(),
-		Retry:    runner.RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
-		Run: func(spec JobSpec, sim core.NetSimParams) (any, error) {
-			mu.Lock()
-			key := fmt.Sprint(spec.Seed)
-			if counters[key] == nil {
-				counters[key] = new(atomic.Int32)
-			}
-			c := counters[key]
-			mu.Unlock()
-			// Apply the threaded policy the way runner.Run does for real
-			// sweep points.
-			return runner.Retry(sim.Ctx, *sim.Retry, func(context.Context) (any, error) {
-				if c.Add(1) <= 2 {
-					return nil, MarkTransient(errors.New("simulated resource pressure"))
-				}
-				return "recovered after retries", nil
-			})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	job, err := srv.Submit(JobSpec{Experiment: "fig11", Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := waitState(t, srv, job.ID, StateDone)
-	if len(v.Retries) != 2 {
-		t.Fatalf("job record shows %d retries, want 2: %+v", len(v.Retries), v.Retries)
-	}
-	for i, ev := range v.Retries {
-		if ev.Attempt != i+1 || !strings.Contains(ev.Error, "resource pressure") || ev.Delay == "" {
-			t.Errorf("retry event %d incomplete: %+v", i, ev)
-		}
-	}
-	if m := srv.MetricsSnapshot(); m.Retried != 2 {
-		t.Errorf("metrics retried = %d, want 2", m.Retried)
-	}
-
-	// Spec override: budget 1 = no retries, the transient error surfaces.
-	one, err := srv.Submit(JobSpec{Experiment: "fig11", Seed: 2, Retry: &RetrySpec{MaxAttempts: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v = waitState(t, srv, one.ID, StateFailed)
-	if len(v.Retries) != 0 || !strings.Contains(v.Error, "resource pressure") {
-		t.Errorf("budget-1 job: retries=%v error=%q", v.Retries, v.Error)
-	}
-}
-
 // journalStub mimics a sweep driver: it funnels points through runner.Run
 // so completed points are journaled and a restarted job resumes.
 type journalStub struct {
@@ -472,7 +445,7 @@ func (d *journalStub) run(spec JobSpec, sim core.NetSimParams) (any, error) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("pt-%02d", i)
 	}
-	out, err := runner.Run(sim.Ctx, sim.Journal, keys, 2, nil, nil, func(ctx context.Context, i int) (int, error) {
+	out, err := runner.Run(sim.Ctx, sim.Journal, keys, 2, nil, func(ctx context.Context, i int) (int, error) {
 		d.mu.Lock()
 		d.execs[i]++
 		d.mu.Unlock()
@@ -797,6 +770,107 @@ func TestDoneRecordWithoutResultReruns(t *testing.T) {
 	defer ts.Close()
 	if raw := getResult(t, ts, job.ID); !bytes.Equal(raw, want) {
 		t.Errorf("served result %s, want %s", raw, want)
+	}
+}
+
+// TestRecoveredRecordDropsOldRunTimes: a re-queued record, an older
+// daemon's running record or a done record without its result, reads back
+// queued without the previous run's started and ended times.
+func TestRecoveredRecordDropsOldRunTimes(t *testing.T) {
+	state := t.TempDir()
+	old := time.Date(2020, 1, 2, 3, 4, 5, 0, time.UTC)
+	later := old.Add(time.Minute)
+	recs := []Job{
+		{ID: "j00000000000000a1", Spec: JobSpec{Experiment: "fig11"}, State: StateRunning, Created: old, Started: &old},
+		{ID: "j00000000000000a2", Spec: JobSpec{Experiment: "fig11"}, State: StateDone, Created: later, Started: &later, Ended: &later},
+	}
+	for i := range recs {
+		dir := filepath.Join(state, "jobs", recs[i].ID)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := ckpt.WriteSnapshot(filepath.Join(dir, "job.json"), &recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release := make(chan struct{})
+	srv, err := New(Config{StateDir: state, Run: func(JobSpec, core.NetSimParams) (any, error) {
+		<-release
+		return "ok", nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// The older record runs first and holds the one executor, so the other
+	// waits in the queue.
+	running := waitState(t, srv, recs[0].ID, StateRunning)
+	if running.Started == nil || !running.Started.After(old) || running.Ended != nil {
+		t.Errorf("rerun job started %v, ended %v; want a new start and no end", running.Started, running.Ended)
+	}
+	if v, _ := srv.Job(recs[1].ID); v.State != StateQueued || v.Started != nil || v.Ended != nil {
+		t.Errorf("recovered job reads %s, started %v, ended %v; want queued with neither time", v.State, v.Started, v.Ended)
+	}
+	close(release)
+	waitState(t, srv, recs[1].ID, StateDone)
+}
+
+// TestRecordWithRetryFieldsRecovers: a queued record from a daemon that
+// still had point-level retry, its spec carrying retry and the record a
+// retries list, resumes from its journal and ends done with the bytes of a
+// fresh job of the same spec.
+func TestRecordWithRetryFieldsRecovers(t *testing.T) {
+	state := t.TempDir()
+	const id = "j00000000000000b1"
+	dir := filepath.Join(state, "jobs", id)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Experiment: "fig11", Fast: true, Workers: 1}
+	// The drain that re-queued the job had journaled three points.
+	j, err := ckpt.Create(filepath.Join(dir, "sweep.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = RunExperiment(spec, core.NetSimParams{Workers: 1, Ctx: ctx, Journal: j, Progress: func(done, _ int) {
+		if done == 3 {
+			cancel()
+		}
+	}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("partial sweep: %v, want cancelled", err)
+	}
+	if j.Len() != 3 {
+		t.Fatalf("journal holds %d points, want 3", j.Len())
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec := json.RawMessage(`{"id":"` + id + `","spec":{"experiment":"fig11","fast":true,"workers":1,` +
+		`"retry":{"max_attempts":3,"base_delay":"100ms"}},"state":"queued",` +
+		`"retries":[{"attempt":1,"delay":"42ms","error":"transient failure: resource pressure"}],` +
+		`"created":"2020-01-02T03:04:05Z"}`)
+	if err := ckpt.WriteSnapshot(filepath.Join(dir, "job.json"), rec); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := New(Config{StateDir: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	recovered := waitState(t, srv, id, StateDone)
+	if recovered.Spec != spec {
+		t.Errorf("recovered spec %+v, want %+v", recovered.Spec, spec)
+	}
+	fresh, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := waitState(t, srv, fresh.ID, StateDone).Result; !bytes.Equal(recovered.Result, want) {
+		t.Errorf("recovered result differs from a fresh job's:\n%s\n%s", recovered.Result, want)
 	}
 }
 

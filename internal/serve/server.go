@@ -17,14 +17,13 @@ import (
 	"nocsprint/internal/ckpt"
 	"nocsprint/internal/core"
 	"nocsprint/internal/obs"
-	"nocsprint/internal/runner"
 )
 
 // RunFunc computes one job's result. The sweep-level context, abort
-// context, journal, retry policy, and telemetry recorder arrive threaded
-// through sim; implementations must honour sim.Ctx for graceful stop and
-// journal through sim.Journal if they want crash-safe resume. The default
-// is RunExperiment; tests substitute stubs.
+// context, journal, and telemetry recorder arrive threaded through sim;
+// implementations must honour sim.Ctx for graceful stop and journal
+// through sim.Journal if they want crash-safe resume. The default is
+// RunExperiment; tests substitute stubs.
 type RunFunc func(spec JobSpec, sim core.NetSimParams) (any, error)
 
 // Config tunes a Server. Zero values select the documented defaults.
@@ -51,11 +50,6 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxBodyBytes bounds a submission body. Default 1 MiB.
 	MaxBodyBytes int64
-	// Retry is the default point-level retry policy template; a job's
-	// RetrySpec overrides the budget and delays. The Transient classifier
-	// defaults to this package's Transient; OnRetry is always replaced
-	// with the server's recorder. Default: 3 attempts, 100ms base, 5s cap.
-	Retry runner.RetryPolicy
 	// Run substitutes the experiment dispatch (tests). Nil = RunExperiment.
 	Run RunFunc
 	// Logf receives operational log lines. Nil = discard.
@@ -77,12 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 1 << 20
-	}
-	if c.Retry.MaxAttempts == 0 {
-		c.Retry = runner.RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Millisecond, MaxDelay: 5 * time.Second}
-	}
-	if c.Retry.Transient == nil {
-		c.Retry.Transient = Transient
 	}
 	if c.Run == nil {
 		c.Run = RunExperiment
@@ -173,9 +161,10 @@ func (s *Server) recover() error {
 		}
 		// A non-terminal record says queued; older daemons also wrote
 		// running, and wrote done records without their result (it lived
-		// in a separate file). All of them rerun.
+		// in a separate file). All of them rerun, without the old run's
+		// times.
 		if !job.State.Terminal() || job.State == StateDone && job.Result == nil {
-			job.State = StateQueued
+			job.State, job.Started, job.Ended = StateQueued, nil, nil
 			requeue = append(requeue, &job)
 		}
 		s.jobs[job.ID] = &job
@@ -268,7 +257,7 @@ func (s *Server) Job(id string) (Job, bool) {
 	if !ok {
 		return Job{}, false
 	}
-	return job.clone(), true
+	return *job, true
 }
 
 // Jobs returns copies of every job, newest first.
@@ -277,7 +266,7 @@ func (s *Server) Jobs() []Job {
 	defer s.mu.Unlock()
 	out := make([]Job, 0, len(s.jobs))
 	for _, job := range s.jobs {
-		out = append(out, job.clone())
+		out = append(out, *job)
 	}
 	sort.Slice(out, func(i, k int) bool {
 		if !out[i].Created.Equal(out[k].Created) {
@@ -322,9 +311,9 @@ func (s *Server) Cancel(id string) (Job, error) {
 			job.cancelRun()
 		}
 	default:
-		return job.clone(), fmt.Errorf("%w: job %s is already %s", ErrJobTerminal, id, job.State)
+		return *job, fmt.Errorf("%w: job %s is already %s", ErrJobTerminal, id, job.State)
 	}
-	return job.clone(), nil
+	return *job, nil
 }
 
 // Sentinel lookup/cancel errors; the HTTP layer maps them to 404 and 409.
@@ -363,8 +352,8 @@ func (s *Server) executor() {
 	}
 }
 
-// runJob executes one job end to end: contexts, journal, retry recording,
-// telemetry, and the terminal-state transition.
+// runJob executes one job end to end: contexts, journal, telemetry, and
+// the terminal-state transition.
 func (s *Server) runJob(job *Job) {
 	dir := s.jobDir(job.ID)
 
@@ -418,27 +407,6 @@ func (s *Server) runJob(job *Job) {
 	}
 	defer journal.Close()
 
-	// Per-job retry policy: server defaults, spec overrides, and the
-	// server's recorder as OnRetry so every retry is visible in the job
-	// record and the metrics.
-	policy := s.cfg.Retry
-	if r := job.Spec.Retry; r != nil {
-		policy.MaxAttempts = r.MaxAttempts
-		if r.BaseDelay > 0 {
-			policy.BaseDelay = r.BaseDelay.Std()
-		}
-		if r.MaxDelay > 0 {
-			policy.MaxDelay = r.MaxDelay.Std()
-		}
-	}
-	policy.OnRetry = func(attempt int, delay time.Duration, err error) {
-		s.metrics.Retried.Add(1)
-		s.mu.Lock()
-		job.Retries = append(job.Retries, RetryEvent{Attempt: attempt, Delay: delay.String(), Error: err.Error()})
-		s.mu.Unlock()
-		s.cfg.Logf("serve: job %s retrying after attempt %d (backoff %v): %v", job.ID, attempt, delay, err)
-	}
-
 	sim := core.NetSimParams{
 		Workers: job.Spec.Workers,
 		Check:   job.Spec.Check,
@@ -446,7 +414,6 @@ func (s *Server) runJob(job *Job) {
 		Ctx:     runCtx,
 		Abort:   abortCtx,
 		Journal: journal,
-		Retry:   &policy,
 	}
 	var rec *obs.Recorder
 	if job.Spec.Obs {

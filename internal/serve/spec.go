@@ -1,11 +1,11 @@
 // Package serve turns the one-shot sweep library into a long-running,
 // failure-tolerant job service: an HTTP API over a bounded job queue with
 // admission control, per-job deadlines wired into the two-level
-// cancellation contexts, point-level retry with capped exponential backoff,
-// panic isolation via the worker pool's PointError recovery, and crash-safe
-// restart — every job journals through internal/ckpt under a state
-// directory, so a kill -9 and restart resumes each incomplete job from its
-// checkpoint and produces byte-identical results.
+// cancellation contexts, panic isolation via the worker pool's PointError
+// recovery, and crash-safe restart — every job journals through
+// internal/ckpt under a state directory, so a kill -9 and restart resumes
+// each incomplete job from its checkpoint and produces byte-identical
+// results.
 package serve
 
 import (
@@ -46,18 +46,6 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// RetrySpec overrides the server's default point-level retry policy for one
-// job. Zero fields keep the server default.
-type RetrySpec struct {
-	// MaxAttempts is the total attempt budget per sweep point, including
-	// the first try (1 disables retry).
-	MaxAttempts int `json:"max_attempts"`
-	// BaseDelay and MaxDelay shape the capped exponential backoff between
-	// attempts (full jitter is always applied).
-	BaseDelay Duration `json:"base_delay,omitempty"`
-	MaxDelay  Duration `json:"max_delay,omitempty"`
-}
-
 // JobSpec is the sweep specification submitted to POST /v1/jobs. Unknown
 // fields are rejected at decode time with an error naming the field.
 type JobSpec struct {
@@ -80,8 +68,6 @@ type JobSpec struct {
 	// Obs attaches cycle-sampled telemetry collectors and writes per-point
 	// JSONL/CSV files under the job's state directory.
 	Obs bool `json:"obs,omitempty"`
-	// Retry overrides the server's default retry policy for this job.
-	Retry *RetrySpec `json:"retry,omitempty"`
 }
 
 // Experiments returns the supported experiment names, sorted: every entry
@@ -120,7 +106,7 @@ func ParseSpec(r io.Reader) (JobSpec, error) {
 func specDecodeError(err error) error {
 	msg := err.Error()
 	if rest, ok := strings.CutPrefix(msg, `json: unknown field `); ok {
-		return fmt.Errorf("spec: unknown field %s (known fields: experiment, fast, check, workers, seed, timeout, obs, retry)", rest)
+		return fmt.Errorf("spec: unknown field %s (known fields: experiment, fast, check, workers, seed, timeout, obs)", rest)
 	}
 	var ute *json.UnmarshalTypeError
 	if errors.As(err, &ute) && ute.Field != "" {
@@ -143,23 +129,6 @@ func (s JobSpec) Validate() error {
 	}
 	if s.Timeout < 0 {
 		return fmt.Errorf("spec: field %q: must be >= 0, got %v", "timeout", s.Timeout)
-	}
-	if r := s.Retry; r != nil {
-		if r.MaxAttempts < 1 {
-			return fmt.Errorf("spec: field %q: must be >= 1 (1 disables retry), got %d", "retry.max_attempts", r.MaxAttempts)
-		}
-		if r.MaxAttempts > 16 {
-			return fmt.Errorf("spec: field %q: must be <= 16, got %d", "retry.max_attempts", r.MaxAttempts)
-		}
-		if r.BaseDelay < 0 {
-			return fmt.Errorf("spec: field %q: must be >= 0, got %v", "retry.base_delay", r.BaseDelay)
-		}
-		if r.MaxDelay < 0 {
-			return fmt.Errorf("spec: field %q: must be >= 0, got %v", "retry.max_delay", r.MaxDelay)
-		}
-		if r.MaxDelay > 0 && r.BaseDelay > r.MaxDelay {
-			return fmt.Errorf("spec: field %q: base_delay %v exceeds max_delay %v", "retry", r.BaseDelay, r.MaxDelay)
-		}
 	}
 	return nil
 }

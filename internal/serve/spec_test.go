@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,8 +12,7 @@ import (
 func TestParseSpecValid(t *testing.T) {
 	spec, err := ParseSpec(strings.NewReader(`{
 		"experiment": "fig11", "fast": true, "check": true,
-		"workers": 2, "seed": 7, "timeout": "90s",
-		"retry": {"max_attempts": 4, "base_delay": "50ms", "max_delay": "2s"}
+		"workers": 2, "seed": 7, "timeout": "90s"
 	}`))
 	if err != nil {
 		t.Fatal(err)
@@ -22,10 +22,6 @@ func TestParseSpecValid(t *testing.T) {
 	}
 	if spec.Timeout.Std() != 90*time.Second {
 		t.Errorf("timeout = %v, want 90s", spec.Timeout)
-	}
-	if spec.Retry == nil || spec.Retry.MaxAttempts != 4 ||
-		spec.Retry.BaseDelay.Std() != 50*time.Millisecond || spec.Retry.MaxDelay.Std() != 2*time.Second {
-		t.Errorf("retry spec lost: %+v", spec.Retry)
 	}
 }
 
@@ -42,9 +38,6 @@ func TestParseSpecStrict(t *testing.T) {
 		{"negative timeout", `{"experiment":"fig11","timeout":"-5s"}`, `field "timeout"`},
 		{"numeric timeout", `{"experiment":"fig11","timeout":90}`, `duration string`},
 		{"bad duration", `{"experiment":"fig11","timeout":"ninety"}`, `invalid duration`},
-		{"zero retry budget", `{"experiment":"fig11","retry":{"max_attempts":0}}`, `retry.max_attempts`},
-		{"huge retry budget", `{"experiment":"fig11","retry":{"max_attempts":99}}`, `retry.max_attempts`},
-		{"inverted delays", `{"experiment":"fig11","retry":{"max_attempts":3,"base_delay":"10s","max_delay":"1s"}}`, `exceeds max_delay`},
 		{"wrong type", `{"experiment":"fig11","workers":"two"}`, `field "workers"`},
 		{"trailing data", `{"experiment":"fig11"} {"more":1}`, `trailing data`},
 		{"not json", `experiment=fig11`, `spec:`},
@@ -59,6 +52,21 @@ func TestParseSpecStrict(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestUnknownFieldListsJobSpecTags: the field list an unknown-field error
+// quotes is JobSpec's JSON field names, in declaration order.
+func TestUnknownFieldListsJobSpecTags(t *testing.T) {
+	var names []string
+	typ := reflect.TypeOf(JobSpec{})
+	for i := 0; i < typ.NumField(); i++ {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		names = append(names, name)
+	}
+	_, err := ParseSpec(strings.NewReader(`{"experiment":"fig11","bogus":1}`))
+	if want := "(known fields: " + strings.Join(names, ", ") + ")"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("unknown-field error %v does not list %s", err, want)
 	}
 }
 
