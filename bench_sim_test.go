@@ -2,8 +2,10 @@
 // fig11-class configurations at several active-region levels, plus a
 // dark-heavy 8x8 point (one small sprint region, the rest of the mesh
 // power-gated) — the regime NoC-sprinting targets and the one the
-// active-work scheduler is built for — and a fully powered 4x4 torus and
-// C(16;1,4) circulant, whose routers allocate dateline VC classes.
+// active-work scheduler is built for — a fully powered 4x4 torus and
+// C(16;1,4) circulant, whose routers allocate dateline VC classes, and the
+// 8x8 torus and C(64;1,8) past saturation, where most allocation attempts
+// fail.
 //
 // Each configuration has an optimized and a Ref variant; the Ref variant
 // pins the pre-optimization full-scan stepper (noc.UseReferenceStepper), so
@@ -37,25 +39,31 @@ import (
 type stepBenchCase struct {
 	Name string `json:"name"`
 	// Topology is "" for a Width x Height mesh, "torus" for a Width x
-	// Height torus, or "circulant" for the ring circulant
-	// C(Width*Height; 1, Width); the torus and circulant are fully powered.
+	// Height torus, or "circulant" for the ring circulant C(N; S1, S2); the
+	// torus and circulant are fully powered.
 	Topology string  `json:"topology,omitempty"`
-	Width    int     `json:"width"`
-	Height   int     `json:"height"`
+	Width    int     `json:"width,omitempty"`
+	Height   int     `json:"height,omitempty"`
+	N        int     `json:"n,omitempty"`
+	S1       int     `json:"s1,omitempty"`
+	S2       int     `json:"s2,omitempty"`
 	Level    int     `json:"level"` // mesh active-region size; 0 = full mesh, DOR
 	Rate     float64 `json:"rate"`  // offered load, flits/cycle/active node
 }
 
 // stepBenchCases are the perf-trajectory points: the fig11-class 4x4 sweep
-// levels, the dark-dominated 8x8 point (64 routers, 4 powered), and the
-// 16-node torus and circulant.
+// levels, the dark-dominated 8x8 point (64 routers, 4 powered), the
+// 16-node torus and circulant, and the first saturated rung of the 8x8
+// torus and of C(64;1,8) in the topology study.
 var stepBenchCases = []stepBenchCase{
 	{Name: "fig11-4x4-level4", Width: 4, Height: 4, Level: 4, Rate: 0.15},
 	{Name: "fig11-4x4-level8", Width: 4, Height: 4, Level: 8, Rate: 0.15},
 	{Name: "fig11-4x4-full16", Width: 4, Height: 4, Level: 0, Rate: 0.15},
 	{Name: "dark-8x8-level4", Width: 8, Height: 8, Level: 4, Rate: 0.15},
 	{Name: "torus-4x4", Topology: "torus", Width: 4, Height: 4, Rate: 0.15},
-	{Name: "circulant-16", Topology: "circulant", Width: 4, Height: 4, Rate: 0.15},
+	{Name: "circulant-16", Topology: "circulant", N: 16, S1: 1, S2: 4, Rate: 0.15},
+	{Name: "torus-8x8-sat", Topology: "torus", Width: 8, Height: 8, Rate: 0.4},
+	{Name: "circulant-64-sat", Topology: "circulant", N: 64, S1: 1, S2: 8, Rate: 0.2},
 }
 
 // newStepBench builds the network and traffic generator for one case.
@@ -63,11 +71,10 @@ func newStepBench(tb testing.TB, c stepBenchCase, reference bool) (*noc.Network,
 	tb.Helper()
 	cfg := noc.DefaultConfig()
 	cfg.Width, cfg.Height = c.Width, c.Height
-	m := mesh.New(c.Width, c.Height)
 	var (
-		net *noc.Network
-		err error
-		set = traffic.NewSet(benchNodes(m.Nodes()))
+		net    *noc.Network
+		err    error
+		region *sprint.Region
 	)
 	switch {
 	case c.Topology == "torus":
@@ -77,7 +84,7 @@ func newStepBench(tb testing.TB, c stepBenchCase, reference bool) (*noc.Network,
 		}
 		net, err = noc.NewTopo(cfg, tp, routing.NewTorusDOR(tp), nil)
 	case c.Topology == "circulant":
-		tp, terr := topo.NewCirculant(c.Width*c.Height, 1, c.Width)
+		tp, terr := topo.NewCirculant(c.N, c.S1, c.S2)
 		if terr != nil {
 			tb.Fatal(terr)
 		}
@@ -87,14 +94,17 @@ func newStepBench(tb testing.TB, c stepBenchCase, reference bool) (*noc.Network,
 		}
 		net, err = noc.NewTopo(cfg, tp, alg, nil)
 	case c.Level > 0:
-		region := sprint.NewRegion(m, 0, c.Level, sprint.Euclidean)
+		region = sprint.NewRegion(mesh.New(c.Width, c.Height), 0, c.Level, sprint.Euclidean)
 		net, err = noc.New(cfg, routing.NewCDOR(region), region.ActiveNodes())
-		set = traffic.NewSet(region.ActiveNodes())
 	default:
-		net, err = noc.New(cfg, routing.NewDOR(m), nil)
+		net, err = noc.New(cfg, routing.NewDOR(mesh.New(c.Width, c.Height)), nil)
 	}
 	if err != nil {
 		tb.Fatal(err)
+	}
+	set := traffic.NewSet(benchNodes(net.Nodes()))
+	if region != nil {
+		set = traffic.NewSet(region.ActiveNodes())
 	}
 	net.UseReferenceStepper(reference)
 	pattern := traffic.NewUniform(set.Size())
@@ -137,16 +147,20 @@ func BenchmarkStepDarkDominatedRef(b *testing.B) {
 	benchStep(b, stepBenchCases[3], true)
 }
 
-func BenchmarkStepFig11Level4(b *testing.B)    { benchStep(b, stepBenchCases[0], false) }
-func BenchmarkStepFig11Level4Ref(b *testing.B) { benchStep(b, stepBenchCases[0], true) }
-func BenchmarkStepFig11Level8(b *testing.B)    { benchStep(b, stepBenchCases[1], false) }
-func BenchmarkStepFig11Level8Ref(b *testing.B) { benchStep(b, stepBenchCases[1], true) }
-func BenchmarkStepFig11Full(b *testing.B)      { benchStep(b, stepBenchCases[2], false) }
-func BenchmarkStepFig11FullRef(b *testing.B)   { benchStep(b, stepBenchCases[2], true) }
-func BenchmarkStepTorus(b *testing.B)          { benchStep(b, stepBenchCases[4], false) }
-func BenchmarkStepTorusRef(b *testing.B)       { benchStep(b, stepBenchCases[4], true) }
-func BenchmarkStepCirculant(b *testing.B)      { benchStep(b, stepBenchCases[5], false) }
-func BenchmarkStepCirculantRef(b *testing.B)   { benchStep(b, stepBenchCases[5], true) }
+func BenchmarkStepFig11Level4(b *testing.B)     { benchStep(b, stepBenchCases[0], false) }
+func BenchmarkStepFig11Level4Ref(b *testing.B)  { benchStep(b, stepBenchCases[0], true) }
+func BenchmarkStepFig11Level8(b *testing.B)     { benchStep(b, stepBenchCases[1], false) }
+func BenchmarkStepFig11Level8Ref(b *testing.B)  { benchStep(b, stepBenchCases[1], true) }
+func BenchmarkStepFig11Full(b *testing.B)       { benchStep(b, stepBenchCases[2], false) }
+func BenchmarkStepFig11FullRef(b *testing.B)    { benchStep(b, stepBenchCases[2], true) }
+func BenchmarkStepTorus(b *testing.B)           { benchStep(b, stepBenchCases[4], false) }
+func BenchmarkStepTorusRef(b *testing.B)        { benchStep(b, stepBenchCases[4], true) }
+func BenchmarkStepCirculant(b *testing.B)       { benchStep(b, stepBenchCases[5], false) }
+func BenchmarkStepCirculantRef(b *testing.B)    { benchStep(b, stepBenchCases[5], true) }
+func BenchmarkStepTorusSat(b *testing.B)        { benchStep(b, stepBenchCases[6], false) }
+func BenchmarkStepTorusSatRef(b *testing.B)     { benchStep(b, stepBenchCases[6], true) }
+func BenchmarkStepCirculantSat(b *testing.B)    { benchStep(b, stepBenchCases[7], false) }
+func BenchmarkStepCirculantSatRef(b *testing.B) { benchStep(b, stepBenchCases[7], true) }
 
 func benchNodes(n int) []int {
 	out := make([]int, n)

@@ -72,7 +72,7 @@ func parseArgs(args []string, output io.Writer) (options, error) {
 	if o.concurrency < 1 {
 		return options{}, fmt.Errorf("-concurrency %d: must be >= 1", o.concurrency)
 	}
-	if o.jobTimeout < 0 || o.abortGrace < 0 || o.drainTimeout < 0 {
+	if o.jobTimeout < 0 || o.abortGrace < 0 || o.drainTimeout < 0 || o.retryAfter < 0 {
 		return options{}, errors.New("durations must be >= 0")
 	}
 	if o.maxBody < 1 {

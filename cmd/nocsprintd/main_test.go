@@ -51,6 +51,7 @@ func TestParseArgsRejectsBadValues(t *testing.T) {
 		{"zero queue", []string{"-queue", "0"}, "-queue"},
 		{"zero concurrency", []string{"-concurrency", "0"}, "-concurrency"},
 		{"negative timeout", []string{"-job-timeout", "-1s"}, "durations"},
+		{"negative retry after", []string{"-retry-after", "-5s"}, "durations"},
 		{"zero body limit", []string{"-max-body", "0"}, "-max-body"},
 		{"positional argument", []string{"stray"}, "unexpected argument"},
 		{"unknown flag", []string{"-bogus"}, "bogus"},

@@ -53,22 +53,62 @@ func allocNet(t *testing.T, cfg Config, torus, reference bool) (*Network, *route
 	return net, net.routers[id]
 }
 
-// syncSets derives the request sets from the hand-built VC states.
-func syncSets(r *router) {
-	r.rcSet, r.vaSet, r.saSet, r.busyVCs = 0, 0, 0, 0
+// requestSets derives a router's request sets and busy-VC count from its
+// VC states.
+func requestSets(r *router) (rc, va, sa uint64, busy int) {
 	for b := range r.in {
 		v := &r.in[b]
 		bit := uint64(1) << uint(b)
 		switch {
 		case v.state == vcRoute:
-			r.rcSet |= bit
+			rc |= bit
 		case v.state == vcVA:
-			r.vaSet |= bit
+			va |= bit
 		case v.state == vcActive && !v.empty():
-			r.saSet |= bit
+			sa |= bit
 		}
 		if v.state != vcIdle {
-			r.busyVCs++
+			busy++
+		}
+	}
+	return rc, va, sa, busy
+}
+
+// syncSets derives the request sets and the allocator words from the
+// hand-built VC states and credits: the per-port request sets, the
+// free-output-VC word, the holder table (each active slot's output VC names
+// it; an unoccupied one names noSlot), and the credit-ready word.
+func syncSets(net *Network, r *router) {
+	r.rcSet, r.vaSet, r.saSet, r.busyVCs = requestSets(r)
+	nVC, depth := net.cfg.VCs, net.cfg.BufferDepth
+	req := net.vaReq[r.id*net.P : (r.id+1)*net.P]
+	sa := net.saReq[r.id*net.P : (r.id+1)*net.P]
+	clear(req)
+	clear(sa)
+	net.freeVC[r.id], net.ready[r.id] = 0, 0
+	for b := range r.in {
+		v := &r.in[b]
+		bit := uint64(1) << uint(b)
+		switch {
+		case r.vaSet&bit != 0:
+			req[v.outPort] |= bit
+			v.vcLo = uint8(net.partitionLo(r.id, v.pkt))
+		case r.saSet&bit != 0:
+			sa[v.outPort] |= bit
+			if v.outPort == topo.Local || r.out[v.outPort*nVC+v.outVC].credits > 0 {
+				net.ready[r.id] |= bit
+			}
+		}
+		if v.state == vcActive {
+			r.out[v.outPort*nVC+v.outVC].holder = uint8(b)
+		}
+	}
+	for s := range r.out {
+		if o := &r.out[s]; !o.occupied {
+			o.holder = noSlot
+			if s/nVC == topo.Local || o.credits == depth {
+				net.freeVC[r.id] |= 1 << uint(s)
+			}
 		}
 	}
 }
@@ -112,7 +152,7 @@ func fillVA(net *Network, r *router, rng *rand.Rand) {
 		r.vaPtr[p] = rng.Intn(len(r.in))
 		r.vaVCPtr[p] = rng.Intn(per)
 	}
-	syncSets(r)
+	syncSets(net, r)
 }
 
 // fillSA builds a random SA pass: slots hold output VCs with windows of
@@ -142,19 +182,23 @@ func fillSA(net *Network, r *router, rng *rand.Rand) {
 		}
 		r.saPtr[p] = rng.Intn(len(r.in))
 	}
-	syncSets(r)
+	syncSets(net, r)
 }
 
 // allocState is what one allocator pass may change.
 type allocState struct {
 	Router             router
+	VAReq, SAReq       []uint64
+	FreeVC, Ready      uint64
 	Inbox, Eject       []fifo
 	Credbox, Nicredbox [][]creditEvt
 	Work               []uint64
 }
 
 func stateOf(net *Network, r *router) allocState {
-	return allocState{*r, net.inbox, net.eject, net.credbox, net.nicredbox, net.work}
+	row := r.id * net.P
+	return allocState{*r, net.vaReq[row : row+net.P], net.saReq[row : row+net.P], net.freeVC[r.id], net.ready[r.id],
+		net.inbox, net.eject, net.credbox, net.nicredbox, net.work}
 }
 
 // diffPass builds the same router twice with fill, runs pass on the
@@ -168,11 +212,16 @@ func diffPass(t *testing.T, cfg Config, torus bool, fill func(*Network, *router)
 		net, r := allocNet(t, cfg, torus, reference)
 		fill(net, r)
 		pass(net, r)
-		synced := *r
-		syncSets(&synced)
-		if synced.rcSet != r.rcSet || synced.vaSet != r.vaSet || synced.saSet != r.saSet || synced.busyVCs != r.busyVCs {
+		rc, va, sa, busy := requestSets(r)
+		if rc != r.rcSet || va != r.vaSet || sa != r.saSet || busy != r.busyVCs {
 			t.Fatalf("reference=%t: request sets rc %x va %x sa %x busy %d out of step with VC states (want %x %x %x %d)",
-				reference, r.rcSet, r.vaSet, r.saSet, r.busyVCs, synced.rcSet, synced.vaSet, synced.saSet, synced.busyVCs)
+				reference, r.rcSet, r.vaSet, r.saSet, r.busyVCs, rc, va, sa, busy)
+		}
+		if err := net.auditRouter(r.id, make([]ClassCensus, net.cfg.classes()), nil); err != nil {
+			t.Fatalf("reference=%t: %v", reference, err)
+		}
+		if err := net.auditWords(r.id); err != nil {
+			t.Fatalf("reference=%t: %v", reference, err)
 		}
 		nets[i], routers[i] = net, r
 	}
@@ -239,7 +288,7 @@ func TestVCAllocationRevisit(t *testing.T) {
 			r.out[east*8+vc].occupied = true
 		}
 		r.vaPtr[east] = 23
-		syncSets(r)
+		syncSets(net, r)
 	}
 	opt := diffPass(t, Config{VCs: 8, Classes: 2}, false, fill, (*Network).vcAllocation)
 	for i, b := range []int{33, 11, 34, 18} {

@@ -27,9 +27,11 @@ import (
 // equivCase is one equivalence configuration.
 type equivCase struct {
 	name    string
-	fabric  string // "" = mesh, "torus" = width x height torus, "circulant" = C(16;1,4)
+	fabric  string // "" = mesh, "torus" = width x height torus, "circulant" = C(n;s1,s2)
 	width   int
 	height  int
+	n       int  // circulant nodes
+	s1, s2  int  // circulant strides
 	level   int  // sprint-region size; 0 = full mesh with DOR
 	vcs     int  // VCs per port; 0 = the default 4
 	classes int  // message classes (0/1 = single class)
@@ -50,14 +52,19 @@ var equivCases = []equivCase{
 	{name: "reconfigure-midrun", width: 6, height: 6, level: 9, reconf: true, cycles: 2500, rate: 0.1},
 	// Dateline VC classes, near saturation.
 	{name: "torus-4x4", fabric: "torus", width: 4, height: 4, cycles: 2500, rate: 0.5},
-	{name: "circulant-16", fabric: "circulant", cycles: 2500, rate: 0.45},
+	{name: "circulant-16", fabric: "circulant", n: 16, s1: 1, s2: 4, cycles: 2500, rate: 0.45},
 	// 5 ports x 8 VCs: a 40-slot requester space.
 	{name: "vcs-8-classes-2", width: 4, height: 4, vcs: 8, classes: 2, cycles: 2500, rate: 0.5},
+	// Past saturation on 64 nodes, where most allocation attempts fail: the
+	// first saturated rung of the 8x8 torus and of C(64;1,8) in the
+	// topology study.
+	{name: "torus-8x8-sat", fabric: "torus", width: 8, height: 8, cycles: 1000, rate: 0.4},
+	{name: "circulant-64-sat", fabric: "circulant", n: 64, s1: 1, s2: 8, cycles: 3000, rate: 0.2},
 }
 
 // buildEquiv constructs one network for c plus the traffic endpoints and the
 // sprint region (nil for full-mesh cases).
-func buildEquiv(t *testing.T, c equivCase, reference bool) (*noc.Network, []int, *sprint.Region) {
+func buildEquiv(t testing.TB, c equivCase, reference bool) (*noc.Network, []int, *sprint.Region) {
 	t.Helper()
 	cfg := noc.DefaultConfig()
 	cfg.Width, cfg.Height = c.width, c.height
@@ -80,7 +87,7 @@ func buildEquiv(t *testing.T, c equivCase, reference bool) (*noc.Network, []int,
 		}
 		net, err = noc.NewTopo(cfg, tp, routing.NewTorusDOR(tp), nil)
 	case c.fabric == "circulant":
-		tp, terr := topo.NewCirculant(16, 1, 4)
+		tp, terr := topo.NewCirculant(c.n, c.s1, c.s2)
 		if terr != nil {
 			t.Fatal(terr)
 		}
@@ -139,6 +146,13 @@ func equivChecker(net *noc.Network, region *sprint.Region) *check.Checker {
 // every packet created, so timestamps can be compared flit-for-flit.
 func driveEquiv(t *testing.T, net *noc.Network, c equivCase, nodes []int) []*noc.Packet {
 	t.Helper()
+	return driveEquivWith(t, net, c, nodes, net.Step)
+}
+
+// driveEquivWith is driveEquiv advancing the network with step, which must
+// act as one Step, the drain included.
+func driveEquivWith(t *testing.T, net *noc.Network, c equivCase, nodes []int, step func()) []*noc.Packet {
+	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	set := traffic.NewSet(nodes)
 	pattern := traffic.NewUniform(set.Size())
@@ -175,11 +189,14 @@ func driveEquiv(t *testing.T, net *noc.Network, c equivCase, nodes []int) []*noc
 				}
 			}
 		}
-		net.Step()
+		step()
 	}
 	net.SetMeasuring(false)
-	if err := net.DrainWithBudgetCtx(nil, 50000); err != nil {
-		t.Fatal(err)
+	for i := 0; !net.Drained(); i++ {
+		if i == 50000 {
+			t.Fatalf("network did not drain within 50000 cycles (%d packets in flight)", net.InFlight())
+		}
+		step()
 	}
 	return pkts
 }
@@ -339,7 +356,8 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 		{name: "dark-8x8", width: 8, height: 8, level: 4, rate: 0.15},
 		{name: "full-4x4", width: 4, height: 4, rate: 0.2},
 		{name: "torus-4x4", fabric: "torus", width: 4, height: 4, rate: 0.5},
-		{name: "circulant-16", fabric: "circulant", rate: 0.45},
+		{name: "circulant-16", fabric: "circulant", n: 16, s1: 1, s2: 4, rate: 0.45},
+		{name: "circulant-64", fabric: "circulant", n: 64, s1: 1, s2: 8, rate: 0.2},
 		{name: "vcs-8-4x4", width: 4, height: 4, vcs: 8, rate: 0.5},
 	} {
 		c := c

@@ -25,3 +25,41 @@ func (n *Network) StrandFlit(id, port, vc int) {
 	v.n, v.state = 1, vcActive
 	n.markDirty(id)
 }
+
+// StageNames names the stages StepStages times, in order.
+var StageNames = [...]string{"credits", "SA", "VA+RC", "buffer-write", "injection", "tail"}
+
+// StepStages is Step with lap called after each stage, numbered as in
+// StageNames: credit delivery, switch allocation with traversal, VC
+// allocation and route compute, buffer write with ejection, injection, and
+// the tail (gating, dirty set, probe cycle end, prune). It calls Step's
+// stage methods in Step's order, but runs SA for every router before VA
+// and RC run for any, so each stage can be timed on its own. That is exact
+// for the reason the fused pass is: each of the three reads only its own
+// router's state, dates everything it sends to a later cycle and calls no
+// probe. TestStepStagesMatchStep holds it to Step.
+func (n *Network) StepStages(lap func(stage int)) {
+	now := n.cycle
+	ids := n.sweepIDs()
+	n.deliverCredits(ids)
+	lap(0)
+	for _, id := range ids {
+		if r := n.routers[id]; r.active && n.powered(id) {
+			n.switchAllocation(now, r)
+		}
+	}
+	lap(1)
+	for _, id := range ids {
+		if r := n.routers[id]; r.active && n.powered(id) {
+			n.vcAllocation(r)
+			n.routeCompute(r)
+		}
+	}
+	lap(2)
+	n.deliverFlits(now, ids)
+	lap(3)
+	n.inject(now, ids)
+	lap(4)
+	n.endCycle(now)
+	lap(5)
+}

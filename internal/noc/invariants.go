@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nocsprint/internal/topo"
 )
@@ -49,8 +50,10 @@ type ClassCensus struct {
 // Per router, the invariants are: every input VC holds at most the buffer
 // depth, only flits of its own packet, none while the router is gated, and
 // request bits in step with its state; busyVCs counts the VCs that are not
-// idle; every in-flight queue is in due-cycle order, inMask marks exactly
-// the non-empty input queues, and a router holding work is in the
+// idle; the allocator words (per-port request sets, free-output-VC word,
+// holder table and credit-ready word) and each VA requester's VC partition
+// are in step with the VC states, credits and routing; every in-flight queue is in due-cycle order, inMask marks
+// exactly the non-empty input queues, and a router holding work is in the
 // active-work set. The key invariant is credit conservation on every
 // directed link and at every NI: the upstream credit counter, the flits
 // buffered downstream, the flits in flight on the link, and the credits in
@@ -94,6 +97,9 @@ func (n *Network) Audit(buf []ClassCensus) ([]ClassCensus, error) {
 		err = n.auditRouter(id, buf, err)
 		if err == nil && r.active {
 			err = n.auditCredits(id, held[:n.P*n.cfg.VCs])
+		}
+		if err == nil {
+			err = n.auditWords(id)
 		}
 		if err == nil && !inSet(n.work, id) && !n.routerIdle(id) {
 			err = fmt.Errorf("noc: router %d holds work outside the active-work set", id)
@@ -173,9 +179,19 @@ func (n *Network) auditRouter(id int, cen []ClassCensus, err error) error {
 			case ivc.state == vcActive && ivc.n > 0:
 				want = 4
 			}
-			if got := r.rcSet>>b&1 | r.vaSet>>b&1<<1 | r.saSet>>b&1<<2; got != want {
+			got := r.rcSet>>b&1 | r.vaSet>>b&1<<1 | r.saSet>>b&1<<2
+			switch {
+			case got != want:
 				err = fmt.Errorf("noc: router %d port %d vc %d in state %d with %d flits has request bits rc/va/sa %v, want %v",
 					id, b/nVC, b%nVC, ivc.state, ivc.n, requestBits(got), requestBits(want))
+			case ivc.state == vcVA && ivc.pkt != nil && int(ivc.vcLo) != n.partitionLo(id, ivc.pkt):
+				err = fmt.Errorf("noc: router %d port %d vc %d requests VCs from %d, want %d",
+					id, b/nVC, b%nVC, ivc.vcLo, n.partitionLo(id, ivc.pkt))
+			case ivc.state == vcActive:
+				if o := &r.out[ivc.outPort*nVC+ivc.outVC]; !o.occupied || int(o.holder) != b {
+					err = fmt.Errorf("noc: router %d port %d vc %d holds output %d vc %d, whose holder is slot %d (occupied %t)",
+						id, b/nVC, b%nVC, ivc.outPort, ivc.outVC, o.holder, o.occupied)
+				}
 			}
 		}
 	}
@@ -210,6 +226,61 @@ func (n *Network) auditRouter(id int, cen []ClassCensus, err error) error {
 // requestBits spells out a slot's membership of rcSet, vaSet and saSet
 // (bits 0, 1 and 2 of set) for an error message.
 func requestBits(set uint64) [3]bool { return [3]bool{set&1 != 0, set&2 != 0, set&4 != 0} }
+
+// auditWords checks router id's allocator words against its VC states and
+// credits: each per-port request set holds exactly the vaSet or saSet slots
+// routed to that port; a free-VC bit is set exactly while its output VC is
+// unoccupied and, off the Local port, holds every credit; an unoccupied
+// output VC names no holder; and a ready bit is set exactly while its slot
+// is in saSet and its output VC has a credit or is Local. (auditRouter's
+// slot walk checks the rest: every active slot's output VC names it as
+// holder, and every VA requester asks for the VC partition of the
+// algorithm in force.) Audit runs it after the credit balance, so a lost
+// or minted credit is reported as the leak it is, not as the stale word it
+// leaves behind.
+func (n *Network) auditWords(id int) error {
+	r := n.routers[id]
+	depth, nVC := n.cfg.BufferDepth, n.cfg.VCs
+	var vaAll, saAll uint64
+	for p := 0; p < n.P; p++ {
+		va, sa := n.vaReq[id*n.P+p], n.saReq[id*n.P+p]
+		vaAll, saAll = vaAll|va, saAll|sa
+		for m := va | sa; m != 0; m &= m - 1 {
+			if b := bits.TrailingZeros64(m); r.in[b].outPort != p {
+				return fmt.Errorf("noc: router %d port %d vc %d, routed to port %d, is in port %d's request sets",
+					id, b/nVC, b%nVC, r.in[b].outPort, p)
+			}
+		}
+	}
+	if vaAll != r.vaSet || saAll != r.saSet {
+		return fmt.Errorf("noc: router %d per-port request sets hold va %#x sa %#x, want %#x %#x",
+			id, vaAll, saAll, r.vaSet, r.saSet)
+	}
+	var free, ready uint64
+	for s := range r.out {
+		o := &r.out[s]
+		if !o.occupied && o.holder != noSlot {
+			return fmt.Errorf("noc: router %d output %d vc %d is unoccupied but names holder slot %d",
+				id, s/nVC, s%nVC, o.holder)
+		}
+		if !o.occupied && (s < nVC || o.credits == depth) { // slots below nVC are Local's
+			free |= 1 << uint(s)
+		}
+	}
+	if free != n.freeVC[id] {
+		return fmt.Errorf("noc: router %d free-VC word %#x, want %#x", id, n.freeVC[id], free)
+	}
+	for set := r.saSet; set != 0; set &= set - 1 {
+		b := bits.TrailingZeros64(set)
+		if v := &r.in[b]; v.outPort == topo.Local || r.out[v.outPort*nVC+v.outVC].credits > 0 {
+			ready |= 1 << uint(b)
+		}
+	}
+	if ready != n.ready[id] {
+		return fmt.Errorf("noc: router %d credit-ready word %#x, want %#x", id, n.ready[id], ready)
+	}
+	return nil
+}
 
 // auditCredits checks credit conservation on powered router id's outgoing
 // links with an end in the audit dirty set, then at its NI if id is dirty,

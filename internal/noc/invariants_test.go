@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -17,9 +18,10 @@ import (
 // non-empty input queue, and a VC window's place in its packet; the two
 // credit counters the audit balances: a router's credits toward a link and
 // an NI's credits toward its router; an idle VC made to hold a flit with
-// no packet; and the busy-VC count the word-compare trusts. Audit must
-// name each fault, and restoring the state must
-// clear it. Each corruption and each restore marks the router it touches
+// no packet; the busy-VC count the word-compare trusts; and each allocator
+// word: a per-port SA request bit, a free-output-VC bit, a credit-ready
+// bit and a held output VC's holder. Audit must name each fault, and
+// restoring the state must clear it. Each corruption and each restore marks the router it touches
 // dirty, as the exported corruption helpers do. None of the faults moves a
 // flit of a packet, so the census Audit returns beside each error must
 // equal the clean one: counting goes on past the first violation. The
@@ -38,8 +40,10 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		window *inputVC // a VC buffering flits
 		// The routers the queue and the window belong to.
 		queueID, windowID int
+		// A switch requester: a router and a slot in its saSet.
+		saID, saSlot = -1, -1
 	)
-	for cyc := 0; queue == nil || masked == nil || window == nil; cyc++ {
+	for cyc := 0; queue == nil || masked == nil || window == nil || saID < 0; cyc++ {
 		if cyc == 2000 {
 			t.Fatal("no cycle with every kind of state to corrupt")
 		}
@@ -52,8 +56,11 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		if _, err := net.Audit(nil); err != nil {
 			t.Fatalf("cycle %d: %v", cyc, err)
 		}
-		queue, masked, window = nil, nil, nil
+		queue, masked, window, saID = nil, nil, nil, -1
 		for id, r := range net.routers {
+			if r.saSet != 0 {
+				saID, saSlot = id, bits.TrailingZeros64(r.saSet)
+			}
 			for p := 0; p < net.P; p++ {
 				if q := &net.inbox[id*net.P+p]; q.n >= 2 && q.at(0).t < q.at(1).t {
 					queue, queueID = q, id
@@ -90,6 +97,11 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	// The window's VC is not idle, so its router counts a busy VC.
 	windowRouter := net.routers[windowID]
 	busy := windowRouter.busyVCs
+	// The switch requester's per-port SA set, its router's words, and the
+	// output VC it holds.
+	saRouter, saBit := net.routers[saID], uint64(1)<<uint(saSlot)
+	saReq := &net.saReq[saID*net.P+saRouter.in[saSlot].outPort]
+	heldOut := &saRouter.out[saRouter.in[saSlot].outPort*cfg.VCs+saRouter.in[saSlot].outVC]
 	clean, err := net.Audit(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -116,13 +128,23 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		}},
 		{"undercount busy VCs", fmt.Sprintf("router %d counts %d busy VCs, but %d are not idle",
 			windowID, busy-1, busy), windowID, func() { windowRouter.busyVCs-- }},
+		{"drop a per-port SA request bit", fmt.Sprintf("router %d per-port request sets", saID), saID,
+			func() { *saReq &^= saBit }},
+		{"flip a free-VC bit", "router 0 free-VC word", 0, func() { net.freeVC[0] ^= 1 }},
+		{"flip a credit-ready bit", fmt.Sprintf("router %d credit-ready word", saID), saID,
+			func() { net.ready[saID] ^= saBit }},
+		{"name another holder", fmt.Sprintf("router %d port %d vc %d holds output", saID, saSlot/cfg.VCs, saSlot%cfg.VCs), saID,
+			func() { heldOut.holder ^= 1 }},
 	} {
 		saved := struct {
 			a, b                 arrival
 			mask                 uint64
 			window, stranded     inputVC
 			link, niCredit, busy int
-		}{*queue.at(0), *queue.at(1), masked.inMask, *window, *stranded, linkOut.credits, niCredits[0], windowRouter.busyVCs}
+			saReq, free, ready   uint64
+			held                 outputVC
+		}{*queue.at(0), *queue.at(1), masked.inMask, *window, *stranded, linkOut.credits, niCredits[0], windowRouter.busyVCs,
+			*saReq, net.freeVC[0], net.ready[saID], *heldOut}
 		c.corrupt()
 		net.markDirty(c.router)
 		census, err := net.Audit(nil)
@@ -140,6 +162,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		}
 		*queue.at(0), *queue.at(1), masked.inMask, *window, *stranded = saved.a, saved.b, saved.mask, saved.window, saved.stranded
 		linkOut.credits, niCredits[0], windowRouter.busyVCs = saved.link, saved.niCredit, saved.busy
+		*saReq, net.freeVC[0], net.ready[saID], *heldOut = saved.saReq, saved.free, saved.ready, saved.held
 		net.markDirty(c.router)
 		if _, err := net.Audit(nil); err != nil {
 			t.Fatalf("%s: restored network still fails: %v", c.name, err)

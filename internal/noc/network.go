@@ -206,10 +206,24 @@ type Network struct {
 	// and Reconfigure instead of rescanning all routers on every
 	// ActiveRouters call (the fault driver polls it every cycle).
 	activeCount int
-	// portReq is shared per-router scratch for the allocators: the
-	// requester set of each output port, preallocated so the
-	// degree-parameterized stages stay allocation-free in steady state.
-	portReq []uint64
+	// The allocator words, one bit per slot, kept by the state transitions
+	// so each allocator decision is one masked nextSlot (see DESIGN §10).
+	// vaReq[id*P+p] and saReq[id*P+p] hold the slots of router id's vaSet
+	// and saSet routed to output port p. freeVC[id] has bit p*VCs+vc set
+	// while output VC (p, vc) is unoccupied and, off the Local port, holds
+	// every credit. ready[id] holds the saSet slots whose output VC has a
+	// credit or is Local. Network-wide arrays indexed by router, like
+	// inbox, so a router's build allocates nothing for them.
+	vaReq, saReq  []uint64
+	freeVC, ready []uint64
+	// Division-free slot arithmetic, fixed at construction: slotPort[b] and
+	// slotVC[b] are slot b's port and VC, portMask[p] holds port p's slots,
+	// and perClass is the VC count of a message class. allClasses has one
+	// bit per message class.
+	slotPort, slotVC [maxSlots]uint8
+	portMask         [maxSlots]uint64
+	perClass         int
+	allClasses       uint64
 	// probe, when non-nil, observes simulator events (see probe.go).
 	probe Probe
 	// classCreated/classEjected/classDropped count flits per message class
@@ -298,7 +312,14 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 		dirty:    make([]uint64, (nodes+63)/64),
 		sweepBuf: make([]int, 0, nodes),
 		allIDs:   make([]int, nodes),
-		portReq:  make([]uint64, P),
+
+		vaReq:  make([]uint64, nodes*P),
+		saReq:  make([]uint64, nodes*P),
+		freeVC: make([]uint64, nodes),
+		ready:  make([]uint64, nodes),
+
+		perClass:   cfg.vcsPerClass(),
+		allClasses: 1<<uint(cfg.classes()) - 1,
 
 		classCreated: make([]int64, cfg.classes()),
 		classEjected: make([]int64, cfg.classes()),
@@ -306,6 +327,15 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 	}
 	for p := 0; p < P; p++ {
 		n.opp[p] = tp.Opposite(p)
+		n.portMask[p] = (1<<uint(cfg.VCs) - 1) << uint(p*cfg.VCs)
+	}
+	for b := 0; b < P*cfg.VCs; b++ {
+		n.slotPort[b], n.slotVC[b] = uint8(b/cfg.VCs), uint8(b%cfg.VCs)
+	}
+	// Every output VC starts unoccupied with all its credits. A shift by 64
+	// is 0 in Go, so a 64-slot router gets every bit.
+	for id := range n.freeVC {
+		n.freeVC[id] = 1<<uint(P*cfg.VCs) - 1
 	}
 	for i := range n.linkLat {
 		n.linkLat[i] = cfg.LinkLatency
@@ -331,11 +361,13 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 // (dateline classes on torus and circulant rings), vcClassFn restricts VC
 // allocation to the class's sub-partition and vcClasses is the class
 // count; they are nil and 0 for mesh DOR and CDOR, leaving that path
-// untouched.
+// untouched. vcSpan is the VC count of the partition a packet may take: a
+// route class's, or the message class's without a policy.
 type route struct {
 	alg       routing.Algorithm
 	vcClassFn func(cur, dst int) int
 	vcClasses int
+	vcSpan    int
 }
 
 // newRoute pairs alg with its VC policy, rejecting a policy whose classes
@@ -344,13 +376,14 @@ type route struct {
 func newRoute(cfg Config, alg routing.Algorithm) (route, error) {
 	vcp, ok := alg.(routing.VCPolicy)
 	if !ok || vcp.VCClasses() <= 1 {
-		return route{alg: alg}, nil
+		return route{alg: alg, vcSpan: cfg.vcsPerClass()}, nil
 	}
 	if cfg.vcsPerClass()%vcp.VCClasses() != 0 {
 		return route{}, fmt.Errorf("noc: %d VCs per message class not divisible by %d route VC classes of %s",
 			cfg.vcsPerClass(), vcp.VCClasses(), alg.Name())
 	}
-	return route{alg: alg, vcClassFn: vcp.VCClass, vcClasses: vcp.VCClasses()}, nil
+	return route{alg: alg, vcClassFn: vcp.VCClass, vcClasses: vcp.VCClasses(),
+		vcSpan: cfg.vcsPerClass() / vcp.VCClasses()}, nil
 }
 
 // UseReferenceStepper(true) switches Step to the pre-optimization reference
@@ -609,6 +642,12 @@ func (n *Network) Step() {
 	}
 	n.deliverFlits(now, ids)
 	n.inject(now, ids)
+	n.endCycle(now)
+}
+
+// endCycle is the tail of Step: runtime gating, the audit dirty set, the
+// probe's cycle end and the prune of drained routers.
+func (n *Network) endCycle(now int64) {
 	n.updateGating(now)
 	// Every router this Step may have changed is in the work set until
 	// prune: the ones it visited and the ones something was sent to. The
@@ -661,22 +700,33 @@ func (n *Network) RunUntil(ctx context.Context, maxCycles int, each func() error
 }
 
 // deliverCredits lands every credit in flight: switch allocation sent each
-// of them last cycle, so each box empties whole.
+// of them last cycle, so each box empties whole. The first credit back at
+// an occupied output VC makes its holder ready for the switch, if it has a
+// flit buffered; the last one back at an unoccupied VC frees it.
 func (n *Network) deliverCredits(ids []int) {
 	nVC, depth := n.cfg.VCs, n.cfg.BufferDepth
 	for _, id := range ids {
 		r, nic := n.routers[id], n.nis[id]
-		for _, ev := range n.credbox[id] {
-			o := &r.out[ev.port*nVC+ev.vc]
-			o.credits++
-			if n.probe != nil {
-				n.probe.CreditDelivered(n, id, ev.port, ev.vc, o.credits)
+		if box := n.credbox[id]; len(box) > 0 {
+			ready, free := n.ready[id], n.freeVC[id]
+			for _, ev := range box {
+				s := ev.port*nVC + ev.vc
+				o := &r.out[s]
+				o.credits++
+				if n.probe != nil {
+					n.probe.CreditDelivered(n, id, ev.port, ev.vc, o.credits)
+				}
+				if o.credits > depth {
+					panic("noc: credit overflow")
+				}
+				// Without a branch on the credit count: an unoccupied VC's
+				// holder is noSlot, whose shift is 0.
+				ready |= r.saSet & (b2u(o.credits == 1) << o.holder)
+				free |= (b2u(o.credits == depth) &^ b2u(o.occupied)) << uint(s)
 			}
-			if o.credits > depth {
-				panic("noc: credit overflow")
-			}
+			n.ready[id], n.freeVC[id] = ready, free
+			n.credbox[id] = box[:0]
 		}
-		n.credbox[id] = n.credbox[id][:0]
 		for _, ev := range n.nicredbox[id] {
 			nic.credits[ev.vc]++
 			if n.probe != nil {
@@ -700,24 +750,20 @@ func (n *Network) switchAllocation(now int64, r *router) {
 		n.switchAllocationScan(now, r)
 		return
 	}
-	if r.saSet == 0 {
-		return // no requester: no grant, and no pointer can move
+	ready := n.ready[r.id]
+	if ready == 0 {
+		return // no requester with a credit: no grant, and no pointer can move
 	}
-	nVC := n.cfg.VCs
-	portSlots := uint64(1)<<uint(nVC) - 1 // the slots of input port 0
-	// A grant pops only its own slot, so the requester sets taken here stay
-	// valid for every port; used masks the input ports that have already
-	// sent.
+	// A grant changes only its own slot's bits, and used masks its input
+	// port from then on, so the ready word taken here stays valid for every
+	// port.
 	var used uint64
-	for outPort, cand := range n.requesters(r, r.saSet) {
-		for cand &^= used; cand != 0; {
+	base := r.id * n.P
+	for outPort, req := range n.saReq[base : base+n.P] {
+		if cand := req & ready &^ used; cand != 0 {
 			b := nextSlot(cand, r.saPtr[outPort])
-			cand &^= 1 << uint(b)
-			if r.hasCredit(outPort, r.in[b].outVC, nVC) {
-				n.traverse(now, r, b, outPort)
-				used |= portSlots << uint(b-b%nVC)
-				break
-			}
+			n.traverse(now, r, b, outPort)
+			used |= n.portMask[n.slotPort[b]]
 		}
 	}
 }
@@ -745,28 +791,41 @@ func (n *Network) switchAllocationScan(now int64, r *router) {
 
 // traverse grants slot b the crossbar toward outPort: one flit crosses the
 // switch and the link (or goes to the NI), its buffer slot returns upstream
-// as a credit, and a tail releases the VC.
+// as a credit, and a tail releases the VC. The slot leaves saSet when its
+// buffer empties and stops being ready when its output VC runs out of
+// credits; a tail leaving through Local frees its VC at once, and one
+// leaving on a link frees it when the last credit comes home.
 func (n *Network) traverse(now int64, r *router, b, outPort int) {
-	id, nVC := r.id, n.cfg.VCs
-	inPort, inVC := b/nVC, b%nVC
+	id := r.id
+	inPort, inVC := int(n.slotPort[b]), int(n.slotVC[b])
 	v := &r.in[b]
-	o := &r.out[outPort*nVC+v.outVC]
+	s := outPort*n.cfg.VCs + v.outVC
+	o := &r.out[s]
 	f := v.pop()
 	f.vc = int16(v.outVC)
 	r.events.BufferReads++
 	n.bufferMoves++
 	r.events.XbarTraversals++
 	r.events.SAGrants++
-	r.saPtr[outPort] = (b + 1) % len(r.in)
+	if next := b + 1; next < len(r.in) {
+		r.saPtr[outPort] = next
+	} else {
+		r.saPtr[outPort] = 0
+	}
+	bit := uint64(1) << uint(b)
 	if v.empty() {
-		r.saSet &^= 1 << uint(b)
+		r.saSet &^= bit
+		n.saReq[id*n.P+outPort] &^= bit
+		n.ready[id] &^= bit
 	}
 
 	if outPort == topo.Local {
 		n.eject[id].push(arrival{f: f, t: now + 1})
 		n.markBusy(id)
 	} else {
-		o.credits--
+		if o.credits--; o.credits == 0 {
+			n.ready[id] &^= bit
+		}
 		r.events.LinkFlits++
 		dst := r.downstream[outPort]
 		if dst < 0 {
@@ -791,6 +850,10 @@ func (n *Network) traverse(now int64, r *router, b, outPort int) {
 		o.occupied = false
 		v.state, v.pkt = vcIdle, nil
 		r.busyVCs--
+		o.holder = noSlot
+		if outPort == topo.Local {
+			n.freeVC[id] |= 1 << uint(s)
+		}
 	}
 }
 
@@ -823,9 +886,15 @@ func (n *Network) vcAllocation(r *router) {
 		return
 	}
 	// A grant changes only its own slot, and new vcVA slots appear later, in
-	// routeCompute, so the requester sets taken here stay valid.
-	slots := len(r.in)
-	for outPort, cand := range n.requesters(r, r.vaSet) {
+	// routeCompute, so the requester sets taken here stay valid. A port
+	// with every VC taken is skipped, and its walk ends when a grant takes
+	// the last one: no grant can happen there, so no pointer moves.
+	id, slots := r.id, len(r.in)
+	base := id * n.P
+	for outPort, cand := range n.vaReq[base : base+n.P] {
+		if cand == 0 || n.freeVC[id]&n.portMask[outPort] == 0 {
+			continue
+		}
 		ptr := r.vaPtr[outPort]
 		for k := 0; k < slots && cand != 0; k++ {
 			s := ptr + k
@@ -846,6 +915,9 @@ func (n *Network) vcAllocation(r *router) {
 			// taken while a port allocates.
 			cand &^= 1 << uint(b)
 			if n.grantVC(r, b, outPort) {
+				if n.freeVC[id]&n.portMask[outPort] == 0 {
+					break
+				}
 				ptr = r.vaPtr[outPort]
 			}
 		}
@@ -867,56 +939,56 @@ func (n *Network) vcAllocationScan(r *router) {
 }
 
 // grantVC tries to give slot b, routed to outPort, a free output VC in its
-// packet's partition. On success the slot moves from VA to SA and the
-// port's VA pointer to the slot after b.
+// packet's partition, which route compute fixed (vcLo). On success the slot
+// moves from VA to SA, ready for the switch, since its head flit is
+// buffered and a free VC holds every credit, and the port's VA pointer
+// moves to the slot after b.
 func (n *Network) grantVC(r *router, b, outPort int) bool {
 	v := &r.in[b]
-	span := n.cfg.vcsPerClass()
-	lo := v.pkt.Class * span
-	if n.vcClassFn != nil {
-		span /= n.vcClasses
-		lo += n.vcClassFn(r.id, v.pkt.Dst) * span
-	}
-	outVC := n.freeOutputVC(r, outPort, lo, span)
-	if outVC < 0 {
+	id, base, lo := r.id, outPort*n.cfg.VCs, int(v.vcLo)
+	free := n.freeVC[id] >> uint(base+lo) & (1<<uint(n.vcSpan) - 1)
+	if free == 0 {
 		return false // this class's VCs are exhausted this cycle
 	}
-	r.out[outPort*n.cfg.VCs+outVC].occupied = true
+	outVC := lo + r.freeOutputVC(outPort, free, n.vcSpan)
+	s := base + outVC
+	r.out[s].occupied, r.out[s].holder = true, uint8(b)
+	n.freeVC[id] &^= 1 << uint(s)
 	v.outVC = outVC
 	v.state = vcActive
 	r.events.VAGrants++
-	r.vaPtr[outPort] = (b + 1) % len(r.in)
-	r.vaSet &^= 1 << uint(b)
-	r.saSet |= 1 << uint(b) // the head flit is still buffered
+	if next := b + 1; next < len(r.in) {
+		r.vaPtr[outPort] = next
+	} else {
+		r.vaPtr[outPort] = 0
+	}
+	bit := uint64(1) << uint(b)
+	r.vaSet &^= bit
+	n.vaReq[id*n.P+outPort] &^= bit
+	r.saSet |= bit
+	n.saReq[id*n.P+outPort] |= bit
+	n.ready[id] |= bit
 	return true
 }
 
-// freeOutputVC returns a grantable VC index of r within the class partition
-// [lo, lo+span) on outPort (round-robin), or -1.
-func (n *Network) freeOutputVC(r *router, outPort, lo, span int) int {
-	for k := 0; k < span; k++ {
-		vc := lo + (r.vaVCPtr[outPort]+k)%span
-		o := &r.out[outPort*n.cfg.VCs+vc]
-		if !o.occupied && (outPort == topo.Local || o.credits == n.cfg.BufferDepth) {
-			r.vaVCPtr[outPort] = (vc - lo + 1) % span
-			return vc
-		}
+// freeOutputVC picks one of a class partition's free output VCs on
+// outPort, given as the bits of the non-empty set free over the
+// partition's span VCs, in round-robin order from the port's VC pointer.
+// It returns the VC's offset in the partition and moves the pointer one
+// past it. A pointer at or beyond span, left by a partition of another
+// width, starts from its remainder, as the walk (pointer+k) mod span did.
+func (r *router) freeOutputVC(outPort int, free uint64, span int) int {
+	from := r.vaVCPtr[outPort]
+	if from >= span {
+		from %= span
 	}
-	return -1
-}
-
-// requesters splits a request set by the output port each slot is routed
-// to, into the network's per-port scratch.
-func (n *Network) requesters(r *router, set uint64) []uint64 {
-	req := n.portReq
-	for p := range req {
-		req[p] = 0
+	k := nextSlot(free, from)
+	if k+1 < span {
+		r.vaVCPtr[outPort] = k + 1
+	} else {
+		r.vaVCPtr[outPort] = 0
 	}
-	for ; set != 0; set &= set - 1 {
-		b := bits.TrailingZeros64(set)
-		req[r.in[b].outPort] |= 1 << uint(b)
-	}
-	return req
+	return k
 }
 
 // nextSlot returns the first slot of the non-empty set at or after slot
@@ -944,8 +1016,8 @@ func (n *Network) routeCompute(r *router) {
 	}
 }
 
-// computeRoute routes the head flit buffered in slot b and moves the slot
-// from RC to VA.
+// computeRoute routes the head flit buffered in slot b, fixes the VC
+// partition it may take, and moves the slot from RC to VA.
 func (n *Network) computeRoute(r *router, b int) {
 	v := &r.in[b]
 	port, err := n.alg.NextPort(r.id, v.pkt.Dst)
@@ -954,9 +1026,24 @@ func (n *Network) computeRoute(r *router, b int) {
 			r.id, v.pkt.Src, v.pkt.Dst, err))
 	}
 	v.outPort = port
+	v.vcLo = uint8(n.partitionLo(r.id, v.pkt))
 	v.state = vcVA
-	r.rcSet &^= 1 << uint(b)
-	r.vaSet |= 1 << uint(b)
+	bit := uint64(1) << uint(b)
+	r.rcSet &^= bit
+	r.vaSet |= bit
+	n.vaReq[r.id*n.P+port] |= bit
+}
+
+// partitionLo returns the first output VC of the partition pkt may take at
+// router id: its message class's, narrowed under a VC policy to its route
+// class's sub-partition. VC policies are pure, so route compute fixes it
+// for the VA attempts that follow.
+func (n *Network) partitionLo(id int, pkt *Packet) int {
+	lo := pkt.Class * n.perClass
+	if n.vcClassFn != nil {
+		lo += n.vcClassFn(id, pkt.Dst) * n.vcSpan
+	}
+	return lo
 }
 
 // deliverFlits performs buffer writes for flits whose link traversal
@@ -988,12 +1075,18 @@ func (n *Network) deliverFlits(now int64, ids []int) {
 				v.push(f, n.cfg.BufferDepth)
 				r.events.BufferWrites++
 				n.bufferMoves++
+				bit := uint64(1) << uint(b)
 				if f.typ.IsHead() {
 					v.state = vcRoute
 					r.busyVCs++
-					r.rcSet |= 1 << uint(b)
-				} else if v.state == vcActive {
-					r.saSet |= 1 << uint(b)
+					r.rcSet |= bit
+				} else if v.state == vcActive && r.saSet&bit == 0 {
+					// The VC joins saSet, and is ready if it has a credit.
+					r.saSet |= bit
+					n.saReq[id*P+v.outPort] |= bit
+					if v.outPort == topo.Local || r.out[v.outPort*nVC+v.outVC].credits > 0 {
+						n.ready[id] |= bit
+					}
 				}
 			}
 			if q.n == 0 {
@@ -1053,10 +1146,20 @@ func (n *Network) inject(now int64, ids []int) {
 		if nic.cur == nil && len(nic.queue) > 0 && !n.quiesced {
 			// Serve the oldest packet whose class still has a free VC;
 			// classes are independent, so a stalled class must not block
-			// the others at the source (order within a class is kept).
+			// the others at the source (order within a class is kept). A
+			// class found full stays full for the rest of the scan, so its
+			// packets are skipped, and the scan ends once every class is.
+			var full uint64
 			for qi, pkt := range nic.queue {
+				bit := uint64(1) << uint(pkt.Class)
+				if full&bit != 0 {
+					continue
+				}
 				vc := n.freeInjectionVC(id, pkt.Class)
 				if vc < 0 {
+					if full |= bit; full == n.allClasses {
+						break
+					}
 					continue
 				}
 				nic.cur = pkt
@@ -1095,9 +1198,8 @@ func (n *Network) inject(now int64, ids []int) {
 func (n *Network) freeInjectionVC(id, class int) int {
 	r := n.routers[id]
 	nic := n.nis[id]
-	lo := class * n.cfg.vcsPerClass()
-	for k := 0; k < n.cfg.vcsPerClass(); k++ {
-		vc := lo + k
+	lo := class * n.perClass
+	for vc := lo; vc < lo+n.perClass; vc++ {
 		if nic.credits[vc] == n.cfg.BufferDepth && r.in[topo.Local*n.cfg.VCs+vc].state == vcIdle {
 			return vc
 		}

@@ -23,7 +23,7 @@ func TestProbeStreamPinned(t *testing.T) {
 	}{
 		{equivCase{name: "gating-4x4", width: 4, height: 4, gating: true, cycles: 2500, rate: 0.45}, false, 0x7fc93c723aa9d8d2},
 		{equivCase{name: "links-1to3-4x4", width: 4, height: 4, cycles: 2500, rate: 0.3}, true, 0x92e16ff3f019a2b8},
-		{equivCase{name: "circulant-16", fabric: "circulant", cycles: 2500, rate: 0.45}, false, 0xc560f8836390c30e},
+		{equivCase{name: "circulant-16", fabric: "circulant", n: 16, s1: 1, s2: 4, cycles: 2500, rate: 0.45}, false, 0xc560f8836390c30e},
 	} {
 		pin := pin
 		t.Run(pin.c.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package noc
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"nocsprint/internal/routing"
 )
@@ -127,10 +128,17 @@ func (n *Network) Reconfigure(activeNodes []int, alg routing.Algorithm, drainBud
 	}
 	if same {
 		// No-op fast path: nothing to quiesce, drain, or rebuild. The run
-		// stays bit-identical to one that never reconfigured.
+		// stays bit-identical to one that never reconfigured. VA requesters
+		// take their VC partition from the algorithm now in force.
 		if alg != nil {
 			n.route = rt
 			n.reconfigs++
+			for _, r := range n.routers {
+				for set := r.vaSet; set != 0; set &= set - 1 {
+					v := &r.in[bits.TrailingZeros64(set)]
+					v.vcLo = uint8(n.partitionLo(r.id, v.pkt))
+				}
+			}
 		}
 		return ReconfigReport{}, nil
 	}

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -265,6 +266,62 @@ func TestReconfigureInstallsVCPolicy(t *testing.T) {
 		if net.vcClasses != 2 || net.vcClassFn == nil || net.Algorithm() != routing.Algorithm(dor) {
 			t.Errorf("%s: after reconfiguring to %s the network has %d VC classes", tc.name, dor.Name(), net.vcClasses)
 		}
+	}
+}
+
+// TestReconfigureNoOpRepartitionsVARequesters drops the dateline VC policy
+// on the no-op path while a VA requester waits for a VC of route class 1:
+// from then on it must request from its message class's whole partition,
+// as a grant under the algorithm in force would, so the audit passes and
+// the traffic drains.
+func TestReconfigureNoOpRepartitionsVARequesters(t *testing.T) {
+	tp, err := topo.NewTorus(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dor := routing.NewTorusDOR(tp)
+	plain := struct{ routing.Algorithm }{dor}
+	net, err := NewTopo(DefaultConfig(), tp, dor, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, tp.Nodes())
+	for i := range all {
+		all[i] = i
+	}
+	rng := rand.New(rand.NewSource(1))
+	classOne := func() bool {
+		for _, r := range net.routers {
+			for set := r.vaSet; set != 0; set &= set - 1 {
+				if r.in[bits.TrailingZeros64(set)].vcLo != 0 {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for !classOne() {
+		if net.Cycle() == 2000 {
+			t.Fatal("no VA requester waits for a route-class-1 VC")
+		}
+		for src := range all {
+			if rng.Float64() < 0.1 {
+				net.Enqueue(src, (src+1+rng.Intn(len(all)-1))%len(all))
+			}
+		}
+		net.Step()
+	}
+	if rep, err := net.Reconfigure(all, plain, 100); err != nil || rep.Changed {
+		t.Fatalf("no-op reconfiguration: %+v, %v", rep, err)
+	}
+	if _, err := net.Audit(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.DrainWithBudgetCtx(nil, 20000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Audit(nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -20,10 +20,13 @@ const (
 // packet that holds it, plus pipeline state. VC allocation is atomic, so the
 // buffered flits are always flits seq .. seq+n-1 of pkt; pkt is nil while
 // the VC is idle. outPort is a topology port index (topo.Local for eject).
+// From route compute until its VA grant, vcLo is the first output VC of the
+// partition the packet may take there (Network.partitionLo).
 type inputVC struct {
 	pkt     *Packet
 	seq, n  int
 	state   vcState
+	vcLo    uint8
 	outPort int
 	outVC   int
 }
@@ -55,10 +58,27 @@ func (v *inputVC) pop() flit {
 }
 
 // outputVC mirrors one downstream input VC: whether some packet currently
-// holds it, and how many downstream buffer slots remain (credits).
+// holds it, and how many downstream buffer slots remain (credits). holder
+// is the input slot whose packet holds it, or noSlot while it is
+// unoccupied: r.out is the holder table the credit-ready word is kept
+// through.
 type outputVC struct {
 	occupied bool
+	holder   uint8
 	credits  int
+}
+
+// noSlot is the holder of an unoccupied output VC: beyond every slot, so
+// a request set shifted by it is empty.
+const noSlot = maxSlots
+
+// b2u is 1 for true and 0 for false, which the compiler emits without a
+// branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Events counts the router micro-events the power model converts into
@@ -141,7 +161,7 @@ func newRouter(id int, cfg Config, tp topo.Topology, active bool) *router {
 		vaVCPtr:    make([]int, P),
 	}
 	for o := range r.out {
-		r.out[o].credits = cfg.BufferDepth
+		r.out[o] = outputVC{holder: noSlot, credits: cfg.BufferDepth}
 	}
 	for p := 0; p < P; p++ {
 		r.downstream[p] = tp.Neighbor(id, p)
