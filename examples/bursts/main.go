@@ -1,15 +1,14 @@
-// Burst-trace study (the Figure 1 scenario, end to end): an online sprint
-// controller receives a train of compute bursts, sprints at each policy's
-// level, and interacts with the chip's thermal state — PCM melting, the
-// junction limit, throttling (t_one), and re-solidification between bursts.
-// Compares non-sprinting, full-sprinting, and NoC-sprinting on the same
-// trace.
+// Burst-trace timeline (the Figure 1 scenario, end to end): an online sprint
+// controller receives a train of compute bursts, sprints at NoC-sprinting's
+// level for each, and interacts with the chip's thermal state — PCM melting,
+// the junction limit, throttling, and re-solidification between bursts.
+// `nocsprint controller` compares the three schemes on this trace; this
+// program prints NoC-sprinting's temperature timeline over its first 10 s.
 package main
 
 import (
 	"fmt"
 	"log"
-	"math"
 
 	"nocsprint/internal/core"
 	"nocsprint/internal/workload"
@@ -21,51 +20,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A bursty interactive trace: alternating dedup and swaptions bursts
-	// arriving every 4 seconds, each worth 1.2 single-core seconds.
+	// A bursty interactive trace: dedup, swaptions and vips bursts arriving
+	// every 4 seconds, each worth 1.2 single-core seconds.
 	var bursts []core.Burst
-	names := []string{"dedup", "swaptions", "dedup", "vips", "swaptions", "dedup"}
-	for i, name := range names {
+	for i, name := range []string{"dedup", "swaptions", "dedup", "vips", "swaptions", "dedup"} {
 		p, err := workload.ByName(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		bursts = append(bursts, core.Burst{
-			Profile:     p,
-			WorkSeconds: 1.2,
-			ArrivalS:    float64(i) * 4,
-		})
+		bursts = append(bursts, core.Burst{Profile: p, WorkSeconds: 1.2, ArrivalS: float64(i) * 4})
 	}
 
-	for _, scheme := range []core.Scheme{core.NonSprinting, core.FullSprinting, core.NoCSprinting} {
-		cfg := core.DefaultControllerConfig()
-		cfg.Scheme = scheme
-		ctl, err := core.NewController(sprinter, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := ctl.RunTrace(bursts, 60)
-		if err != nil {
-			log.Fatal(err)
-		}
-		finished := 0
-		var avgResp float64
-		for i, c := range res.Completions {
-			if !math.IsNaN(c) {
-				finished++
-				avgResp += c - bursts[i].ArrivalS
-			}
-		}
-		if finished > 0 {
-			avgResp /= float64(finished)
-		}
-		fmt.Printf("%-14s finished %d/%d  avg response %5.2fs  makespan %5.2fs  energy %6.0fJ  peak %.1fK  sprint %5.2fs  throttled %5.2fs\n",
-			scheme, finished, len(bursts), avgResp, res.MakespanS, res.EnergyJ, res.PeakK, res.SprintS, res.ThrottledS)
-	}
-
-	// Show the NoC-sprinting temperature timeline around the first bursts.
-	cfg := core.DefaultControllerConfig()
-	ctl, err := core.NewController(sprinter, cfg)
+	ctl, err := core.NewController(sprinter, core.DefaultControllerConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nNoC-sprinting timeline (decimated):")
+	fmt.Println("NoC-sprinting timeline (decimated):")
 	fmt.Println("  t(s)   T(K)    level  melted  throttled")
 	for _, s := range res.Samples {
 		if s.TimeS > 10 {

@@ -390,7 +390,7 @@ func (p NetSimParams) instrument(net *noc.Network, region *sprint.Region, label 
 		if h.thermal != nil {
 			cfg.Thermal = h.thermal
 		}
-		col = p.Obs.NewCollectorWith(net, label, cfg)
+		col = p.Obs.NewCollector(net, label, cfg)
 		probes = append(probes, col)
 	}
 	net.SetProbe(probes...)

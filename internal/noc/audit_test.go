@@ -127,7 +127,7 @@ func TestAuditMatchesFullWalk(t *testing.T) {
 					if c.reconf && cyc == 750 {
 						// Shrink the region under load; the drain runs inside
 						// Reconfigure, so the probe audits its cycles too.
-						r := sprint.NewRegion(net.Mesh(), 0, 4, sprint.Euclidean)
+						r := sprint.NewRegion(tp.(*topo.Mesh).Mesh(), 0, 4, sprint.Euclidean)
 						if _, err := net.Reconfigure(r.ActiveNodes(), routing.NewCDOR(r), 20000); err != nil {
 							t.Fatal(err)
 						}

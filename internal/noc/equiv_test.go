@@ -164,8 +164,7 @@ func driveEquivWith(t *testing.T, net *noc.Network, c equivCase, nodes []int, st
 			// Shrink the region to its first four nodes mid-run; the two
 			// modes must drop identical traffic and drain in the same
 			// number of cycles.
-			m := net.Mesh()
-			region := sprint.NewRegion(m, 0, 4, sprint.Euclidean)
+			region := sprint.NewRegion(mesh.New(c.width, c.height), 0, 4, sprint.Euclidean)
 			rep, err := net.Reconfigure(region.ActiveNodes(), routing.NewCDOR(region), 20000)
 			if err != nil {
 				t.Fatal(err)
@@ -305,7 +304,7 @@ func TestStepperEquivalenceToggleMidRun(t *testing.T) {
 func TestActiveRoutersIncremental(t *testing.T) {
 	scan := func(net *noc.Network) int {
 		n := 0
-		for id := 0; id < net.Mesh().Nodes(); id++ {
+		for id := 0; id < net.Nodes(); id++ {
 			if net.RouterActive(id) {
 				n++
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/topo"
 )
@@ -488,17 +487,6 @@ func (n *Network) Algorithm() routing.Algorithm { return n.alg }
 // Nodes returns the topology's node count.
 func (n *Network) Nodes() int { return n.nodes }
 
-// Mesh returns the underlying mesh. It panics when the network was built
-// over a non-mesh topology — mesh-specific callers (sprint regions, CDOR
-// fault repair) have no meaning there.
-func (n *Network) Mesh() mesh.Mesh {
-	mt, ok := n.tp.(*topo.Mesh)
-	if !ok {
-		panic(fmt.Sprintf("noc: Mesh() on a %s network", n.tp.Name()))
-	}
-	return mt.Mesh()
-}
-
 // Cycle returns the current simulation cycle.
 func (n *Network) Cycle() int64 { return n.cycle }
 
@@ -544,18 +532,16 @@ func (n *Network) Progress() int64 {
 // Enqueue creates a packet from src to dst in message class 0 and places
 // it in src's source queue. Both nodes must be active. The packet is
 // returned so callers can inspect its completion times.
-func (n *Network) Enqueue(src, dst int) *Packet { return n.EnqueueClass(src, dst, 0) }
-
-// EnqueueClass creates a packet in the given message class (VC partition).
-func (n *Network) EnqueueClass(src, dst, class int) *Packet {
-	return n.EnqueuePacket(src, dst, class, n.cfg.PacketLength)
+func (n *Network) Enqueue(src, dst int) *Packet {
+	return n.EnqueuePacket(src, dst, 0, n.cfg.PacketLength)
 }
 
-// EnqueuePacket creates a packet with an explicit flit count — protocol
-// models use short control packets and long data packets. It panics when
-// src or dst is gated: callers using it assert a fixed topology, so a gated
-// endpoint is a programming error. Traffic that can legitimately race with
-// fault-driven reconfiguration goes through TryEnqueuePacket instead.
+// EnqueuePacket creates a packet in the given message class (VC partition)
+// with an explicit flit count — protocol models use short control packets
+// and long data packets. It panics when src or dst is gated: callers using
+// it assert a fixed topology, so a gated endpoint is a programming error.
+// Traffic that can legitimately race with fault-driven reconfiguration goes
+// through TryEnqueuePacket instead.
 func (n *Network) EnqueuePacket(src, dst, class, length int) *Packet {
 	p, err := n.TryEnqueuePacket(src, dst, class, length)
 	if err != nil {
@@ -577,14 +563,8 @@ func (n *Network) TryEnqueuePacket(src, dst, class, length int) (*Packet, error)
 	if length < 1 {
 		panic(fmt.Sprintf("noc: packet length %d < 1", length))
 	}
-	if src < 0 || src >= len(n.nis) || dst < 0 || dst >= len(n.nis) {
-		return nil, fmt.Errorf("noc: enqueue %d->%d outside %s", src, dst, n.tp.Name())
-	}
-	if !n.nis[src].active {
-		return nil, fmt.Errorf("noc: enqueue at gated node %d", src)
-	}
-	if !n.nis[dst].active {
-		return nil, fmt.Errorf("noc: enqueue toward gated node %d", dst)
+	if err := n.endpointErr(src, dst); err != nil {
+		return nil, fmt.Errorf("noc: %w", err)
 	}
 	p := &Packet{
 		ID:         n.nextPacketID,
@@ -607,6 +587,21 @@ func (n *Network) TryEnqueuePacket(src, dst, class, length int) (*Packet, error)
 	n.markBusy(src)
 	n.markDirty(src)
 	return p, nil
+}
+
+// endpointErr reports why a packet from src to dst cannot be enqueued now:
+// an endpoint outside the node set, or dark.
+func (n *Network) endpointErr(src, dst int) error {
+	if src < 0 || src >= len(n.nis) || dst < 0 || dst >= len(n.nis) {
+		return fmt.Errorf("enqueue %d->%d outside %s", src, dst, n.tp.Name())
+	}
+	if !n.nis[src].active {
+		return fmt.Errorf("enqueue at gated node %d", src)
+	}
+	if !n.nis[dst].active {
+		return fmt.Errorf("enqueue toward gated node %d", dst)
+	}
+	return nil
 }
 
 // InFlight returns the number of packets created but neither fully ejected

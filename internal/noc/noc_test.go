@@ -62,7 +62,7 @@ func TestSinglePacketZeroLoadLatency(t *testing.T) {
 		net.SetMeasuring(true)
 		p := net.Enqueue(tc.src, tc.dst)
 		runUntilDrained(t, net, 500)
-		hops := net.Mesh().HammingID(tc.src, tc.dst)
+		hops := mesh.New(cfg.Width, cfg.Height).HammingID(tc.src, tc.dst)
 		want := ZeroLoadLatency(cfg, hops)
 		got := float64(p.EjectedAt - p.CreatedAt)
 		if got != want {
@@ -525,7 +525,7 @@ func TestEnqueueClassValidation(t *testing.T) {
 			t.Error("out-of-range class accepted")
 		}
 	}()
-	net.EnqueueClass(0, 1, 2)
+	net.EnqueuePacket(0, 1, 2, cfg.PacketLength)
 }
 
 // TestClassesDeliverAndConserve runs mixed-class traffic and checks
@@ -543,9 +543,9 @@ func TestClassesDeliverAndConserve(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		src, dst := rng.Intn(16), rng.Intn(16)
 		if i%2 == 0 {
-			class0 = append(class0, net.EnqueueClass(src, dst, 0))
+			class0 = append(class0, net.EnqueuePacket(src, dst, 0, cfg.PacketLength))
 		} else {
-			class1 = append(class1, net.EnqueueClass(src, dst, 1))
+			class1 = append(class1, net.EnqueuePacket(src, dst, 1, cfg.PacketLength))
 		}
 		net.Step()
 	}
@@ -586,13 +586,13 @@ func TestClassIsolation(t *testing.T) {
 			// Saturating hot traffic in class 0 from two sources sharing
 			// the row toward node 3.
 			if cyc%2 == 0 {
-				net.EnqueueClass(0, 3, 0)
+				net.EnqueuePacket(0, 3, 0, cfg.PacketLength)
 			}
 			if cyc%2 == 1 {
-				net.EnqueueClass(1, 3, 0)
+				net.EnqueuePacket(1, 3, 0, cfg.PacketLength)
 			}
 			if cyc%400 == 0 {
-				probes = append(probes, net.EnqueueClass(2, 3, probeClass))
+				probes = append(probes, net.EnqueuePacket(2, 3, probeClass, cfg.PacketLength))
 			}
 			net.Step()
 		}
@@ -658,7 +658,7 @@ func TestInvariantsUnderRandomTraffic(t *testing.T) {
 				if rng.Float64() < 0.5 {
 					src := endpoints[rng.Intn(len(endpoints))]
 					dst := endpoints[rng.Intn(len(endpoints))]
-					net.EnqueueClass(src, dst, rng.Intn(cfg.classes()))
+					net.EnqueuePacket(src, dst, rng.Intn(cfg.classes()), cfg.PacketLength)
 				}
 				net.Step()
 				if _, err := net.Audit(nil); err != nil {

@@ -18,7 +18,7 @@ import (
 )
 
 // newTestRecorder builds a recorder with the power model attached, so the
-// sampled series exercises the alloc-free NetworkPowerTotal path.
+// sampled series exercises the alloc-free NetworkPower path.
 func newTestRecorder(t *testing.T, cfg noc.Config, interval int) *obs.Recorder {
 	t.Helper()
 	rec, err := obs.NewRecorder(obs.Config{
@@ -72,7 +72,7 @@ func TestObserverZeroDrift(t *testing.T) {
 			plain, plainNodes, _ := buildEquiv(t, c, false)
 			observed, obsNodes, obsRegion := buildEquiv(t, c, false)
 			rec := newTestRecorder(t, observed.Config(), 250)
-			col := rec.NewCollector(observed, c.name)
+			col := rec.NewCollector(observed, c.name, rec.Config())
 			observed.SetProbe(equivChecker(observed, obsRegion), col)
 
 			plainPkts := driveEquiv(t, plain, c, plainNodes)
@@ -133,7 +133,7 @@ func TestObserverToggleMidRun(t *testing.T) {
 			if run.toggle {
 				switch i {
 				case c.cycles / 4:
-					col = rec.NewCollector(run.net, "mid-run")
+					col = rec.NewCollector(run.net, "mid-run", rec.Config())
 					run.net.SetProbe(equivChecker(run.net, togRegion), col)
 				case 3 * c.cycles / 4:
 					run.net.SetProbe(equivChecker(run.net, togRegion))
@@ -211,7 +211,7 @@ func (d *digestProbe) CycleEnd(n *noc.Network, cycle int64) { d.event(5, cycle, 
 // and census every 16 cycles), through the SetProbe fan-out. A 200-step
 // steady-state window must allocate nothing in every run — the samples fit
 // in the collector's starting buffers, the power total uses the alloc-free
-// NetworkPowerTotal, the checker's audit refills one census buffer, and the
+// NetworkPower, the checker's audit refills one census buffer, and the
 // fan-out is a plain loop — all four runs must end in identical Stats, and
 // every digest probe must see the identical event sequence.
 func TestStepZeroAllocSteadyStateWithObs(t *testing.T) {
@@ -234,7 +234,7 @@ func TestStepZeroAllocSteadyStateWithObs(t *testing.T) {
 					net.SetProbe(d)
 				case "probe+collector":
 					rec := newTestRecorder(t, net.Config(), 100)
-					net.SetProbe(d, rec.NewCollector(net, c.name))
+					net.SetProbe(d, rec.NewCollector(net, c.name, rec.Config()))
 				case "probe+checker":
 					net.SetProbe(d, equivChecker(net, region))
 				}

@@ -80,8 +80,7 @@ func TestReconfigureShrinkDropsAndAccounts(t *testing.T) {
 		net.Step()
 	}
 
-	m := net.Mesh()
-	shrunk := sprint.NewRegion(m, 0, 4, sprint.Euclidean)
+	shrunk := sprint.NewRegion(r.Mesh(), 0, 4, sprint.Euclidean)
 	rep, err := net.Reconfigure(shrunk.ActiveNodes(), routing.NewCDOR(shrunk), 5000)
 	if err != nil {
 		t.Fatal(err)
@@ -132,9 +131,8 @@ func TestReconfigureShrinkDropsAndAccounts(t *testing.T) {
 // TestReconfigureGrowReactivates: a router brought back by a grow
 // reconfiguration resumes from a reset-equivalent state and carries traffic.
 func TestReconfigureGrowReactivates(t *testing.T) {
-	net, _ := regionNet(t, 4)
-	m := net.Mesh()
-	grown := sprint.NewRegion(m, 0, 8, sprint.Euclidean)
+	net, r := regionNet(t, 4)
+	grown := sprint.NewRegion(r.Mesh(), 0, 8, sprint.Euclidean)
 	rep, err := net.Reconfigure(grown.ActiveNodes(), routing.NewCDOR(grown), 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +165,7 @@ func TestReconfigureDrainTimeout(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		net.Step()
 	}
-	m := net.Mesh()
-	shrunk := sprint.NewRegion(m, 0, 2, sprint.Euclidean)
+	shrunk := sprint.NewRegion(r.Mesh(), 0, 2, sprint.Euclidean)
 	_, err := net.Reconfigure(shrunk.ActiveNodes(), routing.NewCDOR(shrunk), 1)
 	if err == nil {
 		t.Fatal("1-cycle drain budget succeeded with 40 packets queued")
@@ -329,7 +326,7 @@ func TestTryEnqueuePacketGatedEndpoints(t *testing.T) {
 	net, r := regionNet(t, 4)
 	active := r.ActiveNodes()
 	var dark int
-	for id := 0; id < net.Mesh().Nodes(); id++ {
+	for id := 0; id < net.Nodes(); id++ {
 		if !r.Active(id) {
 			dark = id
 			break
@@ -376,8 +373,12 @@ func TestDrainWithBudgetExactBoundary(t *testing.T) {
 	net.Enqueue(0, 1)
 	probe := fullNet(t, cfg)
 	probe.Enqueue(0, 1)
+	// Bounded, so a stepper that deadlocks fails here instead of hanging.
 	need := 0
 	for !probe.Drained() {
+		if need == 1000 {
+			t.Fatalf("one packet not drained in %d cycles", need)
+		}
 		probe.Step()
 		need++
 	}

@@ -139,19 +139,10 @@ func TestNewTopoValidation(t *testing.T) {
 	if _, err := NewTopo(wide, tp, alg, nil); err != nil {
 		t.Errorf("5 ports x 12 VCs rejected: %v", err)
 	}
-	// Mesh() is a mesh-only accessor and must refuse politely elsewhere.
 	net, err := NewTopo(DefaultConfig(), tp, alg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Mesh() on a circulant network did not panic")
-			}
-		}()
-		net.Mesh()
-	}()
 	if net.Topo() != topo.Topology(tp) {
 		t.Error("Topo() does not return the construction topology")
 	}

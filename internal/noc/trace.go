@@ -116,25 +116,37 @@ type TraceResult struct {
 // to the network's current cycle), then drains for at most drainCycles.
 // All trace packets are measured. Drained reports whether every packet was
 // ejected, checked after every drain step, so a drain finishing on its last
-// permitted cycle counts.
+// permitted cycle counts. Traces come from external tools, so every event is
+// checked against net before the first step: a negative or decreasing
+// cycle, an endpoint outside the network or dark, or a class outside the
+// network's is an error naming the event.
 func ReplayTrace(net *Network, events []TraceEvent, drainCycles int) (TraceResult, error) {
 	for i, ev := range events {
-		if ev.Cycle < 0 || i > 0 && ev.Cycle < events[i-1].Cycle {
-			return TraceResult{}, fmt.Errorf("noc: trace event %d at cycle %d: cycles must be non-negative and non-decreasing",
-				i, ev.Cycle)
+		var err error
+		switch {
+		case ev.Cycle < 0 || i > 0 && ev.Cycle < events[i-1].Cycle:
+			err = fmt.Errorf("cycle %d: cycles must be non-negative and non-decreasing", ev.Cycle)
+		case ev.Class < 0 || ev.Class >= net.cfg.classes():
+			err = fmt.Errorf("class %d outside [0,%d)", ev.Class, net.cfg.classes())
+		default:
+			err = net.endpointErr(ev.Src, ev.Dst)
+		}
+		if err != nil {
+			return TraceResult{}, fmt.Errorf("noc: trace event %d: %w", i, err)
 		}
 	}
 	start := net.Cycle()
 	idx := 0
 	enqueue := func() error {
 		for rel := net.Cycle() - start; idx < len(events) && events[idx].Cycle == rel; idx++ {
-			net.EnqueueClass(events[idx].Src, events[idx].Dst, events[idx].Class)
+			ev := events[idx]
+			net.EnqueuePacket(ev.Src, ev.Dst, ev.Class, net.cfg.PacketLength)
 		}
 		return nil
 	}
-	// Neither phase can fail: no context, and enqueue never errs. The cycles
-	// were checked above, so every event is enqueued by the step at its
-	// cycle and the injection phase needs no budget of its own.
+	// Neither phase can fail: no context, and enqueue never errs. The events
+	// were checked above, so every one is enqueued by the step at its cycle
+	// and the injection phase needs no budget of its own.
 	net.SetMeasuring(true)
 	_, _ = net.RunUntil(nil, math.MaxInt, enqueue, func() bool { return idx == len(events) })
 	net.SetMeasuring(false)

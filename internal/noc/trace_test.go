@@ -12,6 +12,7 @@ import (
 
 	"nocsprint/internal/mesh"
 	"nocsprint/internal/routing"
+	"nocsprint/internal/sprint"
 	"nocsprint/internal/topo"
 	"nocsprint/internal/traffic"
 )
@@ -273,6 +274,38 @@ func TestReplayTraceRejectsBadCycles(t *testing.T) {
 		}
 		if net.Cycle() != 0 {
 			t.Errorf("%s trace stepped the network to cycle %d", name, net.Cycle())
+		}
+	}
+}
+
+// TestReplayTraceRejectsBadEvents: a trace is external input, so an event the
+// network cannot carry is an error naming it, found before the first step,
+// not a panic inside the enqueue.
+func TestReplayTraceRejectsBadEvents(t *testing.T) {
+	good := TraceEvent{Cycle: 0, Src: 0, Dst: 1}
+	for _, c := range []struct {
+		name string
+		bad  TraceEvent
+		want string
+	}{
+		{"src out of range", TraceEvent{Cycle: 0, Src: 99, Dst: 1}, "outside"},
+		{"negative dst", TraceEvent{Cycle: 1, Src: 0, Dst: -1}, "outside"},
+		{"dark endpoint", TraceEvent{Cycle: 1, Src: 0, Dst: 15}, "gated node 15"},
+		{"bad class", TraceEvent{Cycle: 1, Src: 0, Dst: 1, Class: 3}, "class 3"},
+	} {
+		cfg := DefaultConfig()
+		r := sprint.NewRegion(mesh.New(cfg.Width, cfg.Height), 0, 4, sprint.Euclidean)
+		net, err := New(cfg, routing.NewCDOR(r), r.ActiveNodes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReplayTrace(net, []TraceEvent{good, c.bad}, 100)
+		if err == nil || !strings.Contains(err.Error(), "event 1") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming event 1 and %q", c.name, err, c.want)
+		}
+		if net.Cycle() != 0 || net.Stats().PacketsCreated != 0 {
+			t.Errorf("%s: replay stepped to cycle %d and created %d packets before refusing",
+				c.name, net.Cycle(), net.Stats().PacketsCreated)
 		}
 	}
 }

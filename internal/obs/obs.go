@@ -3,15 +3,14 @@
 // Network.SetProbe like internal/check's invariant checker, and the two can
 // watch one network together.
 //
-// A Collector counts injections, ejections, and drops as they happen (a few
-// integer increments per event) and, every Interval cycles, snapshots a
-// Sample: window flit counts, per-router and region utilization, mean queue
-// depth, active-router count, and — when models are configured — network
-// power and die temperature from an incremental lumped RC step. Samples
-// append to flat buffers that start small and double when full, so a
-// collector costs memory in proportion to what it records, and Step
-// allocates only at those doublings — none between them; and because the
-// hooks never mutate the network, instrumented runs are bit-identical to
+// Every Interval cycles a Collector snapshots a Sample from the network's own
+// counters: window flit and packet counts, per-router and region
+// utilization, mean queue depth, active-router count, and — when models are
+// configured — network power and die temperature from an incremental lumped
+// RC step. Samples append to flat buffers that start small and double when
+// full, so a collector costs memory in proportion to what it records, and
+// Step allocates only at those doublings — none between them; and because
+// the hooks never mutate the network, instrumented runs are bit-identical to
 // uninstrumented ones (the zero-drift suites at the noc, core, and golden
 // layers pin both properties).
 //
@@ -124,7 +123,8 @@ type Sample struct {
 	Window int64 `json:"window"`
 	// InjectedFlits/InjectedPackets count NI->router issues in the window;
 	// EjectedFlits/EjectedPackets count deliveries; DroppedFlits counts
-	// reconfiguration black-hole drops.
+	// reconfiguration drops. Each is the window's delta of the matching
+	// noc.Stats counter.
 	InjectedFlits   int64 `json:"injected_flits"`
 	InjectedPackets int64 `json:"injected_packets"`
 	EjectedFlits    int64 `json:"ejected_flits"`
@@ -153,17 +153,18 @@ type Collector struct {
 	interval int64
 	routers  int
 
-	// Window accumulators, bumped by the per-event hooks.
-	injFlits, injPkts, ejFlits, ejPkts, dropFlits int64
-	winCycles                                     int64
-	// lastCycle counts completed observed cycles; net remembers the observed
+	// winCycles counts the observed cycles of the open window; lastCycle
+	// counts all completed observed cycles; net remembers the observed
 	// network so Finish can flush a partial final window.
+	winCycles int64
 	lastCycle int64
 	net       *noc.Network
 
-	// prev snapshots per-router event counters at the last boundary, so each
-	// sample sees only its own window's deltas.
-	prev []noc.Events
+	// prevStats and prevXbar snapshot the network's statistics and each
+	// router's crossbar traversals at the last boundary, so each sample sees
+	// only its own window's deltas.
+	prevStats noc.Stats
+	prevXbar  []int64
 
 	samples []Sample
 	// perRouter stores per-router utilization rows flat: sample i's row is
@@ -186,19 +187,19 @@ func newCollector(cfg Config, label string, net *noc.Network) *Collector {
 		label:     label,
 		interval:  int64(cfg.Interval),
 		routers:   routers,
-		lastCycle: 0,
 		net:       net,
-		prev:      make([]noc.Events, routers),
+		prevStats: net.Stats(),
+		prevXbar:  make([]int64, routers),
 		samples:   make([]Sample, 0, sampleCap),
 		perRouter: make([]float64, 0, sampleCap*routers),
 		events:    make([]Event, 0, eventCap),
 		pw:        cfg.Power,
 		th:        cfg.Thermal,
 	}
-	// Prime the per-router baselines so the first window measures only
-	// cycles this collector actually observed (attachment mid-run included).
+	// Prime the baselines so the first window measures only cycles this
+	// collector actually observed (attachment mid-run included).
 	for id := 0; id < routers; id++ {
-		c.prev[id] = net.RouterEvents(id)
+		c.prevXbar[id] = net.RouterEvents(id).XbarTraversals
 	}
 	if c.th != nil {
 		// cfg was validated, so construction cannot fail here.
@@ -227,25 +228,12 @@ func (c *Collector) FlitArrived(*noc.Network, int, int, *noc.Packet, noc.FlitTyp
 // CreditDelivered implements noc.Probe; telemetry does not sample credits.
 func (c *Collector) CreditDelivered(*noc.Network, int, int, int, int) {}
 
-// FlitInjected implements noc.Probe.
-func (c *Collector) FlitInjected(n *noc.Network, node int, pkt *noc.Packet, seq int) {
-	c.injFlits++
-	if seq == 0 {
-		c.injPkts++
-	}
-}
+// FlitInjected implements noc.Probe; samples read injections off noc.Stats.
+func (c *Collector) FlitInjected(*noc.Network, int, *noc.Packet, int) {}
 
-// FlitEjected implements noc.Probe.
-func (c *Collector) FlitEjected(n *noc.Network, node int, pkt *noc.Packet, tail, dropped bool) {
-	if dropped {
-		c.dropFlits++
-		return
-	}
-	c.ejFlits++
-	if tail {
-		c.ejPkts++
-	}
-}
+// FlitEjected implements noc.Probe; samples read ejections and drops off
+// noc.Stats.
+func (c *Collector) FlitEjected(*noc.Network, int, *noc.Packet, bool, bool) {}
 
 // CycleEnd implements noc.Probe: it closes the window and takes a sample
 // every Interval observed cycles.
@@ -274,35 +262,35 @@ func (c *Collector) Finish() {
 	}
 }
 
-// sample closes the current window: per-router event deltas, utilization,
-// queue depth, and the optional power/thermal step. It allocates only when
-// a buffer fills and append grows it; the power total comes from the
-// alloc-free power.NetworkPowerTotal.
+// sample closes the current window: the network's counter deltas,
+// utilization, queue depth, and the optional power/thermal step. It
+// allocates only when a buffer fills and append grows it.
 func (c *Collector) sample(n *noc.Network) {
 	window := c.winCycles
-	var delta noc.Events
+	st := n.Stats()
+	delta := st.Sub(c.prevStats)
+	c.prevStats = st
 	var meshX, regionX int64
 	active := 0
 	for id := 0; id < c.routers; id++ {
-		ev := n.RouterEvents(id)
-		d := ev.Sub(c.prev[id])
-		c.prev[id] = ev
-		delta.Add(d)
-		c.perRouter = append(c.perRouter, float64(d.XbarTraversals)/float64(window))
-		meshX += d.XbarTraversals
+		x := n.RouterEvents(id).XbarTraversals
+		d := x - c.prevXbar[id]
+		c.prevXbar[id] = x
+		c.perRouter = append(c.perRouter, float64(d)/float64(window))
+		meshX += d
 		if n.RouterActive(id) {
-			regionX += d.XbarTraversals
+			regionX += d
 			active++
 		}
 	}
 	s := Sample{
 		Cycle:           c.lastCycle,
 		Window:          window,
-		InjectedFlits:   c.injFlits,
-		InjectedPackets: c.injPkts,
-		EjectedFlits:    c.ejFlits,
-		EjectedPackets:  c.ejPkts,
-		DroppedFlits:    c.dropFlits,
+		InjectedFlits:   delta.FlitsInjected,
+		InjectedPackets: delta.PacketsInjected,
+		EjectedFlits:    delta.FlitsEjected,
+		EjectedPackets:  delta.PacketsEjected,
+		DroppedFlits:    delta.FlitsDropped,
 		ActiveRouters:   active,
 		BufferedFlits:   n.BufferedFlits(),
 	}
@@ -312,8 +300,8 @@ func (c *Collector) sample(n *noc.Network) {
 		s.QueueDepth = float64(s.BufferedFlits) / float64(active)
 	}
 	if c.pw != nil {
-		if total, err := c.pw.Params.NetworkPowerTotal(delta, window, active, c.pw.Corner); err == nil {
-			s.PowerW = total
+		if b, err := c.pw.Params.NetworkPower(delta.Events, window, active, c.pw.Corner); err == nil {
+			s.PowerW = b.Total()
 		}
 	}
 	if c.th != nil {
@@ -331,7 +319,6 @@ func (c *Collector) sample(n *noc.Network) {
 		}
 	}
 	c.samples = append(c.samples, s)
-	c.injFlits, c.injPkts, c.ejFlits, c.ejPkts, c.dropFlits = 0, 0, 0, 0, 0
 	c.winCycles = 0
 }
 

@@ -59,7 +59,7 @@ func TestCollectorSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := rec.NewCollector(net, "unit")
+	col := rec.NewCollector(net, "unit", rec.Config())
 	net.SetProbe(col)
 	if col.Interval() != 100 || col.Routers() != 16 || col.Label() != "unit" {
 		t.Fatalf("collector metadata: interval %d routers %d label %q", col.Interval(), col.Routers(), col.Label())
@@ -115,7 +115,7 @@ func TestCollectorPowerSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := rec.NewCollector(net, "power")
+	col := rec.NewCollector(net, "power", rec.Config())
 	net.SetProbe(col)
 
 	prev := make([]noc.Events, 16)
@@ -166,7 +166,7 @@ func TestCollectorThermalTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := rec.NewCollector(net, "thermal")
+	col := rec.NewCollector(net, "thermal", rec.Config())
 	net.SetProbe(col)
 	for i := 0; i < 400; i++ { // heat: 4 s of thermal time
 		net.Step()
@@ -211,7 +211,7 @@ func TestAttachMidRunPrimesBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := rec.NewCollector(net, "late")
+	col := rec.NewCollector(net, "late", rec.Config())
 	net.SetProbe(col)
 	for i := 0; i < 100; i++ {
 		net.Step() // no new traffic: the window must be quiet
@@ -242,5 +242,5 @@ func TestAttachWithInvalidConfigPanics(t *testing.T) {
 			t.Error("invalid derived config did not panic")
 		}
 	}()
-	rec.NewCollectorWith(net, "bad", Config{Interval: -1})
+	rec.NewCollector(net, "bad", Config{Interval: -1})
 }

@@ -35,24 +35,19 @@ func NewRecorder(cfg Config) (*Recorder, error) {
 	return &Recorder{cfg: cfg.withDefaults()}, nil
 }
 
-// Config returns the recorder's (defaulted) base configuration, for callers
-// that derive per-point configurations (NewCollectorWith).
+// Config returns the recorder's (defaulted) base configuration, which
+// callers pass to NewCollector as is or derive per-point configurations from.
 func (r *Recorder) Config() Config { return r.cfg }
 
-// NewCollector builds a collector for net with the recorder's base
-// configuration and registers it under label. It does not attach the
-// collector: the caller installs it with net.SetProbe, together with any
-// other probe the network carries. Labels identify sweep points in the
-// serialized output and should be unique per recorder.
-func (r *Recorder) NewCollector(net *noc.Network, label string) *Collector {
-	return r.NewCollectorWith(net, label, r.cfg)
-}
-
-// NewCollectorWith is NewCollector with a per-point configuration override
-// (the fault driver, for example, uses a thermal model scaled to its own
-// cycle time). cfg must be valid; an invalid derived configuration is a
-// programming error and panics.
-func (r *Recorder) NewCollectorWith(net *noc.Network, label string, cfg Config) *Collector {
+// NewCollector builds a collector for net with configuration cfg and
+// registers it under label. cfg is the recorder's Config or one derived from
+// it (the fault driver, for example, uses a thermal model scaled to its own
+// cycle time); it must be valid, and an invalid one is a programming error
+// and panics. NewCollector does not attach the collector: the caller
+// installs it with net.SetProbe, together with any other probe the network
+// carries. Labels identify sweep points in the serialized output and should
+// be unique per recorder.
+func (r *Recorder) NewCollector(net *noc.Network, label string, cfg Config) *Collector {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}

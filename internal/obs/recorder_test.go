@@ -58,7 +58,7 @@ func TestWriteJSONLMergesEventsInCycleOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := rec.NewCollector(net, "merge")
+	col := rec.NewCollector(net, "merge", rec.Config())
 	net.SetProbe(col)
 	col.Emit(5, EventFault, 3, "early")
 	for i := 0; i < 250; i++ {
@@ -107,7 +107,7 @@ func TestWriteJSONLFieldOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := rec.NewCollector(net, "order")
+	col := rec.NewCollector(net, "order", rec.Config())
 	net.SetProbe(col)
 	col.Emit(1, EventFault, 2, "d")
 	for i := 0; i < 50; i++ {
@@ -139,7 +139,7 @@ func TestWriteCSVHeaderMatchesSampleFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := rec.NewCollector(net, "csv")
+	col := rec.NewCollector(net, "csv", rec.Config())
 	net.SetProbe(col)
 	for i := 0; i < 120; i++ {
 		net.Step()
@@ -181,13 +181,13 @@ func TestRecorderWriteFiles(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ { // same label twice: must not overwrite
 		net := testNet(t)
-		net.SetProbe(rec.NewCollector(net, "dup/point"))
+		net.SetProbe(rec.NewCollector(net, "dup/point", rec.Config()))
 		for j := 0; j < 60*(i+1); j++ {
 			net.Step()
 		}
 	}
 	net := testNet(t)
-	net.SetProbe(rec.NewCollector(net, "unique"))
+	net.SetProbe(rec.NewCollector(net, "unique", rec.Config()))
 	for j := 0; j < 60; j++ {
 		net.Step()
 	}
@@ -245,7 +245,7 @@ func TestWriteFilesSurfacesDeviceErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := rec.NewCollector(net, "full")
+	c := rec.NewCollector(net, "full", rec.Config())
 	net.SetProbe(c)
 	for i := 0; i < 20; i++ {
 		net.Step()

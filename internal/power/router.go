@@ -11,6 +11,7 @@
 package power
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -157,10 +158,10 @@ func DefaultRouterParams45nm(cfg noc.Config) RouterParams {
 }
 
 // Breakdown is a power result split into dynamic and leakage watts per
-// component.
+// component, indexed by Component.
 type Breakdown struct {
-	DynamicW map[Component]float64
-	LeakageW map[Component]float64
+	DynamicW [numComponents]float64
+	LeakageW [numComponents]float64
 }
 
 // TotalDynamic returns summed dynamic power in watts.
@@ -172,23 +173,30 @@ func (b Breakdown) TotalLeakage() float64 { return sum(b.LeakageW) }
 // Total returns total power in watts.
 func (b Breakdown) Total() float64 { return b.TotalDynamic() + b.TotalLeakage() }
 
-// sum adds component values in fixed enum order. Ranging over the map
-// directly would add in Go's randomized iteration order, perturbing the
-// last bits of the total from run to run and breaking the bit-for-bit
-// reproducibility the experiment layer promises.
-func sum(m map[Component]float64) float64 {
+// sum adds component values in enum order, so every total is bit-for-bit
+// reproducible.
+func sum(a [numComponents]float64) float64 {
 	var s float64
-	for c := Component(0); c < numComponents; c++ {
-		s += m[c]
+	for _, v := range a {
+		s += v
 	}
 	return s
 }
 
-func newBreakdown() Breakdown {
-	return Breakdown{
-		DynamicW: make(map[Component]float64, int(numComponents)),
-		LeakageW: make(map[Component]float64, int(numComponents)),
+// MarshalJSON writes each array as an object keyed by component name, in
+// name order. Gating appears only when it is non-zero: only runtime gating
+// charges it.
+func (b Breakdown) MarshalJSON() ([]byte, error) {
+	named := func(a [numComponents]float64) map[Component]float64 {
+		m := make(map[Component]float64, len(a))
+		for c, v := range a {
+			if v != 0 || Component(c) != Gating {
+				m[Component(c)] = v
+			}
+		}
+		return m
 	}
+	return json.Marshal(struct{ DynamicW, LeakageW map[Component]float64 }{named(b.DynamicW), named(b.LeakageW)})
 }
 
 // dynScale returns the dynamic-energy scale factor (V/V0)² and leakScale
@@ -211,56 +219,26 @@ func (p RouterParams) RouterPower(events noc.Events, cycles int64, corner Corner
 
 // NetworkPower sums RouterPower over the powered routers of a finished
 // simulation: activeRouters counts powered routers (gated ones contribute
-// nothing), events holds network-wide event totals over the window.
+// nothing), events holds network-wide event totals over the window. Dynamic
+// energy is already network-wide (event totals); the clock tree toggles in
+// every active router, and leakage accrues per router. Gating stays zero:
+// only runtime gating charges it. It allocates nothing, so the telemetry
+// sampler calls it inside the simulator's zero-allocation steady state.
 func (p RouterParams) NetworkPower(events noc.Events, cycles int64, activeRouters int, corner Corner) (Breakdown, error) {
-	dyn, leak, err := p.networkTerms(events, cycles, activeRouters, corner)
-	if err != nil {
-		return Breakdown{}, err
-	}
-	// Gating stays absent from the maps: only runtime gating charges it.
-	b := newBreakdown()
-	for c := Component(0); c < Gating; c++ {
-		b.DynamicW[c], b.LeakageW[c] = dyn[c], leak[c]
-	}
-	return b, nil
-}
-
-// NetworkPowerTotal returns NetworkPower(...).Total() without allocating:
-// the telemetry sampler calls it at interval boundaries inside the simulator
-// hot path, where building the map-based Breakdown would break the
-// zero-allocation steady-state guarantee. It sums the same terms in
-// Breakdown's fixed enum order, so the result is bit-identical to
-// NetworkPower(...).Total() (a unit test pins this).
-func (p RouterParams) NetworkPowerTotal(events noc.Events, cycles int64, activeRouters int, corner Corner) (float64, error) {
-	dyn, leak, err := p.networkTerms(events, cycles, activeRouters, corner)
-	if err != nil {
-		return 0, err
-	}
-	var d, l float64
-	for c := range dyn {
-		d += dyn[c]
-		l += leak[c]
-	}
-	return d + l, nil
-}
-
-// networkTerms computes NetworkPower's per-component dynamic and leakage
-// watts into fixed arrays. Dynamic energy is already network-wide (event
-// totals); the clock tree toggles in every active router, and leakage
-// accrues per router.
-func (p RouterParams) networkTerms(events noc.Events, cycles int64, activeRouters int, corner Corner) (dyn, leak [numComponents]float64, err error) {
+	var b Breakdown
 	if activeRouters < 0 {
-		return dyn, leak, fmt.Errorf("power: negative router count %d", activeRouters)
+		return b, fmt.Errorf("power: negative router count %d", activeRouters)
 	}
 	if err := corner.Validate(); err != nil {
-		return dyn, leak, err
+		return b, err
 	}
 	if cycles <= 0 {
-		return dyn, leak, fmt.Errorf("power: non-positive cycle count %d", cycles)
+		return b, fmt.Errorf("power: non-positive cycle count %d", cycles)
 	}
 	ds, ls := p.dynScale(corner), p.leakScale(corner)
 	seconds := float64(cycles) / corner.FreqHz
 	ar := float64(activeRouters)
+	dyn, leak := &b.DynamicW, &b.LeakageW
 
 	dyn[Buffer] = ds * (float64(events.BufferWrites)*p.EBufferWrite + float64(events.BufferReads)*p.EBufferRead) / seconds
 	dyn[Crossbar] = ds * float64(events.XbarTraversals) * p.EXbar / seconds
@@ -273,7 +251,7 @@ func (p RouterParams) networkTerms(events noc.Events, cycles int64, activeRouter
 	leak[Allocator] = ls * p.LeakArb * ar
 	leak[ClockTree] = ls * p.LeakClock * ar
 	leak[Link] = ls * p.LeakLink * ar
-	return dyn, leak, nil
+	return b, nil
 }
 
 // SyntheticRouterEvents returns the per-cycle event profile of one router

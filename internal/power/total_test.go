@@ -1,6 +1,7 @@
 package power
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -11,36 +12,9 @@ func testRouterParams() RouterParams {
 	return DefaultRouterParams45nm(noc.DefaultConfig())
 }
 
-// TestNetworkPowerTotalMatchesBreakdown pins the alloc-free fast path against
-// the map-based reference: for every corner, router count, and load level the
-// two must agree bit-for-bit, because the telemetry samples it produces are
-// compared byte-for-byte against golden files.
-func TestNetworkPowerTotalMatchesBreakdown(t *testing.T) {
-	p := testRouterParams()
-	const cycles = 10000
-	corners := map[string]Corner{"nominal": Nominal, "mid": Mid, "low": Low}
-	for name, corner := range corners {
-		for _, routers := range []int{0, 1, 5, 16, 64} {
-			for _, rate := range []float64{0, 0.05, 0.4, 1.0} {
-				events := SyntheticRouterEvents(rate*float64(routers), cycles, 5)
-				want, err := p.NetworkPower(events, cycles, routers, corner)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := p.NetworkPowerTotal(events, cycles, routers, corner)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want.Total() {
-					t.Errorf("%s corner, %d routers, rate %g: fast total %v != breakdown total %v",
-						name, routers, rate, got, want.Total())
-				}
-			}
-		}
-	}
-}
-
-func TestNetworkPowerTotalRejectsBadInputs(t *testing.T) {
+// TestNetworkPowerRejectsBadInputs: a negative router count, a non-positive
+// cycle count and an invalid corner are errors.
+func TestNetworkPowerRejectsBadInputs(t *testing.T) {
 	p := testRouterParams()
 	events := SyntheticRouterEvents(0.4, 1000, 5)
 	cases := []struct {
@@ -56,12 +30,52 @@ func TestNetworkPowerTotalRejectsBadInputs(t *testing.T) {
 		{"zero frequency", 1000, 16, Corner{VDD: 1.0, FreqHz: 0}},
 	}
 	for _, c := range cases {
-		if _, err := p.NetworkPowerTotal(events, c.cycles, c.routers, c.corner); err == nil {
-			t.Errorf("%s: fast path accepted", c.name)
-		}
-		// The reference path must reject the same inputs.
 		if _, err := p.NetworkPower(events, c.cycles, c.routers, c.corner); err == nil {
-			t.Errorf("%s: reference path accepted", c.name)
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// TestNetworkPowerAllocatesNothing: the telemetry sampler prices every
+// window with NetworkPower inside Step's zero-allocation steady state.
+func TestNetworkPowerAllocatesNothing(t *testing.T) {
+	p := testRouterParams()
+	events := SyntheticRouterEvents(6.4, 10000, 5)
+	var total float64
+	allocs := testing.AllocsPerRun(100, func() {
+		b, err := p.NetworkPower(events, 10000, 16, Nominal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += b.Total()
+	})
+	if allocs != 0 {
+		t.Errorf("NetworkPower allocates %.0f objects per call, want 0", allocs)
+	}
+}
+
+// TestBreakdownJSON pins the name-keyed objects a Breakdown marshals to
+// (the registry's fig2 result carries them): every component in name order,
+// with gating only when it is non-zero.
+func TestBreakdownJSON(t *testing.T) {
+	var b Breakdown
+	b.DynamicW[Buffer], b.DynamicW[Link], b.LeakageW[ClockTree] = 1.5, 0.25, 2
+	for _, c := range []struct {
+		gating float64
+		want   string
+	}{
+		{0, `{"DynamicW":{"allocator":0,"buffer":1.5,"clock":0,"crossbar":0,"link":0.25},` +
+			`"LeakageW":{"allocator":0,"buffer":0,"clock":2,"crossbar":0,"link":0}}`},
+		{3, `{"DynamicW":{"allocator":0,"buffer":1.5,"clock":0,"crossbar":0,"gating":3,"link":0.25},` +
+			`"LeakageW":{"allocator":0,"buffer":0,"clock":2,"crossbar":0,"link":0}}`},
+	} {
+		b.DynamicW[Gating] = c.gating
+		got, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("gating %g:\n got %s\nwant %s", c.gating, got, c.want)
 		}
 	}
 }
