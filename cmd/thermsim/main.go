@@ -75,7 +75,7 @@ func run(w io.Writer, mode string, powerW float64, benchmark, schemeName string,
 		if err != nil {
 			return err
 		}
-		powerW = dec.Chip.Total() + s.Config().SprintUncoreW
+		powerW = dec.PowerW
 		fmt.Fprintf(w, "benchmark %s under %v: level %d, chip power %.1f W (incl. sprint uncore)\n",
 			benchmark, scheme, dec.Level, powerW)
 		if mode == "phases" {

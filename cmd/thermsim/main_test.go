@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"nocsprint/internal/core"
+	"nocsprint/internal/workload"
 )
 
 // options are run's inputs, one per flag.
@@ -66,6 +70,52 @@ func TestRunModes(t *testing.T) {
 		for _, want := range c.want {
 			if !strings.Contains(out, want) {
 				t.Errorf("%s: output lacks %q:\n%s", c.name, want, out)
+			}
+		}
+	}
+}
+
+// TestPhasesMatchDurationRegistry: for every PARSEC benchmark, -mode phases
+// -benchmark B prints, under -scheme full and -scheme noc, exactly the sprint
+// duration the duration registry result holds for B (or SUSTAINABLE when
+// that duration is infinite): thermsim and the registry price a sprint with
+// the same power.
+func TestPhasesMatchDurationRegistry(t *testing.T) {
+	s, err := core.New(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := core.LookupExperiment("duration")
+	if !ok {
+		t.Fatal("no duration registry entry")
+	}
+	res, err := e.Run(s, core.NetSimParams{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := res.(core.DurationResult).Rows
+	if len(rows) != len(workload.Profiles()) {
+		t.Fatalf("duration result has %d rows, want one per PARSEC benchmark", len(rows))
+	}
+	for _, row := range rows {
+		for _, c := range []struct {
+			scheme string
+			want   float64
+		}{{"full", row.FullSprint}, {"noc", row.NoCSprint}} {
+			o := defaults()
+			o.benchmark, o.scheme = row.Benchmark, c.scheme
+			out, err := o.run()
+			if err != nil {
+				t.Fatalf("%s -scheme %s: %v", row.Benchmark, c.scheme, err)
+			}
+			lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+			last := lines[len(lines)-1]
+			want := fmt.Sprintf("total sprint duration:                  %.3f s", c.want)
+			if math.IsInf(c.want, 1) {
+				want = "sprint is SUSTAINABLE: the chip never reaches the thermal limit"
+			}
+			if last != want {
+				t.Errorf("%s -scheme %s prints %q, the duration registry result holds %q", row.Benchmark, c.scheme, last, want)
 			}
 		}
 	}

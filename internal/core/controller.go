@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"nocsprint/internal/thermal"
 	"nocsprint/internal/workload"
@@ -137,28 +136,16 @@ func (c *Controller) RunTrace(bursts []Burst, horizonS float64) (TraceResult, er
 		res.Completions[i] = math.NaN()
 	}
 
-	// Precompute per-profile level, speedup, and sprint power.
-	type plan struct {
-		level   int
-		speedup float64
-		powerW  float64
-	}
-	plans := make([]plan, len(bursts))
-	nominalDec, err := c.s.Decide(workload.Profiles()[0], NonSprinting)
+	// Precompute each burst's level, speedup and sprint power.
+	plans := make([]Decision, len(bursts))
+	nominal, err := c.s.Decide(workload.Profiles()[0], NonSprinting)
 	if err != nil {
 		return TraceResult{}, err
 	}
-	nominalPowerW := nominalDec.Chip.Total()
 	for i, b := range bursts {
-		d, err := c.s.Decide(b.Profile, c.cfg.Scheme)
-		if err != nil {
+		if plans[i], err = c.s.Decide(b.Profile, c.cfg.Scheme); err != nil {
 			return TraceResult{}, err
 		}
-		powerW := d.Chip.Total()
-		if d.Level > 1 {
-			powerW += c.s.cfg.SprintUncoreW
-		}
-		plans[i] = plan{level: d.Level, speedup: d.Speedup, powerW: powerW}
 	}
 
 	var (
@@ -182,10 +169,10 @@ func (c *Controller) RunTrace(bursts []Burst, horizonS float64) (TraceResult, er
 		temp, throttled := th.TempK(), th.Tripped()
 
 		// Pick the operating point.
-		level, speedup, powerW := 1, 1.0, nominalPowerW
+		level, speedup, powerW := 1, 1.0, nominal.PowerW
 		if current >= 0 && !throttled {
 			p := plans[current]
-			level, speedup, powerW = p.level, p.speedup, p.powerW
+			level, speedup, powerW = p.Level, p.Speedup, p.PowerW
 		}
 		if current < 0 {
 			// Idle chip: nominal power, no progress.
@@ -281,30 +268,4 @@ func ControllerStudy(s *Sprinter) ([]ControllerRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// RandomBurstTrace draws a Poisson-like burst trace over the PARSEC suite:
-// n bursts with exponential inter-arrival gaps (mean meanGapS) and
-// exponential work sizes (mean meanWorkS), benchmarks drawn uniformly.
-// Deterministic for a given rng.
-func RandomBurstTrace(rng *rand.Rand, n int, meanGapS, meanWorkS float64) ([]Burst, error) {
-	if n < 1 || meanGapS <= 0 || meanWorkS <= 0 {
-		return nil, fmt.Errorf("core: invalid trace parameters n=%d gap=%g work=%g", n, meanGapS, meanWorkS)
-	}
-	profiles := workload.Profiles()
-	var bursts []Burst
-	t := 0.0
-	for i := 0; i < n; i++ {
-		t += rng.ExpFloat64() * meanGapS
-		work := rng.ExpFloat64() * meanWorkS
-		if work < 0.05 {
-			work = 0.05 // sub-50ms bursts are below the sprint horizon
-		}
-		bursts = append(bursts, Burst{
-			Profile:     profiles[rng.Intn(len(profiles))],
-			WorkSeconds: work,
-			ArrivalS:    t,
-		})
-	}
-	return bursts, nil
 }

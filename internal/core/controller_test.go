@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"nocsprint/internal/workload"
@@ -215,64 +214,43 @@ func TestControllerFIFOCompletionOrder(t *testing.T) {
 	}
 }
 
-func TestRandomBurstTrace(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	bursts, err := RandomBurstTrace(rng, 20, 2.0, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bursts) != 20 {
-		t.Fatalf("%d bursts", len(bursts))
-	}
-	prev := -1.0
-	for i, b := range bursts {
-		if b.ArrivalS < prev {
-			t.Fatal("arrivals not sorted")
-		}
-		prev = b.ArrivalS
-		if b.WorkSeconds < 0.05 {
-			t.Fatalf("burst %d work too small", i)
-		}
-		if err := b.Profile.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Deterministic for a given seed.
-	again, err := RandomBurstTrace(rand.New(rand.NewSource(4)), 20, 2.0, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range bursts {
-		if bursts[i].ArrivalS != again[i].ArrivalS || bursts[i].Profile.Name != again[i].Profile.Name {
-			t.Fatal("trace not deterministic")
-		}
-	}
-	if _, err := RandomBurstTrace(rng, 0, 1, 1); err == nil {
-		t.Error("zero bursts accepted")
-	}
-	if _, err := RandomBurstTrace(rng, 5, 0, 1); err == nil {
-		t.Error("zero gap accepted")
-	}
-	if _, err := RandomBurstTrace(rng, 5, 1, 0); err == nil {
-		t.Error("zero work accepted")
-	}
-	// A random trace runs end to end through the controller.
+// TestSprintThermalMatchesControllerPower: SprintThermal's phases are
+// Lumped.SprintPhases at exactly the power RunTrace charges the same burst,
+// for every PARSEC profile and every sprinting scheme, and for a profile
+// that cannot use a second core (Parallelism 1: NoC-sprinting and
+// fine-grained sprinting run it on one core, and neither model charges the
+// sprint uncore).
+func TestSprintThermalMatchesControllerPower(t *testing.T) {
 	s := newSprinter(t)
-	ctl, err := NewController(s, DefaultControllerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	short, err := RandomBurstTrace(rand.New(rand.NewSource(9)), 5, 3.0, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ctl.RunTrace(short, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range res.Completions {
-		if math.IsNaN(c) {
-			t.Errorf("burst %d unfinished", i)
+	serial := workload.Profiles()[0]
+	serial.Name, serial.Parallelism = "serial", 1
+	for _, p := range append(workload.Profiles(), serial) {
+		for _, scheme := range []Scheme{FullSprinting, FineGrained, NoCSprinting} {
+			ph, d, err := s.SprintThermal(p, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Name == serial.Name && scheme != FullSprinting && d.Level != 1 {
+				t.Fatalf("%s under %v: level %d, want 1", p.Name, scheme, d.Level)
+			}
+			// One 1 s step at t=0, inside a burst that outlasts it, charges
+			// the burst's sprint power exactly once.
+			ctl, err := NewController(s, ControllerConfig{Scheme: scheme, DtS: 1, ResumeMarginK: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ctl.RunTrace([]Burst{{Profile: p, WorkSeconds: 100}}, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := s.Config().Lumped.SprintPhases(res.EnergyJ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ph != want {
+				t.Errorf("%s under %v (level %d): SprintThermal phases %+v, but RunTrace charges %g W, whose phases are %+v",
+					p.Name, scheme, d.Level, ph, res.EnergyJ, want)
+			}
 		}
 	}
 }

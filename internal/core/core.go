@@ -90,9 +90,11 @@ type Config struct {
 	// SprintUncoreW is the extra dynamic power of the shared uncore (L2
 	// banks, memory controller, I/O) under full sprint activity, on top of
 	// the idle-calibrated chip model. It is independent of the sprint
-	// level — shared resources serve whichever cores are active — and
-	// feeds only the thermal duration analysis (§4.4), where McPAT-style
-	// full-activity uncore power dominates the gap between sprint levels.
+	// level — shared resources serve whichever cores are active — and is
+	// charged whenever more than one core runs (Decision.PowerW). It feeds
+	// only the thermal models (§4.4's durations, the burst controller, the
+	// fault sweep's trip), where McPAT-style full-activity uncore power
+	// dominates the gap between sprint levels.
 	SprintUncoreW float64
 }
 
@@ -167,17 +169,6 @@ func (s *Sprinter) Config() Config { return s.cfg }
 // Mesh returns the logical mesh.
 func (s *Sprinter) Mesh() mesh.Mesh { return s.mesh }
 
-// Plan returns the active floorplan (identity when disabled), building it
-// on the first call. It panics if Algorithm 4 rejects the activation order,
-// which New always computes as a permutation, so only a bug can.
-func (s *Sprinter) Plan() *floorplan.Plan {
-	plan, err := s.activePlan()
-	if err != nil {
-		panic(err)
-	}
-	return plan
-}
-
 // activePlan builds the active floorplan once, on the first call from any
 // goroutine, and returns it with its construction error.
 func (s *Sprinter) activePlan() (*floorplan.Plan, error) {
@@ -229,6 +220,60 @@ type Decision struct {
 	Chip power.ChipBreakdown
 	// NoCTilesOn is the number of powered routers.
 	NoCTilesOn int
+	// PowerW is the constant power the sprint draws, which the thermal
+	// models integrate: the chip total plus, when more than one core runs,
+	// the sprint-activity uncore.
+	PowerW float64
+}
+
+// darkState is what scheme keeps powered on the tiles a sprint leaves dark:
+// whether their cores idle (clock-gated, still leaking) rather than being
+// power-gated, and whether their routers stay on. Fine-grained sprinting
+// idles the dark cores under a fully powered network (Figure 8's middle
+// bar); NoC-sprinting gates the dark cores and their routers (§3.1);
+// non- and full-sprinting gate dark cores and keep every router on.
+func darkState(scheme Scheme) (idleCores, routersOn bool, err error) {
+	switch scheme {
+	case NonSprinting, FullSprinting:
+		return false, true, nil
+	case FineGrained:
+		return true, true, nil
+	case NoCSprinting:
+		return false, false, nil
+	}
+	return false, false, fmt.Errorf("core: unknown scheme %v", scheme)
+}
+
+// chipPower prices scheme's sprint at level with the chip model: level
+// active cores, the dark rest idle or gated, and the routers darkState keeps
+// on, whose count it also returns.
+func (s *Sprinter) chipPower(scheme Scheme, level int) (power.ChipBreakdown, int, error) {
+	idleCores, routersOn, err := darkState(scheme)
+	if err != nil {
+		return nil, 0, err
+	}
+	n := s.mesh.Nodes()
+	idle, gated, nocOn := 0, n-level, level
+	if idleCores {
+		idle, gated = gated, 0
+	}
+	if routersOn {
+		nocOn = n
+	}
+	chip, err := s.cfg.Chip.ChipPower(level, idle, gated, nocOn)
+	return chip, nocOn, err
+}
+
+// sprintPower is the constant power a sprint at level draws: the chip
+// total, plus the shared uncore's sprint activity (SprintUncoreW) when more
+// than one core runs. A level-1 "sprint" is nominal operation and pays no
+// uncore.
+func (s *Sprinter) sprintPower(chip power.ChipBreakdown, level int) float64 {
+	w := chip.Total()
+	if level > 1 {
+		w += s.cfg.SprintUncoreW
+	}
+	return w
 }
 
 // Decide evaluates scheme for workload p: level selection, execution time,
@@ -237,28 +282,9 @@ func (s *Sprinter) Decide(p workload.Profile, scheme Scheme) (Decision, error) {
 	if err := p.Validate(); err != nil {
 		return Decision{}, err
 	}
-	n := s.mesh.Nodes()
 	level := s.Level(p, scheme)
-	hops := workload.AvgHops(s.mesh, s.order[:level])
-	execT := p.Time(level, hops)
-
-	var states []power.CoreState
-	nocOn := n
-	switch scheme {
-	case NonSprinting:
-		states = power.NominalStates(n)
-	case FullSprinting:
-		states = power.SprintStates(n, n, true)
-	case FineGrained:
-		// Optimal level, but no power gating anywhere.
-		states = power.SprintStates(n, level, false)
-	case NoCSprinting:
-		states = power.SprintStates(n, level, true)
-		nocOn = level
-	default:
-		return Decision{}, fmt.Errorf("core: unknown scheme %v", scheme)
-	}
-	chip, err := s.cfg.Chip.ChipPower(states, nocOn)
+	execT := p.Time(level, workload.AvgHops(s.mesh, s.order[:level]))
+	chip, nocOn, err := s.chipPower(scheme, level)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -270,6 +296,7 @@ func (s *Sprinter) Decide(p workload.Profile, scheme Scheme) (Decision, error) {
 		CorePowerW:  chip[power.CompCore],
 		Chip:        chip,
 		NoCTilesOn:  nocOn,
+		PowerW:      s.sprintPower(chip, level),
 	}, nil
 }
 
@@ -508,9 +535,9 @@ func (s *Sprinter) EvaluateNetwork(p workload.Profile, scheme Scheme, sp NetSimP
 	if level < 2 {
 		// A single-node "network" exchanges no traffic; report an idle
 		// network at the appropriate power state.
-		routersOn := s.mesh.Nodes()
-		if scheme == NoCSprinting {
-			routersOn = 1
+		_, routersOn, err := s.chipPower(scheme, level)
+		if err != nil {
+			return NetworkEval{}, err
 		}
 		bd, err := s.cfg.Router.NetworkPower(noc.Events{}, int64(sp.Measure), routersOn, s.cfg.Corner)
 		if err != nil {
@@ -558,43 +585,46 @@ func (s *Sprinter) TilePowerMap(level int, scheme Scheme, useFloorplan bool) ([]
 	if level < 1 || level > n {
 		return nil, fmt.Errorf("core: level %d outside [1,%d]", level, n)
 	}
-	cp := s.cfg.Chip
-	activeTile := cp.CoreActiveW + cp.NoCTileW + cp.L2BankW
-	var darkTile float64
-	switch scheme {
-	case FullSprinting, NonSprinting, FineGrained:
-		// Network stays powered at dark tiles; fine-grained also leaves
-		// cores idling rather than gated.
-		darkCore := cp.CoreGatedW
-		if scheme == FineGrained {
-			darkCore = cp.CoreIdleW
-		}
-		darkTile = darkCore + cp.NoCTileW + cp.L2BankW
-	case NoCSprinting:
-		darkTile = cp.CoreGatedW + cp.L2BankW
-	default:
-		return nil, fmt.Errorf("core: unknown scheme %v", scheme)
+	idleCores, routersOn, err := darkState(scheme)
+	if err != nil {
+		return nil, err
 	}
+	cp := s.cfg.Chip
+	darkCore, darkNoC := cp.CoreGatedW, 0.0
+	if idleCores {
+		darkCore = cp.CoreIdleW
+	}
+	if routersOn {
+		darkNoC = cp.NoCTileW
+	}
+	activeTile := cp.CoreActiveW + cp.NoCTileW + cp.L2BankW
+	darkTile := darkCore + darkNoC + cp.L2BankW
 
-	var plan *floorplan.Plan
-	if useFloorplan {
-		var err error
-		if plan, err = s.activePlan(); err != nil {
-			return nil, err
-		}
+	slot, err := s.slots(useFloorplan)
+	if err != nil {
+		return nil, err
 	}
 	tiles := make([]float64, n)
 	for i := range tiles {
 		tiles[i] = darkTile
 	}
 	for _, logical := range s.order[:level] {
-		slot := logical
-		if plan != nil {
-			slot = plan.Pos(logical)
-		}
-		tiles[slot] = activeTile
+		tiles[slot(logical)] = activeTile
 	}
 	return tiles, nil
+}
+
+// slots returns where each logical tile sits on the die: through the
+// thermal-aware plan when useFloorplan is true, in place otherwise.
+func (s *Sprinter) slots(useFloorplan bool) (func(logical int) int, error) {
+	if !useFloorplan {
+		return func(logical int) int { return logical }, nil
+	}
+	plan, err := s.activePlan()
+	if err != nil {
+		return nil, err
+	}
+	return plan.Pos, nil
 }
 
 // HeatMap solves the steady-state heat map of a sprint configuration.
@@ -606,19 +636,14 @@ func (s *Sprinter) HeatMap(level int, scheme Scheme, useFloorplan bool) (*therma
 	return thermal.SteadyState(s.cfg.Grid, tiles)
 }
 
-// SprintThermal returns the sprint phases for workload p under scheme,
-// using the scheme's total chip power — plus the sprint-activity uncore
-// power for actual sprints — as the constant sprint power.
+// SprintThermal returns the sprint phases for workload p under scheme at
+// the decision's constant sprint power (Decision.PowerW).
 func (s *Sprinter) SprintThermal(p workload.Profile, scheme Scheme) (thermal.Phases, Decision, error) {
 	d, err := s.Decide(p, scheme)
 	if err != nil {
 		return thermal.Phases{}, Decision{}, err
 	}
-	powerW := d.Chip.Total()
-	if scheme != NonSprinting {
-		powerW += s.cfg.SprintUncoreW
-	}
-	ph, err := s.cfg.Lumped.SprintPhases(powerW)
+	ph, err := s.cfg.Lumped.SprintPhases(d.PowerW)
 	if err != nil {
 		return thermal.Phases{}, Decision{}, err
 	}
@@ -629,9 +654,11 @@ func (s *Sprinter) SprintThermal(p workload.Profile, scheme Scheme) (thermal.Pha
 // from an actual cycle-accurate network run of workload p under scheme —
 // closing the loop from simulated router activity to temperature, rather
 // than assuming a constant NoC power per tile as the Figure 12 abstraction
-// does. Core and L2 power follow the scheme's power states; each tile's
-// network power is its own router's measured events through the DSENT-like
-// model (gated routers contribute nothing).
+// does. Each tile is TilePowerMap's, plus its own powered router's measured
+// events through the DSENT-like model (gated routers add nothing). The
+// DSENT-scale router numbers (mW) ride on the McPAT-scale tile baseline, so
+// the map is dominated by core state — as in the paper — while hot routers
+// add visible gradients.
 func (s *Sprinter) TrafficHeatMap(p workload.Profile, scheme Scheme, useFloorplan bool, sp NetSimParams) (*thermal.HeatMap, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -643,9 +670,10 @@ func (s *Sprinter) TrafficHeatMap(p workload.Profile, scheme Scheme, useFloorpla
 	if err != nil {
 		return nil, err
 	}
-
-	n := s.mesh.Nodes()
-	routerW := make([]float64, n)
+	tiles, err := s.TilePowerMap(level, scheme, useFloorplan)
+	if err != nil {
+		return nil, err
+	}
 	if level >= 2 {
 		// Every scheme, full-sprinting included, sends traffic only among
 		// the region's nodes.
@@ -656,50 +684,20 @@ func (s *Sprinter) TrafficHeatMap(p workload.Profile, scheme Scheme, useFloorpla
 		if _, err := sp.run(net, traffic.NewSet(region.ActiveNodes()), p.InjRate, sp.Seed); err != nil {
 			return nil, err
 		}
-		cycles := net.Cycle()
-		for id := 0; id < n; id++ {
-			if scheme == NoCSprinting && !region.Active(id) {
-				continue // gated: no router power at this tile
-			}
-			bd, err := s.cfg.Router.RouterPower(net.RouterEvents(id), cycles, s.cfg.Corner)
-			if err != nil {
-				return nil, err
-			}
-			routerW[id] = bd.Total()
-		}
-	}
-
-	// Per-tile power: core state + L2 bank + measured router power. The
-	// DSENT-scale router numbers (mW) ride on top of the McPAT-scale tile
-	// baseline, so the map is dominated by core state — as in the paper —
-	// while hot routers add visible gradients.
-	cp := s.cfg.Chip
-	tiles := make([]float64, n)
-	for id := 0; id < n; id++ {
-		coreW := cp.CoreGatedW
-		if region.Active(id) {
-			coreW = cp.CoreActiveW
-		} else if scheme == FineGrained {
-			coreW = cp.CoreIdleW
-		}
-		nocW := routerW[id]
-		if scheme != NoCSprinting || region.Active(id) {
-			// Un-gated tiles also pay the chip-model NoC baseline
-			// (links, always-on clocking at McPAT granularity).
-			nocW += cp.NoCTileW
-		}
-		tiles[id] = coreW + cp.L2BankW + nocW
-	}
-	if useFloorplan {
-		plan, err := s.activePlan()
+		slot, err := s.slots(useFloorplan)
 		if err != nil {
 			return nil, err
 		}
-		remapped := make([]float64, n)
-		for logical := 0; logical < n; logical++ {
-			remapped[plan.Pos(logical)] = tiles[logical]
+		for id := 0; id < s.mesh.Nodes(); id++ {
+			if !net.RouterActive(id) {
+				continue
+			}
+			bd, err := s.cfg.Router.RouterPower(net.RouterEvents(id), net.Cycle(), s.cfg.Corner)
+			if err != nil {
+				return nil, err
+			}
+			tiles[slot(id)] += bd.Total()
 		}
-		tiles = remapped
 	}
 	return thermal.SteadyState(s.cfg.Grid, tiles)
 }

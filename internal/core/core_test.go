@@ -350,7 +350,7 @@ func TestActivationOrderAndRegionAccessors(t *testing.T) {
 	if r.Level() != 8 || !r.Active(0) {
 		t.Error("region accessor wrong")
 	}
-	if s.Mesh().Nodes() != 16 || s.Plan() == nil {
+	if plan, err := s.activePlan(); s.Mesh().Nodes() != 16 || plan == nil || err != nil {
 		t.Error("accessors wrong")
 	}
 }
@@ -388,7 +388,11 @@ func TestFloorplanOnFirstUse(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			plans[i] = s.Plan()
+			plan, err := s.activePlan()
+			if err != nil {
+				t.Error(err)
+			}
+			plans[i] = plan
 		}(i)
 	}
 	wg.Wait()
@@ -407,8 +411,8 @@ func TestFloorplanOnFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := off.Plan(); !reflect.DeepEqual(got, floorplan.Identity(off.Mesh())) {
-		t.Errorf("plan without floorplanning is %v, want the identity", got.Positions())
+	if got, err := off.activePlan(); err != nil || !reflect.DeepEqual(got, floorplan.Identity(off.Mesh())) {
+		t.Errorf("plan without floorplanning is %v (%v), want the identity", got, err)
 	}
 }
 
@@ -419,8 +423,12 @@ func TestNoFloorplanUsesIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := s.activePlan()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 16; i++ {
-		if s.Plan().Pos(i) != i {
+		if plan.Pos(i) != i {
 			t.Fatal("identity plan expected when floorplanning disabled")
 		}
 	}

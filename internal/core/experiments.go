@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"nocsprint/internal/cache"
-	"nocsprint/internal/ckpt"
 	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/power"
@@ -62,7 +61,7 @@ func Fig3ChipBreakdown() ([]Fig3Row, error) {
 	params := power.DefaultChipParams()
 	var rows []Fig3Row
 	for _, n := range []int{4, 8, 16, 32} {
-		b, err := params.ChipPower(power.NominalStates(n), n)
+		b, err := params.ChipPower(1, 0, n-1, n)
 		if err != nil {
 			return nil, err
 		}
@@ -662,7 +661,7 @@ func LeakageFeedbackAnalysis(s *Sprinter, fb power.LeakageFeedback) (FeedbackRes
 	var out FeedbackResult
 	n := s.mesh.Nodes()
 	for level := 1; level <= n; level++ {
-		chip, err := s.cfg.Chip.ChipPower(power.SprintStates(n, level, true), level)
+		chip, _, err := s.chipPower(NoCSprinting, level)
 		if err != nil {
 			return FeedbackResult{}, err
 		}
@@ -827,7 +826,7 @@ func ScalingStudy(widths []int, sp NetSimParams) ([]ScaleRow, error) {
 		level := n / 4
 		m := mesh.New(w, w)
 
-		cb, err := chip.ChipPower(power.NominalStates(n), n)
+		cb, err := chip.ChipPower(1, 0, n-1, n)
 		if err != nil {
 			return ScaleRow{}, err
 		}
@@ -989,12 +988,10 @@ type DimDarkPoint struct {
 // voltage/frequency (dark) or more cores at a reduced corner (dim)?
 // Performance is modelled as (f/f_nominal) / T_norm(level): frequency
 // scales compute speed, the workload model supplies parallel efficiency.
-// Uncore power is charged at its nominal value in both cases. The
-// (budget, benchmark) cells fan out across sp.Workers (0 = all cores);
-// sp.Ctx cancels the sweep and sp.Journal checkpoints it. The study is
-// analytic (no cycle simulation), so sp's simulation windows are unused
-// and excluded from the checkpoint keys.
-func DimVsDark(s *Sprinter, budgetsW []float64, benchmarks []string, sp NetSimParams) ([]DimDarkPoint, error) {
+// Uncore power is charged at its nominal value in both cases. The study is
+// analytic: its (budget, benchmark) cells take microseconds, so they run in
+// a plain loop and are never journaled.
+func DimVsDark(s *Sprinter, budgetsW []float64, benchmarks []string) ([]DimDarkPoint, error) {
 	if len(budgetsW) == 0 {
 		budgetsW = []float64{25, 30, 40, 60, 100}
 	}
@@ -1008,55 +1005,41 @@ func DimVsDark(s *Sprinter, budgetsW []float64, benchmarks []string, sp NetSimPa
 	uncoreFixed := float64(n)*chip.L2BankW + chip.MCW + chip.OtherW
 
 	corners := []power.Corner{power.Nominal, power.Mid, power.Low}
-	type task struct {
-		budget float64
-		name   string
-	}
-	var tasks []task
+	var out []DimDarkPoint
 	for _, budget := range budgetsW {
 		for _, name := range benchmarks {
-			tasks = append(tasks, task{budget: budget, name: name})
-		}
-	}
-	key := func(tk task) (string, error) {
-		return ckpt.Key(struct {
-			Driver    string
-			Config    Config
-			BudgetW   float64
-			Benchmark string
-		}{"dimvsdark", s.cfg, tk.budget, tk.name})
-	}
-	return sweepKeyed(sp, tasks, key, func(tk task) (DimDarkPoint, error) {
-		p, err := workload.ByName(tk.name)
-		if err != nil {
-			return DimDarkPoint{}, err
-		}
-		pt := DimDarkPoint{BudgetW: tk.budget, Benchmark: tk.name}
-		for _, corner := range corners {
-			corePower, err := chip.CoreActiveAt(corner)
+			p, err := workload.ByName(name)
 			if err != nil {
-				return DimDarkPoint{}, err
+				return nil, err
 			}
-			fr := corner.FreqHz / power.Nominal.FreqHz
-			for level := 1; level <= n; level++ {
-				total := uncoreFixed + float64(level)*(corePower+chip.NoCTileW) +
-					float64(n-level)*chip.CoreGatedW
-				if total > tk.budget {
-					break // higher levels only cost more
+			pt := DimDarkPoint{BudgetW: budget, Benchmark: name}
+			for _, corner := range corners {
+				corePower, err := chip.CoreActiveAt(corner)
+				if err != nil {
+					return nil, err
 				}
-				perf := fr / p.NormTime(level, workload.AvgHops(s.mesh, s.order[:level]))
-				if corner == power.Nominal {
-					if perf > pt.DarkPerf {
-						pt.DarkPerf, pt.DarkLevel = perf, level
+				fr := corner.FreqHz / power.Nominal.FreqHz
+				for level := 1; level <= n; level++ {
+					total := uncoreFixed + float64(level)*(corePower+chip.NoCTileW) +
+						float64(n-level)*chip.CoreGatedW
+					if total > budget {
+						break // higher levels only cost more
 					}
-				} else if perf > pt.DimPerf {
-					pt.DimPerf, pt.DimLevel, pt.DimCorner = perf, level, corner
+					perf := fr / p.NormTime(level, workload.AvgHops(s.mesh, s.order[:level]))
+					if corner == power.Nominal {
+						if perf > pt.DarkPerf {
+							pt.DarkPerf, pt.DarkLevel = perf, level
+						}
+					} else if perf > pt.DimPerf {
+						pt.DimPerf, pt.DimLevel, pt.DimCorner = perf, level, corner
+					}
 				}
 			}
+			pt.DimWins = pt.DimPerf > pt.DarkPerf
+			out = append(out, pt)
 		}
-		pt.DimWins = pt.DimPerf > pt.DarkPerf
-		return pt, nil
-	})
+	}
+	return out, nil
 }
 
 // LLCRow is one configuration of the §3.4 last-level-cache study.

@@ -394,7 +394,7 @@ func TestSensitivitySweep(t *testing.T) {
 
 func TestDimVsDark(t *testing.T) {
 	s := newSprinter(t)
-	points, err := DimVsDark(s, nil, nil, NetSimParams{})
+	points, err := DimVsDark(s, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestDimVsDark(t *testing.T) {
 	if !darkWinSomewhere {
 		t.Error("dark silicon never wins — crossover missing")
 	}
-	if _, err := DimVsDark(s, []float64{40}, []string{"nonesuch"}, NetSimParams{}); err == nil {
+	if _, err := DimVsDark(s, []float64{40}, []string{"nonesuch"}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }

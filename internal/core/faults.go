@@ -11,7 +11,6 @@ import (
 	"nocsprint/internal/fault"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/obs"
-	"nocsprint/internal/power"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/topo"
@@ -143,16 +142,14 @@ func (s *Sprinter) cdorValidator() func(*sprint.Region) error {
 	}
 }
 
-// sprintChipPower returns the total chip power of a sprint at the given
-// level with dark tiles gated, including the sprint-activity uncore — the
-// constant power the thermal trip derivation integrates.
+// sprintChipPower returns the power a NoC-sprint at the given level draws —
+// the constant power the thermal trip derivation integrates.
 func (s *Sprinter) sprintChipPower(level int) (float64, error) {
-	states := power.SprintStates(s.mesh.Nodes(), level, true)
-	chip, err := s.cfg.Chip.ChipPower(states, level)
+	chip, _, err := s.chipPower(NoCSprinting, level)
 	if err != nil {
 		return 0, err
 	}
-	return chip.Total() + s.cfg.SprintUncoreW, nil
+	return s.sprintPower(chip, level), nil
 }
 
 // faultTrips derives the sweep's thermal-emergency trip from the lumped

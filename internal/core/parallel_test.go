@@ -66,18 +66,6 @@ func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 	if !reflect.DeepEqual(sc1, sc4) {
 		t.Error("ScalingStudy differs across worker counts")
 	}
-
-	d1, err := DimVsDark(s, nil, nil, NetSimParams{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d4, err := DimVsDark(s, nil, nil, NetSimParams{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(d1, d4) {
-		t.Error("DimVsDark differs across worker counts")
-	}
 }
 
 func TestSensitivitySweepDeterministicAcrossWorkers(t *testing.T) {

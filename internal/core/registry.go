@@ -109,9 +109,7 @@ var experiments = []Experiment{
 			return s.TopologyStudy(TopologyParamsFor(sim, fast))
 		}, textTopology),
 	entry("dimdark", "extension: dim silicon (more slow cores) vs dark (few fast)",
-		func(s *Sprinter, sim NetSimParams, _ bool) ([]DimDarkPoint, error) {
-			return DimVsDark(s, nil, nil, sim)
-		}, textDimDark),
+		func(s *Sprinter, _ NetSimParams, _ bool) ([]DimDarkPoint, error) { return DimVsDark(s, nil, nil) }, textDimDark),
 	entry("llc", "extension: Sec 3.4 LLC policies — bypass paths vs home remap",
 		func(s *Sprinter, sim NetSimParams, _ bool) ([]LLCRow, error) {
 			// The point-level abort context (not the sweep context) reaches

@@ -13,9 +13,9 @@ import (
 
 // Differential allocator tests: one router's VC state is built by hand, one
 // VA or SA pass runs on the optimized stepper and on the reference stepper,
-// and the two must leave the router (VC states, out-VC picks, occupied
-// flags, credits, round-robin pointers, Events) and the network's event
-// boxes identical.
+// and the two must leave the router (VC states, out-VC picks, holders,
+// credits, round-robin pointers, Events) and the network's event boxes
+// identical.
 
 // The router under test is the centre of a 3x3 mesh or of a 4x4 torus, so
 // every port has a neighbour.
@@ -77,7 +77,8 @@ func requestSets(r *router) (rc, va, sa uint64, busy int) {
 // syncSets derives the request sets and the allocator words from the
 // hand-built VC states and credits: the per-port request sets, the
 // free-output-VC word, the holder table (each active slot's output VC names
-// it; an unoccupied one names noSlot), and the credit-ready word.
+// it; an output VC the test left unheld names noSlot), and the credit-ready
+// word.
 func syncSets(net *Network, r *router) {
 	r.rcSet, r.vaSet, r.saSet, r.busyVCs = requestSets(r)
 	nVC, depth := net.cfg.VCs, net.cfg.BufferDepth
@@ -104,11 +105,8 @@ func syncSets(net *Network, r *router) {
 		}
 	}
 	for s := range r.out {
-		if o := &r.out[s]; !o.occupied {
-			o.holder = noSlot
-			if s/nVC == topo.Local || o.credits == depth {
-				net.freeVC[r.id] |= 1 << uint(s)
-			}
+		if o := &r.out[s]; o.holder == noSlot && (s/nVC == topo.Local || o.credits == depth) {
+			net.freeVC[r.id] |= 1 << uint(s)
 		}
 	}
 }
@@ -121,6 +119,10 @@ func headFlit(id int64, class, dst, length int) flit {
 	}
 	return flit{pkt: &Packet{ID: id, Dst: dst, Length: length, Class: class}, typ: typ}
 }
+
+// heldElsewhere is the holder a test names for an output VC held by a
+// packet outside the state it builds: VA reads only whether a VC is held.
+const heldElsewhere = 0
 
 // fillVA builds a random VA pass: requesters routed to random ports with
 // packets of their input VC's class, random output-VC occupancy and
@@ -144,7 +146,9 @@ func fillVA(net *Network, r *router, rng *rand.Rand) {
 	for p := 0; p < net.P; p++ {
 		for vc := 0; vc < nVC; vc++ {
 			o := &r.out[p*nVC+vc]
-			o.occupied = rng.Intn(5) < 2
+			if rng.Intn(5) < 2 {
+				o.holder = heldElsewhere
+			}
 			if rng.Intn(3) == 0 {
 				o.credits = rng.Intn(net.cfg.BufferDepth)
 			}
@@ -167,10 +171,10 @@ func fillSA(net *Network, r *router, rng *rand.Rand) {
 			continue
 		}
 		outPort, outVC := rng.Intn(net.P), rng.Intn(nVC)
-		if r.out[outPort*nVC+outVC].occupied {
+		if r.out[outPort*nVC+outVC].holder != noSlot {
 			continue
 		}
-		r.out[outPort*nVC+outVC].occupied = true
+		r.out[outPort*nVC+outVC].holder = uint8(b)
 		v.state, v.outPort, v.outVC = vcActive, outPort, outVC
 		v.pkt = &Packet{ID: int64(b), Dst: rng.Intn(net.nodes), Length: length, Class: b % nVC / net.cfg.vcsPerClass()}
 		v.seq = rng.Intn(length)
@@ -285,7 +289,7 @@ func TestVCAllocationRevisit(t *testing.T) {
 			v.push(headFlit(int64(b), b%8/4, 0, 5), 4)
 		}
 		for vc := 4; vc < 8; vc++ {
-			r.out[east*8+vc].occupied = true
+			r.out[east*8+vc].holder = heldElsewhere
 		}
 		r.vaPtr[east] = 23
 		syncSets(net, r)

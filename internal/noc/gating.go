@@ -191,6 +191,6 @@ func (n *Network) updateGating(now int64) {
 // pendingTraffic reports whether router id has flits in flight toward it or
 // a local source mid-packet — gating then would be immediately undone.
 func (n *Network) pendingTraffic(id int) bool {
-	nic := n.nis[id]
-	return n.routers[id].inMask != 0 || nic.active && (nic.cur != nil || len(nic.queue) > 0)
+	r, nic := n.routers[id], n.nis[id]
+	return r.inMask != 0 || r.active && (nic.cur != nil || len(nic.queue) > 0)
 }

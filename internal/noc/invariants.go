@@ -188,9 +188,9 @@ func (n *Network) auditRouter(id int, cen []ClassCensus, err error) error {
 				err = fmt.Errorf("noc: router %d port %d vc %d requests VCs from %d, want %d",
 					id, b/nVC, b%nVC, ivc.vcLo, n.partitionLo(id, ivc.pkt))
 			case ivc.state == vcActive:
-				if o := &r.out[ivc.outPort*nVC+ivc.outVC]; !o.occupied || int(o.holder) != b {
-					err = fmt.Errorf("noc: router %d port %d vc %d holds output %d vc %d, whose holder is slot %d (occupied %t)",
-						id, b/nVC, b%nVC, ivc.outPort, ivc.outVC, o.holder, o.occupied)
+				if o := &r.out[ivc.outPort*nVC+ivc.outVC]; int(o.holder) != b {
+					err = fmt.Errorf("noc: router %d port %d vc %d holds output %d vc %d, whose holder is slot %d",
+						id, b/nVC, b%nVC, ivc.outPort, ivc.outVC, o.holder)
 				}
 			}
 		}
@@ -229,15 +229,14 @@ func requestBits(set uint64) [3]bool { return [3]bool{set&1 != 0, set&2 != 0, se
 
 // auditWords checks router id's allocator words against its VC states and
 // credits: each per-port request set holds exactly the vaSet or saSet slots
-// routed to that port; a free-VC bit is set exactly while its output VC is
-// unoccupied and, off the Local port, holds every credit; an unoccupied
-// output VC names no holder; and a ready bit is set exactly while its slot
-// is in saSet and its output VC has a credit or is Local. (auditRouter's
-// slot walk checks the rest: every active slot's output VC names it as
-// holder, and every VA requester asks for the VC partition of the
-// algorithm in force.) Audit runs it after the credit balance, so a lost
-// or minted credit is reported as the leak it is, not as the stale word it
-// leaves behind.
+// routed to that port; a free-VC bit is set exactly while its output VC
+// names no holder and, off the Local port, holds every credit; and a ready
+// bit is set exactly while its slot is in saSet and its output VC has a
+// credit or is Local. (auditRouter's slot walk checks the rest: every
+// active slot's output VC names it as holder, and every VA requester asks
+// for the VC partition of the algorithm in force.) Audit runs it after the
+// credit balance, so a lost or minted credit is reported as the leak it is,
+// not as the stale word it leaves behind.
 func (n *Network) auditWords(id int) error {
 	r := n.routers[id]
 	depth, nVC := n.cfg.BufferDepth, n.cfg.VCs
@@ -258,12 +257,7 @@ func (n *Network) auditWords(id int) error {
 	}
 	var free, ready uint64
 	for s := range r.out {
-		o := &r.out[s]
-		if !o.occupied && o.holder != noSlot {
-			return fmt.Errorf("noc: router %d output %d vc %d is unoccupied but names holder slot %d",
-				id, s/nVC, s%nVC, o.holder)
-		}
-		if !o.occupied && (s < nVC || o.credits == depth) { // slots below nVC are Local's
+		if o := &r.out[s]; o.holder == noSlot && (s < nVC || o.credits == depth) { // slots below nVC are Local's
 			free |= 1 << uint(s)
 		}
 	}
@@ -324,7 +318,7 @@ func (n *Network) auditCredits(id int, held []int) error {
 	// NI-side credits toward the Local input port, in Local's row of held,
 	// which the link check leaves unread.
 	nic := n.nis[id]
-	if !self || !nic.active {
+	if !self || !r.active {
 		return nil
 	}
 	local := held[topo.Local*nVC : (topo.Local+1)*nVC]

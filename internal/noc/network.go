@@ -117,7 +117,6 @@ func (s Stats) Sub(o Stats) Stats {
 // ni is the network interface at an active node: an unbounded source queue
 // feeding the router's Local input port, plus the ejection sink.
 type ni struct {
-	active  bool
 	queue   []*Packet
 	cur     *Packet // packet currently being injected
 	curSeq  int
@@ -342,7 +341,7 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 	for id := 0; id < nodes; id++ {
 		n.allIDs[id] = id
 		n.routers[id] = newRouter(id, cfg, tp, activeSet[id])
-		nic := &ni{active: activeSet[id], credits: make([]int, cfg.VCs)}
+		nic := &ni{credits: make([]int, cfg.VCs)}
 		for v := range nic.credits {
 			nic.credits[v] = cfg.BufferDepth
 		}
@@ -595,10 +594,10 @@ func (n *Network) endpointErr(src, dst int) error {
 	if src < 0 || src >= len(n.nis) || dst < 0 || dst >= len(n.nis) {
 		return fmt.Errorf("enqueue %d->%d outside %s", src, dst, n.tp.Name())
 	}
-	if !n.nis[src].active {
+	if !n.routers[src].active {
 		return fmt.Errorf("enqueue at gated node %d", src)
 	}
-	if !n.nis[dst].active {
+	if !n.routers[dst].active {
 		return fmt.Errorf("enqueue toward gated node %d", dst)
 	}
 	return nil
@@ -717,7 +716,7 @@ func (n *Network) deliverCredits(ids []int) {
 				// Without a branch on the credit count: an unoccupied VC's
 				// holder is noSlot, whose shift is 0.
 				ready |= r.saSet & (b2u(o.credits == 1) << o.holder)
-				free |= (b2u(o.credits == depth) &^ b2u(o.occupied)) << uint(s)
+				free |= (b2u(o.credits == depth) &^ b2u(o.holder != noSlot)) << uint(s)
 			}
 			n.ready[id], n.freeVC[id] = ready, free
 			n.credbox[id] = box[:0]
@@ -842,7 +841,6 @@ func (n *Network) traverse(now int64, r *router, b, outPort int) {
 	}
 
 	if f.typ.IsTail() {
-		o.occupied = false
 		v.state, v.pkt = vcIdle, nil
 		r.busyVCs--
 		o.holder = noSlot
@@ -947,7 +945,7 @@ func (n *Network) grantVC(r *router, b, outPort int) bool {
 	}
 	outVC := lo + r.freeOutputVC(outPort, free, n.vcSpan)
 	s := base + outVC
-	r.out[s].occupied, r.out[s].holder = true, uint8(b)
+	r.out[s].holder = uint8(b)
 	n.freeVC[id] &^= 1 << uint(s)
 	v.outVC = outVC
 	v.state = vcActive
@@ -1134,10 +1132,10 @@ func (n *Network) deliverFlits(now int64, ids []int) {
 // flit per node per cycle.
 func (n *Network) inject(now int64, ids []int) {
 	for _, id := range ids {
-		nic := n.nis[id]
-		if !nic.active {
+		if !n.routers[id].active {
 			continue
 		}
+		nic := n.nis[id]
 		if nic.cur == nil && len(nic.queue) > 0 && !n.quiesced {
 			// Serve the oldest packet whose class still has a free VC;
 			// classes are independent, so a stalled class must not block

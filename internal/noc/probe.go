@@ -153,11 +153,12 @@ func (n *Network) Snapshot() string {
 			}
 			for v := 0; v < n.cfg.VCs; v++ {
 				o := &r.out[p*n.cfg.VCs+v]
-				if !o.occupied && o.credits == n.cfg.BufferDepth {
+				occupied := o.holder != noSlot
+				if !occupied && o.credits == n.cfg.BufferDepth {
 					continue
 				}
 				fmt.Fprintf(&b, "  out[%v][vc%d]: occupied %v, credits %d/%d\n",
-					n.tp.PortName(p), v, o.occupied, o.credits, n.cfg.BufferDepth)
+					n.tp.PortName(p), v, occupied, o.credits, n.cfg.BufferDepth)
 			}
 		}
 	}

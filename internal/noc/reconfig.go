@@ -202,7 +202,6 @@ func (n *Network) Reconfigure(activeNodes []int, alg routing.Algorithm, drainBud
 	n.activeCount = 0
 	for id, r := range n.routers {
 		r.active = newSet[id]
-		n.nis[id].active = newSet[id]
 		if newSet[id] {
 			n.activeCount++
 		}

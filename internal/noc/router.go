@@ -57,15 +57,13 @@ func (v *inputVC) pop() flit {
 	return f
 }
 
-// outputVC mirrors one downstream input VC: whether some packet currently
-// holds it, and how many downstream buffer slots remain (credits). holder
-// is the input slot whose packet holds it, or noSlot while it is
-// unoccupied: r.out is the holder table the credit-ready word is kept
-// through.
+// outputVC mirrors one downstream input VC: which input slot's packet
+// holds it, or noSlot while it is unoccupied, and how many downstream
+// buffer slots remain (credits). r.out is the holder table the credit-ready
+// word is kept through.
 type outputVC struct {
-	occupied bool
-	holder   uint8
-	credits  int
+	holder  uint8
+	credits int
 }
 
 // noSlot is the holder of an unoccupied output VC: beyond every slot, so

@@ -41,18 +41,6 @@ type SimParams struct {
 	StopWhenSaturated bool
 }
 
-// DefaultSimParams returns a configuration suitable for latency-throughput
-// sweeps on small meshes.
-func DefaultSimParams(rate float64, seed int64) SimParams {
-	return SimParams{
-		InjectionRate: rate,
-		WarmupCycles:  2000,
-		MeasureCycles: 5000,
-		DrainCycles:   30000,
-		Seed:          seed,
-	}
-}
-
 // Result summarises one synthetic-traffic run.
 type Result struct {
 	// AvgLatency is the mean measured packet latency in cycles, including

@@ -2,34 +2,6 @@ package power
 
 import "fmt"
 
-// CoreState is the power state of one core (and its tile resources).
-type CoreState int
-
-// Core power states.
-const (
-	// CoreActive runs at full voltage/frequency.
-	CoreActive CoreState = iota
-	// CoreIdle is clock-gated but not power-gated: leakage remains (the
-	// "naive fine-grained sprinting" of Figure 8).
-	CoreIdle
-	// CoreGated is power-gated dark silicon: negligible power.
-	CoreGated
-)
-
-// String returns the state name.
-func (s CoreState) String() string {
-	switch s {
-	case CoreActive:
-		return "active"
-	case CoreIdle:
-		return "idle"
-	case CoreGated:
-		return "gated"
-	default:
-		return fmt.Sprintf("CoreState(%d)", int(s))
-	}
-}
-
 // ChipComponent identifies a chip-level power component (Figure 3's bars).
 type ChipComponent int
 
@@ -140,64 +112,41 @@ func (b ChipBreakdown) Share(c ChipComponent) float64 {
 	return b[c] / t
 }
 
-// ChipPower computes chip power for a chip of n tiles with the given
-// per-core states and number of powered NoC tiles. Shared L2 banks and
-// memory controllers stay on regardless of core state.
-func (p ChipParams) ChipPower(states []CoreState, nocTilesOn int) (ChipBreakdown, error) {
-	n := len(states)
+// ChipPower computes chip power for a chip of active+idle+gated tiles:
+// active cores run, idle ones are clock-gated but leak, gated ones are dark
+// silicon, and nocTilesOn routers are powered. Shared L2 banks and memory
+// controllers stay on regardless of core state.
+func (p ChipParams) ChipPower(active, idle, gated, nocTilesOn int) (ChipBreakdown, error) {
+	if active < 0 || idle < 0 || gated < 0 {
+		return nil, fmt.Errorf("power: negative core count (%d active, %d idle, %d gated)", active, idle, gated)
+	}
+	n := active + idle + gated
 	if n == 0 {
 		return nil, fmt.Errorf("power: no cores")
 	}
 	if nocTilesOn < 0 || nocTilesOn > n {
 		return nil, fmt.Errorf("power: %d NoC tiles on for %d tiles", nocTilesOn, n)
 	}
-	b := ChipBreakdown{}
-	for _, s := range states {
-		switch s {
-		case CoreActive:
-			b[CompCore] += p.CoreActiveW
-		case CoreIdle:
-			b[CompCore] += p.CoreIdleW
-		case CoreGated:
-			b[CompCore] += p.CoreGatedW
+	// Summed core by core, active ones first: a count times a per-core
+	// wattage can round differently in the last bit.
+	var core float64
+	for i := 0; i < n; i++ {
+		switch {
+		case i < active:
+			core += p.CoreActiveW
+		case i < active+idle:
+			core += p.CoreIdleW
 		default:
-			return nil, fmt.Errorf("power: unknown core state %v", s)
+			core += p.CoreGatedW
 		}
 	}
-	b[CompL2] = float64(n) * p.L2BankW
-	b[CompNoC] = float64(nocTilesOn) * p.NoCTileW
-	b[CompMC] = p.MCW
-	b[CompOther] = p.OtherW
-	return b, nil
-}
-
-// NominalStates returns the conventional nominal-mode state vector: one
-// active core (the master), all others power-gated.
-func NominalStates(n int) []CoreState {
-	states := make([]CoreState, n)
-	for i := 1; i < n; i++ {
-		states[i] = CoreGated
-	}
-	return states
-}
-
-// SprintStates returns the state vector for a sprint at the given level
-// under the given scheme: level cores active; the remainder idle (naive
-// fine-grained, no gating) or gated (NoC-sprinting / dark).
-func SprintStates(n, level int, gateRest bool) []CoreState {
-	states := make([]CoreState, n)
-	rest := CoreIdle
-	if gateRest {
-		rest = CoreGated
-	}
-	for i := range states {
-		if i < level {
-			states[i] = CoreActive
-		} else {
-			states[i] = rest
-		}
-	}
-	return states
+	return ChipBreakdown{
+		CompCore:  core,
+		CompL2:    float64(n) * p.L2BankW,
+		CompNoC:   float64(nocTilesOn) * p.NoCTileW,
+		CompMC:    p.MCW,
+		CompOther: p.OtherW,
+	}, nil
 }
 
 // CoreActiveAt scales one active core's power to an arbitrary operating

@@ -153,7 +153,7 @@ func TestFig3NoCShares(t *testing.T) {
 	params := DefaultChipParams()
 	want := map[int]float64{4: 0.18, 8: 0.26, 16: 0.35, 32: 0.42}
 	for n, share := range want {
-		b, err := params.ChipPower(NominalStates(n), n)
+		b, err := params.ChipPower(1, 0, n-1, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestFig3CoreShareShrinks(t *testing.T) {
 	params := DefaultChipParams()
 	prev := 2.0
 	for _, n := range []int{4, 8, 16, 32} {
-		b, err := params.ChipPower(NominalStates(n), n)
+		b, err := params.ChipPower(1, 0, n-1, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,32 +182,36 @@ func TestFig3CoreShareShrinks(t *testing.T) {
 
 func TestChipPowerValidation(t *testing.T) {
 	params := DefaultChipParams()
-	if _, err := params.ChipPower(nil, 0); err == nil {
+	if _, err := params.ChipPower(0, 0, 0, 0); err == nil {
 		t.Error("empty chip accepted")
 	}
-	if _, err := params.ChipPower(NominalStates(4), 5); err == nil {
+	if _, err := params.ChipPower(1, 0, 3, 5); err == nil {
 		t.Error("more NoC tiles than tiles accepted")
 	}
-	if _, err := params.ChipPower(NominalStates(4), -1); err == nil {
+	if _, err := params.ChipPower(1, 0, 3, -1); err == nil {
 		t.Error("negative NoC tiles accepted")
 	}
-	if _, err := params.ChipPower([]CoreState{CoreState(9)}, 1); err == nil {
-		t.Error("unknown core state accepted")
+	for _, c := range [][3]int{{-1, 2, 2}, {2, -1, 2}, {2, 2, -1}} {
+		if _, err := params.ChipPower(c[0], c[1], c[2], 1); err == nil {
+			t.Errorf("core counts %v accepted", c)
+		}
 	}
 }
 
-func TestSprintStatesAndCorePower(t *testing.T) {
+// TestSprintCorePower: a sprint's core power orders gated below idle below
+// full, and each core adds its own state's watts in turn.
+func TestSprintCorePower(t *testing.T) {
 	p := DefaultChipParams()
-	core := func(level int, gateRest bool) float64 {
-		b, err := p.ChipPower(SprintStates(16, level, gateRest), 16)
+	core := func(active, idle, gated int) float64 {
+		b, err := p.ChipPower(active, idle, gated, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b[CompCore]
 	}
-	full := core(16, true)
-	fineIdle := core(4, false)
-	gated := core(4, true)
+	full := core(16, 0, 0)
+	fineIdle := core(4, 12, 0)
+	gated := core(4, 0, 12)
 	if !(gated < fineIdle && fineIdle < full) {
 		t.Errorf("core power ordering wrong: gated %.1f, idle %.1f, full %.1f", gated, fineIdle, full)
 	}
@@ -215,20 +219,23 @@ func TestSprintStatesAndCorePower(t *testing.T) {
 	if math.Abs(gated/full-0.25) > 0.01 {
 		t.Errorf("gated 4-core ratio %.3f, want ~0.25", gated/full)
 	}
-	states := SprintStates(16, 4, true)
-	if states[0] != CoreActive || states[3] != CoreActive || states[4] != CoreGated {
-		t.Error("sprint state vector wrong")
+	var want float64
+	for i := 0; i < 16; i++ {
+		switch {
+		case i < 3:
+			want += p.CoreActiveW
+		case i < 8:
+			want += p.CoreIdleW
+		default:
+			want += p.CoreGatedW
+		}
 	}
-	states = SprintStates(16, 4, false)
-	if states[15] != CoreIdle {
-		t.Error("non-gated sprint should leave cores idle")
+	if got := core(3, 5, 8); got != want {
+		t.Errorf("3 active, 5 idle, 8 gated: core power %v, want the per-core sum %v", got, want)
 	}
 }
 
 func TestStringers(t *testing.T) {
-	if CoreActive.String() != "active" || CoreGated.String() != "gated" || CoreIdle.String() != "idle" {
-		t.Error("core state names wrong")
-	}
 	if CompNoC.String() != "NoC" || CompL2.String() != "L2" {
 		t.Error("chip component names wrong")
 	}
@@ -241,20 +248,8 @@ func TestStringers(t *testing.T) {
 	if Gating.String() != "gating" {
 		t.Error("gating component name wrong")
 	}
-	if CoreState(9).String() == "" || ChipComponent(9).String() == "" || Component(9).String() == "" {
+	if ChipComponent(9).String() == "" || Component(9).String() == "" {
 		t.Error("out-of-range stringers empty")
-	}
-}
-
-func TestNominalStates(t *testing.T) {
-	s := NominalStates(16)
-	if s[0] != CoreActive {
-		t.Error("master core should be active")
-	}
-	for i := 1; i < 16; i++ {
-		if s[i] != CoreGated {
-			t.Errorf("core %d should be gated at nominal", i)
-		}
 	}
 }
 

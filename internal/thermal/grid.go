@@ -131,35 +131,12 @@ func SteadyState(cfg GridConfig, tilePower []float64) (*HeatMap, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(tilePower) != cfg.W*cfg.H {
-		return nil, fmt.Errorf("thermal: power map has %d tiles, grid has %d", len(tilePower), cfg.W*cfg.H)
-	}
-	for i, p := range tilePower {
-		if !finiteNonNeg(p) {
-			return nil, fmt.Errorf("thermal: invalid power %g at tile %d", p, i)
-		}
-	}
 	gw, gh := cfg.cells()
 	cellP := make([]float64, gw*gh)
-	per := float64(cfg.Sub * cfg.Sub)
-	for ty := 0; ty < cfg.H; ty++ {
-		for tx := 0; tx < cfg.W; tx++ {
-			p := tilePower[ty*cfg.W+tx] / per
-			for dy := 0; dy < cfg.Sub; dy++ {
-				for dx := 0; dx < cfg.Sub; dx++ {
-					cellP[(ty*cfg.Sub+dy)*gw+tx*cfg.Sub+dx] = p
-				}
-			}
-		}
+	base, err := cfg.spread(tilePower, cellP)
+	if err != nil {
+		return nil, err
 	}
-
-	var totalP float64
-	for _, p := range tilePower {
-		totalP += p
-	}
-	// The spreader sits above ambient by the shared convection drop; the
-	// grid solves local gradients relative to the spreader.
-	base := cfg.AmbientK + totalP*cfg.RconvKperW
 
 	T := make([]float64, gw*gh)
 	for i := range T {
@@ -247,28 +224,46 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 	return g, nil
 }
 
-// SetTilePower installs a per-tile power map (watts per tile).
+// SetTilePower installs a per-tile power map (watts per tile). A map
+// SteadyState would reject leaves the grid's power unchanged.
 func (g *Grid) SetTilePower(tilePower []float64) error {
-	if len(tilePower) != g.cfg.W*g.cfg.H {
-		return fmt.Errorf("thermal: power map has %d tiles, grid has %d", len(tilePower), g.cfg.W*g.cfg.H)
+	base, err := g.cfg.spread(tilePower, g.cellP)
+	if err != nil {
+		return err
+	}
+	g.base = base
+	return nil
+}
+
+// spread checks a per-tile power map (watts per tile, row-major, length
+// W*H: finite and non-negative), spreads each tile's watts evenly over its
+// cells in cellP, and returns the spreader base temperature: the spreader
+// sits above ambient by the whole map's shared convection drop, and the grid
+// solves local gradients relative to it.
+func (cfg GridConfig) spread(tilePower, cellP []float64) (float64, error) {
+	if len(tilePower) != cfg.W*cfg.H {
+		return 0, fmt.Errorf("thermal: power map has %d tiles, grid has %d", len(tilePower), cfg.W*cfg.H)
 	}
 	var totalP float64
-	for _, p := range tilePower {
+	for i, p := range tilePower {
+		if !finiteNonNeg(p) {
+			return 0, fmt.Errorf("thermal: invalid power %g at tile %d", p, i)
+		}
 		totalP += p
 	}
-	g.base = g.cfg.AmbientK + totalP*g.cfg.RconvKperW
-	per := float64(g.cfg.Sub * g.cfg.Sub)
-	for ty := 0; ty < g.cfg.H; ty++ {
-		for tx := 0; tx < g.cfg.W; tx++ {
-			p := tilePower[ty*g.cfg.W+tx] / per
-			for dy := 0; dy < g.cfg.Sub; dy++ {
-				for dx := 0; dx < g.cfg.Sub; dx++ {
-					g.cellP[(ty*g.cfg.Sub+dy)*g.gw+tx*g.cfg.Sub+dx] = p
+	gw, _ := cfg.cells()
+	per := float64(cfg.Sub * cfg.Sub)
+	for ty := 0; ty < cfg.H; ty++ {
+		for tx := 0; tx < cfg.W; tx++ {
+			p := tilePower[ty*cfg.W+tx] / per
+			for dy := 0; dy < cfg.Sub; dy++ {
+				for dx := 0; dx < cfg.Sub; dx++ {
+					cellP[(ty*cfg.Sub+dy)*gw+tx*cfg.Sub+dx] = p
 				}
 			}
 		}
 	}
-	return nil
+	return cfg.AmbientK + totalP*cfg.RconvKperW, nil
 }
 
 // MaxStableStep returns the largest explicit-Euler step that keeps the

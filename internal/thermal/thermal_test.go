@@ -2,6 +2,8 @@ package thermal
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"nocsprint/internal/floorplan"
@@ -218,6 +220,42 @@ func TestGridStepValidation(t *testing.T) {
 	}
 	if err := g.SetTilePower(make([]float64, 2)); err == nil {
 		t.Error("wrong power-map size accepted")
+	}
+}
+
+// TestSetTilePowerRejectsBadPower: the transient grid accepts exactly the
+// power maps SteadyState accepts, and a rejected map leaves the installed
+// one in force.
+func TestSetTilePowerRejectsBadPower(t *testing.T) {
+	cfg := DefaultGridConfig()
+	cfg.Sub = 2
+	fullGrid := func() *Grid {
+		g, err := NewGrid(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.SetTilePower(fullPower()); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	step := func(g *Grid) *HeatMap {
+		if err := g.Step(g.MaxStableStep()); err != nil {
+			t.Fatal(err)
+		}
+		return g.Snapshot()
+	}
+	want := step(fullGrid())
+	for _, p := range []float64{math.NaN(), -1, math.Inf(1)} {
+		g := fullGrid()
+		bad := fullPower()
+		bad[2] = p
+		if err := g.SetTilePower(bad); err == nil || !strings.Contains(err.Error(), "tile 2") {
+			t.Errorf("power %g at tile 2: error %v, want one naming the tile", p, err)
+		}
+		if got := step(g); !reflect.DeepEqual(got, want) {
+			t.Errorf("power %g: a rejected map changed the grid's power", p)
+		}
 	}
 }
 
