@@ -107,14 +107,14 @@ func newStepBench(tb testing.TB, c stepBenchCase, reference bool) (*noc.Network,
 	if err != nil {
 		tb.Fatal(err)
 	}
-	set := traffic.NewSet(benchNodes(net.Nodes()))
+	endpoints := benchNodes(net.Nodes())
 	if region != nil {
-		set = traffic.NewSet(region.ActiveNodes())
+		endpoints = region.ActiveNodes()
 	}
+	set := traffic.NewSet(endpoints)
 	net.UseReferenceStepper(reference)
 	pattern := traffic.NewUniform(set.Size())
 	rng := rand.New(rand.NewSource(7))
-	endpoints := set.Nodes()
 	pktProb := c.Rate / float64(cfg.PacketLength)
 	tick := func() {
 		for _, src := range endpoints {

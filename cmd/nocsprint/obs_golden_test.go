@@ -57,26 +57,21 @@ func TestGoldenFig11FastWithObs(t *testing.T) {
 	// of the pinned sweep results.
 	compareRegistryGolden(t, "fig11", series)
 
+	// Read the point back from the files -obs-out writes.
 	const label = "fig11/l4/r00/noc"
-	var col *obs.Collector
-	for _, c := range rec.Collectors() {
-		if c.Label() == label {
-			col = c
-			break
-		}
-	}
-	if col == nil {
-		t.Fatalf("sweep produced no collector labelled %q", label)
-	}
-	var buf bytes.Buffer
-	if err := col.WriteJSONL(&buf); err != nil {
+	dir := t.TempDir()
+	if err := rec.WriteFiles(dir); err != nil {
 		t.Fatal(err)
 	}
-	checkObsStream(t, buf.Bytes())
+	stream, err := os.ReadFile(filepath.Join(dir, obs.FileName(label)+".jsonl"))
+	if err != nil {
+		t.Fatalf("sweep produced no collector labelled %q: %v", label, err)
+	}
+	checkObsStream(t, stream)
 
 	path := filepath.Join("testdata", "golden", "obs_fig11_l4_r00_noc.jsonl")
 	if *update {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, stream, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("rewrote %s", path)
@@ -86,9 +81,9 @@ func TestGoldenFig11FastWithObs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create it): %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
+	if !bytes.Equal(stream, want) {
 		t.Fatalf("telemetry stream drifted from %s — if intentional, regenerate with -update.\n%s",
-			path, firstDiff(buf.Bytes(), want))
+			path, firstDiff(stream, want))
 	}
 }
 

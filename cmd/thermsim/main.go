@@ -96,7 +96,15 @@ func run(w io.Writer, mode string, powerW float64, benchmark, schemeName string,
 		return nil
 
 	case "timeline":
-		samples, err := lumped.Timeline(powerW, dt, horizon, int(math.Max(1, 0.05/dt)))
+		// Sample every 50 ms of simulated time. Clamp the period to one past
+		// the step count before converting: a longer one samples only the
+		// start too, and 0.05/dt alone leaves int's range for a tiny dt.
+		// A step count past int's range is Timeline's error to report.
+		period := 1
+		if p := math.Min(0.05/dt, horizon/dt+1); p >= 1 && p < math.MaxInt {
+			period = int(p)
+		}
+		samples, err := lumped.Timeline(powerW, dt, horizon, period)
 		if err != nil {
 			return err
 		}

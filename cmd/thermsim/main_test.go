@@ -37,6 +37,9 @@ func TestRunModes(t *testing.T) {
 	byPower.power = 106
 	timeline := defaults()
 	timeline.mode, timeline.dt, timeline.horizon = "timeline", 1e-3, 5
+	// 0.05/dt is far past int's range here, yet the run has 10 steps.
+	tinyDt := defaults()
+	tinyDt.mode, tinyDt.power, tinyDt.dt, tinyDt.horizon = "timeline", 30, 1e-22, 1e-21
 	heatmap := defaults()
 	heatmap.mode, heatmap.floorplan = "heatmap", true
 	for _, c := range []struct {
@@ -55,6 +58,9 @@ func TestRunModes(t *testing.T) {
 		}},
 		{"timeline", timeline, []string{
 			"benchmark dedup under NoC-sprinting: level 4,",
+			"time(s)  temp(K)  melted\n  0.000   318.15    0.0%\n",
+		}},
+		{"timeline at a tiny dt", tinyDt, []string{
 			"time(s)  temp(K)  melted\n  0.000   318.15    0.0%\n",
 		}},
 		{"heatmap", heatmap, []string{

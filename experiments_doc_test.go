@@ -2,7 +2,6 @@ package nocsprint_test
 
 import (
 	"math"
-	"math/bits"
 	"os"
 	"regexp"
 	"strconv"
@@ -11,7 +10,6 @@ import (
 
 	"nocsprint/internal/core"
 	"nocsprint/internal/power"
-	"nocsprint/internal/routing"
 	"nocsprint/internal/stats"
 )
 
@@ -189,13 +187,6 @@ func docQuotes(t *testing.T) []docQuote {
 	deepLo, deepHi := sensLat(func(d int) bool { return d >= 4 })
 	shallowLo, shallowHi := sensLat(func(d int) bool { return d == 2 })
 	llcRow := func(i int) []float64 { return []float64{llc[i].AMAT, llc[i].L2MissRate, mW(llc[i].NetPowerW)} }
-	overhead, err := routing.CDOROverhead(routing.SwitchParams{
-		Ports: 5, VCs: t1.VCs, BufferDepth: t1.BufferDepth, FlitBits: 8 * t1.FlitBytes,
-		CoordBits: bits.Len(uint(t1.MeshWidth - 1)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	return []docQuote{
 		quote("Reproduced exactly: [16] cores @ [2] GHz, [4]×[4] mesh, five-stage routers, [4] VCs × [4]-flit buffers, [5]-flit packets, [16]-byte flits",
@@ -265,6 +256,6 @@ func docQuotes(t *testing.T) []docQuote {
 		quote("| Gated + remap to active banks | [126.7] cyc | [0.679] | [35.5] mW |", llcRow(1)...),
 		quote("| Gated + bypass paths (paper's choice) | [101.9] cyc | [0.463] | [33.2] mW |", llcRow(2)...),
 		quote("the gated network burns [4]× less power", llc[0].NetPowerW/llc[2].NetPowerW),
-		quote("CDOR adds ~[0.1] % to a Table 1 DOR switch", pct(overhead)),
+		quote("CDOR adds ~[0.1] % to a Table 1 DOR switch", pct(abl.CDORAreaOverhead)),
 	}
 }

@@ -93,23 +93,9 @@ func NewArray(sets, ways int) *Array {
 	return a
 }
 
-// Sets returns the number of sets.
-func (a *Array) Sets() int { return len(a.sets) }
-
 // lookupSet returns the set index for a line address.
 func (a *Array) lookupSet(lineAddr uint64) int {
 	return int(lineAddr % uint64(len(a.sets)))
-}
-
-// Probe reports whether lineAddr is present without updating LRU state.
-func (a *Array) Probe(lineAddr uint64) bool {
-	set := a.sets[a.lookupSet(lineAddr)]
-	for _, l := range set {
-		if l.tag == lineAddr {
-			return true
-		}
-	}
-	return false
 }
 
 // Access touches lineAddr: on a hit it updates LRU (and the dirty bit if
@@ -155,13 +141,4 @@ func (a *Array) Install(lineAddr uint64, dirty bool) (victim uint64, victimDirty
 	set[0] = line{tag: lineAddr, dirty: dirty}
 	a.sets[si] = set
 	return victim, victimDirty, evicted
-}
-
-// Occupancy returns the number of resident lines.
-func (a *Array) Occupancy() int {
-	n := 0
-	for _, s := range a.sets {
-		n += len(s)
-	}
-	return n
 }

@@ -250,3 +250,26 @@ func TestArrayQuickInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Test-only views of an array: the cache system never looks a line up
+// without touching it, nor counts what it holds.
+
+// Probe reports whether lineAddr is present without updating LRU state.
+func (a *Array) Probe(lineAddr uint64) bool {
+	set := a.sets[a.lookupSet(lineAddr)]
+	for _, l := range set {
+		if l.tag == lineAddr {
+			return true
+		}
+	}
+	return false
+}
+
+// Occupancy returns the number of resident lines.
+func (a *Array) Occupancy() int {
+	n := 0
+	for _, s := range a.sets {
+		n += len(s)
+	}
+	return n
+}

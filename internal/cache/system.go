@@ -62,14 +62,6 @@ type Stats struct {
 	CompletedResponses int64
 }
 
-// L1MissRate returns misses/accesses.
-func (s Stats) L1MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Accesses-s.L1Hits) / float64(s.Accesses)
-}
-
 // L2MissRate returns L2 misses over L2 lookups.
 func (s Stats) L2MissRate() float64 {
 	total := s.L2Hits + s.L2Misses

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -9,6 +10,8 @@ import (
 	"nocsprint/internal/floorplan"
 	"nocsprint/internal/power"
 	"nocsprint/internal/sprint"
+	"nocsprint/internal/thermal"
+	"nocsprint/internal/traffic"
 	"nocsprint/internal/workload"
 )
 
@@ -402,7 +405,7 @@ func TestFloorplanOnFirstUse(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(plans[0], want) {
-		t.Errorf("shared plan %v, Algorithm 4 gives %v", plans[0].Positions(), want.Positions())
+		t.Errorf("shared plan %+v, Algorithm 4 gives %+v", *plans[0], *want)
 	}
 
 	cfg := DefaultConfig()
@@ -432,6 +435,58 @@ func TestNoFloorplanUsesIdentity(t *testing.T) {
 			t.Fatal("identity plan expected when floorplanning disabled")
 		}
 	}
+}
+
+// TrafficHeatMap solves a steady-state heat map whose per-tile power comes
+// from an actual cycle-accurate network run of workload p under scheme —
+// closing the loop from simulated router activity to temperature, rather
+// than assuming a constant NoC power per tile as the Figure 12 abstraction
+// does. It is the oracle TestTrafficHeatMap holds that abstraction to. Each tile is TilePowerMap's, plus its own powered router's measured
+// events through the DSENT-like model (gated routers add nothing). The
+// DSENT-scale router numbers (mW) ride on the McPAT-scale tile baseline, so
+// the map is dominated by core state — as in the paper — while hot routers
+// add visible gradients.
+func (s *Sprinter) TrafficHeatMap(p workload.Profile, scheme Scheme, useFloorplan bool, sp NetSimParams) (*thermal.HeatMap, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	sp = sp.withDefaults()
+	level := s.Level(p, scheme)
+	region := s.Region(level)
+	f, err := s.schemeFabric(scheme, region)
+	if err != nil {
+		return nil, err
+	}
+	tiles, err := s.TilePowerMap(level, scheme, useFloorplan)
+	if err != nil {
+		return nil, err
+	}
+	if level >= 2 {
+		// Every scheme, full-sprinting included, sends traffic only among
+		// the region's nodes.
+		net, err := sp.build(s.cfg.NoC, f, fmt.Sprintf("heatmap/%s/%s", p.Name, scheme))
+		if err != nil {
+			return nil, err
+		}
+		if _, err := sp.run(net, traffic.NewSet(region.ActiveNodes()), p.InjRate, sp.Seed); err != nil {
+			return nil, err
+		}
+		slot, err := s.slots(useFloorplan)
+		if err != nil {
+			return nil, err
+		}
+		for id := 0; id < s.mesh.Nodes(); id++ {
+			if !net.RouterActive(id) {
+				continue
+			}
+			bd, err := s.cfg.Router.RouterPower(net.RouterEvents(id), net.Cycle(), s.cfg.Corner)
+			if err != nil {
+				return nil, err
+			}
+			tiles[slot(id)] += bd.Total()
+		}
+	}
+	return thermal.SteadyState(s.cfg.Grid, tiles)
 }
 
 func TestTrafficHeatMap(t *testing.T) {

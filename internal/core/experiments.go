@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"nocsprint/internal/cache"
@@ -1206,10 +1207,15 @@ type AblationResult struct {
 	// DOR on the full mesh and CDOR cross, summed over every ordered pair
 	// of a half-chip sprint region's nodes.
 	DarkTraversalsDOR, DarkTraversalsCDOR int
+	// CDORAreaOverhead is the fractional switch-area cost of CDOR over DOR
+	// for the sprinter's own 5-port router (§3.2's synthesis result; the
+	// paper reports under 2%).
+	CDORAreaOverhead float64
 }
 
 // Ablations measures the activation metric, power gating and region
-// routing ablations. The gating runs use sp's simulation windows.
+// routing ablations, and prices CDOR's routing logic in switch area. The
+// gating runs use sp's simulation windows.
 func Ablations(s *Sprinter, sp NetSimParams) (AblationResult, error) {
 	var out AblationResult
 	n := s.mesh.Nodes()
@@ -1242,6 +1248,13 @@ func Ablations(s *Sprinter, sp NetSimParams) (AblationResult, error) {
 		return AblationResult{}, err
 	}
 	if out.DarkTraversalsCDOR, err = darkTraversals(t, routing.NewCDOR(region), region); err != nil {
+		return AblationResult{}, err
+	}
+	nc := s.cfg.NoC
+	if out.CDORAreaOverhead, err = routing.CDOROverhead(routing.SwitchParams{
+		Ports: 5, VCs: nc.VCs, BufferDepth: nc.BufferDepth, FlitBits: nc.FlitBits,
+		CoordBits: bits.Len(uint(max(nc.Width, nc.Height) - 1)),
+	}); err != nil {
 		return AblationResult{}, err
 	}
 	return out, nil

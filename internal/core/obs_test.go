@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -70,10 +72,10 @@ func TestObsRecorderZeroDriftAcrossDrivers(t *testing.T) {
 			if len(cols) == 0 {
 				t.Fatal("recorder collected nothing: the driver never attached it")
 			}
-			for _, c := range cols {
+			for i, c := range cols {
 				c.Finish()
 				if len(c.Samples()) == 0 {
-					t.Errorf("collector %q has no samples", c.Label())
+					t.Errorf("collector %d of %d has no samples", i, len(cols))
 				}
 			}
 		})
@@ -99,11 +101,12 @@ func TestFaultSweepEmitsEventTimeline(t *testing.T) {
 	}
 	kinds := map[obs.EventKind]int{}
 	for _, c := range rec.Collectors() {
-		for _, ev := range c.Events() {
+		label, events := timeline(t, c)
+		for _, ev := range events {
 			kinds[ev.Kind]++
 			if ev.Cycle < 0 || ev.Cycle > cycles {
 				t.Errorf("collector %q: event %v at cycle %d outside the %d-cycle run",
-					c.Label(), ev.Kind, ev.Cycle, cycles)
+					label, ev.Kind, ev.Cycle, cycles)
 			}
 		}
 	}
@@ -124,4 +127,31 @@ func TestGovernorKindsReachTimeline(t *testing.T) {
 			t.Errorf("governor kind %q reaches the timeline as %q", k, got)
 		}
 	}
+}
+
+// timeline reads a collector's label and event timeline back from the JSONL
+// stream it writes under -obs-out.
+func timeline(t *testing.T, c *obs.Collector) (label string, events []obs.Event) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var rec struct {
+			Type  string `json:"type"`
+			Label string `json:"label"`
+			obs.Event
+		}
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		switch rec.Type {
+		case "meta":
+			label = rec.Label
+		case "event":
+			events = append(events, rec.Event)
+		}
+	}
+	return label, events
 }

@@ -357,6 +357,7 @@ func textAblations(out io.Writer, s *Sprinter, r AblationResult) error {
 	fmt.Fprintf(w, "mean pairwise hops, levels 2-%d\tEuclidean %.3f\tHamming %.3f\n", n, r.EuclideanHops, r.HammingHops)
 	fmt.Fprintf(w, "dedup network power (mW)\tgated %.1f\tun-gated %.1f\n", r.GatedPowerW*1e3, r.UngatedPowerW*1e3)
 	fmt.Fprintf(w, "dark routers crossed, %d-core region\tCDOR %d\tmesh DOR %d\n", n/2, r.DarkTraversalsCDOR, r.DarkTraversalsDOR)
+	fmt.Fprintf(w, "switch area over a DOR switch (%%)\tCDOR +%.2f\tDOR +0\n", 100*r.CDORAreaOverhead)
 	return w.Flush()
 }
 

@@ -118,14 +118,8 @@ func New(nodes int, events []Event) (*Schedule, error) {
 	return s, nil
 }
 
-// Nodes returns the mesh node count the schedule is defined over.
-func (s *Schedule) Nodes() int { return s.nodes }
-
 // Events returns the events in cycle order (a copy).
 func (s *Schedule) Events() []Event { return append([]Event(nil), s.events...) }
-
-// Len returns the number of scheduled events.
-func (s *Schedule) Len() int { return len(s.events) }
 
 // Validate reports the first invalid event, or nil. Beyond per-event bounds
 // it enforces the survivability guarantee the governor relies on: the set of

@@ -15,8 +15,8 @@ func TestParseStringRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 4 {
-		t.Fatalf("parsed %d events, want 4", s.Len())
+	if len(s.events) != 4 {
+		t.Fatalf("parsed %d events, want 4", len(s.events))
 	}
 	// Events come back sorted by cycle; re-parsing the rendering must be
 	// a fixed point.
@@ -39,8 +39,8 @@ func TestParseSeparatorsAndBlanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 3 {
-		t.Fatalf("parsed %d events, want 3", s.Len())
+	if len(s.events) != 3 {
+		t.Fatalf("parsed %d events, want 3", len(s.events))
 	}
 }
 
@@ -261,8 +261,8 @@ func TestGenerateManyFaultsOnSmallMesh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if s.Len() != 12 {
-			t.Fatalf("seed %d: %d events, want 12", seed, s.Len())
+		if len(s.events) != 12 {
+			t.Fatalf("seed %d: %d events, want 12", seed, len(s.events))
 		}
 	}
 }

@@ -43,8 +43,8 @@ func FuzzFaultSchedule(f *testing.F) {
 				fatal[e.B] = true
 			}
 		}
-		if len(fatal) >= s.Nodes() {
-			t.Fatalf("validated schedule can retire all %d nodes:\n%s", s.Nodes(), s)
+		if len(fatal) >= s.nodes {
+			t.Fatalf("validated schedule can retire all %d nodes:\n%s", s.nodes, s)
 		}
 		// Health queries and cursor walks never panic on a valid schedule.
 		for _, e := range s.Events() {
@@ -56,11 +56,11 @@ func FuzzFaultSchedule(f *testing.F) {
 		for _, e := range s.Events() {
 			n += len(cur.Due(e.Cycle))
 		}
-		if n != s.Len() {
-			t.Fatalf("cursor yielded %d of %d events", n, s.Len())
+		if n != len(s.events) {
+			t.Fatalf("cursor yielded %d of %d events", n, len(s.events))
 		}
 		// The text form is a fixed point: render -> parse -> render.
-		again, err := Parse(s.String(), s.Nodes())
+		again, err := Parse(s.String(), s.nodes)
 		if err != nil {
 			t.Fatalf("round trip of %q failed: %v", s.String(), err)
 		}

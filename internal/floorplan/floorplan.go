@@ -17,18 +17,15 @@ import (
 // Logical node l occupies physical slot Pos(l); the physical grid has the
 // same dimensions as the logical mesh.
 type Plan struct {
-	m   mesh.Mesh
 	pos []int // pos[logical] = physical slot
-	inv []int // inv[physical slot] = logical node
 }
 
 // Identity returns the trivial floorplan in which every logical node sits at
 // its own physical slot (the paper's baseline without Algorithm 3).
 func Identity(m mesh.Mesh) *Plan {
-	p := &Plan{m: m, pos: make([]int, m.Nodes()), inv: make([]int, m.Nodes())}
+	p := &Plan{pos: make([]int, m.Nodes())}
 	for i := range p.pos {
 		p.pos[i] = i
-		p.inv[i] = i
 	}
 	return p
 }
@@ -65,10 +62,9 @@ func Thermal(m mesh.Mesh, order []int) (*Plan, error) {
 		rank[id] = i
 	}
 
-	p := &Plan{m: m, pos: make([]int, n), inv: make([]int, n)}
+	p := &Plan{pos: make([]int, n)}
 	for i := range p.pos {
 		p.pos[i] = -1
-		p.inv[i] = -1
 	}
 	k := newKernel(m)
 	placed := make([]int, 0, n) // logical nodes already placed (set S)
@@ -76,7 +72,6 @@ func Thermal(m mesh.Mesh, order []int) (*Plan, error) {
 
 	place := func(logical, slot int) {
 		p.pos[logical] = slot
-		p.inv[slot] = logical
 		k.take(slot)
 		placed = append(placed, logical)
 	}
@@ -187,66 +182,5 @@ func (k *kernel) maxWeightedDistance(placed []int, pos []int, rk int) int {
 	return k.free[best]
 }
 
-// Mesh returns the mesh the plan covers.
-func (p *Plan) Mesh() mesh.Mesh { return p.m }
-
 // Pos returns the physical slot of logical node l.
 func (p *Plan) Pos(l int) int { return p.pos[l] }
-
-// LogicalAt returns the logical node occupying physical slot s.
-func (p *Plan) LogicalAt(s int) int { return p.inv[s] }
-
-// Positions returns a copy of the full logical→physical mapping.
-func (p *Plan) Positions() []int { return append([]int(nil), p.pos...) }
-
-// IsBijection reports whether the plan maps every logical node to a distinct
-// physical slot (a validity invariant property tests rely on).
-func (p *Plan) IsBijection() bool {
-	seen := make([]bool, len(p.pos))
-	for _, s := range p.pos {
-		if s < 0 || s >= len(seen) || seen[s] {
-			return false
-		}
-		seen[s] = true
-	}
-	return true
-}
-
-// WireLength returns the total and maximum physical Euclidean length of all
-// logical mesh links under the plan. The thermal plan trades longer wires
-// (mitigated in hardware by SMART-style clockless repeaters, §3.3) for
-// better heat spreading; these metrics quantify that cost.
-func (p *Plan) WireLength() (total, max float64) {
-	for id := 0; id < p.m.Nodes(); id++ {
-		for _, d := range [...]mesh.Direction{mesh.East, mesh.South} {
-			nb, ok := p.m.Neighbor(id, d)
-			if !ok {
-				continue
-			}
-			l := p.m.Coord(p.pos[id]).Euclidean(p.m.Coord(p.pos[nb]))
-			total += l
-			if l > max {
-				max = l
-			}
-		}
-	}
-	return total, max
-}
-
-// Spread returns the mean pairwise physical Euclidean distance among the
-// given logical nodes under the plan — the quantity Algorithm 3 maximises
-// for co-sprinting sets. Returns 0 for fewer than two nodes.
-func (p *Plan) Spread(logical []int) float64 {
-	if len(logical) < 2 {
-		return 0
-	}
-	var sum float64
-	var pairs int
-	for i, a := range logical {
-		for _, b := range logical[i+1:] {
-			sum += p.m.Coord(p.pos[a]).Euclidean(p.m.Coord(p.pos[b]))
-			pairs++
-		}
-	}
-	return sum / float64(pairs)
-}

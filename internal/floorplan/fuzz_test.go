@@ -50,15 +50,12 @@ func FuzzFloorplanRemap(f *testing.F) {
 			if s < 0 || s >= n {
 				t.Fatalf("Pos(%d) = %d out of range", l, s)
 			}
-			if p.LogicalAt(s) != l {
-				t.Fatalf("LogicalAt(Pos(%d)) = %d, want %d", l, p.LogicalAt(s), l)
-			}
 		}
-		total, max := p.WireLength()
+		total, max := p.WireLength(m)
 		if total < 0 || max < 0 {
 			t.Fatalf("negative wire length: total %v max %v", total, max)
 		}
-		if spread := p.Spread(order[:1+fuzzMod(master, n)]); spread < 0 {
+		if spread := p.Spread(m, order[:1+fuzzMod(master, n)]); spread < 0 {
 			t.Fatalf("negative spread %v", spread)
 		}
 	})

@@ -9,8 +9,8 @@ import (
 
 // TestRemapRoundTripNonSquare pins the logical↔physical remap on rectangular
 // meshes (the paper evaluates 4×4, but nothing in Algorithm 3 assumes
-// squareness): Pos and LogicalAt must be exact inverses in both directions
-// for every node, with the master pinned to its own slot.
+// squareness): Pos must be a bijection onto the physical slots, with the
+// master pinned to its own slot.
 func TestRemapRoundTripNonSquare(t *testing.T) {
 	cases := []struct {
 		w, h, master int
@@ -28,24 +28,11 @@ func TestRemapRoundTripNonSquare(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%dx%d master %d: %v", c.w, c.h, c.master, err)
 		}
-		if p.Mesh() != m {
-			t.Errorf("%dx%d: plan reports mesh %v, want %v", c.w, c.h, p.Mesh(), m)
-		}
 		if !p.IsBijection() {
 			t.Errorf("%dx%d master %d: not a bijection", c.w, c.h, c.master)
 		}
 		if p.Pos(c.master) != c.master {
 			t.Errorf("%dx%d: master %d moved to slot %d", c.w, c.h, c.master, p.Pos(c.master))
-		}
-		for l := 0; l < m.Nodes(); l++ {
-			if back := p.LogicalAt(p.Pos(l)); back != l {
-				t.Errorf("%dx%d: logical %d -> slot %d -> logical %d", c.w, c.h, l, p.Pos(l), back)
-			}
-		}
-		for s := 0; s < m.Nodes(); s++ {
-			if back := p.Pos(p.LogicalAt(s)); back != s {
-				t.Errorf("%dx%d: slot %d -> logical %d -> slot %d", c.w, c.h, s, p.LogicalAt(s), back)
-			}
 		}
 	}
 }
@@ -72,7 +59,6 @@ func TestPositionsIsACopy(t *testing.T) {
 // TestIsBijectionDetectsCorruption exercises every rejection branch against
 // hand-corrupted plans (white-box: pos is unexported).
 func TestIsBijectionDetectsCorruption(t *testing.T) {
-	m := mesh.New(2, 3)
 	cases := []struct {
 		name string
 		pos  []int
@@ -82,7 +68,7 @@ func TestIsBijectionDetectsCorruption(t *testing.T) {
 		{"slot out of range", []int{0, 1, 2, 3, 4, 6}},
 	}
 	for _, c := range cases {
-		p := &Plan{m: m, pos: c.pos}
+		p := &Plan{pos: c.pos}
 		if p.IsBijection() {
 			t.Errorf("%s: accepted as bijection", c.name)
 		}

@@ -199,6 +199,3 @@ func (m Mesh) DirectionTo(a, b int) Direction {
 
 // HammingID returns the Hamming distance between nodes a and b.
 func (m Mesh) HammingID(a, b int) int { return m.Coord(a).Hamming(m.Coord(b)) }
-
-// EuclideanSqID returns the squared Euclidean distance between nodes a and b.
-func (m Mesh) EuclideanSqID(a, b int) int { return m.Coord(a).EuclideanSq(m.Coord(b)) }

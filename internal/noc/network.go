@@ -87,14 +87,6 @@ func (s Stats) AvgLatency() (float64, bool) {
 	return float64(s.LatencySum) / float64(s.MeasuredEjected), true
 }
 
-// AvgNetLatency returns mean measured in-network packet latency (cycles).
-func (s Stats) AvgNetLatency() (float64, bool) {
-	if s.MeasuredEjected == 0 {
-		return 0, false
-	}
-	return float64(s.NetLatencySum) / float64(s.MeasuredEjected), true
-}
-
 // Sub returns the counter deltas s - o.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{

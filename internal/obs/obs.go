@@ -211,15 +211,6 @@ func newCollector(cfg Config, label string, net *noc.Network) *Collector {
 	return c
 }
 
-// Label returns the collector's sweep-point label.
-func (c *Collector) Label() string { return c.label }
-
-// Interval returns the sampling period in cycles.
-func (c *Collector) Interval() int { return int(c.interval) }
-
-// Routers returns the observed mesh size.
-func (c *Collector) Routers() int { return c.routers }
-
 var _ noc.Probe = (*Collector)(nil)
 
 // FlitArrived implements noc.Probe; telemetry does not sample arrivals.
@@ -325,9 +316,6 @@ func (c *Collector) sample(n *noc.Network) {
 // Samples returns the recorded series. The slice is the collector's own
 // storage: read, don't mutate.
 func (c *Collector) Samples() []Sample { return c.samples }
-
-// Events returns the recorded event timeline (collector storage; read-only).
-func (c *Collector) Events() []Event { return c.events }
 
 // RouterUtil returns sample i's per-router utilization row (crossbar
 // traversals per cycle, indexed by router ID). The slice aliases collector

@@ -61,8 +61,8 @@ func TestCollectorSampling(t *testing.T) {
 	}
 	col := rec.NewCollector(net, "unit", rec.Config())
 	net.SetProbe(col)
-	if col.Interval() != 100 || col.Routers() != 16 || col.Label() != "unit" {
-		t.Fatalf("collector metadata: interval %d routers %d label %q", col.Interval(), col.Routers(), col.Label())
+	if col.interval != 100 || col.routers != 16 || col.label != "unit" {
+		t.Fatalf("collector metadata: interval %d routers %d label %q", col.interval, col.routers, col.label)
 	}
 	for i := 0; i < 250; i++ {
 		if i%10 == 0 {
@@ -171,9 +171,9 @@ func TestCollectorThermalTrip(t *testing.T) {
 	for i := 0; i < 400; i++ { // heat: 4 s of thermal time
 		net.Step()
 	}
-	tripped := len(col.Events())
-	if tripped != 1 || col.Events()[0].Kind != EventThermalTrip {
-		t.Fatalf("after heating: events %v, want exactly one thermal-trip", col.Events())
+	tripped := len(col.events)
+	if tripped != 1 || col.events[0].Kind != EventThermalTrip {
+		t.Fatalf("after heating: events %v, want exactly one thermal-trip", col.events)
 	}
 	var prevTemp float64
 	for _, s := range col.Samples() {
@@ -185,8 +185,8 @@ func TestCollectorThermalTrip(t *testing.T) {
 
 	// Cooling: no way to change BasePowerW mid-run by design, so emulate by
 	// observing that trip stays latched (hysteresis) while above ClearK.
-	if col.Events()[0].Node != -1 {
-		t.Errorf("thermal trip node = %d, want -1 (chip-wide)", col.Events()[0].Node)
+	if col.events[0].Node != -1 {
+		t.Errorf("thermal trip node = %d, want -1 (chip-wide)", col.events[0].Node)
 	}
 }
 

@@ -155,16 +155,6 @@ func (c *Collector) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteJSONL concatenates every collector's JSONL stream in label order.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	for _, c := range r.Collectors() {
-		if err := c.WriteJSONL(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // FileName returns the file stem a collector's label maps to: every byte
 // outside [a-zA-Z0-9._-] becomes '_', so hierarchical labels like
 // "fig11/l4/r00/noc" stay readable and filesystem-safe.

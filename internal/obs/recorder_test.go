@@ -206,16 +206,10 @@ func TestRecorderWriteFiles(t *testing.T) {
 		}
 	}
 
-	// Concatenated stream: collectors in label order, dup labels both present.
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
+	// Collectors come back in label order, dup labels both present.
 	var labels []string
-	for _, m := range jsonlLines(t, &buf) {
-		if m["type"] == "meta" {
-			labels = append(labels, m["label"].(string))
-		}
+	for _, c := range rec.Collectors() {
+		labels = append(labels, c.label)
 	}
 	if strings.Join(labels, ",") != "dup/point,dup/point,unique" {
 		t.Errorf("collector order %v", labels)

@@ -3,7 +3,6 @@ package routing
 import (
 	"fmt"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/topo"
 )
 
@@ -71,27 +70,6 @@ func BuildDependencyGraph(t topo.Topology, alg Algorithm, routable []int) (*Depe
 	return g, nil
 }
 
-// Channels returns the number of channels that appear in the graph.
-func (g *DependencyGraph) Channels() int {
-	seen := make(map[channel]bool)
-	for c, outs := range g.adj {
-		seen[c] = true
-		for d := range outs {
-			seen[d] = true
-		}
-	}
-	return len(seen)
-}
-
-// Edges returns the number of dependency edges.
-func (g *DependencyGraph) Edges() int {
-	n := 0
-	for _, outs := range g.adj {
-		n += len(outs)
-	}
-	return n
-}
-
 // HasCycle reports whether the CDG contains a directed cycle. An acyclic
 // CDG proves the routing function deadlock-free (Dally & Seitz).
 func (g *DependencyGraph) HasCycle() bool {
@@ -123,82 +101,4 @@ func (g *DependencyGraph) HasCycle() bool {
 		}
 	}
 	return false
-}
-
-// CollapseClasses returns a copy of the graph with the VC-class split
-// erased: channels that differ only by class merge into one. For a
-// dateline algorithm this is the CDG the network would have on a single VC
-// class — cyclic on any wrapping ring — so comparing HasCycle before and
-// after collapsing demonstrates the class split is what buys deadlock
-// freedom.
-func (g *DependencyGraph) CollapseClasses() *DependencyGraph {
-	flat := func(c channel) channel { return channel{node: c.node, port: c.port} }
-	out := &DependencyGraph{adj: make(map[channel]map[channel]bool, len(g.adj))}
-	for c, outs := range g.adj {
-		fc := flat(c)
-		if out.adj[fc] == nil {
-			out.adj[fc] = make(map[channel]bool, len(outs))
-		}
-		for d := range outs {
-			out.adj[fc][flat(d)] = true
-		}
-	}
-	return out
-}
-
-// Turn classifies a pair of consecutive hop directions, e.g. "NE" for a
-// packet travelling North that turns East.
-type Turn struct {
-	From, To mesh.Direction
-}
-
-// String returns the compact two-letter turn name (e.g. "NE", "WS").
-func (t Turn) String() string {
-	letter := func(d mesh.Direction) string {
-		switch d {
-		case mesh.North:
-			return "N"
-		case mesh.East:
-			return "E"
-		case mesh.South:
-			return "S"
-		case mesh.West:
-			return "W"
-		default:
-			return "?"
-		}
-	}
-	return letter(t.From) + letter(t.To)
-}
-
-// TurnsUsed routes every pair among routable and returns the set of turns
-// (direction changes) the algorithm performs, useful for turn-model
-// reasoning about deadlock freedom: e.g. plain DOR uses only {EN, ES, WN,
-// WS}; CDOR adds NE but never WN-after-NE cycles. Turns are a mesh notion,
-// so this helper stays mesh-specific.
-func TurnsUsed(m mesh.Mesh, alg Algorithm, routable []int) (map[Turn]int, error) {
-	if routable == nil {
-		routable = topo.AllNodes(m.Nodes())
-	}
-	t := topo.FromMesh(m)
-	turns := make(map[Turn]int)
-	for _, src := range routable {
-		for _, dst := range routable {
-			if src == dst {
-				continue
-			}
-			path, err := Path(t, alg, src, dst)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i+2 < len(path); i++ {
-				d1 := m.DirectionTo(path[i], path[i+1])
-				d2 := m.DirectionTo(path[i+1], path[i+2])
-				if d1 != d2 {
-					turns[Turn{d1, d2}]++
-				}
-			}
-		}
-	}
-	return turns, nil
 }

@@ -1,101 +1,12 @@
 package routing
 
-import (
-	"fmt"
+import "fmt"
 
-	"nocsprint/internal/mesh"
-)
-
-// This file models CDOR's hardware realisation (the paper's Figure 6 and
-// §3.2 synthesis result): the per-switch routing circuit as boolean logic
-// over two coordinate comparators and the two connectivity bits, plus a
-// gate-equivalent area model that reproduces the "< 2 % area overhead over
-// a conventional DOR switch" claim without a Verilog toolchain.
-
-// PortRequest is the one-hot output-port request a routing circuit emits.
-type PortRequest struct {
-	N, E, S, W, Local bool
-}
-
-// Direction converts the one-hot request to a mesh direction. It returns an
-// error if the request is not exactly one-hot, which would indicate a logic
-// bug.
-func (p PortRequest) Direction() (mesh.Direction, error) {
-	var (
-		dir mesh.Direction
-		n   int
-	)
-	if p.N {
-		dir, n = mesh.North, n+1
-	}
-	if p.E {
-		dir, n = mesh.East, n+1
-	}
-	if p.S {
-		dir, n = mesh.South, n+1
-	}
-	if p.W {
-		dir, n = mesh.West, n+1
-	}
-	if p.Local {
-		dir, n = mesh.Local, n+1
-	}
-	if n != 1 {
-		return mesh.Local, fmt.Errorf("routing: port request not one-hot: %+v", p)
-	}
-	return dir, nil
-}
-
-// Comparators is the output of the two per-switch coordinate comparators
-// (Figure 6 keeps Xdes/Ydes in the header and Xcur/Ycur in registers).
-type Comparators struct {
-	GtX, LtX bool // Xdes > Xcur, Xdes < Xcur
-	GtY, LtY bool // Ydes > Ycur, Ydes < Ycur
-}
-
-// Compare models the comparator block for the given current/destination
-// coordinates.
-func Compare(cur, des mesh.Coord) Comparators {
-	return Comparators{
-		GtX: des.X > cur.X, LtX: des.X < cur.X,
-		GtY: des.Y > cur.Y, LtY: des.Y < cur.Y,
-	}
-}
-
-// DORPortLogic is the conventional X-Y routing circuit: X offsets first,
-// then Y, then eject.
-func DORPortLogic(c Comparators) PortRequest {
-	eqX := !c.GtX && !c.LtX
-	return PortRequest{
-		E:     c.GtX,
-		W:     c.LtX,
-		S:     eqX && c.GtY,
-		N:     eqX && c.LtY,
-		Local: eqX && !c.GtY && !c.LtY,
-	}
-}
-
-// CDORPortLogic is the convex-DOR circuit of Figure 6 extended with the
-// escape-direction select: a horizontal request through an unpowered link
-// (¬Ce / ¬Cw) is redirected toward the master row. For the paper's top-left
-// master, belowMaster is simply (Ycur > 0) and the escape is always North —
-// the published circuit; aboveMaster adds the symmetric South escape for
-// the alternative master placements of §3.2.
-func CDORPortLogic(c Comparators, cw, ce, belowMaster, aboveMaster bool) PortRequest {
-	eqX := !c.GtX && !c.LtX
-	blockedE := c.GtX && !ce
-	blockedW := c.LtX && !cw
-	escape := blockedE || blockedW
-	return PortRequest{
-		E:     c.GtX && ce,
-		W:     c.LtX && cw,
-		N:     (eqX && c.LtY) || (escape && belowMaster),
-		S:     (eqX && c.GtY) || (escape && aboveMaster),
-		Local: eqX && !c.GtY && !c.LtY,
-	}
-}
-
-// --- Gate-equivalent area model -------------------------------------------
+// This file models the cost of CDOR's hardware realisation (the paper's
+// §3.2 synthesis result) with a gate-equivalent area model that reproduces
+// the "< 2 % area overhead over a conventional DOR switch" claim without a
+// Verilog toolchain. The Figure 6 circuit itself is a test oracle
+// (gates_test.go).
 //
 // Areas are in NAND2 gate equivalents (GE), standard-cell rules of thumb:
 // a D flip-flop ≈ 4 GE, an SRAM/FF buffer bit ≈ 4 GE (register-based FIFO),

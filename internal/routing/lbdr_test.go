@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -8,6 +9,158 @@ import (
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/topo"
 )
+
+// LBDR is Logic-Based Distributed Routing (Flich, Rodrigo, Duato — the
+// paper's reference [7]): a table-less distributed routing mechanism for
+// irregular topologies that stores twelve bits per switch — four
+// connectivity bits (Cn, Ce, Cs, Cw) and eight routing bits (Rxy: whether a
+// packet leaving through x may turn to y at the next switch). The paper's
+// CDOR is "adapted from their approach" but exploits the convexity of
+// sprint regions to cut the overhead to two bits (Cw, Ce).
+//
+// This implementation derives the twelve bits from a sprint region with the
+// same turn policy CDOR uses (horizontal-first with a vertical escape), so
+// it routes the region identically while paying the full LBDR bit budget —
+// making the paper's 12-vs-2-bit comparison concrete and testable. It is a
+// test oracle: the simulator routes sprint regions with CDOR.
+type LBDR struct {
+	region *sprint.Region
+	bits   []lbdrBits
+}
+
+// lbdrBits is one switch's LBDR state: 4 connectivity + 8 routing bits.
+type lbdrBits struct {
+	cn, ce, cs, cw                         bool
+	rne, rnw, ren, res, rse, rsw, rwn, rws bool
+}
+
+// BitsPerSwitch is LBDR's per-switch storage (the paper's "twelve extra
+// bits per switch").
+const BitsPerSwitch = 12
+
+// CDORBitsPerSwitch is CDOR's per-switch storage for comparison (Cw, Ce).
+const CDORBitsPerSwitch = 2
+
+// NewLBDR derives LBDR state for every active switch of the region.
+func NewLBDR(r *sprint.Region) *LBDR {
+	m := r.Mesh()
+	masterX := m.Coord(r.Master()).X
+	l := &LBDR{region: r, bits: make([]lbdrBits, m.Nodes())}
+	conn := func(id int, d mesh.Direction) bool { return r.Connected(id, d) }
+	// neighbor reports whether the powered x-neighbour exists; routing
+	// bits toward a dark neighbour stay 0 (the connectivity bit already
+	// blocks that output, but keeping the bits consistent mirrors the
+	// hardware configuration step).
+	neighbor := func(id int, d mesh.Direction) (int, bool) {
+		n, ok := m.Neighbor(id, d)
+		if !ok || !r.Active(n) {
+			return -1, false
+		}
+		return n, true
+	}
+	for id := 0; id < m.Nodes(); id++ {
+		if !r.Active(id) {
+			continue
+		}
+		b := lbdrBits{
+			cn: conn(id, mesh.North),
+			ce: conn(id, mesh.East),
+			cs: conn(id, mesh.South),
+			cw: conn(id, mesh.West),
+		}
+		// Routing bits: Rxy = (turn x→y permitted by the turn model) ∧
+		// (the x-neighbour is powered). The turn model is master-relative:
+		// with the master in the west column the region is west-aligned,
+		// westward links never go dark, and turns *into* West (NW, SW) can
+		// be prohibited — West-First, provably deadlock-free. A master in
+		// the east column mirrors this (East-First). For interior masters
+		// both escape directions are needed; the channel-dependency tests
+		// verify the region structure still admits no cycle.
+		intoWest := masterX > 0
+		intoEast := masterX < m.Width()-1
+		if _, ok := neighbor(id, mesh.North); ok {
+			b.rne = intoEast
+			b.rnw = intoWest
+		}
+		if _, ok := neighbor(id, mesh.East); ok {
+			b.ren = true
+			b.res = true
+		}
+		if _, ok := neighbor(id, mesh.South); ok {
+			b.rse = intoEast
+			b.rsw = intoWest
+		}
+		if _, ok := neighbor(id, mesh.West); ok {
+			b.rwn = true
+			b.rws = true
+		}
+		l.bits[id] = b
+	}
+	return l
+}
+
+// Name implements Algorithm.
+func (l *LBDR) Name() string { return fmt.Sprintf("LBDR(level=%d)", l.region.Level()) }
+
+// NextPort implements Algorithm using only the twelve per-switch bits and
+// the destination offset, per the LBDR combinational function with
+// horizontal-first selection.
+func (l *LBDR) NextPort(cur, dst int) (int, error) {
+	if !l.region.Active(cur) {
+		return topo.Local, fmt.Errorf("routing: LBDR at dark node %d", cur)
+	}
+	if !l.region.Active(dst) {
+		return topo.Local, fmt.Errorf("routing: LBDR destination %d is dark", dst)
+	}
+	m := l.region.Mesh()
+	cc, tc := m.Coord(cur), m.Coord(dst)
+	np := tc.Y < cc.Y // N'
+	ep := tc.X > cc.X // E'
+	sp := tc.Y > cc.Y // S'
+	wp := tc.X < cc.X // W'
+	if !np && !ep && !sp && !wp {
+		return topo.Local, nil
+	}
+	b := l.bits[cur]
+	// LBDR output functions.
+	outN := b.cn && ((np && !ep && !wp) || (np && ep && b.rne) || (np && wp && b.rnw))
+	outE := b.ce && ((ep && !np && !sp) || (ep && np && b.ren) || (ep && sp && b.res))
+	outS := b.cs && ((sp && !ep && !wp) || (sp && ep && b.rse) || (sp && wp && b.rsw))
+	outW := b.cw && ((wp && !np && !sp) || (wp && np && b.rwn) || (wp && sp && b.rws))
+	// Selection: horizontal first (dimension-order-like), vertical as the
+	// escape — the same preference CDOR hardwires.
+	switch {
+	case outE:
+		return int(mesh.East), nil
+	case outW:
+		return int(mesh.West), nil
+	case outN:
+		return int(mesh.North), nil
+	case outS:
+		return int(mesh.South), nil
+	default:
+		return topo.Local, fmt.Errorf("routing: LBDR has no productive output at %d toward %d", cur, dst)
+	}
+}
+
+// Bits returns the twelve-bit state of switch id as (connectivity, routing)
+// counts of set bits — used by the overhead comparison.
+func (l *LBDR) Bits(id int) (conn, routing int) {
+	b := l.bits[id]
+	for _, v := range []bool{b.cn, b.ce, b.cs, b.cw} {
+		if v {
+			conn++
+		}
+	}
+	for _, v := range []bool{b.rne, b.rnw, b.ren, b.res, b.rse, b.rsw, b.rwn, b.rws} {
+		if v {
+			routing++
+		}
+	}
+	return conn, routing
+}
+
+var _ Algorithm = (*LBDR)(nil)
 
 // TestLBDRMatchesCDOR verifies that LBDR configured from a sprint region
 // routes every in-region pair along exactly the CDOR path, for every level
@@ -62,7 +215,7 @@ func TestLBDRErrorsOnDarkNodes(t *testing.T) {
 	if _, err := l.NextPort(0, 15); err == nil {
 		t.Error("routing to dark node accepted")
 	}
-	if l.Name() == "" || l.Region() != r {
+	if l.Name() == "" || l.region != r {
 		t.Error("metadata wrong")
 	}
 }

@@ -104,9 +104,6 @@ func NewCDOR(r *sprint.Region) *CDOR {
 	return &CDOR{region: r, masterY: r.Mesh().Coord(r.Master()).Y}
 }
 
-// Region returns the sprint region this instance routes over.
-func (c *CDOR) Region() *sprint.Region { return c.region }
-
 // Name implements Algorithm.
 func (c *CDOR) Name() string { return fmt.Sprintf("CDOR(level=%d)", c.region.Level()) }
 

@@ -38,7 +38,7 @@ func FuzzRegionActivate(f *testing.F) {
 
 		r := NewRegion(m, master, lvl, metric)
 		active := r.ActiveNodes()
-		dark := r.DarkNodes()
+		dark := r.order[lvl:]
 		if len(active) != lvl || len(dark) != n-lvl {
 			t.Fatalf("level %d: %d active + %d dark nodes", lvl, len(active), len(dark))
 		}
@@ -52,13 +52,13 @@ func FuzzRegionActivate(f *testing.F) {
 		}
 		for _, id := range dark {
 			if r.Active(id) {
-				t.Fatalf("DarkNodes lists %d but Active(%d) is true", id, id)
+				t.Fatalf("order lists dark node %d but Active(%d) is true", id, id)
 			}
 		}
 
 		// The activation order is a permutation with non-decreasing distance
 		// from the master under the chosen metric.
-		order := r.Order()
+		order := r.order
 		mc := m.Coord(master)
 		dist := func(id int) int {
 			c := m.Coord(id)

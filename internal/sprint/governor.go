@@ -63,7 +63,7 @@ func NewRegionOver(m mesh.Mesh, master, level int, metric Metric, alive func(int
 	for _, id := range order[:level] {
 		active[id] = true
 	}
-	return &Region{mesh: m, master: master, metric: metric, level: level, order: order, active: active}, nil
+	return &Region{mesh: m, master: master, level: level, order: order, active: active}, nil
 }
 
 // GovernorEventKind classifies governor log entries.
@@ -213,13 +213,6 @@ func (g *Governor) Region() *Region { return g.region }
 
 // Master returns the current master node.
 func (g *Governor) Master() int { return g.master }
-
-// Level returns the current target sprint level; the actual region can be
-// smaller when validation forced a shrink.
-func (g *Governor) Level() int { return g.level }
-
-// Events returns the decision log (a copy).
-func (g *Governor) Events() []GovernorEvent { return append([]GovernorEvent(nil), g.events...) }
 
 // CountEvents returns how many log entries have the given kind.
 func (g *Governor) CountEvents(kind GovernorEventKind) int {

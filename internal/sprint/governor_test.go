@@ -218,8 +218,8 @@ func TestGovernorThermalTripDegrades(t *testing.T) {
 	if err != nil || !changed {
 		t.Fatalf("thermal trip: changed=%v err=%v", changed, err)
 	}
-	if g.Level() != 6 || r.Level() != 6 {
-		t.Fatalf("level after trip: governor %d region %d, want 6", g.Level(), r.Level())
+	if g.level != 6 || r.Level() != 6 {
+		t.Fatalf("level after trip: governor %d region %d, want 6", g.level, r.Level())
 	}
 	if g.CountEvents(GovDegrade) != 1 {
 		t.Fatalf("degrade events %d, want 1", g.CountEvents(GovDegrade))
@@ -230,8 +230,8 @@ func TestGovernorThermalTripDegrades(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if g.Level() != 1 {
-		t.Fatalf("level %d after repeated trips, want 1", g.Level())
+	if g.level != 1 {
+		t.Fatalf("level %d after repeated trips, want 1", g.level)
 	}
 	if _, changed, _ := g.ThermalTrip(9000); changed {
 		t.Fatal("trip at level 1 reported a change")

@@ -55,7 +55,6 @@ func allAlive(int) bool { return true }
 type Region struct {
 	mesh   mesh.Mesh
 	master int
-	metric Metric
 	level  int
 	order  []int
 	active []bool
@@ -81,20 +80,11 @@ func (r *Region) Master() int { return r.master }
 // Level returns the number of active nodes.
 func (r *Region) Level() int { return r.level }
 
-// Metric returns the activation-ordering metric.
-func (r *Region) Metric() Metric { return r.metric }
-
-// Order returns the full activation order (a copy).
-func (r *Region) Order() []int { return append([]int(nil), r.order...) }
-
 // Active reports whether node id is powered during this sprint.
 func (r *Region) Active(id int) bool { return r.active[id] }
 
 // ActiveNodes returns the ids of the active nodes in activation order.
 func (r *Region) ActiveNodes() []int { return append([]int(nil), r.order[:r.level]...) }
-
-// DarkNodes returns the ids of the gated (dark) nodes in activation order.
-func (r *Region) DarkNodes() []int { return append([]int(nil), r.order[r.level:]...) }
 
 // Connected reports whether the neighbour of id in direction d exists and is
 // active — i.e. whether the link from id in direction d is powered. This is
@@ -109,24 +99,6 @@ func (r *Region) Connected(id int, d mesh.Direction) bool {
 // id: whether its west and east neighbours are connected.
 func (r *Region) ConnectivityBits(id int) (cw, ce bool) {
 	return r.Connected(id, mesh.West), r.Connected(id, mesh.East)
-}
-
-// ActiveLinks returns the number of powered bidirectional mesh links: links
-// whose both endpoints are active.
-func (r *Region) ActiveLinks() int {
-	n := 0
-	for id := 0; id < r.mesh.Nodes(); id++ {
-		if !r.active[id] {
-			continue
-		}
-		// Count each undirected link once via its East/South endpoint.
-		for _, d := range [...]mesh.Direction{mesh.East, mesh.South} {
-			if r.Connected(id, d) {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // IsConvex reports whether the active set is convex in the Euclidean sense
@@ -163,44 +135,6 @@ func latticePointsOnSegment(a, b mesh.Coord) []mesh.Coord {
 		pts = append(pts, mesh.Coord{X: a.X + i*sx, Y: a.Y + i*sy})
 	}
 	return pts
-}
-
-// IsStaircase reports whether the active set is "downward-closed" toward the
-// master corner: for every active node, stepping one hop toward the master
-// in either dimension stays active. For a corner master this property makes
-// CDOR's escape-North rule terminate; it holds for every Euclidean-ordered
-// prefix grown from a corner (verified by property tests).
-func (r *Region) IsStaircase() bool {
-	mc := r.mesh.Coord(r.master)
-	for id := 0; id < r.mesh.Nodes(); id++ {
-		if !r.active[id] {
-			continue
-		}
-		c := r.mesh.Coord(id)
-		if c.X != mc.X {
-			step := c
-			if c.X > mc.X {
-				step.X--
-			} else {
-				step.X++
-			}
-			if !r.active[r.mesh.ID(step)] {
-				return false
-			}
-		}
-		if c.Y != mc.Y {
-			step := c
-			if c.Y > mc.Y {
-				step.Y--
-			} else {
-				step.Y++
-			}
-			if !r.active[r.mesh.ID(step)] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func gcd(a, b int) int {

@@ -65,7 +65,7 @@ func TestActivationOrderMonotoneDistance(t *testing.T) {
 	order := ActivationOrder(m, 0, Euclidean)
 	prev := -1
 	for _, id := range order {
-		d := m.EuclideanSqID(0, id)
+		d := m.Coord(0).EuclideanSq(m.Coord(id))
 		if d < prev {
 			t.Fatalf("distance not monotone at node %d", id)
 		}
@@ -138,7 +138,7 @@ func TestRegionActiveDarkPartition(t *testing.T) {
 	m := mesh.New(4, 4)
 	for level := 1; level <= 16; level++ {
 		r := NewRegion(m, 0, level, Euclidean)
-		a, d := r.ActiveNodes(), r.DarkNodes()
+		a, d := r.ActiveNodes(), r.order[level:]
 		if len(a) != level || len(d) != 16-level {
 			t.Fatalf("level %d: %d active, %d dark", level, len(a), len(d))
 		}
@@ -149,21 +149,6 @@ func TestRegionActiveDarkPartition(t *testing.T) {
 			}
 			seen[id] = true
 		}
-	}
-}
-
-func TestActiveLinks(t *testing.T) {
-	m := mesh.New(4, 4)
-	// Level 1: no links. Level 16: full mesh = 2*4*3 = 24 links.
-	if got := NewRegion(m, 0, 1, Euclidean).ActiveLinks(); got != 0 {
-		t.Errorf("level 1 links = %d", got)
-	}
-	if got := NewRegion(m, 0, 16, Euclidean).ActiveLinks(); got != 24 {
-		t.Errorf("level 16 links = %d, want 24", got)
-	}
-	// Level 4 = {0,1,4,5}: a 2x2 block has 4 links.
-	if got := NewRegion(m, 0, 4, Euclidean).ActiveLinks(); got != 4 {
-		t.Errorf("level 4 links = %d, want 4", got)
 	}
 }
 
@@ -199,4 +184,43 @@ func TestMetricString(t *testing.T) {
 	if Euclidean.String() != "euclidean" || Hamming.String() != "hamming" {
 		t.Error("metric names wrong")
 	}
+}
+
+// IsStaircase reports whether the active set is "downward-closed" toward the
+// master corner: for every active node, stepping one hop toward the master
+// in either dimension stays active. For a corner master this property makes
+// CDOR's escape-North rule terminate; it holds for every Euclidean-ordered
+// prefix grown from a corner (verified by property tests). It is a test
+// oracle: CDOR relies on the property but never evaluates it.
+func (r *Region) IsStaircase() bool {
+	mc := r.mesh.Coord(r.master)
+	for id := 0; id < r.mesh.Nodes(); id++ {
+		if !r.active[id] {
+			continue
+		}
+		c := r.mesh.Coord(id)
+		if c.X != mc.X {
+			step := c
+			if c.X > mc.X {
+				step.X--
+			} else {
+				step.X++
+			}
+			if !r.active[r.mesh.ID(step)] {
+				return false
+			}
+		}
+		if c.Y != mc.Y {
+			step := c
+			if c.Y > mc.Y {
+				step.Y--
+			} else {
+				step.Y++
+			}
+			if !r.active[r.mesh.ID(step)] {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -2,11 +2,12 @@
 // the phase-change-material (PCM) heat storage that computational sprinting
 // relies on. Two models are provided:
 //
-//   - a steady-state/transient RC grid (Grid, SteadyState) that turns a
-//     per-tile power map into a heat map — the paper's Figure 12; and
-//   - a lumped chip RC model with a latent-heat PCM reservoir (Lumped) that
-//     reproduces the three sprint phases of Figure 1 and yields sprint
-//     duration as a function of sprint power (§4.4).
+//   - a steady-state RC grid (SteadyState) that turns a per-tile power map
+//     into a heat map — the paper's Figure 12; and
+//   - a lumped chip RC model with a latent-heat PCM reservoir (Lumped, and
+//     LumpedState to step it) that reproduces the three sprint phases of
+//     Figure 1 and yields sprint duration as a function of sprint power
+//     (§4.4).
 package thermal
 
 import (
@@ -36,8 +37,6 @@ type GridConfig struct {
 	// package path that makes full-sprinting (~106 W) run globally hotter
 	// than any 4-core sprint (~33 W).
 	RconvKperW float64
-	// CthCell is the per-cell heat capacity in J/K (transient runs).
-	CthCell float64
 	// AmbientK is the ambient (package) temperature in kelvin.
 	AmbientK float64
 }
@@ -53,7 +52,6 @@ func DefaultGridConfig() GridConfig {
 		RlatCell:   45.0,
 		RedgeCell:  600.0,
 		RconvKperW: 0.13,
-		CthCell:    0.004,
 		AmbientK:   318.15, // 45 °C ambient, as in computational sprinting
 	}
 }
@@ -69,8 +67,6 @@ func (c GridConfig) Validate() error {
 		return fmt.Errorf("thermal: resistances must be positive")
 	case c.RconvKperW < 0:
 		return fmt.Errorf("thermal: negative convection resistance")
-	case c.CthCell <= 0:
-		return fmt.Errorf("thermal: heat capacity must be positive")
 	case c.AmbientK <= 0:
 		return fmt.Errorf("thermal: ambient %g K not physical", c.AmbientK)
 	}
@@ -199,42 +195,6 @@ func SteadyState(cfg GridConfig, tilePower []float64) (*HeatMap, error) {
 	return nil, fmt.Errorf("thermal: steady state did not converge")
 }
 
-// Grid is a transient RC grid integrator over the same network as
-// SteadyState, using explicit Euler with a stability-bounded step.
-type Grid struct {
-	cfg   GridConfig
-	gw    int
-	gh    int
-	T     []float64
-	cellP []float64
-	base  float64
-	time  float64
-}
-
-// NewGrid returns a transient grid at ambient temperature with zero power.
-func NewGrid(cfg GridConfig) (*Grid, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	gw, gh := cfg.cells()
-	g := &Grid{cfg: cfg, gw: gw, gh: gh, T: make([]float64, gw*gh), cellP: make([]float64, gw*gh), base: cfg.AmbientK}
-	for i := range g.T {
-		g.T[i] = cfg.AmbientK
-	}
-	return g, nil
-}
-
-// SetTilePower installs a per-tile power map (watts per tile). A map
-// SteadyState would reject leaves the grid's power unchanged.
-func (g *Grid) SetTilePower(tilePower []float64) error {
-	base, err := g.cfg.spread(tilePower, g.cellP)
-	if err != nil {
-		return err
-	}
-	g.base = base
-	return nil
-}
-
 // spread checks a per-tile power map (watts per tile, row-major, length
 // W*H: finite and non-negative), spreads each tile's watts evenly over its
 // cells in cellP, and returns the spreader base temperature: the spreader
@@ -264,62 +224,4 @@ func (cfg GridConfig) spread(tilePower, cellP []float64) (float64, error) {
 		}
 	}
 	return cfg.AmbientK + totalP*cfg.RconvKperW, nil
-}
-
-// MaxStableStep returns the largest explicit-Euler step that keeps the
-// integration stable: dt < C / Σg per cell.
-func (g *Grid) MaxStableStep() float64 {
-	gSum := 1.0/g.cfg.RvCell + 4.0/g.cfg.RlatCell // worst case: 4 lateral neighbours
-	return 0.5 * g.cfg.CthCell / gSum
-}
-
-// Step integrates one explicit-Euler step of dt seconds. It returns an
-// error if dt exceeds the stability bound.
-func (g *Grid) Step(dt float64) error {
-	if dt <= 0 || dt > g.MaxStableStep() {
-		return fmt.Errorf("thermal: step %g outside (0, %g]", dt, g.MaxStableStep())
-	}
-	cfg := g.cfg
-	gLat := 1.0 / cfg.RlatCell
-	gV := 1.0 / cfg.RvCell
-	gEdge := 1.0 / cfg.RedgeCell
-	next := make([]float64, len(g.T))
-	for y := 0; y < g.gh; y++ {
-		for x := 0; x < g.gw; x++ {
-			i := y*g.gw + x
-			q := g.cellP[i] + (g.base-g.T[i])*gV
-			if x > 0 {
-				q += (g.T[i-1] - g.T[i]) * gLat
-			} else {
-				q += (g.base - g.T[i]) * gEdge
-			}
-			if x < g.gw-1 {
-				q += (g.T[i+1] - g.T[i]) * gLat
-			} else {
-				q += (g.base - g.T[i]) * gEdge
-			}
-			if y > 0 {
-				q += (g.T[i-g.gw] - g.T[i]) * gLat
-			} else {
-				q += (g.base - g.T[i]) * gEdge
-			}
-			if y < g.gh-1 {
-				q += (g.T[i+g.gw] - g.T[i]) * gLat
-			} else {
-				q += (g.base - g.T[i]) * gEdge
-			}
-			next[i] = g.T[i] + dt*q/cfg.CthCell
-		}
-	}
-	g.T = next
-	g.time += dt
-	return nil
-}
-
-// Time returns the integrated simulation time in seconds.
-func (g *Grid) Time() float64 { return g.time }
-
-// Snapshot returns the current temperature field.
-func (g *Grid) Snapshot() *HeatMap {
-	return &HeatMap{W: g.gw, H: g.gh, T: append([]float64(nil), g.T...)}
 }

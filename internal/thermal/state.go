@@ -34,7 +34,6 @@ type LumpedState struct {
 
 	tripK, clearK float64
 	tripped       bool
-	trips         int
 }
 
 // NewLumpedState returns a stepper for model l starting at ambient
@@ -114,7 +113,6 @@ func (s *LumpedState) Step(powerW, dt float64) error {
 		switch {
 		case !s.tripped && s.tempK >= s.tripK:
 			s.tripped = true
-			s.trips++
 		case s.tripped && s.tempK <= s.clearK:
 			s.tripped = false
 		}
@@ -136,9 +134,6 @@ func (s *LumpedState) MeltFraction() float64 {
 
 // Tripped reports whether the trip comparator is currently asserted.
 func (s *LumpedState) Tripped() bool { return s.tripped }
-
-// Trips returns the number of distinct trip assertions so far.
-func (s *LumpedState) Trips() int { return s.trips }
 
 // finiteNonNeg reports whether v is a usable power or duration: neither
 // negative, NaN nor +Inf.

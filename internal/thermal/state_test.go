@@ -17,10 +17,38 @@ func TestNewLumpedStateValidation(t *testing.T) {
 	if s.TempK() != DefaultLumped().AmbientK {
 		t.Errorf("fresh state at %g K, want ambient %g K", s.TempK(), DefaultLumped().AmbientK)
 	}
-	if s.MeltFraction() != 0 || s.Tripped() || s.Trips() != 0 {
-		t.Errorf("fresh state not pristine: melt %g tripped %v trips %d",
-			s.MeltFraction(), s.Tripped(), s.Trips())
+	if s.MeltFraction() != 0 || s.Tripped() {
+		t.Errorf("fresh state not pristine: melt %g tripped %v", s.MeltFraction(), s.Tripped())
 	}
+}
+
+// tripCounter counts the trip comparator's false→true edges between Step
+// calls. The comparator updates once per Step, after its sub-steps, so this
+// is the number of distinct trip assertions.
+type tripCounter struct {
+	*LumpedState
+	trips int
+}
+
+func newTripCounter(t *testing.T, tripK, clearK float64) *tripCounter {
+	t.Helper()
+	s, err := NewLumpedState(DefaultLumped())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetHysteresis(tripK, clearK); err != nil {
+		t.Fatal(err)
+	}
+	return &tripCounter{LumpedState: s}
+}
+
+func (c *tripCounter) Step(powerW, dt float64) error {
+	was := c.Tripped()
+	err := c.LumpedState.Step(powerW, dt)
+	if !was && c.Tripped() {
+		c.trips++
+	}
+	return err
 }
 
 func TestLumpedStateStepRejectsBadInputs(t *testing.T) {
@@ -66,13 +94,7 @@ func TestLumpedStateStepRejectsBadInputs(t *testing.T) {
 // nothing, including the trip comparator, even when the die already sits
 // above the trip threshold.
 func TestLumpedStateZeroDtIsNoOp(t *testing.T) {
-	s, err := NewLumpedState(DefaultLumped())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetHysteresis(350, 340); err != nil {
-		t.Fatal(err)
-	}
+	s := newTripCounter(t, 350, 340)
 	// Heat well past the trip point so a buggy zero-dt step would have a
 	// comparator transition to leak.
 	for i := 0; i < 100; i++ {
@@ -83,13 +105,13 @@ func TestLumpedStateZeroDtIsNoOp(t *testing.T) {
 	if !s.Tripped() {
 		t.Fatalf("die at %g K did not trip at 350 K", s.TempK())
 	}
-	temp, melt, trips := s.TempK(), s.MeltFraction(), s.Trips()
+	temp, melt, trips := s.TempK(), s.MeltFraction(), s.trips
 	if err := s.Step(60, 0); err != nil {
 		t.Fatalf("zero dt rejected: %v", err)
 	}
-	if s.TempK() != temp || s.MeltFraction() != melt || s.Trips() != trips || !s.Tripped() {
+	if s.TempK() != temp || s.MeltFraction() != melt || s.trips != trips || !s.Tripped() {
 		t.Errorf("zero-dt step mutated state: temp %g->%g melt %g->%g trips %d->%d",
-			temp, s.TempK(), melt, s.MeltFraction(), trips, s.Trips())
+			temp, s.TempK(), melt, s.MeltFraction(), trips, s.trips)
 	}
 }
 
@@ -293,14 +315,7 @@ func TestSetHysteresisValidation(t *testing.T) {
 // below ClearK, and re-trip on the next excursion — two distinct trips, not
 // one per sample of threshold jitter.
 func TestLumpedStateTripHysteresis(t *testing.T) {
-	l := DefaultLumped()
-	s, err := NewLumpedState(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetHysteresis(350, 340); err != nil {
-		t.Fatal(err)
-	}
+	s := newTripCounter(t, 350, 340)
 	heat := func(powerW float64, until func() bool) {
 		t.Helper()
 		for i := 0; i < 100000; i++ {
@@ -315,8 +330,8 @@ func TestLumpedStateTripHysteresis(t *testing.T) {
 	}
 
 	heat(60, s.Tripped) // steady state 378 K, must trip at 350 K
-	if s.Trips() != 1 {
-		t.Fatalf("%d trips after first excursion, want 1", s.Trips())
+	if s.trips != 1 {
+		t.Fatalf("%d trips after first excursion, want 1", s.trips)
 	}
 	// Hold between the thresholds: 26 W settles at 344 K — above ClearK,
 	// below TripK. The trip must stay latched however long we linger.
@@ -328,16 +343,16 @@ func TestLumpedStateTripHysteresis(t *testing.T) {
 	if got := s.TempK(); got <= 340 || got >= 350 {
 		t.Fatalf("hold temperature %g K left the hysteresis band", got)
 	}
-	if !s.Tripped() || s.Trips() != 1 {
-		t.Fatalf("trip unlatched inside the band: tripped %v trips %d", s.Tripped(), s.Trips())
+	if !s.Tripped() || s.trips != 1 {
+		t.Fatalf("trip unlatched inside the band: tripped %v trips %d", s.Tripped(), s.trips)
 	}
 	heat(0, func() bool { return !s.Tripped() }) // cool below ClearK
-	if s.TempK() > 340 || s.Trips() != 1 {
-		t.Fatalf("cleared at %g K with %d trips", s.TempK(), s.Trips())
+	if s.TempK() > 340 || s.trips != 1 {
+		t.Fatalf("cleared at %g K with %d trips", s.TempK(), s.trips)
 	}
 	heat(60, s.Tripped) // second excursion is a second trip
-	if s.Trips() != 2 {
-		t.Errorf("%d trips after second excursion, want 2", s.Trips())
+	if s.trips != 2 {
+		t.Errorf("%d trips after second excursion, want 2", s.trips)
 	}
 }
 

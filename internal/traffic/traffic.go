@@ -237,14 +237,8 @@ func RandomSet(n, k int, rng *rand.Rand) *Set {
 	return NewSet(rng.Perm(n)[:k])
 }
 
-// Nodes returns the node ids in index order (a copy).
-func (s *Set) Nodes() []int { return append([]int(nil), s.nodes...) }
-
 // Size returns the number of endpoints.
 func (s *Set) Size() int { return len(s.nodes) }
-
-// Node returns the node id at pattern index i.
-func (s *Set) Node(i int) int { return s.nodes[i] }
 
 // Index returns the pattern index of node id, or -1 if the node is not in
 // the set.

@@ -141,7 +141,7 @@ func TestPermutationIsDerangement(t *testing.T) {
 
 func TestSetMapping(t *testing.T) {
 	s := NewSet([]int{3, 9, 12, 0})
-	if s.Size() != 4 || s.Node(1) != 9 || s.Index(12) != 2 || s.Index(5) != -1 {
+	if s.Size() != 4 || s.nodes[1] != 9 || s.Index(12) != 2 || s.Index(5) != -1 {
 		t.Error("set mapping wrong")
 	}
 	rng := rand.New(rand.NewSource(5))
@@ -182,7 +182,7 @@ func TestRandomSet(t *testing.T) {
 		t.Fatal("wrong size")
 	}
 	seen := map[int]bool{}
-	for _, id := range s.Nodes() {
+	for _, id := range s.nodes {
 		if id < 0 || id >= 16 || seen[id] {
 			t.Fatal("bad random set")
 		}
@@ -240,7 +240,7 @@ func TestBernoulliDrawOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var want []pkt
 	for c := 0; c < 500; c++ {
-		for _, src := range s.Nodes() {
+		for _, src := range s.nodes {
 			if rng.Float64() < 0.8/4 {
 				want = append(want, pkt{src, s.PickNode(h, src, rng)})
 			}
