@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -119,6 +123,53 @@ func TestRunSprintRegion(t *testing.T) {
 	for _, want := range []string{"(8 routers powered)", "over 8 endpoints", "saturated       false"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestBinaryExitStatus runs the built nocsim as a process. Each good run
+// exits 0; each bad input exits with status 1 and a "nocsim: " error line,
+// not a panic (status 2).
+func TestBinaryExitStatus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := filepath.Join(t.TempDir(), "nocsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	errLine := regexp.MustCompile(`(?m)^nocsim: `)
+	for _, c := range []struct {
+		args   string
+		status int
+	}{
+		{"-level 8 -rate 0.2", 0},
+		{"-width 8 -height 8 -pattern transpose -rate 0.1", 0},
+		{"-level 1", 1},
+		{"-vcs 13", 1},
+		{"-width 1 -height 1", 1},
+		{"-width 1 -height 1 -pattern transpose", 1},
+		{"-rate NaN", 1},
+		{"-drain -5", 1},
+		{"-warmup -5", 1},
+		{"-vdd NaN", 1},
+		{"-freq Inf", 1},
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, strings.Fields(c.args)...)
+		cmd.Stderr = &stderr
+		status := 0
+		var exit *exec.ExitError
+		if err := cmd.Run(); errors.As(err, &exit) {
+			status = exit.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case status != c.status:
+			t.Errorf("nocsim %s: exit status %d, want %d\n%s", c.args, status, c.status, stderr.Bytes())
+		case status == 1 && !errLine.Match(stderr.Bytes()):
+			t.Errorf("nocsim %s: no %q error line on stderr:\n%s", c.args, "nocsim: ", stderr.Bytes())
 		}
 	}
 }

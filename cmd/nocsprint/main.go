@@ -56,9 +56,6 @@ type options struct {
 	obsOut      string
 	httpAddr    string
 	traceOut    string
-	traceCycles int
-	traceRate   float64
-	traceSeed   int64
 
 	// Runtime state wired up by execute, not flags: the sweep-level and
 	// point-level cancellation contexts, the open checkpoint journal (nil
@@ -95,9 +92,6 @@ func parseArgs(args []string, output io.Writer) (options, string, error) {
 	fs.StringVar(&o.obsOut, "obs-out", "obs", "directory for per-point telemetry JSONL/CSV files (with -obs)")
 	fs.StringVar(&o.httpAddr, "http", "", "serve sweep progress (expvar) and profiling (pprof) on this address, e.g. :8080")
 	fs.StringVar(&o.traceOut, "trace-out", "trace.jsonl", "trace experiment: output file for the generated trace")
-	fs.IntVar(&o.traceCycles, "trace-cycles", 2000, "trace experiment: injection horizon in cycles")
-	fs.Float64Var(&o.traceRate, "trace-rate", 0.1, "trace experiment: injection rate in flits/node/cycle")
-	fs.Int64Var(&o.traceSeed, "trace-seed", 1, "trace experiment: RNG seed")
 	if err := fs.Parse(args); err != nil {
 		return options{}, "", err
 	}
@@ -126,9 +120,6 @@ func parseArgs(args []string, output io.Writer) (options, string, error) {
 	}
 	if o.obsInterval < 1 {
 		return options{}, "", fmt.Errorf("-obs-interval %d: must be >= 1", o.obsInterval)
-	}
-	if o.traceCycles < 1 {
-		return options{}, "", fmt.Errorf("-trace-cycles %d: must be >= 1", o.traceCycles)
 	}
 	return o, exp, nil
 }
@@ -353,8 +344,10 @@ flags:
                .csv per simulation (default obs)
   -http ADDR   serve live monitoring on ADDR (e.g. :8080): sweep progress
                counters at /debug/vars (expvar) and profiling at /debug/pprof
-  -trace-out FILE, -trace-cycles N, -trace-rate R, -trace-seed S
-               knobs for the trace experiment
+  -trace-out FILE
+               where the trace experiment writes its trace: 2000 cycles of
+               uniform traffic at 0.1 flits/node/cycle, seed 1
+               (default trace.jsonl)
 
 signals: the first SIGINT/SIGTERM stops claiming new sweep points, lets
 in-flight points finish (journaling them), and exits with a partial-result
@@ -431,6 +424,14 @@ func run(name string, o options, stdout io.Writer) error {
 	return nil
 }
 
+// The trace experiment's injection horizon in cycles, its injection rate in
+// flits per node per cycle, and its RNG seed.
+const (
+	traceCycles = 2000
+	traceRate   = 0.1
+	traceSeed   = 1
+)
+
 // traceCmd generates a deterministic uniform-random injection trace over the
 // full mesh, writes it through noc.WriteTraceFile — the path that joins the
 // buffered-write flush error with the file's Close error, so a full disk is
@@ -445,15 +446,15 @@ func traceCmd(stdout io.Writer, s *core.Sprinter, o options) error {
 		nodes[i] = i
 	}
 	set := traffic.NewSet(nodes)
-	events, err := noc.GenerateTrace(set, traffic.NewUniform(len(nodes)), o.traceRate,
-		cfg.NoC.PacketLength, o.traceCycles, o.traceSeed)
+	events, err := noc.GenerateTrace(set, traffic.NewUniform(len(nodes)), traceRate,
+		cfg.NoC.PacketLength, traceCycles, traceSeed)
 	if err != nil {
 		return err
 	}
 	if err := noc.WriteTraceFile(o.traceOut, events); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "wrote %d injection(s) over %d cycles to %s\n", len(events), o.traceCycles, o.traceOut)
+	fmt.Fprintf(stdout, "wrote %d injection(s) over %d cycles to %s\n", len(events), traceCycles, o.traceOut)
 
 	f, err := os.Open(o.traceOut)
 	if err != nil {
@@ -471,7 +472,7 @@ func traceCmd(stdout io.Writer, s *core.Sprinter, o options) error {
 	if err != nil {
 		return err
 	}
-	res, err := noc.ReplayTrace(net, reread, 10*o.traceCycles+20000)
+	res, err := noc.ReplayTrace(net, reread, 10*traceCycles+20000)
 	if err != nil {
 		return err
 	}

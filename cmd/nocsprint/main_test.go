@@ -13,7 +13,7 @@ import (
 func defaultOpts(mut func(*options)) options {
 	o := options{
 		obsInterval: 1000, obsOut: "obs",
-		traceOut: "trace.jsonl", traceCycles: 2000, traceRate: 0.1, traceSeed: 1,
+		traceOut: "trace.jsonl",
 	}
 	if mut != nil {
 		mut(&o)
@@ -43,8 +43,7 @@ func TestParseArgsTrailingFlags(t *testing.T) {
 		{[]string{"fig11", "-obs", "-obs-out", "telemetry"},
 			defaultOpts(func(o *options) { o.obs, o.obsOut = true, "telemetry" }), "fig11"},
 		{[]string{"-http", ":0", "fig11"}, defaultOpts(func(o *options) { o.httpAddr = ":0" }), "fig11"},
-		{[]string{"trace", "-trace-cycles", "100", "-trace-rate", "0.2"},
-			defaultOpts(func(o *options) { o.traceCycles, o.traceRate = 100, 0.2 }), "trace"},
+		{[]string{"trace", "-trace-out", "t.jsonl"}, defaultOpts(func(o *options) { o.traceOut = "t.jsonl" }), "trace"},
 	}
 	for _, c := range cases {
 		got, exp, err := parseArgs(c.args, io.Discard)
@@ -68,7 +67,6 @@ func TestParseArgsErrors(t *testing.T) {
 		{"-nonesuch", "fig11"},           // unknown leading flag
 		{"fig11", "-workers", "-2"},      // negative worker count
 		{"fig11", "-obs-interval", "0"},  // sampling interval below 1
-		{"trace", "-trace-cycles", "0"},  // empty trace horizon
 		{"fig11", "-obs-interval", "-3"}, // negative interval
 	}
 	for _, args := range cases {

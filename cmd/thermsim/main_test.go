@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
+	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -156,6 +160,49 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not name the input (%s)", c.name, err, c.want)
+		}
+	}
+}
+
+// TestBinaryExitStatus runs the built thermsim as a process. Each good run
+// exits 0; each bad input exits with status 1 and a "thermsim: " error line,
+// not a panic (status 2).
+func TestBinaryExitStatus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := filepath.Join(t.TempDir(), "thermsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	errLine := regexp.MustCompile(`(?m)^thermsim: `)
+	for _, c := range []struct {
+		args   string
+		status int
+	}{
+		{"-mode phases -benchmark dedup -scheme full", 0},
+		{"-mode phases -benchmark dedup -scheme fine", 0},
+		{"-mode timeline -benchmark dedup -dt 1e-3 -horizon 5", 0},
+		{"-mode heatmap -level 4 -floorplan", 0},
+		{"-mode timeline -horizon NaN", 1},
+		{"-mode phases -power Inf", 1},
+		{"-mode timeline -power Inf", 1},
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, strings.Fields(c.args)...)
+		cmd.Stderr = &stderr
+		status := 0
+		var exit *exec.ExitError
+		if err := cmd.Run(); errors.As(err, &exit) {
+			status = exit.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case status != c.status:
+			t.Errorf("thermsim %s: exit status %d, want %d\n%s", c.args, status, c.status, stderr.Bytes())
+		case status == 1 && !errLine.Match(stderr.Bytes()):
+			t.Errorf("thermsim %s: no %q error line on stderr:\n%s", c.args, "thermsim: ", stderr.Bytes())
 		}
 	}
 }

@@ -31,11 +31,7 @@ func main() {
 		bursts = append(bursts, core.Burst{Profile: p, WorkSeconds: 1.2, ArrivalS: float64(i) * 4})
 	}
 
-	ctl, err := core.NewController(sprinter, core.DefaultControllerConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := ctl.RunTrace(bursts, 60)
+	res, err := sprinter.RunTrace(core.NoCSprinting, bursts, 60)
 	if err != nil {
 		log.Fatal(err)
 	}

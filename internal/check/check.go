@@ -104,6 +104,11 @@ type RouteOracle func(cur, dst int) (int, error)
 // Oracle adapts a routing algorithm into a RouteOracle.
 func Oracle(alg routing.Algorithm) RouteOracle { return alg.NextPort }
 
+// watchdogCycles is how long traffic may be in flight with no flit movement
+// before the watchdog declares a deadlock. It comfortably exceeds the router
+// wake-up latency of runtime gating.
+const watchdogCycles = 2000
+
 // Config selects which invariants to enforce and tunes the sweeps.
 type Config struct {
 	// Region, when set, enforces sprint-region containment: every flit
@@ -120,11 +125,6 @@ type Config struct {
 	// (structural consistency and flit conservation). Per-event checks
 	// run every cycle regardless. Defaults to 16.
 	Interval int
-	// WatchdogCycles is how long traffic may be in flight with no flit
-	// movement before the watchdog declares a deadlock. Must comfortably
-	// exceed the router wake-up latency when runtime gating is on.
-	// Defaults to 2000.
-	WatchdogCycles int
 	// OnViolation, when set, receives each violation instead of the
 	// default panic. The simulation continues, so a handler that records
 	// and returns turns the checker into a violation counter.
@@ -156,9 +156,6 @@ var _ noc.Probe = (*Checker)(nil)
 func New(cfg Config) *Checker {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 16
-	}
-	if cfg.WatchdogCycles <= 0 {
-		cfg.WatchdogCycles = 2000
 	}
 	return &Checker{cfg: cfg, lastProgress: -1}
 }
@@ -311,7 +308,7 @@ func (c *Checker) CycleEnd(n *noc.Network, cycle int64) {
 	progress := n.Progress()
 	if n.InFlight() > 0 && progress == c.lastProgress {
 		c.stalled++
-		if c.stalled >= c.cfg.WatchdogCycles {
+		if c.stalled >= watchdogCycles {
 			c.fail(n, Watchdog, "no flit movement for %d cycles with %d packets in flight",
 				c.stalled, n.InFlight())
 			c.stalled = 0

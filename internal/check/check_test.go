@@ -68,7 +68,7 @@ func TestCleanRunDOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.EnableRuntimeGating(noc.DefaultGatingConfig()); err != nil {
+	if err := net.EnableRuntimeGating(); err != nil {
 		t.Fatal(err)
 	}
 	net.SetProbe(check.New(failOn(t, check.Config{Oracle: check.Oracle(alg), Interval: 1})))
@@ -381,7 +381,7 @@ func (a ringAlg) Name() string { return "ring" }
 
 // TestWatchdogCatchesDeadlock builds a guaranteed routing deadlock and
 // expects the watchdog to flag it with a snapshot, instead of the simulator
-// spinning forever, on the cycle its 100-cycle stall count first runs out.
+// spinning forever, on the cycle its 2000-cycle stall count first runs out.
 func TestWatchdogCatchesDeadlock(t *testing.T) {
 	m := mesh.New(2, 2)
 	cfg := noc.Config{
@@ -398,8 +398,7 @@ func TestWatchdogCatchesDeadlock(t *testing.T) {
 	}
 	var got *check.Violation
 	net.SetProbe(check.New(check.Config{
-		Interval:       1,
-		WatchdogCycles: 100,
+		Interval: 1,
 		OnViolation: func(v *check.Violation) {
 			if got == nil {
 				got = v
@@ -409,7 +408,7 @@ func TestWatchdogCatchesDeadlock(t *testing.T) {
 	for src, dst := range map[int]int{0: 2, 1: 0, 3: 1, 2: 3} {
 		net.Enqueue(src, dst)
 	}
-	for i := 0; i < 2000 && got == nil; i++ {
+	for i := 0; i < 4000 && got == nil; i++ {
 		net.Step()
 	}
 	if got == nil {
@@ -418,8 +417,8 @@ func TestWatchdogCatchesDeadlock(t *testing.T) {
 	if got.Kind != check.Watchdog {
 		t.Fatalf("violation kind = %s, want %s", got.Kind, check.Watchdog)
 	}
-	if got.Cycle != 106 {
-		t.Fatalf("watchdog fired at cycle %d, want 106", got.Cycle)
+	if got.Cycle != 2006 {
+		t.Fatalf("watchdog fired at cycle %d, want 2006", got.Cycle)
 	}
 	if !strings.Contains(got.Snapshot, "router") {
 		t.Fatalf("snapshot missing per-router state:\n%s", got.Snapshot)

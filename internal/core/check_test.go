@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"nocsprint/internal/noc"
 	"nocsprint/internal/workload"
 )
 
@@ -52,7 +51,7 @@ func TestSweepDriversSelfValidateWithZeroDrift(t *testing.T) {
 			return ScalingStudy([]int{4}, sp)
 		}},
 		{"GatingComparison", func(sp NetSimParams) (any, error) {
-			return GatingComparison(s, noc.DefaultGatingConfig(), sp)
+			return GatingComparison(s, sp)
 		}},
 		{"FloorplanWireStudy", func(sp NetSimParams) (any, error) {
 			return FloorplanWireStudy(s, sp)
@@ -86,9 +85,7 @@ func TestLLCStudySelfValidates(t *testing.T) {
 	}
 	s := newSprinter(t)
 	run := func(check bool) []LLCRow {
-		rows, err := LLCStudy(s, LLCParams{
-			WorkingSetLines: 200, SharedLines: 32, AccessesPerCore: 300, Sim: NetSimParams{Check: check},
-		})
+		rows, err := LLCStudy(s, NetSimParams{Check: check})
 		if err != nil {
 			t.Fatalf("LLCStudy(check=%v): %v", check, err)
 		}

@@ -28,33 +28,13 @@ type Burst struct {
 	ArrivalS float64
 }
 
-// ControllerConfig tunes the runtime controller.
-type ControllerConfig struct {
-	// Scheme is the sprinting policy applied to every burst.
-	Scheme Scheme
-	// DtS is the integration step in seconds.
-	DtS float64
-	// ResumeMarginK is the hysteresis below the junction limit required
-	// before sprinting again after a thermal fallback; it must be positive.
-	ResumeMarginK float64
-}
-
-// DefaultControllerConfig returns a NoC-sprinting controller at 1 ms
-// resolution with 5 K of resume hysteresis.
-func DefaultControllerConfig() ControllerConfig {
-	return ControllerConfig{Scheme: NoCSprinting, DtS: 1e-3, ResumeMarginK: 5}
-}
-
-// Validate reports the first invalid field, or nil.
-func (c ControllerConfig) Validate() error {
-	if !(c.DtS > 0) || math.IsInf(c.DtS, 1) {
-		return fmt.Errorf("core: controller step %g not finite and positive", c.DtS)
-	}
-	if c.ResumeMarginK <= 0 {
-		return fmt.Errorf("core: resume margin %g K not positive", c.ResumeMarginK)
-	}
-	return nil
-}
+// The controller's integration step, and the hysteresis below the junction
+// limit the die must cool by before the controller sprints again after a
+// thermal fallback.
+const (
+	controllerStepS = 1e-3
+	resumeMarginK   = 5.0
+)
 
 // TraceSample is one decimated point of a controller run's timeline.
 type TraceSample struct {
@@ -85,24 +65,11 @@ type TraceResult struct {
 	Samples []TraceSample
 }
 
-// Controller runs burst traces against a Sprinter's models.
-type Controller struct {
-	s   *Sprinter
-	cfg ControllerConfig
-}
-
-// NewController pairs a sprinter with a runtime policy.
-func NewController(s *Sprinter, cfg ControllerConfig) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Controller{s: s, cfg: cfg}, nil
-}
-
-// RunTrace executes the burst trace for at most horizonS seconds of
-// simulated time and returns the run summary. Bursts are served in arrival
-// order (FIFO).
-func (c *Controller) RunTrace(bursts []Burst, horizonS float64) (TraceResult, error) {
+// RunTrace runs the online controller over the burst trace for at most
+// horizonS seconds of simulated time, in controllerStepS steps, sprinting
+// each burst as scheme decides, and returns the run summary. Bursts are
+// served in arrival order (FIFO).
+func (s *Sprinter) RunTrace(scheme Scheme, bursts []Burst, horizonS float64) (TraceResult, error) {
 	if horizonS <= 0 {
 		return TraceResult{}, fmt.Errorf("core: non-positive horizon")
 	}
@@ -118,14 +85,14 @@ func (c *Controller) RunTrace(bursts []Burst, horizonS float64) (TraceResult, er
 		}
 	}
 
-	lump := c.s.cfg.Lumped
+	lump := s.cfg.Lumped
 	th, err := thermal.NewLumpedState(lump)
 	if err != nil {
 		return TraceResult{}, err
 	}
 	// The thermal governor: the trip forces nominal operation from the
 	// junction limit until the die cools by the resume margin.
-	if err := th.SetHysteresis(lump.MaxK, lump.MaxK-c.cfg.ResumeMarginK); err != nil {
+	if err := th.SetHysteresis(lump.MaxK, lump.MaxK-resumeMarginK); err != nil {
 		return TraceResult{}, err
 	}
 	res := TraceResult{
@@ -138,12 +105,12 @@ func (c *Controller) RunTrace(bursts []Burst, horizonS float64) (TraceResult, er
 
 	// Precompute each burst's level, speedup and sprint power.
 	plans := make([]Decision, len(bursts))
-	nominal, err := c.s.Decide(workload.Profiles()[0], NonSprinting)
+	nominal, err := s.Decide(workload.Profiles()[0], NonSprinting)
 	if err != nil {
 		return TraceResult{}, err
 	}
 	for i, b := range bursts {
-		if plans[i], err = c.s.Decide(b.Profile, c.cfg.Scheme); err != nil {
+		if plans[i], err = s.Decide(b.Profile, scheme); err != nil {
 			return TraceResult{}, err
 		}
 	}
@@ -152,7 +119,7 @@ func (c *Controller) RunTrace(bursts []Burst, horizonS float64) (TraceResult, er
 		remaining = 0.0 // single-core seconds left in the current burst
 		current   = -1  // burst being served
 		next      = 0   // next burst to admit
-		dt        = c.cfg.DtS
+		dt        = controllerStepS
 	)
 	steps := int(horizonS / dt)
 	sampleEvery := steps/500 + 1
@@ -241,13 +208,7 @@ func ControllerStudy(s *Sprinter) ([]ControllerRow, error) {
 	}
 	var rows []ControllerRow
 	for _, scheme := range []Scheme{NonSprinting, FullSprinting, NoCSprinting} {
-		cfg := DefaultControllerConfig()
-		cfg.Scheme = scheme
-		ctl, err := NewController(s, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := ctl.RunTrace(bursts, 60)
+		res, err := s.RunTrace(scheme, bursts, 60)
 		if err != nil {
 			return nil, err
 		}

@@ -22,65 +22,30 @@ func mkBursts(t *testing.T, name string, work float64, arrivals ...float64) []Bu
 
 func runTrace(t *testing.T, scheme Scheme, bursts []Burst, horizon float64) TraceResult {
 	t.Helper()
-	s := newSprinter(t)
-	cfg := DefaultControllerConfig()
-	cfg.Scheme = scheme
-	c, err := NewController(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.RunTrace(bursts, horizon)
+	res, err := newSprinter(t).RunTrace(scheme, bursts, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-func TestControllerConfigValidate(t *testing.T) {
-	if err := DefaultControllerConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := DefaultControllerConfig()
-	for _, dt := range []float64{0, math.NaN(), math.Inf(1)} {
-		bad.DtS = dt
-		if err := bad.Validate(); err == nil {
-			t.Errorf("step %g accepted", dt)
-		}
-	}
-	for _, margin := range []float64{-1, 0} {
-		bad = DefaultControllerConfig()
-		bad.ResumeMarginK = margin
-		if err := bad.Validate(); err == nil {
-			t.Errorf("resume margin %g accepted", margin)
-		}
-	}
-	s := newSprinter(t)
-	if _, err := NewController(s, bad); err == nil {
-		t.Error("NewController accepted bad config")
-	}
-}
-
 func TestRunTraceValidation(t *testing.T) {
 	s := newSprinter(t)
-	c, err := NewController(s, DefaultControllerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunTrace(nil, 0); err == nil {
+	if _, err := s.RunTrace(NoCSprinting, nil, 0); err == nil {
 		t.Error("zero horizon accepted")
 	}
 	bad := mkBursts(t, "dedup", 0.5, 0)
 	bad[0].WorkSeconds = 0
-	if _, err := c.RunTrace(bad, 1); err == nil {
+	if _, err := s.RunTrace(NoCSprinting, bad, 1); err == nil {
 		t.Error("zero work accepted")
 	}
 	unsorted := append(mkBursts(t, "dedup", 0.5, 1), mkBursts(t, "dedup", 0.5, 0)...)
-	if _, err := c.RunTrace(unsorted, 10); err == nil {
+	if _, err := s.RunTrace(NoCSprinting, unsorted, 10); err == nil {
 		t.Error("unsorted bursts accepted")
 	}
 	invalid := mkBursts(t, "dedup", 0.5, 0)
 	invalid[0].Profile.Serial = 2
-	if _, err := c.RunTrace(invalid, 1); err == nil {
+	if _, err := s.RunTrace(NoCSprinting, invalid, 1); err == nil {
 		t.Error("invalid profile accepted")
 	}
 }
@@ -233,23 +198,24 @@ func TestSprintThermalMatchesControllerPower(t *testing.T) {
 			if p.Name == serial.Name && scheme != FullSprinting && d.Level != 1 {
 				t.Fatalf("%s under %v: level %d, want 1", p.Name, scheme, d.Level)
 			}
-			// One 1 s step at t=0, inside a burst that outlasts it, charges
-			// the burst's sprint power exactly once.
-			ctl, err := NewController(s, ControllerConfig{Scheme: scheme, DtS: 1, ResumeMarginK: 5})
+			// A horizon of half a step runs one step at t=0, inside a burst
+			// that outlasts it, so it charges the burst's sprint power for
+			// exactly one step.
+			res, err := s.RunTrace(scheme, []Burst{{Profile: p, WorkSeconds: 100}}, controllerStepS/2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := ctl.RunTrace([]Burst{{Profile: p, WorkSeconds: 100}}, 0.5)
-			if err != nil {
-				t.Fatal(err)
+			if res.EnergyJ != d.PowerW*controllerStepS {
+				t.Fatalf("%s under %v (level %d): RunTrace charges %g J over one step, want SprintThermal's %g W for %g s",
+					p.Name, scheme, d.Level, res.EnergyJ, d.PowerW, controllerStepS)
 			}
-			want, err := s.Config().Lumped.SprintPhases(res.EnergyJ)
+			want, err := s.Config().Lumped.SprintPhases(d.PowerW)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ph != want {
 				t.Errorf("%s under %v (level %d): SprintThermal phases %+v, but RunTrace charges %g W, whose phases are %+v",
-					p.Name, scheme, d.Level, ph, res.EnergyJ, want)
+					p.Name, scheme, d.Level, ph, d.PowerW, want)
 			}
 		}
 	}

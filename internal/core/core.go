@@ -84,9 +84,6 @@ type Config struct {
 	Lumped thermal.Lumped
 	// Grid is the heat-map solver configuration.
 	Grid thermal.GridConfig
-	// UseFloorplan makes the Sprinter's plan the thermal-aware floorplan
-	// (Algorithms 3–4) instead of the identity placement.
-	UseFloorplan bool
 	// SprintUncoreW is the extra dynamic power of the shared uncore (L2
 	// banks, memory controller, I/O) under full sprint activity, on top of
 	// the idle-calibrated chip model. It is independent of the sprint
@@ -111,7 +108,6 @@ func DefaultConfig() Config {
 		Corner:        power.Nominal,
 		Lumped:        thermal.DefaultLumped(),
 		Grid:          thermal.DefaultGridConfig(),
-		UseFloorplan:  true,
 		SprintUncoreW: 85.0,
 	}
 }
@@ -169,16 +165,10 @@ func (s *Sprinter) Config() Config { return s.cfg }
 // Mesh returns the logical mesh.
 func (s *Sprinter) Mesh() mesh.Mesh { return s.mesh }
 
-// activePlan builds the active floorplan once, on the first call from any
+// activePlan builds Algorithm 4's floorplan once, on the first call from any
 // goroutine, and returns it with its construction error.
 func (s *Sprinter) activePlan() (*floorplan.Plan, error) {
-	s.planOnce.Do(func() {
-		if !s.cfg.UseFloorplan {
-			s.plan = floorplan.Identity(s.mesh)
-			return
-		}
-		s.plan, s.planErr = floorplan.Thermal(s.mesh, s.order)
-	})
+	s.planOnce.Do(func() { s.plan, s.planErr = floorplan.Thermal(s.mesh, s.order) })
 	return s.plan, s.planErr
 }
 

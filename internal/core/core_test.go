@@ -366,9 +366,9 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestFloorplanOnFirstUse: New leaves the floorplan unbuilt, concurrent
+// TestFloorplanOnFirstUse: New leaves the floorplan unbuilt, and concurrent
 // first readers share the one plan Algorithm 4 gives for the activation
-// order, and a Sprinter without floorplanning reads the identity plan.
+// order.
 func TestFloorplanOnFirstUse(t *testing.T) {
 	s := newSprinter(t)
 	if s.plan != nil || s.planErr != nil {
@@ -406,34 +406,6 @@ func TestFloorplanOnFirstUse(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plans[0], want) {
 		t.Errorf("shared plan %+v, Algorithm 4 gives %+v", *plans[0], *want)
-	}
-
-	cfg := DefaultConfig()
-	cfg.UseFloorplan = false
-	off, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := off.activePlan(); err != nil || !reflect.DeepEqual(got, floorplan.Identity(off.Mesh())) {
-		t.Errorf("plan without floorplanning is %v (%v), want the identity", got, err)
-	}
-}
-
-func TestNoFloorplanUsesIdentity(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.UseFloorplan = false
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := s.activePlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		if plan.Pos(i) != i {
-			t.Fatal("identity plan expected when floorplanning disabled")
-		}
 	}
 }
 

@@ -545,10 +545,7 @@ type GatingResult struct {
 // gating saves some leakage but pays wake-up latency and makes uneconomic
 // decisions at PARSEC loads, while NoC-sprinting gates statically, saves
 // more, and adds no latency.
-func GatingComparison(s *Sprinter, gcfg noc.GatingConfig, sp NetSimParams) (GatingResult, error) {
-	if err := gcfg.Validate(); err != nil {
-		return GatingResult{}, err
-	}
+func GatingComparison(s *Sprinter, sp NetSimParams) (GatingResult, error) {
 	sp = sp.withDefaults()
 	var out GatingResult
 	var savR, savN, pen []float64
@@ -577,7 +574,7 @@ func GatingComparison(s *Sprinter, gcfg noc.GatingConfig, sp NetSimParams) (Gati
 		if err != nil {
 			return GatingResult{}, err
 		}
-		if err := net.EnableRuntimeGating(gcfg); err != nil {
+		if err := net.EnableRuntimeGating(); err != nil {
 			return GatingResult{}, err
 		}
 		res, err := sp.run(net, traffic.NewSet(topo.AllNodes(s.mesh.Nodes())), p.InjRate, seed)
@@ -989,16 +986,13 @@ type DimDarkPoint struct {
 // voltage/frequency (dark) or more cores at a reduced corner (dim)?
 // Performance is modelled as (f/f_nominal) / T_norm(level): frequency
 // scales compute speed, the workload model supplies parallel efficiency.
-// Uncore power is charged at its nominal value in both cases. The study is
-// analytic: its (budget, benchmark) cells take microseconds, so they run in
-// a plain loop and are never journaled.
-func DimVsDark(s *Sprinter, budgetsW []float64, benchmarks []string) ([]DimDarkPoint, error) {
-	if len(budgetsW) == 0 {
-		budgetsW = []float64{25, 30, 40, 60, 100}
-	}
-	if len(benchmarks) == 0 {
-		benchmarks = []string{"blackscholes", "dedup", "freqmine"}
-	}
+// Uncore power is charged at its nominal value in both cases. The study
+// crosses five budgets (25 to 100 W) with three benchmarks. It is analytic:
+// its cells take microseconds, so they run in a plain loop and are never
+// journaled.
+func DimVsDark(s *Sprinter) ([]DimDarkPoint, error) {
+	budgetsW := []float64{25, 30, 40, 60, 100}
+	benchmarks := []string{"blackscholes", "dedup", "freqmine"}
 	chip := s.cfg.Chip
 	n := s.mesh.Nodes()
 	// Uncore at nominal: L2 banks, MC, others, plus the sprint region's
@@ -1060,12 +1054,19 @@ type LLCRow struct {
 	Cycles int64
 }
 
-// Fixed settings of the §3.4 study.
+// Fixed settings of the §3.4 study, sized to the scaled-down hierarchy of
+// llcCache.
 const (
 	// llcLevel is the sprint level whose region the gated runs power.
 	llcLevel = 4
 	// llcMaxCycles bounds each cache-system run.
 	llcMaxCycles = 5_000_000
+	// llcWorkingSetLines is each core's private working set, and
+	// llcSharedLines the region all cores share, in cache lines.
+	llcWorkingSetLines = 800
+	llcSharedLines     = 128
+	// llcAccessesPerCore is the memory work each core issues.
+	llcAccessesPerCore = 1500
 )
 
 // llcCache is the study's cache hierarchy: Table 1 scaled down so the study
@@ -1077,42 +1078,20 @@ func llcCache() cache.Config {
 	return c
 }
 
-// LLCParams sizes the §3.4 study; zero values select defaults matched to
-// the scaled-down test hierarchy.
-type LLCParams struct {
-	WorkingSetLines uint64
-	SharedLines     uint64
-	AccessesPerCore int64
-	// Sim carries the observational switches. Check, Reference and Obs
-	// instrument the study's networks as in every other driver (the cache
-	// system steps the network every cycle, so telemetry covers the
-	// protocol traffic). Abort, when non-nil, cancels the study between
-	// two cycles of the cache system, so an interrupted run stops promptly
-	// instead of riding out millions of cycles; results are identical with
-	// or without it. The study reads no other field.
-	Sim NetSimParams
-}
-
-func (p LLCParams) withDefaults() LLCParams {
-	if p.WorkingSetLines == 0 {
-		p.WorkingSetLines = 800
-	}
-	if p.SharedLines == 0 {
-		p.SharedLines = 128
-	}
-	if p.AccessesPerCore == 0 {
-		p.AccessesPerCore = 1500
-	}
-	return p
-}
-
 // LLCStudy reproduces the §3.4 analysis: during a sprint, how should the
 // tiled shared LLC interact with network power gating? Three options: keep
 // the whole network on (full-sprinting's answer), remap homes onto the
 // active banks (capacity loss), or keep all banks reachable through bypass
 // paths without waking routers (the paper's adopted technique).
-func LLCStudy(s *Sprinter, p LLCParams) ([]LLCRow, error) {
-	p = p.withDefaults()
+//
+// sim carries the observational switches. Check, Reference and Obs
+// instrument the study's networks as in every other driver (the cache system
+// steps the network every cycle, so telemetry covers the protocol traffic).
+// Abort, when non-nil, cancels the study between two cycles of the cache
+// system, so an interrupted run stops promptly instead of riding out millions
+// of cycles; results are identical with or without it. The study reads no
+// other field.
+func LLCStudy(s *Sprinter, sim NetSimParams) ([]LLCRow, error) {
 	region := s.Region(llcLevel)
 	ncfg := s.cfg.NoC
 	ncfg.Classes = 2
@@ -1122,15 +1101,15 @@ func LLCStudy(s *Sprinter, p LLCParams) ([]LLCRow, error) {
 		if gated {
 			f = sprintFabric(region)
 		}
-		net, err := p.Sim.build(ncfg, f, "llc/"+name)
+		net, err := sim.build(ncfg, f, "llc/"+name)
 		if err != nil {
 			return LLCRow{}, err
 		}
 		var streamErr error
 		mk := func(node int) *cache.Stream {
 			st, err := cache.NewStream(cache.StreamParams{
-				WorkingSetLines: p.WorkingSetLines,
-				SharedLines:     p.SharedLines,
+				WorkingSetLines: llcWorkingSetLines,
+				SharedLines:     llcSharedLines,
 				SeqProb:         0.6,
 				SharedProb:      0.2,
 				WriteProb:       0.25,
@@ -1149,7 +1128,7 @@ func LLCStudy(s *Sprinter, p LLCParams) ([]LLCRow, error) {
 		if streamErr != nil {
 			return LLCRow{}, streamErr
 		}
-		if err := sys.RunCtx(p.Sim.Abort, p.AccessesPerCore, llcMaxCycles); err != nil {
+		if err := sys.RunCtx(sim.Abort, llcAccessesPerCore, llcMaxCycles); err != nil {
 			return LLCRow{}, fmt.Errorf("core: LLC study %s: %w", name, err)
 		}
 		st := sys.Stats()

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"nocsprint/internal/noc"
 	"nocsprint/internal/power"
 )
 
@@ -224,7 +223,7 @@ func TestSprintDurationsInBand(t *testing.T) {
 
 func TestGatingComparison(t *testing.T) {
 	s := newSprinter(t)
-	res, err := GatingComparison(s, noc.DefaultGatingConfig(), fastSim)
+	res, err := GatingComparison(s, fastSim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,9 +246,6 @@ func TestGatingComparison(t *testing.T) {
 		if r.Level < 16 && r.PowNoC >= r.PowNone {
 			t.Errorf("%s: NoC-sprinting does not cut network power", r.Benchmark)
 		}
-	}
-	if _, err := GatingComparison(s, noc.GatingConfig{}, fastSim); err == nil {
-		t.Error("invalid gating config accepted")
 	}
 }
 
@@ -394,7 +390,7 @@ func TestSensitivitySweep(t *testing.T) {
 
 func TestDimVsDark(t *testing.T) {
 	s := newSprinter(t)
-	points, err := DimVsDark(s, nil, nil)
+	points, err := DimVsDark(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,15 +427,11 @@ func TestDimVsDark(t *testing.T) {
 	if !darkWinSomewhere {
 		t.Error("dark silicon never wins — crossover missing")
 	}
-	if _, err := DimVsDark(s, []float64{40}, []string{"nonesuch"}); err == nil {
-		t.Error("unknown benchmark accepted")
-	}
 }
 
 func TestLLCStudy(t *testing.T) {
 	s := newSprinter(t)
-	params := LLCParams{AccessesPerCore: 800}
-	rows, err := LLCStudy(s, params)
+	rows, err := LLCStudy(s, NetSimParams{})
 	if err != nil {
 		t.Fatal(err)
 	}

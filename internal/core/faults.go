@@ -204,14 +204,14 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 		return FaultPoint{}, fmt.Errorf("core: fault run level %d outside [2,%d]", p.Level, s.mesh.Nodes())
 	}
 	var col *obs.Collector // assigned after the network exists; nil when telemetry is off
-	govCfg := sprint.DefaultGovernorConfig()
-	govCfg.Validate = s.cdorValidator()
-	govCfg.OnEvent = func(ev sprint.GovernorEvent) {
-		if col != nil {
-			col.Emit(ev.Cycle, obs.EventRepair+obs.EventKind(ev.Kind), ev.Node, ev.Detail)
-		}
-	}
-	gov, err := sprint.NewGovernor(s.mesh, s.cfg.Master, p.Level, s.cfg.Metric, govCfg)
+	gov, err := sprint.NewGovernor(s.mesh, s.cfg.Master, p.Level, s.cfg.Metric, sprint.GovernorConfig{
+		Validate: s.cdorValidator(),
+		OnEvent: func(ev sprint.GovernorEvent) {
+			if col != nil {
+				col.Emit(ev.Cycle, obs.EventRepair+obs.EventKind(ev.Kind), ev.Node, ev.Detail)
+			}
+		},
+	})
 	if err != nil {
 		return FaultPoint{}, err
 	}

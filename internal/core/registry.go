@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"nocsprint/internal/noc"
 	"nocsprint/internal/power"
 )
 
@@ -83,9 +82,7 @@ var experiments = []Experiment{
 	entry("ablations", "design ablations: activation metric, power gating, CDOR vs DOR",
 		func(s *Sprinter, sim NetSimParams, _ bool) (AblationResult, error) { return Ablations(s, sim) }, textAblations),
 	entry("gating", "extension: runtime power-gating baseline vs NoC-sprinting",
-		func(s *Sprinter, sim NetSimParams, _ bool) (GatingResult, error) {
-			return GatingComparison(s, noc.DefaultGatingConfig(), sim)
-		}, textGating),
+		func(s *Sprinter, sim NetSimParams, _ bool) (GatingResult, error) { return GatingComparison(s, sim) }, textGating),
 	entry("feedback", "extension: leakage-temperature feedback & sustainable levels",
 		func(s *Sprinter, _ NetSimParams, _ bool) (FeedbackResult, error) {
 			return LeakageFeedbackAnalysis(s, power.DefaultLeakageFeedback())
@@ -109,13 +106,13 @@ var experiments = []Experiment{
 			return s.TopologyStudy(TopologyParamsFor(sim, fast))
 		}, textTopology),
 	entry("dimdark", "extension: dim silicon (more slow cores) vs dark (few fast)",
-		func(s *Sprinter, _ NetSimParams, _ bool) ([]DimDarkPoint, error) { return DimVsDark(s, nil, nil) }, textDimDark),
+		func(s *Sprinter, _ NetSimParams, _ bool) ([]DimDarkPoint, error) { return DimVsDark(s) }, textDimDark),
 	entry("llc", "extension: Sec 3.4 LLC policies — bypass paths vs home remap",
 		func(s *Sprinter, sim NetSimParams, _ bool) ([]LLCRow, error) {
 			// The point-level abort context (not the sweep context) reaches
 			// the cache-system cycle loop: the study is one point, so only an
 			// abort should stop it mid-run.
-			return LLCStudy(s, LLCParams{Sim: sim})
+			return LLCStudy(s, sim)
 		}, textLLC),
 	entry("faults", "extension: fault injection & online sprint-region repair",
 		func(s *Sprinter, sim NetSimParams, fast bool) ([]FaultPoint, error) {

@@ -20,16 +20,6 @@ type Plan struct {
 	pos []int // pos[logical] = physical slot
 }
 
-// Identity returns the trivial floorplan in which every logical node sits at
-// its own physical slot (the paper's baseline without Algorithm 3).
-func Identity(m mesh.Mesh) *Plan {
-	p := &Plan{pos: make([]int, m.Nodes())}
-	for i := range p.pos {
-		p.pos[i] = i
-	}
-	return p
-}
-
 // Thermal implements Algorithm 3: it walks the logical mesh breadth-first
 // from the master node (the head of order, which must be an Algorithm 1
 // activation list) and places each node at the free physical slot that

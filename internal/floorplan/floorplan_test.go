@@ -23,9 +23,19 @@ func plan4x4(t *testing.T) *Plan {
 	return p
 }
 
+// identity is the trivial floorplan in which every logical node sits at its
+// own physical slot (the paper's baseline without Algorithm 3).
+func identity(m mesh.Mesh) *Plan {
+	p := &Plan{pos: make([]int, m.Nodes())}
+	for i := range p.pos {
+		p.pos[i] = i
+	}
+	return p
+}
+
 func TestIdentityPlan(t *testing.T) {
 	m := mesh.New(4, 4)
-	p := Identity(m)
+	p := identity(m)
 	for i := 0; i < 16; i++ {
 		if p.Pos(i) != i {
 			t.Fatalf("identity plan broken at %d", i)
@@ -81,7 +91,7 @@ func TestThermalSpreadsSprintSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := Identity(m)
+	id := identity(m)
 	for _, level := range []int{2, 3, 4, 6, 8} {
 		active := order[:level]
 		st, si := thermal.Spread(m, active), id.Spread(m, active)
@@ -99,7 +109,7 @@ func TestThermalIncreasesWireLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	tTot, tMax := thermal.WireLength(m)
-	iTot, iMax := Identity(m).WireLength(m)
+	iTot, iMax := identity(m).WireLength(m)
 	// The paper concedes the floorplan generates long links (repeated
 	// SMART-style wires): total and max wire length must grow.
 	if tTot <= iTot || tMax <= iMax {
@@ -131,7 +141,7 @@ func TestThermalRejectsBadOrder(t *testing.T) {
 
 func TestSpreadTrivialSets(t *testing.T) {
 	m := mesh.New(4, 4)
-	p := Identity(m)
+	p := identity(m)
 	if p.Spread(m, nil) != 0 || p.Spread(m, []int{3}) != 0 {
 		t.Error("spread of <2 nodes should be 0")
 	}

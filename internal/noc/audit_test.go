@@ -108,7 +108,7 @@ func TestAuditMatchesFullWalk(t *testing.T) {
 					t.Fatal(err)
 				}
 				if c.gating {
-					if err := net.EnableRuntimeGating(DefaultGatingConfig()); err != nil {
+					if err := net.EnableRuntimeGating(); err != nil {
 						t.Fatal(err)
 					}
 				}

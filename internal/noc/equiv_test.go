@@ -122,7 +122,7 @@ func buildEquiv(t testing.TB, c equivCase, reference bool) (*noc.Network, []int,
 		}
 	}
 	if c.gating {
-		if err := net.EnableRuntimeGating(noc.DefaultGatingConfig()); err != nil {
+		if err := net.EnableRuntimeGating(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,34 +11,16 @@ import "fmt"
 // latency, while NoC-sprinting's region gating is free of wake-ups because
 // CDOR keeps every packet inside the powered region.
 
-// GatingConfig parameterises runtime router power gating.
-type GatingConfig struct {
-	// IdleThreshold is the number of consecutive idle cycles after which a
-	// router gates off.
-	IdleThreshold int
-	// WakeupLatency is the power-on delay a flit suffers when it reaches a
-	// gated router.
-	WakeupLatency int
-	// BreakEvenCycles is the minimum gated period that amortises the
-	// gating energy overhead; shorter gated periods are counted as
-	// uneconomic (reported in stats, used by the power model's wake-up
-	// energy term).
-	BreakEvenCycles int
-}
-
-// DefaultGatingConfig returns parameters in the range the cited schemes
-// use: ~8-cycle wake-up, break-even around ten wake-up latencies.
-func DefaultGatingConfig() GatingConfig {
-	return GatingConfig{IdleThreshold: 16, WakeupLatency: 8, BreakEvenCycles: 80}
-}
-
-// Validate reports the first invalid field, or nil.
-func (g GatingConfig) Validate() error {
-	if g.IdleThreshold < 1 || g.WakeupLatency < 1 || g.BreakEvenCycles < 0 {
-		return fmt.Errorf("noc: invalid gating config %+v", g)
-	}
-	return nil
-}
+// The runtime gating policy, in the range the cited schemes use: a router
+// gates off after idleThreshold consecutive idle cycles, a flit that reaches
+// a gated router waits wakeupLatency cycles for it to power on, and a gated
+// period shorter than breakEvenCycles (about ten wake-ups) does not amortise
+// the gating energy, so it is counted as uneconomic (GatingStats.ShortOffs).
+const (
+	idleThreshold   = 16
+	wakeupLatency   = 8
+	breakEvenCycles = 80
+)
 
 // powerState is a router's runtime gating state.
 type powerState uint8
@@ -85,14 +67,10 @@ func (g GatingStats) OnFraction() float64 {
 
 // EnableRuntimeGating switches the network to conventional traffic-driven
 // router power gating. It must be called before the first Step.
-func (n *Network) EnableRuntimeGating(cfg GatingConfig) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
+func (n *Network) EnableRuntimeGating() error {
 	if n.cycle != 0 {
 		return fmt.Errorf("noc: runtime gating must be enabled before simulation starts")
 	}
-	n.gatingCfg = cfg
 	n.gating = make([]gatingState, len(n.routers))
 	return nil
 }
@@ -136,9 +114,9 @@ func (n *Network) wakeArrival(id int, now int64) bool {
 		return true
 	case powerOff:
 		g.state = powerWaking
-		g.wakeAt = now + int64(n.gatingCfg.WakeupLatency)
+		g.wakeAt = now + wakeupLatency
 		g.wakeups++
-		if now-g.gatedAt < int64(n.gatingCfg.BreakEvenCycles) {
+		if now-g.gatedAt < breakEvenCycles {
 			g.shortOffs++
 		}
 		return false
@@ -168,7 +146,7 @@ func (n *Network) updateGating(now int64) {
 			g.onCycles++
 			if r.occupancy() == 0 && r.busyVCs == 0 && !n.pendingTraffic(id) {
 				g.idle++
-				if g.idle >= n.gatingCfg.IdleThreshold {
+				if g.idle >= idleThreshold {
 					g.state = powerOff
 					g.gatedAt = now
 				}

@@ -9,22 +9,6 @@ import (
 	"nocsprint/internal/traffic"
 )
 
-func TestGatingConfigValidate(t *testing.T) {
-	if err := DefaultGatingConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []GatingConfig{
-		{IdleThreshold: 0, WakeupLatency: 8, BreakEvenCycles: 10},
-		{IdleThreshold: 8, WakeupLatency: 0, BreakEvenCycles: 10},
-		{IdleThreshold: 8, WakeupLatency: 8, BreakEvenCycles: -1},
-	}
-	for i, g := range bad {
-		if err := g.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-}
-
 func TestEnableRuntimeGatingRejections(t *testing.T) {
 	cfg := DefaultConfig()
 	m := mesh.New(4, 4)
@@ -32,11 +16,8 @@ func TestEnableRuntimeGatingRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.EnableRuntimeGating(GatingConfig{}); err == nil {
-		t.Error("invalid gating config accepted")
-	}
 	net.Step()
-	if err := net.EnableRuntimeGating(DefaultGatingConfig()); err == nil {
+	if err := net.EnableRuntimeGating(); err == nil {
 		t.Error("gating enabled mid-simulation")
 	}
 }
@@ -59,12 +40,11 @@ func TestRuntimeGatingDelaysColdPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gcfg := DefaultGatingConfig()
-	if err := gated.EnableRuntimeGating(gcfg); err != nil {
+	if err := gated.EnableRuntimeGating(); err != nil {
 		t.Fatal(err)
 	}
 	// Let every router go idle long enough to gate off.
-	gated.RunUntil(nil, gcfg.IdleThreshold*4, nil, nil)
+	gated.RunUntil(nil, idleThreshold*4, nil, nil)
 	pg := gated.Enqueue(0, 3)
 	runUntilDrained(t, gated, 2000)
 
@@ -73,8 +53,8 @@ func TestRuntimeGatingDelaysColdPacket(t *testing.T) {
 	if cold <= base {
 		t.Fatalf("cold-path latency %d not above baseline %d", cold, base)
 	}
-	// 4 routers on the path, each paying up to WakeupLatency.
-	maxPenalty := int64(4*gcfg.WakeupLatency) + base
+	// 4 routers on the path, each paying up to wakeupLatency.
+	maxPenalty := 4*wakeupLatency + base
 	if cold > maxPenalty {
 		t.Fatalf("cold-path latency %d exceeds plausible bound %d", cold, maxPenalty)
 	}
@@ -93,7 +73,7 @@ func TestRuntimeGatingConservesTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.EnableRuntimeGating(DefaultGatingConfig()); err != nil {
+	if err := net.EnableRuntimeGating(); err != nil {
 		t.Fatal(err)
 	}
 	set := traffic.NewSet(topo.AllNodes(16))
@@ -133,7 +113,7 @@ func TestRuntimeGatingAddsLatencyVsUngated(t *testing.T) {
 			t.Fatal(err)
 		}
 		if gate {
-			if err := net.EnableRuntimeGating(DefaultGatingConfig()); err != nil {
+			if err := net.EnableRuntimeGating(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -160,7 +140,7 @@ func TestRuntimeGatingHighLoadStaysOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.EnableRuntimeGating(DefaultGatingConfig()); err != nil {
+	if err := net.EnableRuntimeGating(); err != nil {
 		t.Fatal(err)
 	}
 	_, err = RunSynthetic(net, traffic.NewSet(topo.AllNodes(16)), traffic.NewUniform(16), SimParams{

@@ -156,8 +156,7 @@ type Network struct {
 	// Progress needs no sum over the routers.
 	bufferMoves int64
 	// Runtime power gating (nil when disabled; see gating.go).
-	gatingCfg GatingConfig
-	gating    []gatingState
+	gating []gatingState
 	// sink, when set, receives every packet at tail ejection (closed-loop
 	// protocol models hook here).
 	sink func(*Packet)

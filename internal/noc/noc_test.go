@@ -648,7 +648,7 @@ func TestInvariantsUnderRandomTraffic(t *testing.T) {
 				t.Fatal(err)
 			}
 			if setup.gating {
-				if err := net.EnableRuntimeGating(DefaultGatingConfig()); err != nil {
+				if err := net.EnableRuntimeGating(); err != nil {
 					t.Fatal(err)
 				}
 			}

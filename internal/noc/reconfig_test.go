@@ -197,7 +197,7 @@ func TestReconfigureRejectsBadInput(t *testing.T) {
 		t.Error("zero drain budget accepted")
 	}
 	gated := fullNet(t, DefaultConfig())
-	if err := gated.EnableRuntimeGating(DefaultGatingConfig()); err != nil {
+	if err := gated.EnableRuntimeGating(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := gated.Reconfigure([]int{0, 1}, nil, 100); err == nil {

@@ -123,18 +123,17 @@ type GovernorEvent struct {
 	Detail string
 }
 
-// GovernorConfig tunes the repair policy.
+// The repair policy: a transiently faulted node gets maxResumeRetries failed
+// resume attempts before it is declared permanently failed. The first attempt
+// comes resumeBackoff cycles after the fault, and each failed attempt doubles
+// the wait, so retry r waits resumeBackoff<<r cycles (128, 256 and 512).
+const (
+	maxResumeRetries = 3
+	resumeBackoff    = 64
+)
+
+// GovernorConfig wires the caller's hooks into the repair policy.
 type GovernorConfig struct {
-	// MaxResumeRetries is how many failed resume attempts a transiently
-	// faulted node gets before being declared permanently failed.
-	MaxResumeRetries int
-	// ResumeBackoff is the delay in cycles before the first resume attempt;
-	// it doubles per failed attempt, capped at ResumeBackoffCap.
-	ResumeBackoff int64
-	// ResumeBackoffCap bounds the exponential backoff.
-	ResumeBackoffCap int64
-	// DegradeStep is how many sprint levels one thermal trip sheds.
-	DegradeStep int
 	// Validate, when non-nil, accepts or rejects a candidate reformed
 	// region — the caller wires in routing validation (every pair routable,
 	// channel-dependency graph acyclic) without sprint importing routing.
@@ -145,13 +144,6 @@ type GovernorConfig struct {
 	// it is appended to the log — telemetry timelines subscribe here. The
 	// callback must not call back into the governor.
 	OnEvent func(GovernorEvent)
-}
-
-// DefaultGovernorConfig returns the default repair policy: three resume
-// retries with 64-cycle initial backoff capped at 1024, one level shed per
-// thermal trip.
-func DefaultGovernorConfig() GovernorConfig {
-	return GovernorConfig{MaxResumeRetries: 3, ResumeBackoff: 64, ResumeBackoffCap: 1024, DegradeStep: 1}
 }
 
 // Governor tracks node health and maintains a valid sprint region across
@@ -175,12 +167,6 @@ type Governor struct {
 // NewGovernor builds a governor over an initially healthy mesh sprinting at
 // level from master.
 func NewGovernor(m mesh.Mesh, master, level int, metric Metric, cfg GovernorConfig) (*Governor, error) {
-	if cfg.MaxResumeRetries < 0 || cfg.ResumeBackoff < 1 || cfg.ResumeBackoffCap < cfg.ResumeBackoff {
-		return nil, fmt.Errorf("sprint: invalid governor backoff config %+v", cfg)
-	}
-	if cfg.DegradeStep < 1 {
-		return nil, fmt.Errorf("sprint: degrade step %d < 1", cfg.DegradeStep)
-	}
 	g := &Governor{
 		mesh:     m,
 		metric:   metric,
@@ -235,18 +221,6 @@ func (g *Governor) log(cycle int64, kind GovernorEventKind, node int, detail str
 	if g.cfg.OnEvent != nil {
 		g.cfg.OnEvent(ev)
 	}
-}
-
-// backoff returns the capped exponential delay for the given attempt count.
-func (g *Governor) backoff(attempt int) int64 {
-	d := g.cfg.ResumeBackoff
-	for i := 0; i < attempt && d < g.cfg.ResumeBackoffCap; i++ {
-		d *= 2
-	}
-	if d > g.cfg.ResumeBackoffCap {
-		d = g.cfg.ResumeBackoffCap
-	}
-	return d
 }
 
 // PermanentFault records a fail-stop router fault and re-forms the region.
@@ -304,7 +278,7 @@ func (g *Governor) LinkFault(a, b int, cycle int64) (*Region, bool, error) {
 }
 
 // TransientFault records a soft router fault: the node goes out of service
-// now and a resume attempt is scheduled after the initial backoff.
+// now and a resume attempt is scheduled resumeBackoff cycles later.
 func (g *Governor) TransientFault(node int, cycle int64) (*Region, bool, error) {
 	if node < 0 || node >= g.mesh.Nodes() {
 		return g.region, false, fmt.Errorf("sprint: fault at node %d outside mesh", node)
@@ -314,7 +288,7 @@ func (g *Governor) TransientFault(node int, cycle int64) (*Region, bool, error) 
 	}
 	g.down[node] = true
 	g.retry[node] = 0
-	g.resumeAt[node] = cycle + g.backoff(0)
+	g.resumeAt[node] = cycle + resumeBackoff
 	g.log(cycle, GovResumeScheduled, node, fmt.Sprintf("retry at cycle %d", g.resumeAt[node]))
 	if err := g.reform(cycle, fmt.Sprintf("transient fault at node %d", node)); err != nil {
 		return g.region, false, err
@@ -335,7 +309,7 @@ func (g *Governor) PendingResume(cycle int64) int {
 
 // TryResume performs a due resume attempt: healthy brings the node back
 // into service (and possibly back into the region); unhealthy doubles the
-// backoff, and once the retry budget is exhausted the node is declared
+// wait, and once the retry budget is exhausted the node is declared
 // permanently failed. changed reports whether the region was re-formed.
 func (g *Governor) TryResume(node int, cycle int64, healthy bool) (*Region, bool, error) {
 	if node < 0 || node >= g.mesh.Nodes() || g.resumeAt[node] < 0 {
@@ -353,33 +327,29 @@ func (g *Governor) TryResume(node int, cycle int64, healthy bool) (*Region, bool
 		return g.region, g.region != before, nil
 	}
 	g.retry[node]++
-	if g.retry[node] > g.cfg.MaxResumeRetries {
+	if g.retry[node] > maxResumeRetries {
 		g.resumeAt[node] = -1
 		g.failed[node] = true
 		g.log(cycle, GovDeclaredDead, node,
-			fmt.Sprintf("still unhealthy after %d retries", g.cfg.MaxResumeRetries))
+			fmt.Sprintf("still unhealthy after %d retries", maxResumeRetries))
 		// The node is already out of the region; nothing to re-form.
 		return g.region, false, nil
 	}
-	g.resumeAt[node] = cycle + g.backoff(g.retry[node])
+	g.resumeAt[node] = cycle + resumeBackoff<<g.retry[node]
 	g.log(cycle, GovResumeFailed, node, fmt.Sprintf("retry %d at cycle %d", g.retry[node], g.resumeAt[node]))
 	return g.region, false, nil
 }
 
-// ThermalTrip records a thermal emergency: the sprint level steps down by
-// DegradeStep (graceful degradation) and the region re-forms accordingly.
-// At level 1 there is nothing left to shed and the trip changes nothing.
+// ThermalTrip records a thermal emergency: the sprint level steps down by one
+// (graceful degradation) and the region re-forms accordingly. At level 1
+// there is nothing left to shed and the trip changes nothing.
 func (g *Governor) ThermalTrip(cycle int64) (*Region, bool, error) {
-	next := g.level - g.cfg.DegradeStep
-	if next < 1 {
-		next = 1
-	}
-	if next == g.level {
+	if g.level == 1 {
 		g.log(cycle, GovDegrade, -1, "already at level 1; nothing to shed")
 		return g.region, false, nil
 	}
-	g.level = next
-	g.log(cycle, GovDegrade, -1, fmt.Sprintf("thermal trip: level stepped down to %d", next))
+	g.level--
+	g.log(cycle, GovDegrade, -1, fmt.Sprintf("thermal trip: level stepped down to %d", g.level))
 	before := g.region
 	if err := g.reform(cycle, "thermal degradation"); err != nil {
 		return g.region, false, err

@@ -6,9 +6,9 @@ import (
 	"nocsprint/internal/mesh"
 )
 
-func newGov(t *testing.T, level int, cfg GovernorConfig) *Governor {
+func newGov(t *testing.T, level int) *Governor {
 	t.Helper()
-	g, err := NewGovernor(mesh.New(4, 4), 0, level, Euclidean, cfg)
+	g, err := NewGovernor(mesh.New(4, 4), 0, level, Euclidean, GovernorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +16,7 @@ func newGov(t *testing.T, level int, cfg GovernorConfig) *Governor {
 }
 
 func TestGovernorPermanentFaultReformsRegion(t *testing.T) {
-	g := newGov(t, 8, DefaultGovernorConfig())
+	g := newGov(t, 8)
 	victim := g.Region().ActiveNodes()[3] // an in-region, non-master node
 	r, changed, err := g.PermanentFault(victim, 100)
 	if err != nil {
@@ -51,7 +51,7 @@ func TestGovernorPermanentFaultReformsRegion(t *testing.T) {
 func TestGovernorFaultOutsideRegionStillReforms(t *testing.T) {
 	// A fault on a dark node must not shrink the region: Algorithm 1 simply
 	// skips it when (if ever) growing past it.
-	g := newGov(t, 4, DefaultGovernorConfig())
+	g := newGov(t, 4)
 	dark := -1
 	for id := 0; id < 16; id++ {
 		if !g.Region().Active(id) {
@@ -76,7 +76,7 @@ func TestGovernorFaultOutsideRegionStillReforms(t *testing.T) {
 }
 
 func TestGovernorMasterElection(t *testing.T) {
-	g := newGov(t, 8, DefaultGovernorConfig())
+	g := newGov(t, 8)
 	r, changed, err := g.PermanentFault(0, 50) // kill the master
 	if err != nil {
 		t.Fatal(err)
@@ -101,11 +101,7 @@ func TestGovernorMasterElection(t *testing.T) {
 }
 
 func TestGovernorTransientBackoffAndResume(t *testing.T) {
-	cfg := DefaultGovernorConfig()
-	cfg.MaxResumeRetries = 2
-	cfg.ResumeBackoff = 10
-	cfg.ResumeBackoffCap = 15
-	g := newGov(t, 8, cfg)
+	g := newGov(t, 8)
 	victim := g.Region().ActiveNodes()[2]
 
 	r, changed, err := g.TransientFault(victim, 100)
@@ -115,26 +111,26 @@ func TestGovernorTransientBackoffAndResume(t *testing.T) {
 	if r.Active(victim) {
 		t.Fatal("transiently-down node still in region")
 	}
-	if got := g.PendingResume(109); got != -1 {
-		t.Fatalf("resume due at 109 for node %d, want none before backoff", got)
+	if got := g.PendingResume(163); got != -1 {
+		t.Fatalf("resume due at 163 for node %d, want none before the 64-cycle backoff", got)
 	}
-	if got := g.PendingResume(110); got != victim {
-		t.Fatalf("PendingResume(110) = %d, want %d", got, victim)
+	if got := g.PendingResume(164); got != victim {
+		t.Fatalf("PendingResume(164) = %d, want %d", got, victim)
 	}
 
-	// First attempt finds it still sick: backoff doubles (20, capped at 15).
-	if _, changed, err := g.TryResume(victim, 110, false); err != nil || changed {
+	// First attempt finds it still sick: the wait doubles to 128 cycles.
+	if _, changed, err := g.TryResume(victim, 164, false); err != nil || changed {
 		t.Fatalf("failed resume: changed=%v err=%v", changed, err)
 	}
-	if got := g.PendingResume(124); got != -1 {
-		t.Fatalf("retry due at 124 (node %d), want cap-limited delay of 15", got)
+	if got := g.PendingResume(291); got != -1 {
+		t.Fatalf("retry due at 291 (node %d), want a delay of 128", got)
 	}
-	if got := g.PendingResume(125); got != victim {
-		t.Fatalf("PendingResume(125) = %d, want %d", got, victim)
+	if got := g.PendingResume(292); got != victim {
+		t.Fatalf("PendingResume(292) = %d, want %d", got, victim)
 	}
 
 	// Second attempt succeeds: node re-enters the region.
-	r, changed, err = g.TryResume(victim, 125, true)
+	r, changed, err = g.TryResume(victim, 292, true)
 	if err != nil || !changed {
 		t.Fatalf("healthy resume: changed=%v err=%v", changed, err)
 	}
@@ -150,23 +146,27 @@ func TestGovernorTransientBackoffAndResume(t *testing.T) {
 	}
 }
 
+// TestGovernorDeclaresDeadAfterRetryBudget pins the whole resume schedule: a
+// node that stays sick is retried 64, 128, 256 and 512 cycles after the
+// fault and each failed attempt, and the fourth failure declares it dead.
 func TestGovernorDeclaresDeadAfterRetryBudget(t *testing.T) {
-	cfg := DefaultGovernorConfig()
-	cfg.MaxResumeRetries = 2
-	cfg.ResumeBackoff = 10
-	cfg.ResumeBackoffCap = 80
-	g := newGov(t, 8, cfg)
+	g := newGov(t, 8)
 	victim := g.Region().ActiveNodes()[1]
 	if _, _, err := g.TransientFault(victim, 0); err != nil {
 		t.Fatal(err)
 	}
 	cycle := int64(0)
-	for i := 0; i < cfg.MaxResumeRetries+1; i++ {
-		node := g.PendingResume(1 << 40)
-		if node != victim {
-			t.Fatalf("attempt %d: pending %d, want %d", i, node, victim)
+	for i, wait := range []int64{64, 128, 256, 512} {
+		if g.CountEvents(GovDeclaredDead) != 0 {
+			t.Fatalf("declared dead before attempt %d", i)
 		}
-		cycle += 1000
+		cycle += wait
+		if node := g.PendingResume(cycle - 1); node != -1 {
+			t.Fatalf("attempt %d: node %d due at cycle %d, before its %d-cycle wait", i, node, cycle-1, wait)
+		}
+		if node := g.PendingResume(cycle); node != victim {
+			t.Fatalf("attempt %d: pending %d at cycle %d, want %d", i, node, cycle, victim)
+		}
 		if _, _, err := g.TryResume(victim, cycle, false); err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestGovernorDeclaresDeadAfterRetryBudget(t *testing.T) {
 }
 
 func TestGovernorLinkFaultRetiresFartherEndpoint(t *testing.T) {
-	g := newGov(t, 8, DefaultGovernorConfig())
+	g := newGov(t, 8)
 	// Link 1-2 (both relative to master 0): node 2 is farther and must go.
 	r, changed, err := g.LinkFault(1, 2, 10)
 	if err != nil || !changed {
@@ -211,18 +211,21 @@ func TestGovernorLinkFaultRetiresFartherEndpoint(t *testing.T) {
 }
 
 func TestGovernorThermalTripDegrades(t *testing.T) {
-	cfg := DefaultGovernorConfig()
-	cfg.DegradeStep = 2
-	g := newGov(t, 8, cfg)
-	r, changed, err := g.ThermalTrip(500)
-	if err != nil || !changed {
-		t.Fatalf("thermal trip: changed=%v err=%v", changed, err)
+	g := newGov(t, 8)
+	var r *Region
+	for i, cycle := range []int64{500, 510} {
+		var changed bool
+		var err error
+		r, changed, err = g.ThermalTrip(cycle)
+		if err != nil || !changed {
+			t.Fatalf("thermal trip %d: changed=%v err=%v", i, changed, err)
+		}
 	}
 	if g.level != 6 || r.Level() != 6 {
-		t.Fatalf("level after trip: governor %d region %d, want 6", g.level, r.Level())
+		t.Fatalf("level after two trips: governor %d region %d, want 6", g.level, r.Level())
 	}
-	if g.CountEvents(GovDegrade) != 1 {
-		t.Fatalf("degrade events %d, want 1", g.CountEvents(GovDegrade))
+	if g.CountEvents(GovDegrade) != 2 {
+		t.Fatalf("degrade events %d, want 2", g.CountEvents(GovDegrade))
 	}
 	// Trips bottom out at level 1.
 	for i := 0; i < 5; i++ {
@@ -241,7 +244,7 @@ func TestGovernorThermalTripDegrades(t *testing.T) {
 func TestGovernorSurvivesCascadingFaults(t *testing.T) {
 	// Kill 15 of 16 nodes: the governor must degrade gracefully all the way
 	// to a single-node region and never produce an invalid one.
-	g := newGov(t, 8, DefaultGovernorConfig())
+	g := newGov(t, 8)
 	for id := 0; id < 15; id++ {
 		r, _, err := g.PermanentFault(id, int64(id))
 		if err != nil {
@@ -267,13 +270,12 @@ func TestGovernorSurvivesCascadingFaults(t *testing.T) {
 func TestGovernorValidateShrinksLevel(t *testing.T) {
 	// A validator that rejects regions larger than 3 nodes forces reform to
 	// shrink below the target level.
-	cfg := DefaultGovernorConfig()
-	cfg.Validate = func(r *Region) error {
+	cfg := GovernorConfig{Validate: func(r *Region) error {
 		if len(r.ActiveNodes()) > 3 {
 			return errTooBig
 		}
 		return nil
-	}
+	}}
 	if _, err := NewGovernor(mesh.New(4, 4), 0, 8, Euclidean, cfg); err == nil {
 		t.Fatal("initial region violating Validate accepted")
 	}
@@ -298,26 +300,14 @@ type validateErr struct{ s string }
 
 func (e *validateErr) Error() string { return e.s }
 
-func TestGovernorRejectsBadConfig(t *testing.T) {
-	m := mesh.New(4, 4)
-	bad := []GovernorConfig{
-		{MaxResumeRetries: -1, ResumeBackoff: 8, ResumeBackoffCap: 8, DegradeStep: 1},
-		{MaxResumeRetries: 1, ResumeBackoff: 0, ResumeBackoffCap: 8, DegradeStep: 1},
-		{MaxResumeRetries: 1, ResumeBackoff: 16, ResumeBackoffCap: 8, DegradeStep: 1},
-		{MaxResumeRetries: 1, ResumeBackoff: 8, ResumeBackoffCap: 8, DegradeStep: 0},
-	}
-	for i, cfg := range bad {
-		if _, err := NewGovernor(m, 0, 4, Euclidean, cfg); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-	if _, _, err := newGov(t, 4, DefaultGovernorConfig()).PermanentFault(99, 0); err == nil {
+func TestGovernorRejectsBadInputs(t *testing.T) {
+	if _, _, err := newGov(t, 4).PermanentFault(99, 0); err == nil {
 		t.Error("fault outside mesh accepted")
 	}
-	if _, _, err := newGov(t, 4, DefaultGovernorConfig()).LinkFault(3, 3, 0); err == nil {
+	if _, _, err := newGov(t, 4).LinkFault(3, 3, 0); err == nil {
 		t.Error("self-loop link fault accepted")
 	}
-	if _, _, err := newGov(t, 4, DefaultGovernorConfig()).TryResume(5, 0, true); err == nil {
+	if _, _, err := newGov(t, 4).TryResume(5, 0, true); err == nil {
 		t.Error("resume with nothing pending accepted")
 	}
 }
