@@ -2,11 +2,13 @@
 // fig11-class configurations at several active-region levels, plus a
 // dark-heavy 8x8 point (one small sprint region, the rest of the mesh
 // power-gated) — the regime NoC-sprinting targets and the one the
-// active-work scheduler is built for — a fully powered 4x4 torus and
-// C(16;1,4) circulant, whose routers allocate dateline VC classes, and the
+// per-stage work sets are built for — a fully powered 4x4 torus and
+// C(16;1,4) circulant, whose routers allocate dateline VC classes, the
 // 8x8 torus and C(64;1,8) past saturation, where most allocation attempts
-// fail. The saturated points are timed over a fixed window on a fresh
-// network per iteration, so their source backlog does not grow with b.N.
+// fail, and Fig. 11's full-sprinting baseline on a 16x16 chip, where every
+// router is powered but only 32 scattered endpoints talk. The saturated
+// points are timed over a fixed window on a fresh network per iteration,
+// so their source backlog does not grow with b.N.
 //
 // Each configuration has an optimized and a Ref variant; the Ref variant
 // pins the pre-optimization full-scan stepper (noc.UseReferenceStepper), so
@@ -25,7 +27,9 @@ import (
 	"encoding/json"
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"nocsprint/internal/mesh"
@@ -54,12 +58,18 @@ type stepBenchCase struct {
 	// backlog grows with every cycle run; benchStep times such a case over a
 	// fixed window.
 	Saturated bool `json:"saturated,omitempty"`
+	// Endpoints, when non-zero, is the number of traffic endpoints, drawn
+	// at random from every node with a fixed seed, as Fig. 11 maps its
+	// full-sprinting baseline; 0 means every active node.
+	Endpoints int `json:"endpoints,omitempty"`
 }
 
 // stepBenchCases are the perf-trajectory points: the fig11-class 4x4 sweep
 // levels, the dark-dominated 8x8 point (64 routers, 4 powered), the
-// 16-node torus and circulant, and the first saturated rung of the 8x8
-// torus and of C(64;1,8) in the topology study.
+// 16-node torus and circulant, the first saturated rung of the 8x8 torus
+// and of C(64;1,8) in the topology study, and the 16x16 full-sprinting
+// baseline with 32 endpoints, where nocbench's dark-16x16 spends most of
+// its time.
 var stepBenchCases = []stepBenchCase{
 	{Name: "fig11-4x4-level4", Width: 4, Height: 4, Level: 4, Rate: 0.15},
 	{Name: "fig11-4x4-level8", Width: 4, Height: 4, Level: 8, Rate: 0.15},
@@ -69,6 +79,7 @@ var stepBenchCases = []stepBenchCase{
 	{Name: "circulant-16", Topology: "circulant", N: 16, S1: 1, S2: 4, Rate: 0.15},
 	{Name: "torus-8x8-sat", Topology: "torus", Width: 8, Height: 8, Rate: 0.4, Saturated: true},
 	{Name: "circulant-64-sat", Topology: "circulant", N: 64, S1: 1, S2: 8, Rate: 0.2, Saturated: true},
+	{Name: "full-16x16-scatter32", Width: 16, Height: 16, Level: 0, Rate: 0.2, Endpoints: 32},
 }
 
 // newStepBench builds the network and traffic generator for one case.
@@ -110,6 +121,9 @@ func newStepBench(tb testing.TB, c stepBenchCase, reference bool) (*noc.Network,
 	endpoints := benchNodes(net.Nodes())
 	if region != nil {
 		endpoints = region.ActiveNodes()
+	}
+	if c.Endpoints > 0 {
+		endpoints = rand.New(rand.NewSource(5)).Perm(net.Nodes())[:c.Endpoints]
 	}
 	set := traffic.NewSet(endpoints)
 	net.UseReferenceStepper(reference)
@@ -190,6 +204,8 @@ func BenchmarkStepTorusSat(b *testing.B)        { benchStep(b, stepBenchCases[6]
 func BenchmarkStepTorusSatRef(b *testing.B)     { benchStep(b, stepBenchCases[6], true) }
 func BenchmarkStepCirculantSat(b *testing.B)    { benchStep(b, stepBenchCases[7], false) }
 func BenchmarkStepCirculantSatRef(b *testing.B) { benchStep(b, stepBenchCases[7], true) }
+func BenchmarkStepFullScatter(b *testing.B)     { benchStep(b, stepBenchCases[8], false) }
+func BenchmarkStepFullScatterRef(b *testing.B)  { benchStep(b, stepBenchCases[8], true) }
 
 func benchNodes(n int) []int {
 	out := make([]int, n)
@@ -223,8 +239,34 @@ type benchSimPoint struct {
 type benchSimFile struct {
 	// DarkMinSpeedup is the hard floor for the dark-dominated point
 	// (acceptance criterion: >= 2x vs the pre-PR stepper).
-	DarkMinSpeedup float64         `json:"dark_min_speedup"`
-	Points         []benchSimPoint `json:"points"`
+	DarkMinSpeedup float64 `json:"dark_min_speedup"`
+	// Machine is where the points were measured: informational only, not
+	// gated, but the speedups depend on it.
+	Machine benchMachine    `json:"machine"`
+	Points  []benchSimPoint `json:"points"`
+}
+
+// benchMachine describes the machine and toolchain a benchmark ran on.
+type benchMachine struct {
+	// CPU is the first "model name" of /proc/cpuinfo, or empty where that
+	// file does not exist.
+	CPU        string `json:"cpu"`
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+// hostMachine describes the machine the test runs on.
+func hostMachine() benchMachine {
+	m := benchMachine{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if key, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "model name" {
+				m.CPU = strings.TrimSpace(val)
+				break
+			}
+		}
+	}
+	return m
 }
 
 const benchSimPath = "BENCH_sim.json"
@@ -248,6 +290,8 @@ func TestBenchSim(t *testing.T) {
 	// burst hit only one side. The minimum ns/cycle across reps is kept as
 	// the (informational, never gated) absolute cost.
 	const reps = 5
+	machine := hostMachine()
+	t.Logf("%s, %s, GOMAXPROCS %d", machine.CPU, machine.GoVersion, machine.GOMAXPROCS)
 	measured := make([]benchSimPoint, len(stepBenchCases))
 	for i, c := range stepBenchCases {
 		one := func(reference bool) float64 {
@@ -270,12 +314,12 @@ func TestBenchSim(t *testing.T) {
 		p.Speedup = ratios[reps/2]
 		p.SpeedupMin = ratios[0]
 		measured[i] = p
-		t.Logf("%-18s optimized %8.0f ns/cycle, reference %8.0f ns/cycle, speedup %.2fx",
+		t.Logf("%-20s optimized %8.0f ns/cycle, reference %8.0f ns/cycle, speedup %.2fx",
 			c.Name, p.OptimizedNsPerCycle, p.ReferenceNsPerCycle, p.Speedup)
 	}
 
 	if os.Getenv("BENCH_SIM_WRITE") != "" {
-		out := benchSimFile{DarkMinSpeedup: 2.0, Points: measured}
+		out := benchSimFile{DarkMinSpeedup: 2.0, Machine: machine, Points: measured}
 		data, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -300,7 +344,7 @@ func TestBenchSim(t *testing.T) {
 		committed[p.Name] = p
 	}
 	// The fresh numbers ride along as a CI artifact for the perf trajectory.
-	if fresh, err := json.MarshalIndent(benchSimFile{DarkMinSpeedup: baseline.DarkMinSpeedup, Points: measured}, "", "  "); err == nil {
+	if fresh, err := json.MarshalIndent(benchSimFile{DarkMinSpeedup: baseline.DarkMinSpeedup, Machine: machine, Points: measured}, "", "  "); err == nil {
 		_ = os.WriteFile("BENCH_sim.new.json", append(fresh, '\n'), 0o644)
 	}
 	for _, p := range measured {

@@ -196,13 +196,14 @@ type allocState struct {
 	FreeVC, Ready      uint64
 	Inbox, Eject       []fifo
 	Credbox, Nicredbox [][]creditEvt
-	Work               []uint64
+	WorkSets           [4][]uint64
 }
 
 func stateOf(net *Network, r *router) allocState {
 	row := r.id * net.P
 	return allocState{*r, net.vaReq[row : row+net.P], net.saReq[row : row+net.P], net.freeVC[r.id], net.ready[r.id],
-		net.inbox, net.eject, net.credbox, net.nicredbox, net.work}
+		net.inbox, net.eject, net.credbox, net.nicredbox,
+		[4][]uint64{net.credWork, net.allocWork, net.arrWork, net.niWork}}
 }
 
 // diffPass builds the same router twice with fill, runs pass on the

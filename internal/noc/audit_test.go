@@ -51,15 +51,16 @@ func auditAgainstFullWalk(t *testing.T, n *Network, when string) error {
 // TestAuditMatchesFullWalk is the differential test of the dirty-set audit:
 // on the mesh, the torus and C(16;1,4) under random traffic, on a dark
 // 8x8 chip, on a mesh with runtime gating and across a Reconfigure, the
-// audit that walks only dirty and busy routers returns the same census and
-// error as the walk over every router. It compares at the end of cycles
-// inside Step, as the checker audits, either every cycle or every 16th (the
-// checker's default interval, so the dirty set collects 16 cycles of
-// changes); with every cycle it also compares between Steps, after the work
-// set is pruned, so idle routers are skipped by the word-compare. Every 50
-// cycles of those runs it loses one credit of a random router, busy or
-// idle, through LoseLinkCredit: both audits must report the same first
-// violation, and giving the credit back must clear it.
+// audit that walks only dirty routers and those in the work sets returns
+// the same census and error as the walk over every router. It compares at
+// the end of cycles inside Step, as the checker audits, either every cycle
+// or every 16th (the checker's default interval, so the dirty set collects
+// 16 cycles of changes); with every cycle it also compares between Steps,
+// where idle routers are in no work set and are skipped by the
+// word-compare. Every 50 cycles of those runs it loses one credit of a
+// random router, busy or idle, through LoseLinkCredit: both audits must
+// report the same first violation, and giving the credit back must clear
+// it.
 func TestAuditMatchesFullWalk(t *testing.T) {
 	dor := func(w, h int) (topo.Topology, routing.Algorithm, []int, error) {
 		return topo.NewMesh(w, h), routing.NewDOR(mesh.New(w, h)), nil, nil
@@ -175,35 +176,59 @@ func TestAuditMatchesFullWalk(t *testing.T) {
 	}
 }
 
-// TestAuditReportsWorkOutsideWorkSet is the mutation the word-compare
-// exists for: a router dropped from the active-work set while it still
-// holds work, as a faulty prune would leave it, is neither dirty nor busy,
-// yet Audit must walk it, count its flits and report it. On a loaded chip
-// the router buffers a flit; on an idle one its NI queues a packet, and no
-// neighbour is busy, so only the word-compare brings the router into the
-// walk.
+// TestAuditReportsWorkOutsideWorkSet is the mutation each work set's check
+// exists for: a router whose bit in one stage's work set is cleared while
+// that stage's work is still pending, as a lost mark or a premature clear
+// would leave it, must be reported by Audit, with its flits counted. Each
+// case takes the first router with work for one stage at the first cycle
+// boundary, after 400 cycles of load, where one has it: a credit in
+// flight, a flit in flight, or a buffered flit that requests an allocator;
+// or, on an idle chip, a queued packet at an NI, where no neighbour is in
+// a work set, so only the word-compare brings the router into the walk.
 func TestAuditReportsWorkOutsideWorkSet(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		// load drives the network and returns a router that holds work.
-		load func(*Network) int
-	}{
-		{"buffered flit", func(net *Network) int {
+	// loaded drives a 4x4 mesh under random traffic for at least 400
+	// cycles, until some router has pending work, and returns the first
+	// such router.
+	loaded := func(pending func(*Network, int) bool) func(*Network) int {
+		return func(net *Network) int {
 			rng := rand.New(rand.NewSource(3))
-			for cyc := 0; cyc < 400; cyc++ {
+			for cyc := 0; cyc < 2000; cyc++ {
 				for src := 0; src < net.Nodes(); src++ {
 					if rng.Float64() < 0.05 {
 						net.Enqueue(src, (src+1+rng.Intn(net.Nodes()-1))%net.Nodes())
 					}
 				}
 				net.Step()
+				if cyc < 400 {
+					continue
+				}
+				if id := slices.IndexFunc(net.routers, func(r *router) bool { return pending(net, r.id) }); id >= 0 {
+					return id
+				}
 			}
-			return slices.IndexFunc(net.routers, func(r *router) bool { return r.occupancy() > 0 })
-		}},
+			return -1
+		}
+	}
+	for _, c := range []struct {
+		name string
+		// load drives the network and returns a router with work for the
+		// stage that walks set.
+		load func(*Network) int
+		set  func(*Network) []uint64
+		want string
+	}{
+		{"credit in flight", loaded(func(net *Network, id int) bool { return !net.credIdle(id) }),
+			func(net *Network) []uint64 { return net.credWork }, "outside the credit work set"},
+		{"flit in flight", loaded(func(net *Network, id int) bool { return !net.arrIdle(id) }),
+			func(net *Network) []uint64 { return net.arrWork }, "outside the arrival work set"},
+		{"buffered flit", loaded(func(net *Network, id int) bool {
+			r := net.routers[id]
+			return r.occupancy() > 0 && !net.allocIdle(r)
+		}), func(net *Network) []uint64 { return net.allocWork }, "outside the allocation work set"},
 		{"queued packet on an idle chip", func(net *Network) int {
 			net.Enqueue(5, 10)
 			return 5
-		}},
+		}, func(net *Network) []uint64 { return net.niWork }, "outside the injection work set"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			net, err := New(DefaultConfig(), routing.NewDOR(mesh.New(4, 4)), nil)
@@ -211,21 +236,21 @@ func TestAuditReportsWorkOutsideWorkSet(t *testing.T) {
 				t.Fatal(err)
 			}
 			id := c.load(net)
-			if id < 0 || net.routerIdle(id) {
-				t.Fatal("no router holds work")
+			if id < 0 || !inSet(c.set(net), id) {
+				t.Fatalf("no router has work in the set (found %d)", id)
 			}
 			clean, err := net.Audit(nil) // empties the dirty set
 			if err != nil {
 				t.Fatal(err)
 			}
-			net.work[id>>6] &^= 1 << uint(id&63)
+			c.set(net)[id>>6] &^= 1 << uint(id&63)
 			census, err := net.Audit(nil)
-			want := fmt.Sprintf("router %d holds work outside the active-work set", id)
-			if err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("Audit returned %v, want an error naming %q", err, want)
+			if want := fmt.Sprintf("router %d ", id); err == nil || !strings.Contains(err.Error(), want) ||
+				!strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Audit returned %v, want an error naming %q and %q", err, want, c.want)
 			}
 			if !slices.Equal(census, clean) {
-				t.Fatalf("census %+v, want %+v: the pruned router's flits went uncounted", census, clean)
+				t.Fatalf("census %+v, want %+v: the router's flits went uncounted", census, clean)
 			}
 		})
 	}
@@ -233,7 +258,7 @@ func TestAuditReportsWorkOutsideWorkSet(t *testing.T) {
 
 // TestAuditRemembersVisitedRouters corrupts a busy router the way a faulty
 // pipeline stage would, without marking it dirty, then lets the network
-// drain, so the router goes idle and leaves the work set before the next
+// drain, so the router goes idle and leaves every work set before the next
 // Audit, as it may between two of the checker's audits 16 cycles apart. The
 // router was visited by Steps since the last audit, so it is dirty, and the
 // leak must be reported.
@@ -247,8 +272,8 @@ func TestAuditRemembersVisitedRouters(t *testing.T) {
 	if _, err := net.Audit(nil); err != nil {
 		t.Fatal(err)
 	}
-	if !inSet(net.work, 0) {
-		t.Fatal("router 0 is not busy injecting its packet")
+	if !inSet(net.niWork, 0) {
+		t.Fatal("router 0 is not injecting its packet")
 	}
 	// VC 3 of the link east; the packet takes VC 0, so the lost credit
 	// never stalls it.
@@ -256,8 +281,10 @@ func TestAuditRemembersVisitedRouters(t *testing.T) {
 	if err := net.DrainWithBudgetCtx(nil, 100); err != nil {
 		t.Fatal(err)
 	}
-	if slices.ContainsFunc(net.work, func(w uint64) bool { return w != 0 }) {
-		t.Fatal("work set not empty after the drain")
+	for _, set := range [][]uint64{net.credWork, net.allocWork, net.arrWork, net.niWork} {
+		if slices.ContainsFunc(set, func(w uint64) bool { return w != 0 }) {
+			t.Fatal("a work set is not empty after the drain")
+		}
 	}
 	want := "credit leak on link 0->1 vc 3"
 	if _, err := net.Audit(nil); err == nil || !strings.Contains(err.Error(), want) {
@@ -292,7 +319,7 @@ func TestAuditBalancesLinksIntoChangedRouters(t *testing.T) {
 		for v, r := range net.routers {
 			for b := range r.in {
 				u := r.downstream[b/nVC] // the router feeding this input
-				if b/nVC == topo.Local || u < 0 || r.in[b].n < 2 || inSet(net.work, u) {
+				if b/nVC == topo.Local || u < 0 || r.in[b].n < 2 || !net.routerIdle(u) {
 					continue
 				}
 				found++

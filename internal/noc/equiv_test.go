@@ -1,9 +1,10 @@
-// Zero-drift equivalence suite for the active-work stepper: every
+// Zero-drift equivalence suite for the work-set stepper: every
 // configuration class the simulator supports is run twice — once on the
-// optimized (active-work) pipeline and once on the reference full-scan
-// pipeline (UseReferenceStepper) — under identical traffic, and the results
-// are required to be bit-identical: reflect.DeepEqual on Stats, per-router
-// Events, packet timestamps, and the full human-readable state snapshot.
+// optimized pipeline, whose stages walk their work sets, and once on the
+// reference full-scan pipeline (UseReferenceStepper) — under identical
+// traffic, and the results are required to be bit-identical:
+// reflect.DeepEqual on Stats, per-router Events, packet timestamps, and
+// the full human-readable state snapshot.
 // The suite is external (package noc_test) on purpose: it exercises only
 // the public API, like real drivers do.
 package noc_test
@@ -38,6 +39,7 @@ type equivCase struct {
 	gating  bool // enable runtime traffic-driven power gating
 	links   bool // override some link latencies (thermal floorplan wires)
 	reconf  bool // shrink the region mid-run via Reconfigure
+	scatter int  // endpoints drawn at random from every node; 0 = all active nodes
 	cycles  int  // driven cycles (before any drain tail)
 	rate    float64
 }
@@ -60,6 +62,10 @@ var equivCases = []equivCase{
 	// topology study.
 	{name: "torus-8x8-sat", fabric: "torus", width: 8, height: 8, cycles: 1000, rate: 0.4},
 	{name: "circulant-64-sat", fabric: "circulant", n: 64, s1: 1, s2: 8, cycles: 3000, rate: 0.2},
+	// Fig. 11's full-sprinting baseline on a 16x16 chip: every router
+	// powered, traffic between 32 scattered endpoints, so most powered
+	// routers have work for only some stages in a cycle.
+	{name: "full-16x16-scatter32", width: 16, height: 16, scatter: 32, cycles: 1000, rate: 0.2},
 }
 
 // buildEquiv constructs one network for c plus the traffic endpoints and the
@@ -111,6 +117,9 @@ func buildEquiv(t testing.TB, c equivCase, reference bool) (*noc.Network, []int,
 	}
 	if region != nil {
 		nodes = region.ActiveNodes()
+	}
+	if c.scatter > 0 {
+		nodes = rand.New(rand.NewSource(5)).Perm(net.Nodes())[:c.scatter]
 	}
 	if c.links {
 		// Slow down a few wires asymmetrically, as a thermal-aware
@@ -255,6 +264,43 @@ func TestStepperEquivalence(t *testing.T) {
 	}
 }
 
+// TestSinkEnqueueMatchesReference holds the two steppers to one answer for
+// a packet that a sink enqueues during buffer write at a node with nothing
+// pending when the cycle began. On a 4x4 DOR mesh, the ejection of a
+// packet 0->1 enqueues 15->12 at cycle 14. The full scan injects it in
+// that cycle, and the optimized stepper must too, since its injection
+// stage follows the live injection work set.
+func TestSinkEnqueueMatchesReference(t *testing.T) {
+	var got [2]noc.Packet
+	for i, reference := range []bool{false, true} {
+		net, err := noc.New(noc.DefaultConfig(), routing.NewDOR(mesh.New(4, 4)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.UseReferenceStepper(reference)
+		var reply *noc.Packet
+		net.SetSink(func(*noc.Packet) {
+			if reply == nil {
+				reply = net.Enqueue(15, 12)
+			}
+		})
+		net.Enqueue(0, 1)
+		if err := net.DrainWithBudgetCtx(nil, 200); err != nil {
+			t.Fatal(err)
+		}
+		got[i] = *reply
+	}
+	opt, ref := got[0], got[1]
+	if opt.CreatedAt != ref.CreatedAt || opt.InjectedAt != ref.InjectedAt || opt.EjectedAt != ref.EjectedAt {
+		t.Errorf("reply created/injected/ejected at %d/%d/%d on the optimized stepper, %d/%d/%d on the reference",
+			opt.CreatedAt, opt.InjectedAt, opt.EjectedAt, ref.CreatedAt, ref.InjectedAt, ref.EjectedAt)
+	}
+	if ref.InjectedAt != ref.CreatedAt {
+		t.Errorf("reference stepper injected the reply at %d, %d cycles after its creation",
+			ref.InjectedAt, ref.InjectedAt-ref.CreatedAt)
+	}
+}
+
 // TestStepperEquivalenceToggleMidRun flips between the two steppers every
 // few hundred cycles of a single run and checks the result against a pure
 // reference run: the work-set bookkeeping must stay exact across toggles.
@@ -358,6 +404,7 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 		{name: "circulant-16", fabric: "circulant", n: 16, s1: 1, s2: 4, rate: 0.45},
 		{name: "circulant-64", fabric: "circulant", n: 64, s1: 1, s2: 8, rate: 0.2},
 		{name: "vcs-8-4x4", width: 4, height: 4, vcs: 8, rate: 0.5},
+		{name: "full-16x16-scatter32", width: 16, height: 16, scatter: 32, rate: 0.2},
 	} {
 		c := c
 		t.Run(c.name, func(t *testing.T) {

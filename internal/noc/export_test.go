@@ -1,5 +1,7 @@
 package noc
 
+import "math/bits"
+
 // LoseLinkCredit drops one of router id's credits toward output (port, vc)
 // without the downstream slot it stood for, the corruption Audit reports
 // as a credit leak on that link. Like every corruption helper, it marks the
@@ -32,33 +34,42 @@ var StageNames = [...]string{"credits", "SA", "VA+RC", "buffer-write", "injectio
 // StepStages is Step with lap called after each stage, numbered as in
 // StageNames: credit delivery, switch allocation with traversal, VC
 // allocation and route compute, buffer write with ejection, injection, and
-// the tail (gating, dirty set, probe cycle end, prune). It calls Step's
-// stage methods in Step's order, but runs SA for every router before VA
-// and RC run for any, so each stage can be timed on its own. That is exact
-// for the reason the fused pass is: each of the three reads only its own
-// router's state, dates everything it sends to a later cycle and calls no
-// probe. TestStepStagesMatchStep holds it to Step.
+// the tail (gating, dirty set, probe cycle end). It calls Step's stage
+// methods in Step's order, each over its own work set, but runs SA for
+// every router in the allocation work set before VA and RC run for any, so
+// each stage can be timed on its own. That is exact for the reason the
+// fused pass is: each of the three reads only its own router's state, dates
+// everything it sends to a later cycle and calls no probe, and SA changes
+// no router's allocation work set bit. TestStepStagesMatchStep holds it to
+// Step.
 func (n *Network) StepStages(lap func(stage int)) {
 	now := n.cycle
-	ids := n.sweepIDs()
-	n.deliverCredits(ids)
+	n.deliverCredits()
 	lap(0)
-	for _, id := range ids {
-		if r := n.routers[id]; r.active && n.powered(id) {
-			n.switchAllocation(now, r)
+	for w := range n.allocWork {
+		for word := n.stageWord(n.allocWork, w); word != 0; word &= word - 1 {
+			if r := n.routers[w<<6|bits.TrailingZeros64(word)]; r.active && n.powered(r.id) {
+				n.switchAllocation(now, r)
+			}
 		}
 	}
 	lap(1)
-	for _, id := range ids {
-		if r := n.routers[id]; r.active && n.powered(id) {
-			n.vcAllocation(r)
-			n.routeCompute(r)
+	for w := range n.allocWork {
+		for word := n.stageWord(n.allocWork, w); word != 0; word &= word - 1 {
+			r := n.routers[w<<6|bits.TrailingZeros64(word)]
+			if r.active && n.powered(r.id) {
+				n.vcAllocation(r)
+				n.routeCompute(r)
+			}
+			if n.allocIdle(r) {
+				n.allocWork[w] &^= word & -word
+			}
 		}
 	}
 	lap(2)
-	n.deliverFlits(now, ids)
+	n.deliverFlits(now)
 	lap(3)
-	n.inject(now, ids)
+	n.inject(now)
 	lap(4)
 	n.endCycle(now)
 	lap(5)

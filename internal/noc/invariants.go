@@ -29,12 +29,12 @@ type ClassCensus struct {
 // Audit checks the simulator's structural invariants and takes the
 // per-class flit census, at a cost that follows the work. It walks only
 // the routers in the audit dirty set (state that may have changed since
-// the last Audit) and the busy ones (the active-work set), and balances
-// credits only on links with such a router at one end. Every other router
-// gets a word-compare: its inMask, request sets, busy-VC count, ejection
-// queue, credit boxes and NI show it holds nothing, so its census share is
-// zero. A router that fails the word-compare is walked too, which reports
-// it for holding work outside the active-work set. Audit allocates nothing
+// the last Audit) and those in the stages' work sets, and balances credits
+// only on links with such a router at one end. Every other router gets a
+// word-compare: its inMask, request sets, busy-VC count, ejection queue,
+// credit boxes and NI show it holds nothing, so its census share is zero.
+// A router that fails the word-compare is walked too, which reports it if
+// it holds work outside a stage's work set. Audit allocates nothing
 // once buf is large enough, because the invariant checker runs it every
 // check.Config.Interval cycles and property tests every cycle.
 //
@@ -53,23 +53,22 @@ type ClassCensus struct {
 // idle; the allocator words (per-port request sets, free-output-VC word,
 // holder table and credit-ready word) and each VA requester's VC partition
 // are in step with the VC states, credits and routing; every in-flight queue is in due-cycle order, inMask marks
-// exactly the non-empty input queues, and a router holding work is in the
-// active-work set. The key invariant is credit conservation on every
+// exactly the non-empty input queues, and a router with work for a stage
+// is in that stage's work set. The key invariant is credit conservation on every
 // directed link and at every NI: the upstream credit counter, the flits
 // buffered downstream, the flits in flight on the link, and the credits in
 // flight back upstream always sum to the buffer depth. Network-wide, no
 // more packets are ejected than injected, nor injected than created.
 //
-// One fault stays out of reach: a change to a router that marks it neither
-// dirty nor busy and leaves only state the word-compare cannot see, such as
-// flits in a VC of a router that counts no busy VC.
+// One fault stays out of reach: a change to a router that puts it neither
+// in the dirty set nor in a work set and leaves only state the
+// word-compare cannot see, such as flits in a VC of a router that counts
+// no busy VC.
 func (n *Network) Audit(buf []ClassCensus) ([]ClassCensus, error) {
-	// The dirty set grows to the busy routers and every router failing the
-	// word-compare. It must be complete before the walk, which reads it to
-	// find the links to balance.
-	for w, word := range n.work {
-		n.dirty[w] |= word
-	}
+	// The dirty set grows to the routers in the work sets and every router
+	// failing the word-compare. It must be complete before the walk, which
+	// reads it to find the links to balance.
+	n.markWorkDirty()
 	for id, r := range n.routers {
 		if !inSet(n.dirty, id) && (r.rcSet|r.vaSet|r.saSet != 0 || !n.routerIdle(id)) {
 			n.markDirty(id)
@@ -101,8 +100,8 @@ func (n *Network) Audit(buf []ClassCensus) ([]ClassCensus, error) {
 		if err == nil {
 			err = n.auditWords(id)
 		}
-		if err == nil && !inSet(n.work, id) && !n.routerIdle(id) {
-			err = fmt.Errorf("noc: router %d holds work outside the active-work set", id)
+		if err == nil {
+			err = n.auditWorkSets(id)
 		}
 	}
 	if err == nil && n.stats.PacketsEjected > n.stats.PacketsInjected {
@@ -117,6 +116,32 @@ func (n *Network) Audit(buf []ClassCensus) ([]ClassCensus, error) {
 		clear(n.dirty)
 	}
 	return buf, err
+}
+
+// routerIdle reports whether router id holds nothing: no work for any
+// stage and no input VC mid-packet. It is the word-compare's test.
+func (n *Network) routerIdle(id int) bool {
+	return n.routers[id].busyVCs == 0 && n.credIdle(id) && n.arrIdle(id) && niIdle(n.nis[id])
+}
+
+// auditWorkSets checks that router id is in the work set of every stage
+// it has work for. A stage visits only the routers in its set, so work
+// outside it would never be done.
+func (n *Network) auditWorkSets(id int) error {
+	var what, set string
+	switch {
+	case !n.credIdle(id) && !inSet(n.credWork, id):
+		what, set = "credits in flight", "credit"
+	case !n.allocIdle(n.routers[id]) && !inSet(n.allocWork, id):
+		what, set = "allocator requests", "allocation"
+	case !n.arrIdle(id) && !inSet(n.arrWork, id):
+		what, set = "flits in flight", "arrival"
+	case !niIdle(n.nis[id]) && !inSet(n.niWork, id):
+		what, set = "packets at its NI", "injection"
+	default:
+		return nil
+	}
+	return fmt.Errorf("noc: router %d has %s outside the %s work set", id, what, set)
 }
 
 // feedsDirty reports whether router r has a link to a router in the audit

@@ -167,29 +167,35 @@ type Network struct {
 	// wires a thermal-aware floorplan creates (§3.3) — and, when left
 	// uniform, the SMART repeated wires that traverse them in one cycle.
 	linkLat []int
-	// Active-work scheduling: Step visits only routers that can have work
-	// this cycle, so a dark-dominated mesh costs O(active region), not
-	// O(mesh). work is a bitset of those router ids; visiting its bits in
-	// ascending order matches the full scan's iteration order, which keeps
-	// results and checker event streams bit-identical. Every event append
-	// (flit, credit, ejection, source enqueue) marks its destination busy;
-	// routers whose state has fully drained are pruned at the end of each
-	// Step. sweepBuf is the per-cycle snapshot the stages iterate, so
-	// markBusy during a cycle never changes the routers a Step visits.
-	work     []uint64
-	sweepBuf []int
+	// Per-stage work sets: Step's stages visit only the routers that have
+	// work for them, so a dark or lightly loaded chip costs O(work), not
+	// O(chip). Each is a bitset of router ids, set by the event that
+	// creates the work and cleared by the stage that consumes it:
+	//   - credWork: credits in flight to the router or its NI (traverse);
+	//   - allocWork: a non-empty rcSet, vaSet or ready word (deliverFlits,
+	//     deliverCredits), for the SA/VA/RC pass;
+	//   - arrWork: flits in flight toward its inputs or its NI (send, the
+	//     ejection push in traverse), for buffer write and ejection;
+	//   - niWork: a packet queued or mid-injection at its NI
+	//     (TryEnqueuePacket), for injection.
+	// A stage walks its live set in ascending id order, the full scan's
+	// order, which keeps results and probe streams bit-identical. No stage
+	// sets a bit of its own set for another router, so the set it walks
+	// is stable while it walks it.
+	credWork, allocWork, arrWork, niWork []uint64
 	// dirty is the audit dirty set: a bitset of the routers whose state may
-	// have changed since the last Audit. Each Step ORs in its work set
-	// before pruning it, which holds every router the Step visited and every
-	// router something was sent to; Enqueue, Reconfigure and the test-only
-	// corruption helpers mark the routers they touch. Audit re-walks these
-	// and the busy routers, then clears the set (see invariants.go). It
-	// starts full, so the first Audit walks every router.
+	// have changed since the last Audit. Each stage ORs in its work set
+	// just before walking it, which holds every router it visits, and
+	// endCycle ORs in all four sets, which hold every router something was
+	// sent to; Enqueue, Reconfigure and the test-only corruption helpers
+	// mark the routers they touch. Audit re-walks these and the routers in
+	// the work sets, then clears the set (see invariants.go). It starts
+	// full, so the first Audit walks every router.
 	dirty []uint64
-	// allIDs enumerates every router; scanAll (the reference stepper, see
-	// UseReferenceStepper) makes the stages visit them all, reproducing the
+	// all has every router's bit set; scanAll (the reference stepper, see
+	// UseReferenceStepper) makes every stage walk it, reproducing the
 	// pre-optimization full-scan pipeline.
-	allIDs  []int
+	all     []uint64
 	scanAll bool
 	// activeCount caches the powered-router population; maintained by New
 	// and Reconfigure instead of rescanning all routers on every
@@ -282,6 +288,7 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 	if err != nil {
 		return nil, err
 	}
+	words := (nodes + 63) / 64
 	n := &Network{
 		cfg:       cfg,
 		tp:        tp,
@@ -296,11 +303,13 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 		eject:     make([]fifo, nodes),
 		nis:       make([]*ni, nodes),
 
-		linkLat:  make([]int, nodes*P),
-		work:     make([]uint64, (nodes+63)/64),
-		dirty:    make([]uint64, (nodes+63)/64),
-		sweepBuf: make([]int, 0, nodes),
-		allIDs:   make([]int, nodes),
+		linkLat:   make([]int, nodes*P),
+		credWork:  make([]uint64, words),
+		allocWork: make([]uint64, words),
+		arrWork:   make([]uint64, words),
+		niWork:    make([]uint64, words),
+		dirty:     make([]uint64, words),
+		all:       make([]uint64, words),
 
 		vaReq:  make([]uint64, nodes*P),
 		saReq:  make([]uint64, nodes*P),
@@ -330,7 +339,7 @@ func NewTopo(cfg Config, tp topo.Topology, alg routing.Algorithm, activeNodes []
 		n.linkLat[i] = cfg.LinkLatency
 	}
 	for id := 0; id < nodes; id++ {
-		n.allIDs[id] = id
+		mark(n.all, id)
 		n.routers[id] = newRouter(id, cfg, tp, activeSet[id])
 		nic := &ni{credits: make([]int, cfg.VCs)}
 		for v := range nic.credits {
@@ -376,77 +385,67 @@ func newRoute(cfg Config, alg routing.Algorithm) (route, error) {
 }
 
 // UseReferenceStepper(true) switches Step to the pre-optimization reference
-// pipeline in which every stage scans every router, idle or not. The
-// active-work bookkeeping is still maintained, so the mode can be toggled at
-// any cycle boundary. Results are bit-identical in both modes — the
-// zero-drift equivalence suite enforces it — which makes the reference mode
-// the baseline the perf harness and drift tests compare against.
+// pipeline in which every stage visits every router, idle or not. The
+// stages still keep the four work sets, setting and clearing the same bits,
+// so the mode can be toggled at any cycle boundary. Results are
+// bit-identical in both modes — the zero-drift equivalence suite enforces
+// it — which makes the reference mode the baseline the perf harness and
+// drift tests compare against.
 func (n *Network) UseReferenceStepper(on bool) { n.scanAll = on }
 
-// markBusy adds router id to the active-work set. Idempotent and
-// allocation-free. Step copies the work set into the audit dirty set once
-// per cycle, so markBusy itself leaves that set alone.
-func (n *Network) markBusy(id int) { n.work[id>>6] |= 1 << uint(id&63) }
-
-// markDirty adds router id to the audit dirty set: its state changed
-// outside a Step.
-func (n *Network) markDirty(id int) { n.dirty[id>>6] |= 1 << uint(id&63) }
-
-// markAllDirty puts every router in the audit dirty set, so the next Audit
-// walks them all.
-func (n *Network) markAllDirty() {
-	for w := range n.dirty {
-		n.dirty[w] = ^uint64(0)
-	}
-	if tail := n.nodes & 63; tail != 0 {
-		n.dirty[len(n.dirty)-1] = 1<<uint(tail) - 1
-	}
-}
+// mark sets router id's bit in bitset set. Idempotent and allocation-free.
+func mark(set []uint64, id int) { set[id>>6] |= 1 << uint(id&63) }
 
 // inSet reports whether router id's bit is set in bitset set.
 func inSet(set []uint64, id int) bool { return set[id>>6]>>uint(id&63)&1 != 0 }
 
-// sweepIDs returns the router ids the pipeline stages visit this cycle: a
-// snapshot of the active-work set in ascending order (markBusy during the
-// cycle must never change the routers this Step visits), or every router
-// under the reference stepper.
-func (n *Network) sweepIDs() []int {
+// markDirty adds router id to the audit dirty set: its state changed
+// outside a Step.
+func (n *Network) markDirty(id int) { mark(n.dirty, id) }
+
+// markAllDirty puts every router in the audit dirty set, so the next Audit
+// walks them all.
+func (n *Network) markAllDirty() { copy(n.dirty, n.all) }
+
+// markWorkDirty adds the routers in the four work sets to the audit dirty
+// set.
+func (n *Network) markWorkDirty() {
+	for w := range n.dirty {
+		n.dirty[w] |= n.credWork[w] | n.allocWork[w] | n.arrWork[w] | n.niWork[w]
+	}
+}
+
+// stageWord returns word w of a stage's work set, the routers the stage
+// visits among ids 64w to 64w+63, and adds them to the audit dirty set:
+// the stage may change each of them and clears the bits of those it
+// leaves with nothing to do. The reference stepper visits every router
+// instead, and endCycle marks them all dirty.
+func (n *Network) stageWord(set []uint64, w int) uint64 {
 	if n.scanAll {
-		return n.allIDs
+		return n.all[w]
 	}
-	ids := n.sweepBuf[:0]
-	for w, word := range n.work {
-		for ; word != 0; word &= word - 1 {
-			ids = append(ids, w<<6|bits.TrailingZeros64(word))
-		}
-	}
-	n.sweepBuf = ids
-	return ids
+	n.dirty[w] |= set[w]
+	return set[w]
 }
 
-// routerIdle reports whether router id holds no work at all: no credits,
-// flits, or ejections in flight toward it, no input VC mid-packet, and a
-// fully idle NI. Such a router cannot act until some event append marks it
-// busy again, so it is safe to drop from the work set.
-func (n *Network) routerIdle(id int) bool {
-	r, nic := n.routers[id], n.nis[id]
-	return r.inMask == 0 && r.busyVCs == 0 && n.eject[id].n == 0 &&
-		len(n.credbox[id]) == 0 && len(n.nicredbox[id]) == 0 &&
-		nic.cur == nil && len(nic.queue) == 0
+// Each stage's "nothing to do" test, which clears its bit after a visit;
+// Audit requires every router failing one to be in that stage's set.
+
+// credIdle reports whether no credit is in flight to router id or its NI.
+func (n *Network) credIdle(id int) bool {
+	return len(n.credbox[id]) == 0 && len(n.nicredbox[id]) == 0
 }
 
-// prune drops fully drained routers from the active-work set at the end of
-// a Step. O(busy routers + routers/64), allocation-free.
-func (n *Network) prune() {
-	for w, word := range n.work {
-		for m := word; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m)
-			if n.routerIdle(w<<6 | b) {
-				n.work[w] &^= 1 << uint(b)
-			}
-		}
-	}
-}
+// allocIdle reports whether r has no head awaiting route compute, no VA
+// requester and no SA requester with a credit.
+func (n *Network) allocIdle(r *router) bool { return r.rcSet|r.vaSet|n.ready[r.id] == 0 }
+
+// arrIdle reports whether no flit is in flight toward router id's inputs
+// or its NI.
+func (n *Network) arrIdle(id int) bool { return n.routers[id].inMask == 0 && n.eject[id].n == 0 }
+
+// niIdle reports whether nic has no packet queued or mid-injection.
+func niIdle(nic *ni) bool { return nic.cur == nil && len(nic.queue) == 0 }
 
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
@@ -574,7 +573,7 @@ func (n *Network) TryEnqueuePacket(src, dst, class, length int) (*Packet, error)
 		n.stats.MeasuredCreated++
 	}
 	n.nis[src].queue = append(n.nis[src].queue, p)
-	n.markBusy(src)
+	mark(n.niWork, src)
 	n.markDirty(src)
 	return p, nil
 }
@@ -609,45 +608,49 @@ func (n *Network) Drained() bool { return n.InFlight() == 0 }
 // router: they read only their own router's state, everything they send to
 // other routers is dated to a later cycle, and none of them calls the probe,
 // so the pass is exact and the probe stream keeps its order. Each stage
-// visits only the routers in the active-work set (every router under the
-// reference stepper); since the reverse ordering guarantees no flit needs
-// two stages in one cycle, a router marked busy mid-cycle never needs
-// processing before the next cycle, and the set snapshot taken here stays
-// valid for the whole Step.
+// walks its own live work set in ascending id order (every router under the
+// reference stepper), so it visits exactly the routers on which the full
+// scan acts. No stage sets a bit of its own set for another router, so the
+// set is stable while the stage walks it, and work a stage creates for a
+// later stage of the same cycle is in that stage's set when it walks, as
+// the full scan sees it: a credit that makes a switch requester ready, or a
+// packet a sink enqueues during buffer write.
 func (n *Network) Step() {
 	now := n.cycle
-	ids := n.sweepIDs()
-	n.deliverCredits(ids)
-	for _, id := range ids {
-		if r := n.routers[id]; r.active && n.powered(id) {
-			n.switchAllocation(now, r)
-			n.vcAllocation(r)
-			n.routeCompute(r)
+	n.deliverCredits()
+	for w := range n.allocWork {
+		for word := n.stageWord(n.allocWork, w); word != 0; word &= word - 1 {
+			r := n.routers[w<<6|bits.TrailingZeros64(word)]
+			if r.active && n.powered(r.id) {
+				n.switchAllocation(now, r)
+				n.vcAllocation(r)
+				n.routeCompute(r)
+			}
+			if n.allocIdle(r) {
+				n.allocWork[w] &^= word & -word
+			}
 		}
 	}
-	n.deliverFlits(now, ids)
-	n.inject(now, ids)
+	n.deliverFlits(now)
+	n.inject(now)
 	n.endCycle(now)
 }
 
-// endCycle is the tail of Step: runtime gating, the audit dirty set, the
-// probe's cycle end and the prune of drained routers.
+// endCycle is the tail of Step: runtime gating, the audit dirty set and the
+// probe's cycle end.
 func (n *Network) endCycle(now int64) {
 	n.updateGating(now)
-	// Every router this Step may have changed is in the work set until
-	// prune: the ones it visited and the ones something was sent to. The
-	// reference stepper visits them all.
+	// Each stage put the routers it visited in the dirty set; the work sets
+	// now also hold every router something was sent to. The reference
+	// stepper visits them all.
 	if n.scanAll {
 		n.markAllDirty()
 	} else {
-		for w, word := range n.work {
-			n.dirty[w] |= word
-		}
+		n.markWorkDirty()
 	}
 	if n.probe != nil {
 		n.probe.CycleEnd(n, now)
 	}
-	n.prune()
 	n.cycle++
 }
 
@@ -687,41 +690,49 @@ func (n *Network) RunUntil(ctx context.Context, maxCycles int, each func() error
 // deliverCredits lands every credit in flight: switch allocation sent each
 // of them last cycle, so each box empties whole. The first credit back at
 // an occupied output VC makes its holder ready for the switch, if it has a
-// flit buffered; the last one back at an unoccupied VC frees it.
-func (n *Network) deliverCredits(ids []int) {
+// flit buffered; the last one back at an unoccupied VC frees it. Every box
+// it visits ends empty, so it clears the credit work set whole.
+func (n *Network) deliverCredits() {
 	nVC, depth := n.cfg.VCs, n.cfg.BufferDepth
-	for _, id := range ids {
-		r, nic := n.routers[id], n.nis[id]
-		if box := n.credbox[id]; len(box) > 0 {
-			ready, free := n.ready[id], n.freeVC[id]
-			for _, ev := range box {
-				s := ev.port*nVC + ev.vc
-				o := &r.out[s]
-				o.credits++
+	for w := range n.credWork {
+		for word := n.stageWord(n.credWork, w); word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			r, nic := n.routers[id], n.nis[id]
+			if box := n.credbox[id]; len(box) > 0 {
+				ready, free := n.ready[id], n.freeVC[id]
+				for _, ev := range box {
+					s := ev.port*nVC + ev.vc
+					o := &r.out[s]
+					o.credits++
+					if n.probe != nil {
+						n.probe.CreditDelivered(n, id, ev.port, ev.vc, o.credits)
+					}
+					if o.credits > depth {
+						panic("noc: credit overflow")
+					}
+					// Without a branch on the credit count: an unoccupied
+					// VC's holder is noSlot, whose shift is 0.
+					ready |= r.saSet & (b2u(o.credits == 1) << o.holder)
+					free |= (b2u(o.credits == depth) &^ b2u(o.holder != noSlot)) << uint(s)
+				}
+				n.ready[id], n.freeVC[id] = ready, free
+				n.credbox[id] = box[:0]
+				if ready != 0 {
+					mark(n.allocWork, id)
+				}
+			}
+			for _, ev := range n.nicredbox[id] {
+				nic.credits[ev.vc]++
 				if n.probe != nil {
-					n.probe.CreditDelivered(n, id, ev.port, ev.vc, o.credits)
+					n.probe.CreditDelivered(n, id, topo.Local, ev.vc, nic.credits[ev.vc])
 				}
-				if o.credits > depth {
-					panic("noc: credit overflow")
+				if nic.credits[ev.vc] > depth {
+					panic("noc: NI credit overflow")
 				}
-				// Without a branch on the credit count: an unoccupied VC's
-				// holder is noSlot, whose shift is 0.
-				ready |= r.saSet & (b2u(o.credits == 1) << o.holder)
-				free |= (b2u(o.credits == depth) &^ b2u(o.holder != noSlot)) << uint(s)
 			}
-			n.ready[id], n.freeVC[id] = ready, free
-			n.credbox[id] = box[:0]
+			n.nicredbox[id] = n.nicredbox[id][:0]
 		}
-		for _, ev := range n.nicredbox[id] {
-			nic.credits[ev.vc]++
-			if n.probe != nil {
-				n.probe.CreditDelivered(n, id, topo.Local, ev.vc, nic.credits[ev.vc])
-			}
-			if nic.credits[ev.vc] > depth {
-				panic("noc: NI credit overflow")
-			}
-		}
-		n.nicredbox[id] = n.nicredbox[id][:0]
+		n.credWork[w] = 0
 	}
 }
 
@@ -806,7 +817,7 @@ func (n *Network) traverse(now int64, r *router, b, outPort int) {
 
 	if outPort == topo.Local {
 		n.eject[id].push(arrival{f: f, t: now + 1})
-		n.markBusy(id)
+		mark(n.arrWork, id)
 	} else {
 		if o.credits--; o.credits == 0 {
 			n.ready[id] &^= bit
@@ -824,11 +835,11 @@ func (n *Network) traverse(now int64, r *router, b, outPort int) {
 	// Return the freed buffer slot upstream as a credit.
 	if inPort == topo.Local {
 		n.nicredbox[id] = append(n.nicredbox[id], creditEvt{port: topo.Local, vc: inVC})
-		n.markBusy(id)
+		mark(n.credWork, id)
 	} else {
 		up := r.downstream[inPort] // neighbour feeding this input
 		n.credbox[up] = append(n.credbox[up], creditEvt{port: n.opp[inPort], vc: inVC})
-		n.markBusy(up)
+		mark(n.credWork, up)
 	}
 
 	if f.typ.IsTail() {
@@ -845,7 +856,7 @@ func (n *Network) traverse(now int64, r *router, b, outPort int) {
 func (n *Network) send(id, p int, a arrival) {
 	n.inbox[id*n.P+p].push(a)
 	n.routers[id].inMask |= 1 << uint(p)
-	n.markBusy(id)
+	mark(n.arrWork, id)
 }
 
 // vcAllocation grants free output VCs to r's input VCs whose route is
@@ -1031,148 +1042,173 @@ func (n *Network) partitionLo(id int, pkt *Packet) int {
 }
 
 // deliverFlits performs buffer writes for flits whose link traversal
-// completes this cycle, and ejections into NIs. The flits due by now are a
-// prefix of each queue.
-func (n *Network) deliverFlits(now int64, ids []int) {
-	P, nVC := n.P, n.cfg.VCs
-	for _, id := range ids {
-		r := n.routers[id]
-		for m := r.inMask; m != 0; m &= m - 1 {
-			p := bits.TrailingZeros64(m)
-			q := &n.inbox[id*P+p]
-			// Runtime gating: an arrival at a gated router triggers wake-up
-			// and waits out the power-on latency. A router that refuses one
-			// arrival is waking past now, so it refuses the rest of this
-			// cycle's too, with no side effect.
-			for q.n > 0 && q.at(0).t <= now && n.wakeArrival(id, now) {
-				f := q.at(0).f
-				q.pop()
-				// The checker sees the arrival before the simulator's own
-				// gating panic so a dark-router violation is reported with a
-				// full snapshot instead of a bare panic string.
-				if n.probe != nil {
-					n.probe.FlitArrived(n, id, p, f.pkt, f.typ, int(f.vc))
-				}
-				r.checkGated()
-				b := p*nVC + int(f.vc)
-				v := &r.in[b]
-				v.push(f, n.cfg.BufferDepth)
-				r.events.BufferWrites++
-				n.bufferMoves++
-				bit := uint64(1) << uint(b)
-				if f.typ.IsHead() {
-					v.state = vcRoute
-					r.busyVCs++
-					r.rcSet |= bit
-				} else if v.state == vcActive && r.saSet&bit == 0 {
-					// The VC joins saSet, and is ready if it has a credit.
-					r.saSet |= bit
-					n.saReq[id*P+v.outPort] |= bit
-					if v.outPort == topo.Local || r.out[v.outPort*nVC+v.outVC].credits > 0 {
-						n.ready[id] |= bit
-					}
-				}
-			}
-			if q.n == 0 {
-				r.inMask &^= 1 << uint(p)
+// completes this cycle, and ejections into NIs, at the routers in the
+// arrival work set.
+func (n *Network) deliverFlits(now int64) {
+	for w := range n.arrWork {
+		for word := n.stageWord(n.arrWork, w); word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			n.deliverAt(now, id)
+			if n.arrIdle(id) {
+				n.arrWork[w] &^= word & -word
 			}
 		}
+	}
+}
 
-		// Ejections: the NI consumes arrivals immediately.
-		for q := &n.eject[id]; q.n > 0 && q.at(0).t <= now; {
+// deliverAt writes the flits due at router id's inputs into its buffers and
+// ejects those due at its NI. The flits due by now are a prefix of each
+// queue. A head, or a body flit ready for the switch, gives the router
+// allocation work.
+func (n *Network) deliverAt(now int64, id int) {
+	P, nVC := n.P, n.cfg.VCs
+	r := n.routers[id]
+	for m := r.inMask; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros64(m)
+		q := &n.inbox[id*P+p]
+		// Runtime gating: an arrival at a gated router triggers wake-up
+		// and waits out the power-on latency. A router that refuses one
+		// arrival is waking past now, so it refuses the rest of this
+		// cycle's too, with no side effect.
+		for q.n > 0 && q.at(0).t <= now && n.wakeArrival(id, now) {
 			f := q.at(0).f
 			q.pop()
-			// During a reconfiguration drain, a node being retired can no
-			// longer consume traffic: flits reaching its NI traversed the
-			// fabric normally (credits and buffers all accounted) but are
-			// discarded here as dropped rather than delivered.
-			if n.dropDst != nil && n.dropDst[id] {
-				n.stats.FlitsDropped++
-				n.classDropped[f.pkt.Class]++
-				if n.probe != nil {
-					n.probe.FlitEjected(n, id, f.pkt, f.typ.IsTail(), true)
-				}
-				if f.typ.IsTail() {
-					n.stats.PacketsDropped++
-				}
-				continue
-			}
-			n.stats.FlitsEjected++
-			n.classEjected[f.pkt.Class]++
+			// The checker sees the arrival before the simulator's own
+			// gating panic so a dark-router violation is reported with a
+			// full snapshot instead of a bare panic string.
 			if n.probe != nil {
-				n.probe.FlitEjected(n, id, f.pkt, f.typ.IsTail(), false)
+				n.probe.FlitArrived(n, id, p, f.pkt, f.typ, int(f.vc))
+			}
+			r.checkGated()
+			b := p*nVC + int(f.vc)
+			v := &r.in[b]
+			v.push(f, n.cfg.BufferDepth)
+			r.events.BufferWrites++
+			n.bufferMoves++
+			bit := uint64(1) << uint(b)
+			if f.typ.IsHead() {
+				v.state = vcRoute
+				r.busyVCs++
+				r.rcSet |= bit
+				mark(n.allocWork, id)
+			} else if v.state == vcActive && r.saSet&bit == 0 {
+				// The VC joins saSet, and is ready if it has a credit.
+				r.saSet |= bit
+				n.saReq[id*P+v.outPort] |= bit
+				if v.outPort == topo.Local || r.out[v.outPort*nVC+v.outVC].credits > 0 {
+					n.ready[id] |= bit
+					mark(n.allocWork, id)
+				}
+			}
+		}
+		if q.n == 0 {
+			r.inMask &^= 1 << uint(p)
+		}
+	}
+
+	// Ejections: the NI consumes arrivals immediately.
+	for q := &n.eject[id]; q.n > 0 && q.at(0).t <= now; {
+		f := q.at(0).f
+		q.pop()
+		// During a reconfiguration drain, a node being retired can no
+		// longer consume traffic: flits reaching its NI traversed the
+		// fabric normally (credits and buffers all accounted) but are
+		// discarded here as dropped rather than delivered.
+		if n.dropDst != nil && n.dropDst[id] {
+			n.stats.FlitsDropped++
+			n.classDropped[f.pkt.Class]++
+			if n.probe != nil {
+				n.probe.FlitEjected(n, id, f.pkt, f.typ.IsTail(), true)
 			}
 			if f.typ.IsTail() {
-				pkt := f.pkt
-				pkt.EjectedAt = now
-				n.stats.PacketsEjected++
-				if pkt.Measured {
-					n.stats.MeasuredEjected++
-					n.stats.LatencySum += pkt.EjectedAt - pkt.CreatedAt
-					n.stats.NetLatencySum += pkt.EjectedAt - pkt.InjectedAt
-				}
-				if n.sink != nil {
-					n.sink(pkt)
-				}
+				n.stats.PacketsDropped++
+			}
+			continue
+		}
+		n.stats.FlitsEjected++
+		n.classEjected[f.pkt.Class]++
+		if n.probe != nil {
+			n.probe.FlitEjected(n, id, f.pkt, f.typ.IsTail(), false)
+		}
+		if f.typ.IsTail() {
+			pkt := f.pkt
+			pkt.EjectedAt = now
+			n.stats.PacketsEjected++
+			if pkt.Measured {
+				n.stats.MeasuredEjected++
+				n.stats.LatencySum += pkt.EjectedAt - pkt.CreatedAt
+				n.stats.NetLatencySum += pkt.EjectedAt - pkt.InjectedAt
+			}
+			if n.sink != nil {
+				n.sink(pkt)
 			}
 		}
 	}
 }
 
 // inject moves flits from source queues into router Local input ports, one
-// flit per node per cycle.
-func (n *Network) inject(now int64, ids []int) {
-	for _, id := range ids {
-		if !n.routers[id].active {
-			continue
-		}
-		nic := n.nis[id]
-		if nic.cur == nil && len(nic.queue) > 0 && !n.quiesced {
-			// Serve the oldest packet whose class still has a free VC;
-			// classes are independent, so a stalled class must not block
-			// the others at the source (order within a class is kept). A
-			// class found full stays full for the rest of the scan, so its
-			// packets are skipped, and the scan ends once every class is.
-			var full uint64
-			for qi, pkt := range nic.queue {
-				bit := uint64(1) << uint(pkt.Class)
-				if full&bit != 0 {
-					continue
+// flit per node per cycle, at the powered nodes in the injection work set.
+// A node leaves the set once its NI holds nothing; Reconfigure may leave a
+// dark node's bit set with its queue dropped, and visiting it clears it.
+func (n *Network) inject(now int64) {
+	for w := range n.niWork {
+		for word := n.stageWord(n.niWork, w); word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			nic := n.nis[id]
+			if n.routers[id].active {
+				if nic.cur == nil && len(nic.queue) > 0 && !n.quiesced {
+					n.startPacket(id, nic)
 				}
-				vc := n.freeInjectionVC(id, pkt.Class)
-				if vc < 0 {
-					if full |= bit; full == n.allClasses {
-						break
+				if pkt := nic.cur; pkt != nil && nic.credits[nic.curVC] > 0 {
+					typ := flitType(nic.curSeq, pkt.Length)
+					nic.credits[nic.curVC]--
+					n.send(id, topo.Local, arrival{f: flit{pkt: pkt, seq: int32(nic.curSeq), vc: int16(nic.curVC), typ: typ}, t: now + 1})
+					n.stats.FlitsInjected++
+					if n.probe != nil {
+						n.probe.FlitInjected(n, id, pkt, nic.curSeq)
 					}
-					continue
+					if typ.IsHead() {
+						pkt.InjectedAt = now
+						n.stats.PacketsInjected++
+					}
+					if nic.curSeq++; nic.curSeq == pkt.Length {
+						nic.cur = nil
+					}
 				}
-				nic.cur = pkt
-				copy(nic.queue[qi:], nic.queue[qi+1:])
-				nic.queue = nic.queue[:len(nic.queue)-1]
-				nic.curSeq = 0
-				nic.curVC = vc
-				break
+			}
+			if niIdle(nic) {
+				n.niWork[w] &^= word & -word
 			}
 		}
-		if nic.cur == nil || nic.credits[nic.curVC] <= 0 {
+	}
+}
+
+// startPacket makes the oldest packet queued at node id's idle NI whose
+// class still has a free Local-input VC the NI's current packet. Classes
+// are independent, so a stalled class must not block the others at the
+// source (order within a class is kept). A class found full stays full for
+// the rest of the scan, so its packets are skipped, and the scan ends once
+// every class is.
+func (n *Network) startPacket(id int, nic *ni) {
+	var full uint64
+	for qi, pkt := range nic.queue {
+		bit := uint64(1) << uint(pkt.Class)
+		if full&bit != 0 {
 			continue
 		}
-		pkt := nic.cur
-		typ := flitType(nic.curSeq, pkt.Length)
-		nic.credits[nic.curVC]--
-		n.send(id, topo.Local, arrival{f: flit{pkt: pkt, seq: int32(nic.curSeq), vc: int16(nic.curVC), typ: typ}, t: now + 1})
-		n.stats.FlitsInjected++
-		if n.probe != nil {
-			n.probe.FlitInjected(n, id, pkt, nic.curSeq)
+		vc := n.freeInjectionVC(id, pkt.Class)
+		if vc < 0 {
+			if full |= bit; full == n.allClasses {
+				return
+			}
+			continue
 		}
-		if typ.IsHead() {
-			pkt.InjectedAt = now
-			n.stats.PacketsInjected++
-		}
-		nic.curSeq++
-		if nic.curSeq == pkt.Length {
-			nic.cur = nil
-		}
+		nic.cur = pkt
+		copy(nic.queue[qi:], nic.queue[qi+1:])
+		nic.queue = nic.queue[:len(nic.queue)-1]
+		nic.curSeq = 0
+		nic.curVC = vc
+		return
 	}
 }
 

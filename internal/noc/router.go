@@ -135,7 +135,8 @@ type router struct {
 	events  Events
 	// busyVCs counts input VCs not in vcIdle (incremented when a head flit
 	// claims a VC, decremented when its tail departs): the O(1) "any packet
-	// mid-flight through this router?" test active-work pruning needs.
+	// mid-flight through this router?" test that runtime gating and Audit's
+	// word-compare need.
 	busyVCs int
 	// Request sets, one bit per input slot (NewTopo caps the slot count at
 	// maxSlots): rcSet holds the slots in vcRoute, vaSet those in vcVA, and

@@ -50,8 +50,10 @@ func TestStepStagesMatchStep(t *testing.T) {
 
 // BenchmarkStepStages is the per-stage ledger of Step: ns/cycle of each
 // StepStages stage (StageNames), timed between stages, on the full 4x4
-// mesh at 0.15 and on the 8x8 torus at 0.4 and C(64;1,8) at 0.2, the
-// first saturated rung of each 64-node fabric in the topology study. Each
+// mesh at 0.15, on the 8x8 torus at 0.4 and C(64;1,8) at 0.2, the first
+// saturated rung of each 64-node fabric in the topology study, and on
+// Fig. 11's full-sprinting baseline on a 16x16 chip: every router powered,
+// 32 scattered endpoints at 0.2. Each
 // iteration builds a fresh network, warms it up for 1000 cycles under
 // uniform traffic and then times 2000 cycles, so every iteration measures
 // the same cycles and a saturated fabric's backlog does not grow with b.N.
@@ -63,6 +65,7 @@ func BenchmarkStepStages(b *testing.B) {
 		{name: "full-4x4", width: 4, height: 4, rate: 0.15},
 		{name: "torus-8x8-sat", fabric: "torus", width: 8, height: 8, rate: 0.4},
 		{name: "circulant-64-sat", fabric: "circulant", n: 64, s1: 1, s2: 8, rate: 0.2},
+		{name: "full-16x16-scatter32", width: 16, height: 16, scatter: 32, rate: 0.2},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var spent [len(noc.StageNames)]time.Duration
