@@ -32,7 +32,6 @@ import (
 	"strings"
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
@@ -110,10 +109,10 @@ func newStepBench(tb testing.TB, c stepBenchCase, reference bool) (*noc.Network,
 		}
 		net, err = noc.NewTopo(cfg, tp, alg, nil)
 	case c.Level > 0:
-		region = sprint.NewRegion(mesh.New(c.Width, c.Height), 0, c.Level, sprint.Euclidean)
+		region = sprint.NewRegion(topo.NewMesh(c.Width, c.Height), 0, c.Level, sprint.Euclidean)
 		net, err = noc.New(cfg, routing.NewCDOR(region), region.ActiveNodes())
 	default:
-		net, err = noc.New(cfg, routing.NewDOR(mesh.New(c.Width, c.Height)), nil)
+		net, err = noc.New(cfg, routing.NewDOR(topo.NewMesh(c.Width, c.Height)), nil)
 	}
 	if err != nil {
 		tb.Fatal(err)
@@ -248,9 +247,15 @@ type benchSimFile struct {
 
 // benchMachine describes the machine and toolchain a benchmark ran on.
 type benchMachine struct {
-	// CPU is the first "model name" of /proc/cpuinfo, or empty where that
-	// file does not exist.
+	// CPU is the first "model name" of /proc/cpuinfo. A VM may report a
+	// generic one, so CPUFamily, Model, Stepping and CacheSize keep the
+	// first "cpu family", "model", "stepping" and "cache size" too. Each is
+	// empty where the file or its line does not exist.
 	CPU        string `json:"cpu"`
+	CPUFamily  string `json:"cpu_family"`
+	Model      string `json:"model"`
+	Stepping   string `json:"stepping"`
+	CacheSize  string `json:"cache_size"`
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 }
@@ -259,14 +264,57 @@ type benchMachine struct {
 func hostMachine() benchMachine {
 	m := benchMachine{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
-		for _, line := range strings.Split(string(data), "\n") {
-			if key, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "model name" {
-				m.CPU = strings.TrimSpace(val)
-				break
-			}
-		}
+		m.parseCPUInfo(string(data))
 	}
 	return m
+}
+
+// parseCPUInfo sets m's CPU fields from the first line of each of their
+// keys in a /proc/cpuinfo text.
+func (m *benchMachine) parseCPUInfo(text string) {
+	fields := map[string]*string{
+		"model name": &m.CPU, "cpu family": &m.CPUFamily, "model": &m.Model,
+		"stepping": &m.Stepping, "cache size": &m.CacheSize,
+	}
+	for _, line := range strings.Split(text, "\n") {
+		key, val, ok := strings.Cut(line, ":")
+		if f := fields[strings.TrimSpace(key)]; ok && f != nil {
+			*f = strings.TrimSpace(val)
+			delete(fields, strings.TrimSpace(key))
+		}
+	}
+}
+
+// TestParseCPUInfo reads the machine record from a two-processor cpuinfo
+// text: the first processor's lines win, and "model" and "model name" stay
+// apart.
+func TestParseCPUInfo(t *testing.T) {
+	const text = `processor	: 0
+vendor_id	: GenuineIntel
+cpu family	: 6
+model		: 143
+model name	: Intel(R) Xeon(R) Processor
+stepping	: 8
+cache size	: 107520 KB
+
+processor	: 1
+cpu family	: 7
+model		: 85
+model name	: Other
+stepping	: 4
+cache size	: 512 KB
+`
+	var m benchMachine
+	m.parseCPUInfo(text)
+	want := benchMachine{CPU: "Intel(R) Xeon(R) Processor", CPUFamily: "6", Model: "143", Stepping: "8", CacheSize: "107520 KB"}
+	if m != want {
+		t.Errorf("parsed %+v, want %+v", m, want)
+	}
+	m = benchMachine{}
+	m.parseCPUInfo("")
+	if m != (benchMachine{}) {
+		t.Errorf("empty cpuinfo parsed as %+v", m)
+	}
 }
 
 const benchSimPath = "BENCH_sim.json"

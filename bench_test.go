@@ -15,7 +15,6 @@ import (
 
 	"nocsprint/internal/cache"
 	"nocsprint/internal/core"
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/serve"
@@ -43,7 +42,7 @@ func BenchmarkExperiment(b *testing.B) {
 // BenchmarkNoCStep measures simulator cycle throughput on a loaded 4x4 mesh.
 func BenchmarkNoCStep(b *testing.B) {
 	cfg := noc.DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	net, err := noc.New(cfg, routing.NewDOR(m), nil)
 	if err != nil {
 		b.Fatal(err)
@@ -63,7 +62,7 @@ func BenchmarkNoCStep(b *testing.B) {
 
 // BenchmarkActivationOrder measures Algorithm 1 on an 8x8 mesh.
 func BenchmarkActivationOrder(b *testing.B) {
-	m := mesh.New(8, 8)
+	m := topo.NewMesh(8, 8)
 	for i := 0; i < b.N; i++ {
 		if got := sprint.ActivationOrder(m, 0, sprint.Euclidean); len(got) != 64 {
 			b.Fatal("bad order")
@@ -89,7 +88,7 @@ func BenchmarkSteadyState(b *testing.B) {
 
 // BenchmarkCDORNextPort measures the routing decision itself.
 func BenchmarkCDORNextPort(b *testing.B) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	region := sprint.NewRegion(m, 0, 8, sprint.Euclidean)
 	alg := routing.NewCDOR(region)
 	nodesIn := region.ActiveNodes()

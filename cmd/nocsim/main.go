@@ -17,11 +17,11 @@ import (
 	"math/rand"
 	"os"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/power"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
+	"nocsprint/internal/topo"
 	"nocsprint/internal/traffic"
 )
 
@@ -79,7 +79,7 @@ func run(w io.Writer, width, height, vcs, depth, pktLen, level int, patternName 
 	if drain < 0 {
 		return fmt.Errorf("-drain %d: must be >= 0", drain)
 	}
-	m := mesh.New(width, height)
+	m := topo.NewMesh(width, height)
 
 	var (
 		alg     routing.Algorithm

@@ -34,10 +34,10 @@ import (
 
 	"nocsprint/internal/ckpt"
 	"nocsprint/internal/core"
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/obs"
 	"nocsprint/internal/routing"
+	"nocsprint/internal/topo"
 	"nocsprint/internal/traffic"
 )
 
@@ -467,7 +467,7 @@ func traceCmd(stdout io.Writer, s *core.Sprinter, o options) error {
 	if err != nil {
 		return err
 	}
-	m := mesh.New(cfg.NoC.Width, cfg.NoC.Height)
+	m := topo.NewMesh(cfg.NoC.Width, cfg.NoC.Height)
 	net, err := noc.New(cfg.NoC, routing.NewDOR(m), nil)
 	if err != nil {
 		return err

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/sprint"
+	"nocsprint/internal/topo"
 )
 
 // HomePolicy selects where cache lines are homed during a sprint (§3.4).
@@ -55,7 +55,6 @@ const (
 type Stats struct {
 	Accesses, L1Hits   int64
 	L2Hits, L2Misses   int64
-	Writebacks         int64
 	BypassTransfers    int64
 	BypassFlits        int64
 	StallCycles        int64
@@ -99,7 +98,6 @@ type coreCtl struct {
 type bankCtl struct {
 	node int
 	l2   *Array
-	dark bool // gated tile: reachable only via bypass
 }
 
 // txn tracks an outstanding L2-miss transaction at a bank.
@@ -114,9 +112,8 @@ type txn struct {
 type System struct {
 	cfg    Config
 	net    *noc.Network
-	m      mesh.Mesh
+	m      *topo.Mesh
 	region *sprint.Region
-	policy HomePolicy
 	gated  bool
 	mcNode int
 
@@ -154,7 +151,6 @@ func NewSystem(cfg Config, net *noc.Network, region *sprint.Region, policy HomeP
 		net:    net,
 		m:      m,
 		region: region,
-		policy: policy,
 		gated:  routersGated,
 		mcNode: region.Master(),
 		cores:  make(map[int]*coreCtl),
@@ -174,7 +170,6 @@ func NewSystem(cfg Config, net *noc.Network, region *sprint.Region, policy HomeP
 		s.banks[node] = &bankCtl{
 			node: node,
 			l2:   NewArray(cfg.L2Sets, cfg.L2Ways),
-			dark: !region.Active(node),
 		}
 	}
 	switch policy {
@@ -298,11 +293,8 @@ func (s *System) bankFill(tag int64) {
 	}
 	delete(s.txns, tag)
 	bank := s.banks[t.bank]
-	victim, victimDirty, evicted := bank.l2.Install(s.bankLine(t.line), false)
-	if evicted && victimDirty {
-		s.stats.Writebacks++
+	if _, victimDirty, evicted := bank.l2.Install(s.bankLine(t.line), false); evicted && victimDirty {
 		s.send(bank.node, s.mcNode, classData, s.cfg.DataFlits, writebackTag)
-		_ = victim
 	}
 	coreTag := int64(t.line<<1) | boolBit(t.reqWrite)
 	s.send(t.bank, t.reqCore, classData, s.cfg.DataFlits, coreTag)
@@ -320,7 +312,6 @@ func (s *System) coreFill(p *noc.Packet) {
 	}
 	victim, victimDirty, evicted := core.l1.Install(lineAddr, core.pendingWrite)
 	if evicted && victimDirty {
-		s.stats.Writebacks++
 		s.send(core.node, s.Home(victim), classData, s.cfg.DataFlits, writebackTag)
 	}
 	core.blocked = false

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
+	"nocsprint/internal/topo"
 )
 
 // testConfig scales the hierarchy down so unit tests create cache pressure
@@ -41,7 +41,7 @@ func buildSystem(t *testing.T, level int, policy HomePolicy, fullNetwork bool) *
 	t.Helper()
 	ncfg := noc.DefaultConfig()
 	ncfg.Classes = 2
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	region := sprint.NewRegion(m, 0, level, sprint.Euclidean)
 	var (
 		net *noc.Network
@@ -71,7 +71,7 @@ func buildSystem(t *testing.T, level int, policy HomePolicy, fullNetwork bool) *
 
 func TestSystemRejectsSingleClassNetwork(t *testing.T) {
 	ncfg := noc.DefaultConfig() // Classes = 1
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	region := sprint.NewRegion(m, 0, 4, sprint.Euclidean)
 	net, err := noc.New(ncfg, routing.NewDOR(m), nil)
 	if err != nil {
@@ -167,7 +167,7 @@ func TestBypassKeepsRoutersDark(t *testing.T) {
 	if err := sys.RunCtx(nil, 1500, 2_000_000); err != nil {
 		t.Fatal(err)
 	}
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	region := sprint.NewRegion(m, 0, 4, sprint.Euclidean)
 	for id := 0; id < m.Nodes(); id++ {
 		if ev := sys.net.RouterEvents(id); !region.Active(id) && ev != (noc.Events{}) {
@@ -181,7 +181,7 @@ func TestBypassKeepsRoutersDark(t *testing.T) {
 
 func TestHomeDistribution(t *testing.T) {
 	sys := buildSystem(t, 4, HomeActiveOnly, false)
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	region := sprint.NewRegion(m, 0, 4, sprint.Euclidean)
 	active := map[int]bool{}
 	for _, id := range region.ActiveNodes() {

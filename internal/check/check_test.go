@@ -7,10 +7,10 @@ import (
 	"testing"
 
 	"nocsprint/internal/check"
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
+	"nocsprint/internal/topo"
 	"nocsprint/internal/traffic"
 )
 
@@ -44,7 +44,7 @@ func runSynthetic(t *testing.T, net *noc.Network, nodes []int, rate float64) noc
 // enabled at the tightest interval: a correct simulator must produce zero
 // violations.
 func TestCleanRunCDOR(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	region := sprint.NewRegion(m, 0, 8, sprint.Euclidean)
 	alg := routing.NewCDOR(region)
 	net, err := noc.New(noc.DefaultConfig(), alg, region.ActiveNodes())
@@ -62,7 +62,7 @@ func TestCleanRunCDOR(t *testing.T) {
 // baseline) plus runtime power gating, whose wake-up stalls must not trip
 // the watchdog.
 func TestCleanRunDOR(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	alg := routing.NewDOR(m)
 	net, err := noc.New(noc.DefaultConfig(), alg, nil)
 	if err != nil {
@@ -85,7 +85,7 @@ func TestCleanRunDOR(t *testing.T) {
 // TestCheckerZeroDrift proves the checker is purely observational: the same
 // seeded run with and without a checker attached yields identical results.
 func TestCheckerZeroDrift(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	run := func(attach bool) noc.Result {
 		region := sprint.NewRegion(m, 0, 8, sprint.Euclidean)
 		alg := routing.NewCDOR(region)
@@ -127,7 +127,7 @@ func (a misroute) Name() string { return "misroute" }
 // expects the checker's default handler to panic with a DarkRouter violation
 // carrying a state snapshot — before the simulator's own bare panic fires.
 func TestDarkRouterViolationCaught(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	region := sprint.NewRegion(m, 0, 4, sprint.Euclidean) // active: {0,1,4,5}
 	if region.Active(2) {
 		t.Fatal("test premise broken: node 2 should be dark at level 4")
@@ -135,7 +135,7 @@ func TestDarkRouterViolationCaught(t *testing.T) {
 	// CDOR routes 0->5 as East to 1 then South to 5; the misroute instead
 	// turns East at router 1, into dark router 2.
 	inner := routing.NewCDOR(region)
-	alg := misroute{inner: inner, at: 1, dir: int(mesh.East)}
+	alg := misroute{inner: inner, at: 1, dir: topo.East}
 	net, err := noc.New(noc.DefaultConfig(), alg, region.ActiveNodes())
 	if err != nil {
 		t.Fatal(err)
@@ -176,12 +176,12 @@ func TestDarkRouterViolationCaught(t *testing.T) {
 // region and expects a RouteRule report while the simulation still
 // completes (the packet remains deliverable).
 func TestRouteRuleViolationCaught(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	region := sprint.NewRegion(m, 0, 16, sprint.Euclidean)
 	// CDOR resolves X first: 0->5 must leave router 0 eastward. Going
 	// South instead breaks monotonicity (no missing link excuses it).
 	inner := routing.NewCDOR(region)
-	alg := misroute{inner: inner, at: 0, dir: int(mesh.South)}
+	alg := misroute{inner: inner, at: 0, dir: topo.South}
 	net, err := noc.New(noc.DefaultConfig(), alg, region.ActiveNodes())
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestRouteRuleViolationCaught(t *testing.T) {
 // TestUnclassifiableHopRejected pins the strict-oracle contract: a hop the
 // oracle errors on is a RouteRule violation, never a silent skip.
 func TestUnclassifiableHopRejected(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	net, err := noc.New(noc.DefaultConfig(), routing.NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -241,21 +241,21 @@ func TestUnclassifiableHopRejected(t *testing.T) {
 
 // yxAlg is dimension-order routing Y before X on a mesh: deadlock-free, and
 // inside any rectangle of the mesh it never leaves it.
-type yxAlg struct{ m mesh.Mesh }
+type yxAlg struct{ m *topo.Mesh }
 
 func (a yxAlg) NextPort(cur, dst int) (int, error) {
 	c, t := a.m.Coord(cur), a.m.Coord(dst)
 	switch {
 	case t.Y > c.Y:
-		return int(mesh.South), nil
+		return topo.South, nil
 	case t.Y < c.Y:
-		return int(mesh.North), nil
+		return topo.North, nil
 	case t.X > c.X:
-		return int(mesh.East), nil
+		return topo.East, nil
 	case t.X < c.X:
-		return int(mesh.West), nil
+		return topo.West, nil
 	}
-	return int(mesh.Local), nil
+	return topo.Local, nil
 }
 
 func (a yxAlg) Name() string { return "YX" }
@@ -270,7 +270,7 @@ func (a yxAlg) Name() string { return "YX" }
 // differs in both coordinates turns the other way after the repair, so an
 // answer cached before the repair would report those hops.
 func TestRepairedRoutingNotJudgedByStaleHops(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	yx := yxAlg{m: m}
 	all := make([]int, m.Nodes())
 	for i := range all {
@@ -339,7 +339,7 @@ func sendOne(t *testing.T, net *noc.Network, src, dst int) {
 // oracle says south, and must be reported; an answer cached from the old
 // oracle would pass it.
 func TestSetOracleTakesEffectAtOnce(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	net, err := noc.New(noc.DefaultConfig(), routing.NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -366,15 +366,15 @@ func TestSetOracleTakesEffectAtOnce(t *testing.T) {
 // ringAlg routes every packet clockwise around a 2x2 mesh — a textbook
 // cyclic channel dependency that wormhole flow control turns into deadlock.
 type ringAlg struct {
-	m    mesh.Mesh
+	m    *topo.Mesh
 	next map[int]int
 }
 
 func (a ringAlg) NextPort(cur, dst int) (int, error) {
 	if cur == dst {
-		return int(mesh.Local), nil
+		return topo.Local, nil
 	}
-	return int(a.m.DirectionTo(cur, a.next[cur])), nil
+	return a.m.PortTo(cur, a.next[cur]), nil
 }
 
 func (a ringAlg) Name() string { return "ring" }
@@ -383,7 +383,7 @@ func (a ringAlg) Name() string { return "ring" }
 // expects the watchdog to flag it with a snapshot, instead of the simulator
 // spinning forever, on the cycle its 2000-cycle stall count first runs out.
 func TestWatchdogCatchesDeadlock(t *testing.T) {
-	m := mesh.New(2, 2)
+	m := topo.NewMesh(2, 2)
 	cfg := noc.Config{
 		Width: 2, Height: 2,
 		VCs: 1, BufferDepth: 1,
@@ -430,7 +430,7 @@ func TestWatchdogCatchesDeadlock(t *testing.T) {
 
 // TestFlitCensusBalances exercises the census directly mid-flight.
 func TestFlitCensusBalances(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	net, err := noc.New(noc.DefaultConfig(), routing.NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +458,7 @@ func TestFlitCensusBalances(t *testing.T) {
 // queued packets toward retiring nodes: the source-queue drops reach the
 // checker at each packet's source, which the drop rule must accept.
 func TestReconfigureSourceDropsPass(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	big := sprint.NewRegion(m, 0, 8, sprint.Euclidean)
 	small := sprint.NewRegion(m, 0, 4, sprint.Euclidean)
 	net, err := noc.New(noc.DefaultConfig(), routing.NewCDOR(big), big.ActiveNodes())
@@ -501,7 +501,7 @@ func TestReconfigureSourceDropsPass(t *testing.T) {
 // leave only at its destination, or as a drop at its source while never
 // injected; every other exit is a RouteRule violation.
 func TestForgedEjectionRejected(t *testing.T) {
-	net, err := noc.New(noc.DefaultConfig(), routing.NewDOR(mesh.New(4, 4)), nil)
+	net, err := noc.New(noc.DefaultConfig(), routing.NewDOR(topo.NewMesh(4, 4)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

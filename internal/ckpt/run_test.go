@@ -40,7 +40,7 @@ func TestKeyRejectsUnexportedOnlyStructs(t *testing.T) {
 		t.Fatal("expected unexported-field structs to collide (this test documents the hazard)")
 	}
 	// And the executor refuses such colliding keys up front.
-	_, err = runner.Run(context.Background(), nil, []string{k1, k2}, 1, nil, func(context.Context, int) (int, error) {
+	_, err = runner.Run(context.Background(), nil, []string{k1, k2}, 1, nil, func(int) (int, error) {
 		return 0, nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "share key") {
@@ -54,7 +54,7 @@ func TestRunSkipsJournaledPoints(t *testing.T) {
 	for i := range keys {
 		keys[i], _ = ckpt.Key(i)
 	}
-	fn := func(_ context.Context, i int) (testResult, error) {
+	fn := func(i int) (testResult, error) {
 		return testResult{N: i * i, F: float64(i) / 3, S: fmt.Sprintf("p%d", i)}, nil
 	}
 
@@ -65,11 +65,11 @@ func TestRunSkipsJournaledPoints(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	_, err = runner.Run(ctx, j, keys, 1, nil, func(c context.Context, i int) (testResult, error) {
+	_, err = runner.Run(ctx, j, keys, 1, nil, func(i int) (testResult, error) {
 		if ran.Add(1) == 5 {
 			cancel() // graceful: this point still completes and journals
 		}
-		return fn(c, i)
+		return fn(i)
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v", err)
@@ -87,9 +87,9 @@ func TestRunSkipsJournaledPoints(t *testing.T) {
 	}
 	defer re.Close()
 	var resumed atomic.Int64
-	got, err := runner.Run(context.Background(), re, keys, 4, nil, func(c context.Context, i int) (testResult, error) {
+	got, err := runner.Run(context.Background(), re, keys, 4, nil, func(i int) (testResult, error) {
 		resumed.Add(1)
-		return fn(c, i)
+		return fn(i)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestRunErrorDoesNotJournalFailedPoint(t *testing.T) {
 	}
 	defer j.Close()
 	keys := []string{"a", "b", "c"}
-	_, err = runner.Run(context.Background(), j, keys, 1, nil, func(_ context.Context, i int) (int, error) {
+	_, err = runner.Run(context.Background(), j, keys, 1, nil, func(i int) (int, error) {
 		if i == 1 {
 			return 0, errors.New("boom")
 		}
@@ -133,7 +133,7 @@ func TestRunErrorDoesNotJournalFailedPoint(t *testing.T) {
 }
 
 func TestRunNilJournal(t *testing.T) {
-	out, err := runner.Run(context.Background(), nil, []string{"x", "y"}, 2, nil, func(_ context.Context, i int) (int, error) {
+	out, err := runner.Run(context.Background(), nil, []string{"x", "y"}, 2, nil, func(i int) (int, error) {
 		return i * 7, nil
 	})
 	if err != nil {
@@ -159,7 +159,7 @@ func TestRunRejectsUndecodableJournaledResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	_, err = runner.Run(context.Background(), re, []string{"k"}, 1, nil, func(context.Context, int) (int, error) {
+	_, err = runner.Run(context.Background(), re, []string{"k"}, 1, nil, func(int) (int, error) {
 		return 0, nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "does not decode") {
@@ -197,7 +197,7 @@ func TestRunProgressCallback(t *testing.T) {
 		calls = append(calls, call{done, total})
 		mu.Unlock()
 	}
-	out, err := runner.Run(context.Background(), j, keys, 4, progress, func(_ context.Context, i int) (int, error) {
+	out, err := runner.Run(context.Background(), j, keys, 4, progress, func(i int) (int, error) {
 		return i * 10, nil
 	})
 	if err != nil {
@@ -234,7 +234,7 @@ func TestRunProgressNilSafe(t *testing.T) {
 	for i := range keys {
 		keys[i], _ = ckpt.Key(fmt.Sprintf("p%d", i))
 	}
-	fn := func(_ context.Context, i int) (int, error) { return i, nil }
+	fn := func(i int) (int, error) { return i, nil }
 	if _, err := runner.Run(context.Background(), nil, keys, 2, nil, fn); err != nil {
 		t.Fatalf("nil callback: %v", err)
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"nocsprint/internal/ckpt"
 	"nocsprint/internal/runner"
 )
@@ -35,24 +33,18 @@ func pointKey(driver string, cfg, point any, sim NetSimParams) (string, error) {
 	}{driver, cfg, sim.Warmup, sim.Measure, sim.Drain, sim.Seed, point})
 }
 
-// sweep runs fn over points through sweepKeyed, keying each point with
+// sweep runs fn over points through runner.Run, keying each point with
 // pointKey(driver, cfg, point, sim). The point value is the key's
 // coordinates, so a point type's exported fields and their order are part
 // of the checkpoint format.
 func sweep[P, R any](driver string, cfg any, sim NetSimParams, points []P, fn func(P) (R, error)) ([]R, error) {
-	return sweepKeyed(sim, points, func(pt P) (string, error) { return pointKey(driver, cfg, pt, sim) }, fn)
-}
-
-// sweepKeyed is sweep with the key derivation left to the caller, for the
-// drivers whose keys deliberately omit the simulation windows.
-func sweepKeyed[P, R any](sim NetSimParams, points []P, key func(P) (string, error), fn func(P) (R, error)) ([]R, error) {
 	keys := make([]string, len(points))
 	for i, pt := range points {
 		var err error
-		if keys[i], err = key(pt); err != nil {
+		if keys[i], err = pointKey(driver, cfg, pt, sim); err != nil {
 			return nil, err
 		}
 	}
 	return runner.Run(sim.Ctx, sim.Journal, keys, sim.Workers, sim.Progress,
-		func(_ context.Context, i int) (R, error) { return fn(points[i]) })
+		func(i int) (R, error) { return fn(points[i]) })
 }

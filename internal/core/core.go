@@ -14,7 +14,6 @@ import (
 	"nocsprint/internal/check"
 	"nocsprint/internal/ckpt"
 	"nocsprint/internal/floorplan"
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/obs"
 	"nocsprint/internal/power"
@@ -140,7 +139,7 @@ func (c Config) Validate() error {
 // Sprinter, so it must not be copied after New.
 type Sprinter struct {
 	cfg   Config
-	mesh  mesh.Mesh
+	mesh  *topo.Mesh
 	order []int
 	// planOnce builds plan, or planErr, on the first read of the floorplan:
 	// only heat maps and wire lengths read it.
@@ -155,7 +154,7 @@ func New(cfg Config) (*Sprinter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := mesh.New(cfg.NoC.Width, cfg.NoC.Height)
+	m := topo.NewMesh(cfg.NoC.Width, cfg.NoC.Height)
 	return &Sprinter{cfg: cfg, mesh: m, order: sprint.ActivationOrder(m, cfg.Master, cfg.Metric)}, nil
 }
 
@@ -163,7 +162,7 @@ func New(cfg Config) (*Sprinter, error) {
 func (s *Sprinter) Config() Config { return s.cfg }
 
 // Mesh returns the logical mesh.
-func (s *Sprinter) Mesh() mesh.Mesh { return s.mesh }
+func (s *Sprinter) Mesh() *topo.Mesh { return s.mesh }
 
 // activePlan builds Algorithm 4's floorplan once, on the first call from any
 // goroutine, and returns it with its construction error.
@@ -293,9 +292,8 @@ func (s *Sprinter) Decide(p workload.Profile, scheme Scheme) (Decision, error) {
 // NetworkEval is the result of running the cycle-accurate NoC under a
 // workload's traffic for one scheme (Figures 9 and 10).
 type NetworkEval struct {
-	// Scheme and Level as in Decision.
-	Scheme Scheme
-	Level  int
+	// Level is as in Decision.
+	Level int
 	// AvgLatency is mean packet latency in cycles.
 	AvgLatency float64
 	// NetPower is the DSENT-model network power breakdown.
@@ -362,14 +360,6 @@ type NetSimParams struct {
 	// total. Calls may come from concurrent workers; keep the callback cheap
 	// and thread-safe (the CLI publishes the counts through expvar).
 	Progress func(done, total int)
-}
-
-// sweepCtx returns the sweep-level context, defaulting to Background.
-func (p NetSimParams) sweepCtx() context.Context {
-	if p.Ctx != nil {
-		return p.Ctx
-	}
-	return context.Background()
 }
 
 // probeHooks are a caller's settings for the probes instrument builds. The
@@ -440,7 +430,7 @@ func fineFabric(r *sprint.Region) fabric {
 }
 
 // meshFabric is the fully powered DOR mesh of full-sprinting.
-func meshFabric(m mesh.Mesh) fabric {
+func meshFabric(m *topo.Mesh) fabric {
 	return fabric{alg: routing.NewDOR(m), routers: m.Nodes()}
 }
 
@@ -483,6 +473,22 @@ func (p NetSimParams) build(cfg noc.Config, f fabric, label string) (*noc.Networ
 // warmup, measure and drain windows, aborting with p.Abort.
 func (p NetSimParams) run(net *noc.Network, set *traffic.Set, rate float64, seed int64) (noc.Result, error) {
 	return noc.RunSynthetic(net, set, traffic.NewUniform(set.Size()), p.sim(rate, seed))
+}
+
+// measure builds f's network labelled label, drives it with uniform traffic
+// among set at rate over sim's windows, and prices the measured window with
+// the router power model at the configured corner.
+func (s *Sprinter) measure(sim NetSimParams, f fabric, label string, set *traffic.Set, rate float64, seed int64) (noc.Result, power.Breakdown, error) {
+	net, err := sim.build(s.cfg.NoC, f, label)
+	if err != nil {
+		return noc.Result{}, power.Breakdown{}, err
+	}
+	res, err := sim.run(net, set, rate, seed)
+	if err != nil {
+		return noc.Result{}, power.Breakdown{}, err
+	}
+	bd, err := s.cfg.Router.NetworkPower(res.Events, res.MeasureWindow, f.routers, s.cfg.Corner)
+	return res, bd, err
 }
 
 // sim is the noc.SimParams of a run at rate with seed over p's windows,
@@ -533,7 +539,7 @@ func (s *Sprinter) EvaluateNetwork(p workload.Profile, scheme Scheme, sp NetSimP
 		if err != nil {
 			return NetworkEval{}, err
 		}
-		return NetworkEval{Scheme: scheme, Level: level, NetPower: bd}, nil
+		return NetworkEval{Level: level, NetPower: bd}, nil
 	}
 
 	region := s.Region(level)
@@ -546,20 +552,11 @@ func (s *Sprinter) EvaluateNetwork(p workload.Profile, scheme Scheme, sp NetSimP
 	if scheme == FullSprinting {
 		set = traffic.NewSet(topo.AllNodes(s.mesh.Nodes()))
 	}
-	net, err := sp.build(s.cfg.NoC, f, fmt.Sprintf("eval/%s/%s", p.Name, scheme))
-	if err != nil {
-		return NetworkEval{}, err
-	}
-	res, err := sp.run(net, set, p.InjRate, sp.Seed)
-	if err != nil {
-		return NetworkEval{}, err
-	}
-	bd, err := s.cfg.Router.NetworkPower(res.Events, res.MeasureWindow, f.routers, s.cfg.Corner)
+	res, bd, err := s.measure(sp, f, fmt.Sprintf("eval/%s/%s", p.Name, scheme), set, p.InjRate, sp.Seed)
 	if err != nil {
 		return NetworkEval{}, err
 	}
 	return NetworkEval{
-		Scheme:     scheme,
 		Level:      level,
 		AvgLatency: res.AvgLatency,
 		NetPower:   bd,

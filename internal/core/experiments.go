@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"nocsprint/internal/cache"
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/power"
 	"nocsprint/internal/routing"
@@ -379,16 +378,8 @@ func fig11Point(s *Sprinter, c fig11Cell, sim NetSimParams) (Fig11Point, error) 
 
 	// NoC-sprinting: convex region, CDOR, gated dark routers.
 	region := s.Region(c.Level)
-	f := sprintFabric(region)
-	net, err := sim.build(s.cfg.NoC, f, label+"/noc")
-	if err != nil {
-		return Fig11Point{}, err
-	}
-	res, err := sim.run(net, traffic.NewSet(region.ActiveNodes()), c.Rate, sim.Seed+int64(c.RateIdx))
-	if err != nil {
-		return Fig11Point{}, err
-	}
-	bd, err := s.cfg.Router.NetworkPower(res.Events, res.MeasureWindow, f.routers, s.cfg.Corner)
+	res, bd, err := s.measure(sim, sprintFabric(region), label+"/noc",
+		traffic.NewSet(region.ActiveNodes()), c.Rate, sim.Seed+int64(c.RateIdx))
 	if err != nil {
 		return Fig11Point{}, err
 	}
@@ -403,15 +394,7 @@ func fig11Point(s *Sprinter, c fig11Cell, sim NetSimParams) (Fig11Point, error) 
 	for sample := 0; sample < c.Samples; sample++ {
 		seed := sim.Seed + int64(1e6) + int64(sample)*997 + int64(c.RateIdx)
 		fset := traffic.RandomSet(s.mesh.Nodes(), c.Level, rand.New(rand.NewSource(seed)))
-		fnet, err := sim.build(s.cfg.NoC, full, fmt.Sprintf("%s/full%d", label, sample))
-		if err != nil {
-			return Fig11Point{}, err
-		}
-		fres, err := sim.run(fnet, fset, c.Rate, seed)
-		if err != nil {
-			return Fig11Point{}, err
-		}
-		fbd, err := s.cfg.Router.NetworkPower(fres.Events, fres.MeasureWindow, full.routers, s.cfg.Corner)
+		fres, fbd, err := s.measure(sim, full, fmt.Sprintf("%s/full%d", label, sample), fset, c.Rate, seed)
 		if err != nil {
 			return Fig11Point{}, err
 		}
@@ -544,42 +527,46 @@ type GatingResult struct {
 // GatingComparison runs the §2 power-gating study: conventional runtime
 // gating saves some leakage but pays wake-up latency and makes uneconomic
 // decisions at PARSEC loads, while NoC-sprinting gates statically, saves
-// more, and adds no latency.
+// more, and adds no latency. Benchmarks run in parallel per sp.Workers,
+// each with a fixed per-benchmark seed; sp.Ctx cancels the sweep and
+// sp.Journal checkpoints it.
 func GatingComparison(s *Sprinter, sp NetSimParams) (GatingResult, error) {
 	sp = sp.withDefaults()
-	var out GatingResult
-	var savR, savN, pen []float64
-	for i, p := range workload.Profiles() {
-		// The comparison runs serially; honour sweep-level cancellation
-		// between benchmarks so an interrupted run returns promptly.
-		if err := sp.sweepCtx().Err(); err != nil {
-			return GatingResult{}, fmt.Errorf("core: gating comparison cancelled before %s: %w", p.Name, err)
+	// A point's fields, in order, are its checkpoint key. A benchmark whose
+	// NoC-sprint runs one core has no traffic to route and is no point.
+	type point struct {
+		Benchmark string
+		Index     int
+	}
+	profiles := workload.Profiles()
+	var points []point
+	for i, p := range profiles {
+		if s.Level(p, NoCSprinting) >= 2 {
+			points = append(points, point{p.Name, i})
 		}
-		level := s.Level(p, NoCSprinting)
-		if level < 2 {
-			continue // no traffic to route
-		}
-		seed := int64(7000 + i)
-		evalSP := sp
-		evalSP.Seed = seed
+	}
+	rows, err := sweep("gating", s.cfg, sp, points, func(pt point) (GatingRow, error) {
+		p := profiles[pt.Index]
+		sim := sp
+		sim.Seed = int64(7000 + pt.Index)
 
 		// Scheme 1: full-sprinting, no network power management.
-		none, err := s.EvaluateNetwork(p, FullSprinting, evalSP)
+		none, err := s.EvaluateNetwork(p, FullSprinting, sim)
 		if err != nil {
-			return GatingResult{}, err
+			return GatingRow{}, err
 		}
 
 		// Scheme 2: full mesh with conventional runtime gating.
-		net, err := sp.build(s.cfg.NoC, meshFabric(s.mesh), fmt.Sprintf("gating/%s/runtime", p.Name))
+		net, err := sim.build(s.cfg.NoC, meshFabric(s.mesh), fmt.Sprintf("gating/%s/runtime", p.Name))
 		if err != nil {
-			return GatingResult{}, err
+			return GatingRow{}, err
 		}
 		if err := net.EnableRuntimeGating(); err != nil {
-			return GatingResult{}, err
+			return GatingRow{}, err
 		}
-		res, err := sp.run(net, traffic.NewSet(topo.AllNodes(s.mesh.Nodes())), p.InjRate, seed)
+		res, err := sim.run(net, traffic.NewSet(topo.AllNodes(s.mesh.Nodes())), p.InjRate, sim.Seed)
 		if err != nil {
-			return GatingResult{}, err
+			return GatingRow{}, err
 		}
 		gs := net.GatingStats()
 		// Use run-lifetime on-fraction as the window estimate: the warmup
@@ -588,18 +575,17 @@ func GatingComparison(s *Sprinter, sp NetSimParams) (GatingResult, error) {
 		rbd, err := s.cfg.Router.NetworkPowerRuntimeGated(res.Events, res.MeasureWindow,
 			s.mesh.Nodes(), onCycles, gs.Wakeups, s.cfg.Corner)
 		if err != nil {
-			return GatingResult{}, err
+			return GatingRow{}, err
 		}
 
 		// Scheme 3: NoC-sprinting.
-		nocs, err := s.EvaluateNetwork(p, NoCSprinting, evalSP)
+		nocs, err := s.EvaluateNetwork(p, NoCSprinting, sim)
 		if err != nil {
-			return GatingResult{}, err
+			return GatingRow{}, err
 		}
-
-		row := GatingRow{
+		return GatingRow{
 			Benchmark:  p.Name,
-			Level:      level,
+			Level:      nocs.Level,
 			LatNone:    none.AvgLatency,
 			LatRuntime: res.AvgLatency,
 			LatNoC:     nocs.AvgLatency,
@@ -608,8 +594,14 @@ func GatingComparison(s *Sprinter, sp NetSimParams) (GatingResult, error) {
 			PowNoC:     nocs.NetPower.Total(),
 			Wakeups:    gs.Wakeups,
 			ShortOffs:  gs.ShortOffs,
-		}
-		out.Rows = append(out.Rows, row)
+		}, nil
+	})
+	if err != nil {
+		return GatingResult{}, err
+	}
+	out := GatingResult{Rows: rows}
+	var savR, savN, pen []float64
+	for _, row := range rows {
 		savR = append(savR, 1-row.PowRuntime/row.PowNone)
 		savN = append(savN, 1-row.PowNoC/row.PowNone)
 		if row.LatNone > 0 {
@@ -822,7 +814,7 @@ func ScalingStudy(widths []int, sp NetSimParams) ([]ScaleRow, error) {
 		cfg.Width, cfg.Height = w, w
 		n := cfg.Nodes()
 		level := n / 4
-		m := mesh.New(w, w)
+		m := topo.NewMesh(w, w)
 
 		cb, err := chip.ChipPower(1, 0, n-1, n)
 		if err != nil {
@@ -923,7 +915,7 @@ func SensitivityPoint(vcs, depth int, sp NetSimParams) (SensitivityRow, error) {
 	sp = sp.withDefaults()
 	cfg := noc.DefaultConfig()
 	cfg.VCs, cfg.BufferDepth = vcs, depth
-	low, satRate, err := sp.walkLadder(cfg, meshFabric(mesh.New(cfg.Width, cfg.Height)), rateLadder,
+	low, satRate, err := sp.walkLadder(cfg, meshFabric(topo.NewMesh(cfg.Width, cfg.Height)), rateLadder,
 		fmt.Sprintf("sensitivity/v%d_d%d", vcs, depth))
 	if err != nil {
 		return SensitivityRow{}, err
@@ -1222,11 +1214,10 @@ func Ablations(s *Sprinter, sp NetSimParams) (AblationResult, error) {
 	out.UngatedPowerW, out.GatedPowerW = ungated.NetPower.Total(), gated.NetPower.Total()
 
 	region := s.Region(n / 2)
-	t := topo.FromMesh(s.mesh)
-	if out.DarkTraversalsDOR, err = darkTraversals(t, routing.NewDOR(s.mesh), region); err != nil {
+	if out.DarkTraversalsDOR, err = darkTraversals(s.mesh, routing.NewDOR(s.mesh), region); err != nil {
 		return AblationResult{}, err
 	}
-	if out.DarkTraversalsCDOR, err = darkTraversals(t, routing.NewCDOR(region), region); err != nil {
+	if out.DarkTraversalsCDOR, err = darkTraversals(s.mesh, routing.NewCDOR(region), region); err != nil {
 		return AblationResult{}, err
 	}
 	nc := s.cfg.NoC

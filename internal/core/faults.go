@@ -7,13 +7,11 @@ import (
 	"math/rand"
 
 	"nocsprint/internal/check"
-	"nocsprint/internal/ckpt"
 	"nocsprint/internal/fault"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/obs"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
-	"nocsprint/internal/topo"
 	"nocsprint/internal/traffic"
 )
 
@@ -57,8 +55,9 @@ type FaultParams struct {
 	// Cycles is the injection horizon per point (default 20000); repairs
 	// and the final drain run past it.
 	Cycles int64
-	// Sim supplies Seed, Workers, and Check; the window fields are unused
-	// (this driver manages its own horizon).
+	// Sim supplies Seed, Workers, and Check; the runs leave the window
+	// fields unused (this driver manages its own horizon), though like every
+	// sweep's they enter the checkpoint key.
 	Sim NetSimParams
 }
 
@@ -131,7 +130,7 @@ func faultMix(total, nodes int) (perm, trans, links int) {
 // fault-free regions carry.
 func (s *Sprinter) cdorValidator() func(*sprint.Region) error {
 	return func(r *sprint.Region) error {
-		g, err := routing.BuildDependencyGraph(topo.FromMesh(s.mesh), routing.NewCDOR(r), r.ActiveNodes())
+		g, err := routing.BuildDependencyGraph(s.mesh, routing.NewCDOR(r), r.ActiveNodes())
 		if err != nil {
 			return err
 		}
@@ -421,50 +420,32 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 // p.Sim.Journal checkpoints it.
 func FaultSweep(s *Sprinter, p FaultParams) ([]FaultPoint, error) {
 	p = p.withDefaults()
-	type task struct {
-		idx  int
-		rate float64
+	// A point's fields, in order, are its checkpoint key.
+	type point struct {
+		Level   int
+		RateIdx int
+		Rate    float64
+		Cycles  int64
 	}
-	tasks := make([]task, len(p.Rates))
+	points := make([]point, len(p.Rates))
 	for i, r := range p.Rates {
-		tasks[i] = task{idx: i, rate: r}
-	}
-	// The fault driver manages its own horizon, so the key carries the
-	// FaultParams knobs and the fixed settings rather than the unused
-	// NetSimParams windows; the settings stay in it, under their old field
-	// names, so existing journals keep matching.
-	key := func(tk task) (string, error) {
-		return ckpt.Key(struct {
-			Driver            string
-			Config            Config
-			Level             int
-			RateIdx           int
-			Rate              float64
-			Cycles            int64
-			DrainBudget       int
-			TransientDuration int64
-			InjectionRate     float64
-			TripTempK         float64
-			ThermalSeconds    float64
-			Seed              int64
-		}{"faults", s.cfg, p.Level, tk.idx, tk.rate, p.Cycles, faultDrainBudget,
-			faultTransientDuration, faultInjectionRate, faultTripTempK, faultThermalSeconds, p.Sim.Seed})
+		points[i] = point{p.Level, i, r, p.Cycles}
 	}
 	trips, err := s.faultTrips(p)
 	if err != nil {
 		return nil, err
 	}
-	return sweepKeyed(p.Sim, tasks, key, func(tk task) (FaultPoint, error) {
-		seed := p.Sim.Seed + int64(tk.idx)*1009 + 1
-		sched, err := s.buildFaultSchedule(tk.rate, p, seed, trips)
+	return sweep("faults", s.cfg, p.Sim, points, func(pt point) (FaultPoint, error) {
+		seed := p.Sim.Seed + int64(pt.RateIdx)*1009 + 1
+		sched, err := s.buildFaultSchedule(pt.Rate, p, seed, trips)
 		if err != nil {
 			return FaultPoint{}, err
 		}
-		pt, err := s.FaultRun(sched, p, seed+7777)
+		fp, err := s.FaultRun(sched, p, seed+7777)
 		if err != nil {
-			return FaultPoint{}, fmt.Errorf("rate %g: %w", tk.rate, err)
+			return FaultPoint{}, fmt.Errorf("rate %g: %w", pt.Rate, err)
 		}
-		pt.Rate = tk.rate
-		return pt, nil
+		fp.Rate = pt.Rate
+		return fp, nil
 	})
 }

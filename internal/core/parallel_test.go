@@ -55,6 +55,18 @@ func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 		t.Error("Fig9Fig10Network differs across worker counts")
 	}
 
+	g1, err := GatingComparison(s, raceSim(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g4, err := GatingComparison(s, raceSim(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g1, g4) {
+		t.Error("GatingComparison differs across worker counts")
+	}
+
 	sc1, err := ScalingStudy([]int{4, 6}, raceSim(1))
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -11,14 +10,11 @@ import (
 
 var errFlaky = errors.New("flaky point")
 
-// pointIndexKey keys sweep point i as "k<i>".
-func pointIndexKey(i int) (string, error) { return fmt.Sprintf("k%d", i), nil }
-
 // TestRunPointsPermanentFailureNotRetried: a panicking point surfaces from
 // the sweep funnel as a recovered runner.PointError after a single call.
 func TestRunPointsPermanentFailureNotRetried(t *testing.T) {
 	var calls atomic.Int32
-	_, err := sweepKeyed(NetSimParams{Workers: 2}, []int{0, 1}, pointIndexKey, func(i int) (int, error) {
+	_, err := sweep("retry", nil, NetSimParams{Workers: 2}, []int{0, 1}, func(i int) (int, error) {
 		if i == 1 {
 			calls.Add(1)
 			panic("driver bug")
@@ -38,7 +34,7 @@ func TestRunPointsPermanentFailureNotRetried(t *testing.T) {
 // point — a failure surfaces immediately.
 func TestRunPointsNoRetryPolicyUnchanged(t *testing.T) {
 	var calls atomic.Int32
-	_, err := sweepKeyed(NetSimParams{Workers: 1}, []int{0}, pointIndexKey, func(int) (int, error) {
+	_, err := sweep("retry", nil, NetSimParams{Workers: 1}, []int{0}, func(int) (int, error) {
 		calls.Add(1)
 		return 0, errFlaky
 	})

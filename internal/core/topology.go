@@ -73,7 +73,7 @@ func topoFabric(t topo.Topology) (fabric, error) {
 	var err error
 	switch tt := t.(type) {
 	case *topo.Mesh:
-		f.alg = routing.NewDOR(tt.Mesh())
+		f.alg = routing.NewDOR(tt)
 	case *topo.Torus:
 		f.alg = routing.NewTorusDOR(tt)
 	case *topo.Circulant:

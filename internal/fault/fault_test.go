@@ -210,24 +210,6 @@ func abs(v int) int {
 	return v
 }
 
-func TestGenerateCandidatesRestrictVictims(t *testing.T) {
-	pool := []int{0, 1, 4, 5}
-	s, err := Generate(GenConfig{
-		Width: 4, Height: 4, Horizon: 1000,
-		Permanent: 2, Transient: 1, TransientDuration: 10,
-		Candidates: pool, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok := map[int]bool{0: true, 1: true, 4: true, 5: true}
-	for _, e := range s.Events() {
-		if !ok[e.Node] {
-			t.Errorf("victim %d outside candidate pool", e.Node)
-		}
-	}
-}
-
 func TestGenerateRejectsUnsurvivable(t *testing.T) {
 	_, err := Generate(GenConfig{
 		Width: 2, Height: 2, Horizon: 1000,
@@ -244,9 +226,6 @@ func TestGenerateRejectsUnsurvivable(t *testing.T) {
 	}
 	if _, err := Generate(GenConfig{Width: 4, Height: 4, Horizon: 100, Transient: 1}); err == nil {
 		t.Fatal("transient without duration accepted")
-	}
-	if _, err := Generate(GenConfig{Width: 4, Height: 4, Horizon: 100, Candidates: []int{99}}); err == nil {
-		t.Fatal("out-of-mesh candidate accepted")
 	}
 }
 

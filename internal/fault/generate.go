@@ -5,8 +5,8 @@ import (
 	"math"
 	"math/rand"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/thermal"
+	"nocsprint/internal/topo"
 )
 
 // GenConfig parameterises deterministic schedule generation over a
@@ -21,17 +21,12 @@ type GenConfig struct {
 	Permanent, Transient, Links int
 	// TransientDuration is the outage length of each transient fault.
 	TransientDuration int64
-	// Candidates, when non-nil, restricts the victim pool (for example to
-	// the initially-active region so every fault matters). Victims are
-	// distinct across the whole schedule, so the survivability invariant
-	// (Validate) holds whenever enough candidates remain un-faulted.
-	Candidates []int
 	// Seed drives the generator; equal configs yield equal schedules.
 	Seed int64
 }
 
 // Generate builds a seeded, validated fault schedule: distinct victims drawn
-// from the candidate pool, fault cycles uniform over the horizon, link
+// from every node of the mesh, fault cycles uniform over the horizon, link
 // faults placed on a mesh edge incident to their victim. The output is fully
 // determined by cfg.
 func Generate(cfg GenConfig) (*Schedule, error) {
@@ -47,19 +42,7 @@ func Generate(cfg GenConfig) (*Schedule, error) {
 	if cfg.Transient > 0 && cfg.TransientDuration < 1 {
 		return nil, fmt.Errorf("fault: transient faults need a duration >= 1")
 	}
-	m := mesh.New(cfg.Width, cfg.Height)
-	pool := cfg.Candidates
-	if pool == nil {
-		pool = make([]int, m.Nodes())
-		for i := range pool {
-			pool[i] = i
-		}
-	}
-	for _, id := range pool {
-		if id < 0 || id >= m.Nodes() {
-			return nil, fmt.Errorf("fault: candidate %d outside %dx%d mesh", id, cfg.Width, cfg.Height)
-		}
-	}
+	m := topo.NewMesh(cfg.Width, cfg.Height)
 	// Each link fault can retire either endpoint, so it consumes its victim
 	// and one neighbour from the survivable budget.
 	need := cfg.Permanent + cfg.Transient + 2*cfg.Links
@@ -67,13 +50,9 @@ func Generate(cfg GenConfig) (*Schedule, error) {
 		return nil, fmt.Errorf("fault: %d potential casualties would not leave a survivor in %d nodes",
 			need, m.Nodes())
 	}
-	if cfg.Permanent+cfg.Transient+cfg.Links > len(pool) {
-		return nil, fmt.Errorf("fault: %d faults need more victims than the %d candidates",
-			cfg.Permanent+cfg.Transient+cfg.Links, len(pool))
-	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	victims := append([]int(nil), pool...)
+	victims := topo.AllNodes(m.Nodes())
 	rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
 
 	used := make(map[int]bool)
@@ -96,8 +75,8 @@ func Generate(cfg GenConfig) (*Schedule, error) {
 		v, partner := -1, -1
 		for v == -1 && len(victims) > 0 {
 			cand := takeVictim()
-			for _, d := range [...]mesh.Direction{mesh.North, mesh.East, mesh.South, mesh.West} {
-				if nb, ok := m.Neighbor(cand, d); ok && !used[nb] {
+			for _, nb := range m.Neighbors(cand) {
+				if !used[nb] {
 					v, partner = cand, nb
 					break
 				}

@@ -10,7 +10,7 @@ import (
 	"math"
 	"slices"
 
-	"nocsprint/internal/mesh"
+	"nocsprint/internal/topo"
 )
 
 // Plan is a bijection between logical mesh nodes and physical grid slots.
@@ -31,7 +31,7 @@ type Plan struct {
 //
 // The master is pinned to physical slot equal to its own logical id, keeping
 // the memory-controller corner fixed.
-func Thermal(m mesh.Mesh, order []int) (*Plan, error) {
+func Thermal(m *topo.Mesh, order []int) (*Plan, error) {
 	n := m.Nodes()
 	if len(order) != n {
 		return nil, fmt.Errorf("floorplan: order has %d entries, mesh has %d nodes", len(order), n)
@@ -106,18 +106,18 @@ func Thermal(m mesh.Mesh, order []int) (*Plan, error) {
 // physical slots share the mesh's row-major ids, so one coordinate table
 // serves both.
 type kernel struct {
-	coord []mesh.Coord // coord[id]: the coordinate of node or slot id
+	coord []topo.Coord // coord[id]: the coordinate of node or slot id
 	root  []float64    // root[d2] = math.Sqrt(float64(d2)), up to the squared diagonal
 	free  []int        // free physical slots (set S'), ascending
-	freeC []mesh.Coord // freeC[i] = coord[free[i]]
+	freeC []topo.Coord // freeC[i] = coord[free[i]]
 	sums  []float64    // sums[i]: the objective of slot free[i], rebuilt each step
 }
 
 // newKernel builds m's tables with every slot free.
-func newKernel(m mesh.Mesh) *kernel {
+func newKernel(m *topo.Mesh) *kernel {
 	n, w, h := m.Nodes(), m.Width(), m.Height()
 	k := &kernel{
-		coord: make([]mesh.Coord, n),
+		coord: make([]topo.Coord, n),
 		root:  make([]float64, (w-1)*(w-1)+(h-1)*(h-1)+1),
 		free:  make([]int, n),
 		sums:  make([]float64, n),

@@ -8,13 +8,13 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/sprint"
+	"nocsprint/internal/topo"
 )
 
 func plan4x4(t *testing.T) *Plan {
 	t.Helper()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 	p, err := Thermal(m, order)
 	if err != nil {
@@ -25,7 +25,7 @@ func plan4x4(t *testing.T) *Plan {
 
 // identity is the trivial floorplan in which every logical node sits at its
 // own physical slot (the paper's baseline without Algorithm 3).
-func identity(m mesh.Mesh) *Plan {
+func identity(m *topo.Mesh) *Plan {
 	p := &Plan{pos: make([]int, m.Nodes())}
 	for i := range p.pos {
 		p.pos[i] = i
@@ -34,7 +34,7 @@ func identity(m mesh.Mesh) *Plan {
 }
 
 func TestIdentityPlan(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	p := identity(m)
 	for i := 0; i < 16; i++ {
 		if p.Pos(i) != i {
@@ -68,7 +68,7 @@ func TestThermalMasterPinned(t *testing.T) {
 }
 
 func TestThermalDeterministic(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 	p1, err1 := Thermal(m, order)
 	p2, err2 := Thermal(m, order)
@@ -85,7 +85,7 @@ func TestThermalDeterministic(t *testing.T) {
 // TestThermalSpreadsSprintSets is the point of Algorithm 3: for small sprint
 // levels, the active set's physical spread must exceed the identity plan's.
 func TestThermalSpreadsSprintSets(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 	thermal, err := Thermal(m, order)
 	if err != nil {
@@ -102,7 +102,7 @@ func TestThermalSpreadsSprintSets(t *testing.T) {
 }
 
 func TestThermalIncreasesWireLength(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 	thermal, err := Thermal(m, order)
 	if err != nil {
@@ -118,7 +118,7 @@ func TestThermalIncreasesWireLength(t *testing.T) {
 }
 
 func TestThermalRejectsBadOrder(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	if _, err := Thermal(m, []int{0, 1, 2}); err == nil {
 		t.Error("short order accepted")
 	}
@@ -140,7 +140,7 @@ func TestThermalRejectsBadOrder(t *testing.T) {
 }
 
 func TestSpreadTrivialSets(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	p := identity(m)
 	if p.Spread(m, nil) != 0 || p.Spread(m, []int{3}) != 0 {
 		t.Error("spread of <2 nodes should be 0")
@@ -165,7 +165,7 @@ func TestThermalQuickRandomMeshes(t *testing.T) {
 		},
 	}
 	prop := func(w, h int, mf float64) bool {
-		m := mesh.New(w, h)
+		m := topo.NewMesh(w, h)
 		master := int(mf * float64(m.Nodes()-1))
 		order := sprint.ActivationOrder(m, master, sprint.Euclidean)
 		p, err := Thermal(m, order)
@@ -184,7 +184,7 @@ func TestThermalQuickRandomMeshes(t *testing.T) {
 // coordinates. It is the oracle the kernel must match bit for bit and the
 // baseline BenchmarkThermal times it against. order must be a valid
 // activation list.
-func referenceThermal(m mesh.Mesh, order []int) *Plan {
+func referenceThermal(m *topo.Mesh, order []int) *Plan {
 	n := m.Nodes()
 	master := order[0]
 	rank := make([]int, n)
@@ -244,7 +244,7 @@ func referenceThermal(m mesh.Mesh, order []int) *Plan {
 // physical slots, the one maximising Σ_j w_kj · d(slot, Pos(Rj)) over placed
 // logical nodes Rj, with w_kj = 1 / HammingLogical(Rk, Rj) and d the
 // physical Euclidean distance; ties break toward the lowest slot index.
-func referenceMaxWeightedDistance(m mesh.Mesh, placed []int, pos []int, freeSlot []bool, rk int) int {
+func referenceMaxWeightedDistance(m *topo.Mesh, placed []int, pos []int, freeSlot []bool, rk int) int {
 	best, bestSum := -1, -1.0
 	ck := m.Coord(rk)
 	for slot := 0; slot < m.Nodes(); slot++ {
@@ -270,7 +270,7 @@ func referenceMaxWeightedDistance(m mesh.Mesh, placed []int, pos []int, freeSlot
 // under metric.
 func matchReference(t *testing.T, w, h, master int, metric sprint.Metric) {
 	t.Helper()
-	m := mesh.New(w, h)
+	m := topo.NewMesh(w, h)
 	order := sprint.ActivationOrder(m, master, metric)
 	p, err := Thermal(m, order)
 	if err != nil {
@@ -307,7 +307,7 @@ func TestThermalMatchesReference(t *testing.T) {
 // the dark-silicon workload and on a 32×32 chip.
 func BenchmarkThermal(b *testing.B) {
 	for _, size := range []int{16, 32} {
-		m := mesh.New(size, size)
+		m := topo.NewMesh(size, size)
 		order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 		b.Run(fmt.Sprintf("kernel/%dx%d", size, size), func(b *testing.B) {
 			for range b.N {
@@ -347,18 +347,12 @@ func (p *Plan) IsBijection() bool {
 // logical links of mesh m under the plan. The thermal plan trades longer wires
 // (mitigated in hardware by SMART-style clockless repeaters, §3.3) for
 // better heat spreading; these metrics quantify that cost.
-func (p *Plan) WireLength(m mesh.Mesh) (total, max float64) {
-	for id := 0; id < m.Nodes(); id++ {
-		for _, d := range [...]mesh.Direction{mesh.East, mesh.South} {
-			nb, ok := m.Neighbor(id, d)
-			if !ok {
-				continue
-			}
-			l := m.Coord(p.pos[id]).Euclidean(m.Coord(p.pos[nb]))
-			total += l
-			if l > max {
-				max = l
-			}
+func (p *Plan) WireLength(m *topo.Mesh) (total, max float64) {
+	for _, link := range m.Links() {
+		l := m.Coord(p.pos[link[0]]).Euclidean(m.Coord(p.pos[link[1]]))
+		total += l
+		if l > max {
+			max = l
 		}
 	}
 	return total, max
@@ -367,7 +361,7 @@ func (p *Plan) WireLength(m mesh.Mesh) (total, max float64) {
 // Spread returns the mean pairwise physical Euclidean distance among the
 // given logical nodes of mesh m under the plan — the quantity Algorithm 3 maximises
 // for co-sprinting sets. Returns 0 for fewer than two nodes.
-func (p *Plan) Spread(m mesh.Mesh, logical []int) float64 {
+func (p *Plan) Spread(m *topo.Mesh, logical []int) float64 {
 	if len(logical) < 2 {
 		return 0
 	}

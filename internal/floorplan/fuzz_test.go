@@ -3,8 +3,8 @@ package floorplan
 import (
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/sprint"
+	"nocsprint/internal/topo"
 )
 
 // fuzzMod maps an arbitrary fuzz-provided int into [0, n).
@@ -28,7 +28,7 @@ func FuzzFloorplanRemap(f *testing.F) {
 	f.Add(8, 2, -9, 7)
 	f.Fuzz(func(t *testing.T, w, h, master, metricRaw int) {
 		w, h = 1+fuzzMod(w, 8), 1+fuzzMod(h, 8)
-		m := mesh.New(w, h)
+		m := topo.NewMesh(w, h)
 		n := m.Nodes()
 		master = fuzzMod(master, n)
 		metric := sprint.Metric(fuzzMod(metricRaw, 2))

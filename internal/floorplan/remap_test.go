@@ -3,8 +3,8 @@ package floorplan
 import (
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/sprint"
+	"nocsprint/internal/topo"
 )
 
 // TestRemapRoundTripNonSquare pins the logical↔physical remap on rectangular
@@ -22,7 +22,7 @@ func TestRemapRoundTripNonSquare(t *testing.T) {
 		{8, 2, 9},
 	}
 	for _, c := range cases {
-		m := mesh.New(c.w, c.h)
+		m := topo.NewMesh(c.w, c.h)
 		order := sprint.ActivationOrder(m, c.master, sprint.Euclidean)
 		p, err := Thermal(m, order)
 		if err != nil {
@@ -39,7 +39,7 @@ func TestRemapRoundTripNonSquare(t *testing.T) {
 
 // TestPositionsIsACopy: mutating the returned slice must not corrupt the plan.
 func TestPositionsIsACopy(t *testing.T) {
-	m := mesh.New(4, 2)
+	m := topo.NewMesh(4, 2)
 	p, err := Thermal(m, sprint.ActivationOrder(m, 0, sprint.Euclidean))
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/topo"
 )
@@ -44,7 +43,7 @@ func allocNet(t *testing.T, cfg Config, torus, reference bool) (*Network, *route
 		id = torusCentre
 	} else {
 		full.Width, full.Height = 3, 3
-		net, err = New(full, routing.NewDOR(mesh.New(3, 3)), nil)
+		net, err = New(full, routing.NewDOR(topo.NewMesh(3, 3)), nil)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +280,7 @@ func TestSwitchAllocationDifferential(t *testing.T) {
 // (step 10), 11 (step 17), 34 (step 22) and 18 (step 23), and the class-1
 // requesters 23, 30 and 31 are visited twice.
 func TestVCAllocationRevisit(t *testing.T) {
-	east := int(mesh.East)
+	east := topo.East
 	requesters := []int{11, 18, 23, 30, 31, 33, 34, 37}
 	fill := func(net *Network, r *router) {
 		for _, b := range requesters {

@@ -4,10 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
+	"nocsprint/internal/topo"
 	"nocsprint/internal/traffic"
 )
 
@@ -51,7 +51,7 @@ func loadedCDOR(b *testing.B, width, height, level int, rate float64) *noc.Netwo
 	b.Helper()
 	cfg := noc.DefaultConfig()
 	cfg.Width, cfg.Height = width, height
-	region := sprint.NewRegion(mesh.New(width, height), 0, level, sprint.Euclidean)
+	region := sprint.NewRegion(topo.NewMesh(width, height), 0, level, sprint.Euclidean)
 	net, err := noc.New(cfg, routing.NewCDOR(region), region.ActiveNodes())
 	if err != nil {
 		b.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/topo"
@@ -63,11 +62,11 @@ func auditAgainstFullWalk(t *testing.T, n *Network, when string) error {
 // it.
 func TestAuditMatchesFullWalk(t *testing.T) {
 	dor := func(w, h int) (topo.Topology, routing.Algorithm, []int, error) {
-		return topo.NewMesh(w, h), routing.NewDOR(mesh.New(w, h)), nil, nil
+		return topo.NewMesh(w, h), routing.NewDOR(topo.NewMesh(w, h)), nil, nil
 	}
 	cdor := func(w, h, level int) func() (topo.Topology, routing.Algorithm, []int, error) {
 		return func() (topo.Topology, routing.Algorithm, []int, error) {
-			r := sprint.NewRegion(mesh.New(w, h), 0, level, sprint.Euclidean)
+			r := sprint.NewRegion(topo.NewMesh(w, h), 0, level, sprint.Euclidean)
 			return topo.NewMesh(w, h), routing.NewCDOR(r), r.ActiveNodes(), nil
 		}
 	}
@@ -231,7 +230,7 @@ func TestAuditReportsWorkOutsideWorkSet(t *testing.T) {
 		}, func(net *Network) []uint64 { return net.niWork }, "outside the injection work set"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			net, err := New(DefaultConfig(), routing.NewDOR(mesh.New(4, 4)), nil)
+			net, err := New(DefaultConfig(), routing.NewDOR(topo.NewMesh(4, 4)), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,7 +262,7 @@ func TestAuditReportsWorkOutsideWorkSet(t *testing.T) {
 // router was visited by Steps since the last audit, so it is dirty, and the
 // leak must be reported.
 func TestAuditRemembersVisitedRouters(t *testing.T) {
-	net, err := New(DefaultConfig(), routing.NewDOR(mesh.New(4, 4)), nil)
+	net, err := New(DefaultConfig(), routing.NewDOR(topo.NewMesh(4, 4)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +276,7 @@ func TestAuditRemembersVisitedRouters(t *testing.T) {
 	}
 	// VC 3 of the link east; the packet takes VC 0, so the lost credit
 	// never stalls it.
-	net.routers[0].out[int(mesh.East)*net.cfg.VCs+3].credits--
+	net.routers[0].out[topo.East*net.cfg.VCs+3].credits--
 	if err := net.DrainWithBudgetCtx(nil, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +298,7 @@ func TestAuditRemembersVisitedRouters(t *testing.T) {
 // must balance the upstream router's link into it too and report the leak,
 // as the full walk does.
 func TestAuditBalancesLinksIntoChangedRouters(t *testing.T) {
-	net, err := New(DefaultConfig(), routing.NewDOR(mesh.New(4, 4)), nil)
+	net, err := New(DefaultConfig(), routing.NewDOR(topo.NewMesh(4, 4)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"nocsprint/internal/check"
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/routing"
+	"nocsprint/internal/topo"
 )
 
 // TestCheckerReportsCreditLeaks corrupts the credits of an idle network, as
@@ -23,7 +23,7 @@ func TestCheckerReportsCreditLeaks(t *testing.T) {
 		snapshot string
 	}{
 		{"lose a link credit", "credit leak on link 0->1 vc 2", func(n *noc.Network) {
-			n.LoseLinkCredit(0, int(mesh.East), 2)
+			n.LoseLinkCredit(0, topo.East, 2)
 		}, "router"},
 		{"mint an NI credit", "NI credit leak at node 5 vc 1", func(n *noc.Network) { n.MintNICredit(5, 1) }, "router"},
 		{"strand a flit with no packet", "router 5 port 0 vc 3 in state 3 holds flits 0..0 outside its packet",
@@ -31,7 +31,7 @@ func TestCheckerReportsCreditLeaks(t *testing.T) {
 			"in[Local][vc3]: 1 flits, state 3 -> out Local vc 0 head=no packet"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			net, err := noc.New(noc.DefaultConfig(), routing.NewDOR(mesh.New(4, 4)), nil)
+			net, err := noc.New(noc.DefaultConfig(), routing.NewDOR(topo.NewMesh(4, 4)), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"nocsprint/internal/check"
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
@@ -103,10 +102,10 @@ func buildEquiv(t testing.TB, c equivCase, reference bool) (*noc.Network, []int,
 		}
 		net, err = noc.NewTopo(cfg, tp, alg, nil)
 	case c.level > 0:
-		region = sprint.NewRegion(mesh.New(c.width, c.height), 0, c.level, sprint.Euclidean)
+		region = sprint.NewRegion(topo.NewMesh(c.width, c.height), 0, c.level, sprint.Euclidean)
 		net, err = noc.New(cfg, routing.NewCDOR(region), region.ActiveNodes())
 	default:
-		net, err = noc.New(cfg, routing.NewDOR(mesh.New(c.width, c.height)), nil)
+		net, err = noc.New(cfg, routing.NewDOR(topo.NewMesh(c.width, c.height)), nil)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +172,7 @@ func driveEquivWith(t *testing.T, net *noc.Network, c equivCase, nodes []int, st
 			// Shrink the region to its first four nodes mid-run; the two
 			// modes must drop identical traffic and drain in the same
 			// number of cycles.
-			region := sprint.NewRegion(mesh.New(c.width, c.height), 0, 4, sprint.Euclidean)
+			region := sprint.NewRegion(topo.NewMesh(c.width, c.height), 0, 4, sprint.Euclidean)
 			rep, err := net.Reconfigure(region.ActiveNodes(), routing.NewCDOR(region), 20000)
 			if err != nil {
 				t.Fatal(err)
@@ -273,7 +272,7 @@ func TestStepperEquivalence(t *testing.T) {
 func TestSinkEnqueueMatchesReference(t *testing.T) {
 	var got [2]noc.Packet
 	for i, reference := range []bool{false, true} {
-		net, err := noc.New(noc.DefaultConfig(), routing.NewDOR(mesh.New(4, 4)), nil)
+		net, err := noc.New(noc.DefaultConfig(), routing.NewDOR(topo.NewMesh(4, 4)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +356,7 @@ func TestActiveRoutersIncremental(t *testing.T) {
 		}
 		return n
 	}
-	m := mesh.New(6, 6)
+	m := topo.NewMesh(6, 6)
 	for _, level := range []int{1, 4, 9, 16} {
 		region := sprint.NewRegion(m, 0, level, sprint.Euclidean)
 		net, err := noc.New(noc.Config{Width: 6, Height: 6, VCs: 4, BufferDepth: 4,
@@ -438,7 +437,7 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 // cancelled before the run stops it before the first step with a wrapped ctx
 // error, and a run resumed on a cancelled context steps nothing.
 func TestRunCtxCancellation(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	build := func() *noc.Network {
 		net, err := noc.New(noc.DefaultConfig(), routing.NewDOR(m), nil)
 		if err != nil {

@@ -3,7 +3,6 @@ package noc
 import (
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/topo"
 	"nocsprint/internal/traffic"
@@ -11,7 +10,7 @@ import (
 
 func TestEnableRuntimeGatingRejections(t *testing.T) {
 	cfg := DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	net, err := New(cfg, routing.NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +26,7 @@ func TestEnableRuntimeGatingRejections(t *testing.T) {
 // roughly one wake-up latency per router it visits.
 func TestRuntimeGatingDelaysColdPacket(t *testing.T) {
 	cfg := DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 
 	baseline, err := New(cfg, routing.NewDOR(m), nil)
 	if err != nil {
@@ -68,7 +67,7 @@ func TestRuntimeGatingDelaysColdPacket(t *testing.T) {
 // runtime gating and checks nothing is lost or reordered per pair.
 func TestRuntimeGatingConservesTraffic(t *testing.T) {
 	cfg := DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	net, err := New(cfg, routing.NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +105,7 @@ func TestRuntimeGatingConservesTraffic(t *testing.T) {
 // traffic-driven gating costs performance.
 func TestRuntimeGatingAddsLatencyVsUngated(t *testing.T) {
 	cfg := DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	run := func(gate bool) float64 {
 		net, err := New(cfg, routing.NewDOR(m), nil)
 		if err != nil {
@@ -135,7 +134,7 @@ func TestRuntimeGatingAddsLatencyVsUngated(t *testing.T) {
 // rarely gate (idle threshold never reached).
 func TestRuntimeGatingHighLoadStaysOn(t *testing.T) {
 	cfg := DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	net, err := New(cfg, routing.NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +156,7 @@ func TestRuntimeGatingHighLoadStaysOn(t *testing.T) {
 
 func TestGatingStatsDisabled(t *testing.T) {
 	cfg := DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	net, err := New(cfg, routing.NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/routing"
+	"nocsprint/internal/topo"
 )
 
 // TestCheckInvariantsCatchesCorruption corrupts, on a running network, each
@@ -29,7 +29,7 @@ import (
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LinkLatency = 3 // several flits in flight per link
-	net, err := New(cfg, routing.NewDOR(mesh.New(4, 4)), nil)
+	net, err := New(cfg, routing.NewDOR(topo.NewMesh(4, 4)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

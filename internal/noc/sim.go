@@ -34,10 +34,10 @@ type SimParams struct {
 	// StopWhenSaturated ends a run as its measurement window closes when
 	// the source backlog's growth over the window already marks it
 	// Saturated, so no drain can change the verdict. Such a run returns
-	// Saturated, OfferedFlits, Cycles (warmup + measure) and ActiveRouters
-	// only: its latency, throughput, packet count, events and window are
-	// zero. Every other run, and every run with the field unset, is
-	// unchanged. Set it when only the verdict of a loaded run is read.
+	// Saturated and Cycles (warmup + measure) only: its latency,
+	// throughput, packet count, events and window are zero. Every other
+	// run, and every run with the field unset, is unchanged. Set it when
+	// only the verdict of a loaded run is read.
 	StopWhenSaturated bool
 }
 
@@ -52,8 +52,6 @@ type Result struct {
 	// ThroughputFlits is accepted traffic in flits/cycle/endpoint during
 	// the measurement window.
 	ThroughputFlits float64
-	// OfferedFlits is the configured offered load in flits/cycle/endpoint.
-	OfferedFlits float64
 	// Saturated reports offered load beyond saturation: the source backlog
 	// grew across the measurement window, or the network failed to drain
 	// measured packets within the drain budget.
@@ -67,8 +65,6 @@ type Result struct {
 	Events Events
 	// MeasureWindow is the cycle span events were accumulated over.
 	MeasureWindow int64
-	// ActiveRouters is the number of powered routers during the run.
-	ActiveRouters int
 }
 
 // RunSynthetic drives net with Bernoulli packet arrivals (traffic.Bernoulli):
@@ -107,12 +103,7 @@ func RunSynthetic(net *Network, set *traffic.Set, pattern traffic.Pattern, p Sim
 	mid := net.Stats()
 	grew := backlogGrew(pre, mid)
 	if grew && p.StopWhenSaturated {
-		return Result{
-			OfferedFlits:  p.InjectionRate,
-			Saturated:     true,
-			Cycles:        mid.Cycles,
-			ActiveRouters: net.ActiveRouters(),
-		}, nil
+		return Result{Saturated: true, Cycles: mid.Cycles}, nil
 	}
 	// Drain: keep background (unmeasured) traffic flowing so measured
 	// packets complete under load, per standard methodology, until every
@@ -128,12 +119,10 @@ func RunSynthetic(net *Network, set *traffic.Set, pattern traffic.Pattern, p Sim
 	d := post.Sub(pre)
 
 	res := Result{
-		OfferedFlits:    p.InjectionRate,
 		MeasuredPackets: d.MeasuredEjected,
 		Cycles:          post.Cycles,
 		Events:          d.Events,
 		MeasureWindow:   d.Cycles,
-		ActiveRouters:   net.ActiveRouters(),
 	}
 	if d.MeasuredEjected > 0 {
 		res.AvgLatency = float64(d.LatencySum) / float64(d.MeasuredEjected)

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/topo"
 	"nocsprint/internal/traffic"
@@ -16,7 +15,7 @@ import (
 func newCtxTestNet(t *testing.T) (*Network, *traffic.Set) {
 	t.Helper()
 	cfg := DefaultConfig()
-	m := mesh.New(cfg.Width, cfg.Height)
+	m := topo.NewMesh(cfg.Width, cfg.Height)
 	net, err := New(cfg, routing.NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package noc
 import (
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/topo"
 	"nocsprint/internal/traffic"
@@ -23,7 +22,7 @@ func drainTestParams(drain int) SimParams {
 func runDrainTest(t *testing.T, drain int) Result {
 	t.Helper()
 	cfg := DefaultConfig()
-	m := mesh.New(cfg.Width, cfg.Height)
+	m := topo.NewMesh(cfg.Width, cfg.Height)
 	net, err := New(cfg, routing.NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -105,8 +105,6 @@ type TraceResult struct {
 	Packets int64
 	// Cycles is the total simulated cycle count including drain.
 	Cycles int64
-	// Events holds the micro-event totals for power estimation.
-	Events Events
 	// Drained reports whether every packet completed within the drain
 	// budget.
 	Drained bool
@@ -158,7 +156,6 @@ func ReplayTrace(net *Network, events []TraceEvent, drainCycles int) (TraceResul
 	res := TraceResult{
 		Packets: s.MeasuredEjected,
 		Cycles:  s.Cycles,
-		Events:  s.Events,
 		Drained: drained,
 	}
 	if s.MeasuredEjected > 0 {

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/topo"
@@ -146,7 +145,7 @@ func TestGenerateTraceValidation(t *testing.T) {
 // the same seed, so the average latency matches exactly.
 func TestReplayMatchesLiveRun(t *testing.T) {
 	cfg := DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	set := traffic.NewSet(topo.AllNodes(16))
 	pattern := traffic.NewUniform(16)
 	const (
@@ -196,7 +195,7 @@ func TestReplayMatchesLiveRun(t *testing.T) {
 
 func TestReplayOnSprintRegion(t *testing.T) {
 	cfg := DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	region := sprintRegion(t, m, 6)
 	set := traffic.NewSet(region.ActiveNodes())
 	events, err := GenerateTrace(set, traffic.NewUniform(6), 0.1, cfg.PacketLength, 1000, 7)
@@ -222,7 +221,7 @@ func TestReplayOnSprintRegion(t *testing.T) {
 // needs 39 drain cycles after its injection step.
 func TestReplayExactDrainBudget(t *testing.T) {
 	cfg := DefaultConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	events := []TraceEvent{{Cycle: 0, Src: 0, Dst: 15}}
 	for _, c := range []struct {
 		budget  int
@@ -245,7 +244,7 @@ func TestReplayExactDrainBudget(t *testing.T) {
 // TestReplayEmptyTrace: an empty trace has nothing to drain, so even a zero
 // budget reports drained without stepping.
 func TestReplayEmptyTrace(t *testing.T) {
-	net, err := New(DefaultConfig(), routing.NewDOR(mesh.New(4, 4)), nil)
+	net, err := New(DefaultConfig(), routing.NewDOR(topo.NewMesh(4, 4)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +264,7 @@ func TestReplayTraceRejectsBadCycles(t *testing.T) {
 		"negative":   {{Cycle: -1, Src: 0, Dst: 1}},
 		"decreasing": {{Cycle: 5, Src: 0, Dst: 1}, {Cycle: 2, Src: 1, Dst: 0}},
 	} {
-		net, err := New(DefaultConfig(), routing.NewDOR(mesh.New(4, 4)), nil)
+		net, err := New(DefaultConfig(), routing.NewDOR(topo.NewMesh(4, 4)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +293,7 @@ func TestReplayTraceRejectsBadEvents(t *testing.T) {
 		{"bad class", TraceEvent{Cycle: 1, Src: 0, Dst: 1, Class: 3}, "class 3"},
 	} {
 		cfg := DefaultConfig()
-		r := sprint.NewRegion(mesh.New(cfg.Width, cfg.Height), 0, 4, sprint.Euclidean)
+		r := sprint.NewRegion(topo.NewMesh(cfg.Width, cfg.Height), 0, 4, sprint.Euclidean)
 		net, err := New(cfg, routing.NewCDOR(r), r.ActiveNodes())
 		if err != nil {
 			t.Fatal(err)

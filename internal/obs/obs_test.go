@@ -4,16 +4,16 @@ import (
 	"math"
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/power"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/thermal"
+	"nocsprint/internal/topo"
 )
 
 func testNet(t *testing.T) *noc.Network {
 	t.Helper()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	net, err := noc.New(noc.DefaultConfig(), routing.NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)

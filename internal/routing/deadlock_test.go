@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/topo"
 )
 
@@ -32,20 +31,20 @@ func (g *DependencyGraph) CollapseClasses() *DependencyGraph {
 // Turn classifies a pair of consecutive hop directions, e.g. "NE" for a
 // packet travelling North that turns East.
 type Turn struct {
-	From, To mesh.Direction
+	From, To int
 }
 
 // String returns the compact two-letter turn name (e.g. "NE", "WS").
 func (t Turn) String() string {
-	letter := func(d mesh.Direction) string {
+	letter := func(d int) string {
 		switch d {
-		case mesh.North:
+		case topo.North:
 			return "N"
-		case mesh.East:
+		case topo.East:
 			return "E"
-		case mesh.South:
+		case topo.South:
 			return "S"
-		case mesh.West:
+		case topo.West:
 			return "W"
 		default:
 			return "?"
@@ -59,11 +58,11 @@ func (t Turn) String() string {
 // reasoning about deadlock freedom: e.g. plain DOR uses only {EN, ES, WN,
 // WS}; CDOR adds NE but never WN-after-NE cycles. Turns are a mesh notion,
 // so this helper stays mesh-specific.
-func TurnsUsed(m mesh.Mesh, alg Algorithm, routable []int) (map[Turn]int, error) {
+func TurnsUsed(m *topo.Mesh, alg Algorithm, routable []int) (map[Turn]int, error) {
 	if routable == nil {
 		routable = topo.AllNodes(m.Nodes())
 	}
-	t := topo.FromMesh(m)
+	t := m
 	turns := make(map[Turn]int)
 	for _, src := range routable {
 		for _, dst := range routable {
@@ -75,8 +74,8 @@ func TurnsUsed(m mesh.Mesh, alg Algorithm, routable []int) (map[Turn]int, error)
 				return nil, err
 			}
 			for i := 0; i+2 < len(path); i++ {
-				d1 := m.DirectionTo(path[i], path[i+1])
-				d2 := m.DirectionTo(path[i+1], path[i+2])
+				d1 := m.PortTo(path[i], path[i+1])
+				d2 := m.PortTo(path[i+1], path[i+2])
 				if d1 != d2 {
 					turns[Turn{d1, d2}]++
 				}

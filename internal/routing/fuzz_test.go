@@ -3,7 +3,6 @@ package routing
 import (
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/topo"
 )
@@ -31,7 +30,7 @@ func FuzzCDORNextPort(f *testing.F) {
 	f.Add(6, 2, 11, 4, -3, 100)
 	f.Fuzz(func(t *testing.T, w, h, master, level, src, dst int) {
 		w, h = 1+fuzzMod(w, 8), 1+fuzzMod(h, 8)
-		m := mesh.New(w, h)
+		m := topo.NewMesh(w, h)
 		n := m.Nodes()
 		master = fuzzMod(master, n)
 		lvl := 1 + fuzzMod(level, n)
@@ -59,8 +58,8 @@ func FuzzCDORNextPort(f *testing.F) {
 				t.Fatalf("NextPort(%d,%d) = %v, want Local", src, dst, d)
 			}
 		} else {
-			next, ok := m.Neighbor(src, mesh.Direction(d))
-			if !ok {
+			next := m.Neighbor(src, d)
+			if next < 0 {
 				t.Fatalf("NextPort(%d,%d) = %v routes off-mesh", src, dst, d)
 			}
 			if !region.Active(next) {
@@ -68,7 +67,7 @@ func FuzzCDORNextPort(f *testing.F) {
 			}
 		}
 
-		path, err := Path(topo.FromMesh(m), alg, src, dst)
+		path, err := Path(m, alg, src, dst)
 		if err != nil {
 			t.Fatalf("%dx%d master %d level %d: Path(%d,%d): %v", w, h, master, lvl, src, dst, err)
 		}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/sprint"
+	"nocsprint/internal/topo"
 )
 
 // The Figure 6 routing circuit as boolean logic over two coordinate
@@ -17,31 +17,31 @@ type PortRequest struct {
 	N, E, S, W, Local bool
 }
 
-// Direction converts the one-hot request to a mesh direction. It returns an
+// Direction converts the one-hot request to a mesh port. It returns an
 // error if the request is not exactly one-hot, which would indicate a logic
 // bug.
-func (p PortRequest) Direction() (mesh.Direction, error) {
+func (p PortRequest) Direction() (int, error) {
 	var (
-		dir mesh.Direction
+		dir int
 		n   int
 	)
 	if p.N {
-		dir, n = mesh.North, n+1
+		dir, n = topo.North, n+1
 	}
 	if p.E {
-		dir, n = mesh.East, n+1
+		dir, n = topo.East, n+1
 	}
 	if p.S {
-		dir, n = mesh.South, n+1
+		dir, n = topo.South, n+1
 	}
 	if p.W {
-		dir, n = mesh.West, n+1
+		dir, n = topo.West, n+1
 	}
 	if p.Local {
-		dir, n = mesh.Local, n+1
+		dir, n = topo.Local, n+1
 	}
 	if n != 1 {
-		return mesh.Local, fmt.Errorf("routing: port request not one-hot: %+v", p)
+		return topo.Local, fmt.Errorf("routing: port request not one-hot: %+v", p)
 	}
 	return dir, nil
 }
@@ -55,7 +55,7 @@ type Comparators struct {
 
 // Compare models the comparator block for the given current/destination
 // coordinates.
-func Compare(cur, des mesh.Coord) Comparators {
+func Compare(cur, des topo.Coord) Comparators {
 	return Comparators{
 		GtX: des.X > cur.X, LtX: des.X < cur.X,
 		GtY: des.Y > cur.Y, LtY: des.Y < cur.Y,
@@ -98,7 +98,7 @@ func CDORPortLogic(c Comparators, cw, ce, belowMaster, aboveMaster bool) PortReq
 // TestDORPortLogicMatchesBehavioral exhaustively checks the gate-level DOR
 // circuit against the behavioral algorithm on a 4x4 mesh.
 func TestDORPortLogicMatchesBehavioral(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	alg := NewDOR(m)
 	for cur := 0; cur < 16; cur++ {
 		for dst := 0; dst < 16; dst++ {
@@ -122,7 +122,7 @@ func TestDORPortLogicMatchesBehavioral(t *testing.T) {
 // generalised escape select) against the behavioral CDOR for every master,
 // level, and in-region pair on a 4x4 mesh.
 func TestCDORPortLogicMatchesBehavioral(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	for master := 0; master < 16; master++ {
 		masterY := m.Coord(master).Y
 		for level := 1; level <= 16; level++ {

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/topo"
 )
@@ -46,14 +45,14 @@ func NewLBDR(r *sprint.Region) *LBDR {
 	m := r.Mesh()
 	masterX := m.Coord(r.Master()).X
 	l := &LBDR{region: r, bits: make([]lbdrBits, m.Nodes())}
-	conn := func(id int, d mesh.Direction) bool { return r.Connected(id, d) }
+	conn := r.Connected
 	// neighbor reports whether the powered x-neighbour exists; routing
 	// bits toward a dark neighbour stay 0 (the connectivity bit already
 	// blocks that output, but keeping the bits consistent mirrors the
 	// hardware configuration step).
-	neighbor := func(id int, d mesh.Direction) (int, bool) {
-		n, ok := m.Neighbor(id, d)
-		if !ok || !r.Active(n) {
+	neighbor := func(id, d int) (int, bool) {
+		n := m.Neighbor(id, d)
+		if n < 0 || !r.Active(n) {
 			return -1, false
 		}
 		return n, true
@@ -63,10 +62,10 @@ func NewLBDR(r *sprint.Region) *LBDR {
 			continue
 		}
 		b := lbdrBits{
-			cn: conn(id, mesh.North),
-			ce: conn(id, mesh.East),
-			cs: conn(id, mesh.South),
-			cw: conn(id, mesh.West),
+			cn: conn(id, topo.North),
+			ce: conn(id, topo.East),
+			cs: conn(id, topo.South),
+			cw: conn(id, topo.West),
 		}
 		// Routing bits: Rxy = (turn x→y permitted by the turn model) ∧
 		// (the x-neighbour is powered). The turn model is master-relative:
@@ -78,19 +77,19 @@ func NewLBDR(r *sprint.Region) *LBDR {
 		// verify the region structure still admits no cycle.
 		intoWest := masterX > 0
 		intoEast := masterX < m.Width()-1
-		if _, ok := neighbor(id, mesh.North); ok {
+		if _, ok := neighbor(id, topo.North); ok {
 			b.rne = intoEast
 			b.rnw = intoWest
 		}
-		if _, ok := neighbor(id, mesh.East); ok {
+		if _, ok := neighbor(id, topo.East); ok {
 			b.ren = true
 			b.res = true
 		}
-		if _, ok := neighbor(id, mesh.South); ok {
+		if _, ok := neighbor(id, topo.South); ok {
 			b.rse = intoEast
 			b.rsw = intoWest
 		}
-		if _, ok := neighbor(id, mesh.West); ok {
+		if _, ok := neighbor(id, topo.West); ok {
 			b.rwn = true
 			b.rws = true
 		}
@@ -131,13 +130,13 @@ func (l *LBDR) NextPort(cur, dst int) (int, error) {
 	// escape — the same preference CDOR hardwires.
 	switch {
 	case outE:
-		return int(mesh.East), nil
+		return topo.East, nil
 	case outW:
-		return int(mesh.West), nil
+		return topo.West, nil
 	case outN:
-		return int(mesh.North), nil
+		return topo.North, nil
 	case outS:
-		return int(mesh.South), nil
+		return topo.South, nil
 	default:
 		return topo.Local, fmt.Errorf("routing: LBDR has no productive output at %d toward %d", cur, dst)
 	}
@@ -167,7 +166,7 @@ var _ Algorithm = (*LBDR)(nil)
 // and several masters — the twelve bits buy no extra capability on convex
 // regions, which is the paper's argument for the 2-bit CDOR.
 func TestLBDRMatchesCDOR(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	for _, master := range []int{0, 3, 12, 15, 5} {
 		for level := 1; level <= 16; level++ {
 			r := sprint.NewRegion(m, master, level, sprint.Euclidean)
@@ -175,8 +174,8 @@ func TestLBDRMatchesCDOR(t *testing.T) {
 			cdor := NewCDOR(r)
 			for _, src := range r.ActiveNodes() {
 				for _, dst := range r.ActiveNodes() {
-					pl, errL := Path(topo.FromMesh(m), lbdr, src, dst)
-					pc, errC := Path(topo.FromMesh(m), cdor, src, dst)
+					pl, errL := Path(m, lbdr, src, dst)
+					pc, errC := Path(m, cdor, src, dst)
 					if errL != nil || errC != nil {
 						t.Fatalf("master %d level %d %d->%d: lbdr=%v cdor=%v",
 							master, level, src, dst, errL, errC)
@@ -192,10 +191,10 @@ func TestLBDRMatchesCDOR(t *testing.T) {
 }
 
 func TestLBDRDeadlockFree(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	for level := 1; level <= 16; level++ {
 		r := sprint.NewRegion(m, 0, level, sprint.Euclidean)
-		g, err := BuildDependencyGraph(topo.FromMesh(m), NewLBDR(r), r.ActiveNodes())
+		g, err := BuildDependencyGraph(m, NewLBDR(r), r.ActiveNodes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +205,7 @@ func TestLBDRDeadlockFree(t *testing.T) {
 }
 
 func TestLBDRErrorsOnDarkNodes(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	r := sprint.NewRegion(m, 0, 4, sprint.Euclidean)
 	l := NewLBDR(r)
 	if _, err := l.NextPort(15, 0); err == nil {
@@ -226,7 +225,7 @@ func TestLBDRBitBudget(t *testing.T) {
 	if BitsPerSwitch != 12 || CDORBitsPerSwitch != 2 {
 		t.Fatal("bit budgets drifted from the paper")
 	}
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	r := sprint.NewRegion(m, 0, 8, sprint.Euclidean)
 	l := NewLBDR(r)
 	for _, id := range r.ActiveNodes() {
@@ -247,9 +246,9 @@ func TestLBDRBitBudget(t *testing.T) {
 // TestLBDRPaperExample re-checks the Figure 5a scenario through LBDR: the
 // 8-core region routes 9 -> 2 via the NE escape at node 5.
 func TestLBDRPaperExample(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	r := sprint.NewRegion(m, 0, 8, sprint.Euclidean)
-	path, err := Path(topo.FromMesh(m), NewLBDR(r), 9, 2)
+	path, err := Path(m, NewLBDR(r), 9, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

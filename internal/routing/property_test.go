@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/topo"
 )
@@ -30,7 +29,7 @@ func TestCDORPropertyExhaustive(t *testing.T) {
 			size, metric := size, metric
 			t.Run(fmt.Sprintf("%dx%d/%v", size, size, metric), func(t *testing.T) {
 				t.Parallel()
-				m := mesh.New(size, size)
+				m := topo.NewMesh(size, size)
 				n := m.Nodes()
 				for level := 1; level <= n; level++ {
 					region := sprint.NewRegion(m, 0, level, metric)
@@ -39,7 +38,7 @@ func TestCDORPropertyExhaustive(t *testing.T) {
 
 					for _, src := range active {
 						for _, dst := range active {
-							path, err := Path(topo.FromMesh(m), alg, src, dst)
+							path, err := Path(m, alg, src, dst)
 							if err != nil {
 								t.Fatalf("level %d: Path(%d,%d): %v", level, src, dst, err)
 							}
@@ -76,7 +75,7 @@ func TestCDORPropertyExhaustive(t *testing.T) {
 // for every master placement (not just the paper's memory-controller corner),
 // since Algorithm 2's escape rule depends on the master row.
 func TestCDORPropertyOffsetMasters(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	n := m.Nodes()
 	for master := 0; master < n; master++ {
 		for _, metric := range []sprint.Metric{sprint.Euclidean, sprint.Hamming} {
@@ -85,7 +84,7 @@ func TestCDORPropertyOffsetMasters(t *testing.T) {
 				alg := NewCDOR(region)
 				for _, src := range region.ActiveNodes() {
 					for _, dst := range region.ActiveNodes() {
-						path, err := Path(topo.FromMesh(m), alg, src, dst)
+						path, err := Path(m, alg, src, dst)
 						if err != nil {
 							t.Fatalf("master %d level %d %v: Path(%d,%d): %v", master, level, metric, src, dst, err)
 						}

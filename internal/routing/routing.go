@@ -12,15 +12,14 @@ package routing
 import (
 	"fmt"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/topo"
 )
 
 // Algorithm decides, at each router, the output port for a packet. Ports
 // are topology port indices (see internal/topo): topo.Local (0) ejects, and
-// ports 1..Ports()-1 are network links. Mesh algorithms use the
-// mesh.Direction numbering, which is the mesh topology's port numbering.
+// ports 1..Ports()-1 are network links. Mesh and torus algorithms use
+// topo.North, East, South and West.
 type Algorithm interface {
 	// NextPort returns the output port a packet destined to dst takes at
 	// router cur. It returns topo.Local when cur == dst. It returns an
@@ -48,11 +47,11 @@ type VCPolicy interface {
 // DOR is conventional X-Y dimension-order routing on a full mesh: packets
 // first travel along X to the destination column, then along Y.
 type DOR struct {
-	m mesh.Mesh
+	m *topo.Mesh
 }
 
 // NewDOR returns X-Y routing for m.
-func NewDOR(m mesh.Mesh) *DOR { return &DOR{m: m} }
+func NewDOR(m *topo.Mesh) *DOR { return &DOR{m: m} }
 
 // Name implements Algorithm.
 func (d *DOR) Name() string { return "DOR" }
@@ -62,13 +61,13 @@ func (d *DOR) NextPort(cur, dst int) (int, error) {
 	c, t := d.m.Coord(cur), d.m.Coord(dst)
 	switch {
 	case t.X > c.X:
-		return int(mesh.East), nil
+		return topo.East, nil
 	case t.X < c.X:
-		return int(mesh.West), nil
+		return topo.West, nil
 	case t.Y > c.Y:
-		return int(mesh.South), nil
+		return topo.South, nil
 	case t.Y < c.Y:
-		return int(mesh.North), nil
+		return topo.North, nil
 	default:
 		return topo.Local, nil
 	}
@@ -119,19 +118,19 @@ func (c *CDOR) NextPort(cur, dst int) (int, error) {
 	cc, tc := m.Coord(cur), m.Coord(dst)
 	switch {
 	case tc.X > cc.X:
-		if c.region.Connected(cur, mesh.East) {
-			return int(mesh.East), nil
+		if c.region.Connected(cur, topo.East) {
+			return topo.East, nil
 		}
 		return c.escapePort(cur)
 	case tc.X < cc.X:
-		if c.region.Connected(cur, mesh.West) {
-			return int(mesh.West), nil
+		if c.region.Connected(cur, topo.West) {
+			return topo.West, nil
 		}
 		return c.escapePort(cur)
 	case tc.Y > cc.Y:
-		return int(mesh.South), nil
+		return topo.South, nil
 	case tc.Y < cc.Y:
-		return int(mesh.North), nil
+		return topo.North, nil
 	default:
 		return topo.Local, nil
 	}
@@ -139,9 +138,9 @@ func (c *CDOR) NextPort(cur, dst int) (int, error) {
 
 func (c *CDOR) escapePort(cur int) (int, error) {
 	cc := c.region.Mesh().Coord(cur)
-	escape := mesh.North
+	escape := topo.North
 	if cc.Y < c.masterY {
-		escape = mesh.South
+		escape = topo.South
 	} else if cc.Y == c.masterY {
 		return topo.Local, fmt.Errorf("routing: CDOR stuck at node %d: horizontal link dark on the master row", cur)
 	}

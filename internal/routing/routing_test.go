@@ -6,15 +6,14 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/topo"
 )
 
 func TestDORPaths(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	alg := NewDOR(m)
-	path, err := Path(topo.FromMesh(m), alg, 0, 15)
+	path, err := Path(m, alg, 0, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +25,11 @@ func TestDORPaths(t *testing.T) {
 }
 
 func TestDORMinimal(t *testing.T) {
-	m := mesh.New(5, 5)
+	m := topo.NewMesh(5, 5)
 	alg := NewDOR(m)
 	for src := 0; src < m.Nodes(); src++ {
 		for dst := 0; dst < m.Nodes(); dst++ {
-			path, err := Path(topo.FromMesh(m), alg, src, dst)
+			path, err := Path(m, alg, src, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,10 +45,10 @@ func TestDORMinimal(t *testing.T) {
 // 9 (east link to dark node 10), then turns East at node 5 — the NE turn —
 // and reaches 2 via 6.
 func TestCDORPaperNETurn(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	r := sprint.NewRegion(m, 0, 8, sprint.Euclidean)
 	alg := NewCDOR(r)
-	path, err := Path(topo.FromMesh(m), alg, 9, 2)
+	path, err := Path(m, alg, 9, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +60,11 @@ func TestCDORPaperNETurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if turns[Turn{mesh.North, mesh.East}] == 0 {
+	if turns[Turn{topo.North, topo.East}] == 0 {
 		t.Error("CDOR on 8-core region should use NE turns")
 	}
 	// The WN turn completing a cycle with NE must never occur.
-	if turns[Turn{mesh.West, mesh.North}] != 0 {
+	if turns[Turn{topo.West, topo.North}] != 0 {
 		// WN is allowed by plain DOR, but in this region combined with NE
 		// it could deadlock; the paper's argument says it cannot happen at
 		// the cycle-closing position. The CDG acyclicity test below is the
@@ -76,13 +75,13 @@ func TestCDORPaperNETurn(t *testing.T) {
 
 func TestCDORStaysInRegionAllLevels(t *testing.T) {
 	for _, dims := range [][2]int{{4, 4}, {8, 8}, {5, 3}} {
-		m := mesh.New(dims[0], dims[1])
+		m := topo.NewMesh(dims[0], dims[1])
 		for level := 1; level <= m.Nodes(); level++ {
 			r := sprint.NewRegion(m, 0, level, sprint.Euclidean)
 			alg := NewCDOR(r)
 			for _, src := range r.ActiveNodes() {
 				for _, dst := range r.ActiveNodes() {
-					path, err := Path(topo.FromMesh(m), alg, src, dst)
+					path, err := Path(m, alg, src, dst)
 					if err != nil {
 						t.Fatalf("%dx%d level %d %d->%d: %v", dims[0], dims[1], level, src, dst, err)
 					}
@@ -99,10 +98,10 @@ func TestCDORStaysInRegionAllLevels(t *testing.T) {
 
 func TestCDORDeadlockFreeAllLevels(t *testing.T) {
 	for _, dims := range [][2]int{{4, 4}, {8, 8}, {6, 5}} {
-		m := mesh.New(dims[0], dims[1])
+		m := topo.NewMesh(dims[0], dims[1])
 		for level := 1; level <= m.Nodes(); level++ {
 			r := sprint.NewRegion(m, 0, level, sprint.Euclidean)
-			g, err := BuildDependencyGraph(topo.FromMesh(m), NewCDOR(r), r.ActiveNodes())
+			g, err := BuildDependencyGraph(m, NewCDOR(r), r.ActiveNodes())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,8 +113,8 @@ func TestCDORDeadlockFreeAllLevels(t *testing.T) {
 }
 
 func TestDORDeadlockFree(t *testing.T) {
-	m := mesh.New(6, 6)
-	g, err := BuildDependencyGraph(topo.FromMesh(m), NewDOR(m), nil)
+	m := topo.NewMesh(6, 6)
+	g, err := BuildDependencyGraph(m, NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +127,14 @@ func TestDORDeadlockFree(t *testing.T) {
 }
 
 func TestDORTurnModel(t *testing.T) {
-	m := mesh.New(5, 5)
+	m := topo.NewMesh(5, 5)
 	turns, err := TurnsUsed(m, NewDOR(m), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allowed := map[Turn]bool{
-		{mesh.East, mesh.North}: true, {mesh.East, mesh.South}: true,
-		{mesh.West, mesh.North}: true, {mesh.West, mesh.South}: true,
+		{topo.East, topo.North}: true, {topo.East, topo.South}: true,
+		{topo.West, topo.North}: true, {topo.West, topo.South}: true,
 	}
 	for turn := range turns {
 		if !allowed[turn] {
@@ -157,13 +156,13 @@ func TestCDORQuickRandomRegions(t *testing.T) {
 		},
 	}
 	prop := func(w, h int, frac float64) bool {
-		m := mesh.New(w, h)
+		m := topo.NewMesh(w, h)
 		level := 1 + int(frac*float64(m.Nodes()-1))
 		r := sprint.NewRegion(m, 0, level, sprint.Euclidean)
 		alg := NewCDOR(r)
 		for _, src := range r.ActiveNodes() {
 			for _, dst := range r.ActiveNodes() {
-				path, err := Path(topo.FromMesh(m), alg, src, dst)
+				path, err := Path(m, alg, src, dst)
 				if err != nil {
 					return false
 				}
@@ -174,7 +173,7 @@ func TestCDORQuickRandomRegions(t *testing.T) {
 				}
 			}
 		}
-		g, err := BuildDependencyGraph(topo.FromMesh(m), alg, r.ActiveNodes())
+		g, err := BuildDependencyGraph(m, alg, r.ActiveNodes())
 		return err == nil && !g.HasCycle()
 	}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -183,7 +182,7 @@ func TestCDORQuickRandomRegions(t *testing.T) {
 }
 
 func TestCDORErrorsOnDarkNodes(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	r := sprint.NewRegion(m, 0, 4, sprint.Euclidean)
 	alg := NewCDOR(r)
 	if _, err := alg.NextPort(15, 0); err == nil {
@@ -195,13 +194,13 @@ func TestCDORErrorsOnDarkNodes(t *testing.T) {
 }
 
 func TestCDORFullLevelMatchesDOR(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	r := sprint.NewRegion(m, 0, 16, sprint.Euclidean)
 	cd, dor := NewCDOR(r), NewDOR(m)
 	for src := 0; src < 16; src++ {
 		for dst := 0; dst < 16; dst++ {
-			p1, err1 := Path(topo.FromMesh(m), cd, src, dst)
-			p2, err2 := Path(topo.FromMesh(m), dor, src, dst)
+			p1, err1 := Path(m, cd, src, dst)
+			p2, err2 := Path(m, dor, src, dst)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -213,10 +212,10 @@ func TestCDORFullLevelMatchesDOR(t *testing.T) {
 }
 
 func TestTurnString(t *testing.T) {
-	if (Turn{mesh.North, mesh.East}).String() != "NE" {
+	if (Turn{topo.North, topo.East}).String() != "NE" {
 		t.Error("turn string wrong")
 	}
-	if (Turn{mesh.West, mesh.South}).String() != "WS" {
+	if (Turn{topo.West, topo.South}).String() != "WS" {
 		t.Error("turn string wrong")
 	}
 }
@@ -224,14 +223,14 @@ func TestTurnString(t *testing.T) {
 // TestCDORLowerCornerMaster exercises the South escape path for a master in
 // the bottom-left corner.
 func TestCDORLowerCornerMaster(t *testing.T) {
-	m := mesh.New(4, 4)
-	master := m.ID(mesh.Coord{X: 0, Y: 3}) // node 12
+	m := topo.NewMesh(4, 4)
+	master := m.ID(topo.Coord{X: 0, Y: 3}) // node 12
 	for level := 1; level <= 16; level++ {
 		r := sprint.NewRegion(m, master, level, sprint.Euclidean)
 		alg := NewCDOR(r)
 		for _, src := range r.ActiveNodes() {
 			for _, dst := range r.ActiveNodes() {
-				path, err := Path(topo.FromMesh(m), alg, src, dst)
+				path, err := Path(m, alg, src, dst)
 				if err != nil {
 					t.Fatalf("level %d %d->%d: %v", level, src, dst, err)
 				}
@@ -242,7 +241,7 @@ func TestCDORLowerCornerMaster(t *testing.T) {
 				}
 			}
 		}
-		g, err := BuildDependencyGraph(topo.FromMesh(m), alg, r.ActiveNodes())
+		g, err := BuildDependencyGraph(m, alg, r.ActiveNodes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,14 +258,14 @@ func TestCDORLowerCornerMaster(t *testing.T) {
 // chip centre, OS core, MC-adjacent.
 func TestCDORArbitraryMasters(t *testing.T) {
 	for _, dims := range [][2]int{{4, 4}, {3, 5}} {
-		m := mesh.New(dims[0], dims[1])
+		m := topo.NewMesh(dims[0], dims[1])
 		for master := 0; master < m.Nodes(); master++ {
 			for level := 1; level <= m.Nodes(); level++ {
 				r := sprint.NewRegion(m, master, level, sprint.Euclidean)
 				alg := NewCDOR(r)
 				for _, src := range r.ActiveNodes() {
 					for _, dst := range r.ActiveNodes() {
-						path, err := Path(topo.FromMesh(m), alg, src, dst)
+						path, err := Path(m, alg, src, dst)
 						if err != nil {
 							t.Fatalf("%dx%d master %d level %d %d->%d: %v",
 								dims[0], dims[1], master, level, src, dst, err)
@@ -278,7 +277,7 @@ func TestCDORArbitraryMasters(t *testing.T) {
 						}
 					}
 				}
-				g, err := BuildDependencyGraph(topo.FromMesh(m), alg, r.ActiveNodes())
+				g, err := BuildDependencyGraph(m, alg, r.ActiveNodes())
 				if err != nil {
 					t.Fatal(err)
 				}

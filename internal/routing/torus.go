@@ -3,7 +3,6 @@ package routing
 import (
 	"fmt"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/topo"
 )
 
@@ -36,15 +35,15 @@ func (a *TorusDOR) NextPort(cur, dst int) (int, error) {
 	tx, ty := dst%w, dst/w
 	if x != tx {
 		if ringForward(x, tx, w) {
-			return int(mesh.East), nil
+			return topo.East, nil
 		}
-		return int(mesh.West), nil
+		return topo.West, nil
 	}
 	if y != ty {
 		if ringForward(y, ty, h) {
-			return int(mesh.South), nil
+			return topo.South, nil
 		}
-		return int(mesh.North), nil
+		return topo.North, nil
 	}
 	return topo.Local, nil
 }

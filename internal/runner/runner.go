@@ -46,7 +46,7 @@ func Workers(n int) int {
 }
 
 // Run executes one sweep and returns its results in point order. keys[i]
-// is the canonical journal key of point i (see ckpt.Key) and fn(ctx, i)
+// is the canonical journal key of point i (see ckpt.Key) and fn(i)
 // computes point i; fn must be safe to call from several goroutines at
 // once. Duplicate keys are rejected up front: they mean a key misses a
 // result-determining parameter.
@@ -74,7 +74,7 @@ func Workers(n int) int {
 // once per computed point; calls never overlap, done strictly increases
 // and total is len(keys).
 func Run[R any](ctx context.Context, j *ckpt.Journal, keys []string, workers int,
-	progress func(done, total int), fn func(ctx context.Context, i int) (R, error)) ([]R, error) {
+	progress func(done, total int), fn func(i int) (R, error)) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -121,7 +121,7 @@ func Run[R any](ctx context.Context, j *ckpt.Journal, keys []string, workers int
 					return
 				}
 				i := todo[k]
-				r, err := runPoint(ctx, j, keys[i], i, fn)
+				r, err := runPoint(j, keys[i], i, fn)
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)
@@ -158,14 +158,13 @@ func Run[R any](ctx context.Context, j *ckpt.Journal, keys []string, workers int
 
 // runPoint computes point i inside panic recovery, then journals the
 // result under key, still inside the recovery.
-func runPoint[R any](ctx context.Context, j *ckpt.Journal, key string, i int,
-	fn func(context.Context, int) (R, error)) (r R, err error) {
+func runPoint[R any](j *ckpt.Journal, key string, i int, fn func(int) (R, error)) (r R, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PointError{Index: i, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	r, err = fn(ctx, i)
+	r, err = fn(i)
 	if err == nil && j != nil {
 		err = j.Append(key, r)
 	}

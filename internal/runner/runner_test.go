@@ -71,7 +71,7 @@ func TestWorkersResolution(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	out, err := Run(context.Background(), nil, nil, 4, nil, func(context.Context, int) (int, error) { return 0, nil })
+	out, err := Run(context.Background(), nil, nil, 4, nil, func(int) (int, error) { return 0, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("Run(no keys) = %v, %v", out, err)
 	}
@@ -80,7 +80,7 @@ func TestRunEmpty(t *testing.T) {
 func TestRunPreservesOrder(t *testing.T) {
 	keys := keysN(100)
 	for _, workers := range []int{1, 2, 8, 200} {
-		out, err := Run(context.Background(), nil, keys, workers, nil, func(_ context.Context, i int) (int, error) { return i * i, nil })
+		out, err := Run(context.Background(), nil, keys, workers, nil, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestRunPreservesOrder(t *testing.T) {
 // count.
 func TestMapDeterministic(t *testing.T) {
 	keys := keysN(64)
-	fn := func(_ context.Context, i int) (float64, error) {
+	fn := func(i int) (float64, error) {
 		rng := rand.New(rand.NewSource(int64(i)))
 		var s float64
 		for k := 0; k < 1000; k++ {
@@ -127,7 +127,7 @@ func TestMapCtxDeterministicAcrossWorkers(t *testing.T) {
 	keys := keysN(64)
 	run := func(workers int) ([]int, []int, []bool) {
 		j := newJournal(t)
-		out, err := Run(context.Background(), j, keys, workers, nil, func(_ context.Context, i int) (int, error) {
+		out, err := Run(context.Background(), j, keys, workers, nil, func(i int) (int, error) {
 			return i*i + 7, nil
 		})
 		if err != nil {
@@ -146,7 +146,7 @@ func TestMapCtxDeterministicAcrossWorkers(t *testing.T) {
 func TestRunReportsLowestIndexedError(t *testing.T) {
 	fail := map[int]bool{17: true, 31: true, 44: true}
 	for _, workers := range []int{1, 4} {
-		_, err := Run(context.Background(), nil, keysN(50), workers, nil, func(_ context.Context, i int) (int, error) {
+		_, err := Run(context.Background(), nil, keysN(50), workers, nil, func(i int) (int, error) {
 			if fail[i] {
 				return 0, fmt.Errorf("boom at %d", i)
 			}
@@ -163,7 +163,7 @@ func TestRunReportsLowestIndexedError(t *testing.T) {
 
 func TestRunErrorWrapping(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	_, err := Run(context.Background(), nil, keysN(1), 1, nil, func(context.Context, int) (int, error) { return 0, sentinel })
+	_, err := Run(context.Background(), nil, keysN(1), 1, nil, func(int) (int, error) { return 0, sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Errorf("error %v does not wrap sentinel", err)
 	}
@@ -184,7 +184,7 @@ func TestRunErrorNamesSweepIndex(t *testing.T) {
 		return j
 	}
 
-	_, err := Run(context.Background(), resumed(t), keys, 1, nil, func(_ context.Context, i int) (int, error) {
+	_, err := Run(context.Background(), resumed(t), keys, 1, nil, func(i int) (int, error) {
 		if i == 4 {
 			return 0, errors.New("boom")
 		}
@@ -194,7 +194,7 @@ func TestRunErrorNamesSweepIndex(t *testing.T) {
 		t.Errorf("failure at point 4 reported as %v", err)
 	}
 
-	_, err = Run(context.Background(), resumed(t), keys, 1, nil, func(_ context.Context, i int) (int, error) {
+	_, err = Run(context.Background(), resumed(t), keys, 1, nil, func(i int) (int, error) {
 		if i == 5 {
 			panic("boom")
 		}
@@ -211,7 +211,7 @@ func TestRunErrorNamesSweepIndex(t *testing.T) {
 func TestRunStopsClaimingAfterFailure(t *testing.T) {
 	const n = 10_000
 	var ran atomic.Int64
-	_, err := Run(context.Background(), nil, keysN(n), 2, nil, func(context.Context, int) (int, error) {
+	_, err := Run(context.Background(), nil, keysN(n), 2, nil, func(int) (int, error) {
 		ran.Add(1)
 		return 0, errors.New("fail fast")
 	})
@@ -224,7 +224,7 @@ func TestRunStopsClaimingAfterFailure(t *testing.T) {
 }
 
 func TestRunNilContext(t *testing.T) {
-	out, err := Run(nil, nil, keysN(3), 2, nil, func(_ context.Context, i int) (int, error) {
+	out, err := Run(nil, nil, keysN(3), 2, nil, func(i int) (int, error) {
 		return (i + 1) * 10, nil
 	})
 	if err != nil {
@@ -241,7 +241,7 @@ func TestRunPreCancelledRunsNothing(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		j := newJournal(t)
 		var ran atomic.Int64
-		_, err := Run(ctx, j, keysN(20), workers, nil, func(context.Context, int) (int, error) {
+		_, err := Run(ctx, j, keysN(20), workers, nil, func(int) (int, error) {
 			ran.Add(1)
 			return 0, nil
 		})
@@ -270,7 +270,7 @@ func TestRunCancelStopsClaimingInFlightFinish(t *testing.T) {
 		}
 		cancel()
 	}()
-	_, err := Run(ctx, j, keys, workers, nil, func(ctx context.Context, i int) (int, error) {
+	_, err := Run(ctx, j, keys, workers, nil, func(i int) (int, error) {
 		inflight.Add(1)
 		<-ctx.Done() // block until the sweep is cancelled, then finish
 		return i * 2, nil
@@ -301,7 +301,7 @@ func TestRunCancelMidSweepOneWorker(t *testing.T) {
 	defer cancel()
 	keys := keysN(20)
 	j := newJournal(t)
-	_, err := Run(ctx, j, keys, 1, nil, func(_ context.Context, i int) (int, error) {
+	_, err := Run(ctx, j, keys, 1, nil, func(i int) (int, error) {
 		if i == 5 {
 			cancel()
 		}
@@ -325,7 +325,7 @@ func TestRunCancelMidSweepOneWorker(t *testing.T) {
 func TestRunCancelAfterLastPointIsNoError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	out, err := Run(ctx, nil, keysN(3), 1, nil, func(_ context.Context, i int) (int, error) {
+	out, err := Run(ctx, nil, keysN(3), 1, nil, func(i int) (int, error) {
 		if i == 2 {
 			cancel() // lands after the final point's work is done
 		}
@@ -348,7 +348,7 @@ func TestRunReportsAllConcurrentErrors(t *testing.T) {
 	j := newJournal(t)
 	var barrier sync.WaitGroup
 	barrier.Add(n)
-	_, err := Run(context.Background(), j, keysN(n), n, nil, func(context.Context, int) (int, error) {
+	_, err := Run(context.Background(), j, keysN(n), n, nil, func(int) (int, error) {
 		barrier.Done()
 		barrier.Wait() // every point is claimed before any fails
 		return 0, errors.New("boom")
@@ -384,7 +384,7 @@ func TestMapCtxPanicIsolated(t *testing.T) {
 	// alive.
 	var barrier sync.WaitGroup
 	barrier.Add(n)
-	_, err := Run(context.Background(), j, keys, n, nil, func(_ context.Context, i int) (int, error) {
+	_, err := Run(context.Background(), j, keys, n, nil, func(i int) (int, error) {
 		barrier.Done()
 		barrier.Wait()
 		if i == 2 {
@@ -428,7 +428,7 @@ func TestMapCtxPanicIsolated(t *testing.T) {
 func TestMapSerialPanicRecovered(t *testing.T) {
 	keys := keysN(3)
 	j := newJournal(t)
-	_, err := Run(context.Background(), j, keys, 1, nil, func(_ context.Context, i int) (int, error) {
+	_, err := Run(context.Background(), j, keys, 1, nil, func(i int) (int, error) {
 		if i == 1 {
 			panic(errors.New("typed panic"))
 		}

@@ -376,7 +376,7 @@ func TestPanicIsolation(t *testing.T) {
 				// cancellation out of running them.
 				claimed := make(chan struct{}, 3)
 				keys := []string{"p0", "p1", "p2", "p3"}
-				out, err := runner.Run(sim.Ctx, sim.Journal, keys, 4, nil, func(_ context.Context, i int) (int, error) {
+				out, err := runner.Run(sim.Ctx, sim.Journal, keys, 4, nil, func(i int) (int, error) {
 					if i == 2 {
 						for k := 0; k < 3; k++ {
 							<-claimed
@@ -445,7 +445,7 @@ func (d *journalStub) run(spec JobSpec, sim core.NetSimParams) (any, error) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("pt-%02d", i)
 	}
-	out, err := runner.Run(sim.Ctx, sim.Journal, keys, 2, nil, func(ctx context.Context, i int) (int, error) {
+	out, err := runner.Run(sim.Ctx, sim.Journal, keys, 2, nil, func(i int) (int, error) {
 		d.mu.Lock()
 		d.execs[i]++
 		d.mu.Unlock()
@@ -453,8 +453,8 @@ func (d *journalStub) run(spec JobSpec, sim core.NetSimParams) (any, error) {
 			if d.ctxware {
 				select {
 				case <-d.release:
-				case <-ctx.Done():
-					return 0, fmt.Errorf("point %d interrupted: %w", i, ctx.Err())
+				case <-sim.Ctx.Done():
+					return 0, fmt.Errorf("point %d interrupted: %w", i, sim.Ctx.Err())
 				}
 			} else {
 				<-d.release

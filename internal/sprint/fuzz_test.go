@@ -3,7 +3,7 @@ package sprint
 import (
 	"testing"
 
-	"nocsprint/internal/mesh"
+	"nocsprint/internal/topo"
 )
 
 // fuzzMod maps an arbitrary fuzz-provided int into [0, n).
@@ -30,7 +30,7 @@ func FuzzRegionActivate(f *testing.F) {
 	f.Add(2, 7, -6, 200, 3)
 	f.Fuzz(func(t *testing.T, w, h, master, level, metricRaw int) {
 		w, h = 1+fuzzMod(w, 9), 1+fuzzMod(h, 9)
-		m := mesh.New(w, h)
+		m := topo.NewMesh(w, h)
 		n := m.Nodes()
 		master = fuzzMod(master, n)
 		lvl := 1 + fuzzMod(level, n)
@@ -80,15 +80,15 @@ func FuzzRegionActivate(f *testing.F) {
 
 		// Connectivity bits agree with the active set.
 		for id := 0; id < n; id++ {
-			for d := mesh.Direction(1); d < mesh.Direction(mesh.NumDirections); d++ {
-				nb, ok := m.Neighbor(id, d)
-				want := ok && r.Active(nb)
+			for d := topo.North; d <= topo.West; d++ {
+				nb := m.Neighbor(id, d)
+				want := nb >= 0 && r.Active(nb)
 				if r.Connected(id, d) != want {
 					t.Fatalf("Connected(%d,%v) = %v, want %v", id, d, !want, want)
 				}
 			}
 			cw, ce := r.ConnectivityBits(id)
-			if cw != r.Connected(id, mesh.West) || ce != r.Connected(id, mesh.East) {
+			if cw != r.Connected(id, topo.West) || ce != r.Connected(id, topo.East) {
 				t.Fatalf("ConnectivityBits(%d) disagree with Connected", id)
 			}
 		}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"nocsprint/internal/mesh"
+	"nocsprint/internal/topo"
 )
 
 // The sprint governor: the online-repair policy that keeps a sprint region
@@ -18,7 +18,7 @@ import (
 // ActivationOrderOver runs Algorithm 1 restricted to the surviving nodes:
 // the ids of m for which alive(id) is true, sorted by ascending distance
 // from master (ties by node index). The master, when alive, is first.
-func ActivationOrderOver(m mesh.Mesh, master int, metric Metric, alive func(int) bool) []int {
+func ActivationOrderOver(m *topo.Mesh, master int, metric Metric, alive func(int) bool) []int {
 	mc := m.Coord(master)
 	order := make([]int, 0, m.Nodes())
 	for id := 0; id < m.Nodes(); id++ {
@@ -48,7 +48,7 @@ func ActivationOrderOver(m mesh.Mesh, master int, metric Metric, alive func(int)
 // inputs are runtime values (fault outcomes), so it returns errors instead
 // of panicking. The region's Order lists survivors only; failed nodes are
 // treated exactly like out-of-mesh positions.
-func NewRegionOver(m mesh.Mesh, master, level int, metric Metric, alive func(int) bool) (*Region, error) {
+func NewRegionOver(m *topo.Mesh, master, level int, metric Metric, alive func(int) bool) (*Region, error) {
 	if master < 0 || master >= m.Nodes() {
 		return nil, fmt.Errorf("sprint: master node %d outside mesh", master)
 	}
@@ -117,8 +117,6 @@ type GovernorEvent struct {
 	Kind GovernorEventKind
 	// Node is the node the decision concerns, or -1.
 	Node int
-	// Level and Master are the region level and master after the decision.
-	Level, Master int
 	// Detail is a human-readable note.
 	Detail string
 }
@@ -150,7 +148,7 @@ type GovernorConfig struct {
 // faults. All methods are deterministic: the same fault sequence yields the
 // same decisions, elections, and regions.
 type Governor struct {
-	mesh   mesh.Mesh
+	mesh   *topo.Mesh
 	metric Metric
 	cfg    GovernorConfig
 	master int
@@ -166,7 +164,7 @@ type Governor struct {
 
 // NewGovernor builds a governor over an initially healthy mesh sprinting at
 // level from master.
-func NewGovernor(m mesh.Mesh, master, level int, metric Metric, cfg GovernorConfig) (*Governor, error) {
+func NewGovernor(m *topo.Mesh, master, level int, metric Metric, cfg GovernorConfig) (*Governor, error) {
 	g := &Governor{
 		mesh:     m,
 		metric:   metric,
@@ -215,7 +213,7 @@ func (g *Governor) alive(id int) bool { return !g.down[id] }
 
 func (g *Governor) log(cycle int64, kind GovernorEventKind, node int, detail string) {
 	ev := GovernorEvent{
-		Cycle: cycle, Kind: kind, Node: node, Level: g.region.Level(), Master: g.master, Detail: detail,
+		Cycle: cycle, Kind: kind, Node: node, Detail: detail,
 	}
 	g.events = append(g.events, ev)
 	if g.cfg.OnEvent != nil {

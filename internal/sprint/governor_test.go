@@ -3,12 +3,12 @@ package sprint
 import (
 	"testing"
 
-	"nocsprint/internal/mesh"
+	"nocsprint/internal/topo"
 )
 
 func newGov(t *testing.T, level int) *Governor {
 	t.Helper()
-	g, err := NewGovernor(mesh.New(4, 4), 0, level, Euclidean, GovernorConfig{})
+	g, err := NewGovernor(topo.NewMesh(4, 4), 0, level, Euclidean, GovernorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,10 +276,10 @@ func TestGovernorValidateShrinksLevel(t *testing.T) {
 		}
 		return nil
 	}}
-	if _, err := NewGovernor(mesh.New(4, 4), 0, 8, Euclidean, cfg); err == nil {
+	if _, err := NewGovernor(topo.NewMesh(4, 4), 0, 8, Euclidean, cfg); err == nil {
 		t.Fatal("initial region violating Validate accepted")
 	}
-	g, err := NewGovernor(mesh.New(4, 4), 0, 3, Euclidean, cfg)
+	g, err := NewGovernor(topo.NewMesh(4, 4), 0, 3, Euclidean, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestGovernorRejectsBadInputs(t *testing.T) {
 }
 
 func TestNewRegionOverMatchesNewRegionWhenHealthy(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	for level := 1; level <= 16; level++ {
 		healthy := func(int) bool { return true }
 		over, err := NewRegionOver(m, 0, level, Euclidean, healthy)

@@ -7,7 +7,7 @@ package sprint
 import (
 	"fmt"
 
-	"nocsprint/internal/mesh"
+	"nocsprint/internal/topo"
 )
 
 // Metric selects the distance metric used to order node activation.
@@ -41,7 +41,7 @@ func (m Metric) String() string {
 // sorted by ascending distance from the master node, ties broken by node
 // index. The first element is always the master itself. The returned slice
 // has length m.Nodes().
-func ActivationOrder(m mesh.Mesh, master int, metric Metric) []int {
+func ActivationOrder(m *topo.Mesh, master int, metric Metric) []int {
 	return ActivationOrderOver(m, master, metric, allAlive)
 }
 
@@ -53,7 +53,7 @@ func allAlive(int) bool { return true }
 // four mesh neighbours are active — the per-router connectivity bits CDOR
 // consumes (the paper's Cw and Ce, plus Cn and Cs for completeness).
 type Region struct {
-	mesh   mesh.Mesh
+	mesh   *topo.Mesh
 	master int
 	level  int
 	order  []int
@@ -63,7 +63,7 @@ type Region struct {
 // NewRegion returns the sprint region at the given level (number of active
 // cores, 1..m.Nodes()) grown from master with the given metric. It panics on
 // an out-of-range level or master; both are configuration-time values.
-func NewRegion(m mesh.Mesh, master, level int, metric Metric) *Region {
+func NewRegion(m *topo.Mesh, master, level int, metric Metric) *Region {
 	r, err := NewRegionOver(m, master, level, metric, allAlive)
 	if err != nil {
 		panic(err.Error())
@@ -72,7 +72,7 @@ func NewRegion(m mesh.Mesh, master, level int, metric Metric) *Region {
 }
 
 // Mesh returns the underlying mesh.
-func (r *Region) Mesh() mesh.Mesh { return r.mesh }
+func (r *Region) Mesh() *topo.Mesh { return r.mesh }
 
 // Master returns the master node id.
 func (r *Region) Master() int { return r.master }
@@ -86,19 +86,19 @@ func (r *Region) Active(id int) bool { return r.active[id] }
 // ActiveNodes returns the ids of the active nodes in activation order.
 func (r *Region) ActiveNodes() []int { return append([]int(nil), r.order[:r.level]...) }
 
-// Connected reports whether the neighbour of id in direction d exists and is
-// active — i.e. whether the link from id in direction d is powered. This is
-// the generalised connectivity bit; Cw and Ce from the paper are
-// Connected(id, West) and Connected(id, East).
-func (r *Region) Connected(id int, d mesh.Direction) bool {
-	n, ok := r.mesh.Neighbor(id, d)
-	return ok && r.active[n]
+// Connected reports whether the neighbour of id through mesh port exists and
+// is active — i.e. whether the link from id through port is powered. This
+// is the generalised connectivity bit; Cw and Ce from the paper are
+// Connected(id, topo.West) and Connected(id, topo.East).
+func (r *Region) Connected(id, port int) bool {
+	n := r.mesh.Neighbor(id, port)
+	return n >= 0 && r.active[n]
 }
 
 // ConnectivityBits returns the paper's two per-router bits (Cw, Ce) for node
 // id: whether its west and east neighbours are connected.
 func (r *Region) ConnectivityBits(id int) (cw, ce bool) {
-	return r.Connected(id, mesh.West), r.Connected(id, mesh.East)
+	return r.Connected(id, topo.West), r.Connected(id, topo.East)
 }
 
 // IsConvex reports whether the active set is convex in the Euclidean sense
@@ -123,16 +123,16 @@ func (r *Region) IsConvex() bool {
 
 // latticePointsOnSegment returns the integer grid points lying exactly on
 // the closed segment from a to b.
-func latticePointsOnSegment(a, b mesh.Coord) []mesh.Coord {
+func latticePointsOnSegment(a, b topo.Coord) []topo.Coord {
 	dx, dy := b.X-a.X, b.Y-a.Y
 	if dx == 0 && dy == 0 {
-		return []mesh.Coord{a}
+		return []topo.Coord{a}
 	}
 	g := gcd(abs(dx), abs(dy))
 	sx, sy := dx/g, dy/g
-	pts := make([]mesh.Coord, 0, g+1)
+	pts := make([]topo.Coord, 0, g+1)
 	for i := 0; i <= g; i++ {
-		pts = append(pts, mesh.Coord{X: a.X + i*sx, Y: a.Y + i*sy})
+		pts = append(pts, topo.Coord{X: a.X + i*sx, Y: a.Y + i*sy})
 	}
 	return pts
 }

@@ -6,14 +6,14 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nocsprint/internal/mesh"
+	"nocsprint/internal/topo"
 )
 
 // TestActivationOrderPaper4x4 pins the exact order the paper's 4×4 example
 // implies for a top-left master: ascending squared Euclidean distance, ties
 // by index.
 func TestActivationOrderPaper4x4(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	got := ActivationOrder(m, 0, Euclidean)
 	want := []int{0, 1, 4, 5, 2, 8, 6, 9, 10, 3, 12, 7, 13, 11, 14, 15}
 	if !reflect.DeepEqual(got, want) {
@@ -25,7 +25,7 @@ func TestActivationOrderPaper4x4(t *testing.T) {
 // metrics agree on 3-core sprinting {0,1,4}, but for the 4th node Hamming
 // may pick node 2 while Euclidean picks the better node 5.
 func TestEuclideanVsHammingFourCore(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	eu := ActivationOrder(m, 0, Euclidean)
 	ha := ActivationOrder(m, 0, Hamming)
 	if !reflect.DeepEqual(eu[:3], []int{0, 1, 4}) || !reflect.DeepEqual(ha[:3], []int{0, 1, 4}) {
@@ -41,7 +41,7 @@ func TestEuclideanVsHammingFourCore(t *testing.T) {
 
 func TestActivationOrderIsPermutation(t *testing.T) {
 	for _, dims := range [][2]int{{4, 4}, {8, 8}, {5, 3}, {1, 1}, {2, 7}} {
-		m := mesh.New(dims[0], dims[1])
+		m := topo.NewMesh(dims[0], dims[1])
 		for _, metric := range []Metric{Euclidean, Hamming} {
 			for master := 0; master < m.Nodes(); master++ {
 				order := ActivationOrder(m, master, metric)
@@ -61,7 +61,7 @@ func TestActivationOrderIsPermutation(t *testing.T) {
 }
 
 func TestActivationOrderMonotoneDistance(t *testing.T) {
-	m := mesh.New(8, 8)
+	m := topo.NewMesh(8, 8)
 	order := ActivationOrder(m, 0, Euclidean)
 	prev := -1
 	for _, id := range order {
@@ -74,7 +74,7 @@ func TestActivationOrderMonotoneDistance(t *testing.T) {
 }
 
 func TestRegionEightCorePaper(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	r := NewRegion(m, 0, 8, Euclidean)
 	want := map[int]bool{0: true, 1: true, 4: true, 5: true, 2: true, 8: true, 6: true, 9: true}
 	for id := 0; id < 16; id++ {
@@ -94,7 +94,7 @@ func TestRegionEightCorePaper(t *testing.T) {
 
 func TestRegionConvexAndStaircaseAllLevels(t *testing.T) {
 	for _, dims := range [][2]int{{4, 4}, {8, 8}, {6, 3}} {
-		m := mesh.New(dims[0], dims[1])
+		m := topo.NewMesh(dims[0], dims[1])
 		for level := 1; level <= m.Nodes(); level++ {
 			r := NewRegion(m, 0, level, Euclidean)
 			if !r.IsConvex() {
@@ -122,8 +122,8 @@ func TestRegionStaircaseAnyCornerQuick(t *testing.T) {
 		},
 	}
 	prop := func(w, h, corner int, frac float64) bool {
-		m := mesh.New(w, h)
-		corners := []mesh.Coord{{X: 0, Y: 0}, {X: w - 1, Y: 0}, {X: 0, Y: h - 1}, {X: w - 1, Y: h - 1}}
+		m := topo.NewMesh(w, h)
+		corners := []topo.Coord{{X: 0, Y: 0}, {X: w - 1, Y: 0}, {X: 0, Y: h - 1}, {X: w - 1, Y: h - 1}}
 		master := m.ID(corners[corner])
 		level := 1 + int(frac*float64(m.Nodes()-1))
 		r := NewRegion(m, master, level, Euclidean)
@@ -135,7 +135,7 @@ func TestRegionStaircaseAnyCornerQuick(t *testing.T) {
 }
 
 func TestRegionActiveDarkPartition(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	for level := 1; level <= 16; level++ {
 		r := NewRegion(m, 0, level, Euclidean)
 		a, d := r.ActiveNodes(), r.order[level:]
@@ -153,7 +153,7 @@ func TestRegionActiveDarkPartition(t *testing.T) {
 }
 
 func TestNewRegionPanics(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	for _, tc := range []struct{ master, level int }{{-1, 4}, {16, 4}, {0, 0}, {0, 17}} {
 		func() {
 			defer func() {
@@ -167,7 +167,7 @@ func TestNewRegionPanics(t *testing.T) {
 }
 
 func TestConnectivityBitsFullMesh(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	r := NewRegion(m, 0, 16, Euclidean)
 	// In a fully-active mesh, Cw is false only on the west edge, Ce only on
 	// the east edge.

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"nocsprint/internal/floorplan"
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/sprint"
+	"nocsprint/internal/topo"
 )
 
 const (
@@ -43,7 +43,7 @@ func fullPower() []float64 {
 // clustered), 343.81 K (4-core with thermal-aware floorplanning).
 func TestFig12PeakTemperatures(t *testing.T) {
 	cfg := DefaultGridConfig()
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 	plan, err := floorplan.Thermal(m, order)
 	if err != nil {
@@ -155,7 +155,7 @@ func TestSteadyStateValidation(t *testing.T) {
 // per cell and a few µW over the map, and a 0.1% error in any one
 // conductance leaves microwatts per cell.
 func TestSteadyStateHeatBalance(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 	plan, err := floorplan.Thermal(m, order)
 	if err != nil {

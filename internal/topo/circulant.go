@@ -118,17 +118,7 @@ func (c *Circulant) PortName(port int) string {
 func (c *Circulant) Label(id int) string { return fmt.Sprintf("n%d", id) }
 
 // PortTo implements Topology.
-func (c *Circulant) PortTo(a, b int) int {
-	if a < 0 || b < 0 || a >= c.n || b >= c.n {
-		return -1
-	}
-	for p := 1; p <= 4; p++ {
-		if c.Neighbor(a, p) == b {
-			return p
-		}
-	}
-	return -1
-}
+func (c *Circulant) PortTo(a, b int) int { return portTo(c, a, b) }
 
 // Links implements Topology: every node's +s1 and +s2 link, enumerating
 // each undirected link once.

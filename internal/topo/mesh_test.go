@@ -1,4 +1,4 @@
-package mesh
+package topo
 
 import (
 	"math/rand"
@@ -7,21 +7,21 @@ import (
 	"testing/quick"
 )
 
-func TestNewPanicsOnBadDims(t *testing.T) {
+func TestNewMeshPanicsOnBadDims(t *testing.T) {
 	for _, dims := range [][2]int{{0, 4}, {4, 0}, {-1, 3}, {0, 0}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New(%d,%d) did not panic", dims[0], dims[1])
+					t.Errorf("NewMesh(%d,%d) did not panic", dims[0], dims[1])
 				}
 			}()
-			New(dims[0], dims[1])
+			NewMesh(dims[0], dims[1])
 		}()
 	}
 }
 
 func TestIDCoordRoundTrip(t *testing.T) {
-	m := New(4, 4)
+	m := NewMesh(4, 4)
 	for id := 0; id < m.Nodes(); id++ {
 		if got := m.ID(m.Coord(id)); got != id {
 			t.Errorf("round trip for %d = %d", id, got)
@@ -30,7 +30,7 @@ func TestIDCoordRoundTrip(t *testing.T) {
 }
 
 func TestCoordLayoutRowMajor(t *testing.T) {
-	m := New(4, 4)
+	m := NewMesh(4, 4)
 	// Node 0 top-left, node 5 at (1,1), node 15 bottom-right.
 	cases := map[int]Coord{0: {0, 0}, 1: {1, 0}, 4: {0, 1}, 5: {1, 1}, 15: {3, 3}}
 	for id, want := range cases {
@@ -41,7 +41,7 @@ func TestCoordLayoutRowMajor(t *testing.T) {
 }
 
 func TestIDPanicsOutside(t *testing.T) {
-	m := New(3, 3)
+	m := NewMesh(3, 3)
 	defer func() {
 		if recover() == nil {
 			t.Error("ID outside mesh did not panic")
@@ -51,7 +51,7 @@ func TestIDPanicsOutside(t *testing.T) {
 }
 
 func TestCoordPanicsOutside(t *testing.T) {
-	m := New(3, 3)
+	m := NewMesh(3, 3)
 	defer func() {
 		if recover() == nil {
 			t.Error("Coord outside mesh did not panic")
@@ -60,38 +60,32 @@ func TestCoordPanicsOutside(t *testing.T) {
 	m.Coord(9)
 }
 
-func TestNeighbor(t *testing.T) {
-	m := New(4, 4)
-	tests := []struct {
-		id   int
-		d    Direction
-		want int
-		ok   bool
-	}{
-		{0, North, -1, false},
-		{0, West, -1, false},
-		{0, East, 1, true},
-		{0, South, 4, true},
-		{5, North, 1, true},
-		{5, East, 6, true},
-		{5, South, 9, true},
-		{5, West, 4, true},
-		{15, East, -1, false},
-		{15, South, -1, false},
-		{3, East, -1, false},
-		{12, West, -1, false},
-		{5, Local, -1, false},
+func TestMeshNeighbor(t *testing.T) {
+	m := NewMesh(4, 4)
+	tests := []struct{ id, port, want int }{
+		{0, North, -1},
+		{0, West, -1},
+		{0, East, 1},
+		{0, South, 4},
+		{5, North, 1},
+		{5, East, 6},
+		{5, South, 9},
+		{5, West, 4},
+		{15, East, -1},
+		{15, South, -1},
+		{3, East, -1},
+		{12, West, -1},
+		{5, Local, -1},
 	}
 	for _, tc := range tests {
-		got, ok := m.Neighbor(tc.id, tc.d)
-		if ok != tc.ok || (ok && got != tc.want) {
-			t.Errorf("Neighbor(%d,%v) = %d,%v want %d,%v", tc.id, tc.d, got, ok, tc.want, tc.ok)
+		if got := m.Neighbor(tc.id, tc.port); got != tc.want {
+			t.Errorf("Neighbor(%d,%s) = %d, want %d", tc.id, m.PortName(tc.port), got, tc.want)
 		}
 	}
 }
 
 func TestNeighborsCounts(t *testing.T) {
-	m := New(4, 4)
+	m := NewMesh(4, 4)
 	wantCount := map[int]int{0: 2, 3: 2, 12: 2, 15: 2, 1: 3, 4: 3, 5: 4, 10: 4}
 	for id, want := range wantCount {
 		if got := len(m.Neighbors(id)); got != want {
@@ -100,51 +94,41 @@ func TestNeighborsCounts(t *testing.T) {
 	}
 }
 
-func TestDirectionTo(t *testing.T) {
-	m := New(4, 4)
-	if d := m.DirectionTo(5, 1); d != North {
-		t.Errorf("DirectionTo(5,1) = %v", d)
-	}
-	if d := m.DirectionTo(5, 6); d != East {
-		t.Errorf("DirectionTo(5,6) = %v", d)
-	}
-	if d := m.DirectionTo(5, 9); d != South {
-		t.Errorf("DirectionTo(5,9) = %v", d)
-	}
-	if d := m.DirectionTo(5, 4); d != West {
-		t.Errorf("DirectionTo(5,4) = %v", d)
-	}
-}
-
-func TestDirectionToPanicsOnNonAdjacent(t *testing.T) {
-	m := New(4, 4)
-	defer func() {
-		if recover() == nil {
-			t.Error("DirectionTo on non-adjacent nodes did not panic")
-		}
-	}()
-	m.DirectionTo(0, 5)
-}
-
-func TestOppositeInvolution(t *testing.T) {
-	for _, d := range []Direction{Local, North, East, South, West} {
-		if d.Opposite().Opposite() != d {
-			t.Errorf("Opposite not an involution for %v", d)
+func TestMeshPortTo(t *testing.T) {
+	m := NewMesh(4, 4)
+	for b, want := range map[int]int{1: North, 6: East, 9: South, 4: West} {
+		if got := m.PortTo(5, b); got != want {
+			t.Errorf("PortTo(5,%d) = %d, want %d", b, got, want)
 		}
 	}
 }
 
-func TestOffsetMatchesNeighbor(t *testing.T) {
-	m := New(5, 3)
+// TestMeshPortToNonAdjacent checks that PortTo answers -1 for the node
+// itself, a diagonal, a node two hops away and an id past the mesh.
+func TestMeshPortToNonAdjacent(t *testing.T) {
+	m := NewMesh(4, 4)
+	for _, b := range []int{5, 0, 10, 7, 16} {
+		if got := m.PortTo(5, b); got != -1 {
+			t.Errorf("PortTo(5,%d) = %d, want -1", b, got)
+		}
+	}
+}
+
+// TestNeighborMatchesCoords checks every mesh port against the coordinate
+// step it names: one row up, one column right, one row down, one column left.
+func TestNeighborMatchesCoords(t *testing.T) {
+	m := NewMesh(5, 3)
+	steps := map[int]Coord{North: {0, -1}, East: {1, 0}, South: {0, 1}, West: {-1, 0}}
 	for id := 0; id < m.Nodes(); id++ {
-		for _, d := range []Direction{North, East, South, West} {
-			c := m.Coord(id).Add(d.Offset())
-			nb, ok := m.Neighbor(id, d)
-			if ok != m.Contains(c) {
-				t.Fatalf("Neighbor/Contains disagree at %d %v", id, d)
+		for p, d := range steps {
+			c := m.Coord(id)
+			c.X, c.Y = c.X+d.X, c.Y+d.Y
+			want := -1
+			if m.Contains(c) {
+				want = m.ID(c)
 			}
-			if ok && m.ID(c) != nb {
-				t.Fatalf("Offset and Neighbor disagree at %d %v", id, d)
+			if got := m.Neighbor(id, p); got != want {
+				t.Fatalf("Neighbor(%d,%s) = %d, want %d", id, m.PortName(p), got, want)
 			}
 		}
 	}
@@ -183,14 +167,5 @@ func TestDistanceProperties(t *testing.T) {
 	}
 	if err := quick.Check(tri, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDirectionString(t *testing.T) {
-	if North.String() != "North" || Local.String() != "Local" {
-		t.Error("direction names wrong")
-	}
-	if Direction(99).String() != "Direction(99)" {
-		t.Error("out-of-range direction name wrong")
 	}
 }

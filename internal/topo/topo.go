@@ -4,10 +4,10 @@
 // package turns the topology into an extension point — a Topology describes
 // the node set, the uniform per-node port space, and the link structure, and
 // the router pipeline in internal/noc sizes all of its per-port state from
-// it. Three implementations ship: Mesh (adapting internal/mesh,
-// bit-identical to the pre-abstraction simulator), Torus (wraparound links),
-// and Circulant (ring with two chord strides, after Romanov's ring-circulant
-// NoC study).
+// it. Three implementations ship: Mesh (the paper's 2-D mesh, which also
+// carries the coordinates and distances of its algorithms), Torus
+// (wraparound links), and Circulant (ring with two chord strides, after
+// Romanov's ring-circulant NoC study).
 package topo
 
 // Local is the port index of every router's local (NIC) port. All
@@ -56,6 +56,34 @@ func AllNodes(n int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = i
+	}
+	return out
+}
+
+// portTo is PortTo for every topology: the lowest port at a whose link
+// leads to b, or -1.
+func portTo(t Topology, a, b int) int {
+	if a < 0 || b < 0 || a >= t.Nodes() || b >= t.Nodes() {
+		return -1
+	}
+	for p := 1; p < t.Ports(); p++ {
+		if t.Neighbor(a, p) == b {
+			return p
+		}
+	}
+	return -1
+}
+
+// gridLinks is Links for the mesh and the torus: every node's East link,
+// then its South link, where they exist.
+func gridLinks(t Topology) [][2]int {
+	out := make([][2]int, 0, 2*t.Nodes())
+	for id := 0; id < t.Nodes(); id++ {
+		for _, p := range [...]int{East, South} {
+			if n := t.Neighbor(id, p); n >= 0 {
+				out = append(out, [2]int{id, n})
+			}
+		}
 	}
 	return out
 }

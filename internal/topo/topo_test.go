@@ -1,9 +1,9 @@
 package topo
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
-
-	"nocsprint/internal/mesh"
 )
 
 // topologies under test, table-driven: every implementation must satisfy
@@ -118,38 +118,90 @@ func TestLinksConsistent(t *testing.T) {
 	}
 }
 
-// TestMeshMatchesMeshPackage pins the mesh adapter to the exact
-// mesh.Direction port numbering the simulator's zero-drift guarantee
-// depends on.
-func TestMeshMatchesMeshPackage(t *testing.T) {
-	m := mesh.New(4, 3)
-	tp := FromMesh(m)
-	if tp.Ports() != mesh.NumDirections {
-		t.Fatalf("mesh topology has %d ports, want %d", tp.Ports(), mesh.NumDirections)
+// gridTopologies returns a 4x3 mesh and a 4x3 torus, the two topologies
+// that share the Local..West port space.
+func gridTopologies(t *testing.T) (*Mesh, []Topology) {
+	t.Helper()
+	torus, err := NewTorus(4, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tp.Mesh() != m {
-		t.Error("FromMesh does not preserve the mesh value")
+	m := NewMesh(4, 3)
+	return m, []Topology{m, torus}
+}
+
+// TestGridPortNumbering pins the mesh and torus port space the simulator's
+// bit-identical results depend on: Local 0, North 1, East 2, South 3,
+// West 4, and -1 from Neighbor on Local and on every port past West.
+func TestGridPortNumbering(t *testing.T) {
+	if Local != 0 || North != 1 || East != 2 || South != 3 || West != 4 {
+		t.Fatalf("ports Local..West = %d %d %d %d %d, want 0..4", Local, North, East, South, West)
 	}
-	for id := 0; id < m.Nodes(); id++ {
-		for d := mesh.Direction(1); int(d) < mesh.NumDirections; d++ {
-			want, ok := m.Neighbor(id, d)
-			got := tp.Neighbor(id, int(d))
-			if ok && got != want || !ok && got != -1 {
-				t.Errorf("node %d dir %v: topo neighbor %d, mesh %d (ok=%v)", id, d, got, want, ok)
+	m, grids := gridTopologies(t)
+	for _, tp := range grids {
+		if tp.Ports() != 5 {
+			t.Fatalf("%s has %d ports, want 5", tp.Name(), tp.Ports())
+		}
+		for id := 0; id < tp.Nodes(); id++ {
+			for _, p := range []int{Local, 5, 6, 99} {
+				if n := tp.Neighbor(id, p); n != -1 {
+					t.Errorf("%s node %d port %d: neighbor %d, want -1", tp.Name(), id, p, n)
+				}
 			}
-			if tp.Opposite(int(d)) != int(d.Opposite()) {
-				t.Errorf("dir %v: opposite mismatch", d)
-			}
-			if tp.PortName(int(d)) != d.String() {
-				t.Errorf("dir %v: name mismatch", d)
+			if want := m.Coord(id).String(); tp.Label(id) != want {
+				t.Errorf("%s node %d: label %q, want %q", tp.Name(), id, tp.Label(id), want)
 			}
 		}
-		if tp.Label(id) != m.Coord(id).String() {
-			t.Errorf("node %d: label %q != coord %q", id, tp.Label(id), m.Coord(id))
+	}
+	if m.Name() != "4x3 mesh" || m.Width() != 4 || m.Height() != 3 || m.Nodes() != 12 {
+		t.Error("mesh metadata wrong")
+	}
+	// Links: each node's East link, then its South link.
+	want := [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}}
+	if got := NewMesh(2, 2).Links(); !reflect.DeepEqual(got, want) {
+		t.Errorf("2x2 mesh links %v, want %v", got, want)
+	}
+}
+
+// TestGridPortNames pins the mesh and torus port names, and the
+// Direction(n) name of a port outside Local..West.
+func TestGridPortNames(t *testing.T) {
+	_, grids := gridTopologies(t)
+	names := []string{"Local", "North", "East", "South", "West"}
+	for _, tp := range grids {
+		for p, name := range names {
+			if tp.PortName(p) != name {
+				t.Errorf("%s port %d: name %q, want %q", tp.Name(), p, tp.PortName(p), name)
+			}
+		}
+		for _, p := range []int{-1, 5, 99} {
+			if want := fmt.Sprintf("Direction(%d)", p); tp.PortName(p) != want {
+				t.Errorf("%s port %d: name %q, want %q", tp.Name(), p, tp.PortName(p), want)
+			}
 		}
 	}
-	if NewMesh(4, 3).Name() != "4x3 mesh" {
-		t.Error("mesh name wrong")
+}
+
+// TestGridOppositeInvolution pins each mesh and torus port's opposite,
+// checks that Opposite undoes itself, and that a port outside Local..West
+// maps to Local.
+func TestGridOppositeInvolution(t *testing.T) {
+	_, grids := gridTopologies(t)
+	opposite := []int{Local, South, West, North, East}
+	for _, tp := range grids {
+		for p, want := range opposite {
+			if tp.Opposite(p) != want {
+				t.Errorf("%s port %d: opposite %d, want %d", tp.Name(), p, tp.Opposite(p), want)
+			}
+			if tp.Opposite(tp.Opposite(p)) != p {
+				t.Errorf("%s port %d: Opposite is not an involution", tp.Name(), p)
+			}
+		}
+		for _, p := range []int{-1, 5, 99} {
+			if tp.Opposite(p) != Local {
+				t.Errorf("%s port %d: opposite %d, want Local", tp.Name(), p, tp.Opposite(p))
+			}
+		}
 	}
 }
 
@@ -159,13 +211,13 @@ func TestTorusWraparound(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Row-major IDs: node 3 is (3,0); East wraps to (0,0) = node 0.
-	if got := tp.Neighbor(3, int(mesh.East)); got != 0 {
+	if got := tp.Neighbor(3, East); got != 0 {
 		t.Errorf("East of node 3 = %d, want 0 (wrap)", got)
 	}
-	if got := tp.Neighbor(0, int(mesh.West)); got != 3 {
+	if got := tp.Neighbor(0, West); got != 3 {
 		t.Errorf("West of node 0 = %d, want 3 (wrap)", got)
 	}
-	if got := tp.Neighbor(0, int(mesh.North)); got != 12 {
+	if got := tp.Neighbor(0, North); got != 12 {
 		t.Errorf("North of node 0 = %d, want 12 (wrap)", got)
 	}
 	if tp.Name() != "4x4 torus" || tp.Width() != 4 || tp.Height() != 4 {

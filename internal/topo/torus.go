@@ -1,10 +1,6 @@
 package topo
 
-import (
-	"fmt"
-
-	"nocsprint/internal/mesh"
-)
+import "fmt"
 
 // Torus is a w×h 2D torus: the mesh with wraparound links in both
 // dimensions. It reuses the mesh port numbering (Local, North, East, South,
@@ -39,19 +35,19 @@ func (t *Torus) Name() string { return fmt.Sprintf("%dx%d torus", t.w, t.h) }
 func (t *Torus) Nodes() int { return t.w * t.h }
 
 // Ports implements Topology.
-func (t *Torus) Ports() int { return mesh.NumDirections }
+func (t *Torus) Ports() int { return len(gridPortNames) }
 
 // Neighbor implements Topology.
 func (t *Torus) Neighbor(id, port int) int {
 	x, y := id%t.w, id/t.w
-	switch mesh.Direction(port) {
-	case mesh.North:
+	switch port {
+	case North:
 		y = (y - 1 + t.h) % t.h
-	case mesh.East:
+	case East:
 		x = (x + 1) % t.w
-	case mesh.South:
+	case South:
 		y = (y + 1) % t.h
-	case mesh.West:
+	case West:
 		x = (x - 1 + t.w) % t.w
 	default:
 		return -1
@@ -60,39 +56,21 @@ func (t *Torus) Neighbor(id, port int) int {
 }
 
 // Opposite implements Topology.
-func (t *Torus) Opposite(port int) int { return int(mesh.Direction(port).Opposite()) }
+func (t *Torus) Opposite(port int) int { return gridOpposite(port) }
 
 // PortName implements Topology.
-func (t *Torus) PortName(port int) string { return mesh.Direction(port).String() }
+func (t *Torus) PortName(port int) string { return gridPortName(port) }
 
 // Label implements Topology.
-func (t *Torus) Label(id int) string { return fmt.Sprintf("(%d,%d)", id%t.w, id/t.w) }
+func (t *Torus) Label(id int) string { return Coord{id % t.w, id / t.w}.String() }
 
 // PortTo implements Topology. On a 2-wide ring both the East and West port
 // of a reach b; the lower port (East) is returned.
-func (t *Torus) PortTo(a, b int) int {
-	if a < 0 || b < 0 || a >= t.Nodes() || b >= t.Nodes() {
-		return -1
-	}
-	for p := 1; p < t.Ports(); p++ {
-		if t.Neighbor(a, p) == b {
-			return p
-		}
-	}
-	return -1
-}
+func (t *Torus) PortTo(a, b int) int { return portTo(t, a, b) }
 
 // Links implements Topology: every router's East and South link, which
 // enumerates each ring link exactly once (and, on a 2-ring, each of the two
 // parallel links once).
-func (t *Torus) Links() [][2]int {
-	out := make([][2]int, 0, 2*t.Nodes())
-	for id := 0; id < t.Nodes(); id++ {
-		out = append(out,
-			[2]int{id, t.Neighbor(id, int(mesh.East))},
-			[2]int{id, t.Neighbor(id, int(mesh.South))})
-	}
-	return out
-}
+func (t *Torus) Links() [][2]int { return gridLinks(t) }
 
 var _ Topology = (*Torus)(nil)

@@ -19,7 +19,7 @@ package workload
 import (
 	"fmt"
 
-	"nocsprint/internal/mesh"
+	"nocsprint/internal/topo"
 )
 
 // Profile is one benchmark's scalability model.
@@ -95,7 +95,7 @@ func (p Profile) Time(n int, avgHops float64) float64 {
 // nodes — the interconnect distance uniform traffic experiences over a
 // sprint region, given its nodes in activation order. Fewer than two nodes
 // return 0.
-func AvgHops(m mesh.Mesh, nodes []int) float64 {
+func AvgHops(m *topo.Mesh, nodes []int) float64 {
 	if len(nodes) < 2 {
 		return 0
 	}
@@ -112,7 +112,7 @@ func AvgHops(m mesh.Mesh, nodes []int) float64 {
 // OptimalLevel returns the sprint level in [1, len(order)] minimising
 // NormTime over the prefixes of the activation order, and the minimised
 // value. This is the paper's off-line profiling step (§4.1).
-func (p Profile) OptimalLevel(m mesh.Mesh, order []int) (int, float64) {
+func (p Profile) OptimalLevel(m *topo.Mesh, order []int) (int, float64) {
 	best, bestT := 1, p.NormTime(1, 0)
 	for n := 2; n <= len(order); n++ {
 		t := p.NormTime(n, AvgHops(m, order[:n]))

@@ -4,9 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"nocsprint/internal/mesh"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/stats"
+	"nocsprint/internal/topo"
 )
 
 func TestProfilesValidate(t *testing.T) {
@@ -71,7 +71,7 @@ func TestNormTimePanicsBelowOneCore(t *testing.T) {
 
 // TestPaperShapeCategories pins the three workload shapes of Figure 4.
 func TestPaperShapeCategories(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 	opt := func(name string) int {
 		p, err := ByName(name)
@@ -109,7 +109,7 @@ func TestPaperShapeCategories(t *testing.T) {
 // TestFreqmineNearlyFlat checks the paper's observation that freqmine's
 // execution time is almost identical across core counts.
 func TestFreqmineNearlyFlat(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 	p, err := ByName("freqmine")
 	if err != nil {
@@ -130,7 +130,7 @@ func TestFreqmineNearlyFlat(t *testing.T) {
 // their optimum — the paper's "delay penalty after exceeding a certain
 // number".
 func TestPeakThenDegrade(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 	for _, name := range []string{"vips", "swaptions", "dedup", "canneal"} {
 		p, err := ByName(name)
@@ -150,7 +150,7 @@ func TestPeakThenDegrade(t *testing.T) {
 // full-sprinting ~1.9x, and NoC-sprinting beats full-sprinting by a clear
 // factor. Bands are deliberately loose — we reproduce shape, not digits.
 func TestFig7AggregateSpeedups(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 	var spOpt, spFull []float64
 	for _, p := range Profiles() {
@@ -178,7 +178,7 @@ func TestFig7AggregateSpeedups(t *testing.T) {
 }
 
 func TestAvgHops(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	order := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 	if h := AvgHops(m, order[:1]); h != 0 {
 		t.Errorf("AvgHops(level 1) = %v", h)
@@ -207,7 +207,7 @@ func TestAvgHops(t *testing.T) {
 // for Euclidean activation: averaged over levels, the Euclidean-grown
 // region has no worse mean inter-node distance than the Hamming-grown one.
 func TestEuclideanRegionsBeatHammingOnHops(t *testing.T) {
-	m := mesh.New(4, 4)
+	m := topo.NewMesh(4, 4)
 	euOrder := sprint.ActivationOrder(m, 0, sprint.Euclidean)
 	haOrder := sprint.ActivationOrder(m, 0, sprint.Hamming)
 	var eu, ha float64
