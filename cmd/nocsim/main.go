@@ -82,24 +82,15 @@ func run(w io.Writer, width, height, vcs, depth, pktLen, level int, patternName 
 	m := topo.NewMesh(width, height)
 
 	var (
-		alg     routing.Algorithm
-		nodes   []int
-		active  []int
-		routers int
+		alg    routing.Algorithm = routing.NewDOR(m)
+		nodes                    = topo.AllNodes(m.Nodes())
+		active []int             // nil powers every router
 	)
 	if level > 0 {
 		region := sprint.NewRegion(m, 0, level, sprint.Euclidean)
 		alg = routing.NewCDOR(region)
 		nodes = region.ActiveNodes()
 		active = nodes
-		routers = level
-	} else {
-		alg = routing.NewDOR(m)
-		nodes = make([]int, m.Nodes())
-		for i := range nodes {
-			nodes[i] = i
-		}
-		routers = m.Nodes()
 	}
 	set := traffic.NewSet(nodes)
 
@@ -140,14 +131,14 @@ func run(w io.Writer, width, height, vcs, depth, pktLen, level int, patternName 
 	}
 	params := power.DefaultRouterParams45nm(cfg)
 	corner := power.Corner{VDD: vdd, FreqHz: freq}
-	bd, err := params.NetworkPower(res.Events, res.MeasureWindow, routers, corner)
+	bd, err := params.NetworkPower(res.Events, res.MeasureWindow, net.ActiveRouters(), corner)
 	if err != nil {
 		return err
 	}
 
 	fmt.Fprintf(w, "mesh            %dx%d, %d VCs x %d flits, %d-flit packets\n",
 		width, height, vcs, depth, pktLen)
-	fmt.Fprintf(w, "routing         %s (%d routers powered)\n", alg.Name(), routers)
+	fmt.Fprintf(w, "routing         %s (%d routers powered)\n", alg.Name(), net.ActiveRouters())
 	fmt.Fprintf(w, "pattern         %s over %d endpoints\n", pat.Name(), set.Size())
 	fmt.Fprintf(w, "offered load    %.3f flits/cycle/node\n", rate)
 	fmt.Fprintf(w, "accepted load   %.3f flits/cycle/node\n", res.ThroughputFlits)

@@ -76,22 +76,7 @@ type options struct {
 // positional arguments are an error.
 func parseArgs(args []string, output io.Writer) (options, string, error) {
 	var o options
-	fs := flag.NewFlagSet("nocsprint", flag.ContinueOnError)
-	fs.SetOutput(output)
-	fs.Usage = func() { usage(output) }
-	fs.BoolVar(&o.fast, "fast", false, "shrink simulation windows for quick smoke runs")
-	fs.BoolVar(&o.json, "json", false, "emit machine-readable JSON instead of tables")
-	fs.BoolVar(&o.check, "check", false, "enable runtime invariant checking on every simulation")
-	fs.BoolVar(&o.refstep, "refstep", false, "run simulations on the reference full-scan stepper (results identical, slower)")
-	fs.IntVar(&o.workers, "workers", 0, "parallel sweep workers: 0 = all cores, 1 = serial")
-	fs.DurationVar(&o.timeout, "timeout", 0, "cancel the run gracefully after this duration (0 = none)")
-	fs.StringVar(&o.checkpoint, "checkpoint", "", "directory for the crash-safe sweep journal")
-	fs.BoolVar(&o.resume, "resume", false, "skip sweep points already in the -checkpoint journal")
-	fs.BoolVar(&o.obs, "obs", false, "attach cycle-sampled telemetry collectors to every simulation")
-	fs.IntVar(&o.obsInterval, "obs-interval", 1000, "telemetry sampling interval in cycles (with -obs)")
-	fs.StringVar(&o.obsOut, "obs-out", "obs", "directory for per-point telemetry JSONL/CSV files (with -obs)")
-	fs.StringVar(&o.httpAddr, "http", "", "serve sweep progress (expvar) and profiling (pprof) on this address, e.g. :8080")
-	fs.StringVar(&o.traceOut, "trace-out", "trace.jsonl", "trace experiment: output file for the generated trace")
+	fs := newFlagSet(&o, output)
 	if err := fs.Parse(args); err != nil {
 		return options{}, "", err
 	}
@@ -122,6 +107,44 @@ func parseArgs(args []string, output io.Writer) (options, string, error) {
 		return options{}, "", fmt.Errorf("-obs-interval %d: must be >= 1", o.obsInterval)
 	}
 	return o, exp, nil
+}
+
+// newFlagSet defines the command-line flags on o, with their help text, and
+// writes errors and usage to output.
+func newFlagSet(o *options, output io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("nocsprint", flag.ContinueOnError)
+	fs.SetOutput(output)
+	fs.Usage = func() { usage(output) }
+	fs.BoolVar(&o.fast, "fast", false, "shrink simulation windows for quick smoke runs")
+	fs.BoolVar(&o.json, "json", false, "emit machine-readable JSON instead of tables")
+	fs.BoolVar(&o.check, "check", false, "enable runtime invariant checking: every simulation enforces\n"+
+		"flit conservation, credit bounds, dark-router silence, CDOR\n"+
+		"hop rules, and a deadlock watchdog (results are unchanged;\n"+
+		"violations abort with a network-state snapshot)")
+	fs.BoolVar(&o.refstep, "refstep", false, "run every simulation on the reference full-scan stepper\n"+
+		"instead of the active-work scheduler (results are proven\n"+
+		"bit-identical; this exists for auditing and benchmarking)")
+	fs.IntVar(&o.workers, "workers", 0, "run sweeps on `N` parallel workers: 0 = all cores, 1 = serial")
+	fs.DurationVar(&o.timeout, "timeout", 0, "cancel the run gracefully after this `duration` (e.g. 90s,\n"+
+		"10m; 0 = none); in-flight sweep points finish and are journaled")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "crash-safe sweeps: journal every completed sweep point to `DIR`\n"+
+		"(fsynced as it finishes), so an interrupted run loses at most\n"+
+		"the points still in flight")
+	fs.BoolVar(&o.resume, "resume", false, "with -checkpoint: skip points already journaled; the merged\n"+
+		"output is bit-identical to an uninterrupted run, at any\n"+
+		"-workers count (a corrupt or mismatched checkpoint is\n"+
+		"rejected with a warning and the run starts fresh)")
+	fs.BoolVar(&o.obs, "obs", false, "attach cycle-sampled telemetry to every simulation: per-window\n"+
+		"flit/utilization/queue/power series plus a typed event\n"+
+		"timeline (results are proven bit-identical with or without)")
+	fs.IntVar(&o.obsInterval, "obs-interval", 1000, "with -obs: sample telemetry every `N` cycles")
+	fs.StringVar(&o.obsOut, "obs-out", "obs", "with -obs: write per-point telemetry files to `DIR`, one .jsonl\n"+
+		"and one .csv per simulation")
+	fs.StringVar(&o.httpAddr, "http", "", "serve live monitoring on `ADDR` (e.g. :8080): sweep progress\n"+
+		"counters at /debug/vars (expvar) and profiling at /debug/pprof")
+	fs.StringVar(&o.traceOut, "trace-out", "trace.jsonl", fmt.Sprintf("trace experiment: write the trace to `FILE`: %d cycles of\n"+
+		"uniform traffic at %g flits/node/cycle, seed %d", traceCycles, traceRate, traceSeed))
+	return fs
 }
 
 // Sweep-progress counters exported for -http monitoring: GET /debug/vars on
@@ -311,44 +334,12 @@ func openCheckpoint(o options, exp string) (*ckpt.Journal, error) {
 	return ckpt.Create(jpath)
 }
 
+// usage writes the usage text to w: the command line, every flag with its
+// help, the signal handling, and the experiments.
 func usage(w io.Writer) {
-	fmt.Fprint(w, `usage: nocsprint [flags] <experiment> [flags]
-
-flags:
-  -fast        shrink simulation windows for quick smoke runs
-  -json        emit machine-readable JSON instead of tables
-  -check       enable runtime invariant checking: every simulation enforces
-               flit conservation, credit bounds, dark-router silence, CDOR
-               hop rules, and a deadlock watchdog (results are unchanged;
-               violations abort with a network-state snapshot)
-  -refstep     run every simulation on the reference full-scan stepper
-               instead of the active-work scheduler (results are proven
-               bit-identical; this exists for auditing and benchmarking)
-  -workers N   parallel sweep workers: 0 = all cores (default), 1 = serial
-  -timeout D   cancel the run gracefully after duration D (e.g. 90s, 10m);
-               in-flight sweep points finish and are journaled
-  -checkpoint DIR
-               crash-safe sweeps: journal every completed sweep point to DIR
-               (fsynced as it finishes), so an interrupted run loses at most
-               the points still in flight
-  -resume      with -checkpoint: skip points already journaled; the merged
-               output is bit-identical to an uninterrupted run, at any
-               -workers count (a corrupt or mismatched checkpoint is
-               rejected with a warning and the run starts fresh)
-  -obs         attach cycle-sampled telemetry to every simulation: per-window
-               flit/utilization/queue/power series plus a typed event
-               timeline (results are proven bit-identical with or without)
-  -obs-interval N
-               telemetry sampling interval in cycles (default 1000)
-  -obs-out DIR directory for per-point telemetry files, one .jsonl and one
-               .csv per simulation (default obs)
-  -http ADDR   serve live monitoring on ADDR (e.g. :8080): sweep progress
-               counters at /debug/vars (expvar) and profiling at /debug/pprof
-  -trace-out FILE
-               where the trace experiment writes its trace: 2000 cycles of
-               uniform traffic at 0.1 flits/node/cycle, seed 1
-               (default trace.jsonl)
-
+	fmt.Fprint(w, "usage: nocsprint [flags] <experiment> [flags]\n\nflags:\n")
+	newFlagSet(new(options), w).PrintDefaults()
+	fmt.Fprint(w, `
 signals: the first SIGINT/SIGTERM stops claiming new sweep points, lets
 in-flight points finish (journaling them), and exits with a partial-result
 summary; a second signal aborts in-flight points at cycle granularity.
@@ -441,12 +432,8 @@ func traceCmd(stdout io.Writer, s *core.Sprinter, o options) error {
 	rule := strings.Repeat("=", 72)
 	fmt.Fprintf(stdout, "%s\nTrace: offline generation, JSONL export, deterministic replay\n%s\n", rule, rule)
 	cfg := s.Config()
-	nodes := make([]int, cfg.NoC.Nodes())
-	for i := range nodes {
-		nodes[i] = i
-	}
-	set := traffic.NewSet(nodes)
-	events, err := noc.GenerateTrace(set, traffic.NewUniform(len(nodes)), traceRate,
+	set := traffic.NewSet(topo.AllNodes(cfg.NoC.Nodes()))
+	events, err := noc.GenerateTrace(set, traffic.NewUniform(set.Size()), traceRate,
 		cfg.NoC.PacketLength, traceCycles, traceSeed)
 	if err != nil {
 		return err
@@ -467,8 +454,7 @@ func traceCmd(stdout io.Writer, s *core.Sprinter, o options) error {
 	if err != nil {
 		return err
 	}
-	m := topo.NewMesh(cfg.NoC.Width, cfg.NoC.Height)
-	net, err := noc.New(cfg.NoC, routing.NewDOR(m), nil)
+	net, err := noc.New(cfg.NoC, routing.NewDOR(s.Mesh()), nil)
 	if err != nil {
 		return err
 	}

@@ -2,10 +2,13 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
+
+	"nocsprint/internal/core"
 )
 
 // defaultOpts is the options value an empty flag line parses to; tests build
@@ -76,13 +79,31 @@ func TestParseArgsErrors(t *testing.T) {
 	}
 }
 
+// TestParseArgsHelp: -h prints the usage line, every defined flag with each
+// line of its help, and every experiment the CLI runs.
 func TestParseArgsHelp(t *testing.T) {
 	var sb strings.Builder
 	_, _, err := parseArgs([]string{"-h"}, &sb)
 	if err != flag.ErrHelp {
 		t.Fatalf("parseArgs(-h) err = %v, want flag.ErrHelp", err)
 	}
-	if !strings.Contains(sb.String(), "usage: nocsprint [flags] <experiment> [flags]") {
-		t.Errorf("usage text missing or stale:\n%s", sb.String())
+	help := sb.String()
+	want := []string{"usage: nocsprint [flags] <experiment> [flags]"}
+	newFlagSet(new(options), io.Discard).VisitAll(func(f *flag.Flag) {
+		name, text := flag.UnquoteUsage(f)
+		want = append(want, strings.TrimSpace("  -"+f.Name+" "+name))
+		want = append(want, strings.Split(text, "\n")...)
+	})
+	for _, e := range core.Experiments() {
+		want = append(want, fmt.Sprintf("  %-9s %s\n", e.Name, e.Summary))
+	}
+	want = append(want, "  trace ", "  all ", strings.Join(allExperiments, " "))
+	for _, w := range want {
+		if !strings.Contains(help, w) {
+			t.Errorf("-h output lacks %q", w)
+		}
+	}
+	if t.Failed() {
+		t.Logf("-h output:\n%s", help)
 	}
 }

@@ -18,8 +18,11 @@ import (
 // TestEveryExportReached fails when an exported func, method, type or const
 // under internal/ has no use in a non-test file of internal/, cmd/,
 // examples/ or bench/nocbench: code that only tests reach belongs in the
-// tests. A use counts only when the declaration it sits in is reached, so a
-// dead constructor does not keep its type alive. Receiver lists and
+// tests. It fails too on an unexported func or method outside bench/ that
+// nothing reached calls, which the compiler and go vet let through. A use
+// counts only when the declaration it sits in is reached, so a dead
+// constructor does not keep its type alive; a main package's main, init
+// funcs and package-level variables are reached. Receiver lists and
 // `var _ I = T{}` assertions are not uses. A method that implements an
 // interface declared in the module or the standard library it imports
 // (fmt.Stringer, json.Marshaler, ...) counts as reached once its type is.
@@ -52,10 +55,16 @@ func TestEveryExportReached(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if dead := s.unreached(t); len(dead) > 0 {
+	exported, unexported := s.unreached(t)
+	if len(exported) > 0 {
 		t.Errorf("%d exported names under internal/ are reached only from tests; "+
 			"use them, move them into a _test.go file, or delete them:\n\t%s",
-			len(dead), strings.Join(dead, "\n\t"))
+			len(exported), strings.Join(exported, "\n\t"))
+	}
+	if len(unexported) > 0 {
+		t.Errorf("%d unexported funcs or methods are called only from tests or not at all; "+
+			"move them into a _test.go file or delete them:\n\t%s",
+			len(unexported), strings.Join(unexported, "\n\t"))
 	}
 }
 
@@ -115,14 +124,18 @@ func (s *sweep) Import(path string) (*types.Package, error) {
 }
 
 // unreached returns the candidates no live declaration uses, as
-// "path.Name (file:line)", sorted.
-func (s *sweep) unreached(t *testing.T) []string {
+// "path.Name (file:line)", sorted: the exported names, then the unexported
+// funcs and methods.
+func (s *sweep) unreached(t *testing.T) (exported, unexported []string) {
 	candidate := map[types.Object]bool{}
 	uses := map[types.Object][]types.Object{} // owner -> objects it uses; nil owner is live
 	for path, p := range s.pkgs {
 		internal := strings.HasPrefix(path, "nocsprint/internal/")
+		ours := !strings.HasPrefix(path, "nocsprint/bench/")
 		owned := func(obj types.Object) types.Object {
-			if internal && obj.Exported() {
+			_, fn := obj.(*types.Func)
+			entry := obj.Name() == "init" || obj.Name() == "main" && obj.Pkg().Name() == "main"
+			if internal && obj.Exported() || ours && fn && !obj.Exported() && !entry {
 				candidate[obj] = true
 				return obj
 			}
@@ -206,16 +219,21 @@ func (s *sweep) unreached(t *testing.T) []string {
 		}
 	}
 
-	var dead []string
 	for obj := range candidate {
 		if reached[obj] {
 			continue
 		}
 		pos := s.fset.Position(obj.Pos())
-		dead = append(dead, fmt.Sprintf("%s (%s:%d)", qualified(obj), filepath.ToSlash(pos.Filename), pos.Line))
+		name := fmt.Sprintf("%s (%s:%d)", qualified(obj), filepath.ToSlash(pos.Filename), pos.Line)
+		if obj.Exported() {
+			exported = append(exported, name)
+		} else {
+			unexported = append(unexported, name)
+		}
 	}
-	sort.Strings(dead)
-	return dead
+	sort.Strings(exported)
+	sort.Strings(unexported)
+	return exported, unexported
 }
 
 // interfaces returns every interface the module or the standard library it

@@ -113,8 +113,6 @@ type System struct {
 	cfg    Config
 	net    *noc.Network
 	m      *topo.Mesh
-	region *sprint.Region
-	gated  bool
 	mcNode int
 
 	cores     map[int]*coreCtl
@@ -134,11 +132,11 @@ type System struct {
 // NewSystem builds the memory system for the given sprint region and home
 // policy. The network must be configured with two message classes; active
 // cores get streams from mkStream(node). The memory controller sits at the
-// master node. routersGated selects whether the network outside the region
-// is power-gated: if so, messages touching dark tiles use the bypass path;
-// if not (full-sprinting), they ride the network like any other.
+// master node. Messages touching a tile whose router the network has gated
+// use the bypass path; on a fully powered network (full-sprinting) every
+// message rides the network.
 func NewSystem(cfg Config, net *noc.Network, region *sprint.Region, policy HomePolicy,
-	routersGated bool, mkStream func(node int) *Stream) (*System, error) {
+	mkStream func(node int) *Stream) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -150,8 +148,6 @@ func NewSystem(cfg Config, net *noc.Network, region *sprint.Region, policy HomeP
 		cfg:    cfg,
 		net:    net,
 		m:      m,
-		region: region,
-		gated:  routersGated,
 		mcNode: region.Master(),
 		cores:  make(map[int]*coreCtl),
 		txns:   make(map[int64]*txn),
@@ -208,13 +204,10 @@ func (s *System) schedule(delay int, fn func()) {
 	s.events[at] = append(s.events[at], fn)
 }
 
-// send transmits a protocol message, using the network between active
-// nodes and the bypass path when either endpoint is a dark tile under the
-// all-tiles policy.
+// send transmits a protocol message, using the network between powered
+// routers and the bypass path when either endpoint's router is gated.
 func (s *System) send(src, dst, class, flits int, tag int64) {
-	srcDark := !s.region.Active(src)
-	dstDark := !s.region.Active(dst)
-	if s.gated && (srcDark || dstDark) {
+	if !s.net.RouterActive(src) || !s.net.RouterActive(dst) {
 		// Bypass path: fixed per-hop latency, no router wake-ups; counted
 		// separately for the power model.
 		hops := s.m.HammingID(src, dst)

@@ -62,7 +62,7 @@ func buildSystem(t *testing.T, level int, policy HomePolicy, fullNetwork bool) *
 		}
 		return s
 	}
-	sys, err := NewSystem(testConfig(), net, region, policy, !fullNetwork, mk)
+	sys, err := NewSystem(testConfig(), net, region, policy, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +81,13 @@ func TestSystemRejectsSingleClassNetwork(t *testing.T) {
 		s, _ := NewStream(testStreamParams(node))
 		return s
 	}
-	if _, err := NewSystem(testConfig(), net, region, HomeAllTiles, true, mk); err == nil {
+	if _, err := NewSystem(testConfig(), net, region, HomeAllTiles, mk); err == nil {
 		t.Error("single-class network accepted")
 	}
-	if _, err := NewSystem(Config{}, net, region, HomeAllTiles, true, mk); err == nil {
+	if _, err := NewSystem(Config{}, net, region, HomeAllTiles, mk); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := NewSystem(testConfig(), net, region, HomePolicy(9), true, mk); err == nil {
+	if _, err := NewSystem(testConfig(), net, region, HomePolicy(9), mk); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
@@ -161,7 +161,9 @@ func TestRemapLosesCapacity(t *testing.T) {
 
 // TestBypassKeepsRoutersDark: with the all-tiles policy on a gated network,
 // dark routers must still see zero events — bypass paths reach the banks
-// without waking them (the §3.4 requirement).
+// without waking them (the §3.4 requirement). On a fully powered network the
+// same policy takes no bypass: the decision follows the network's powered
+// routers, not the sprint region.
 func TestBypassKeepsRoutersDark(t *testing.T) {
 	sys := buildSystem(t, 4, HomeAllTiles, false)
 	if err := sys.RunCtx(nil, 1500, 2_000_000); err != nil {
@@ -176,6 +178,13 @@ func TestBypassKeepsRoutersDark(t *testing.T) {
 	}
 	if sys.Stats().BypassTransfers == 0 {
 		t.Fatal("no bypass transfers despite dark homes")
+	}
+	full := buildSystem(t, 4, HomeAllTiles, true)
+	if err := full.RunCtx(nil, 1500, 2_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if n := full.Stats().BypassTransfers; n != 0 {
+		t.Errorf("fully powered network took %d bypass transfers, want 0", n)
 	}
 }
 

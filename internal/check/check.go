@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"nocsprint/internal/noc"
-	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
 	"nocsprint/internal/topo"
 )
@@ -90,8 +89,8 @@ func (v *Violation) Error() string {
 
 // RouteOracle answers "which output port should a packet at cur take toward
 // dst?" — the ground truth every observed hop is judged against. Any
-// routing.Algorithm is an oracle via Oracle. The oracle must be the
-// *intended* algorithm for the run; building it from a wrapped or
+// routing.Algorithm's NextPort method value is an oracle. The oracle must be
+// the *intended* algorithm for the run; building it from a wrapped or
 // instrumented algorithm would make the checker agree with the very
 // misroutes it exists to catch.
 //
@@ -100,9 +99,6 @@ func (v *Violation) Error() string {
 // the oracle must answer as a fixed function. One that follows the
 // network's current algorithm qualifies.
 type RouteOracle func(cur, dst int) (int, error)
-
-// Oracle adapts a routing algorithm into a RouteOracle.
-func Oracle(alg routing.Algorithm) RouteOracle { return alg.NextPort }
 
 // watchdogCycles is how long traffic may be in flight with no flit movement
 // before the watchdog declares a deadlock. It comfortably exceeds the router

@@ -51,7 +51,7 @@ func TestCleanRunCDOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetProbe(check.New(failOn(t, check.Config{Region: region, Oracle: check.Oracle(alg), Interval: 1})))
+	net.SetProbe(check.New(failOn(t, check.Config{Region: region, Oracle: alg.NextPort, Interval: 1})))
 	res := runSynthetic(t, net, region.ActiveNodes(), 0.2)
 	if res.MeasuredPackets == 0 {
 		t.Fatal("no packets measured — the run exercised nothing")
@@ -71,7 +71,7 @@ func TestCleanRunDOR(t *testing.T) {
 	if err := net.EnableRuntimeGating(); err != nil {
 		t.Fatal(err)
 	}
-	net.SetProbe(check.New(failOn(t, check.Config{Oracle: check.Oracle(alg), Interval: 1})))
+	net.SetProbe(check.New(failOn(t, check.Config{Oracle: alg.NextPort, Interval: 1})))
 	nodes := make([]int, m.Nodes())
 	for i := range nodes {
 		nodes[i] = i
@@ -94,7 +94,7 @@ func TestCheckerZeroDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 		if attach {
-			net.SetProbe(check.New(failOn(t, check.Config{Region: region, Oracle: check.Oracle(alg), Interval: 1})))
+			net.SetProbe(check.New(failOn(t, check.Config{Region: region, Oracle: alg.NextPort, Interval: 1})))
 		}
 		return runSynthetic(t, net, region.ActiveNodes(), 0.25)
 	}
@@ -140,7 +140,7 @@ func TestDarkRouterViolationCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetProbe(check.New(check.Config{Region: region, Oracle: check.Oracle(inner), Interval: 1}))
+	net.SetProbe(check.New(check.Config{Region: region, Oracle: inner.NextPort, Interval: 1}))
 	net.Enqueue(0, 5)
 
 	var got *check.Violation
@@ -189,7 +189,7 @@ func TestRouteRuleViolationCaught(t *testing.T) {
 	var kinds []check.Kind
 	net.SetProbe(check.New(check.Config{
 		Region:      region,
-		Oracle:      check.Oracle(inner),
+		Oracle:      inner.NextPort,
 		Interval:    1,
 		OnViolation: func(v *check.Violation) { kinds = append(kinds, v.Kind) },
 	}))
@@ -291,7 +291,7 @@ func TestRepairedRoutingNotJudgedByStaleHops(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle := check.Oracle(routing.NewDOR(m))
+			oracle := routing.NewDOR(m).NextPort
 			if !c.setOracle {
 				oracle = func(cur, dst int) (int, error) { return net.Algorithm().NextPort(cur, dst) }
 			}
@@ -308,7 +308,7 @@ func TestRepairedRoutingNotJudgedByStaleHops(t *testing.T) {
 				t.Fatal("the repair changed nothing")
 			}
 			if c.setOracle {
-				chk.SetOracle(check.Oracle(yx))
+				chk.SetOracle(yx.NextPort)
 			}
 			if res := runSynthetic(t, net, west, 0.2); res.MeasuredPackets == 0 {
 				t.Fatal("no packets measured after the repair")
@@ -346,7 +346,7 @@ func TestSetOracleTakesEffectAtOnce(t *testing.T) {
 	}
 	var got []*check.Violation
 	chk := check.New(check.Config{
-		Oracle:      check.Oracle(routing.NewDOR(m)),
+		Oracle:      routing.NewDOR(m).NextPort,
 		Interval:    1,
 		OnViolation: func(v *check.Violation) { got = append(got, v) },
 	})
@@ -355,7 +355,7 @@ func TestSetOracleTakesEffectAtOnce(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("%s violation under the X-Y oracle: %s", got[0].Kind, got[0].Detail)
 	}
-	chk.SetOracle(check.Oracle(yxAlg{m: m}))
+	chk.SetOracle(yxAlg{m: m}.NextPort)
 	sendOne(t, net, 0, 5)
 	want := "hop East at router 0 violates the routing discipline for packet"
 	if len(got) == 0 || got[0].Kind != check.RouteRule || !strings.Contains(got[0].Detail, want) {
@@ -465,7 +465,7 @@ func TestReconfigureSourceDropsPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chk := check.New(failOn(t, check.Config{Region: big, Oracle: check.Oracle(routing.NewCDOR(big)), Interval: 1}))
+	chk := check.New(failOn(t, check.Config{Region: big, Oracle: routing.NewCDOR(big).NextPort, Interval: 1}))
 	net.SetProbe(chk)
 	var retiring []int
 	for _, id := range big.ActiveNodes() {
@@ -484,7 +484,7 @@ func TestReconfigureSourceDropsPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	chk.SetRegion(small)
-	chk.SetOracle(check.Oracle(routing.NewCDOR(small)))
+	chk.SetOracle(routing.NewCDOR(small).NextPort)
 	// Quiesce starts no new packet, so all but each source's first stay
 	// queued until the drop.
 	if want := int64(5 * len(small.ActiveNodes())); rep.PacketsDropped < want {

@@ -389,7 +389,7 @@ func (p NetSimParams) instrument(net *noc.Network, region *sprint.Region, label 
 		col    *obs.Collector
 	)
 	if p.Check {
-		chk = check.New(check.Config{Region: region, Oracle: check.Oracle(net.Algorithm()), OnViolation: h.onViolation})
+		chk = check.New(check.Config{Region: region, Oracle: net.Algorithm().NextPort, OnViolation: h.onViolation})
 		probes = append(probes, chk)
 	}
 	if p.Obs != nil {
@@ -405,33 +405,32 @@ func (p NetSimParams) instrument(net *noc.Network, region *sprint.Region, label 
 	return chk, col
 }
 
-// fabric is one simulated network: its routing discipline, an optional
-// non-mesh topology (nil builds the config's mesh), its powered routers (nil
-// powers all), the sprint region the checker enforces (nil for full-fabric
-// baselines), and how many routers the power model prices.
+// fabric is one simulated network: its routing discipline, its topology,
+// its powered routers (nil powers all), and the sprint region the checker
+// enforces (nil for full-fabric baselines). The power model prices the
+// routers the built network reports powered.
 type fabric struct {
-	alg     routing.Algorithm
-	topo    topo.Topology
-	active  []int
-	region  *sprint.Region
-	routers int
+	alg    routing.Algorithm
+	topo   topo.Topology
+	active []int
+	region *sprint.Region
 }
 
 // sprintFabric is NoC-sprinting's network: CDOR over the sprint region with
 // every dark router gated.
 func sprintFabric(r *sprint.Region) fabric {
-	return fabric{alg: routing.NewCDOR(r), active: r.ActiveNodes(), region: r, routers: r.Level()}
+	return fabric{alg: routing.NewCDOR(r), topo: r.Mesh(), active: r.ActiveNodes(), region: r}
 }
 
 // fineFabric is fine-grained sprinting's network: CDOR over the sprint region
 // with no gating, so every router stays powered.
 func fineFabric(r *sprint.Region) fabric {
-	return fabric{alg: routing.NewCDOR(r), region: r, routers: r.Mesh().Nodes()}
+	return fabric{alg: routing.NewCDOR(r), topo: r.Mesh(), region: r}
 }
 
 // meshFabric is the fully powered DOR mesh of full-sprinting.
 func meshFabric(m *topo.Mesh) fabric {
-	return fabric{alg: routing.NewDOR(m), routers: m.Nodes()}
+	return fabric{alg: routing.NewDOR(m), topo: m}
 }
 
 // schemeFabric maps a sprinting scheme to its network at region's level: the
@@ -453,15 +452,7 @@ func (s *Sprinter) schemeFabric(scheme Scheme, region *sprint.Region) (fabric, e
 // that swap its region and routing) constructs a network: f's network under
 // cfg, instrumented per p and labelled label.
 func (p NetSimParams) build(cfg noc.Config, f fabric, label string) (*noc.Network, error) {
-	var (
-		net *noc.Network
-		err error
-	)
-	if f.topo != nil {
-		net, err = noc.NewTopo(cfg, f.topo, f.alg, f.active)
-	} else {
-		net, err = noc.New(cfg, f.alg, f.active)
-	}
+	net, err := noc.NewTopo(cfg, f.topo, f.alg, f.active)
 	if err != nil {
 		return nil, err
 	}
@@ -476,8 +467,8 @@ func (p NetSimParams) run(net *noc.Network, set *traffic.Set, rate float64, seed
 }
 
 // measure builds f's network labelled label, drives it with uniform traffic
-// among set at rate over sim's windows, and prices the measured window with
-// the router power model at the configured corner.
+// among set at rate over sim's windows, and prices the measured window's
+// powered routers with the router power model at the configured corner.
 func (s *Sprinter) measure(sim NetSimParams, f fabric, label string, set *traffic.Set, rate float64, seed int64) (noc.Result, power.Breakdown, error) {
 	net, err := sim.build(s.cfg.NoC, f, label)
 	if err != nil {
@@ -487,13 +478,14 @@ func (s *Sprinter) measure(sim NetSimParams, f fabric, label string, set *traffi
 	if err != nil {
 		return noc.Result{}, power.Breakdown{}, err
 	}
-	bd, err := s.cfg.Router.NetworkPower(res.Events, res.MeasureWindow, f.routers, s.cfg.Corner)
+	bd, err := s.cfg.Router.NetworkPower(res.Events, res.MeasureWindow, net.ActiveRouters(), s.cfg.Corner)
 	return res, bd, err
 }
 
 // sim is the noc.SimParams of a run at rate with seed over p's windows,
-// aborted by p.Abort.
+// defaults filled in, aborted by p.Abort.
 func (p NetSimParams) sim(rate float64, seed int64) noc.SimParams {
+	p = p.withDefaults()
 	return noc.SimParams{
 		InjectionRate: rate,
 		WarmupCycles:  p.Warmup,
@@ -504,6 +496,8 @@ func (p NetSimParams) sim(rate float64, seed int64) noc.SimParams {
 	}
 }
 
+// withDefaults fills in the zero windows. Only the readers of the windows
+// apply it: pointKey, sim, and EvaluateNetwork's idle-network pricing.
 func (p NetSimParams) withDefaults() NetSimParams {
 	if p.Warmup == 0 {
 		p.Warmup = 1500
@@ -526,7 +520,6 @@ func (s *Sprinter) EvaluateNetwork(p workload.Profile, scheme Scheme, sp NetSimP
 	if err := p.Validate(); err != nil {
 		return NetworkEval{}, err
 	}
-	sp = sp.withDefaults()
 	level := s.Level(p, scheme)
 	if level < 2 {
 		// A single-node "network" exchanges no traffic; report an idle
@@ -535,7 +528,7 @@ func (s *Sprinter) EvaluateNetwork(p workload.Profile, scheme Scheme, sp NetSimP
 		if err != nil {
 			return NetworkEval{}, err
 		}
-		bd, err := s.cfg.Router.NetworkPower(noc.Events{}, int64(sp.Measure), routersOn, s.cfg.Corner)
+		bd, err := s.cfg.Router.NetworkPower(noc.Events{}, int64(sp.withDefaults().Measure), routersOn, s.cfg.Corner)
 		if err != nil {
 			return NetworkEval{}, err
 		}

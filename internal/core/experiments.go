@@ -219,7 +219,6 @@ type NetResult struct {
 // so results are identical at any worker count. sp.Ctx cancels the sweep
 // and sp.Journal checkpoints it, per NetSimParams.
 func Fig9Fig10Network(s *Sprinter, sp NetSimParams) (NetResult, error) {
-	sp = sp.withDefaults() // canonicalise before key derivation
 	// A point's fields, in order, are its checkpoint key.
 	type point struct {
 		Benchmark string
@@ -305,7 +304,6 @@ func (p Fig11Params) withDefaults() Fig11Params {
 	if p.Samples == 0 {
 		p.Samples = 10
 	}
-	p.Sim = p.Sim.withDefaults()
 	return p
 }
 
@@ -531,7 +529,6 @@ type GatingResult struct {
 // each with a fixed per-benchmark seed; sp.Ctx cancels the sweep and
 // sp.Journal checkpoints it.
 func GatingComparison(s *Sprinter, sp NetSimParams) (GatingResult, error) {
-	sp = sp.withDefaults()
 	// A point's fields, in order, are its checkpoint key. A benchmark whose
 	// NoC-sprint runs one core has no traffic to route and is no point.
 	type point struct {
@@ -698,7 +695,6 @@ type WireCase struct {
 // identity placement, floorplanned with plain (per-millimetre) wires, and
 // floorplanned with SMART wires.
 func FloorplanWireStudy(s *Sprinter, sp NetSimParams) ([]WireCase, error) {
-	sp = sp.withDefaults()
 	dedup, err := workload.ByName("dedup")
 	if err != nil {
 		return nil, err
@@ -790,15 +786,14 @@ type ScaleRow struct {
 // ScalingStudy extends the evaluation to larger meshes (the dark-silicon
 // trend the paper motivates with Figure 3): as the chip grows, the
 // un-gateable network's share grows, and so does NoC-sprinting's saving for
-// a fixed utilisation fraction (one quarter of the cores active).
-// Mesh sizes run in parallel per sp.Workers with per-size seeds; sp.Ctx
-// cancels the sweep and sp.Journal checkpoints it.
+// a fixed utilisation fraction (one quarter of the cores active). Each width
+// is the default system resized to a w×w mesh, measured like every other
+// sprinter's networks. Mesh sizes run in parallel per sp.Workers with
+// per-size seeds; sp.Ctx cancels the sweep and sp.Journal checkpoints it.
 func ScalingStudy(widths []int, sp NetSimParams) ([]ScaleRow, error) {
 	if len(widths) == 0 {
 		widths = []int{4, 6, 8}
 	}
-	sp = sp.withDefaults()
-	chip := power.DefaultChipParams()
 	// A point's fields, in order, are its checkpoint key.
 	type point struct {
 		Width    int
@@ -810,49 +805,34 @@ func ScalingStudy(widths []int, sp NetSimParams) ([]ScaleRow, error) {
 	}
 	return sweep("scaling", nil, sp, points, func(pt point) (ScaleRow, error) {
 		wi, w := pt.WidthIdx, pt.Width
-		cfg := noc.DefaultConfig()
-		cfg.Width, cfg.Height = w, w
-		n := cfg.Nodes()
-		level := n / 4
-		m := topo.NewMesh(w, w)
-
-		cb, err := chip.ChipPower(1, 0, n-1, n)
+		cfg := DefaultConfig()
+		cfg.NoC.Width, cfg.NoC.Height = w, w
+		cfg.Grid.W, cfg.Grid.H = w, w
+		s, err := New(cfg)
 		if err != nil {
 			return ScaleRow{}, err
 		}
-
-		params := power.DefaultRouterParams45nm(cfg)
-		region := sprint.NewRegion(m, 0, level, sprint.Euclidean)
+		n := s.mesh.Nodes()
+		level := n / 4
+		cb, _, err := s.chipPower(NonSprinting, 1)
+		if err != nil {
+			return ScaleRow{}, err
+		}
 		const rate = 0.15
+		label := fmt.Sprintf("scaling/%dx%d", w, w)
 
 		// NoC-sprinting.
-		nf := sprintFabric(region)
-		net, err := sp.build(cfg, nf, fmt.Sprintf("scaling/%dx%d/noc", w, w))
-		if err != nil {
-			return ScaleRow{}, err
-		}
-		res, err := sp.run(net, traffic.NewSet(region.ActiveNodes()), rate, int64(81+wi))
-		if err != nil {
-			return ScaleRow{}, err
-		}
-		nb, err := params.NetworkPower(res.Events, res.MeasureWindow, nf.routers, power.Nominal)
+		region := s.Region(level)
+		res, nb, err := s.measure(sp, sprintFabric(region), label+"/noc",
+			traffic.NewSet(region.ActiveNodes()), rate, int64(81+wi))
 		if err != nil {
 			return ScaleRow{}, err
 		}
 
 		// Full-sprinting: the same endpoints communicating over the whole
 		// powered mesh (threads spread by the OS).
-		ff := meshFabric(m)
-		fnet, err := sp.build(cfg, ff, fmt.Sprintf("scaling/%dx%d/full", w, w))
-		if err != nil {
-			return ScaleRow{}, err
-		}
 		fset := traffic.RandomSet(n, level, rand.New(rand.NewSource(int64(91+wi))))
-		fres, err := sp.run(fnet, fset, rate, int64(101+wi))
-		if err != nil {
-			return ScaleRow{}, err
-		}
-		fb, err := params.NetworkPower(fres.Events, fres.MeasureWindow, ff.routers, power.Nominal)
+		fres, fb, err := s.measure(sp, meshFabric(s.mesh), label+"/full", fset, rate, int64(101+wi))
 		if err != nil {
 			return ScaleRow{}, err
 		}
@@ -886,7 +866,6 @@ type SensitivityRow struct {
 // rate ladder serially because the walk stops at the first saturated rate.
 // sp.Ctx cancels the sweep and sp.Journal checkpoints it.
 func SensitivitySweep(sp NetSimParams) ([]SensitivityRow, error) {
-	sp = sp.withDefaults()
 	// A point's fields, in order, are its checkpoint key.
 	type point struct {
 		VCs   int
@@ -912,7 +891,6 @@ var rateLadder = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 // 4×4 mesh until the first saturated rate, reporting the last rate accepted
 // and the low-load latency.
 func SensitivityPoint(vcs, depth int, sp NetSimParams) (SensitivityRow, error) {
-	sp = sp.withDefaults()
 	cfg := noc.DefaultConfig()
 	cfg.VCs, cfg.BufferDepth = vcs, depth
 	low, satRate, err := sp.walkLadder(cfg, meshFabric(topo.NewMesh(cfg.Width, cfg.Height)), rateLadder,
@@ -931,7 +909,7 @@ func SensitivityPoint(vcs, depth int, sp NetSimParams) (SensitivityRow, error) {
 // those rungs stop at the end of their measurement window once backlog
 // growth marks them saturated (noc.SimParams.StopWhenSaturated).
 func (p NetSimParams) walkLadder(cfg noc.Config, f fabric, rates []float64, label string) (noc.Result, float64, error) {
-	set := traffic.NewSet(topo.AllNodes(f.routers))
+	set := traffic.NewSet(topo.AllNodes(f.topo.Nodes()))
 	var low noc.Result
 	satRate := 0.0
 	for ri, rate := range rates {
@@ -1113,7 +1091,7 @@ func LLCStudy(s *Sprinter, sim NetSimParams) ([]LLCRow, error) {
 			}
 			return st
 		}
-		sys, err := cache.NewSystem(llcCache(), net, region, policy, gated, mk)
+		sys, err := cache.NewSystem(llcCache(), net, region, policy, mk)
 		if err != nil {
 			return LLCRow{}, err
 		}
@@ -1129,7 +1107,7 @@ func LLCStudy(s *Sprinter, sim NetSimParams) ([]LLCRow, error) {
 		// router logic).
 		ev := ns.Events
 		ev.LinkFlits += st.BypassFlits
-		bd, err := s.cfg.Router.NetworkPower(ev, ns.Cycles, f.routers, s.cfg.Corner)
+		bd, err := s.cfg.Router.NetworkPower(ev, ns.Cycles, net.ActiveRouters(), s.cfg.Corner)
 		if err != nil {
 			return LLCRow{}, err
 		}

@@ -215,7 +215,8 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 		return FaultPoint{}, err
 	}
 	region := gov.Region()
-	net, err := noc.New(s.cfg.NoC, routing.NewCDOR(region), region.ActiveNodes())
+	f := sprintFabric(region)
+	net, err := noc.NewTopo(s.cfg.NoC, f.topo, f.alg, f.active)
 	if err != nil {
 		return FaultPoint{}, err
 	}
@@ -298,7 +299,7 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 			// The fabric is drained at this boundary, so no in-flight hop is
 			// ever judged against the wrong region or routing discipline.
 			chk.SetRegion(r)
-			chk.SetOracle(check.Oracle(routing.NewCDOR(r)))
+			chk.SetOracle(routing.NewCDOR(r).NextPort)
 		}
 		return nil
 	}

@@ -69,7 +69,7 @@ func (p TopologyParams) withDefaults() TopologyParams {
 // the matching deadlock-free discipline: X-then-Y DOR on the mesh, dateline
 // DOR on the torus, greedy dateline routing on ring-circulants.
 func topoFabric(t topo.Topology) (fabric, error) {
-	f := fabric{topo: t, routers: t.Nodes()}
+	f := fabric{topo: t}
 	var err error
 	switch tt := t.(type) {
 	case *topo.Mesh:
@@ -98,7 +98,6 @@ func (s *Sprinter) TopologyStudy(p TopologyParams) ([]TopoRow, error) {
 			return nil, fmt.Errorf("core: topology rate %d (%g) must be finite, positive and above the rate before it", i, rate)
 		}
 	}
-	sp := p.Sim.withDefaults()
 	// A point's fields, in order, are its checkpoint key.
 	type point struct {
 		Spec  topo.Spec
@@ -111,8 +110,8 @@ func (s *Sprinter) TopologyStudy(p TopologyParams) ([]TopoRow, error) {
 		}
 		points[i] = point{spec, p.Rates}
 	}
-	return sweep("topology", s.cfg.NoC, sp, points, func(pt point) (TopoRow, error) {
-		return s.topologyPoint(pt.Spec, pt.Rates, sp)
+	return sweep("topology", s.cfg.NoC, p.Sim, points, func(pt point) (TopoRow, error) {
+		return s.topologyPoint(pt.Spec, pt.Rates, p.Sim)
 	})
 }
 
@@ -131,7 +130,7 @@ func (s *Sprinter) topologyPoint(spec topo.Spec, rates []float64, sp NetSimParam
 	if err != nil {
 		return TopoRow{}, err
 	}
-	bd, err := s.cfg.Router.NetworkPower(low.Events, low.MeasureWindow, f.routers, s.cfg.Corner)
+	bd, err := s.cfg.Router.NetworkPower(low.Events, low.MeasureWindow, tp.Nodes(), s.cfg.Corner)
 	if err != nil {
 		return TopoRow{}, err
 	}

@@ -1,45 +1,25 @@
 package serve
 
-import "sync/atomic"
-
-// Metrics are the server's operational counters. Counters are cumulative
-// over the process lifetime; the queue/running gauges come from the live
-// job table via Snapshot.
-type Metrics struct {
-	Admitted  atomic.Int64 // submissions accepted into the queue
-	Shed      atomic.Int64 // submissions rejected 429 by admission control
-	Done      atomic.Int64 // jobs finished successfully
-	Failed    atomic.Int64 // jobs finished with a permanent error
-	Cancelled atomic.Int64 // jobs removed by DELETE
-	Recovered atomic.Int64 // jobs re-queued during restart recovery
-}
-
-// MetricsSnapshot is the JSON shape of the server's counters and gauges;
+// MetricsSnapshot is the server's operational record: counters cumulative
+// over the process lifetime, kept under the server's lock, and the
+// queue/running gauges, which a snapshot reads from the live job table.
 // cmd/nocsprintd publishes it as the expvar "nocsprintd".
 type MetricsSnapshot struct {
 	QueueDepth int   `json:"queue_depth"`
 	Running    int   `json:"running"`
-	Admitted   int64 `json:"admitted"`
-	Shed       int64 `json:"shed"`
-	Done       int64 `json:"done"`
-	Failed     int64 `json:"failed"`
-	Cancelled  int64 `json:"cancelled"`
-	Recovered  int64 `json:"recovered"`
+	Admitted   int64 `json:"admitted"`  // submissions accepted into the queue
+	Shed       int64 `json:"shed"`      // submissions rejected 429 by admission control
+	Done       int64 `json:"done"`      // jobs finished successfully
+	Failed     int64 `json:"failed"`    // jobs finished with a permanent error
+	Cancelled  int64 `json:"cancelled"` // jobs removed by DELETE
+	Recovered  int64 `json:"recovered"` // jobs re-queued during restart recovery
 }
 
 // MetricsSnapshot returns a point-in-time view of the server's metrics.
 func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	s.mu.Lock()
-	depth, running := len(s.queue), s.running
-	s.mu.Unlock()
-	return MetricsSnapshot{
-		QueueDepth: depth,
-		Running:    running,
-		Admitted:   s.metrics.Admitted.Load(),
-		Shed:       s.metrics.Shed.Load(),
-		Done:       s.metrics.Done.Load(),
-		Failed:     s.metrics.Failed.Load(),
-		Cancelled:  s.metrics.Cancelled.Load(),
-		Recovered:  s.metrics.Recovered.Load(),
-	}
+	defer s.mu.Unlock()
+	m := s.metrics
+	m.QueueDepth, m.Running = len(s.queue), s.running
+	return m
 }

@@ -91,15 +91,15 @@ type Server struct {
 	jobs     map[string]*Job
 	queue    []string // FIFO of queued job IDs
 	running  int
-	stopping bool // drain initiated: executors exit, admission closed
+	stopping bool            // drain initiated: executors exit, admission closed
+	metrics  MetricsSnapshot // the counters; MetricsSnapshot fills in the gauges
 
 	baseCtx    context.Context // parent of every job's sweep context; cancelled on Drain
 	cancelBase context.CancelFunc
 	hardCtx    context.Context // parent of every job's abort context; cancelled on Abort
 	cancelHard context.CancelFunc
 
-	wg      sync.WaitGroup
-	metrics Metrics
+	wg sync.WaitGroup
 }
 
 // New opens (or creates) the state directory, recovers every persisted job
@@ -177,7 +177,7 @@ func (s *Server) recover() error {
 	})
 	for _, job := range requeue {
 		s.queue = append(s.queue, job.ID)
-		s.metrics.Recovered.Add(1)
+		s.metrics.Recovered++ // no executor runs yet, so no lock
 		s.cfg.Logf("serve: recovered job %s (%s), re-queued for resume", job.ID, job.Spec.Experiment)
 	}
 	return nil
@@ -220,8 +220,8 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		return nil, ErrDraining
 	}
 	if len(s.queue) >= s.cfg.QueueCap {
+		s.metrics.Shed++
 		s.mu.Unlock()
-		s.metrics.Shed.Add(1)
 		return nil, ErrQueueFull
 	}
 	// Persist before exposing: a job the client has seen accepted must
@@ -237,7 +237,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	}
 	s.jobs[id] = job
 	s.queue = append(s.queue, id)
-	s.metrics.Admitted.Add(1)
+	s.metrics.Admitted++
 	s.cond.Signal()
 	s.mu.Unlock()
 	return job, nil
@@ -304,7 +304,7 @@ func (s *Server) Cancel(id string) (Job, error) {
 				break
 			}
 		}
-		s.metrics.Cancelled.Add(1)
+		s.metrics.Cancelled++
 	case StateRunning:
 		job.cancelRequested = true
 		if job.cancelRun != nil {
@@ -456,11 +456,11 @@ func (s *Server) finish(job *Job, result json.RawMessage, err error) {
 	case err == nil:
 		job.State, job.Ended, job.Result = StateDone, &now, result
 		job.Error = ""
-		s.metrics.Done.Add(1)
+		s.metrics.Done++
 	case job.cancelRequested:
 		job.State, job.Ended = StateCancelled, &now
 		job.Error = fmt.Sprintf("cancelled: %v", err)
-		s.metrics.Cancelled.Add(1)
+		s.metrics.Cancelled++
 	case s.stopping && errors.Is(err, context.Canceled):
 		// Drain interrupted the sweep: completed points are journaled, so
 		// the job goes back to queued and the next process resumes it.
@@ -470,11 +470,11 @@ func (s *Server) finish(job *Job, result json.RawMessage, err error) {
 	case errors.Is(err, context.DeadlineExceeded):
 		job.State, job.Ended = StateFailed, &now
 		job.Error = fmt.Sprintf("deadline exceeded: %v", err)
-		s.metrics.Failed.Add(1)
+		s.metrics.Failed++
 	default:
 		job.State, job.Ended = StateFailed, &now
 		job.Error = err.Error()
-		s.metrics.Failed.Add(1)
+		s.metrics.Failed++
 	}
 	if perr := s.persist(job); perr != nil {
 		s.cfg.Logf("serve: persisting job %s: %v", job.ID, perr)
