@@ -3,7 +3,6 @@ package main
 import (
 	"io"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -26,16 +25,22 @@ func TestParseArgsCheckpointFlags(t *testing.T) {
 }
 
 // TestOpenCheckpointLifecycle walks the CLI checkpoint state machine: fresh
-// create, resume of a valid journal, and the degrade-to-fresh paths (meta
-// mismatch, corrupt meta, corrupt journal) that must warn and truncate
-// rather than abort the run.
+// create, resume of a valid journal, and the paths that must warn and start
+// fresh rather than abort the run (no journal, corrupt journal). Point keys
+// are the only guard on a resume: a -fast resume over a full-window run's
+// journal decodes none of its points and prints what a fresh -fast run does.
 func TestOpenCheckpointLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	o := options{checkpoint: dir}
 
+	// With no journal yet, -resume starts fresh.
+	o.resume = true
 	j, err := openCheckpoint(o, "fig11")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("resume with no journal aborted the run: %v", err)
+	}
+	if j.Len() != 0 {
+		t.Fatalf("resume with no journal loaded %d points, want 0", j.Len())
 	}
 	if err := j.Append("point-a", map[string]int{"n": 1}); err != nil {
 		t.Fatal(err)
@@ -45,7 +50,6 @@ func TestOpenCheckpointLifecycle(t *testing.T) {
 	}
 
 	// Valid resume reloads the journaled point.
-	o.resume = true
 	j, err = openCheckpoint(o, "fig11")
 	if err != nil {
 		t.Fatal(err)
@@ -55,28 +59,8 @@ func TestOpenCheckpointLifecycle(t *testing.T) {
 	}
 	j.Close()
 
-	// A -fast run must not consume a slow run's checkpoint: meta mismatch
-	// degrades to a fresh (empty) journal.
-	oFast := o
-	oFast.fast = true
-	j, err = openCheckpoint(oFast, "fig11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Len() != 0 {
-		t.Fatalf("meta-mismatched resume kept %d points, want fresh journal", j.Len())
-	}
-	j.Close()
-
-	// Rebuild a valid checkpoint, then corrupt the journal: resume warns and
-	// starts fresh instead of aborting.
-	j, err = openCheckpoint(options{checkpoint: dir}, "fig11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Append("point-a", 1)
+	// Corrupt the journal: resume warns and starts fresh instead of aborting.
 	jpath := j.Path()
-	j.Close()
 	data, err := os.ReadFile(jpath)
 	if err != nil {
 		t.Fatal(err)
@@ -94,16 +78,28 @@ func TestOpenCheckpointLifecycle(t *testing.T) {
 	}
 	j.Close()
 
-	// Corrupt metadata snapshot likewise degrades to fresh.
-	if err := os.WriteFile(filepath.Join(dir, "fig11.meta.json"), []byte("{torn"), 0o644); err != nil {
+	// A full-window scale run, then a -fast resume over its journal: the
+	// windows are in every point key, so all of the -fast points are
+	// computed and appended, and the result is the fresh -fast golden.
+	full := options{checkpoint: dir}
+	if j, err = openCheckpoint(full, "scale"); err != nil {
 		t.Fatal(err)
 	}
-	j, err = openCheckpoint(o, "fig11")
-	if err != nil {
-		t.Fatalf("corrupt meta aborted the run: %v", err)
+	full.json, full.journal = true, j
+	if err := run("scale", full, io.Discard); err != nil {
+		t.Fatal(err)
 	}
-	if j.Len() != 0 {
-		t.Fatal("corrupt meta did not force a fresh journal")
-	}
+	fullPoints := j.Len()
 	j.Close()
+	if j, err = openCheckpoint(options{checkpoint: dir, resume: true}, "scale"); err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if j.Len() != fullPoints {
+		t.Fatalf("resume loaded %d of the full-window run's %d points", j.Len(), fullPoints)
+	}
+	compareRegistryGolden(t, "scale", runResult(t, "scale", options{journal: j}))
+	if fresh := len(readRegistryGolden(t, "scale").Keys); j.Len() != fullPoints+fresh {
+		t.Errorf("-fast resume left %d journal records, want the full run's %d plus %d fresh", j.Len(), fullPoints, fresh)
+	}
 }

@@ -19,14 +19,6 @@ import (
 //	go test ./cmd/nocsprint -run 'TestRegistryFrontEndsAgree|TestGoldenFig11FastWithObs' -update
 var update = flag.Bool("update", false, "rewrite golden files under testdata/golden")
 
-// goldenSim returns the exact simulation windows the registry runs under
-// -fast, so the goldens pin the same numbers `nocsprint fig11 -fast` prints.
-// Workers stays parallel on purpose: per-point seeding guarantees the output
-// is identical at any worker count, and the goldens prove it stays that way.
-func goldenSim(check bool) core.NetSimParams {
-	return core.SimParamsFor(core.NetSimParams{Check: check}, true)
-}
-
 // compareGolden marshals got and compares it byte-for-byte against the named
 // golden file, or rewrites the file under -update.
 func compareGolden(t *testing.T, name string, got any) {
@@ -79,6 +71,16 @@ func compareRegistryGolden(t *testing.T, name string, got any) {
 // testdata/golden/registry/<name>.json pins.
 func registryResult(t *testing.T, name string) []byte {
 	t.Helper()
+	var out bytes.Buffer
+	if err := json.Indent(&out, readRegistryGolden(t, name).Result, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// readRegistryGolden reads testdata/golden/registry/<name>.json.
+func readRegistryGolden(t *testing.T, name string) registryGolden {
+	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", "golden", "registry", name+".json"))
 	if err != nil {
 		t.Fatal(err)
@@ -87,11 +89,7 @@ func registryResult(t *testing.T, name string) []byte {
 	if err := json.Unmarshal(data, &g); err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	if err := json.Indent(&out, g.Result, "", "  "); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
+	return g
 }
 
 // firstDiff locates the first differing line to keep failures readable.
@@ -124,8 +122,9 @@ func TestGoldenFig11Fast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(check bool) []core.Fig11Series {
-		series, err := core.Fig11Sweep(s, []int{4, 8}, core.Fig11ParamsFor(goldenSim(check), true))
+	e, _ := core.LookupExperiment("fig11")
+	run := func(check bool) any {
+		series, err := e.Run(s, core.NetSimParams{Check: check}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,15 +148,20 @@ func TestGoldenFig11Fast(t *testing.T) {
 
 // TestGoldenSensitivityPoint pins one sensitivity-sweep configuration (the
 // Table 1 router: 4 VCs, 4-flit buffers), checked and unchecked, to its row
-// of the sensitivity sweep's registry golden.
+// of the sensitivity sweep's registry golden. The point runs in the windows
+// Experiment.Run gives every -fast run.
 func TestGoldenSensitivityPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweep is too slow for -short")
 	}
-	plain, err := core.SensitivityPoint(4, 4, goldenSim(false))
-	if err != nil {
-		t.Fatal(err)
+	point := func(check bool) core.SensitivityRow {
+		row, err := core.SensitivityPoint(4, 4, core.NetSimParams{Warmup: 300, Measure: 1000, Drain: 10000, Check: check})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return row
 	}
+	plain := point(false)
 	var rows []core.SensitivityRow
 	if err := json.Unmarshal(registryResult(t, "sensitivity"), &rows); err != nil {
 		t.Fatal(err)
@@ -170,11 +174,7 @@ func TestGoldenSensitivityPoint(t *testing.T) {
 		t.Fatalf("sensitivity point drifted from registry/sensitivity.json:\ngot:  %+v\nwant: %+v", plain, rows[i])
 	}
 
-	checked, err := core.SensitivityPoint(4, 4, goldenSim(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain != checked {
+	if checked := point(true); plain != checked {
 		t.Fatalf("invariant checker perturbed the sensitivity point:\nwithout: %+v\nwith:    %+v", plain, checked)
 	}
 }
@@ -192,48 +192,10 @@ func TestGoldenFig11ReferenceStepper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := goldenSim(true)
-	sim.Reference = true
-	series, err := core.Fig11Sweep(s, []int{4, 8}, core.Fig11ParamsFor(sim, true))
+	e, _ := core.LookupExperiment("fig11")
+	series, err := e.Run(s, core.NetSimParams{Check: true, Reference: true}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareRegistryGolden(t, "fig11", series)
-}
-
-// TestGoldenTopology pins the `topology -fast` comparison: zero-load
-// latency, saturation rate, and low-load power for the mesh, torus, and
-// ring-circulant candidates, checked and unchecked. The mesh row doubles as
-// a zero-drift witness for the topology abstraction: it runs through
-// noc.NewTopo and the generic port-indexed fabric, yet must keep producing
-// the numbers the pre-abstraction simulator did.
-func TestGoldenTopology(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden sweep is too slow for -short")
-	}
-	s, err := core.New(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(check bool) []core.TopoRow {
-		rows, err := s.TopologyStudy(core.TopologyParamsFor(goldenSim(check), true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	plain := run(false)
-	compareRegistryGolden(t, "topology", plain)
-
-	checked, err := json.Marshal(run(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainJSON, err := json.Marshal(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plainJSON, checked) {
-		t.Fatal("invariant checker perturbed the topology study results")
-	}
 }

@@ -68,15 +68,28 @@ type options struct {
 	progress func(done, total int)
 }
 
-// parseArgs parses flags placed before and/or after the experiment name.
+// parseArgs parses the command line. On an error it writes one error line
+// and the usage to output; on -h, the usage alone.
+func parseArgs(args []string, output io.Writer) (options, string, error) {
+	o, exp, err := parseFlags(args)
+	if err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintf(output, "nocsprint: %v\n", err)
+		}
+		usage(output)
+	}
+	return o, exp, err
+}
+
+// parseFlags parses flags placed before and/or after the experiment name.
 // The standard flag package stops at the first positional argument, so a
 // single Parse would silently ignore everything after the experiment
 // ("nocsprint fig11 -fast" used to run the slow sweep); the remaining
 // arguments are re-parsed against the same flag set, and leftover
 // positional arguments are an error.
-func parseArgs(args []string, output io.Writer) (options, string, error) {
+func parseFlags(args []string) (options, string, error) {
 	var o options
-	fs := newFlagSet(&o, output)
+	fs := newFlagSet(&o, io.Discard)
 	if err := fs.Parse(args); err != nil {
 		return options{}, "", err
 	}
@@ -110,11 +123,10 @@ func parseArgs(args []string, output io.Writer) (options, string, error) {
 }
 
 // newFlagSet defines the command-line flags on o, with their help text, and
-// writes errors and usage to output.
+// writes what the flag package prints to output.
 func newFlagSet(o *options, output io.Writer) *flag.FlagSet {
 	fs := flag.NewFlagSet("nocsprint", flag.ContinueOnError)
 	fs.SetOutput(output)
-	fs.Usage = func() { usage(output) }
 	fs.BoolVar(&o.fast, "fast", false, "shrink simulation windows for quick smoke runs")
 	fs.BoolVar(&o.json, "json", false, "emit machine-readable JSON instead of tables")
 	fs.BoolVar(&o.check, "check", false, "enable runtime invariant checking: every simulation enforces\n"+
@@ -132,8 +144,9 @@ func newFlagSet(o *options, output io.Writer) *flag.FlagSet {
 		"the points still in flight")
 	fs.BoolVar(&o.resume, "resume", false, "with -checkpoint: skip points already journaled; the merged\n"+
 		"output is bit-identical to an uninterrupted run, at any\n"+
-		"-workers count (a corrupt or mismatched checkpoint is\n"+
-		"rejected with a warning and the run starts fresh)")
+		"-workers count (a missing or corrupt journal is rejected\n"+
+		"with a warning and the run starts fresh; points of another\n"+
+		"run shape, such as -fast, match nothing and are recomputed)")
 	fs.BoolVar(&o.obs, "obs", false, "attach cycle-sampled telemetry to every simulation: per-window\n"+
 		"flit/utilization/queue/power series plus a typed event\n"+
 		"timeline (results are proven bit-identical with or without)")
@@ -159,10 +172,6 @@ var (
 func main() {
 	opts, exp, err := parseArgs(os.Args[1:], os.Stderr)
 	if err != nil {
-		if !errors.Is(err, flag.ErrHelp) {
-			fmt.Fprintf(os.Stderr, "nocsprint: %v\n", err)
-			usage(os.Stderr)
-		}
 		os.Exit(2)
 	}
 	if err := execute(exp, opts); err != nil {
@@ -256,11 +265,7 @@ func execute(exp string, o options) error {
 	}
 
 	if o.obs {
-		cfg := core.DefaultConfig()
-		rec, err := obs.NewRecorder(obs.Config{
-			Interval: o.obsInterval,
-			Power:    &obs.PowerModel{Params: cfg.Router, Corner: cfg.Corner},
-		})
+		rec, err := newRecorder(o)
 		if err != nil {
 			return fmt.Errorf("-obs: %w", err)
 		}
@@ -269,7 +274,7 @@ func execute(exp string, o options) error {
 
 	err := run(exp, o, os.Stdout)
 	if err != nil && errors.Is(err, context.Canceled) && o.journal != nil {
-		fmt.Fprintf(os.Stderr, "nocsprint: %d completed point(s) saved in %s\n", o.journal.Len(), o.journal.Path())
+		fmt.Fprintf(os.Stderr, "nocsprint: %d journal record(s) saved in %s\n", o.journal.Len(), o.journal.Path())
 		fmt.Fprintf(os.Stderr, "nocsprint: resume with: nocsprint %s -checkpoint %s -resume\n", exp, o.checkpoint)
 	}
 	if o.rec != nil {
@@ -289,49 +294,36 @@ func execute(exp string, o options) error {
 	return err
 }
 
-// checkpointMeta pins a checkpoint directory to the run shape that wrote it.
-// Only parameters that change sweep results belong here; -workers and -check
-// are deliberately absent, so a checkpoint taken at one setting resumes
-// under any other.
-type checkpointMeta struct {
-	Experiment string
-	Fast       bool
+// newRecorder builds the -obs telemetry recorder: a sample every
+// -obs-interval cycles, with each network's power priced at the default
+// corner.
+func newRecorder(o options) (*obs.Recorder, error) {
+	return obs.NewRecorder(obs.Config{
+		Interval: o.obsInterval,
+		Power:    &obs.PowerModel{Corner: core.DefaultConfig().Corner},
+	})
 }
 
-// openCheckpoint prepares the journal for one experiment run inside the
-// -checkpoint directory. A fresh run truncates; -resume reloads the journal
-// after validating the metadata snapshot, and degrades to a fresh run — with
-// a warning, never an abort — when the checkpoint is missing, corrupt, or
-// belongs to a different run shape.
+// openCheckpoint opens the journal for one experiment run inside the
+// -checkpoint directory. A fresh run truncates it; -resume reopens it, and
+// starts fresh, with a warning, when it is missing or does not decode. The
+// point keys are the only guard a resume needs: they hash the run shape, so
+// a journal of another shape (a full-window run's, under -fast) satisfies
+// none of this run's points, which are recomputed and appended.
 func openCheckpoint(o options, exp string) (*ckpt.Journal, error) {
 	if err := os.MkdirAll(o.checkpoint, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint dir: %w", err)
 	}
-	jpath := filepath.Join(o.checkpoint, exp+".journal")
-	mpath := filepath.Join(o.checkpoint, exp+".meta.json")
-	want := checkpointMeta{Experiment: exp, Fast: o.fast}
+	path := filepath.Join(o.checkpoint, exp+".journal")
 	if o.resume {
-		var have checkpointMeta
-		err := ckpt.ReadSnapshot(mpath, &have)
-		switch {
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "nocsprint: cannot resume (%v); starting fresh\n", err)
-		case have != want:
-			fmt.Fprintf(os.Stderr, "nocsprint: checkpoint %s belongs to %q (fast=%v), not this run; starting fresh\n",
-				o.checkpoint, have.Experiment, have.Fast)
-		default:
-			j, err := ckpt.Open(jpath)
-			if err == nil {
-				fmt.Fprintf(os.Stderr, "nocsprint: resuming: %d completed point(s) in %s\n", j.Len(), jpath)
-				return j, nil
-			}
-			fmt.Fprintf(os.Stderr, "nocsprint: checkpoint journal rejected (%v); starting fresh\n", err)
+		j, err := ckpt.Open(path)
+		if err == nil {
+			fmt.Fprintf(os.Stderr, "nocsprint: resuming: %d journal record(s) in %s\n", j.Len(), path)
+			return j, nil
 		}
+		fmt.Fprintf(os.Stderr, "nocsprint: cannot resume (%v); starting fresh\n", err)
 	}
-	if err := ckpt.WriteSnapshot(mpath, want); err != nil {
-		return nil, err
-	}
-	return ckpt.Create(jpath)
+	return ckpt.Create(path)
 }
 
 // usage writes the usage text to w: the command line, every flag with its

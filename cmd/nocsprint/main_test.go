@@ -107,3 +107,37 @@ func TestParseArgsHelp(t *testing.T) {
 		t.Logf("-h output:\n%s", help)
 	}
 }
+
+// TestParseArgsUsageOnce: a bad command line prints one error line and the
+// usage once, and -h the usage alone.
+func TestParseArgsUsageOnce(t *testing.T) {
+	cases := []struct {
+		args   []string
+		errors int
+	}{
+		{[]string{"-nonesuch", "fig11"}, 1}, // unknown flag
+		{[]string{}, 1},                     // missing experiment
+		{[]string{"fig11", "-resume"}, 1},   // -resume without -checkpoint
+		{[]string{"-h"}, 0},
+	}
+	for _, c := range cases {
+		var out strings.Builder
+		if _, _, err := parseArgs(c.args, &out); err == nil {
+			t.Errorf("parseArgs(%v): no error", c.args)
+			continue
+		}
+		usages, errors := 0, 0
+		for _, line := range strings.Split(out.String(), "\n") {
+			switch {
+			case strings.HasPrefix(line, "usage: "):
+				usages++
+			case strings.HasPrefix(line, "nocsprint: "):
+				errors++
+			}
+		}
+		if usages != 1 || errors != c.errors {
+			t.Errorf("parseArgs(%v) printed %d usage(s) and %d error line(s), want 1 and %d:\n%s",
+				c.args, usages, errors, c.errors, out.String())
+		}
+	}
+}

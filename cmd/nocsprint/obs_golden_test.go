@@ -13,25 +13,9 @@ import (
 	"nocsprint/internal/obs"
 )
 
-// obsGoldenRecorder builds the recorder exactly the way the CLI's -obs flag
-// does, so the golden stream pins what `fig11 -fast -obs` actually writes.
-func obsGoldenRecorder(t *testing.T) *obs.Recorder {
-	t.Helper()
-	cfg := core.DefaultConfig()
-	rec, err := obs.NewRecorder(obs.Config{
-		Interval: 1000,
-		Power:    &obs.PowerModel{Params: cfg.Router, Corner: cfg.Corner},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec
-}
-
-// TestGoldenFig11FastWithObs is the golden-layer leg of the telemetry
-// zero-drift guarantee plus the pinned JSONL stream: the instrumented
-// `fig11 -fast` sweep must reproduce the registry's fig11 golden the
-// uninstrumented sweep is pinned to, and one representative collector's
+// TestGoldenFig11FastWithObs pins the telemetry stream `fig11 -fast -obs`
+// writes: the instrumented sweep must reproduce the registry's fig11 golden
+// the uninstrumented sweep is pinned to, and one representative collector's
 // JSONL output is itself a golden file — its byte layout (field order
 // included) is the format external consumers parse.
 //
@@ -46,15 +30,17 @@ func TestGoldenFig11FastWithObs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obsGoldenRecorder(t)
-	sim := goldenSim(true)
-	sim.Obs = rec
-	series, err := core.Fig11Sweep(s, []int{4, 8}, core.Fig11ParamsFor(sim, true))
+	// The recorder the CLI's -obs flag builds, at its default interval, so
+	// the golden stream pins what `fig11 -fast -obs` writes.
+	rec, err := newRecorder(options{obsInterval: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Zero drift at the golden layer: telemetry must not move a single byte
-	// of the pinned sweep results.
+	e, _ := core.LookupExperiment("fig11")
+	series, err := e.Run(s, core.NetSimParams{Check: true, Obs: rec}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	compareRegistryGolden(t, "fig11", series)
 
 	// Read the point back from the files -obs-out writes.

@@ -41,22 +41,8 @@ func TestRegistryFrontEndsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer j.Close()
-			var out bytes.Buffer
-			if err := run(e.Name, options{fast: true, json: true, workers: 2, journal: j}, &out); err != nil {
-				t.Fatalf("CLI -json: %v", err)
-			}
-			var envelope struct {
-				Experiment string
-				Result     json.RawMessage
-			}
-			if err := json.Unmarshal(out.Bytes(), &envelope); err != nil {
-				t.Fatalf("CLI -json output does not parse: %v", err)
-			}
-			if envelope.Experiment != e.Name {
-				t.Errorf("envelope names %q, want %q", envelope.Experiment, e.Name)
-			}
 			var cli bytes.Buffer
-			if err := json.Compact(&cli, envelope.Result); err != nil {
+			if err := json.Compact(&cli, runResult(t, e.Name, options{workers: 2, journal: j})); err != nil {
 				t.Fatal(err)
 			}
 			spec := serve.JobSpec{Experiment: e.Name, Fast: true, Workers: 2}
@@ -87,6 +73,100 @@ func TestRegistryFrontEndsAgree(t *testing.T) {
 				registryGolden{Result: cli.Bytes(), Keys: journalKeys(t, jpath)})
 		})
 	}
+}
+
+// analytic names the registry entries that run no simulation, so attach no
+// telemetry collector.
+var analytic = map[string]bool{
+	"table1": true, "fig2": true, "fig3": true, "fig4": true, "fig7": true, "fig8": true,
+	"fig12": true, "duration": true, "feedback": true, "controller": true, "dimdark": true,
+}
+
+// TestRegistryZeroDrift is the driver-level proof that the invariant
+// checker, the reference stepper and telemetry never move a result. Every
+// registry entry runs under -fast through the CLI's run three more times:
+// under -check; under -check -refstep on one worker, so the run also
+// crosses worker counts (the goldens run on two); and under -check -obs,
+// with the recorder -obs builds at -obs-interval 100, so samples land in
+// the 300-cycle -fast warm-up as well as in the measurement and drain
+// windows. Each run must print the result bytes that
+// testdata/golden/registry/<name>.json pins. Under -obs every entry that
+// simulates must attach at least one collector, each holding samples, and
+// the analytic entries none.
+//
+// llc skips the reference leg: on one worker it takes about 6 s on a
+// 2-vCPU VM, some 40 times its optimized run, and the two message classes
+// and the sink of its closed loop are stepper-equivalence cases in
+// internal/noc. Under -short only fig11's legs run, so the race-detector
+// run keeps a driver-level reference-stepper proof.
+func TestRegistryZeroDrift(t *testing.T) {
+	legs := []struct {
+		name string
+		o    options
+	}{
+		{"check", options{check: true}},
+		{"refstep", options{check: true, refstep: true, workers: 1}},
+		{"obs", options{check: true, obs: true, obsInterval: 100}},
+	}
+	for _, e := range core.Experiments() {
+		if testing.Short() && e.Name != "fig11" {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, leg := range legs {
+				if e.Name == "llc" && leg.o.refstep {
+					continue
+				}
+				t.Run(leg.name, func(t *testing.T) {
+					t.Parallel()
+					o := leg.o
+					if o.obs {
+						rec, err := newRecorder(o)
+						if err != nil {
+							t.Fatal(err)
+						}
+						o.rec = rec
+					}
+					compareRegistryGolden(t, e.Name, runResult(t, e.Name, o))
+					if o.rec == nil {
+						return
+					}
+					cols := o.rec.Collectors()
+					if analytic[e.Name] != (len(cols) == 0) {
+						t.Fatalf("%d collector(s) attached; analytic entry: %v", len(cols), analytic[e.Name])
+					}
+					for i, c := range cols {
+						if c.Finish(); len(c.Samples()) == 0 {
+							t.Errorf("collector %d of %d holds no samples", i, len(cols))
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// runResult runs one registry entry under -fast -json and the rest of o
+// through the CLI's run, and returns the result the envelope carries.
+func runResult(t *testing.T, name string, o options) json.RawMessage {
+	t.Helper()
+	o.fast, o.json = true, true
+	var out bytes.Buffer
+	if err := run(name, o, &out); err != nil {
+		t.Fatalf("CLI -json: %v", err)
+	}
+	var envelope struct {
+		Experiment string
+		Result     json.RawMessage
+	}
+	if err := json.Unmarshal(out.Bytes(), &envelope); err != nil {
+		t.Fatalf("CLI -json output does not parse: %v", err)
+	}
+	if envelope.Experiment != name {
+		t.Errorf("envelope names %q, want %q", envelope.Experiment, name)
+	}
+	return envelope.Result
 }
 
 // journalKeys returns the sorted keys recorded in the journal at path.

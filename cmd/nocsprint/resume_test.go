@@ -24,7 +24,7 @@ func TestGoldenFig11FastResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := func() core.Fig11Params { return core.Fig11ParamsFor(goldenSim(true), true) }
+	e, _ := core.LookupExperiment("fig11")
 	const totalPoints = 8 // 2 levels x 4 rates
 
 	path := filepath.Join(t.TempDir(), "fig11.journal")
@@ -34,19 +34,19 @@ func TestGoldenFig11FastResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	interrupted := params()
-	interrupted.Sim.Ctx = ctx
-	// Progress reports a point after journaling it and before its worker
-	// claims the next, so the interrupt lands mid-sweep however fast the
-	// points run.
-	interrupted.Sim.Progress = func(done, _ int) {
-		if done >= totalPoints/2 {
-			cancel()
-		}
+	interrupted := core.NetSimParams{
+		Check: true, Ctx: ctx, Journal: j,
+		Workers: 2, // bounds in-flight points, so the interrupt lands mid-sweep
+		// Progress reports a point after journaling it and before its
+		// worker claims the next, so the interrupt lands mid-sweep however
+		// fast the points run.
+		Progress: func(done, _ int) {
+			if done >= totalPoints/2 {
+				cancel()
+			}
+		},
 	}
-	interrupted.Sim.Journal = j
-	interrupted.Sim.Workers = 2 // bounds in-flight points, so the interrupt lands mid-sweep
-	if _, err := core.Fig11Sweep(s, []int{4, 8}, interrupted); !errors.Is(err, context.Canceled) {
+	if _, err := e.Run(s, interrupted, true); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep: err = %v, want context.Canceled", err)
 	}
 	if n := j.Len(); n < totalPoints/2 || n >= totalPoints {
@@ -61,9 +61,7 @@ func TestGoldenFig11FastResume(t *testing.T) {
 		t.Fatalf("reopening the interrupted journal: %v", err)
 	}
 	defer resumedJournal.Close()
-	resume := params()
-	resume.Sim.Journal = resumedJournal
-	series, err := core.Fig11Sweep(s, []int{4, 8}, resume)
+	series, err := e.Run(s, core.NetSimParams{Check: true, Journal: resumedJournal}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"nocsprint/internal/core"
 	"nocsprint/internal/power"
-	"nocsprint/internal/stats"
 )
 
 // docQuote is one fragment of EXPERIMENTS.md, exactly as printed, with each
@@ -232,7 +231,7 @@ func docQuotes(t *testing.T) []docQuote {
 			float64(abl.DarkTraversalsDOR), float64(abl.DarkTraversalsCDOR)),
 		quote("| Runtime gating (NoRD/Catnap class) | [6.0] % | +[21.1] % |", pct(gating.SavingRuntime), pct(gating.PenaltyRuntime)),
 		quote("| NoC-sprinting (static region gating) | [63.4] % | −[23] % (it *shortens* paths) |",
-			pct(gating.SavingNoC), pct(stats.Mean(nocLatCut))),
+			pct(gating.SavingNoC), pct(mean(nocLatCut))),
 		quote("| Identity placement | [17.8] cyc | [347.97] K | [1] cyc |", wireRow(0)...),
 		quote("| Floorplanned, plain wires | [23.8] cyc (+[33] %) | [343.90] K | [5] cyc |",
 			wires[1].AvgLatency, pct(wires[1].AvgLatency/wires[0].AvgLatency-1), wires[1].PeakK, float64(wires[1].MaxLinkCycles)),
@@ -258,4 +257,13 @@ func docQuotes(t *testing.T) []docQuote {
 		quote("the gated network burns [4]× less power", llc[0].NetPowerW/llc[2].NetPowerW),
 		quote("CDOR adds ~[0.1] % to a Table 1 DOR switch", pct(abl.CDORAreaOverhead)),
 	}
+}
+
+// mean returns the arithmetic mean of xs.
+func mean(xs []float64) float64 {
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
 }

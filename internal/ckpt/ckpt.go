@@ -15,7 +15,7 @@
 //     bit flips, version skew, and duplicates, and returns errors — never
 //     panics — naming the first bad record's byte offset.
 //   - Snapshots: whole-file atomic JSON writes (temp file → fsync → rename)
-//     with a checksum envelope, for small metadata like a sweep's identity.
+//     with a checksum envelope, for small records like a daemon job's state.
 //
 // The sweep executor, runner.Run, consults the journal to skip completed
 // points and appends each fresh one as it completes.
@@ -171,9 +171,9 @@ type Journal struct {
 // RemoveOrphanTemps deletes stale snapshot temp files from dir: a kill -9
 // (or power loss) between WriteSnapshot's CreateTemp and its rename leaves a
 // `.<name>.tmp-*` file behind that no one will ever rename or reuse — its
-// random suffix is gone with the dead process. Journal Open/Create sweep
-// their directory through this, so a crash-restart cycle cannot accumulate
-// partial files next to the live journal and snapshots. Only files matching
+// random suffix is gone with the dead process. A restart sweeps each
+// directory that holds snapshots through this before reading them, so a
+// crash-restart cycle cannot accumulate partial files. Only files matching
 // the exact temp-name shape are touched; removal errors other than "already
 // gone" are reported (the first one), after attempting every candidate.
 // It returns the number of files removed.
@@ -201,12 +201,8 @@ func RemoveOrphanTemps(dir string) (int, error) {
 }
 
 // Create starts a fresh journal at path, truncating any existing file, and
-// writes the versioned header. Orphaned snapshot temp files in the
-// journal's directory (left by a crash mid-rename) are removed first.
+// writes the versioned header.
 func Create(path string) (*Journal, error) {
-	if _, err := RemoveOrphanTemps(filepath.Dir(path)); err != nil {
-		return nil, err
-	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: creating journal: %w", err)
@@ -225,13 +221,8 @@ func Create(path string) (*Journal, error) {
 // Open loads an existing journal for resume: it decodes every record —
 // rejecting the whole file with a descriptive error if any record is torn,
 // corrupt, duplicated, or from another version — and reopens the file for
-// appending. Orphaned snapshot temp files in the journal's directory (left
-// by a kill -9 between a snapshot's temp write and its rename) are removed
-// first, so a crashed run's debris never survives a restart.
+// appending.
 func Open(path string) (*Journal, error) {
-	if _, err := RemoveOrphanTemps(filepath.Dir(path)); err != nil {
-		return nil, err
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: reading journal: %w", err)

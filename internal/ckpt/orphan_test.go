@@ -6,89 +6,16 @@ import (
 	"testing"
 )
 
-// TestOpenRemovesOrphanTempFiles simulates the aftermath of a kill -9 that
-// landed between WriteSnapshot's temp-file write and its rename: the
-// orphaned `.<name>.tmp-*` file must be swept away when the journal is
-// reopened for resume, while the journal, real snapshots, and unrelated
-// files survive untouched.
-func TestOpenRemovesOrphanTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "sweep.journal")
-	j, err := Create(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append("k1", 42); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	if err := WriteSnapshot(filepath.Join(dir, "meta.json"), map[string]string{"exp": "fig11"}); err != nil {
-		t.Fatal(err)
-	}
-
-	orphans := []string{
-		".meta.json.tmp-1234567",  // the CreateTemp naming shape WriteSnapshot uses
-		".result.json.tmp-987654", // a second dead writer
-	}
-	for _, name := range orphans {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("torn partial snapshot"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keep := []string{"meta.json", "notes.tmp-but-not-hidden", ".hidden-config"}
-	if err := os.WriteFile(filepath.Join(dir, keep[1]), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, keep[2]), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(jpath)
-	if err != nil {
-		t.Fatalf("Open with orphan temp files present: %v", err)
-	}
-	defer re.Close()
-	if re.Len() != 1 {
-		t.Errorf("journal lost records during orphan cleanup: Len = %d, want 1", re.Len())
-	}
-	for _, name := range orphans {
-		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Errorf("orphan %s still present after Open", name)
-		}
-	}
-	for _, name := range keep {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Errorf("non-orphan %s was removed: %v", name, err)
-		}
-	}
-	var meta map[string]string
-	if err := ReadSnapshot(filepath.Join(dir, "meta.json"), &meta); err != nil || meta["exp"] != "fig11" {
-		t.Errorf("real snapshot damaged by cleanup: %v %v", meta, err)
-	}
-}
-
-// TestCreateRemovesOrphanTempFiles: a fresh journal in a crashed run's
-// directory also sweeps the debris.
-func TestCreateRemovesOrphanTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	orphan := filepath.Join(dir, ".meta.json.tmp-555")
-	if err := os.WriteFile(orphan, []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := Create(filepath.Join(dir, "sweep.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Error("orphan temp file survived Create")
-	}
-}
-
-// TestRemoveOrphanTempsCounts checks the exported sweep helper directly.
+// TestRemoveOrphanTempsCounts simulates the aftermath of kills that landed
+// between WriteSnapshot's temp-file write and its rename: the orphaned
+// `.<name>.tmp-*` files are swept and counted, while a real snapshot and
+// files of other shapes survive untouched.
 func TestRemoveOrphanTempsCounts(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{".a.json.tmp-1", ".b.json.tmp-2"} {
+	if err := WriteSnapshot(filepath.Join(dir, "job.json"), map[string]string{"exp": "fig11"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{".a.json.tmp-1", ".b.json.tmp-2", "notes.tmp-but-not-hidden", ".hidden-config"} {
 		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -100,5 +27,14 @@ func TestRemoveOrphanTempsCounts(t *testing.T) {
 	n, err = RemoveOrphanTemps(dir)
 	if err != nil || n != 0 {
 		t.Errorf("second sweep = (%d, %v), want (0, nil)", n, err)
+	}
+	for _, name := range []string{"notes.tmp-but-not-hidden", ".hidden-config"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("non-orphan %s was removed: %v", name, err)
+		}
+	}
+	var job map[string]string
+	if err := ReadSnapshot(filepath.Join(dir, "job.json"), &job); err != nil || job["exp"] != "fig11" {
+		t.Errorf("real snapshot damaged by the sweep: %v %v", job, err)
 	}
 }

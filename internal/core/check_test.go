@@ -76,26 +76,6 @@ func TestSweepDriversSelfValidateWithZeroDrift(t *testing.T) {
 	}
 }
 
-// TestLLCStudySelfValidates runs the closed-loop cache study under the
-// checker: the request/response protocol over a gated network must also
-// uphold every invariant.
-func TestLLCStudySelfValidates(t *testing.T) {
-	if testing.Short() {
-		t.Skip("closed-loop cache study is too slow for -short")
-	}
-	s := newSprinter(t)
-	run := func(check bool) []LLCRow {
-		rows, err := LLCStudy(s, NetSimParams{Check: check})
-		if err != nil {
-			t.Fatalf("LLCStudy(check=%v): %v", check, err)
-		}
-		return rows
-	}
-	if plain, checked := run(false), run(true); !reflect.DeepEqual(plain, checked) {
-		t.Fatalf("invariant checker changed LLC study results:\nwithout: %+v\nwith:    %+v", plain, checked)
-	}
-}
-
 // BenchmarkCheckedSweep times the invariant checker on a dark chip: a
 // serial Fig. 11 slice on a 16x16 mesh (levels 4 and 16, rates 0.05, 0.15
 // and 0.30, one full-sprinting sample, default windows), unchecked and

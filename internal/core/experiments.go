@@ -11,7 +11,6 @@ import (
 	"nocsprint/internal/power"
 	"nocsprint/internal/routing"
 	"nocsprint/internal/sprint"
-	"nocsprint/internal/stats"
 	"nocsprint/internal/thermal"
 	"nocsprint/internal/topo"
 	"nocsprint/internal/traffic"
@@ -137,8 +136,8 @@ func Fig7ExecTime(s *Sprinter) (Fig7Result, error) {
 		spN = append(spN, non.ExecSeconds/nocs.ExecSeconds)
 		spF = append(spF, non.ExecSeconds/full.ExecSeconds)
 	}
-	out.AvgSpeedupNoC = stats.Mean(spN)
-	out.AvgSpeedupFull = stats.Mean(spF)
+	out.AvgSpeedupNoC = mean(spN)
+	out.AvgSpeedupFull = mean(spF)
 	return out, nil
 }
 
@@ -260,8 +259,8 @@ func Fig9Fig10Network(s *Sprinter, sp NetSimParams) (NetResult, error) {
 		}
 		powSav = append(powSav, 1-row.PowerNoC/row.PowerFull)
 	}
-	out.LatencyReduction = stats.Mean(latRed)
-	out.PowerSaving = stats.Mean(powSav)
+	out.LatencyReduction = mean(latRed)
+	out.PowerSaving = mean(powSav)
 	return out, nil
 }
 
@@ -315,9 +314,6 @@ func (p Fig11Params) withDefaults() Fig11Params {
 // cancellation and params.Sim.Journal for crash-safe resume.
 func Fig11Sweep(s *Sprinter, levels []int, params Fig11Params) ([]Fig11Series, error) {
 	params = params.withDefaults()
-	if len(levels) == 0 {
-		levels = []int{4, 8}
-	}
 	var cells []fig11Cell
 	for _, level := range levels {
 		for ri, rate := range params.Rates {
@@ -349,8 +345,8 @@ func Fig11Sweep(s *Sprinter, levels []int, params Fig11Params) ([]Fig11Series, e
 				powCuts = append(powCuts, 1-pt.PowerNoC/pt.PowerFull)
 			}
 		}
-		ser.PreSatLatencyCut = stats.Mean(latCuts)
-		ser.PreSatPowerCut = stats.Mean(powCuts)
+		ser.PreSatLatencyCut = mean(latCuts)
+		ser.PreSatPowerCut = mean(powCuts)
 		series = append(series, ser)
 	}
 	return series, nil
@@ -493,7 +489,7 @@ func SprintDurations(s *Sprinter) (DurationResult, error) {
 			gains = append(gains, row.NoCSprint/row.FullSprint-1)
 		}
 	}
-	out.AvgIncrease = stats.Mean(gains)
+	out.AvgIncrease = mean(gains)
 	return out, nil
 }
 
@@ -605,9 +601,9 @@ func GatingComparison(s *Sprinter, sp NetSimParams) (GatingResult, error) {
 			pen = append(pen, row.LatRuntime/row.LatNone-1)
 		}
 	}
-	out.SavingRuntime = stats.Mean(savR)
-	out.SavingNoC = stats.Mean(savN)
-	out.PenaltyRuntime = stats.Mean(pen)
+	out.SavingRuntime = mean(savR)
+	out.SavingNoC = mean(savN)
+	out.PenaltyRuntime = mean(pen)
 	return out, nil
 }
 
@@ -714,7 +710,9 @@ func FloorplanWireStudy(s *Sprinter, sp NetSimParams) ([]WireCase, error) {
 		maxLink := s.cfg.NoC.LinkLatency
 		if planned && !smart {
 			// Plain wires: latency grows with the physical Euclidean
-			// distance between the mapped tiles (one cycle per tile pitch).
+			// distance between the mapped tiles (one cycle per tile pitch;
+			// a plan puts two tiles on distinct slots, at least a pitch
+			// apart, so every link takes at least one cycle).
 			for _, a := range region.ActiveNodes() {
 				for _, b := range s.mesh.Neighbors(a) {
 					if !region.Active(b) {
@@ -722,9 +720,6 @@ func FloorplanWireStudy(s *Sprinter, sp NetSimParams) ([]WireCase, error) {
 					}
 					d := s.mesh.Coord(plan.Pos(a)).Euclidean(s.mesh.Coord(plan.Pos(b)))
 					cycles := int(math.Ceil(d))
-					if cycles < 1 {
-						cycles = 1
-					}
 					if err := net.SetLinkLatency(a, b, cycles); err != nil {
 						return 0, 0, err
 					}
@@ -791,9 +786,6 @@ type ScaleRow struct {
 // sprinter's networks. Mesh sizes run in parallel per sp.Workers with
 // per-size seeds; sp.Ctx cancels the sweep and sp.Journal checkpoints it.
 func ScalingStudy(widths []int, sp NetSimParams) ([]ScaleRow, error) {
-	if len(widths) == 0 {
-		widths = []int{4, 6, 8}
-	}
 	// A point's fields, in order, are its checkpoint key.
 	type point struct {
 		Width    int
@@ -1226,4 +1218,16 @@ func darkTraversals(t topo.Topology, alg routing.Algorithm, region *sprint.Regio
 		}
 	}
 	return dark, nil
+}
+
+// mean returns the arithmetic mean of xs, or 0 for an empty slice.
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
 }

@@ -457,3 +457,12 @@ func TestLLCStudy(t *testing.T) {
 			full.BypassTransfers, remap.BypassTransfers, bypass.BypassTransfers)
 	}
 }
+
+func TestMean(t *testing.T) {
+	if mean(nil) != 0 {
+		t.Error("empty mean")
+	}
+	if got := mean([]float64{1, 2, 3, 4}); math.Abs(got-2.5) > 1e-9 {
+		t.Errorf("mean = %v, want 2.5", got)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"nocsprint/internal/ckpt"
-	"nocsprint/internal/workload"
 )
 
 // Driver-level zero-drift proofs for the reference-stepper switch: the
@@ -97,31 +96,5 @@ func TestReferenceStepperCrossModeResume(t *testing.T) {
 	}
 	if half.Len() != len(recs) {
 		t.Errorf("resumed journal holds %d records, want %d", half.Len(), len(recs))
-	}
-}
-
-// TestEvaluateNetworkReferenceEquivalence covers the single-point driver the
-// scheme comparisons build on, for both a gated region and the full mesh.
-func TestEvaluateNetworkReferenceEquivalence(t *testing.T) {
-	s := newSprinter(t)
-	dedup, err := workload.ByName("dedup")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, scheme := range []Scheme{NoCSprinting, FullSprinting} {
-		opt, err := s.EvaluateNetwork(dedup, scheme, raceSim(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp := raceSim(1)
-		sp.Reference = true
-		sp.Check = true
-		ref, err := s.EvaluateNetwork(dedup, scheme, sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(opt, ref) {
-			t.Errorf("%v: stepper drift:\noptimized: %+v\nreference: %+v", scheme, opt, ref)
-		}
 	}
 }

@@ -25,10 +25,14 @@ type Experiment struct {
 
 // Run computes the experiment's typed, JSON-marshalable result. sim carries
 // the sweep plumbing (workers, seed, cancellation, journal, checker,
-// telemetry); fast selects the smoke-sized windows of SimParamsFor plus the
-// entry's own fast shaping.
+// telemetry); fast runs every simulation in smoke-sized windows (300
+// warm-up, 1000 measured and 10000 drain cycles), and the entry adds its
+// own fast shaping.
 func (e Experiment) Run(s *Sprinter, sim NetSimParams, fast bool) (any, error) {
-	return e.run(s, SimParamsFor(sim, fast), fast)
+	if fast {
+		sim.Warmup, sim.Measure, sim.Drain = 300, 1000, 10000
+	}
+	return e.run(s, sim, fast)
 }
 
 // entry builds a registry entry from a typed driver and renderer.
@@ -73,7 +77,13 @@ var experiments = []Experiment{
 	entry("fig10", "network power, full vs NoC-sprinting", runFig9Fig10, textFig9Fig10),
 	entry("fig11", "synthetic uniform-random load sweep (4- and 8-core)",
 		func(s *Sprinter, sim NetSimParams, fast bool) ([]Fig11Series, error) {
-			return Fig11Sweep(s, []int{4, 8}, Fig11ParamsFor(sim, fast))
+			p := Fig11Params{Sim: sim}
+			if fast {
+				// A shorter rate ladder with fewer full-sprinting mappings.
+				p.Rates = []float64{0.05, 0.15, 0.25, 0.35}
+				p.Samples = 3
+			}
+			return Fig11Sweep(s, []int{4, 8}, p)
 		}, textFig11),
 	entry("fig12", "steady-state heat maps (dedup, level 4)",
 		func(s *Sprinter, _ NetSimParams, _ bool) ([]Fig12Case, error) { return Fig12HeatMaps(s) }, textFig12),
@@ -103,7 +113,11 @@ var experiments = []Experiment{
 		func(_ *Sprinter, sim NetSimParams, _ bool) ([]SensitivityRow, error) { return SensitivitySweep(sim) }, textSensitivity),
 	entry("topology", "extension: mesh vs torus vs ring-circulant comparison",
 		func(s *Sprinter, sim NetSimParams, fast bool) ([]TopoRow, error) {
-			return s.TopologyStudy(TopologyParamsFor(sim, fast))
+			p := TopologyParams{Sim: sim}
+			if fast {
+				p.Rates = []float64{0.1, 0.3, 0.5, 0.7}
+			}
+			return s.TopologyStudy(p)
 		}, textTopology),
 	entry("dimdark", "extension: dim silicon (more slow cores) vs dark (few fast)",
 		func(s *Sprinter, _ NetSimParams, _ bool) ([]DimDarkPoint, error) { return DimVsDark(s) }, textDimDark),
@@ -142,36 +156,6 @@ func LookupExperiment(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// SimParamsFor returns sim with the smoke-sized simulation windows every
-// experiment runs under -fast; without fast it returns sim unchanged.
-func SimParamsFor(sim NetSimParams, fast bool) NetSimParams {
-	if fast {
-		sim.Warmup, sim.Measure, sim.Drain = 300, 1000, 10000
-	}
-	return sim
-}
-
-// Fig11ParamsFor returns the fig11 sweep parameters over sim; fast walks a
-// shorter rate ladder with fewer full-sprinting mappings.
-func Fig11ParamsFor(sim NetSimParams, fast bool) Fig11Params {
-	p := Fig11Params{Sim: sim}
-	if fast {
-		p.Rates = []float64{0.05, 0.15, 0.25, 0.35}
-		p.Samples = 3
-	}
-	return p
-}
-
-// TopologyParamsFor returns the topology-comparison parameters over sim;
-// fast walks a shorter rate ladder.
-func TopologyParamsFor(sim NetSimParams, fast bool) TopologyParams {
-	p := TopologyParams{Sim: sim}
-	if fast {
-		p.Rates = []float64{0.1, 0.3, 0.5, 0.7}
-	}
-	return p
 }
 
 // Table1Result is the system and interconnect configuration of the paper's

@@ -19,11 +19,11 @@ import (
 
 // newTestRecorder builds a recorder with the power model attached, so the
 // sampled series exercises the alloc-free NetworkPower path.
-func newTestRecorder(t *testing.T, cfg noc.Config, interval int) *obs.Recorder {
+func newTestRecorder(t *testing.T, interval int) *obs.Recorder {
 	t.Helper()
 	rec, err := obs.NewRecorder(obs.Config{
 		Interval: interval,
-		Power:    &obs.PowerModel{Params: power.DefaultRouterParams45nm(cfg), Corner: power.Nominal},
+		Power:    &obs.PowerModel{Corner: power.Nominal},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestObserverZeroDrift(t *testing.T) {
 			t.Parallel()
 			plain, plainNodes, _ := buildEquiv(t, c, false)
 			observed, obsNodes, obsRegion := buildEquiv(t, c, false)
-			rec := newTestRecorder(t, observed.Config(), 250)
+			rec := newTestRecorder(t, 250)
 			col := rec.NewCollector(observed, c.name, rec.Config())
 			observed.SetProbe(equivChecker(observed, obsRegion), col)
 
@@ -116,7 +116,7 @@ func TestObserverToggleMidRun(t *testing.T) {
 	c := equivCases[1] // region-4x4-level4
 	plain, plainNodes, _ := buildEquiv(t, c, false)
 	toggled, togNodes, togRegion := buildEquiv(t, c, false)
-	rec := newTestRecorder(t, toggled.Config(), 100)
+	rec := newTestRecorder(t, 100)
 
 	set := traffic.NewSet(togNodes)
 	pattern := traffic.NewUniform(set.Size())
@@ -233,7 +233,7 @@ func TestStepZeroAllocSteadyStateWithObs(t *testing.T) {
 				case "probe":
 					net.SetProbe(d)
 				case "probe+collector":
-					rec := newTestRecorder(t, net.Config(), 100)
+					rec := newTestRecorder(t, 100)
 					net.SetProbe(d, rec.NewCollector(net, c.name, rec.Config()))
 				case "probe+checker":
 					net.SetProbe(d, equivChecker(net, region))

@@ -124,8 +124,8 @@ func RunSynthetic(net *Network, set *traffic.Set, pattern traffic.Pattern, p Sim
 		Events:          d.Events,
 		MeasureWindow:   d.Cycles,
 	}
-	if d.MeasuredEjected > 0 {
-		res.AvgLatency = float64(d.LatencySum) / float64(d.MeasuredEjected)
+	if lat, ok := d.AvgLatency(); ok {
+		res.AvgLatency = lat
 		res.AvgNetLatency = float64(d.NetLatencySum) / float64(d.MeasuredEjected)
 	}
 	if p.MeasureCycles > 0 && set.Size() > 0 {

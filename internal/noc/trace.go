@@ -158,8 +158,6 @@ func ReplayTrace(net *Network, events []TraceEvent, drainCycles int) (TraceResul
 		Cycles:  s.Cycles,
 		Drained: drained,
 	}
-	if s.MeasuredEjected > 0 {
-		res.AvgLatency = float64(s.LatencySum) / float64(s.MeasuredEjected)
-	}
+	res.AvgLatency, _ = s.AvgLatency()
 	return res, nil
 }

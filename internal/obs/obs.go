@@ -11,8 +11,9 @@
 // full, so a collector costs memory in proportion to what it records, and
 // Step allocates only at those doublings — none between them; and because
 // the hooks never mutate the network, instrumented runs are bit-identical to
-// uninstrumented ones (the zero-drift suites at the noc, core, and golden
-// layers pin both properties).
+// uninstrumented ones (internal/noc's zero-drift suite pins both properties,
+// and the registry-wide zero-drift test in cmd/nocsprint the second for
+// every experiment).
 //
 // A Recorder owns the configuration for one sweep and hands out one labeled
 // Collector per simulated network; after the sweep it serializes every
@@ -29,9 +30,10 @@ import (
 )
 
 // PowerModel converts a sample window's event deltas into network power.
+// Each collector prices the routers of the network it watches, with the
+// 45 nm parameters of that network's own geometry
+// (power.DefaultRouterParams45nm of its noc.Config).
 type PowerModel struct {
-	// Params are the router energy/leakage parameters.
-	Params power.RouterParams
 	// Corner is the operating point the sampled routers run at.
 	Corner power.Corner
 }
@@ -174,6 +176,7 @@ type Collector struct {
 	events []Event
 
 	pw          *PowerModel
+	params      power.RouterParams // the watched routers' model, priced with pw
 	th          *ThermalModel
 	thermState  *thermal.LumpedState
 	prevTripped bool
@@ -194,6 +197,7 @@ func newCollector(cfg Config, label string, net *noc.Network) *Collector {
 		perRouter: make([]float64, 0, sampleCap*routers),
 		events:    make([]Event, 0, eventCap),
 		pw:        cfg.Power,
+		params:    power.DefaultRouterParams45nm(net.Config()),
 		th:        cfg.Thermal,
 	}
 	// Prime the baselines so the first window measures only cycles this
@@ -291,7 +295,7 @@ func (c *Collector) sample(n *noc.Network) {
 		s.QueueDepth = float64(s.BufferedFlits) / float64(active)
 	}
 	if c.pw != nil {
-		if b, err := c.pw.Params.NetworkPower(delta.Events, window, active, c.pw.Corner); err == nil {
+		if b, err := c.params.NetworkPower(delta.Events, window, active, c.pw.Corner); err == nil {
 			s.PowerW = b.Total()
 		}
 	}

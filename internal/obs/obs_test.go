@@ -104,46 +104,49 @@ func TestCollectorSampling(t *testing.T) {
 }
 
 // TestCollectorPowerSeries pins the sampled power against the map-based
-// reference breakdown computed from the same window deltas.
+// reference breakdown computed from the same window deltas, priced with the
+// watched network's own router model: the Table 1 router (4 VCs, 4-flit
+// buffers) and one with 8 VCs and 8-flit buffers, whose leakage is larger.
 func TestCollectorPowerSeries(t *testing.T) {
-	net := testNet(t)
-	params := power.DefaultRouterParams45nm(net.Config())
-	rec, err := NewRecorder(Config{
-		Interval: 50,
-		Power:    &PowerModel{Params: params, Corner: power.Nominal},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := rec.NewCollector(net, "power", rec.Config())
-	net.SetProbe(col)
+	deep := noc.DefaultConfig()
+	deep.VCs, deep.BufferDepth = 8, 8
+	for _, cfg := range []noc.Config{noc.DefaultConfig(), deep} {
+		net, err := noc.New(cfg, routing.NewDOR(topo.NewMesh(4, 4)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := NewRecorder(Config{Interval: 50, Power: &PowerModel{Corner: power.Nominal}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := rec.NewCollector(net, "power", rec.Config())
+		net.SetProbe(col)
 
-	prev := make([]noc.Events, 16)
-	for id := range prev {
-		prev[id] = net.RouterEvents(id)
-	}
-	for i := 0; i < 50; i++ {
-		net.Enqueue(i%16, (i+5)%16)
-		net.Step()
-	}
-	var delta noc.Events
-	for id := 0; id < 16; id++ {
-		d := net.RouterEvents(id).Sub(prev[id])
-		delta.Add(d)
-	}
-	want, err := params.NetworkPower(delta, 50, 16, power.Nominal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := col.Samples()
-	if len(samples) != 1 {
-		t.Fatalf("%d samples, want 1", len(samples))
-	}
-	if got := samples[0].PowerW; got != want.Total() {
-		t.Errorf("sampled power %v != breakdown total %v", got, want.Total())
-	}
-	if samples[0].PowerW <= 0 {
-		t.Error("sampled power not positive under load")
+		prev := make([]noc.Events, 16)
+		for id := range prev {
+			prev[id] = net.RouterEvents(id)
+		}
+		for i := 0; i < 50; i++ {
+			net.Enqueue(i%16, (i+5)%16)
+			net.Step()
+		}
+		var delta noc.Events
+		for id := 0; id < 16; id++ {
+			d := net.RouterEvents(id).Sub(prev[id])
+			delta.Add(d)
+		}
+		want, err := power.DefaultRouterParams45nm(cfg).NetworkPower(delta, 50, 16, power.Nominal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples := col.Samples()
+		if len(samples) != 1 {
+			t.Fatalf("%d VCs x %d: %d samples, want 1", cfg.VCs, cfg.BufferDepth, len(samples))
+		}
+		if got := samples[0].PowerW; got != want.Total() || got <= 0 {
+			t.Errorf("%d VCs x %d: sampled power %v, want the breakdown total %v > 0",
+				cfg.VCs, cfg.BufferDepth, got, want.Total())
+		}
 	}
 }
 

@@ -717,6 +717,38 @@ func TestRecoveryWritesNothing(t *testing.T) {
 	waitState(t, srv2, job.ID, StateDone)
 }
 
+// TestRecoverySweepsOrphanTemps: a kill -9 between a job record's temp
+// write and its rename leaves a `.job.json.tmp-*` orphan beside the record.
+// New removes it before reading the record, and still recovers the job.
+func TestRecoverySweepsOrphanTemps(t *testing.T) {
+	state := t.TempDir()
+	rec := Job{ID: "j00000000000000c1", Spec: JobSpec{Experiment: "fig11"}, State: StateQueued,
+		Created: time.Date(2020, 1, 2, 3, 4, 5, 0, time.UTC)}
+	dir := filepath.Join(state, "jobs", rec.ID)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := ckpt.WriteSnapshot(filepath.Join(dir, "job.json"), &rec); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(dir, ".job.json.tmp-1234567")
+	if err := os.WriteFile(orphan, []byte("torn partial record"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{StateDir: state, Run: func(JobSpec, core.NetSimParams) (any, error) { return "ok", nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Errorf("orphan temp file survived recovery: %v", err)
+	}
+	if m := srv.MetricsSnapshot(); m.Recovered != 1 {
+		t.Errorf("metrics recovered = %d, want 1", m.Recovered)
+	}
+	waitState(t, srv, rec.ID, StateDone)
+}
+
 // TestDoneRecordWithoutResultReruns: a done record with no result field,
 // the layout that kept the result in result.json beside it, is re-queued
 // and recomputed from its journal to the same bytes.

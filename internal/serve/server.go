@@ -417,9 +417,8 @@ func (s *Server) runJob(job *Job) {
 	}
 	var rec *obs.Recorder
 	if job.Spec.Obs {
-		cfg := core.DefaultConfig()
 		var err error
-		rec, err = obs.NewRecorder(obs.Config{Power: &obs.PowerModel{Params: cfg.Router, Corner: cfg.Corner}})
+		rec, err = obs.NewRecorder(obs.Config{Power: &obs.PowerModel{Corner: core.DefaultConfig().Corner}})
 		if err != nil {
 			s.finish(job, nil, fmt.Errorf("building telemetry recorder: %w", err))
 			return

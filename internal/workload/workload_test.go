@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nocsprint/internal/sprint"
-	"nocsprint/internal/stats"
 	"nocsprint/internal/topo"
 )
 
@@ -159,7 +158,7 @@ func TestFig7AggregateSpeedups(t *testing.T) {
 		spOpt = append(spOpt, 1/tOpt)
 		spFull = append(spFull, 1/tFull)
 	}
-	avgOpt, avgFull := stats.Mean(spOpt), stats.Mean(spFull)
+	avgOpt, avgFull := mean(spOpt), mean(spFull)
 	if avgOpt < 3.0 || avgOpt > 4.3 {
 		t.Errorf("NoC-sprinting average speedup %.2f outside [3.0, 4.3] (paper: 3.6)", avgOpt)
 	}
@@ -237,4 +236,13 @@ func TestTimeScalesWithBase(t *testing.T) {
 	if got := p.Time(1, 0); math.Abs(got-p.BaseSeconds) > 1e-12 {
 		t.Errorf("Time(1) = %v, want base %v", got, p.BaseSeconds)
 	}
+}
+
+// mean returns the arithmetic mean of xs.
+func mean(xs []float64) float64 {
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
 }
