@@ -118,13 +118,9 @@ func TestGoldenFig11Fast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweep is too slow for -short")
 	}
-	s, err := core.New(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	e, _ := core.LookupExperiment("fig11")
 	run := func(check bool) any {
-		series, err := e.Run(s, core.NetSimParams{Check: check}, true)
+		series, err := e.Run(core.NetSimParams{Check: check}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,8 +150,12 @@ func TestGoldenSensitivityPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweep is too slow for -short")
 	}
+	s, err := core.New(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	point := func(check bool) core.SensitivityRow {
-		row, err := core.SensitivityPoint(4, 4, core.NetSimParams{Warmup: 300, Measure: 1000, Drain: 10000, Check: check})
+		row, err := s.SensitivityPoint(4, 4, core.NetSimParams{Warmup: 300, Measure: 1000, Drain: 10000, Check: check})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,12 +188,8 @@ func TestGoldenFig11ReferenceStepper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweep is too slow for -short")
 	}
-	s, err := core.New(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	e, _ := core.LookupExperiment("fig11")
-	series, err := e.Run(s, core.NetSimParams{Check: true, Reference: true}, true)
+	series, err := e.Run(core.NetSimParams{Check: true, Reference: true}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,9 @@
 //
 // The experiments are the entries of the core registry (core.Experiments),
 // which the -json mode and the nocsprintd daemon dispatch through as well,
-// plus the CLI-only trace. fig9 and fig10 share one set of simulations;
-// "all" runs the paper's evaluation from table1 through duration, then the
-// gating baseline.
+// plus the CLI-only trace. fig10 is an alias of fig9, whose one set of
+// simulations gives both figures; "all" runs the paper's evaluation from
+// table1 through duration, then the gating baseline.
 package main
 
 import (
@@ -150,7 +150,7 @@ func newFlagSet(o *options, output io.Writer) *flag.FlagSet {
 	fs.BoolVar(&o.obs, "obs", false, "attach cycle-sampled telemetry to every simulation: per-window\n"+
 		"flit/utilization/queue/power series plus a typed event\n"+
 		"timeline (results are proven bit-identical with or without)")
-	fs.IntVar(&o.obsInterval, "obs-interval", 1000, "with -obs: sample telemetry every `N` cycles")
+	fs.IntVar(&o.obsInterval, "obs-interval", obs.Config{}.WithDefaults().Interval, "with -obs: sample telemetry every `N` cycles")
 	fs.StringVar(&o.obsOut, "obs-out", "obs", "with -obs: write per-point telemetry files to `DIR`, one .jsonl\n"+
 		"and one .csv per simulation")
 	fs.StringVar(&o.httpAddr, "http", "", "serve live monitoring on `ADDR` (e.g. :8080): sweep progress\n"+
@@ -295,13 +295,10 @@ func execute(exp string, o options) error {
 }
 
 // newRecorder builds the -obs telemetry recorder: a sample every
-// -obs-interval cycles, with each network's power priced at the default
+// -obs-interval cycles. Core prices each sample at the simulated system's
 // corner.
 func newRecorder(o options) (*obs.Recorder, error) {
-	return obs.NewRecorder(obs.Config{
-		Interval: o.obsInterval,
-		Power:    &obs.PowerModel{Corner: core.DefaultConfig().Corner},
-	})
+	return obs.NewRecorder(obs.Config{Interval: o.obsInterval})
 }
 
 // openCheckpoint opens the journal for one experiment run inside the
@@ -348,7 +345,7 @@ experiments:
 
 // allExperiments is what `nocsprint all` runs, in order: the paper's
 // evaluation from Table 1 through the Section 4.4 durations (fig9 prints
-// fig10 too), then the gating baseline.
+// Figure 10's numbers too), then the gating baseline.
 var allExperiments = []string{"table1", "fig2", "fig3", "fig4", "fig7", "fig8", "fig9", "fig11", "fig12", "duration", "gating"}
 
 // run executes one experiment (or the `all` sequence) through the core
@@ -357,14 +354,10 @@ var allExperiments = []string{"table1", "fig2", "fig3", "fig4", "fig7", "fig8", 
 // -workers threads through to the parallel sweep runner, and the
 // cancellation contexts, checkpoint journal and telemetry ride along.
 func run(name string, o options, stdout io.Writer) error {
-	s, err := core.New(core.DefaultConfig())
-	if err != nil {
-		return err
-	}
 	names := []string{name}
 	if !o.json {
 		if name == "trace" {
-			return traceCmd(stdout, s, o)
+			return traceCmd(stdout, o)
 		}
 		if name == "all" {
 			names = allExperiments
@@ -384,7 +377,7 @@ func run(name string, o options, stdout io.Writer) error {
 			usage(os.Stderr)
 			return fmt.Errorf("unknown experiment %q", n)
 		}
-		result, err := e.Run(s, sim, o.fast)
+		result, err := e.Run(sim, o.fast)
 		if err != nil {
 			return err
 		}
@@ -397,7 +390,7 @@ func run(name string, o options, stdout io.Writer) error {
 				"result":     result,
 			})
 		}
-		if err := e.Text(stdout, s, result); err != nil {
+		if err := e.Text(stdout, result); err != nil {
 			return err
 		}
 		if len(names) > 1 {
@@ -420,13 +413,13 @@ const (
 // buffered-write flush error with the file's Close error, so a full disk is
 // never reported as success — and replays it on a fresh network to verify the
 // file round-trips.
-func traceCmd(stdout io.Writer, s *core.Sprinter, o options) error {
+func traceCmd(stdout io.Writer, o options) error {
 	rule := strings.Repeat("=", 72)
 	fmt.Fprintf(stdout, "%s\nTrace: offline generation, JSONL export, deterministic replay\n%s\n", rule, rule)
-	cfg := s.Config()
-	set := traffic.NewSet(topo.AllNodes(cfg.NoC.Nodes()))
+	cfg := core.DefaultConfig().NoC
+	set := traffic.NewSet(topo.AllNodes(cfg.Nodes()))
 	events, err := noc.GenerateTrace(set, traffic.NewUniform(set.Size()), traceRate,
-		cfg.NoC.PacketLength, traceCycles, traceSeed)
+		cfg.PacketLength, traceCycles, traceSeed)
 	if err != nil {
 		return err
 	}
@@ -446,7 +439,7 @@ func traceCmd(stdout io.Writer, s *core.Sprinter, o options) error {
 	if err != nil {
 		return err
 	}
-	net, err := noc.New(cfg.NoC, routing.NewDOR(s.Mesh()), nil)
+	net, err := noc.New(cfg, routing.NewDOR(topo.NewMesh(cfg.Width, cfg.Height)), nil)
 	if err != nil {
 		return err
 	}

@@ -26,10 +26,6 @@ func TestGoldenFig11FastWithObs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweep is too slow for -short")
 	}
-	s, err := core.New(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The recorder the CLI's -obs flag builds, at its default interval, so
 	// the golden stream pins what `fig11 -fast -obs` writes.
 	rec, err := newRecorder(options{obsInterval: 1000})
@@ -37,7 +33,7 @@ func TestGoldenFig11FastWithObs(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := core.LookupExperiment("fig11")
-	series, err := e.Run(s, core.NetSimParams{Check: true, Obs: rec}, true)
+	series, err := e.Run(core.NetSimParams{Check: true, Obs: rec}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

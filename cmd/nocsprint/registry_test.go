@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"nocsprint/internal/ckpt"
@@ -29,10 +30,6 @@ type registryGolden struct {
 // testdata/golden/registry/<name>.json (-update rewrites them), so drift in
 // any entry's numbers or a silently changed checkpoint key fails here.
 func TestRegistryFrontEndsAgree(t *testing.T) {
-	s, err := core.New(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, e := range core.Experiments() {
 		t.Run(e.Name, func(t *testing.T) {
 			jpath := filepath.Join(t.TempDir(), "sweep.journal")
@@ -62,7 +59,7 @@ func TestRegistryFrontEndsAgree(t *testing.T) {
 			}
 
 			var text bytes.Buffer
-			if err := e.Text(&text, s, result); err != nil {
+			if err := e.Text(&text, result); err != nil {
 				t.Fatalf("text renderer: %v", err)
 			}
 			if text.Len() == 0 {
@@ -72,6 +69,36 @@ func TestRegistryFrontEndsAgree(t *testing.T) {
 			compareGolden(t, filepath.Join("registry", e.Name+".json"),
 				registryGolden{Result: cli.Bytes(), Keys: journalKeys(t, jpath)})
 		})
+	}
+}
+
+// TestFig10ResolvesToFig9: Figures 9 and 10 plot one set of runs, so the
+// registry holds one entry for them and fig10 is an alias of it. The alias
+// resolves to the fig9 entry and is no entry of its own, `fig10 -fast
+// -json` prints an envelope naming fig10 around fig9's pinned result, and
+// the daemon's admission, the daemon's list of names and the CLI's usage
+// all still know fig10.
+func TestFig10ResolvesToFig9(t *testing.T) {
+	if e, ok := core.LookupExperiment("fig10"); !ok || e.Name != "fig9" {
+		t.Errorf("LookupExperiment(fig10) = %q, %v; want the fig9 entry", e.Name, ok)
+	}
+	for _, e := range core.Experiments() {
+		if e.Name == "fig10" {
+			t.Error("the registry holds a fig10 entry beside fig9's")
+		}
+	}
+	compareRegistryGolden(t, "fig9", runResult(t, "fig10", options{workers: 2}))
+
+	if err := (serve.JobSpec{Experiment: "fig10"}).Validate(); err != nil {
+		t.Errorf("daemon rejects fig10: %v", err)
+	}
+	if err := (serve.JobSpec{Experiment: "fig99"}).Validate(); err == nil || !strings.Contains(err.Error(), "fig10") {
+		t.Errorf("daemon's list of supported names lacks fig10: %v", err)
+	}
+	var help strings.Builder
+	parseArgs([]string{"-h"}, &help)
+	if !strings.Contains(help.String(), "fig10") {
+		t.Errorf("-h output lacks fig10:\n%s", help.String())
 	}
 }
 

@@ -20,10 +20,6 @@ func TestGoldenFig11FastResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweep is too slow for -short")
 	}
-	s, err := core.New(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	e, _ := core.LookupExperiment("fig11")
 	const totalPoints = 8 // 2 levels x 4 rates
 
@@ -46,7 +42,7 @@ func TestGoldenFig11FastResume(t *testing.T) {
 			}
 		},
 	}
-	if _, err := e.Run(s, interrupted, true); !errors.Is(err, context.Canceled) {
+	if _, err := e.Run(interrupted, true); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep: err = %v, want context.Canceled", err)
 	}
 	if n := j.Len(); n < totalPoints/2 || n >= totalPoints {
@@ -61,7 +57,7 @@ func TestGoldenFig11FastResume(t *testing.T) {
 		t.Fatalf("reopening the interrupted journal: %v", err)
 	}
 	defer resumedJournal.Close()
-	series, err := e.Run(s, core.NetSimParams{Check: true, Journal: resumedJournal}, true)
+	series, err := e.Run(core.NetSimParams{Check: true, Journal: resumedJournal}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

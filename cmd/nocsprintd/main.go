@@ -49,16 +49,17 @@ type options struct {
 
 func parseArgs(args []string, output io.Writer) (options, error) {
 	var o options
+	def := serve.Config{}.WithDefaults()
 	fs := flag.NewFlagSet("nocsprintd", flag.ContinueOnError)
 	fs.SetOutput(output)
 	fs.StringVar(&o.addr, "addr", ":8089", "HTTP listen address for the job API")
 	fs.StringVar(&o.state, "state", "nocsprintd-state", "state directory: job records, checkpoint journals, results")
-	fs.IntVar(&o.queueCap, "queue", 16, "bounded queue capacity; further submissions are shed with 429")
-	fs.IntVar(&o.concurrency, "concurrency", 1, "jobs executed simultaneously (each fans its own sweep workers)")
+	fs.IntVar(&o.queueCap, "queue", def.QueueCap, "bounded queue capacity; further submissions are shed with 429")
+	fs.IntVar(&o.concurrency, "concurrency", def.Concurrency, "jobs executed simultaneously (each fans its own sweep workers)")
 	fs.DurationVar(&o.jobTimeout, "job-timeout", 0, "default per-job deadline (0 = none; specs may set their own)")
-	fs.DurationVar(&o.abortGrace, "abort-grace", 30*time.Second, "grace between a job's graceful deadline stop and the point-level abort")
-	fs.DurationVar(&o.retryAfter, "retry-after", 5*time.Second, "Retry-After hint sent with shed submissions")
-	fs.Int64Var(&o.maxBody, "max-body", 1<<20, "submission body size limit in bytes")
+	fs.DurationVar(&o.abortGrace, "abort-grace", def.AbortGrace, "grace between a job's graceful deadline stop and the point-level abort")
+	fs.DurationVar(&o.retryAfter, "retry-after", def.RetryAfter, "Retry-After hint sent with shed submissions")
+	fs.Int64Var(&o.maxBody, "max-body", def.MaxBodyBytes, "submission body size limit in bytes")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 2*time.Minute, "bound on the graceful drain before in-flight points are aborted")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err

@@ -91,15 +91,11 @@ func TestRunModes(t *testing.T) {
 // that duration is infinite): thermsim and the registry price a sprint with
 // the same power.
 func TestPhasesMatchDurationRegistry(t *testing.T) {
-	s, err := core.New(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	e, ok := core.LookupExperiment("duration")
 	if !ok {
 		t.Fatal("no duration registry entry")
 	}
-	res, err := e.Run(s, core.NetSimParams{}, false)
+	res, err := e.Run(core.NetSimParams{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A scripted scenario on the 4×4 mesh, written in the schedule text
-	// form: the master's router fail-stops at cycle 800, node 9 goes dark
-	// transiently at cycle 2000 (healing 300 cycles later), the link 5-6
-	// dies at cycle 3500, and a thermal emergency trips at cycle 5000.
+	// A scripted scenario for a level-8 sprint on the 4×4 mesh, written in
+	// the schedule text form: the master's router fail-stops at cycle 800,
+	// node 9 goes dark transiently at cycle 2000 (healing 300 cycles later),
+	// the link 5-6 dies at cycle 3500, and a thermal emergency trips at
+	// cycle 5000.
 	text := "perm:0@800; trans:9@2000+300; link:5-6@3500; trip@5000"
 	sched, err := fault.Parse(text, 16)
 	if err != nil {
@@ -33,7 +34,7 @@ func main() {
 		fmt.Printf("  %s\n", ev)
 	}
 
-	params := core.FaultParams{Cycles: 8000, Sim: core.NetSimParams{Check: true}}
+	params := core.FaultParams{Level: 8, Cycles: 8000, Sim: core.NetSimParams{Check: true}}
 	pt, err := sprinter.FaultRun(sched, params, 1)
 	if err != nil {
 		log.Fatal(err)

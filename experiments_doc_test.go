@@ -63,13 +63,13 @@ func TestExperimentsDocQuotesRegistryResults(t *testing.T) {
 
 // result runs the named registry entry without -fast and returns its typed
 // result.
-func result[R any](t *testing.T, s *core.Sprinter, name string) R {
+func result[R any](t *testing.T, name string) R {
 	t.Helper()
 	e, ok := core.LookupExperiment(name)
 	if !ok {
 		t.Fatalf("no registry entry %q", name)
 	}
-	res, err := e.Run(s, core.NetSimParams{}, false)
+	res, err := e.Run(core.NetSimParams{}, false)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -84,31 +84,27 @@ func result[R any](t *testing.T, s *core.Sprinter, name string) R {
 // order, beside the registry result it prints. Percentages are scaled to
 // the printed unit; a number printed after "−" is quoted as its magnitude.
 func docQuotes(t *testing.T) []docQuote {
-	s, err := core.New(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	pct := func(x float64) float64 { return 100 * x }
 	mW := func(w float64) float64 { return 1e3 * w }
 
-	t1 := result[core.Table1Result](t, s, "table1")
-	fig2 := result[[]core.Fig2Row](t, s, "fig2")
-	fig3 := result[[]core.Fig3Row](t, s, "fig3")
-	fig7 := result[core.Fig7Result](t, s, "fig7")
-	fig8 := result[core.Fig8Result](t, s, "fig8")
-	net := result[core.NetResult](t, s, "fig9") // fig10 is the same result
-	fig11 := result[[]core.Fig11Series](t, s, "fig11")
-	fig12 := result[[]core.Fig12Case](t, s, "fig12")
-	dur := result[core.DurationResult](t, s, "duration")
-	abl := result[core.AblationResult](t, s, "ablations")
-	gating := result[core.GatingResult](t, s, "gating")
-	wires := result[[]core.WireCase](t, s, "wires")
-	scale := result[[]core.ScaleRow](t, s, "scale")
-	fb := result[core.FeedbackResult](t, s, "feedback")
-	dim := result[[]core.DimDarkPoint](t, s, "dimdark")
-	ctl := result[[]core.ControllerRow](t, s, "controller")
-	sens := result[[]core.SensitivityRow](t, s, "sensitivity")
-	llc := result[[]core.LLCRow](t, s, "llc")
+	t1 := result[core.Table1Result](t, "table1")
+	fig2 := result[[]core.Fig2Row](t, "fig2")
+	fig3 := result[[]core.Fig3Row](t, "fig3")
+	fig7 := result[core.Fig7Result](t, "fig7")
+	fig8 := result[core.Fig8Result](t, "fig8")
+	net := result[core.NetResult](t, "fig9") // fig10 resolves to this entry
+	fig11 := result[[]core.Fig11Series](t, "fig11")
+	fig12 := result[[]core.Fig12Case](t, "fig12")
+	dur := result[core.DurationResult](t, "duration")
+	abl := result[core.AblationResult](t, "ablations")
+	gating := result[core.GatingResult](t, "gating")
+	wires := result[[]core.WireCase](t, "wires")
+	scale := result[[]core.ScaleRow](t, "scale")
+	fb := result[core.FeedbackResult](t, "feedback")
+	dim := result[[]core.DimDarkPoint](t, "dimdark")
+	ctl := result[[]core.ControllerRow](t, "controller")
+	sens := result[[]core.SensitivityRow](t, "sensitivity")
+	llc := result[[]core.LLCRow](t, "llc")
 
 	fig2Row := func(i int) []float64 {
 		b := fig2[i].Breakdown

@@ -45,10 +45,10 @@ func TestSweepDriversSelfValidateWithZeroDrift(t *testing.T) {
 			return Fig11Sweep(s, []int{4}, Fig11Params{Rates: []float64{0.15}, Samples: 2, Sim: sp})
 		}},
 		{"SensitivityPoint", func(sp NetSimParams) (any, error) {
-			return SensitivityPoint(4, 4, sp)
+			return s.SensitivityPoint(4, 4, sp)
 		}},
 		{"ScalingStudy", func(sp NetSimParams) (any, error) {
-			return ScalingStudy([]int{4}, sp)
+			return ScalingStudy(s, []int{4}, sp)
 		}},
 		{"GatingComparison", func(sp NetSimParams) (any, error) {
 			return GatingComparison(s, sp)
@@ -78,7 +78,8 @@ func TestSweepDriversSelfValidateWithZeroDrift(t *testing.T) {
 
 // BenchmarkCheckedSweep times the invariant checker on a dark chip: a
 // serial Fig. 11 slice on a 16x16 mesh (levels 4 and 16, rates 0.05, 0.15
-// and 0.30, one full-sprinting sample, default windows), unchecked and
+// and 0.30, one full-sprinting sample, the registry's full windows of 1500
+// warm-up, 4000 measured and 40000 drain cycles), unchecked and
 // checked. At level 16, 240 of the 256 routers are dark, so the checked
 // run's extra time shows whether the audit and the hop judging scale with
 // the work or with the chip.
@@ -99,7 +100,7 @@ func BenchmarkCheckedSweep(b *testing.B) {
 				_, err := Fig11Sweep(s, []int{4, 16}, Fig11Params{
 					Rates:   []float64{0.05, 0.15, 0.30},
 					Samples: 1,
-					Sim:     NetSimParams{Workers: 1, Check: c.check},
+					Sim:     NetSimParams{Warmup: 1500, Measure: 4000, Drain: 40000, Workers: 1, Check: c.check},
 				})
 				if err != nil {
 					b.Fatal(err)

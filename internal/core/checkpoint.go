@@ -12,11 +12,11 @@ import (
 // bit-identical to an uninterrupted run.
 
 // pointKey builds the canonical journal key of one sweep point: the driver
-// name, the configuration the point runs under, the simulation windows
-// (defaults filled in, so zero and explicit default windows share a key) and
-// base seed, and the point's own coordinates. Everything that determines
-// the point's result must be in here — a stale journal then can never
-// satisfy a changed sweep, because changed parameters change every key.
+// name, the configuration the point runs under, the simulation windows as
+// given and the base seed, and the point's own coordinates. Everything that
+// determines the point's result must be in here — a stale journal then can
+// never satisfy a changed sweep, because changed parameters change every
+// key.
 // Workers, Check, Reference, Obs, and Progress are deliberately excluded:
 // worker count, the observational invariant checker, the reference-stepper
 // switch, the telemetry recorder, and the progress callback are all proven
@@ -25,7 +25,6 @@ import (
 // Note the flip side for Obs: points satisfied from the journal never rerun,
 // so a resumed sweep only produces collectors for freshly computed points.
 func pointKey(driver string, cfg, point any, sim NetSimParams) (string, error) {
-	sim = sim.withDefaults()
 	return ckpt.Key(struct {
 		Driver                 string
 		Config                 any

@@ -122,9 +122,8 @@ func TestFig11SweepCancelledBeforeStart(t *testing.T) {
 
 // TestPointKeyContract checks the canonicalisation rules the resume
 // guarantee rests on: keys are stable, distinct per point, sensitive to the
-// result-determining parameters (seed, windows), insensitive to the
-// proven-observational ones (Workers, Check), and blind to whether the
-// default windows were left zero or spelled out.
+// result-determining parameters (seed, windows), and insensitive to the
+// proven-observational ones (Workers, Check).
 func TestPointKeyContract(t *testing.T) {
 	sim := NetSimParams{Warmup: 300, Measure: 1000, Drain: 10000, Seed: 1}
 	type pt struct{ Level, RateIdx int }
@@ -165,14 +164,9 @@ func TestPointKeyContract(t *testing.T) {
 		t.Error("key depends on Workers/Check, so checkpoints cannot move between settings")
 	}
 
-	// Zero windows run as the defaults, so they key as the defaults do.
-	zero, _ := pointKey("fig11", DefaultConfig(), pt{4, 0}, NetSimParams{Seed: 1})
-	explicit, _ := pointKey("fig11", DefaultConfig(), pt{4, 0},
+	full, _ := pointKey("fig11", DefaultConfig(), pt{4, 0},
 		NetSimParams{Warmup: 1500, Measure: 4000, Drain: 40000, Seed: 1})
-	if zero != explicit {
-		t.Error("zero windows and the explicit 1500/4000/40000 defaults give different keys")
-	}
-	if zero == k1 {
+	if full == k1 {
 		t.Error("key ignores the simulation windows")
 	}
 }

@@ -302,8 +302,10 @@ type NetworkEval struct {
 	Saturated bool
 }
 
-// NetSimParams bundles the simulation lengths used by network evaluations;
-// zero values select defaults suitable for the 4×4 mesh.
+// NetSimParams bundles the simulation windows used by network evaluations
+// with the sweep plumbing. The windows are taken as given: a driver that
+// simulates needs a measurement window of at least one cycle, and
+// Experiment.Run sets them for every registry run.
 type NetSimParams struct {
 	Warmup, Measure, Drain int
 	Seed                   int64
@@ -374,15 +376,15 @@ type probeHooks struct {
 
 // instrument applies the observational switches to a freshly built network:
 // the invariant checker when p.Check is set, a telemetry collector labeled
-// label when p.Obs is set, and the reference full-scan stepper when
-// p.Reference is set. It is the one place sweeps build checkers and
-// collectors, and it returns the ones it attached (nil when off). region
-// carries the sprint region whose containment the checker enforces (nil for
-// full-fabric baselines); the hop oracle is built from the network's own
-// routing algorithm, which on every core sweep is the intended discipline
-// (CDOR, DOR, torus DOR, ring-circulant). None of the switches affects
-// simulation results.
-func (p NetSimParams) instrument(net *noc.Network, region *sprint.Region, label string, h probeHooks) (*check.Checker, *obs.Collector) {
+// label when p.Obs is set, pricing its samples at the sprinter's corner, and
+// the reference full-scan stepper when p.Reference is set. It is the one
+// place sweeps build checkers and collectors, and it returns the ones it
+// attached (nil when off). region carries the sprint region whose
+// containment the checker enforces (nil for full-fabric baselines); the hop
+// oracle is built from the network's own routing algorithm, which on every
+// core sweep is the intended discipline (CDOR, DOR, torus DOR,
+// ring-circulant). None of the switches affects simulation results.
+func (s *Sprinter) instrument(p NetSimParams, net *noc.Network, region *sprint.Region, label string, h probeHooks) (*check.Checker, *obs.Collector) {
 	var (
 		probes []noc.Probe
 		chk    *check.Checker
@@ -394,6 +396,7 @@ func (p NetSimParams) instrument(net *noc.Network, region *sprint.Region, label 
 	}
 	if p.Obs != nil {
 		cfg := p.Obs.Config()
+		cfg.Power = &obs.PowerModel{Corner: s.cfg.Corner}
 		if h.thermal != nil {
 			cfg.Thermal = h.thermal
 		}
@@ -451,26 +454,30 @@ func (s *Sprinter) schemeFabric(scheme Scheme, region *sprint.Region) (fabric, e
 // build is how every sweep but FaultRun (whose network outlives repairs
 // that swap its region and routing) constructs a network: f's network under
 // cfg, instrumented per p and labelled label.
-func (p NetSimParams) build(cfg noc.Config, f fabric, label string) (*noc.Network, error) {
+func (s *Sprinter) build(p NetSimParams, cfg noc.Config, f fabric, label string) (*noc.Network, error) {
 	net, err := noc.NewTopo(cfg, f.topo, f.alg, f.active)
 	if err != nil {
 		return nil, err
 	}
-	p.instrument(net, f.region, label, probeHooks{})
+	s.instrument(p, net, f.region, label, probeHooks{})
 	return net, nil
 }
 
 // run drives net with uniform traffic among set's endpoints at rate over p's
 // warmup, measure and drain windows, aborting with p.Abort.
 func (p NetSimParams) run(net *noc.Network, set *traffic.Set, rate float64, seed int64) (noc.Result, error) {
-	return noc.RunSynthetic(net, set, traffic.NewUniform(set.Size()), p.sim(rate, seed))
+	sim, err := p.sim(rate, seed)
+	if err != nil {
+		return noc.Result{}, err
+	}
+	return noc.RunSynthetic(net, set, traffic.NewUniform(set.Size()), sim)
 }
 
 // measure builds f's network labelled label, drives it with uniform traffic
 // among set at rate over sim's windows, and prices the measured window's
 // powered routers with the router power model at the configured corner.
 func (s *Sprinter) measure(sim NetSimParams, f fabric, label string, set *traffic.Set, rate float64, seed int64) (noc.Result, power.Breakdown, error) {
-	net, err := sim.build(s.cfg.NoC, f, label)
+	net, err := s.build(sim, s.cfg.NoC, f, label)
 	if err != nil {
 		return noc.Result{}, power.Breakdown{}, err
 	}
@@ -483,9 +490,12 @@ func (s *Sprinter) measure(sim NetSimParams, f fabric, label string, set *traffi
 }
 
 // sim is the noc.SimParams of a run at rate with seed over p's windows,
-// defaults filled in, aborted by p.Abort.
-func (p NetSimParams) sim(rate float64, seed int64) noc.SimParams {
-	p = p.withDefaults()
+// aborted by p.Abort. A run without a measurement window measures nothing,
+// so it is an error.
+func (p NetSimParams) sim(rate float64, seed int64) (noc.SimParams, error) {
+	if p.Measure < 1 {
+		return noc.SimParams{}, fmt.Errorf("core: measurement window of %d cycles; a run needs at least 1", p.Measure)
+	}
 	return noc.SimParams{
 		InjectionRate: rate,
 		WarmupCycles:  p.Warmup,
@@ -493,22 +503,7 @@ func (p NetSimParams) sim(rate float64, seed int64) noc.SimParams {
 		DrainCycles:   p.Drain,
 		Seed:          seed,
 		Ctx:           p.Abort,
-	}
-}
-
-// withDefaults fills in the zero windows. Only the readers of the windows
-// apply it: pointKey, sim, and EvaluateNetwork's idle-network pricing.
-func (p NetSimParams) withDefaults() NetSimParams {
-	if p.Warmup == 0 {
-		p.Warmup = 1500
-	}
-	if p.Measure == 0 {
-		p.Measure = 4000
-	}
-	if p.Drain == 0 {
-		p.Drain = 40000
-	}
-	return p
+	}, nil
 }
 
 // EvaluateNetwork runs workload p's traffic through the real simulator
@@ -528,7 +523,7 @@ func (s *Sprinter) EvaluateNetwork(p workload.Profile, scheme Scheme, sp NetSimP
 		if err != nil {
 			return NetworkEval{}, err
 		}
-		bd, err := s.cfg.Router.NetworkPower(noc.Events{}, int64(sp.withDefaults().Measure), routersOn, s.cfg.Corner)
+		bd, err := s.cfg.Router.NetworkPower(noc.Events{}, int64(sp.Measure), routersOn, s.cfg.Corner)
 		if err != nil {
 			return NetworkEval{}, err
 		}

@@ -422,7 +422,6 @@ func (s *Sprinter) TrafficHeatMap(p workload.Profile, scheme Scheme, useFloorpla
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	sp = sp.withDefaults()
 	level := s.Level(p, scheme)
 	region := s.Region(level)
 	f, err := s.schemeFabric(scheme, region)
@@ -436,7 +435,7 @@ func (s *Sprinter) TrafficHeatMap(p workload.Profile, scheme Scheme, useFloorpla
 	if level >= 2 {
 		// Every scheme, full-sprinting included, sends traffic only among
 		// the region's nodes.
-		net, err := sp.build(s.cfg.NoC, f, fmt.Sprintf("heatmap/%s/%s", p.Name, scheme))
+		net, err := s.build(sp, s.cfg.NoC, f, fmt.Sprintf("heatmap/%s/%s", p.Name, scheme))
 		if err != nil {
 			return nil, err
 		}

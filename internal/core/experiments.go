@@ -28,10 +28,11 @@ type Fig2Row struct {
 }
 
 // Fig2RouterPower reproduces Figure 2: router power breakdown (dynamic vs
-// leakage) for a 128-bit, 2-VC, 4-flit-buffer wormhole router at 0.4
-// flits/cycle across the three corners.
-func Fig2RouterPower() ([]Fig2Row, error) {
-	cfg := noc.DefaultConfig()
+// leakage) for the sprinter's wormhole router (128-bit flits, 4-flit
+// buffers) with two VCs per port at 0.4 flits/cycle across the three
+// corners.
+func Fig2RouterPower(s *Sprinter) ([]Fig2Row, error) {
+	cfg := s.cfg.NoC
 	cfg.VCs = 2 // the paper's Figure 2 router has two VCs per port
 	params := power.DefaultRouterParams45nm(cfg)
 	const cycles = 1_000_000
@@ -55,12 +56,11 @@ type Fig3Row struct {
 
 // Fig3ChipBreakdown reproduces Figure 3: chip power breakdown during
 // nominal operation (single active core, dark rest, NoC un-gated) for
-// 4/8/16/32-core chips.
-func Fig3ChipBreakdown() ([]Fig3Row, error) {
-	params := power.DefaultChipParams()
+// 4/8/16/32-core chips built from the sprinter's chip model.
+func Fig3ChipBreakdown(s *Sprinter) ([]Fig3Row, error) {
 	var rows []Fig3Row
 	for _, n := range []int{4, 8, 16, 32} {
-		b, err := params.ChipPower(1, 0, n-1, n)
+		b, err := s.cfg.Chip.ChipPower(1, 0, n-1, n)
 		if err != nil {
 			return nil, err
 		}
@@ -287,23 +287,12 @@ type Fig11Series struct {
 	PreSatLatencyCut, PreSatPowerCut float64
 }
 
-// Fig11Params tunes the sweep cost; zero values select defaults.
+// Fig11Params is the sweep's load: its offered rates, the random
+// full-sprinting mappings averaged at each, and the simulation windows.
 type Fig11Params struct {
 	Rates   []float64
 	Samples int // random mappings for full-sprinting (paper: 10)
 	Sim     NetSimParams
-}
-
-func (p Fig11Params) withDefaults() Fig11Params {
-	if len(p.Rates) == 0 {
-		// Sweep past the sprint region's saturation point so the paper's
-		// "NoC-sprinting saturates earlier" observation is visible.
-		p.Rates = []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70}
-	}
-	if p.Samples == 0 {
-		p.Samples = 10
-	}
-	return p
 }
 
 // Fig11Sweep reproduces Figure 11: uniform-random synthetic traffic sweeps
@@ -313,7 +302,12 @@ func (p Fig11Params) withDefaults() Fig11Params {
 // to a serial run at any worker count. The sweep honours params.Sim.Ctx for
 // cancellation and params.Sim.Journal for crash-safe resume.
 func Fig11Sweep(s *Sprinter, levels []int, params Fig11Params) ([]Fig11Series, error) {
-	params = params.withDefaults()
+	if len(params.Rates) == 0 {
+		return nil, fmt.Errorf("core: fig11 sweep has no rates")
+	}
+	if params.Samples < 1 {
+		return nil, fmt.Errorf("core: fig11 sweep has %d full-sprinting samples; it needs at least 1", params.Samples)
+	}
 	var cells []fig11Cell
 	for _, level := range levels {
 		for ri, rate := range params.Rates {
@@ -550,7 +544,7 @@ func GatingComparison(s *Sprinter, sp NetSimParams) (GatingResult, error) {
 		}
 
 		// Scheme 2: full mesh with conventional runtime gating.
-		net, err := sim.build(s.cfg.NoC, meshFabric(s.mesh), fmt.Sprintf("gating/%s/runtime", p.Name))
+		net, err := s.build(sim, s.cfg.NoC, meshFabric(s.mesh), fmt.Sprintf("gating/%s/runtime", p.Name))
 		if err != nil {
 			return GatingRow{}, err
 		}
@@ -703,7 +697,7 @@ func FloorplanWireStudy(s *Sprinter, sp NetSimParams) ([]WireCase, error) {
 	}
 
 	run := func(planned, smart bool) (float64, int, error) {
-		net, err := sp.build(s.cfg.NoC, sprintFabric(region), fmt.Sprintf("wires/planned=%t/smart=%t", planned, smart))
+		net, err := s.build(sp, s.cfg.NoC, sprintFabric(region), fmt.Sprintf("wires/planned=%t/smart=%t", planned, smart))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -782,10 +776,10 @@ type ScaleRow struct {
 // trend the paper motivates with Figure 3): as the chip grows, the
 // un-gateable network's share grows, and so does NoC-sprinting's saving for
 // a fixed utilisation fraction (one quarter of the cores active). Each width
-// is the default system resized to a w×w mesh, measured like every other
+// is s's system resized to a w×w mesh, measured like every other
 // sprinter's networks. Mesh sizes run in parallel per sp.Workers with
 // per-size seeds; sp.Ctx cancels the sweep and sp.Journal checkpoints it.
-func ScalingStudy(widths []int, sp NetSimParams) ([]ScaleRow, error) {
+func ScalingStudy(s *Sprinter, widths []int, sp NetSimParams) ([]ScaleRow, error) {
 	// A point's fields, in order, are its checkpoint key.
 	type point struct {
 		Width    int
@@ -795,9 +789,9 @@ func ScalingStudy(widths []int, sp NetSimParams) ([]ScaleRow, error) {
 	for wi, w := range widths {
 		points[wi] = point{w, wi}
 	}
-	return sweep("scaling", nil, sp, points, func(pt point) (ScaleRow, error) {
+	return sweep("scaling", s.cfg, sp, points, func(pt point) (ScaleRow, error) {
 		wi, w := pt.WidthIdx, pt.Width
-		cfg := DefaultConfig()
+		cfg := s.cfg
 		cfg.NoC.Width, cfg.NoC.Height = w, w
 		cfg.Grid.W, cfg.Grid.H = w, w
 		s, err := New(cfg)
@@ -857,7 +851,7 @@ type SensitivityRow struct {
 // Configurations fan out across sp.Workers; each configuration walks its
 // rate ladder serially because the walk stops at the first saturated rate.
 // sp.Ctx cancels the sweep and sp.Journal checkpoints it.
-func SensitivitySweep(sp NetSimParams) ([]SensitivityRow, error) {
+func SensitivitySweep(s *Sprinter, sp NetSimParams) ([]SensitivityRow, error) {
 	// A point's fields, in order, are its checkpoint key.
 	type point struct {
 		VCs   int
@@ -869,23 +863,23 @@ func SensitivitySweep(sp NetSimParams) ([]SensitivityRow, error) {
 			points = append(points, point{vcs, depth})
 		}
 	}
-	return sweep("sensitivity", noc.DefaultConfig(), sp, points, func(pt point) (SensitivityRow, error) {
-		return SensitivityPoint(pt.VCs, pt.Depth, sp)
+	return sweep("sensitivity", s.cfg.NoC, sp, points, func(pt point) (SensitivityRow, error) {
+		return s.SensitivityPoint(pt.VCs, pt.Depth, sp)
 	})
 }
 
 // rateLadder is the offered-load ladder (flits/cycle/node) the sensitivity
-// sweep walks, and the topology study's default.
+// sweep walks, and the topology study's full-window one.
 var rateLadder = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 
 // SensitivityPoint evaluates one router configuration (VC count, buffer
-// depth) of the sensitivity sweep: it walks the rate ladder on the full
-// 4×4 mesh until the first saturated rate, reporting the last rate accepted
-// and the low-load latency.
-func SensitivityPoint(vcs, depth int, sp NetSimParams) (SensitivityRow, error) {
-	cfg := noc.DefaultConfig()
+// depth) of the sensitivity sweep: it walks the rate ladder on the
+// sprinter's fully powered mesh until the first saturated rate, reporting
+// the last rate accepted and the low-load latency.
+func (s *Sprinter) SensitivityPoint(vcs, depth int, sp NetSimParams) (SensitivityRow, error) {
+	cfg := s.cfg.NoC
 	cfg.VCs, cfg.BufferDepth = vcs, depth
-	low, satRate, err := sp.walkLadder(cfg, meshFabric(topo.NewMesh(cfg.Width, cfg.Height)), rateLadder,
+	low, satRate, err := s.walkLadder(sp, cfg, meshFabric(s.mesh), rateLadder,
 		fmt.Sprintf("sensitivity/v%d_d%d", vcs, depth))
 	if err != nil {
 		return SensitivityRow{}, err
@@ -900,17 +894,20 @@ func SensitivityPoint(vcs, depth int, sp NetSimParams) (SensitivityRow, error) {
 // lowest saturated). Only the verdict of a rung after the first is read, so
 // those rungs stop at the end of their measurement window once backlog
 // growth marks them saturated (noc.SimParams.StopWhenSaturated).
-func (p NetSimParams) walkLadder(cfg noc.Config, f fabric, rates []float64, label string) (noc.Result, float64, error) {
+func (s *Sprinter) walkLadder(p NetSimParams, cfg noc.Config, f fabric, rates []float64, label string) (noc.Result, float64, error) {
 	set := traffic.NewSet(topo.AllNodes(f.topo.Nodes()))
 	var low noc.Result
 	satRate := 0.0
 	for ri, rate := range rates {
-		net, err := p.build(cfg, f, fmt.Sprintf("%s/r%02d", label, ri))
+		sim, err := p.sim(rate, int64(300+ri))
 		if err != nil {
 			return noc.Result{}, 0, err
 		}
-		sim := p.sim(rate, int64(300+ri))
 		sim.StopWhenSaturated = ri > 0
+		net, err := s.build(p, cfg, f, fmt.Sprintf("%s/r%02d", label, ri))
+		if err != nil {
+			return noc.Result{}, 0, err
+		}
 		res, err := noc.RunSynthetic(net, set, traffic.NewUniform(set.Size()), sim)
 		if err != nil {
 			return noc.Result{}, 0, err
@@ -1063,7 +1060,7 @@ func LLCStudy(s *Sprinter, sim NetSimParams) ([]LLCRow, error) {
 		if gated {
 			f = sprintFabric(region)
 		}
-		net, err := sim.build(ncfg, f, "llc/"+name)
+		net, err := s.build(sim, ncfg, f, "llc/"+name)
 		if err != nil {
 			return LLCRow{}, err
 		}

@@ -2,13 +2,15 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"nocsprint/internal/power"
+	"nocsprint/internal/topo"
 )
 
 func TestFig2RowsAndCrossover(t *testing.T) {
-	rows, err := Fig2RouterPower()
+	rows, err := Fig2RouterPower(newSprinter(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +32,7 @@ func TestFig2RowsAndCrossover(t *testing.T) {
 }
 
 func TestFig3RowsMatchPaperShares(t *testing.T) {
-	rows, err := Fig3ChipBreakdown()
+	rows, err := Fig3ChipBreakdown(newSprinter(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +324,7 @@ func TestFloorplanWireStudy(t *testing.T) {
 }
 
 func TestScalingStudy(t *testing.T) {
-	rows, err := ScalingStudy([]int{4, 6}, fastSim)
+	rows, err := ScalingStudy(newSprinter(t), []int{4, 6}, fastSim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +353,7 @@ func TestScalingStudy(t *testing.T) {
 }
 
 func TestSensitivitySweep(t *testing.T) {
-	rows, err := SensitivitySweep(fastSim)
+	rows, err := SensitivitySweep(newSprinter(t), fastSim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,5 +466,36 @@ func TestMean(t *testing.T) {
 	}
 	if got := mean([]float64{1, 2, 3, 4}); math.Abs(got-2.5) > 1e-9 {
 		t.Errorf("mean = %v, want 2.5", got)
+	}
+}
+
+// TestRunsMissingAnInputFail: a driver handed no rate ladder, no
+// full-sprinting samples or no measurement window has nothing to measure,
+// so it returns an error naming the missing input instead of a result.
+func TestRunsMissingAnInputFail(t *testing.T) {
+	s := newSprinter(t)
+	for _, c := range []struct {
+		name, want string
+		run        func() (any, error)
+	}{
+		{"Fig11Sweep without rates", "no rates", func() (any, error) {
+			return Fig11Sweep(s, []int{4}, Fig11Params{Samples: 1, Sim: fastSim})
+		}},
+		{"Fig11Sweep without samples", "full-sprinting samples", func() (any, error) {
+			return Fig11Sweep(s, []int{4}, Fig11Params{Rates: []float64{0.1}, Sim: fastSim})
+		}},
+		{"Fig9Fig10Network without windows", "measurement window", func() (any, error) {
+			return Fig9Fig10Network(s, NetSimParams{})
+		}},
+		{"SensitivitySweep without windows", "measurement window", func() (any, error) {
+			return SensitivitySweep(s, NetSimParams{})
+		}},
+		{"TopologyStudy without rates", "no rates", func() (any, error) {
+			return s.TopologyStudy(TopologyParams{Specs: []topo.Spec{topo.MeshSpec(4, 4)}, Sim: fastSim})
+		}},
+	} {
+		if _, err := c.run(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
+		}
 	}
 }

@@ -43,35 +43,21 @@ const (
 	faultThermalSeconds = 2.0
 )
 
-// FaultParams configures the fault-injection sweep; zero values select
-// defaults suitable for the 4×4 mesh.
+// FaultParams configures the fault-injection sweep.
 type FaultParams struct {
-	// Level is the sprint level at t=0 (default 8).
+	// Level is the sprint level at t=0, in [2, nodes].
 	Level int
 	// Rates lists the sweep points as expected fault events per 10,000
-	// cycles (default 1, 2, 4, 8). Event counts are clamped so a schedule
-	// can never retire every node.
+	// cycles. Event counts are clamped so a schedule can never retire
+	// every node.
 	Rates []float64
-	// Cycles is the injection horizon per point (default 20000); repairs
-	// and the final drain run past it.
+	// Cycles is the injection horizon per point; repairs and the final
+	// drain run past it.
 	Cycles int64
 	// Sim supplies Seed, Workers, and Check; the runs leave the window
 	// fields unused (this driver manages its own horizon), though like every
 	// sweep's they enter the checkpoint key.
 	Sim NetSimParams
-}
-
-func (p FaultParams) withDefaults() FaultParams {
-	if p.Level == 0 {
-		p.Level = 8
-	}
-	if p.Rates == nil {
-		p.Rates = []float64{1, 2, 4, 8}
-	}
-	if p.Cycles == 0 {
-		p.Cycles = 20000
-	}
-	return p
 }
 
 // FaultPoint is one sweep point of the fault-injection experiment.
@@ -198,9 +184,11 @@ func (s *Sprinter) buildFaultSchedule(rate float64, p FaultParams, seed int64, t
 // the quiesce/drain phases of each reconfiguration, and — through a thermal
 // model scaled to faultThermalSeconds — the temperature series.
 func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (FaultPoint, error) {
-	p = p.withDefaults()
 	if p.Level < 2 || p.Level > s.mesh.Nodes() {
 		return FaultPoint{}, fmt.Errorf("core: fault run level %d outside [2,%d]", p.Level, s.mesh.Nodes())
+	}
+	if p.Cycles < 1 {
+		return FaultPoint{}, fmt.Errorf("core: fault run horizon of %d cycles; it needs at least 1", p.Cycles)
 	}
 	var col *obs.Collector // assigned after the network exists; nil when telemetry is off
 	gov, err := sprint.NewGovernor(s.mesh, s.cfg.Master, p.Level, s.cfg.Metric, sprint.GovernorConfig{
@@ -245,7 +233,7 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 		}
 	}
 	var chk *check.Checker
-	chk, col = p.Sim.instrument(net, region, fmt.Sprintf("faults/l%d/s%d", p.Level, seed), hooks)
+	chk, col = s.instrument(p.Sim, net, region, fmt.Sprintf("faults/l%d/s%d", p.Level, seed), hooks)
 
 	var activeCycles int64 // Σ over cycles of the active-router count
 	prevLevel := region.Level()
@@ -420,7 +408,6 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 // are bit-identical at any worker count. p.Sim.Ctx cancels the sweep and
 // p.Sim.Journal checkpoints it.
 func FaultSweep(s *Sprinter, p FaultParams) ([]FaultPoint, error) {
-	p = p.withDefaults()
 	// A point's fields, in order, are its checkpoint key.
 	type point struct {
 		Level   int

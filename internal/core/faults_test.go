@@ -15,6 +15,7 @@ import (
 // drops, and the thermal trip.
 func fastFaults(check bool, workers int) FaultParams {
 	return FaultParams{
+		Level:  8,
 		Cycles: 6000,
 		Rates:  []float64{3, 10},
 		Sim:    NetSimParams{Check: check, Workers: workers},
@@ -94,7 +95,7 @@ func TestFaultSweepAcceptance(t *testing.T) {
 // master dies, thermal degrade, transient resume.
 func TestFaultRunScriptedSchedule(t *testing.T) {
 	s := newSprinter(t)
-	p := FaultParams{Cycles: 4000, Sim: NetSimParams{Check: true}}
+	p := FaultParams{Level: 8, Cycles: 4000, Sim: NetSimParams{Check: true}}
 	// Kill the master at 500; a short transient at 1000 that heals; a trip
 	// at 2000. Node 9 is inside the initial level-8 region.
 	sched, err := fault.Parse("perm:0@500\ntrans:9@1000+200\ntrip@2000", s.mesh.Nodes())
@@ -145,7 +146,7 @@ func TestFaultRunNoFaultsFullAvailability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := s.FaultRun(sched, FaultParams{Cycles: 2000, Sim: NetSimParams{Check: true}}, 5)
+	pt, err := s.FaultRun(sched, FaultParams{Level: 8, Cycles: 2000, Sim: NetSimParams{Check: true}}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestFaultRunAbort(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = s.FaultRun(sched, FaultParams{Cycles: 2000, Sim: NetSimParams{Abort: ctx}}, 5)
+	_, err = s.FaultRun(sched, FaultParams{Level: 8, Cycles: 2000, Sim: NetSimParams{Abort: ctx}}, 5)
 	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "aborted") {
 		t.Fatalf("err = %v, want an abort wrapping context.Canceled", err)
 	}

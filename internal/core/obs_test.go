@@ -7,8 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"nocsprint/internal/noc"
 	"nocsprint/internal/obs"
+	"nocsprint/internal/power"
 	"nocsprint/internal/sprint"
+	"nocsprint/internal/traffic"
 	"nocsprint/internal/workload"
 )
 
@@ -38,10 +41,10 @@ func TestObsRecorderZeroDriftAcrossDrivers(t *testing.T) {
 			return Fig11Sweep(s, []int{4}, Fig11Params{Rates: []float64{0.15}, Samples: 2, Sim: sp})
 		}},
 		{"SensitivityPoint", func(sp NetSimParams) (any, error) {
-			return SensitivityPoint(4, 4, sp)
+			return s.SensitivityPoint(4, 4, sp)
 		}},
 		{"FaultSweep", func(sp NetSimParams) (any, error) {
-			return FaultSweep(s, FaultParams{Cycles: 6000, Rates: []float64{10}, Sim: sp})
+			return FaultSweep(s, FaultParams{Level: 8, Cycles: 6000, Rates: []float64{10}, Sim: sp})
 		}},
 	}
 	for _, d := range drivers {
@@ -82,6 +85,68 @@ func TestObsRecorderZeroDriftAcrossDrivers(t *testing.T) {
 	}
 }
 
+// TestTelemetryPricedAtSystemCorner: core prices every telemetry sample at
+// the corner of the system it simulates, whatever power model the recorder
+// carries. A Mid-corner sprinter's EvaluateNetwork, recorded with no power
+// model, must read in each sample the network power a collector priced at
+// Mid reads for the same window of the same run.
+func TestTelemetryPricedAtSystemCorner(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Corner = power.Mid
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dedup, err := workload.ByName("dedup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := obs.NewRecorder(obs.Config{Interval: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := fastSim
+	sim.Obs = rec
+	if _, err := s.EvaluateNetwork(dedup, NoCSprinting, sim); err != nil {
+		t.Fatal(err)
+	}
+	cols := rec.Collectors()
+	if len(cols) != 1 {
+		t.Fatalf("%d collectors, want 1", len(cols))
+	}
+	cols[0].Finish()
+	got := cols[0].Samples()
+
+	// The same run, watched by a collector priced at Mid by hand.
+	region := s.Region(s.Level(dedup, NoCSprinting))
+	f := sprintFabric(region)
+	net, err := noc.NewTopo(cfg.NoC, f.topo, f.alg, f.active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := obs.NewRecorder(obs.Config{Interval: 500, Power: &obs.PowerModel{Corner: power.Mid}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := ref.NewCollector(net, "mid", ref.Config())
+	net.SetProbe(col)
+	if _, err := fastSim.run(net, traffic.NewSet(region.ActiveNodes()), dedup.InjRate, fastSim.Seed); err != nil {
+		t.Fatal(err)
+	}
+	col.Finish()
+	want := col.Samples()
+
+	if len(got) == 0 || len(got) != len(want) {
+		t.Fatalf("%d samples, the Mid-priced run took %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Window != want[i].Window || got[i].PowerW != want[i].PowerW || !(got[i].PowerW > 0) {
+			t.Errorf("sample %d: %g W over %d cycles, want %g W over %d priced at Mid",
+				i, got[i].PowerW, got[i].Window, want[i].PowerW, want[i].Window)
+		}
+	}
+}
+
 // TestFaultSweepEmitsEventTimeline checks the fault driver's event side: a
 // sweep with guaranteed fault arrivals must leave fault events and sprint
 // level changes on the timeline, stamped within the simulated window.
@@ -93,6 +158,7 @@ func TestFaultSweepEmitsEventTimeline(t *testing.T) {
 	}
 	const cycles = 6000
 	if _, err := FaultSweep(s, FaultParams{
+		Level:  8,
 		Cycles: cycles,
 		Rates:  []float64{10},
 		Sim:    NetSimParams{Workers: 1, Obs: rec},

@@ -67,11 +67,11 @@ func TestSweepsDeterministicAcrossWorkers(t *testing.T) {
 		t.Error("GatingComparison differs across worker counts")
 	}
 
-	sc1, err := ScalingStudy([]int{4, 6}, raceSim(1))
+	sc1, err := ScalingStudy(s, []int{4, 6}, raceSim(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc4, err := ScalingStudy([]int{4, 6}, raceSim(4))
+	sc4, err := ScalingStudy(s, []int{4, 6}, raceSim(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,12 @@ func TestSensitivitySweepDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sensitivity sweep is slow")
 	}
-	s1, err := SensitivitySweep(raceSim(1))
+	s := newSprinter(t)
+	s1, err := SensitivitySweep(s, raceSim(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s4, err := SensitivitySweep(raceSim(4))
+	s4, err := SensitivitySweep(s, raceSim(4))
 	if err != nil {
 		t.Fatal(err)
 	}

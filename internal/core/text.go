@@ -11,7 +11,8 @@ import (
 )
 
 // This file holds the registry's text renderers: the tables the nocsprint
-// CLI prints for each experiment result.
+// CLI prints for each experiment result. The facts about the system a table
+// prints come from DefaultConfig, the system Experiment.Run simulates.
 
 func header(w io.Writer, title string) {
 	fmt.Fprintln(w, strings.Repeat("=", 72))
@@ -23,7 +24,7 @@ func table(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 }
 
-func textTable1(out io.Writer, _ *Sprinter, r Table1Result) error {
+func textTable1(out io.Writer, r Table1Result) error {
 	header(out, "Table 1: System and Interconnect configuration")
 	w := table(out)
 	fmt.Fprintf(w, "core count/freq.\t%d, %.0f GHz\n", r.Cores, r.FreqGHz)
@@ -37,7 +38,7 @@ func textTable1(out io.Writer, _ *Sprinter, r Table1Result) error {
 	return w.Flush()
 }
 
-func textFig2(out io.Writer, _ *Sprinter, rows []Fig2Row) error {
+func textFig2(out io.Writer, rows []Fig2Row) error {
 	header(out, "Figure 2: Router power breakdown (dynamic vs leakage)")
 	w := table(out)
 	fmt.Fprintln(w, "corner\tdynamic (mW)\tleakage (mW)\ttotal (mW)\tleakage share")
@@ -66,7 +67,7 @@ func textFig2(out io.Writer, _ *Sprinter, rows []Fig2Row) error {
 	return w.Flush()
 }
 
-func textFig3(out io.Writer, _ *Sprinter, rows []Fig3Row) error {
+func textFig3(out io.Writer, rows []Fig3Row) error {
 	header(out, "Figure 3: Chip power breakdown at nominal operation")
 	w := table(out)
 	fmt.Fprint(w, "cores\ttotal (W)")
@@ -85,7 +86,7 @@ func textFig3(out io.Writer, _ *Sprinter, rows []Fig3Row) error {
 	return w.Flush()
 }
 
-func textFig4(out io.Writer, _ *Sprinter, rows []Fig4Row) error {
+func textFig4(out io.Writer, rows []Fig4Row) error {
 	header(out, "Figure 4: PARSEC execution time vs available cores (T(n)/T(1))")
 	w := table(out)
 	fmt.Fprint(w, "benchmark")
@@ -103,7 +104,7 @@ func textFig4(out io.Writer, _ *Sprinter, rows []Fig4Row) error {
 	return w.Flush()
 }
 
-func textFig7(out io.Writer, _ *Sprinter, res Fig7Result) error {
+func textFig7(out io.Writer, res Fig7Result) error {
 	header(out, "Figure 7: Execution time per sprinting scheme (seconds)")
 	w := table(out)
 	fmt.Fprintln(w, "benchmark\tlevel\tnon-sprint\tfull-sprint\tNoC-sprint\tspeedup(NoC)")
@@ -119,7 +120,7 @@ func textFig7(out io.Writer, _ *Sprinter, res Fig7Result) error {
 	return nil
 }
 
-func textFig8(out io.Writer, _ *Sprinter, res Fig8Result) error {
+func textFig8(out io.Writer, res Fig8Result) error {
 	header(out, "Figure 8: Core power dissipation per sprinting scheme (W)")
 	w := table(out)
 	fmt.Fprintln(w, "benchmark\tlevel\tfull-sprint\tfine-grained\tNoC-sprint")
@@ -135,7 +136,7 @@ func textFig8(out io.Writer, _ *Sprinter, res Fig8Result) error {
 	return nil
 }
 
-func textFig9Fig10(out io.Writer, _ *Sprinter, res NetResult) error {
+func textFig9Fig10(out io.Writer, res NetResult) error {
 	header(out, "Figures 9 & 10: Network latency and power, full vs NoC-sprinting")
 	w := table(out)
 	fmt.Fprintln(w, "benchmark\tlevel\tlat full (cyc)\tlat NoC (cyc)\tpower full (mW)\tpower NoC (mW)")
@@ -151,7 +152,7 @@ func textFig9Fig10(out io.Writer, _ *Sprinter, res NetResult) error {
 	return nil
 }
 
-func textFig11(out io.Writer, _ *Sprinter, series []Fig11Series) error {
+func textFig11(out io.Writer, series []Fig11Series) error {
 	header(out, "Figure 11: Uniform-random sweep, NoC-sprinting vs full-sprinting")
 	for _, ser := range series {
 		fmt.Fprintf(out, "\n-- %d-core sprinting --\n", ser.Level)
@@ -178,9 +179,9 @@ func textFig11(out io.Writer, _ *Sprinter, series []Fig11Series) error {
 	return nil
 }
 
-func textFig12(out io.Writer, s *Sprinter, cases []Fig12Case) error {
+func textFig12(out io.Writer, cases []Fig12Case) error {
 	header(out, "Figure 12: Steady-state heat maps (dedup, optimal level 4)")
-	grid := s.Config().Grid
+	grid := DefaultConfig().Grid
 	paper := []float64{358.3, 347.79, 343.81}
 	for i, c := range cases {
 		fmt.Fprintf(out, "\n%s: peak %.2f K (paper %.2f K)\n", c.Name, c.PeakK, paper[i])
@@ -195,7 +196,7 @@ func textFig12(out io.Writer, s *Sprinter, cases []Fig12Case) error {
 	return nil
 }
 
-func textDuration(out io.Writer, _ *Sprinter, res DurationResult) error {
+func textDuration(out io.Writer, res DurationResult) error {
 	header(out, "Section 4.4: Sprint duration (seconds)")
 	fsec := func(v float64) string {
 		if math.IsInf(v, 1) {
@@ -221,7 +222,7 @@ func textDuration(out io.Writer, _ *Sprinter, res DurationResult) error {
 	return nil
 }
 
-func textGating(out io.Writer, _ *Sprinter, res GatingResult) error {
+func textGating(out io.Writer, res GatingResult) error {
 	header(out, "Extension: network power management — none vs runtime gating vs NoC-sprinting")
 	w := table(out)
 	fmt.Fprintln(w, "benchmark\tlevel\tlat none\tlat runtime\tlat NoC\tpow none (mW)\tpow runtime\tpow NoC\twakeups\tshort-offs")
@@ -240,7 +241,7 @@ func textGating(out io.Writer, _ *Sprinter, res GatingResult) error {
 	return nil
 }
 
-func textFeedback(out io.Writer, _ *Sprinter, res FeedbackResult) error {
+func textFeedback(out io.Writer, res FeedbackResult) error {
 	header(out, "Extension: leakage-temperature feedback — sustainable sprint levels")
 	w := table(out)
 	fmt.Fprintln(w, "level\tbase power (W)\tsteady T no-FB (K)\tsteady T with-FB (K)\tamplification\tsustainable")
@@ -260,7 +261,7 @@ func textFeedback(out io.Writer, _ *Sprinter, res FeedbackResult) error {
 	return nil
 }
 
-func textController(out io.Writer, _ *Sprinter, rows []ControllerRow) error {
+func textController(out io.Writer, rows []ControllerRow) error {
 	header(out, "Extension: online sprint controller on a bursty trace")
 	w := table(out)
 	fmt.Fprintln(w, "scheme\tavg response (s)\tmakespan (s)\tenergy (J)\tpeak (K)\tsprint (s)\tthrottled (s)")
@@ -271,7 +272,7 @@ func textController(out io.Writer, _ *Sprinter, rows []ControllerRow) error {
 	return w.Flush()
 }
 
-func textWires(out io.Writer, _ *Sprinter, cases []WireCase) error {
+func textWires(out io.Writer, cases []WireCase) error {
 	header(out, "Extension: floorplan wire cost and SMART repeated wires (Section 3.3)")
 	w := table(out)
 	fmt.Fprintln(w, "configuration\tavg latency (cyc)\tpeak temp (K)\tslowest link (cyc)")
@@ -281,7 +282,7 @@ func textWires(out io.Writer, _ *Sprinter, cases []WireCase) error {
 	return w.Flush()
 }
 
-func textScale(out io.Writer, _ *Sprinter, rows []ScaleRow) error {
+func textScale(out io.Writer, rows []ScaleRow) error {
 	header(out, "Extension: mesh scaling (dark silicon grows with core count)")
 	w := table(out)
 	fmt.Fprintln(w, "mesh\tcores\tNoC share @nominal\tsprint level\tlatency cut\tnet power saving")
@@ -293,7 +294,7 @@ func textScale(out io.Writer, _ *Sprinter, rows []ScaleRow) error {
 	return w.Flush()
 }
 
-func textSensitivity(out io.Writer, _ *Sprinter, rows []SensitivityRow) error {
+func textSensitivity(out io.Writer, rows []SensitivityRow) error {
 	header(out, "Extension: VC count / buffer depth sensitivity (Table 1 knobs)")
 	w := table(out)
 	fmt.Fprintln(w, "VCs\tbuffer depth\tsaturation (flits/cyc/node)\tlow-load latency (cyc)")
@@ -303,7 +304,7 @@ func textSensitivity(out io.Writer, _ *Sprinter, rows []SensitivityRow) error {
 	return w.Flush()
 }
 
-func textTopology(out io.Writer, _ *Sprinter, rows []TopoRow) error {
+func textTopology(out io.Writer, rows []TopoRow) error {
 	header(out, "Extension: topology comparison at matched router radix")
 	w := table(out)
 	fmt.Fprintln(w, "topology\trouting\tnodes\tports\tbisection links\tzero-load lat (cyc)\tsaturation (flits/cyc/node)\tlow-load power (W)")
@@ -315,7 +316,7 @@ func textTopology(out io.Writer, _ *Sprinter, rows []TopoRow) error {
 	return w.Flush()
 }
 
-func textDimDark(out io.Writer, _ *Sprinter, points []DimDarkPoint) error {
+func textDimDark(out io.Writer, points []DimDarkPoint) error {
 	header(out, "Extension: dim silicon vs dark silicon under a power budget")
 	w := table(out)
 	fmt.Fprintln(w, "budget (W)\tbenchmark\tdark: level@2GHz perf\tdim: level@corner perf\twinner")
@@ -334,7 +335,7 @@ func textDimDark(out io.Writer, _ *Sprinter, points []DimDarkPoint) error {
 	return w.Flush()
 }
 
-func textLLC(out io.Writer, _ *Sprinter, rows []LLCRow) error {
+func textLLC(out io.Writer, rows []LLCRow) error {
 	header(out, "Extension: Section 3.4 — shared LLC under network power gating")
 	w := table(out)
 	fmt.Fprintln(w, "configuration\tAMAT (cyc)\tL2 miss rate\tbypass transfers\tnet power (mW)\tcycles")
@@ -349,9 +350,9 @@ func textLLC(out io.Writer, _ *Sprinter, rows []LLCRow) error {
 	return nil
 }
 
-func textAblations(out io.Writer, s *Sprinter, r AblationResult) error {
+func textAblations(out io.Writer, r AblationResult) error {
 	header(out, "Ablations: the design choices of Sections 3.1-3.2")
-	n := s.Mesh().Nodes()
+	n := DefaultConfig().NoC.Nodes()
 	w := table(out)
 	fmt.Fprintln(w, "measure\tpaper's choice\talternative")
 	fmt.Fprintf(w, "mean pairwise hops, levels 2-%d\tEuclidean %.3f\tHamming %.3f\n", n, r.EuclideanHops, r.HammingHops)
@@ -361,7 +362,7 @@ func textAblations(out io.Writer, s *Sprinter, r AblationResult) error {
 	return w.Flush()
 }
 
-func textFaults(out io.Writer, _ *Sprinter, points []FaultPoint) error {
+func textFaults(out io.Writer, points []FaultPoint) error {
 	header(out, "Extension: fault injection & online sprint-region repair")
 	w := table(out)
 	fmt.Fprintln(w, "rate/10k\tfaults (P/T/L/trip)\tavail\tdelivered\tdropped\tdrop rate\tlat (cyc)\tfinal level\tmaster\tconvex\trepairs")

@@ -39,30 +39,16 @@ type TopoRow struct {
 	LowLoadPowerW float64
 }
 
-// TopologyParams configures TopologyStudy; zero values select the default
-// candidate set and rate ladder.
+// TopologyParams configures TopologyStudy.
 type TopologyParams struct {
-	// Specs are the candidate topologies. Default: the paper's 4x4 mesh,
-	// the 4x4 torus, and the ring-circulant C(16;1,4) — three 16-node
-	// 5-port fabrics whose wiring differs but whose router cost matches.
+	// Specs are the candidate topologies.
 	Specs []topo.Spec
-	// Rates is the offered-load ladder walked per topology: finite,
-	// positive and strictly rising. Default: 0.1 through 0.9 in steps of
-	// 0.1.
+	// Rates is the offered-load ladder walked per topology: at least one
+	// rate, finite, positive and strictly rising.
 	Rates []float64
 	// Sim carries the simulation windows and sweep plumbing (workers,
 	// checkpoint journal, cancellation, checker, telemetry).
 	Sim NetSimParams
-}
-
-func (p TopologyParams) withDefaults() TopologyParams {
-	if len(p.Specs) == 0 {
-		p.Specs = []topo.Spec{topo.MeshSpec(4, 4), topo.TorusSpec(4, 4), topo.CirculantSpec(16, 1, 4)}
-	}
-	if len(p.Rates) == 0 {
-		p.Rates = rateLadder
-	}
-	return p
 }
 
 // topoFabric is the topology study's fully powered network on t, routed by
@@ -90,7 +76,9 @@ func topoFabric(t topo.Topology) (fabric, error) {
 // saturated rate, exactly like the sensitivity sweep. Per-rate seeds are
 // fixed, so results are identical at any worker count and across resumes.
 func (s *Sprinter) TopologyStudy(p TopologyParams) ([]TopoRow, error) {
-	p = p.withDefaults()
+	if len(p.Rates) == 0 {
+		return nil, fmt.Errorf("core: topology study has no rates")
+	}
 	for i, rate := range p.Rates {
 		// The ladder's first rung is the zero-load row and the walk stops at
 		// its first saturated rung, so the rates must rise.
@@ -126,7 +114,7 @@ func (s *Sprinter) topologyPoint(spec topo.Spec, rates []float64, sp NetSimParam
 	if err != nil {
 		return TopoRow{}, err
 	}
-	low, satRate, err := sp.walkLadder(s.cfg.NoC, f, rates, "topology/"+spec.Kind)
+	low, satRate, err := s.walkLadder(sp, s.cfg.NoC, f, rates, "topology/"+spec.Kind)
 	if err != nil {
 		return TopoRow{}, err
 	}

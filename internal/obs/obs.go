@@ -74,7 +74,9 @@ type Config struct {
 	Thermal *ThermalModel
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with a zero Interval set to its default of 1000
+// cycles, the value every collector samples at unless told otherwise.
+func (c Config) WithDefaults() Config {
 	if c.Interval == 0 {
 		c.Interval = 1000
 	}
@@ -83,7 +85,7 @@ func (c Config) withDefaults() Config {
 
 // Validate reports the first invalid configuration field, or nil.
 func (c Config) Validate() error {
-	c = c.withDefaults()
+	c = c.WithDefaults()
 	if c.Interval < 1 {
 		return fmt.Errorf("obs: sampling interval %d < 1", c.Interval)
 	}
@@ -184,7 +186,7 @@ type Collector struct {
 
 // newCollector builds a collector for net; cfg must have been validated.
 func newCollector(cfg Config, label string, net *noc.Network) *Collector {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	routers := net.Topo().Nodes()
 	c := &Collector{
 		label:     label,

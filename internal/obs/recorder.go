@@ -32,7 +32,7 @@ func NewRecorder(cfg Config) (*Recorder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Recorder{cfg: cfg.withDefaults()}, nil
+	return &Recorder{cfg: cfg.WithDefaults()}, nil
 }
 
 // Config returns the recorder's (defaulted) base configuration, which

@@ -7,19 +7,14 @@ import (
 )
 
 // RunExperiment is the default RunFunc: it looks the spec's experiment up in
-// the core registry and runs it exactly as the CLI's -json mode does, with
-// the same -fast shaping, so a daemon job's result bytes match the CLI's for
-// the same spec. The sweep-shaped drivers journal through sim.Journal and
-// honour sim.Ctx/sim.Abort; analytic experiments simply recompute after a
-// restart.
+// the core registry and runs it exactly as the CLI's -json mode does, so a
+// daemon job's result bytes match the CLI's for the same spec. The
+// sweep-shaped drivers journal through sim.Journal and honour
+// sim.Ctx/sim.Abort; analytic experiments simply recompute after a restart.
 func RunExperiment(spec JobSpec, sim core.NetSimParams) (any, error) {
 	e, ok := core.LookupExperiment(spec.Experiment)
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown experiment %q", spec.Experiment)
 	}
-	s, err := core.New(core.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(s, sim, spec.Fast)
+	return e.Run(sim, spec.Fast)
 }

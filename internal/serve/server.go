@@ -56,7 +56,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every zero field that has a default set to
+// it; New applies it, and nocsprintd's flags take their defaults from it.
+func (c Config) WithDefaults() Config {
 	if c.QueueCap == 0 {
 		c.QueueCap = 16
 	}
@@ -106,7 +108,7 @@ type Server struct {
 // — incomplete jobs re-enter the queue and will resume from their
 // checkpoint journals — and starts the executor pool.
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if cfg.StateDir == "" {
 		return nil, errors.New("serve: Config.StateDir is required")
 	}
@@ -418,7 +420,7 @@ func (s *Server) runJob(job *Job) {
 	var rec *obs.Recorder
 	if job.Spec.Obs {
 		var err error
-		rec, err = obs.NewRecorder(obs.Config{Power: &obs.PowerModel{Corner: core.DefaultConfig().Corner}})
+		rec, err = obs.NewRecorder(obs.Config{})
 		if err != nil {
 			s.finish(job, nil, fmt.Errorf("building telemetry recorder: %w", err))
 			return

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -49,7 +48,8 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 // JobSpec is the sweep specification submitted to POST /v1/jobs. Unknown
 // fields are rejected at decode time with an error naming the field.
 type JobSpec struct {
-	// Experiment selects the sweep to run; see Experiments for the set.
+	// Experiment selects the sweep to run: a name core.LookupExperiment
+	// answers (core.ExperimentNames lists them).
 	Experiment string `json:"experiment"`
 	// Fast shrinks simulation windows for smoke-sized jobs, exactly like
 	// the CLI's -fast flag.
@@ -68,17 +68,6 @@ type JobSpec struct {
 	// Obs attaches cycle-sampled telemetry collectors and writes per-point
 	// JSONL/CSV files under the job's state directory.
 	Obs bool `json:"obs,omitempty"`
-}
-
-// Experiments returns the supported experiment names, sorted: every entry
-// of the core experiment registry.
-func Experiments() []string {
-	var names []string
-	for _, e := range core.Experiments() {
-		names = append(names, e.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ParseSpec decodes and validates one JobSpec from r. Decoding is strict:
@@ -122,7 +111,7 @@ func (s JobSpec) Validate() error {
 	}
 	if _, ok := core.LookupExperiment(s.Experiment); !ok {
 		return fmt.Errorf("spec: field %q: unknown experiment %q (supported: %s)",
-			"experiment", s.Experiment, strings.Join(Experiments(), ", "))
+			"experiment", s.Experiment, strings.Join(core.ExperimentNames(), ", "))
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("spec: field %q: must be >= 0, got %d", "workers", s.Workers)

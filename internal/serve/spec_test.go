@@ -70,22 +70,23 @@ func TestUnknownFieldListsJobSpecTags(t *testing.T) {
 	}
 }
 
-// TestExperimentsListedSorted: the daemon's experiment set is the core
-// registry, sorted, and Validate admits exactly those names — the CLI-only
-// trace and all are rejected like any unknown name.
+// TestExperimentsListedSorted: the daemon's experiment set is every name
+// the core registry answers, its entries' and their aliases', sorted, and
+// Validate admits exactly those names — the CLI-only trace and all are
+// rejected like any unknown name.
 func TestExperimentsListedSorted(t *testing.T) {
-	exps := Experiments()
-	if len(exps) != len(core.Experiments()) {
-		t.Fatalf("Experiments() lists %d, registry has %d", len(exps), len(core.Experiments()))
+	exps := core.ExperimentNames()
+	if len(exps) != len(core.Experiments())+1 {
+		t.Fatalf("ExperimentNames() lists %d, want the registry's %d entries and fig10", len(exps), len(core.Experiments()))
 	}
 	for i := 1; i < len(exps); i++ {
 		if exps[i-1] >= exps[i] {
-			t.Errorf("Experiments() not sorted at %d: %s >= %s", i, exps[i-1], exps[i])
+			t.Errorf("ExperimentNames() not sorted at %d: %s >= %s", i, exps[i-1], exps[i])
 		}
 	}
-	for _, e := range core.Experiments() {
-		if err := (JobSpec{Experiment: e.Name}).Validate(); err != nil {
-			t.Errorf("registry experiment %q rejected: %v", e.Name, err)
+	for _, name := range exps {
+		if err := (JobSpec{Experiment: name}).Validate(); err != nil {
+			t.Errorf("registry experiment %q rejected: %v", name, err)
 		}
 	}
 	for _, name := range []string{"trace", "all", "fig99"} {
