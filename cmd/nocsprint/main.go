@@ -275,7 +275,13 @@ func execute(exp string, o options) error {
 	err := run(exp, o, os.Stdout)
 	if err != nil && errors.Is(err, context.Canceled) && o.journal != nil {
 		fmt.Fprintf(os.Stderr, "nocsprint: %d journal record(s) saved in %s\n", o.journal.Len(), o.journal.Path())
-		fmt.Fprintf(os.Stderr, "nocsprint: resume with: nocsprint %s -checkpoint %s -resume\n", exp, o.checkpoint)
+		// -fast is the one flag that enters point keys: a hint without it
+		// would match none of the saved records.
+		fast := ""
+		if o.fast {
+			fast = " -fast"
+		}
+		fmt.Fprintf(os.Stderr, "nocsprint: resume with: nocsprint %s%s -checkpoint %s -resume\n", exp, fast, o.checkpoint)
 	}
 	if o.rec != nil {
 		// Telemetry from completed points is written even when the run was

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -139,5 +141,21 @@ func TestParseArgsUsageOnce(t *testing.T) {
 			t.Errorf("parseArgs(%v) printed %d usage(s) and %d error line(s), want 1 and %d:\n%s",
 				c.args, usages, errors, c.errors, out.String())
 		}
+	}
+}
+
+// TestTraceRoundTrip runs the trace experiment in process: it writes the
+// trace to -trace-out and reports that its replay of that file drained.
+func TestTraceRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	var out strings.Builder
+	if err := run("trace", defaultOpts(func(o *options) { o.traceOut = path }), &out); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Errorf("trace file missing or empty (%v)", err)
+	}
+	if !strings.Contains(out.String(), "drained=true") {
+		t.Errorf("the replay did not drain:\n%s", out.String())
 	}
 }

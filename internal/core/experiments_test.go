@@ -470,8 +470,9 @@ func TestMean(t *testing.T) {
 }
 
 // TestRunsMissingAnInputFail: a driver handed no rate ladder, no
-// full-sprinting samples or no measurement window has nothing to measure,
-// so it returns an error naming the missing input instead of a result.
+// full-sprinting samples, no measurement window or no topology has nothing
+// to measure, so it returns an error naming the missing input instead of a
+// result.
 func TestRunsMissingAnInputFail(t *testing.T) {
 	s := newSprinter(t)
 	for _, c := range []struct {
@@ -492,6 +493,12 @@ func TestRunsMissingAnInputFail(t *testing.T) {
 		}},
 		{"TopologyStudy without rates", "no rates", func() (any, error) {
 			return s.TopologyStudy(TopologyParams{Specs: []topo.Spec{topo.MeshSpec(4, 4)}, Sim: fastSim})
+		}},
+		{"TopologyStudy without specs", "no specs", func() (any, error) {
+			return s.TopologyStudy(TopologyParams{Rates: []float64{0.1}, Sim: fastSim})
+		}},
+		{"FaultSweep without rates", "no rates", func() (any, error) {
+			return FaultSweep(s, FaultParams{Level: 8, Cycles: 20000, Sim: NetSimParams{Workers: 1}})
 		}},
 	} {
 		if _, err := c.run(); err == nil || !strings.Contains(err.Error(), c.want) {

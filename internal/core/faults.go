@@ -408,6 +408,9 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 // are bit-identical at any worker count. p.Sim.Ctx cancels the sweep and
 // p.Sim.Journal checkpoints it.
 func FaultSweep(s *Sprinter, p FaultParams) ([]FaultPoint, error) {
+	if len(p.Rates) == 0 {
+		return nil, fmt.Errorf("core: fault sweep has no rates")
+	}
 	// A point's fields, in order, are its checkpoint key.
 	type point struct {
 		Level   int

@@ -76,6 +76,9 @@ func topoFabric(t topo.Topology) (fabric, error) {
 // saturated rate, exactly like the sensitivity sweep. Per-rate seeds are
 // fixed, so results are identical at any worker count and across resumes.
 func (s *Sprinter) TopologyStudy(p TopologyParams) ([]TopoRow, error) {
+	if len(p.Specs) == 0 {
+		return nil, fmt.Errorf("core: topology study has no specs")
+	}
 	if len(p.Rates) == 0 {
 		return nil, fmt.Errorf("core: topology study has no rates")
 	}
