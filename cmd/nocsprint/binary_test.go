@@ -15,48 +15,57 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nocsprint/internal/core"
 )
 
-// The tests in this file run the built nocsprint as a child process, the
-// way a user does: through its flags, its signals, its files and its -http
-// endpoint. They skip under -short.
+// The tests in this file and in daemon_test.go run the built nocsprint and
+// nocsprintd as child processes, the way a user does: through their flags,
+// signals, files and HTTP endpoints. They skip under -short.
 
-// built is the nocsprint binary, built once per test process by binary and
-// removed by TestMain.
-var built struct {
+// binDir holds the commands under test, each built once per test process by
+// binary; TestMain makes and removes it.
+var binDir string
+
+// build is one command's build: the path of its binary, or the error.
+type build struct {
 	once sync.Once
-	dir  string
 	path string
 	err  error
 }
 
+// builds are the commands binary builds, by name.
+var builds = map[string]*build{"nocsprint": {}, "nocsprintd": {}}
+
 func TestMain(m *testing.M) {
-	code := m.Run()
-	if built.dir != "" {
-		os.RemoveAll(built.dir)
+	var err error
+	if binDir, err = os.MkdirTemp("", "nocsprint-bin-"); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
+	code := m.Run()
+	os.RemoveAll(binDir)
 	os.Exit(code)
 }
 
-// binary returns the path of the built nocsprint, building it on first use.
-func binary(t *testing.T) string {
+// binary returns the path of the built command name, nocsprint or
+// nocsprintd, building it on first use.
+func binary(t *testing.T, name string) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
-	built.once.Do(func() {
-		if built.dir, built.err = os.MkdirTemp("", "nocsprint-bin-"); built.err != nil {
-			return
-		}
-		built.path = filepath.Join(built.dir, "nocsprint")
-		if out, err := exec.Command("go", "build", "-o", built.path, ".").CombinedOutput(); err != nil {
-			built.err = fmt.Errorf("go build: %v\n%s", err, out)
+	b := builds[name]
+	b.once.Do(func() {
+		b.path = filepath.Join(binDir, name)
+		if out, err := exec.Command("go", "build", "-o", b.path, "nocsprint/cmd/"+name).CombinedOutput(); err != nil {
+			b.err = fmt.Errorf("go build %s: %v\n%s", name, err, out)
 		}
 	})
-	if built.err != nil {
-		t.Fatal(built.err)
+	if b.err != nil {
+		t.Fatal(b.err)
 	}
-	return built.path
+	return b.path
 }
 
 // syncBuffer collects a child's output while the test reads it.
@@ -77,19 +86,21 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// child is one run of the built binary.
+// child is one run of a built command.
 type child struct {
+	name           string
 	cmd            *exec.Cmd
 	stdout, stderr syncBuffer
 	done           chan struct{} // closed once cmd.Wait returns
 	err            error         // cmd.Wait's result, set before done closes
 }
 
-// start runs the binary with args in a fresh working directory. The test's
-// cleanup kills and reaps it, so it never outlives the test, failed or not.
-func start(t *testing.T, args ...string) *child {
+// start runs the built command name with args in a fresh working
+// directory. The test's cleanup kills and reaps it, so it never outlives
+// the test, failed or not.
+func start(t *testing.T, name string, args ...string) *child {
 	t.Helper()
-	c := &child{cmd: exec.Command(binary(t), args...), done: make(chan struct{})}
+	c := &child{name: name, cmd: exec.Command(binary(t, name), args...), done: make(chan struct{})}
 	c.cmd.Dir = t.TempDir()
 	c.cmd.Stdout, c.cmd.Stderr = &c.stdout, &c.stderr
 	if err := c.cmd.Start(); err != nil {
@@ -114,12 +125,24 @@ func (c *child) await(t *testing.T, what string, cond func() bool) {
 	for !cond() {
 		select {
 		case <-c.done:
-			t.Fatalf("nocsprint exited (%v) before %s; stderr:\n%s", c.err, what, c.stderr.String())
+			t.Fatalf("%s exited (%v) before %s; stderr:\n%s", c.name, c.err, what, c.stderr.String())
 		case <-deadline:
 			t.Fatalf("no %s after a minute; stderr:\n%s", what, c.stderr.String())
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
+}
+
+// address waits for the child to print a line re matches on stderr and
+// returns re's first submatch.
+func (c *child) address(t *testing.T, re *regexp.Regexp) string {
+	t.Helper()
+	var m []string
+	c.await(t, "a line matching "+re.String(), func() bool {
+		m = re.FindStringSubmatch(c.stderr.String())
+		return m != nil
+	})
+	return m[1]
 }
 
 // exitStatus waits for the child to exit and returns its exit status.
@@ -128,7 +151,7 @@ func (c *child) exitStatus(t *testing.T) int {
 	select {
 	case <-c.done:
 	case <-time.After(time.Minute):
-		t.Fatalf("nocsprint still running after a minute; stderr:\n%s", c.stderr.String())
+		t.Fatalf("%s still running after a minute; stderr:\n%s", c.name, c.stderr.String())
 	}
 	var exit *exec.ExitError
 	if errors.As(c.err, &exit) {
@@ -159,18 +182,30 @@ func journalRecords(path string) int {
 	return max(bytes.Count(data, []byte("\n"))-1, 0)
 }
 
-// client bounds each request made of a child's -http endpoint.
+// client bounds each request made of a child's HTTP endpoint.
 var client = &http.Client{Timeout: 5 * time.Second}
 
-// get returns the status and body of a GET of url.
-func get(url string) (int, []byte, error) {
-	resp, err := client.Get(url)
+// call makes one request of a child's HTTP endpoint and returns the
+// response body, failing the test unless the status is want.
+func call(t *testing.T, method, url, body string, want int) []byte {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
-		return 0, nil, err
+		t.Fatal(err)
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, body, err
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != want {
+		t.Fatalf("%s %s: status %d, want %d: %s", method, url, resp.StatusCode, want, data)
+	}
+	return data
 }
 
 var (
@@ -182,6 +217,7 @@ var (
 // usage printed once, and an experiment the CLI cannot run 1 with a
 // "nocsprint: " error line.
 func TestBinaryExitStatus(t *testing.T) {
+	t.Parallel()
 	errLine := regexp.MustCompile(`(?m)^nocsprint: `)
 	usageLine := regexp.MustCompile(`(?m)^usage: `)
 	for _, c := range []struct {
@@ -193,7 +229,7 @@ func TestBinaryExitStatus(t *testing.T) {
 		{"nonesuch", 1, 1},
 		{"-json trace", 1, 0},
 	} {
-		p := start(t, strings.Fields(c.args)...)
+		p := start(t, "nocsprint", strings.Fields(c.args)...)
 		status, stderr := p.exitStatus(t), p.stderr.String()
 		switch usages := len(usageLine.FindAllString(stderr, -1)); {
 		case status != c.status:
@@ -216,29 +252,21 @@ func TestBinaryExitStatus(t *testing.T) {
 // the worker count and -check change no result, so the resumed and the
 // uninterrupted runs use every core and no checker.
 func TestInterruptAndResume(t *testing.T) {
+	t.Parallel()
 	const points = 28
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "fig11.journal")
-	c := start(t, "fig11", "-check", "-json", "-checkpoint", dir, "-workers", "1", "-http", "127.0.0.1:0")
+	c := start(t, "nocsprint", "fig11", "-check", "-json", "-checkpoint", dir, "-workers", "1", "-http", "127.0.0.1:0")
 
-	var base string
-	c.await(t, "the monitoring address", func() bool {
-		m := monitorAddr.FindStringSubmatch(c.stderr.String())
-		if m != nil {
-			base = m[1]
-		}
-		return m != nil
-	})
+	base := c.address(t, monitorAddr)
 	c.await(t, fmt.Sprintf("sweep_total %d at /debug/vars", points), func() bool {
 		var vars struct {
 			SweepTotal int `json:"sweep_total"`
 		}
-		code, body, err := get(base + "/debug/vars")
-		return err == nil && code == http.StatusOK && json.Unmarshal(body, &vars) == nil && vars.SweepTotal == points
+		body := call(t, http.MethodGet, base+"/debug/vars", "", http.StatusOK)
+		return json.Unmarshal(body, &vars) == nil && vars.SweepTotal == points
 	})
-	if code, _, err := get(base + "/debug/pprof/"); err != nil || code != http.StatusOK {
-		t.Errorf("GET /debug/pprof/ mid-run: status %d, error %v; want 200", code, err)
-	}
+	call(t, http.MethodGet, base+"/debug/pprof/", "", http.StatusOK)
 
 	c.await(t, "3 journal records", func() bool { return journalRecords(jpath) >= 3 })
 	if status := c.interrupt(t); status == 0 {
@@ -249,8 +277,8 @@ func TestInterruptAndResume(t *testing.T) {
 		t.Fatalf("interrupted journal holds %d records, want fewer than %d", saved, points)
 	}
 
-	resumed := start(t, "fig11", "-json", "-checkpoint", dir, "-resume")
-	uninterrupted := start(t, "fig11", "-json")
+	resumed := start(t, "nocsprint", "fig11", "-json", "-checkpoint", dir, "-resume")
+	uninterrupted := start(t, "nocsprint", "fig11", "-json")
 	for _, p := range []*child{resumed, uninterrupted} {
 		if status := p.exitStatus(t); status != 0 {
 			t.Fatalf("exit status %d; stderr:\n%s", status, p.stderr.String())
@@ -267,18 +295,19 @@ func TestInterruptAndResume(t *testing.T) {
 	}
 }
 
-// TestResumeHintKeepsFast interrupts a -fast sweep and runs the resume
-// command it prints exactly as printed. That command must keep -fast, the
-// one flag that enters point keys, so it reuses the saved records: its
-// journal ends with exactly the sweep's points and it prints what an
-// uninterrupted -fast run prints. -refstep on one worker slows each of
-// fig11's -fast points to about 0.1 s, so the signal lands mid-sweep;
-// neither enters point keys.
-func TestResumeHintKeepsFast(t *testing.T) {
+// TestResumeHintRepeatsCommand interrupts a checkpointed -fast -json sweep
+// and runs the resume command it prints exactly as printed. That command
+// repeats the interrupted one with -resume, so it reuses the saved records
+// and prints what an uninterrupted -fast -json run prints, and the run's
+// own journal, fig11.fast.journal, ends with exactly the sweep's points.
+// -refstep on one worker slows each of fig11's -fast points to about 0.1 s,
+// so the signal lands mid-sweep; neither enters point keys.
+func TestResumeHintRepeatsCommand(t *testing.T) {
+	t.Parallel()
 	points := len(readRegistryGolden(t, "fig11").Keys)
 	dir := t.TempDir()
-	jpath := filepath.Join(dir, "fig11.journal")
-	c := start(t, "fig11", "-fast", "-refstep", "-workers", "1", "-checkpoint", dir)
+	jpath := filepath.Join(dir, "fig11.fast.journal")
+	c := start(t, "nocsprint", "fig11", "-fast", "-json", "-refstep", "-workers", "1", "-checkpoint", dir)
 	c.await(t, "a journal record", func() bool { return journalRecords(jpath) >= 1 })
 	if status := c.interrupt(t); status == 0 {
 		t.Fatalf("interrupted run exited 0; stderr:\n%s", c.stderr.String())
@@ -291,16 +320,16 @@ func TestResumeHintKeepsFast(t *testing.T) {
 		t.Fatalf("interrupted run printed no resume command; stderr:\n%s", c.stderr.String())
 	}
 
-	resumed := start(t, strings.Fields(m[1])...)
+	resumed := start(t, "nocsprint", strings.Fields(m[1])...)
 	if status := resumed.exitStatus(t); status != 0 {
 		t.Fatalf("nocsprint %s: exit status %d; stderr:\n%s", m[1], status, resumed.stderr.String())
 	}
 	var want bytes.Buffer
-	if err := run("fig11", options{fast: true}, &want); err != nil {
+	if err := run("fig11", options{fast: true, json: true}, core.NetSimParams{}, &want); err != nil {
 		t.Fatal(err)
 	}
 	if got := resumed.stdout.String(); got != want.String() {
-		t.Errorf("nocsprint %s prints other output than an uninterrupted -fast run: %s",
+		t.Errorf("nocsprint %s prints other output than an uninterrupted -fast -json run: %s",
 			m[1], firstDiff([]byte(got), want.Bytes()))
 	}
 	if n := len(journalKeys(t, jpath)); n != points {
@@ -311,8 +340,9 @@ func TestResumeHintKeepsFast(t *testing.T) {
 // TestTelemetryFiles: -obs writes each simulation's telemetry under
 // -obs-out as a JSONL stream, opened by its meta record, and a CSV table.
 func TestTelemetryFiles(t *testing.T) {
+	t.Parallel()
 	dir := filepath.Join(t.TempDir(), "obs")
-	c := start(t, "fig11", "-fast", "-check", "-obs", "-obs-out", dir)
+	c := start(t, "nocsprint", "fig11", "-fast", "-check", "-obs", "-obs-out", dir)
 	if status := c.exitStatus(t); status != 0 {
 		t.Fatalf("exit status %d; stderr:\n%s", status, c.stderr.String())
 	}

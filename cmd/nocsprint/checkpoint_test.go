@@ -3,8 +3,11 @@ package main
 import (
 	"io"
 	"os"
+	"reflect"
 	"testing"
 	"time"
+
+	"nocsprint/internal/core"
 )
 
 func TestParseArgsCheckpointFlags(t *testing.T) {
@@ -26,9 +29,11 @@ func TestParseArgsCheckpointFlags(t *testing.T) {
 
 // TestOpenCheckpointLifecycle walks the CLI checkpoint state machine: fresh
 // create, resume of a valid journal, and the paths that must warn and start
-// fresh rather than abort the run (no journal, corrupt journal). Point keys
-// are the only guard on a resume: a -fast resume over a full-window run's
-// journal decodes none of its points and prints what a fresh -fast run does.
+// fresh rather than abort the run (no journal, corrupt journal). Each run
+// shape keeps its own journal: a -fast resume beside a full-window run's
+// journal loads none of its records, journals exactly the -fast run's
+// points and prints what a fresh -fast run does, and the full-window
+// journal keeps exactly its own records.
 func TestOpenCheckpointLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	o := options{checkpoint: dir}
@@ -78,28 +83,31 @@ func TestOpenCheckpointLifecycle(t *testing.T) {
 	}
 	j.Close()
 
-	// A full-window scale run, then a -fast resume over its journal: the
-	// windows are in every point key, so all of the -fast points are
-	// computed and appended, and the result is the fresh -fast golden.
+	// A full-window scale run, then a -fast resume in the same directory.
 	full := options{checkpoint: dir}
 	if j, err = openCheckpoint(full, "scale"); err != nil {
 		t.Fatal(err)
 	}
-	full.json, full.journal = true, j
-	if err := run("scale", full, io.Discard); err != nil {
+	if err := run("scale", options{json: true}, core.NetSimParams{Journal: j}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	fullPoints := j.Len()
+	fullPath, fullPoints := j.Path(), j.Len()
 	j.Close()
-	if j, err = openCheckpoint(options{checkpoint: dir, resume: true}, "scale"); err != nil {
+	if fullPoints == 0 {
+		t.Fatal("the full-window scale run journaled no points")
+	}
+	if j, err = openCheckpoint(options{checkpoint: dir, resume: true, fast: true}, "scale"); err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if j.Len() != fullPoints {
-		t.Fatalf("resume loaded %d of the full-window run's %d points", j.Len(), fullPoints)
+	if j.Len() != 0 {
+		t.Fatalf("-fast resume loaded %d of the full-window run's %d records, want 0", j.Len(), fullPoints)
 	}
-	compareRegistryGolden(t, "scale", runResult(t, "scale", options{journal: j}))
-	if fresh := len(readRegistryGolden(t, "scale").Keys); j.Len() != fullPoints+fresh {
-		t.Errorf("-fast resume left %d journal records, want the full run's %d plus %d fresh", j.Len(), fullPoints, fresh)
+	compareRegistryGolden(t, "scale", runResult(t, "scale", core.NetSimParams{Journal: j}))
+	if got, want := journalKeys(t, j.Path()), readRegistryGolden(t, "scale").Keys; !reflect.DeepEqual(got, want) {
+		t.Errorf("-fast journal %s holds keys %v, want the %d registry/scale.json pins", j.Path(), got, len(want))
+	}
+	if n := len(journalKeys(t, fullPath)); n != fullPoints {
+		t.Errorf("full-window journal %s holds %d records after the -fast run, want its own %d", fullPath, n, fullPoints)
 	}
 }

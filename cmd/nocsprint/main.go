@@ -28,6 +28,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"time"
@@ -56,16 +57,6 @@ type options struct {
 	obsOut      string
 	httpAddr    string
 	traceOut    string
-
-	// Runtime state wired up by execute, not flags: the sweep-level and
-	// point-level cancellation contexts, the open checkpoint journal (nil
-	// when -checkpoint is not given), the telemetry recorder (nil without
-	// -obs), and the sweep-progress callback (nil without -http).
-	ctx      context.Context
-	abort    context.Context
-	journal  *ckpt.Journal
-	rec      *obs.Recorder
-	progress func(done, total int)
 }
 
 // parseArgs parses the command line. On an error it writes one error line
@@ -145,8 +136,8 @@ func newFlagSet(o *options, output io.Writer) *flag.FlagSet {
 	fs.BoolVar(&o.resume, "resume", false, "with -checkpoint: skip points already journaled; the merged\n"+
 		"output is bit-identical to an uninterrupted run, at any\n"+
 		"-workers count (a missing or corrupt journal is rejected\n"+
-		"with a warning and the run starts fresh; points of another\n"+
-		"run shape, such as -fast, match nothing and are recomputed)")
+		"with a warning and the run starts fresh; -fast runs keep\n"+
+		"their own journal, DIR/<experiment>.fast.journal)")
 	fs.BoolVar(&o.obs, "obs", false, "attach cycle-sampled telemetry to every simulation: per-window\n"+
 		"flit/utilization/queue/power series plus a typed event\n"+
 		"timeline (results are proven bit-identical with or without)")
@@ -174,23 +165,29 @@ func main() {
 	if err != nil {
 		os.Exit(2)
 	}
-	if err := execute(exp, opts); err != nil {
+	if err := execute(os.Args[1:], exp, opts); err != nil {
 		fmt.Fprintf(os.Stderr, "nocsprint: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// execute wraps one experiment run with the interruption-tolerance layer:
-// a sweep-level context cancelled by the first SIGINT/SIGTERM (or -timeout),
-// a point-level abort context cancelled by a second signal, and the
-// checkpoint journal when -checkpoint is given. The first signal lets
-// in-flight sweep points finish and be journaled; the second stops them
-// mid-run at cycle granularity.
-func execute(exp string, o options) error {
+// execute runs experiment exp, named by the command-line arguments args
+// that parsed to o. It builds the run's one core.NetSimParams: a
+// sweep-level context cancelled by the first SIGINT/SIGTERM (or -timeout),
+// a point-level abort context cancelled by a second signal, the checkpoint
+// journal when -checkpoint is given, the -obs recorder and the -http
+// progress counters. The first signal lets in-flight sweep points finish
+// and be journaled; the second stops them mid-run at cycle granularity.
+// An interrupted checkpointed run prints the command that resumes it.
+func execute(args []string, exp string, o options) error {
 	sweepCtx, cancelSweep := context.WithCancel(context.Background())
 	defer cancelSweep()
 	abortCtx, cancelAbort := context.WithCancel(context.Background())
 	defer cancelAbort()
+	sim := core.NetSimParams{
+		Workers: o.workers, Check: o.check, Reference: o.refstep,
+		Ctx: sweepCtx, Abort: abortCtx,
+	}
 
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -222,9 +219,8 @@ func execute(exp string, o options) error {
 			return err
 		}
 		defer j.Close()
-		o.journal = j
+		sim.Journal = j
 	}
-	o.ctx, o.abort = sweepCtx, abortCtx
 
 	if o.httpAddr != "" {
 		// A dedicated mux carrying exactly the monitoring surface — expvar's
@@ -258,36 +254,31 @@ func execute(exp string, o options) error {
 		}()
 		fmt.Fprintf(os.Stderr, "nocsprint: monitoring on http://%s/debug/vars (pprof at /debug/pprof)\n", ln.Addr())
 		go func() { _ = httpSrv.Serve(ln) }()
-		o.progress = func(done, total int) {
+		sim.Progress = func(done, total int) {
 			sweepDone.Set(int64(done))
 			sweepTotal.Set(int64(total))
 		}
 	}
 
 	if o.obs {
-		rec, err := newRecorder(o)
+		// Core prices each sample at the simulated system's corner.
+		rec, err := obs.NewRecorder(obs.Config{Interval: o.obsInterval})
 		if err != nil {
 			return fmt.Errorf("-obs: %w", err)
 		}
-		o.rec = rec
+		sim.Obs = rec
 	}
 
-	err := run(exp, o, os.Stdout)
-	if err != nil && errors.Is(err, context.Canceled) && o.journal != nil {
-		fmt.Fprintf(os.Stderr, "nocsprint: %d journal record(s) saved in %s\n", o.journal.Len(), o.journal.Path())
-		// -fast is the one flag that enters point keys: a hint without it
-		// would match none of the saved records.
-		fast := ""
-		if o.fast {
-			fast = " -fast"
-		}
-		fmt.Fprintf(os.Stderr, "nocsprint: resume with: nocsprint %s%s -checkpoint %s -resume\n", exp, fast, o.checkpoint)
+	err := run(exp, o, sim, os.Stdout)
+	if err != nil && errors.Is(err, context.Canceled) && sim.Journal != nil {
+		fmt.Fprintf(os.Stderr, "nocsprint: %d journal record(s) saved in %s\n", sim.Journal.Len(), sim.Journal.Path())
+		fmt.Fprintf(os.Stderr, "nocsprint: resume with: %s\n", resumeCommand(args, o.resume))
 	}
-	if o.rec != nil {
+	if sim.Obs != nil {
 		// Telemetry from completed points is written even when the run was
 		// cancelled part-way: the collectors that exist are whole.
-		if n := len(o.rec.Collectors()); n > 0 {
-			if werr := o.rec.WriteFiles(o.obsOut); werr != nil {
+		if n := len(sim.Obs.Collectors()); n > 0 {
+			if werr := sim.Obs.WriteFiles(o.obsOut); werr != nil {
 				if err == nil {
 					err = werr
 				}
@@ -300,24 +291,44 @@ func execute(exp string, o options) error {
 	return err
 }
 
-// newRecorder builds the -obs telemetry recorder: a sample every
-// -obs-interval cycles. Core prices each sample at the simulated system's
-// corner.
-func newRecorder(o options) (*obs.Recorder, error) {
-	return obs.NewRecorder(obs.Config{Interval: o.obsInterval})
+// plainWord matches a command-line argument the shell neither splits nor
+// expands.
+var plainWord = regexp.MustCompile(`^[\w@%+=:,./-]+$`)
+
+// resumeCommand returns the command that resumes a run interrupted with the
+// command-line arguments args: the same arguments, each single-quoted where
+// the shell would split or expand it, and -resume unless the run had it.
+func resumeCommand(args []string, resume bool) string {
+	cmd := "nocsprint"
+	for _, a := range args {
+		if !plainWord.MatchString(a) {
+			a = "'" + strings.ReplaceAll(a, "'", `'\''`) + "'"
+		}
+		cmd += " " + a
+	}
+	if !resume {
+		cmd += " -resume"
+	}
+	return cmd
 }
 
 // openCheckpoint opens the journal for one experiment run inside the
-// -checkpoint directory. A fresh run truncates it; -resume reopens it, and
-// starts fresh, with a warning, when it is missing or does not decode. The
-// point keys are the only guard a resume needs: they hash the run shape, so
-// a journal of another shape (a full-window run's, under -fast) satisfies
-// none of this run's points, which are recomputed and appended.
+// -checkpoint directory: <exp>.journal for a full-window run, and
+// <exp>.fast.journal under -fast. The experiment and -fast fix every input
+// of a point key (Experiment.Run fixes the system and the windows, the
+// seed is 0, and -workers, -check, -refstep and -obs move no result), so a
+// journal holds only records its own run shape can use. A fresh run
+// truncates it; -resume reopens it, and starts fresh, with a warning, when
+// it is missing or does not decode.
 func openCheckpoint(o options, exp string) (*ckpt.Journal, error) {
 	if err := os.MkdirAll(o.checkpoint, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint dir: %w", err)
 	}
-	path := filepath.Join(o.checkpoint, exp+".journal")
+	name := exp + ".journal"
+	if o.fast {
+		name = exp + ".fast.journal"
+	}
+	path := filepath.Join(o.checkpoint, name)
 	if o.resume {
 		j, err := ckpt.Open(path)
 		if err == nil {
@@ -355,11 +366,10 @@ experiments:
 var allExperiments = []string{"table1", "fig2", "fig3", "fig4", "fig7", "fig8", "fig9", "fig11", "fig12", "duration", "gating"}
 
 // run executes one experiment (or the `all` sequence) through the core
-// registry and writes its result to stdout: the typed result in a small
-// metadata envelope under -json, the registry's text tables otherwise.
-// -workers threads through to the parallel sweep runner, and the
-// cancellation contexts, checkpoint journal and telemetry ride along.
-func run(name string, o options, stdout io.Writer) error {
+// registry on sim and writes its result to stdout: the typed result in a
+// small metadata envelope under -json, the registry's text tables
+// otherwise.
+func run(name string, o options, sim core.NetSimParams, stdout io.Writer) error {
 	names := []string{name}
 	if !o.json {
 		if name == "trace" {
@@ -368,11 +378,6 @@ func run(name string, o options, stdout io.Writer) error {
 		if name == "all" {
 			names = allExperiments
 		}
-	}
-	sim := core.NetSimParams{
-		Workers: o.workers, Check: o.check, Reference: o.refstep,
-		Ctx: o.ctx, Abort: o.abort, Journal: o.journal,
-		Obs: o.rec, Progress: o.progress,
 	}
 	for _, n := range names {
 		e, ok := core.LookupExperiment(n)

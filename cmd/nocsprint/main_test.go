@@ -144,12 +144,34 @@ func TestParseArgsUsageOnce(t *testing.T) {
 	}
 }
 
+// TestResumeCommand: the command an interrupted run prints repeats its
+// arguments, each single-quoted only where the shell would split or expand
+// it, and adds -resume unless the run had it.
+func TestResumeCommand(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		resume bool
+		want   string
+	}{
+		{[]string{"fig11", "-fast", "-json", "-workers", "1", "-checkpoint", "ck"}, false,
+			"nocsprint fig11 -fast -json -workers 1 -checkpoint ck -resume"},
+		{[]string{"-checkpoint=/tmp/ck", "fig11", "-resume", "-timeout", "90s"}, true,
+			"nocsprint -checkpoint=/tmp/ck fig11 -resume -timeout 90s"},
+		{[]string{"fig11", "-checkpoint", "my ck", "-obs-out", "it's", "-trace-out", "", "-http", "$HOST:0"}, false,
+			`nocsprint fig11 -checkpoint 'my ck' -obs-out 'it'\''s' -trace-out '' -http '$HOST:0' -resume`},
+	} {
+		if got := resumeCommand(c.args, c.resume); got != c.want {
+			t.Errorf("resumeCommand(%q, %v) = %s, want %s", c.args, c.resume, got, c.want)
+		}
+	}
+}
+
 // TestTraceRoundTrip runs the trace experiment in process: it writes the
 // trace to -trace-out and reports that its replay of that file drained.
 func TestTraceRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	var out strings.Builder
-	if err := run("trace", defaultOpts(func(o *options) { o.traceOut = path }), &out); err != nil {
+	if err := run("trace", defaultOpts(func(o *options) { o.traceOut = path }), core.NetSimParams{}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {

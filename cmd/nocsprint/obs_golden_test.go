@@ -28,7 +28,7 @@ func TestGoldenFig11FastWithObs(t *testing.T) {
 	}
 	// The recorder the CLI's -obs flag builds, at its default interval, so
 	// the golden stream pins what `fig11 -fast -obs` writes.
-	rec, err := newRecorder(options{obsInterval: 1000})
+	rec, err := obs.NewRecorder(obs.Config{Interval: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"nocsprint/internal/ckpt"
 	"nocsprint/internal/core"
+	"nocsprint/internal/obs"
 	"nocsprint/internal/serve"
 )
 
@@ -39,7 +40,7 @@ func TestRegistryFrontEndsAgree(t *testing.T) {
 			}
 			defer j.Close()
 			var cli bytes.Buffer
-			if err := json.Compact(&cli, runResult(t, e.Name, options{workers: 2, journal: j})); err != nil {
+			if err := json.Compact(&cli, runResult(t, e.Name, core.NetSimParams{Workers: 2, Journal: j})); err != nil {
 				t.Fatal(err)
 			}
 			spec := serve.JobSpec{Experiment: e.Name, Fast: true, Workers: 2}
@@ -87,7 +88,7 @@ func TestFig10ResolvesToFig9(t *testing.T) {
 			t.Error("the registry holds a fig10 entry beside fig9's")
 		}
 	}
-	compareRegistryGolden(t, "fig9", runResult(t, "fig10", options{workers: 2}))
+	compareRegistryGolden(t, "fig9", runResult(t, "fig10", core.NetSimParams{Workers: 2}))
 
 	if err := (serve.JobSpec{Experiment: "fig10"}).Validate(); err != nil {
 		t.Errorf("daemon rejects fig10: %v", err)
@@ -129,11 +130,12 @@ var analytic = map[string]bool{
 func TestRegistryZeroDrift(t *testing.T) {
 	legs := []struct {
 		name string
-		o    options
+		sim  core.NetSimParams
+		obs  bool
 	}{
-		{"check", options{check: true}},
-		{"refstep", options{check: true, refstep: true, workers: 1}},
-		{"obs", options{check: true, obs: true, obsInterval: 100}},
+		{"check", core.NetSimParams{Check: true}, false},
+		{"refstep", core.NetSimParams{Check: true, Reference: true, Workers: 1}, false},
+		{"obs", core.NetSimParams{Check: true}, true},
 	}
 	for _, e := range core.Experiments() {
 		if testing.Short() && e.Name != "fig11" {
@@ -142,24 +144,24 @@ func TestRegistryZeroDrift(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, leg := range legs {
-				if e.Name == "llc" && leg.o.refstep {
+				if e.Name == "llc" && leg.sim.Reference {
 					continue
 				}
 				t.Run(leg.name, func(t *testing.T) {
 					t.Parallel()
-					o := leg.o
-					if o.obs {
-						rec, err := newRecorder(o)
+					sim := leg.sim
+					if leg.obs {
+						rec, err := obs.NewRecorder(obs.Config{Interval: 100})
 						if err != nil {
 							t.Fatal(err)
 						}
-						o.rec = rec
+						sim.Obs = rec
 					}
-					compareRegistryGolden(t, e.Name, runResult(t, e.Name, o))
-					if o.rec == nil {
+					compareRegistryGolden(t, e.Name, runResult(t, e.Name, sim))
+					if sim.Obs == nil {
 						return
 					}
-					cols := o.rec.Collectors()
+					cols := sim.Obs.Collectors()
 					if analytic[e.Name] != (len(cols) == 0) {
 						t.Fatalf("%d collector(s) attached; analytic entry: %v", len(cols), analytic[e.Name])
 					}
@@ -174,13 +176,12 @@ func TestRegistryZeroDrift(t *testing.T) {
 	}
 }
 
-// runResult runs one registry entry under -fast -json and the rest of o
-// through the CLI's run, and returns the result the envelope carries.
-func runResult(t *testing.T, name string, o options) json.RawMessage {
+// runResult runs one registry entry on sim under -fast -json through the
+// CLI's run, and returns the result the envelope carries.
+func runResult(t *testing.T, name string, sim core.NetSimParams) json.RawMessage {
 	t.Helper()
-	o.fast, o.json = true, true
 	var out bytes.Buffer
-	if err := run(name, o, &out); err != nil {
+	if err := run(name, options{fast: true, json: true}, sim, &out); err != nil {
 		t.Fatalf("CLI -json: %v", err)
 	}
 	var envelope struct {

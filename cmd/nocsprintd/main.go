@@ -104,7 +104,15 @@ func publishMetrics(srv *serve.Server) {
 	expvar.Publish("nocsprintd", expvar.Func(func() any { return srv.MetricsSnapshot() }))
 }
 
+// run binds the job API's address, then recovers the state directory and
+// serves until a signal drains it. Binding comes first: serve.New re-queues
+// and starts the recovered jobs, so a daemon that cannot listen must fail
+// before it runs any of them.
 func run(o options, logger *log.Logger) error {
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		return fmt.Errorf("-addr %s: %w", o.addr, err)
+	}
 	srv, err := serve.New(serve.Config{
 		StateDir:       o.state,
 		QueueCap:       o.queueCap,
@@ -116,6 +124,7 @@ func run(o options, logger *log.Logger) error {
 		Logf:           logger.Printf,
 	})
 	if err != nil {
+		ln.Close()
 		return err
 	}
 	publishMetrics(srv)
@@ -132,10 +141,6 @@ func run(o options, logger *log.Logger) error {
 		IdleTimeout:       2 * time.Minute,
 		MaxHeaderBytes:    64 << 10,
 		ErrorLog:          logger,
-	}
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return fmt.Errorf("-addr %s: %w", o.addr, err)
 	}
 	logger.Printf("job API on http://%s/v1/jobs (state in %s)", ln.Addr(), o.state)
 

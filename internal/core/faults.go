@@ -159,9 +159,7 @@ func (s *Sprinter) faultTrips(p FaultParams) ([]fault.Event, error) {
 func (s *Sprinter) buildFaultSchedule(rate float64, p FaultParams, seed int64, trips []fault.Event) (*fault.Schedule, error) {
 	total := int(rate*float64(p.Cycles)/10000 + 0.5)
 	perm, trans, links := faultMix(total, s.mesh.Nodes())
-	sched, err := fault.Generate(fault.GenConfig{
-		Width:             s.cfg.NoC.Width,
-		Height:            s.cfg.NoC.Height,
+	sched, err := fault.Generate(s.mesh, fault.GenConfig{
 		Horizon:           p.Cycles,
 		Permanent:         perm,
 		Transient:         trans,
@@ -228,8 +226,6 @@ func (s *Sprinter) FaultRun(sched *fault.Schedule, p FaultParams, seed int64) (F
 			Model:           s.cfg.Lumped,
 			SecondsPerCycle: faultThermalSeconds / float64(p.Cycles),
 			BasePowerW:      chipW,
-			TripK:           faultTripTempK,
-			ClearK:          faultTripTempK - 3.0,
 		}
 	}
 	var chk *check.Checker

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"nocsprint/internal/fault"
 	"nocsprint/internal/noc"
 	"nocsprint/internal/obs"
 	"nocsprint/internal/power"
@@ -149,7 +150,9 @@ func TestTelemetryPricedAtSystemCorner(t *testing.T) {
 
 // TestFaultSweepEmitsEventTimeline checks the fault driver's event side: a
 // sweep with guaranteed fault arrivals must leave fault events and sprint
-// level changes on the timeline, stamped within the simulated window.
+// level changes on the timeline, stamped within the simulated window. The
+// run's thermal trip is marked once, by the schedule's fault event that the
+// governor acts on: no event kind of the telemetry marks it again.
 func TestFaultSweepEmitsEventTimeline(t *testing.T) {
 	s := newSprinter(t)
 	rec, err := obs.NewRecorder(obs.Config{Interval: 1000})
@@ -166,14 +169,23 @@ func TestFaultSweepEmitsEventTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[obs.EventKind]int{}
+	tripFault := fault.Event{Kind: fault.ThermalTrip}.Describe()
 	for _, c := range rec.Collectors() {
 		label, events := timeline(t, c)
+		trips := 0
 		for _, ev := range events {
 			kinds[ev.Kind]++
 			if ev.Cycle < 0 || ev.Cycle > cycles {
 				t.Errorf("collector %q: event %v at cycle %d outside the %d-cycle run",
 					label, ev.Kind, ev.Cycle, cycles)
 			}
+			if ev.Kind == obs.EventFault && ev.Detail == tripFault || strings.Contains(ev.Kind.String(), "trip") {
+				trips++
+			}
+		}
+		if trips != 1 {
+			t.Errorf("collector %q marks the run's thermal trip %d times, want once, by a %q fault event",
+				label, trips, tripFault)
 		}
 	}
 	if kinds[obs.EventFault] == 0 {

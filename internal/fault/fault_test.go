@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nocsprint/internal/thermal"
+	"nocsprint/internal/topo"
 )
 
 func TestParseStringRoundTrip(t *testing.T) {
@@ -139,16 +140,17 @@ func TestHealthyAt(t *testing.T) {
 }
 
 func TestGenerateDeterministicAndValid(t *testing.T) {
+	m := topo.NewMesh(4, 4)
 	cfg := GenConfig{
-		Width: 4, Height: 4, Horizon: 10000,
+		Horizon:   10000,
 		Permanent: 3, Transient: 4, Links: 2, TransientDuration: 200,
 		Seed: 42,
 	}
-	a, err := Generate(cfg)
+	a, err := Generate(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(cfg)
+	b, err := Generate(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,7 @@ func TestGenerateDeterministicAndValid(t *testing.T) {
 		t.Fatalf("same seed produced different schedules:\n%s\n--\n%s", a, b)
 	}
 	cfg.Seed = 43
-	c, err := Generate(cfg)
+	c, err := Generate(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,20 +213,17 @@ func abs(v int) int {
 }
 
 func TestGenerateRejectsUnsurvivable(t *testing.T) {
-	_, err := Generate(GenConfig{
-		Width: 2, Height: 2, Horizon: 1000,
+	_, err := Generate(topo.NewMesh(2, 2), GenConfig{
+		Horizon:   1000,
 		Permanent: 2, Transient: 1, Links: 1, TransientDuration: 10, Seed: 1,
 	})
 	if err == nil {
 		t.Fatal("unsurvivable config accepted")
 	}
-	if _, err := Generate(GenConfig{Width: 0, Height: 4, Horizon: 100}); err == nil {
-		t.Fatal("invalid mesh accepted")
-	}
-	if _, err := Generate(GenConfig{Width: 4, Height: 4, Horizon: 1}); err == nil {
+	if _, err := Generate(topo.NewMesh(4, 4), GenConfig{Horizon: 1}); err == nil {
 		t.Fatal("degenerate horizon accepted")
 	}
-	if _, err := Generate(GenConfig{Width: 4, Height: 4, Horizon: 100, Transient: 1}); err == nil {
+	if _, err := Generate(topo.NewMesh(4, 4), GenConfig{Horizon: 100, Transient: 1}); err == nil {
 		t.Fatal("transient without duration accepted")
 	}
 }
@@ -233,8 +232,8 @@ func TestGenerateManyFaultsOnSmallMesh(t *testing.T) {
 	// The near-worst survivable load on a 4x4: 15 of 16 nodes are potential
 	// casualties. Link faults draw first, so partners must still exist.
 	for seed := int64(0); seed < 20; seed++ {
-		s, err := Generate(GenConfig{
-			Width: 4, Height: 4, Horizon: 10000,
+		s, err := Generate(topo.NewMesh(4, 4), GenConfig{
+			Horizon:   10000,
 			Permanent: 4, Transient: 5, Links: 3, TransientDuration: 100, Seed: seed,
 		})
 		if err != nil {

@@ -9,11 +9,8 @@ import (
 	"nocsprint/internal/topo"
 )
 
-// GenConfig parameterises deterministic schedule generation over a
-// Width×Height mesh.
+// GenConfig parameterises deterministic schedule generation over a mesh.
 type GenConfig struct {
-	// Width and Height are the mesh dimensions.
-	Width, Height int
 	// Horizon is the cycle range faults are placed in: every generated
 	// event fires in [1, Horizon).
 	Horizon int64
@@ -25,14 +22,11 @@ type GenConfig struct {
 	Seed int64
 }
 
-// Generate builds a seeded, validated fault schedule: distinct victims drawn
-// from every node of the mesh, fault cycles uniform over the horizon, link
-// faults placed on a mesh edge incident to their victim. The output is fully
-// determined by cfg.
-func Generate(cfg GenConfig) (*Schedule, error) {
-	if cfg.Width < 1 || cfg.Height < 1 {
-		return nil, fmt.Errorf("fault: invalid mesh %dx%d", cfg.Width, cfg.Height)
-	}
+// Generate builds a seeded, validated fault schedule on m: distinct victims
+// drawn from every node of the mesh, fault cycles uniform over the horizon,
+// link faults placed on a mesh edge incident to their victim. The output is
+// fully determined by m's dimensions and cfg.
+func Generate(m *topo.Mesh, cfg GenConfig) (*Schedule, error) {
 	if cfg.Horizon < 2 {
 		return nil, fmt.Errorf("fault: horizon %d leaves no room for faults", cfg.Horizon)
 	}
@@ -42,7 +36,6 @@ func Generate(cfg GenConfig) (*Schedule, error) {
 	if cfg.Transient > 0 && cfg.TransientDuration < 1 {
 		return nil, fmt.Errorf("fault: transient faults need a duration >= 1")
 	}
-	m := topo.NewMesh(cfg.Width, cfg.Height)
 	// Each link fault can retire either endpoint, so it consumes its victim
 	// and one neighbour from the survivable budget.
 	need := cfg.Permanent + cfg.Transient + 2*cfg.Links

@@ -22,13 +22,9 @@ const (
 	EventResumeFailed
 	EventResumed
 	EventDeclaredDead
-	// EventFault marks a scheduled fault arriving at the fabric.
+	// EventFault marks a scheduled fault arriving at the fabric, a thermal
+	// trip included.
 	EventFault
-	// EventThermalTrip/EventThermalClear bracket a thermal-trip assertion of
-	// the collector's RC model (distinct from schedule-driven trip faults,
-	// which arrive as EventFault).
-	EventThermalTrip
-	EventThermalClear
 	// EventQuiesce/EventDrained bracket a reconfiguration: traffic pauses at
 	// quiesce and the fabric has emptied (or exhausted its budget) at
 	// drained.
@@ -47,8 +43,6 @@ var eventKindNames = [numEventKinds]string{
 	EventResumed:         "resumed",
 	EventDeclaredDead:    "declared-dead",
 	EventFault:           "fault",
-	EventThermalTrip:     "thermal-trip",
-	EventThermalClear:    "thermal-clear",
 	EventQuiesce:         "quiesce",
 	EventDrained:         "drained",
 }

@@ -39,7 +39,7 @@ type PowerModel struct {
 }
 
 // ThermalModel drives an incremental lumped RC + PCM step per sample window,
-// producing the temperature series and thermal trip/clear events.
+// producing the temperature series.
 type ThermalModel struct {
 	// Model is the chip-level RC model.
 	Model thermal.Lumped
@@ -50,9 +50,6 @@ type ThermalModel struct {
 	// step (cores, uncore) so the die temperature reflects chip activity,
 	// not just the interconnect.
 	BasePowerW float64
-	// TripK/ClearK arm the trip comparator with hysteresis; zero TripK
-	// disables trip events.
-	TripK, ClearK float64
 }
 
 // A Collector starts with room for sampleCap samples (and their per-router
@@ -70,7 +67,7 @@ type Config struct {
 	Interval int
 	// Power, when non-nil, fills Sample.PowerW.
 	Power *PowerModel
-	// Thermal, when non-nil, fills Sample.TempK and emits trip events.
+	// Thermal, when non-nil, fills Sample.TempK.
 	Thermal *ThermalModel
 }
 
@@ -103,15 +100,6 @@ func (c Config) Validate() error {
 		}
 		if !(t.BasePowerW >= 0) || math.IsInf(t.BasePowerW, 1) {
 			return fmt.Errorf("obs: base power %g not finite and non-negative", t.BasePowerW)
-		}
-		if t.TripK != 0 {
-			s, err := thermal.NewLumpedState(t.Model)
-			if err != nil {
-				return fmt.Errorf("obs: thermal model: %w", err)
-			}
-			if err := s.SetHysteresis(t.TripK, t.ClearK); err != nil {
-				return fmt.Errorf("obs: %w", err)
-			}
 		}
 	}
 	return nil
@@ -177,11 +165,10 @@ type Collector struct {
 
 	events []Event
 
-	pw          *PowerModel
-	params      power.RouterParams // the watched routers' model, priced with pw
-	th          *ThermalModel
-	thermState  *thermal.LumpedState
-	prevTripped bool
+	pw         *PowerModel
+	params     power.RouterParams // the watched routers' model, priced with pw
+	th         *ThermalModel
+	thermState *thermal.LumpedState
 }
 
 // newCollector builds a collector for net; cfg must have been validated.
@@ -210,9 +197,6 @@ func newCollector(cfg Config, label string, net *noc.Network) *Collector {
 	if c.th != nil {
 		// cfg was validated, so construction cannot fail here.
 		c.thermState, _ = thermal.NewLumpedState(c.th.Model)
-		if c.th.TripK != 0 {
-			_ = c.thermState.SetHysteresis(c.th.TripK, c.th.ClearK)
-		}
 	}
 	return c
 }
@@ -306,14 +290,6 @@ func (c *Collector) sample(n *noc.Network) {
 		// non-negative), so the step cannot fail.
 		_ = c.thermState.Step(s.PowerW+c.th.BasePowerW, float64(window)*c.th.SecondsPerCycle)
 		s.TempK = c.thermState.TempK()
-		if tripped := c.thermState.Tripped(); tripped != c.prevTripped {
-			if tripped {
-				c.Emit(c.lastCycle, EventThermalTrip, -1, "")
-			} else {
-				c.Emit(c.lastCycle, EventThermalClear, -1, "")
-			}
-			c.prevTripped = tripped
-		}
 	}
 	c.samples = append(c.samples, s)
 	c.winCycles = 0

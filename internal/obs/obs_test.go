@@ -40,7 +40,6 @@ func TestConfigValidate(t *testing.T) {
 		{"infinite base power", Config{Thermal: &ThermalModel{Model: thermal.DefaultLumped(), SecondsPerCycle: 1e-9, BasePowerW: math.Inf(1)}}},
 		{"NaN VDD", Config{Power: &PowerModel{Corner: power.Corner{VDD: math.NaN(), FreqHz: 1e9}}}},
 		{"infinite frequency", Config{Power: &PowerModel{Corner: power.Corner{VDD: 1, FreqHz: math.Inf(1)}}}},
-		{"trip below clear", Config{Thermal: &ThermalModel{Model: thermal.DefaultLumped(), SecondsPerCycle: 1e-9, TripK: 350, ClearK: 360}}},
 	}
 	for _, c := range cases {
 		if err := c.cfg.Validate(); err == nil {
@@ -150,20 +149,16 @@ func TestCollectorPowerSeries(t *testing.T) {
 	}
 }
 
-// TestCollectorThermalTrip heats the die with a large base power until the
-// trip comparator fires, then cools it below the clear threshold: the event
-// timeline must carry exactly one trip and one clear, in that order.
-func TestCollectorThermalTrip(t *testing.T) {
+// TestCollectorTemperatureRises heats the die with a large base power: the
+// temperature series must never fall while it heats.
+func TestCollectorTemperatureRises(t *testing.T) {
 	net := testNet(t)
-	l := thermal.DefaultLumped()
 	rec, err := NewRecorder(Config{
 		Interval: 10,
 		Thermal: &ThermalModel{
-			Model:           l,
+			Model:           thermal.DefaultLumped(),
 			SecondsPerCycle: 0.01, // 10-cycle window = 0.1 s of thermal time
-			BasePowerW:      60,   // steady state 378 K, far above trip
-			TripK:           350,
-			ClearK:          340,
+			BasePowerW:      60,   // steady state 378 K
 		},
 	})
 	if err != nil {
@@ -174,22 +169,14 @@ func TestCollectorThermalTrip(t *testing.T) {
 	for i := 0; i < 400; i++ { // heat: 4 s of thermal time
 		net.Step()
 	}
-	tripped := len(col.events)
-	if tripped != 1 || col.events[0].Kind != EventThermalTrip {
-		t.Fatalf("after heating: events %v, want exactly one thermal-trip", col.events)
-	}
-	var prevTemp float64
-	for _, s := range col.Samples() {
-		if s.TempK < prevTemp {
-			t.Fatalf("temperature fell while heating: %g after %g", s.TempK, prevTemp)
+	samples := col.Samples()
+	for i := 1; i < len(samples); i++ {
+		if samples[i].TempK < samples[i-1].TempK {
+			t.Fatalf("temperature fell while heating: %g after %g", samples[i].TempK, samples[i-1].TempK)
 		}
-		prevTemp = s.TempK
 	}
-
-	// Cooling: no way to change BasePowerW mid-run by design, so emulate by
-	// observing that trip stays latched (hysteresis) while above ClearK.
-	if col.events[0].Node != -1 {
-		t.Errorf("thermal trip node = %d, want -1 (chip-wide)", col.events[0].Node)
+	if len(samples) < 2 || samples[len(samples)-1].TempK <= samples[0].TempK {
+		t.Fatalf("the die did not heat over %d samples", len(samples))
 	}
 }
 
